@@ -28,7 +28,6 @@ from .exchange_algebra import (
     DegeneratePolygon,
     Polygon,
     ProjPolygon,
-    bracket_blocks,
     chain_bracket,
     default_rc,
     group_act,

@@ -188,10 +188,11 @@ def check_projective(seed: int = 0, samples: int = 10) -> list:
             spec_a = BracketSpec.standard(nu, N, phi_a)
             spec_b = BracketSpec.standard(nu, N, phi_b)
             R, _ = default_rc(nu)
+            tables_a = projective_chain_table(spec_a, W)
+            tables_b = projective_chain_table(spec_b, W)
             for m in range(N):
                 for n in range(N):
-                    ta = projective_chain_table(spec_a, W, m, n)
-                    tb = projective_chain_table(spec_b, W, m, n)
+                    ta, tb = tables_a[m][n], tables_b[m][n]
                     closed = projective_bracket(R, P, m, n)
                     for al in range(nu - 1):
                         for be in range(nu - 1):
@@ -380,22 +381,11 @@ CHECKS = [
 ]
 
 
-def run_suite(seed: int = 0, threads: int = 1) -> list:
+def run_suite(seed: int = 0) -> list:
     """Run every acceptance check; returns ReportDocs ordered by check id."""
-    results = {}
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {cid: pool.submit(fn, seed) for cid, fn in CHECKS}
-            for cid, fut in futures.items():
-                results[cid] = fut.result()
-    else:
-        for cid, fn in CHECKS:
-            results[cid] = fn(seed)
     docs = []
-    for cid, _ in CHECKS:
-        for doc in results[cid]:
+    for cid, fn in CHECKS:
+        for doc in fn(seed):
             doc.check = f"{cid}:{doc.check}" if not doc.check.startswith(cid) else doc.check
             docs.append(doc)
     return docs

@@ -23,7 +23,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -77,6 +77,10 @@ class RunConfig:
             raise ValueError("N must be >= 3")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be a finite positive number")
 
 
 def _load_phi(cfg: RunConfig, rng: Random) -> OddKernel:
@@ -318,8 +322,7 @@ def _cmd_flow(cfg: RunConfig) -> list:
 
 
 def _cmd_suite(cfg: RunConfig) -> list:
-    threads = int(os.environ.get("POLYPOISSON_THREADS", "1") or "1")
-    return run_suite(seed=cfg.seed, threads=max(1, threads))
+    return run_suite(seed=cfg.seed)
 
 
 _DISPATCH = {

@@ -41,7 +41,7 @@ from .lattice_ops import (
     kernel_from_dpoly,
     phi_special,
 )
-from .linalg import ONE, ZERO, rat, rat_str
+from .linalg import ONE, ZERO, contract, rat, rat_str
 from .multipoly import Dual, Poly
 
 
@@ -683,13 +683,9 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     res = ZERO
     scale = TP.bracket_scale
     for (fi, m), f in obs.items():
+        row = contract(f.grad, Pi)
         for (fj, n), g in obs.items():
-            acc = ZERO
-            for i, ci in f.grad.items():
-                row = Pi[i]
-                for j, cj in g.grad.items():
-                    if row[j]:
-                        acc += ci * row[j] * cj
+            acc = sum((row[v] * c for v, c in g.grad.items()), ZERO)
             closed = mat[_var(fi, m, N)][_var(fj, n, N)]
             res = max(res, abs(acc * scale - closed))
     return res

@@ -26,7 +26,7 @@ from .coord_reduction import (
 )
 from .exchange_algebra import Polygon, _DualCtx
 from .lattice_ops import PerSeq
-from .linalg import ONE, ZERO
+from .linalg import ONE, ZERO, contract
 from .multipoly import Dual, Poly
 
 
@@ -199,7 +199,7 @@ def trace_transfer(field_names, N: int, nu: int) -> Observable:
                     [Dual.const(0), -duals[rho_i][m]],
                     [Dual.const(1), duals[mu_i][m]],
                 ]
-                T = L if T is None else _dual_mm(T, L)
+                T = L if T is None else linalg.mat_mul(T, L)
             return T[0][0] + T[1][1]
 
         return Observable("tr_T", names, N, fn)
@@ -217,16 +217,6 @@ def det_transfer(field_names, N: int, nu: int = 2) -> Observable:
         return acc
 
     return Observable("det_T", names, N, fn)
-
-
-def _dual_mm(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[Dual.const(0)] * m for _ in range(n)]
-    for i in range(n):
-        for p in range(k):
-            for j in range(m):
-                out[i][j] = out[i][j] + A[i][p] * B[p][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +286,8 @@ def lifted_flow_residual(W: Polygon) -> Fraction:
 
 def commute_check(P, I1: Observable, I2: Observable, point) -> Fraction:
     """{I1, I2} under the tensor at the point, exact."""
-    TP = as_poly_tensor(P)
-    mat = TP.eval_matrix(point)
-    g1 = I1.gradient(point)
-    g2 = I2.gradient(point)
-    acc = ZERO
-    for i, ci in g1.items():
-        row = mat[i]
-        for j, cj in g2.items():
-            if row[j]:
-                acc += ci * row[j] * cj
-    return acc
+    mat = as_poly_tensor(P).eval_matrix(point)
+    return contract(I1.gradient(point), mat, I2.gradient(point))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +349,6 @@ def gf_check(P, direction, seed: int = 0, points: int = 3):
 # ---------------------------------------------------------------------------
 # floating-point integration (the only inexact corner)
 # ---------------------------------------------------------------------------
-
-
-def float_state(point, field_names, N: int) -> dict:
-    if isinstance(point, Fields):
-        point = point.point()
-    return {name: [float(point[name][m]) for m in range(N)] for name in field_names}
 
 
 def integrate(vf, start: dict, dt: float, steps: int, invariants=None):

@@ -17,17 +17,25 @@ below verifies this exactly); writing A_pm = R +- Q they read
 
 All values are exact rationals.  Sign and leg conventions are pinned jointly
 by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
+
+The three blocks are assembled into the coordinate bracket matrix Pi in one
+place, ``_assemble``: ``bracket_matrix`` runs it on the polygon's rational
+coordinates, and ``jacobi_residual`` runs it on Dual coordinates, so that
+every entry of Pi carries its gradient.  The T-matrices, Q and A_pm are built
+once per BracketSpec.  Every chain-rule bracket contracts gradients against
+Pi with ``linalg.contract``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from random import Random
 
 from . import linalg
 from .lattice_ops import Kernel, PerSeq, SignWindow, sign
-from .linalg import ONE, ZERO, rat
+from .linalg import ONE, ZERO, contract, rat
 from .multipoly import Dual, dual_det
 
 
@@ -194,6 +202,10 @@ def identity2(nu: int):
     return linalg.identity(nu * nu)
 
 
+def _frozen(X) -> tuple:
+    return tuple(tuple(row) for row in X)
+
+
 def default_rc(nu: int):
     """The standard skew r-matrix and the Casimir element for sl_nu.
 
@@ -266,7 +278,10 @@ def casimir_property_residual(C, g, h) -> Fraction:
 
 @dataclass(frozen=True)
 class BracketSpec:
-    """The data (nu, N, R, C, phi) defining the bracket, with derived blocks."""
+    """The data (nu, N, R, C, phi) defining the bracket.
+
+    The derived matrices (Q, A_+-, the T-matrices) are built once per spec.
+    """
 
     nu: int
     N: int
@@ -287,38 +302,45 @@ class BracketSpec:
         R, C = default_rc(nu)
         return cls(nu, N, tuple(tuple(r) for r in R), tuple(tuple(r) for r in C), phi)
 
-    @property
+    @cached_property
     def Q(self):
         """C + Id(x)Id, the swap-normalized Casimir block."""
-        return linalg.mat_add([list(r) for r in self.C], identity2(self.nu))
+        return _frozen(linalg.mat_add(self.C, identity2(self.nu)))
 
-    @property
-    def r_plus(self):
-        """(R + C)/2, kept for reference and the wire format."""
-        return linalg.mat_scale(linalg.mat_add([list(r) for r in self.R], [list(r) for r in self.C]), Fraction(1, 2))
-
-    @property
-    def r_minus(self):
-        return linalg.mat_scale(linalg.mat_sub([list(r) for r in self.R], [list(r) for r in self.C]), Fraction(1, 2))
-
+    @cached_property
     def a_plus(self):
-        return linalg.mat_add([list(r) for r in self.R], self.Q)
+        """A_+ = R + Q, a factor of the V-M and M-M blocks."""
+        return _frozen(linalg.mat_add(self.R, self.Q))
 
+    @cached_property
     def a_minus(self):
-        return linalg.mat_sub([list(r) for r in self.R], self.Q)
+        """A_- = R - Q, a factor of the V-M and M-M blocks."""
+        return _frozen(linalg.mat_sub(self.R, self.Q))
+
+    @cached_property
+    def _t_matrices(self) -> dict:
+        # Equal entries share one Fraction: a spec lives as long as its
+        # caller holds it, and most of the 2N-1 matrices' entries are 0 or +-1.
+        shared = {}
+        out = {}
+        for k in range(1 - self.N, self.N):
+            T = self.R
+            s = sign(k)
+            if s:
+                T = linalg.mat_add(T, self.Q if s > 0 else linalg.mat_scale(self.Q, -1))
+            p = self.phi[k]
+            if p:
+                T = linalg.mat_add(T, linalg.mat_scale(identity2(self.nu), p))
+            out[k] = tuple(tuple(shared.setdefault(x, x) for x in row) for row in T)
+        return out
 
     def t_matrix(self, k: int):
-        """R + sgn(k) Q + phi_k Id(x)Id for a window difference k."""
+        """R + sgn(k) Q + phi_k Id(x)Id for a window difference k.
+
+        The 2N-1 matrices are built once per spec and shared, hence read-only.
+        """
         SignWindow(self.N)[k]  # range check
-        T = [list(r) for r in self.R]
-        s = sign(k)
-        if s:
-            Q = self.Q
-            T = linalg.mat_add(T, Q if s > 0 else linalg.mat_scale(Q, -1))
-        p = self.phi[k]
-        if p:
-            T = linalg.mat_add(T, linalg.mat_scale(identity2(self.nu), p))
-        return T
+        return self._t_matrices[k]
 
     def to_json(self) -> dict:
         from .linalg import rat_str
@@ -340,81 +362,6 @@ class BracketSpec:
             tuple(tuple(rat(x) for x in row) for row in doc["C"]),
             Kernel.from_json(doc["phi"]),
         )
-
-
-# ---------------------------------------------------------------------------
-# bracket blocks and the full coordinate bracket matrix
-# ---------------------------------------------------------------------------
-
-
-def _vm_block(spec: BracketSpec, M):
-    """(1(x)M) A_- - A_+ (1(x)M) for the monodromy matrix M."""
-    nu = spec.nu
-    one_m = linalg.kron(linalg.identity(nu), M)
-    return linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus()), linalg.mat_mul(spec.a_plus(), one_m))
-
-
-def _mm_block(spec: BracketSpec, M):
-    nu = spec.nu
-    m_one = linalg.kron(M, linalg.identity(nu))
-    one_m = linalg.kron(linalg.identity(nu), M)
-    mm = linalg.kron(M, M)
-    out = linalg.mat_mul(mm, spec.a_minus())
-    out = linalg.mat_add(out, linalg.mat_mul(spec.a_plus(), mm))
-    out = linalg.mat_sub(out, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus()), one_m))
-    out = linalg.mat_sub(out, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus()), m_one))
-    return out
-
-
-def bracket_blocks(spec: BracketSpec, W: Polygon, m: int, n: int):
-    """The three bracket tables at fundamental-domain sites (m, n).
-
-    Returns (VV, VM, MM) with
-      VV[a][b]              = {(V_m)_a, (V_n)_b}
-      VM[a][i*nu+j]         = {(V_m)_a, M_ij}
-      MM[i1*nu+j1][i2*nu+j2] = {M_{i1 j1}, M_{i2 j2}}
-    """
-    nu, N = spec.nu, spec.N
-    if not (0 <= m < N and 0 <= n < N):
-        raise IndexError("sites must lie in the fundamental domain")
-    T = spec.t_matrix(m - n)
-    Vm, Vn = W.V[m], W.V[n]
-    VV = [[ZERO] * nu for _ in range(nu)]
-    for c in range(nu):
-        if not Vm[c]:
-            continue
-        for d in range(nu):
-            if not Vn[d]:
-                continue
-            coeff = Vm[c] * Vn[d]
-            row = T[_pair(nu, c, d)]
-            for a in range(nu):
-                for b in range(nu):
-                    x = row[_pair(nu, a, b)]
-                    if x:
-                        VV[a][b] += coeff * x
-    Mmat = [list(r) for r in W.M]
-    Wm = _vm_block(spec, Mmat)
-    VM = [[ZERO] * (nu * nu) for _ in range(nu)]
-    for c in range(nu):
-        if not Vm[c]:
-            continue
-        for i in range(nu):
-            row = Wm[_pair(nu, c, i)]
-            for a in range(nu):
-                for j in range(nu):
-                    x = row[_pair(nu, a, j)]
-                    if x:
-                        VM[a][i * nu + j] += Vm[c] * x
-    MMt = _mm_block(spec, Mmat)
-    MM = [[ZERO] * (nu * nu) for _ in range(nu * nu)]
-    for i1 in range(nu):
-        for i2 in range(nu):
-            row = MMt[_pair(nu, i1, i2)]
-            for j1 in range(nu):
-                for j2 in range(nu):
-                    MM[i1 * nu + j1][i2 * nu + j2] = row[_pair(nu, j1, j2)]
-    return VV, VM, MM
 
 
 class _DualCtx:
@@ -483,23 +430,8 @@ def coordinate_obs(vid: int, name: str = "") -> Observable:
     return Observable(name or f"x{vid}", fn)
 
 
-def linear_obs(coeffs: dict, name: str = "lin") -> Observable:
-    def fn(ctx: _DualCtx) -> Dual:
-        vals = ctx.W.coordinates()
-        acc = Dual.const(0)
-        for vid, c in coeffs.items():
-            acc = acc + Dual.var(vals[vid], vid) * c
-        return acc
-
-    return Observable(name, fn)
-
-
 def wronskian_obs(m: int) -> Observable:
     return Observable(f"w_{m}", lambda ctx: ctx.wronskian(m))
-
-
-def field_obs(k: int, m: int) -> Observable:
-    return Observable(f"a{k}_{m}", lambda ctx: ctx.field(k, m))
 
 
 def proj_obs(m: int, comp: int) -> Observable:
@@ -512,137 +444,56 @@ def proj_obs(m: int, comp: int) -> Observable:
     return Observable(f"v{comp}_{m}", fn)
 
 
-def bracket_matrix(spec: BracketSpec, W: Polygon):
-    """The full coordinate bracket matrix Pi at the point W (exact, antisym)."""
+# ---------------------------------------------------------------------------
+# the coordinate bracket matrix: one assembly for values and gradients
+# ---------------------------------------------------------------------------
+
+
+def _assemble(spec: BracketSpec, V, M):
+    """The bracket matrix Pi over the coordinates (V_0, ..., V_{N-1}, M).
+
+    V holds the N fundamental-domain vertices and M the monodromy, with
+    entries that are Fractions (Pi at the point) or Duals (each entry of Pi
+    carries its gradient in every coordinate).  Coordinates are ordered as in
+    Polygon.var_v / Polygon.var_m.
+    """
     nu, N = spec.nu, spec.N
-    D = W.n_vars()
-    Pi = linalg.zeros(D, D)
+    base = N * nu
+    Pi = linalg.zeros(base + nu * nu, base + nu * nu)
+    # V-V: {V_m (x) V_n} = (V_m (x) V_n) T_{m-n}
     for m in range(N):
         for n in range(N):
-            T = spec.t_matrix(m - n)
-            Vm, Vn = W.V[m], W.V[n]
-            for c in range(nu):
-                if not Vm[c]:
-                    continue
-                for d in range(nu):
-                    if not Vn[d]:
-                        continue
-                    coeff = Vm[c] * Vn[d]
-                    row = T[_pair(nu, c, d)]
-                    for a in range(nu):
-                        for b in range(nu):
-                            x = row[_pair(nu, a, b)]
-                            if x:
-                                Pi[W.var_v(m, a)][W.var_v(n, b)] += coeff * x
-    Mmat = [list(r) for r in W.M]
-    Wm = _vm_block(spec, Mmat)
-    for m in range(N):
-        Vm = W.V[m]
-        for c in range(nu):
-            if not Vm[c]:
-                continue
-            for i in range(nu):
-                row = Wm[_pair(nu, c, i)]
-                for a in range(nu):
-                    for j in range(nu):
-                        x = row[_pair(nu, a, j)]
-                        if x:
-                            val = Vm[c] * x
-                            Pi[W.var_v(m, a)][W.var_m(i, j)] += val
-                            Pi[W.var_m(i, j)][W.var_v(m, a)] -= val
-    MMt = _mm_block(spec, Mmat)
+            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), spec.t_matrix(m - n))[0]
+            for a in range(nu):
+                Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
+    # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
+    one_m = linalg.kron(linalg.identity(nu), M)
+    m_one = linalg.kron(M, linalg.identity(nu))
+    vm = linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus), linalg.mat_mul(spec.a_plus, one_m))
+    for i in range(nu):
+        block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
+        for m in range(N):
+            for a in range(nu):
+                for j in range(nu):
+                    x = block[m][a * nu + j]
+                    Pi[m * nu + a][base + i * nu + j] = x
+                    Pi[base + i * nu + j][m * nu + a] = -x
+    # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
+    mm = linalg.kron(M, M)
+    mm = linalg.mat_add(linalg.mat_mul(mm, spec.a_minus), linalg.mat_mul(spec.a_plus, mm))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus), one_m))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus), m_one))
     for i1 in range(nu):
         for j1 in range(nu):
             for i2 in range(nu):
                 for j2 in range(nu):
-                    Pi[W.var_m(i1, j1)][W.var_m(i2, j2)] = MMt[_pair(nu, i1, i2)][
-                        _pair(nu, j1, j2)
-                    ]
+                    Pi[base + i1 * nu + j1][base + i2 * nu + j2] = mm[_pair(nu, i1, i2)][_pair(nu, j1, j2)]
     return Pi
 
 
-def _dual_kron(A, B):
-    nb = len(B)
-    out = [[Dual.const(0)] * (len(A) * nb) for _ in range(len(A) * nb)]
-    for i, row in enumerate(A):
-        for j, c in enumerate(row):
-            for k in range(nb):
-                for l in range(nb):
-                    out[i * nb + k][j * nb + l] = c * B[k][l]
-    return out
-
-
-def _dual_matmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[Dual.const(0)] * m for _ in range(n)]
-    for i in range(n):
-        for p in range(k):
-            c = A[i][p]
-            if isinstance(c, Dual) and not c.val and not c.grad:
-                continue
-            if not isinstance(c, Dual) and not c:
-                continue
-            for j in range(m):
-                out[i][j] = out[i][j] + c * B[p][j]
-    return out
-
-
-def bracket_matrix_dual(spec: BracketSpec, W: Polygon):
-    """Pi with Dual entries (value plus gradient in every coordinate)."""
-    nu, N = spec.nu, spec.N
-    ctx = _DualCtx(W)
-    D = W.n_vars()
-    Pi = [[Dual.const(0) for _ in range(D)] for _ in range(D)]
-    vdual = [ctx.vertex(m) for m in range(N)]
-    for m in range(N):
-        for n in range(N):
-            T = spec.t_matrix(m - n)
-            for c in range(nu):
-                for d in range(nu):
-                    coeff = vdual[m][c] * vdual[n][d]
-                    row = T[_pair(nu, c, d)]
-                    for a in range(nu):
-                        for b in range(nu):
-                            x = row[_pair(nu, a, b)]
-                            if x:
-                                vi, vj = W.var_v(m, a), W.var_v(n, b)
-                                Pi[vi][vj] = Pi[vi][vj] + coeff * x
-    Md = ctx.monodromy()
-    ident = [[Dual.const(1 if i == j else 0) for j in range(nu)] for i in range(nu)]
-    one_m = _dual_kron(ident, Md)
-    m_one = _dual_kron(Md, ident)
-    a_plus = [[Dual.const(x) for x in row] for row in spec.a_plus()]
-    a_minus = [[Dual.const(x) for x in row] for row in spec.a_minus()]
-    Wd = _dual_matmul(one_m, a_minus)
-    Wd2 = _dual_matmul(a_plus, one_m)
-    for r in range(nu * nu):
-        for s in range(nu * nu):
-            Wd[r][s] = Wd[r][s] - Wd2[r][s]
-    for m in range(N):
-        for c in range(nu):
-            for i in range(nu):
-                row = Wd[_pair(nu, c, i)]
-                for a in range(nu):
-                    for j in range(nu):
-                        x = row[_pair(nu, a, j)]
-                        val = vdual[m][c] * x
-                        vi, vj = W.var_v(m, a), W.var_m(i, j)
-                        Pi[vi][vj] = Pi[vi][vj] + val
-                        Pi[vj][vi] = Pi[vj][vi] - val
-    mm = _dual_kron(Md, Md)
-    out = _dual_matmul(mm, a_minus)
-    t2 = _dual_matmul(a_plus, mm)
-    t3 = _dual_matmul(_dual_matmul(m_one, a_plus), one_m)
-    t4 = _dual_matmul(_dual_matmul(one_m, a_minus), m_one)
-    for i1 in range(nu):
-        for i2 in range(nu):
-            for j1 in range(nu):
-                for j2 in range(nu):
-                    r, s = _pair(nu, i1, i2), _pair(nu, j1, j2)
-                    Pi[W.var_m(i1, j1)][W.var_m(i2, j2)] = (
-                        out[r][s] + t2[r][s] - t3[r][s] - t4[r][s]
-                    )
-    return Pi
+def bracket_matrix(spec: BracketSpec, W: Polygon):
+    """The full coordinate bracket matrix Pi at the point W (exact, antisym)."""
+    return _assemble(spec, W.V, W.M)
 
 
 # ---------------------------------------------------------------------------
@@ -653,16 +504,7 @@ def bracket_matrix_dual(spec: BracketSpec, W: Polygon):
 def chain_bracket(spec: BracketSpec, W: Polygon, f: Observable, g: Observable) -> Fraction:
     """{f, g} at W: gradients contracted against the bracket matrix."""
     ctx = _DualCtx(W)
-    Pi = bracket_matrix(spec, W)
-    df = f.eval_dual(ctx).grad
-    dg = g.eval_dual(ctx).grad
-    acc = ZERO
-    for i, ci in df.items():
-        row = Pi[i]
-        for j, cj in dg.items():
-            if row[j]:
-                acc += ci * row[j] * cj
-    return acc
+    return contract(f.eval_dual(ctx).grad, bracket_matrix(spec, W), g.eval_dual(ctx).grad)
 
 
 def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
@@ -688,12 +530,7 @@ def momentum_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     res = ZERO
     for m in range(W.N):
         wm = ctx.wronskian(m)
-        row = [ZERO] * W.n_vars()
-        for i, ci in wm.grad.items():
-            prow = Pi[i]
-            for j in range(W.n_vars()):
-                if prow[j]:
-                    row[j] += ci * prow[j]
+        row = contract(wm.grad, Pi)
         for n in range(W.N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(W.nu):
@@ -714,34 +551,17 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     nu, N = spec.nu, spec.N
     Pi = bracket_matrix(spec, W)
     res = ZERO
-    Q = spec.Q
     for m in range(N):
-        for n in range(N):
-            if m >= n:
-                continue
-            T_ext = linalg.mat_add([list(r) for r in spec.R], Q)
-            p = spec.phi[m - n]
-            if p:
-                T_ext = linalg.mat_add(T_ext, linalg.mat_scale(identity2(nu), p))
-            vmn = [W.vertex(m + N), list(W.V[n])]
-            direct = [[ZERO] * nu for _ in range(nu)]
-            for c in range(nu):
-                for d in range(nu):
-                    coeff = vmn[0][c] * vmn[1][d]
-                    if not coeff:
-                        continue
-                    row = T_ext[_pair(nu, c, d)]
-                    for a in range(nu):
-                        for b in range(nu):
-                            if row[_pair(nu, a, b)]:
-                                direct[a][b] += coeff * row[_pair(nu, a, b)]
+        for n in range(m + 1, N):
+            vmn = linalg.kron([W.vertex(m + N)], [W.V[n]])
+            direct = linalg.mat_mul(vmn, spec.t_matrix(m + N - n))[0]
             for a in range(nu):
                 for b in range(nu):
                     acc = ZERO
                     for c in range(nu):
                         acc += W.M[c][a] * Pi[W.var_v(m, c)][W.var_v(n, b)]
                         acc -= W.V[m][c] * Pi[W.var_v(n, b)][W.var_m(c, a)]
-                    res = max(res, abs(direct[a][b] - acc))
+                    res = max(res, abs(direct[_pair(nu, a, b)] - acc))
     return res
 
 
@@ -764,31 +584,20 @@ def _random_sparse_linear(W: Polygon, rng: Random) -> dict:
 def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fraction:
     """Max Jacobiator over random triples of sparse linear observables."""
     rng = Random(seed)
-    Pi = bracket_matrix_dual(spec, W)
+    ctx = _DualCtx(W)
+    Pi = _assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
 
-    def pb_dual(f: dict, g: dict) -> Dual:
-        acc = Dual.const(0)
-        for i, ci in f.items():
-            for j, cj in g.items():
-                acc = acc + Pi[i][j] * (ci * cj)
-        return acc
-
-    def pb_with(f: dict, q: Dual) -> Fraction:
-        acc = ZERO
-        for i, ci in f.items():
-            row = Pi[i]
-            for j, cj in q.grad.items():
-                if row[j].val:
-                    acc += ci * row[j].val * cj
-        return acc
+    def pb(f: dict, g: dict) -> Dual:
+        # contract gives a plain Fraction 0 when every entry it meets is zero
+        return Dual.const(0) + contract(f, Pi, g)
 
     res = ZERO
     for _ in range(trials):
         f = _random_sparse_linear(W, rng)
         g = _random_sparse_linear(W, rng)
         h = _random_sparse_linear(W, rng)
-        jac = pb_with(f, pb_dual(g, h)) + pb_with(g, pb_dual(h, f)) + pb_with(h, pb_dual(f, g))
-        res = max(res, abs(jac))
+        jac = pb(f, pb(g, h).grad) + pb(g, pb(h, f).grad) + pb(h, pb(f, g).grad)
+        res = max(res, abs(jac.val))
     return res
 
 
@@ -885,21 +694,13 @@ def projective_bracket(R, P: ProjPolygon, m: int, n: int):
     return table
 
 
-def projective_chain_table(spec: BracketSpec, W: Polygon, m: int, n: int):
-    """{v_m (x) v_n} computed through the full bracket in the affine chart."""
+def projective_chain_table(spec: BracketSpec, W: Polygon):
+    """{v_m (x) v_n} through the full bracket in the affine chart, for every site pair.
+
+    Returns tables with tables[m][n] the (nu-1) x (nu-1) table of (m, n).
+    """
     k = spec.nu - 1
     ctx = _DualCtx(W)
     Pi = bracket_matrix(spec, W)
-    fs = [proj_obs(m, c).eval_dual(ctx) for c in range(k)]
-    gs = [proj_obs(n, c).eval_dual(ctx) for c in range(k)]
-    table = [[ZERO] * k for _ in range(k)]
-    for al in range(k):
-        for be in range(k):
-            acc = ZERO
-            for i, ci in fs[al].grad.items():
-                row = Pi[i]
-                for j, cj in gs[be].grad.items():
-                    if row[j]:
-                        acc += ci * row[j] * cj
-            table[al][be] = acc
-    return table
+    grads = [[proj_obs(m, c).eval_dual(ctx).grad for c in range(k)] for m in range(W.N)]
+    return [[[[contract(f, Pi, g) for g in gn] for f in gm] for gn in grads] for gm in grads]

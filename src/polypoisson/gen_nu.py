@@ -34,7 +34,7 @@ from .lattice_ops import (
     phi_special,
     sign,
 )
-from .linalg import ZERO, rat_str
+from .linalg import ZERO, contract, rat_str
 
 
 def _delta(j: int) -> int:
@@ -238,21 +238,13 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
         spec = BracketSpec.standard(nu, N, phi)
         ctx = _DualCtx(W)
         Pi = bracket_matrix(spec, W)
-        rho = [ctx.field(0, m) for m in range(N)]
-        others = [[ctx.field(j, n) for n in range(N)] for j in range(nu)]
+        fields = [[ctx.field(j, n) for n in range(N)] for j in range(nu)]
+        rho = fields[0]
         for m in range(N):
-            row = {}
-            for i, ci in rho[m].grad.items():
-                prow = Pi[i]
-                for jj in range(len(prow)):
-                    if prow[jj]:
-                        row[jj] = row.get(jj, ZERO) + ci * prow[jj]
+            row = contract(rho[m].grad, Pi)
             for j in range(nu):
                 for n in range(N):
-                    acc = ZERO
-                    for vid, cj in others[j][n].grad.items():
-                        if vid in row:
-                            acc += row[vid] * cj
+                    acc = sum((row[v] * c for v, c in fields[j][n].grad.items()), ZERO)
                     res = max(res, abs(acc))
     return res
 

@@ -14,7 +14,6 @@ rationals with the oddness constraints adjoined.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -368,7 +367,3 @@ def random_odd_kernel(N: int, rng, lo: int = -6, hi: int = 6, den: int = 4) -> O
         vals[j] = x
         vals[N - j] = -x
     return OddKernel(PerSeq(N, tuple(vals)))
-
-
-def kernel_to_json_str(K: Kernel) -> str:
-    return json.dumps(K.to_json(), sort_keys=True)

@@ -218,3 +218,28 @@ def inverse(a):
 
 def dot(u, v) -> Fraction:
     return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
+
+
+def contract(u: dict, A, v: dict = None):
+    """The chain-rule contraction u^T A v of sparse covectors against a matrix.
+
+    u and v map indices to coefficients, as gradients (``Dual.grad``) do; the
+    entries of A may be Fractions or Duals, and zero entries are skipped.
+    With v omitted, returns the dense covector u^T A, for checks that pair
+    one gradient with many.
+    """
+    if v is None:
+        row = [ZERO] * len(A[0])
+        for i, ci in u.items():
+            for j, x in enumerate(A[i]):
+                if x:
+                    row[j] += ci * x
+        return row
+    acc = ZERO
+    for i, ci in u.items():
+        row = A[i]
+        for j, cj in v.items():
+            x = row[j]
+            if x:
+                acc += ci * x * cj
+    return acc

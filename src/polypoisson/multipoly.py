@@ -170,6 +170,9 @@ class Dual:
     def const(cls, val) -> "Dual":
         return cls(val, {})
 
+    def __bool__(self):
+        return bool(self.val) or bool(self.grad)
+
     def __add__(self, other):
         if not isinstance(other, Dual):
             return Dual(self.val + rat(other), dict(self.grad))

@@ -76,6 +76,20 @@ def test_flow_writes_trajectory(tmp_path, capsys):
     assert drift["steps"] == 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "--steps", "0"],
+        ["flow", "--steps", "-3"],
+        ["flow", "--dt", "0", "--steps", "10"],
+    ],
+)
+def test_vacuous_flow_is_usage_error(argv, capsys):
+    assert run_command(argv) == 2
+    captured = capsys.readouterr()
+    assert "usage error" in captured.err and "PASS" not in captured.out
+
+
 def test_report_determinism(capsys):
     run_command(["reduce-dirac", "--N", "5", "--seed", "42", "--format", "json"])
     first = capsys.readouterr().out
@@ -114,13 +128,3 @@ def test_failing_check_propagates_exit_code(monkeypatch, capsys):
 
     monkeypatch.setitem(cli._DISPATCH, "verify-ybe", fake)
     assert run_command(["verify-ybe"]) == 1
-
-
-def test_suite_thread_cap_is_result_stable(monkeypatch):
-    import polypoisson.acceptance as acc
-
-    small = [c for c in acc.CHECKS if c[0] in ("01_ybe", "09_toda_to_ftv")]
-    monkeypatch.setattr(acc, "CHECKS", small)
-    serial = [(d.check, d.residual, d.passed) for d in acc.run_suite(seed=5, threads=1)]
-    threaded = [(d.check, d.residual, d.passed) for d in acc.run_suite(seed=5, threads=4)]
-    assert serial == threaded

@@ -9,7 +9,9 @@ from polypoisson.exchange_algebra import (
     DegeneratePolygon,
     Polygon,
     ProjPolygon,
-    bracket_blocks,
+    _assemble,
+    _DualCtx,
+    bracket_matrix,
     chain_bracket,
     default_rc,
     flip_matrix,
@@ -28,6 +30,7 @@ from polypoisson.exchange_algebra import (
     casimir_property_residual,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel
+from polypoisson.multipoly import Dual
 
 F = Fraction
 
@@ -130,7 +133,7 @@ def test_bracket_blocks_same_site_is_r_table():
     N = 5
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
-    VV, _, _ = bracket_blocks(spec, W, 2, 2)
+    Pi = bracket_matrix(spec, W)
     R = spec.R
     nu = 2
     for a in range(nu):
@@ -140,7 +143,7 @@ def test_bracket_blocks_same_site_is_r_table():
                 for c in range(nu)
                 for d in range(nu)
             )
-            assert VV[a][b] == expect
+            assert Pi[W.var_v(2, a)][W.var_v(2, b)] == expect
 
 
 def test_bracket_blocks_at_identity_monodromy():
@@ -152,37 +155,48 @@ def test_bracket_blocks_at_identity_monodromy():
     spec = spec_with(nu, N, rng=Random(10))
     V = tuple(tuple(F(x) for x in row) for row in ((1, 2), (0, 1), (1, 1), (2, 1), (3, 1)))
     W = Polygon(nu, N, V, ((1, 0), (0, 1)))
-    _, VM, MM = bracket_blocks(spec, W, 1, 0)
-    assert all(x == 0 for row in MM for x in row)
+    Pi = bracket_matrix(spec, W)
+    mvars = [W.var_m(i, j) for i in range(nu) for j in range(nu)]
+    assert all(Pi[p][q] == 0 for p in mvars for q in mvars)
     Q = linalg.mat_add([list(r) for r in spec.C], identity2(nu))
     for a in range(nu):
         for i in range(nu):
             for j in range(nu):
                 expect = -2 * sum(W.V[1][c] * Q[c * nu + i][a * nu + j] for c in range(nu))
-                assert VM[a][i * nu + j] == expect
+                assert Pi[W.var_v(1, a)][W.var_m(i, j)] == expect
 
 
-def test_bracket_blocks_agree_with_assembled_matrix():
-    from polypoisson.exchange_algebra import bracket_matrix
-
+def test_dual_assembly_values_and_vertex_gradients():
+    # Pi is quadratic in the coordinates, so the central difference
+    # (Pi(W + e_p) - Pi(W - e_p)) / 2 is the exact derivative along V coordinate p.
     rng = Random(18)
-    nu, N = 3, 5
-    spec = spec_with(nu, N, rng=rng)
-    W = random_polygon(nu, N, rng)
-    Pi = bracket_matrix(spec, W)
-    for m, n in ((0, 3), (4, 1), (2, 2)):
-        VV, VM, MM = bracket_blocks(spec, W, m, n)
-        for a in range(nu):
-            for b in range(nu):
-                assert VV[a][b] == Pi[W.var_v(m, a)][W.var_v(n, b)]
-            for i in range(nu):
-                for j in range(nu):
-                    assert VM[a][i * nu + j] == Pi[W.var_v(m, a)][W.var_m(i, j)]
-        for i1 in range(nu):
-            for j1 in range(nu):
-                for i2 in range(nu):
-                    for j2 in range(nu):
-                        assert MM[i1 * nu + j1][i2 * nu + j2] == Pi[W.var_m(i1, j1)][W.var_m(i2, j2)]
+    for nu in (2, 3):
+        N = 5
+        spec = spec_with(nu, N, rng=rng)
+        W = random_polygon(nu, N, rng)
+        ctx = _DualCtx(W)
+        dual = _assemble(spec, [ctx.vertex(m) for m in range(N)], ctx.monodromy())
+        Pi = bracket_matrix(spec, W)
+        D = W.n_vars()
+        for i in range(D):
+            for j in range(D):
+                x = dual[i][j]
+                assert (x.val if isinstance(x, Dual) else x) == Pi[i][j]
+
+        def moved(m, a, t):
+            V = [list(row) for row in W.V]
+            V[m][a] += t
+            return bracket_matrix(spec, Polygon(nu, N, tuple(map(tuple, V)), W.M))
+
+        for m in range(N):
+            for a in range(nu):
+                p = W.var_v(m, a)
+                plus, minus = moved(m, a, 1), moved(m, a, -1)
+                for i in range(D):
+                    for j in range(D):
+                        x = dual[i][j]
+                        got = x.grad.get(p, 0) if isinstance(x, Dual) else 0
+                        assert got == (plus[i][j] - minus[i][j]) / 2
 
 
 def test_antisymmetry_ten_polygons_per_configuration():
@@ -270,7 +284,7 @@ def test_quasiperiodicity_without_monodromy_terms_fails():
     assert bad != 0
 
 
-def test_halved_monodromy_blocks_break_quasiperiodicity(monkeypatch):
+def test_halved_monodromy_blocks_break_quasiperiodicity():
     # the V-M and M-M blocks must carry R +- (C + Id(x)Id); the halved
     # variant (R +- C)/2 is not compatible with the extension rule
     rng = Random(20)
@@ -278,9 +292,12 @@ def test_halved_monodromy_blocks_break_quasiperiodicity(monkeypatch):
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
     assert verify_structure(spec, W, "quasiperiodicity") == 0
-    monkeypatch.setattr(BracketSpec, "a_plus", lambda self: self.r_plus)
-    monkeypatch.setattr(BracketSpec, "a_minus", lambda self: self.r_minus)
-    assert verify_structure(spec, W, "quasiperiodicity") != 0
+    halved = BracketSpec(spec.nu, N, spec.R, spec.C, spec.phi)
+    R, C = [list(r) for r in spec.R], [list(r) for r in spec.C]
+    # A_+- are cached per spec: set them on a fresh spec before any build reads them
+    vars(halved)["a_plus"] = linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
+    vars(halved)["a_minus"] = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2))
+    assert verify_structure(halved, W, "quasiperiodicity") != 0
 
 
 def test_projective_action_lemma_example():
@@ -311,11 +328,11 @@ def test_projective_phi_independence_and_closed_form():
         R, _ = default_rc(nu)
         spec_a = spec_with(nu, N, rng=rng)
         spec_b = spec_with(nu, N, phi=phi_special(nu, 0, N))
+        tables_a = projective_chain_table(spec_a, W)
+        tables_b = projective_chain_table(spec_b, W)
         for m, n in ((0, 3), (2, 1), (4, 4)):
-            ta = projective_chain_table(spec_a, W, m, n)
-            tb = projective_chain_table(spec_b, W, m, n)
             closed = projective_bracket(R, P, m, n)
-            assert ta == tb == closed
+            assert tables_a[m][n] == tables_b[m][n] == closed
 
 
 def test_degenerate_polygon_rejected():

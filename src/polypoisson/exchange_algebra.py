@@ -365,13 +365,14 @@ class BracketSpec:
 
 
 class _DualCtx:
-    """Caches dual-number vertices of a polygon (gradients over all coordinates)."""
+    """Caches dual-number vertices and Wronskians of a polygon (gradients over all coordinates)."""
 
     def __init__(self, W: Polygon):
         self.W = W
         self.nu = W.nu
         self.N = W.N
         self._vertices: dict[int, list[Dual]] = {}
+        self._wronskians: dict[int, Dual] = {}
         self._mdual = [
             [Dual.var(W.M[i][j], W.var_m(i, j)) for j in range(W.nu)] for i in range(W.nu)
         ]
@@ -397,7 +398,9 @@ class _DualCtx:
         return self._vertices[m]
 
     def wronskian(self, m: int) -> Dual:
-        return dual_det([self.vertex(m + r) for r in range(self.nu)])
+        if m not in self._wronskians:
+            self._wronskians[m] = dual_det([self.vertex(m + r) for r in range(self.nu)])
+        return self._wronskians[m]
 
     def alpha(self, k: int, m: int) -> Dual:
         rows = [self.vertex(m + r) for r in range(self.nu + 1) if r != k]

@@ -232,10 +232,10 @@ class TheoremReport:
 def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, seed: int) -> Fraction:
     """Exact chain-rule check that a^(0) brackets to zero with every field."""
     rng = Random(seed)
+    spec = BracketSpec.standard(nu, N, phi)
     res = ZERO
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
-        spec = BracketSpec.standard(nu, N, phi)
         ctx = _DualCtx(W)
         Pi = bracket_matrix(spec, W)
         fields = [[ctx.field(j, n) for n in range(N)] for j in range(nu)]

@@ -3,13 +3,19 @@
 Variables are integer ids; a monomial is a sorted tuple of (var, exponent)
 pairs.  This is deliberately minimal plumbing: exact arithmetic, partial
 derivatives and point evaluation are all the rest of the package needs.
+
+``dual_det`` differentiates a determinant without expanding it over Duals:
+the value comes from one exact elimination on the entries' values, and the
+gradient from Jacobi's formula d det A = tr(adj(A) dA), with the adjugate
+taken as det(A) A^-1, or from the signed (n-1)-minors when A is singular.
+Its cost is polynomial in the matrix size.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import ONE, ZERO, rat
+from .linalg import ONE, ZERO, det, identity, rat, solve, zeros
 
 
 class Poly:
@@ -229,17 +235,42 @@ class Dual:
 
 
 def dual_det(rows) -> Dual:
-    """Determinant of a small matrix of Duals by Laplace expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = Dual.const(0)
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * dual_det(minor)
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    """Determinant of a square matrix of Duals, gradient by Jacobi's formula.
+
+    The value is det A for the matrix A of the entries' values, computed once
+    by exact elimination.  The gradient is d det A = sum_ij adj(A)_ji dA_ij,
+    accumulated from each entry's sparse gradient.  The adjugate is
+    det(A) A^-1 when A is invertible and the signed (n-1)-minors when it is
+    singular; those vanish, and so does the gradient, when rank A <= n-2.
+    The cost is O(n^3) Fraction operations plus n^2 scaled-gradient sums.
+    """
+    vals = [[x.val for x in row] for row in rows]
+    d = det(vals)
+    adj = _adjugate(vals, d)
+    grad = {}
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            c = adj[j][i]
+            if not c:
+                continue
+            for v, dx in x.grad.items():
+                s = grad.get(v, ZERO) + c * dx
+                if s:
+                    grad[v] = s
+                else:
+                    grad.pop(v, None)
+    return Dual(d, grad)
+
+
+def _adjugate(a, d: Fraction):
+    """adj(a) for a square matrix a of Fractions with determinant d."""
+    n = len(a)
+    if d:
+        return [[d * x for x in row] for row in solve(a, identity(n))]
+    # singular: adj(a)_ij = (-1)^(i+j) det(a without row j and column i)
+    adj = zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            m = det([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j])
+            adj[i][j] = -m if (i + j) % 2 else m
+    return adj

@@ -30,7 +30,7 @@ from polypoisson.exchange_algebra import (
     casimir_property_residual,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel
-from polypoisson.multipoly import Dual
+from polypoisson.multipoly import Dual, dual_det
 
 F = Fraction
 
@@ -199,6 +199,26 @@ def test_dual_assembly_values_and_vertex_gradients():
                         assert got == (plus[i][j] - minus[i][j]) / 2
 
 
+def test_field_sweep_computes_each_wronskian_once(monkeypatch):
+    # a sweep of all nu*N fields needs the N+1 Wronskians w_0..w_N and the
+    # (nu-1)*N numerators alpha^(k)_m with k >= 1, each determinant once
+    import polypoisson.exchange_algebra as ea
+
+    calls = []
+
+    def counting_det(rows):
+        calls.append(len(rows))
+        return dual_det(rows)
+
+    monkeypatch.setattr(ea, "dual_det", counting_det)
+    nu, N = 3, 5
+    ctx = _DualCtx(random_polygon(nu, N, Random(21)))
+    for k in range(nu):
+        for m in range(N):
+            ctx.field(k, m)
+    assert len(calls) == (N + 1) + (nu - 1) * N
+
+
 def test_antisymmetry_ten_polygons_per_configuration():
     rng = Random(19)
     for nu in (2, 3):
@@ -253,7 +273,7 @@ def test_chain_bracket_antisymmetry_and_momentum():
 def test_quasiperiodicity_without_monodromy_terms_fails():
     # dropping the monodromy contribution from the product rule must break
     # the extension consistency: guards against silently ignoring M-blocks
-    from polypoisson.exchange_algebra import bracket_matrix, identity2 as id2
+    from polypoisson.exchange_algebra import bracket_matrix
 
     rng = Random(14)
     N = 5
@@ -262,15 +282,11 @@ def test_quasiperiodicity_without_monodromy_terms_fails():
     Pi = bracket_matrix(spec, W)
     nu = 2
     bad = Fraction(0)
-    Q = spec.Q
     for m in range(N):
         for n in range(N):
             if m >= n:
                 continue
-            T_ext = linalg.mat_add([list(r) for r in spec.R], Q)
-            p = spec.phi[m - n]
-            if p:
-                T_ext = linalg.mat_add(T_ext, linalg.mat_scale(id2(nu), p))
+            T_ext = spec.t_matrix(m + N - n)
             vm = W.vertex(m + N)
             for a in range(nu):
                 for b in range(nu):

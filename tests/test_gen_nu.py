@@ -162,6 +162,14 @@ def test_check_theorem_order4():
     assert rep.spectral["note"].startswith("kernel-level")
 
 
+def test_check_theorem_order6():
+    rep = check_theorem(6, 7, seed=0, polygons=1)
+    assert rep.all_pass()
+    assert all(c["verdict"] == "pass" for c in rep.cases)
+    assert rep.casimir["verdict"] == "pass"
+    assert rep.casimir["numeric_residual"] == "0"
+
+
 def test_check_theorem_noncoprime_reports_casimir_obstruction():
     # gcd(3, 9) = 3: the leading field genuinely fails to be a Casimir and
     # the defect has the exact shift-invariant size 2 gcd / N

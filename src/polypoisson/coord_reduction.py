@@ -19,8 +19,12 @@ formulas are written in.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from random import Random
 
 from . import linalg
@@ -230,14 +234,6 @@ class PolyTensor:
             out.add_term(i, m, j, n, poly)
         return out
 
-    def antisymmetry_residual(self, point) -> Fraction:
-        mat = self.eval_matrix(point)
-        D = self.n_vars()
-        return max(
-            (abs(mat[i][j] + mat[j][i]) for i in range(D) for j in range(i, D)),
-            default=ZERO,
-        )
-
     def to_json(self) -> dict:
         ent = []
         for (i, m, j, n), poly in sorted(self.entries.items()):
@@ -381,7 +377,11 @@ class OpTensor:
         return out
 
     def to_poly(self) -> PolyTensor:
-        """Expand the operator words into polynomial entries (no field inverses)."""
+        """Expand the operator words into polynomial entries (no field inverses).
+
+        A word from site m is a sum over paths that pick one site per kernel;
+        each path is walked once and its product added at the site it ends on.
+        """
         N = self.N
         out = PolyTensor(self.field_names, N, self.bracket_scale)
         for (i, j), words in self.words.items():
@@ -397,41 +397,35 @@ class OpTensor:
                         segs.append([])
                     else:
                         segs[-1].append(factor)
-
-                def diag_poly(seg, site):
-                    p = Poly.const(1)
-                    for factor in seg:
-                        if factor[0] == "f":
-                            p = p * Poly.var(_var(factor[1], site, N))
-                        else:
-                            p = p * factor[1][site]
-                    return p
-
+                # diag[k][site]: the product of segment k's factors at the site
+                diag = [[_diag_poly(seg, site, N) for site in range(N)] for seg in segs]
                 L = len(kernels)
-                for m in range(N):
-                    for n in range(N):
-                        # sum over intermediate path indices between kernels
-                        def walk(seg_idx, site, acc):
-                            if seg_idx == L:
-                                if site == n:
-                                    out.add_term(i, m, j, n, acc)
-                                return
-                            K = kernels[seg_idx]
-                            for nxt in range(N):
-                                kv = K.seq[site - nxt]
-                                if kv:
-                                    walk(
-                                        seg_idx + 1,
-                                        nxt,
-                                        acc * diag_poly(segs[seg_idx + 1], nxt) * kv,
-                                    )
 
-                        if L == 0:
-                            if m == n:
-                                out.add_term(i, m, j, n, diag_poly(segs[0], m))
-                        else:
-                            walk(0, m, diag_poly(segs[0], m))
+                def walk(seg_idx, m, site, acc):
+                    if seg_idx == L:
+                        out.add_term(i, m, j, site, acc)
+                        return
+                    K = kernels[seg_idx]
+                    nxt_diag = diag[seg_idx + 1]
+                    for nxt in range(N):
+                        kv = K.seq[site - nxt]
+                        if kv:
+                            walk(seg_idx + 1, m, nxt, acc * nxt_diag[nxt] * kv)
+
+                for m in range(N):
+                    walk(0, m, m, diag[0][m])
         return out
+
+
+def _diag_poly(seg, site: int, N: int) -> Poly:
+    """The product of a segment's field and constant diagonal factors at a site."""
+    p = Poly.const(1)
+    for factor in seg:
+        if factor[0] == "f":
+            p = p * Poly.var(_var(factor[1], site, N))
+        else:
+            p = p * factor[1][site]
+    return p
 
 
 def as_poly_tensor(P) -> PolyTensor:
@@ -822,29 +816,79 @@ def pushforward_check(u: PerSeq) -> Fraction:
 def jacobiator(P, point) -> Fraction:
     """Max-abs Jacobiator of a tensor at a point, exact.
 
-    Sum over triples (I, J, K) of field sites of
-      sum_s P_{I s} d_s P_{J K} + cyclic.
+    The maximum over triples I < J < K of field sites of
+      |sum_s P_{I s} d_s P_{J K} + cyclic|.
+    Only nonzero products are visited: each gradient entry d_s P_{J K} meets
+    the nonzero P_{I s} of column s, and the product is kept when (I, J, K)
+    is a cyclic rotation of an ascending triple.  The products are Python
+    ints: the values are scaled by the lcm Lv of their denominators and the
+    gradient entries by the lcm Lg of theirs, and the result is the exact
+    Fraction max |sum| / (Lv Lg).  The sums are grouped by the smallest index
+    of the triple, so one transient table over the other two is held at a
+    time, and the Dual matrix is released once it is converted.
     """
     TP = as_poly_tensor(P)
-    duals = TP.eval_dual(point)
     D = TP.n_vars()
-    vals = [[duals[i][j].val for j in range(D)] for i in range(D)]
-    grads = [[duals[i][j].grad for j in range(D)] for i in range(D)]
+    duals = TP.eval_dual(point)
+    vals = [(I, s, x.val) for I, row in enumerate(duals) for s, x in enumerate(row) if x.val]
+    grads = [
+        (J, K, s, d)
+        for J, row in enumerate(duals)
+        for K, x in enumerate(row)
+        if J != K
+        for s, d in x.grad.items()
+        if d
+    ]
+    del duals
+    Lv = lcm(*{v.denominator for _, _, v in vals})
+    Lg = lcm(*{d.denominator for _, _, _, d in grads})
 
-    def term(I, J, K) -> Fraction:
-        acc = ZERO
-        for s, d in grads[J][K].items():
-            if vals[I][s]:
-                acc += vals[I][s] * d
-        return acc
+    # Lv P as ints: row[I] lists (s, P_Is) by ascending s, col[s] lists
+    # (I, P_Is) by ascending I.
+    row = [[] for _ in range(D)]
+    col = [[] for _ in range(D)]
+    for I, s, v in vals:
+        v = v.numerator * (Lv // v.denominator)
+        row[I].append((s, v))
+        col[s].append((I, v))
+    # Lg dP as ints: by_s[s] lists (J, K, d_s P_JK) with J < K by ascending J,
+    # up[J] lists (K, s, d_s P_JK) with K > J, down[K] lists (J, s, d_s P_JK)
+    # with J > K.
+    by_s = [[] for _ in range(D)]
+    up = [[] for _ in range(D)]
+    down = [[] for _ in range(D)]
+    for J, K, s, d in grads:
+        d = d.numerator * (Lg // d.denominator)
+        if J < K:
+            by_s[s].append((J, K, d))
+            up[J].append((K, s, d))
+        else:
+            down[K].append((J, s, d))
+    del vals, grads
 
-    res = ZERO
-    for I in range(D):
-        for J in range(I + 1, D):
-            for K in range(J + 1, D):
-                jac = term(I, J, K) + term(J, K, I) + term(K, I, J)
-                res = max(res, abs(jac))
-    return res
+    first = itemgetter(0)
+    res = 0
+    for a in range(D):
+        # Jacobiators of the triples a < b < c, keyed b * D + c.
+        acc = defaultdict(int)
+        # P_{a s} d_s P_{b c}
+        for s, v in row[a]:
+            ent = by_s[s]
+            for b, c, d in ent[bisect_right(ent, a, key=first) :]:
+                acc[b * D + c] += v * d
+        # P_{b s} d_s P_{c a}
+        for c, s, d in down[a]:
+            ent = col[s]
+            for b, v in ent[bisect_right(ent, a, key=first) : bisect_left(ent, c, key=first)]:
+                acc[b * D + c] += v * d
+        # P_{c s} d_s P_{a b}
+        for b, s, d in up[a]:
+            ent = col[s]
+            for c, v in ent[bisect_right(ent, b, key=first) :]:
+                acc[b * D + c] += v * d
+        if acc:
+            res = max(res, max(map(abs, acc.values())))
+    return Fraction(res, Lv * Lg)
 
 
 def shift_field(P, field_idx: int, lam):
@@ -876,9 +920,12 @@ def shift_field(P, field_idx: int, lam):
 def compatibility(P, Q, points, t_samples=None) -> Fraction:
     """Max Jacobiator of P + tQ over sampled points and rational t values.
 
-    Tensor entries are polynomial, so the Jacobiator of the pencil is a
-    polynomial of degree two in t; vanishing at more than two sampled t values
-    (plus the endpoints P and Q themselves) certifies compatibility.
+    Tensor entries are polynomial, so at a fixed point the Jacobiator of the
+    pencil is a polynomial of degree two in t.  Its vanishing at three or
+    more t values is therefore an exact certificate that every member of the
+    pencil satisfies Jacobi at that point.  The points themselves are
+    sampled: a zero at every given point is evidence of compatibility, not
+    a proof of it.
     """
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if t_samples is None:

@@ -319,18 +319,19 @@ class BracketSpec:
 
     @cached_property
     def _t_matrices(self) -> dict:
-        # Equal entries share one Fraction: a spec lives as long as its
-        # caller holds it, and most of the 2N-1 matrices' entries are 0 or +-1.
+        # T_k is R, R + Q or R - Q by the sign of k, with phi_k added on the
+        # diagonal, since Id(x)Id is the nu^2 identity.  R +- Q is summed here,
+        # not read from a_plus/a_minus, so that replacing those caches to probe
+        # the V-M and M-M blocks leaves the V-V block as it is.  Equal entries
+        # share one Fraction: a spec lives as long as its caller holds it, and
+        # most of the 2N-1 matrices' entries are 0 or +-1.
         shared = {}
         out = {}
+        base = (self.R, linalg.mat_add(self.R, self.Q), linalg.mat_sub(self.R, self.Q))
         for k in range(1 - self.N, self.N):
-            T = self.R
-            s = sign(k)
-            if s:
-                T = linalg.mat_add(T, self.Q if s > 0 else linalg.mat_scale(self.Q, -1))
-            p = self.phi[k]
-            if p:
-                T = linalg.mat_add(T, linalg.mat_scale(identity2(self.nu), p))
+            T = [list(row) for row in base[sign(k)]]
+            for r, row in enumerate(T):
+                row[r] += self.phi[k]
             out[k] = tuple(tuple(shared.setdefault(x, x) for x in row) for row in T)
         return out
 

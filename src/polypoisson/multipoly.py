@@ -39,11 +39,6 @@ class Poly:
     def var(cls, v: int, c=1) -> "Poly":
         return cls({((v, 1),): rat(c)})
 
-    def copy(self) -> "Poly":
-        p = Poly()
-        p.terms = dict(self.terms)
-        return p
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -118,13 +113,6 @@ class Poly:
             acc += t
         return acc
 
-    def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for var, _ in mono:
-                out.add(var)
-        return out
-
     def degree_in(self, vars_of_interest) -> int:
         best = 0
         vs = set(vars_of_interest)
@@ -132,9 +120,6 @@ class Poly:
             d = sum(e for var, e in mono if var in vs)
             best = max(best, d)
         return best
-
-    def has_quadratic_in(self, vars_of_interest) -> bool:
-        return self.degree_in(vars_of_interest) >= 2
 
     def __repr__(self):
         if not self.terms:

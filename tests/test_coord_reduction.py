@@ -25,7 +25,8 @@ from polypoisson.coord_reduction import (
     toda_dirac_vs_ftv,
 )
 from polypoisson.exchange_algebra import BracketSpec, Polygon, group_act, random_polygon, wronskian
-from polypoisson.lattice_ops import DPoly, PerSeq, kernel_from_dpoly, phi_special, random_odd_kernel
+from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
+from polypoisson.multipoly import Poly
 
 F = Fraction
 
@@ -96,15 +97,29 @@ def test_murho_with_special_phi_is_twice_toda():
     assert linalg.max_abs(linalg.mat_sub(lhs, rhs)) == 0
 
 
+def two_kernel_tensor(N: int) -> OpTensor:
+    """Words with two kernels each, one of them dense, so paths pass a middle site."""
+    T = OpTensor(("a", "b"), N)
+    K1 = kernel_from_dpoly(DPoly({0: 1, 1: -2, -1: F(1, 3)}), N)
+    K2 = invert(kernel_from_dpoly(DPoly({0: 1, 1: 1}), N))
+    T.add_word(0, 1, ("k", K1), ("f", 1), ("k", K2))
+    T.add_word(1, 0, ("f", 0), ("k", K2), ("c", PerSeq(N, tuple(range(1, N + 1)))), ("f", 1), ("k", K1), ("f", 0))
+    return T
+
+
 def test_optensor_to_poly_matches_eval():
-    N = 5
     rng = Random(3)
-    for name, fields in (("toda", ("mu", "rho")), ("P1", ("a", "b", "rho")), ("P0", ("a", "b")), ("ftv_u", ("u",))):
-        T = closed_tensor(name, N)
-        pt = random_fields(fields, N, rng)
-        direct = T.eval_matrix(pt)
-        via_poly = T.to_poly().eval_matrix(pt)
-        assert linalg.max_abs(linalg.mat_sub(direct, via_poly)) == 0
+    abr = ("a", "b", "rho")
+    for N in (5, 7):
+        cases = [(closed_tensor(name, N), fields) for name, fields in (
+            ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("P0", ("a", "b")), ("ftv_u", ("u",))
+        )]
+        cases.append((two_kernel_tensor(N), ("a", "b")))
+        for T, fields in cases:
+            pt = random_fields(fields, N, rng)
+            direct = T.eval_matrix(pt)
+            via_poly = T.to_poly().eval_matrix(pt)
+            assert linalg.max_abs(linalg.mat_sub(direct, via_poly)) == 0
 
 
 def test_ftv_S_rejects_to_poly():
@@ -274,6 +289,73 @@ def test_jacobiator_zero_and_negative_control():
     assert jacobiator(broken, pt) != 0
 
 
+def dense_jacobiator(P, point) -> Fraction:
+    """Reference Jacobiator: every triple I < J < K and all three cyclic terms, in Fractions."""
+    TP = as_poly_tensor(P)
+    duals = TP.eval_dual(point)
+    D = TP.n_vars()
+    vals = [[duals[i][j].val for j in range(D)] for i in range(D)]
+    grads = [[duals[i][j].grad for j in range(D)] for i in range(D)]
+
+    def term(I, J, K) -> Fraction:
+        acc = F(0)
+        for s, d in grads[J][K].items():
+            if vals[I][s]:
+                acc += vals[I][s] * d
+        return acc
+
+    res = F(0)
+    for I in range(D):
+        for J in range(I + 1, D):
+            for K in range(J + 1, D):
+                res = max(res, abs(term(I, J, K) + term(J, K, I) + term(K, I, J)))
+    return res
+
+
+def perturbed(TP: PolyTensor, rng: Random, antisymmetric: bool) -> PolyTensor:
+    """TP plus three random linear or quadratic terms with fractional coefficients.
+
+    With antisymmetric=True each term is added at ((i, m), (j, n)) and
+    subtracted at ((j, n), (i, m)); otherwise it is added at one entry only.
+    """
+    out = PolyTensor(TP.field_names, TP.N, TP.bracket_scale)
+    out.entries = dict(TP.entries)
+    N, nvars = TP.N, TP.n_vars()
+    for _ in range(3):
+        i, j = rng.randrange(TP.d), rng.randrange(TP.d)
+        m, n = rng.randrange(N), rng.randrange(N)
+        v1, v2 = rng.randrange(nvars), rng.randrange(nvars)
+        mono = ((v1, 2),) if v1 == v2 else tuple(sorted(((v1, 1), (v2, 1))))
+        if rng.random() < 0.3:
+            mono = ((v1, 1),)
+        p = Poly({mono: F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4)))})
+        out.add_term(i, m, j, n, p)
+        if antisymmetric:
+            out.add_term(j, n, i, m, -p)
+    return out
+
+
+def test_jacobiator_matches_dense_triple_loop():
+    rng = Random(19)
+    abr = ("a", "b", "rho")
+    broken = []
+    for N in (5, 7):
+        for name, fields in (("toda", ("mu", "rho")), ("P1", abr), ("P2", abr)):
+            TP = as_poly_tensor(closed_tensor(name, N))
+            for kind in (None, True, True, False, False):
+                T = TP if kind is None else perturbed(TP, rng, antisymmetric=kind)
+                pt = random_fields(fields, N, rng)
+                got = jacobiator(T, pt)
+                assert isinstance(got, Fraction)
+                assert got == dense_jacobiator(T, pt)
+                if kind is None:
+                    assert got == 0
+                else:
+                    broken.append(got)
+    assert all(broken)
+    assert any(r.denominator > 1 for r in broken)
+
+
 def test_compatibility_self_and_pair():
     N = 5
     rng = Random(13)
@@ -282,6 +364,19 @@ def test_compatibility_self_and_pair():
     pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(2)]
     assert compatibility(P1, P1, pts) == 0
     assert compatibility(P1, P2, pts) == 0
+
+
+def test_compatibility_negative_control():
+    # P1 stays compatible with P2 only as long as P2 is whole
+    N = 5
+    rng = Random(13)
+    P1 = closed_tensor("P1", N)
+    P2 = as_poly_tensor(closed_tensor("P2", N))
+    pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(2)]
+    broken = PolyTensor(P2.field_names, N, P2.bracket_scale)
+    broken.entries = dict(P2.entries)
+    del broken.entries[(0, 0, 0, 1)]
+    assert compatibility(P1, broken, pts) != 0
 
 
 def test_shift_field_linear_direction():

@@ -1,4 +1,4 @@
-"""The acceptance checks: every structural identity at its contract size.
+"""The acceptance checks: every structural identity at its acceptance size.
 
 Each check returns one ReportDoc per parameter configuration with an exact
 residual; a check passes iff every residual is exactly zero (the float
@@ -274,9 +274,8 @@ def check_pushforward(seed: int = 0, points: int = 10) -> list:
     return docs
 
 
-def check_extended_toda_compat(seed: int = 0, points: int = 3) -> list:
+def check_extended_toda_compat(seed: int = 0, points: int = 3, N: int = 5) -> list:
     t0 = time.time()
-    N = 5
     rng = Random(seed)
     P1 = closed_tensor("P1", N)
     P2 = closed_tensor("P2", N)

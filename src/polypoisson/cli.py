@@ -291,7 +291,7 @@ def _cmd_theorem(cfg: RunConfig) -> list:
 
 
 def _cmd_compat(cfg: RunConfig) -> list:
-    return acceptance.check_extended_toda_compat(cfg.seed)
+    return acceptance.check_extended_toda_compat(cfg.seed, N=cfg.N)
 
 
 def _cmd_flow(cfg: RunConfig) -> list:

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import itemgetter
 from random import Random
 
@@ -45,8 +45,8 @@ from .lattice_ops import (
     kernel_from_dpoly,
     phi_special,
 )
-from .linalg import ONE, ZERO, contract, rat, rat_str
-from .multipoly import Dual, Poly
+from .linalg import ONE, ZERO, pairings, rat, rat_str
+from .multipoly import Poly
 
 
 class NonUniqueGauge(ValueError):
@@ -201,38 +201,29 @@ class PolyTensor:
             out[_var(i, m, self.N)][_var(j, n, self.N)] = poly.eval(vals)
         return out
 
-    def eval_dual(self, point):
-        """Entries as Duals (value + gradient over the field variables)."""
-        vals = self._point_values(point)
-        duals = [Dual.var(v, idx) for idx, v in enumerate(vals)]
-        D = self.n_vars()
-        out = [[Dual.const(0) for _ in range(D)] for _ in range(D)]
+    def eval_sparse(self, point):
+        """The nonzero values and gradient entries of the entries at the point.
+
+        Returns (vals, grads): vals lists (I, s, P_Is) and grads lists
+        (J, K, s, d_s P_JK), with I, J, K, s flat field-site indices, each
+        read off the polynomial entries term by term.
+        """
+        x = self._point_values(point)
+        N = self.N
+        vals, grads = [], []
         for (i, m, j, n), poly in self.entries.items():
-            acc = Dual.const(0)
+            J, K = _var(i, m, N), _var(j, n, N)
+            val = ZERO
+            grad = defaultdict(int)
             for mono, c in poly.terms.items():
-                t = Dual.const(c)
-                for var, e in mono:
-                    for _ in range(e):
-                        t = t * duals[var]
-                acc = acc + t
-            out[_var(i, m, self.N)][_var(j, n, self.N)] = acc
-        return out
-
-    def scale(self, c) -> "PolyTensor":
-        c = rat(c)
-        out = PolyTensor(self.field_names, self.N, self.bracket_scale)
-        for key, poly in self.entries.items():
-            out.entries[key] = poly * c
-        return out
-
-    def __add__(self, other: "PolyTensor") -> "PolyTensor":
-        if self.field_names != other.field_names or self.N != other.N:
-            raise ValueError("tensors live on different field spaces")
-        out = PolyTensor(self.field_names, self.N, self.bracket_scale)
-        out.entries = dict(self.entries)
-        for (i, m, j, n), poly in other.entries.items():
-            out.add_term(i, m, j, n, poly)
-        return out
+                powers = [x[var] ** e for var, e in mono]
+                val += c * prod(powers)
+                for k, (var, e) in enumerate(mono):
+                    grad[var] += c * e * x[var] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+            if val:
+                vals.append((J, K, val))
+            grads.extend((J, K, s, d) for s, d in grad.items() if d)
+        return vals, grads
 
     def to_json(self) -> dict:
         ent = []
@@ -668,20 +659,14 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     TP = as_poly_tensor(T)
     mat = TP.eval_matrix(fields)
     ctx = _DualCtx(W)
-    Pi = bracket_matrix(spec, W)
     idx_of = {"rho": 0, "mu": 1} if spec.nu == 2 else {"rho": 0, "b": 1, "a": 2}
-    obs = {}
-    for fi, fname in enumerate(TP.field_names):
-        for m in range(N):
-            obs[(fi, m)] = ctx.field(idx_of[fname], m)
+    # field-major, so gradient I is that of the tensor's variable I
+    grads = [ctx.field(idx_of[fname], m).grad for fname in TP.field_names for m in range(N)]
+    table = pairings(grads, bracket_matrix(spec, W), grads)
     res = ZERO
-    scale = TP.bracket_scale
-    for (fi, m), f in obs.items():
-        row = contract(f.grad, Pi)
-        for (fj, n), g in obs.items():
-            acc = sum((row[v] * c for v, c in g.grad.items()), ZERO)
-            closed = mat[_var(fi, m, N)][_var(fj, n, N)]
-            res = max(res, abs(acc * scale - closed))
+    for I, row in enumerate(table):
+        for K, acc in enumerate(row):
+            res = max(res, abs(acc * TP.bracket_scale - mat[I][K]))
     return res
 
 
@@ -818,6 +803,17 @@ def jacobiator(P, point) -> Fraction:
 
     The maximum over triples I < J < K of field sites of
       |sum_s P_{I s} d_s P_{J K} + cyclic|.
+    The tensor is evaluated once, by ``PolyTensor.eval_sparse``, into lists
+    of its nonzero values and gradient entries; no dense matrix is built.
+    """
+    TP = as_poly_tensor(P)
+    return _max_jacobiator(TP.n_vars(), *TP.eval_sparse(point))
+
+
+def _max_jacobiator(D: int, vals, grads) -> Fraction:
+    """The Jacobiator maximum from lists of values (I, s, P_Is) and gradient
+    entries (J, K, s, d_s P_JK) over D field sites.
+
     Only nonzero products are visited: each gradient entry d_s P_{J K} meets
     the nonzero P_{I s} of column s, and the product is kept when (I, J, K)
     is a cyclic rotation of an ascending triple.  The products are Python
@@ -825,26 +821,14 @@ def jacobiator(P, point) -> Fraction:
     gradient entries by the lcm Lg of theirs, and the result is the exact
     Fraction max |sum| / (Lv Lg).  The sums are grouped by the smallest index
     of the triple, so one transient table over the other two is held at a
-    time, and the Dual matrix is released once it is converted.
+    time.  The sums are bilinear and repeated keys add, so the lists of
+    P + tQ are P's lists followed by Q's lists scaled by t.
     """
-    TP = as_poly_tensor(P)
-    D = TP.n_vars()
-    duals = TP.eval_dual(point)
-    vals = [(I, s, x.val) for I, row in enumerate(duals) for s, x in enumerate(row) if x.val]
-    grads = [
-        (J, K, s, d)
-        for J, row in enumerate(duals)
-        for K, x in enumerate(row)
-        if J != K
-        for s, d in x.grad.items()
-        if d
-    ]
-    del duals
     Lv = lcm(*{v.denominator for _, _, v in vals})
     Lg = lcm(*{d.denominator for _, _, _, d in grads})
 
-    # Lv P as ints: row[I] lists (s, P_Is) by ascending s, col[s] lists
-    # (I, P_Is) by ascending I.
+    # Lv P as ints: row[I] lists (s, P_Is), col[s] lists (I, P_Is) by
+    # ascending I.
     row = [[] for _ in range(D)]
     col = [[] for _ in range(D)]
     for I, s, v in vals:
@@ -862,11 +846,12 @@ def jacobiator(P, point) -> Fraction:
         if J < K:
             by_s[s].append((J, K, d))
             up[J].append((K, s, d))
-        else:
+        elif J > K:
             down[K].append((J, s, d))
-    del vals, grads
-
     first = itemgetter(0)
+    for ent in col + by_s:
+        ent.sort(key=first)
+
     res = 0
     for a in range(D):
         # Jacobiators of the triples a < b < c, keyed b * D + c.
@@ -925,15 +910,23 @@ def compatibility(P, Q, points, t_samples=None) -> Fraction:
     more t values is therefore an exact certificate that every member of the
     pencil satisfies Jacobi at that point.  The points themselves are
     sampled: a zero at every given point is evidence of compatibility, not
-    a proof of it.
+    a proof of it.  P and Q are each evaluated once per point, by
+    ``eval_sparse``, and no dense matrix is built: the lists of P + tQ are
+    P's lists followed by Q's lists scaled by t.
     """
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
+    if TP.field_names != TQ.field_names or TP.N != TQ.N:
+        raise ValueError("tensors live on different field spaces")
     if t_samples is None:
         t_samples = [Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2)]
     if len(t_samples) < 3:
         raise ValueError("need more t samples than the t-degree of the Jacobiator")
     res = ZERO
     for point in points:
+        pv, pg = TP.eval_sparse(point)
+        qv, qg = TQ.eval_sparse(point)
         for t in t_samples:
-            res = max(res, jacobiator(TP + TQ.scale(t), point))
+            vals = pv + [(I, s, t * v) for I, s, v in qv]
+            grads = pg + [(J, K, s, t * d) for J, K, s, d in qg]
+            res = max(res, _max_jacobiator(TP.n_vars(), vals, grads))
     return res

@@ -26,7 +26,7 @@ from .coord_reduction import (
 )
 from .exchange_algebra import Polygon, _DualCtx
 from .lattice_ops import PerSeq
-from .linalg import ONE, ZERO, contract
+from .linalg import ONE, ZERO, pairings
 from .multipoly import Dual, Poly
 
 
@@ -287,7 +287,7 @@ def lifted_flow_residual(W: Polygon) -> Fraction:
 def commute_check(P, I1: Observable, I2: Observable, point) -> Fraction:
     """{I1, I2} under the tensor at the point, exact."""
     mat = as_poly_tensor(P).eval_matrix(point)
-    return contract(I1.gradient(point), mat, I2.gradient(point))
+    return pairings([I1.gradient(point)], mat, [I2.gradient(point)])[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,10 @@ The three blocks are assembled into the coordinate bracket matrix Pi in one
 place, ``_assemble``: ``bracket_matrix`` runs it on the polygon's rational
 coordinates, and ``jacobi_residual`` runs it on Dual coordinates, so that
 every entry of Pi carries its gradient.  The T-matrices, Q and A_pm are built
-once per BracketSpec.  Every chain-rule bracket contracts gradients against
-Pi with ``linalg.contract``.
+once per BracketSpec.  An observable of the polygon is a function from a
+``_DualCtx`` to a Dual, whose gradient is a sparse covector over the
+coordinates; every chain-rule bracket pairs such gradients against Pi with
+``linalg.pairings``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from random import Random
 
 from . import linalg
 from .lattice_ops import Kernel, PerSeq, SignWindow, sign
-from .linalg import ONE, ZERO, contract, rat
+from .linalg import ONE, ZERO, pairings, rat
 from .multipoly import Dual, dual_det
 
 
@@ -267,15 +269,6 @@ def verify_ybe(R, C) -> Fraction:
     return linalg.max_abs(acc)
 
 
-def casimir_property_residual(C, g, h) -> Fraction:
-    """Max-abs entry of (g(x)h)(C+Id(x)Id) - (C+Id(x)Id)(h(x)g)."""
-    nu = len(g)
-    Q = linalg.mat_add(C, identity2(nu))
-    lhs = linalg.mat_mul(linalg.kron(g, h), Q)
-    rhs = linalg.mat_mul(Q, linalg.kron(h, g))
-    return linalg.max_abs(linalg.mat_sub(lhs, rhs))
-
-
 @dataclass(frozen=True)
 class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
@@ -414,38 +407,10 @@ class _DualCtx:
             return self.wronskian(m + 1) / w
         return self.alpha(k, m) / w
 
-
-@dataclass
-class Observable:
-    """A differentiable function of a polygon with an exact gradient."""
-
-    name: str
-    fn: object  # _DualCtx -> Dual
-
-    def eval_dual(self, ctx: _DualCtx) -> Dual:
-        return self.fn(ctx)
-
-
-def coordinate_obs(vid: int, name: str = "") -> Observable:
-    def fn(ctx: _DualCtx) -> Dual:
-        vals = ctx.W.coordinates()
-        return Dual.var(vals[vid], vid)
-
-    return Observable(name or f"x{vid}", fn)
-
-
-def wronskian_obs(m: int) -> Observable:
-    return Observable(f"w_{m}", lambda ctx: ctx.wronskian(m))
-
-
-def proj_obs(m: int, comp: int) -> Observable:
-    """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}."""
-
-    def fn(ctx: _DualCtx) -> Dual:
-        row = ctx.vertex(m)
-        return row[comp] / row[ctx.nu - 1]
-
-    return Observable(f"v{comp}_{m}", fn)
+    def proj(self, m: int, comp: int) -> Dual:
+        """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}."""
+        row = self.vertex(m)
+        return row[comp] / row[self.nu - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -505,10 +470,13 @@ def bracket_matrix(spec: BracketSpec, W: Polygon):
 # ---------------------------------------------------------------------------
 
 
-def chain_bracket(spec: BracketSpec, W: Polygon, f: Observable, g: Observable) -> Fraction:
-    """{f, g} at W: gradients contracted against the bracket matrix."""
+def chain_bracket(spec: BracketSpec, W: Polygon, f, g) -> Fraction:
+    """{f, g} at W for observables f, g (functions from a _DualCtx to a Dual).
+
+    The gradients are paired against the bracket matrix.
+    """
     ctx = _DualCtx(W)
-    return contract(f.eval_dual(ctx).grad, bracket_matrix(spec, W), g.eval_dual(ctx).grad)
+    return pairings([f(ctx).grad], bracket_matrix(spec, W), [g(ctx).grad])[0][0]
 
 
 def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
@@ -529,18 +497,17 @@ def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
 def momentum_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     """Max-abs residual of the scaling-action momentum identity over all (m, n)."""
     ctx = _DualCtx(W)
-    Pi = bracket_matrix(spec, W)
     coords = W.coordinates()
+    w = [ctx.wronskian(m) for m in range(W.N)]
+    units = [{vid: ONE} for vid in range(W.N * W.nu)]
+    table = pairings([wm.grad for wm in w], bracket_matrix(spec, W), units)
     res = ZERO
-    for m in range(W.N):
-        wm = ctx.wronskian(m)
-        row = contract(wm.grad, Pi)
+    for m, row in enumerate(table):
         for n in range(W.N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(W.nu):
                 vid = W.var_v(n, a)
-                diff = row[vid] - coeff * wm.val * coords[vid]
-                res = max(res, abs(diff))
+                res = max(res, abs(row[vid] - coeff * w[m].val * coords[vid]))
     return res
 
 
@@ -592,8 +559,8 @@ def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fr
     Pi = _assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
 
     def pb(f: dict, g: dict) -> Dual:
-        # contract gives a plain Fraction 0 when every entry it meets is zero
-        return Dual.const(0) + contract(f, Pi, g)
+        # pairings gives a plain Fraction 0 when every entry it meets is zero
+        return Dual.const(0) + pairings([f], Pi, [g])[0][0]
 
     res = ZERO
     for _ in range(trials):
@@ -705,6 +672,9 @@ def projective_chain_table(spec: BracketSpec, W: Polygon):
     """
     k = spec.nu - 1
     ctx = _DualCtx(W)
-    Pi = bracket_matrix(spec, W)
-    grads = [[proj_obs(m, c).eval_dual(ctx).grad for c in range(k)] for m in range(W.N)]
-    return [[[[contract(f, Pi, g) for g in gn] for f in gm] for gn in grads] for gm in grads]
+    grads = [ctx.proj(m, c).grad for m in range(W.N) for c in range(k)]
+    flat = pairings(grads, bracket_matrix(spec, W), grads)
+    return [
+        [[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)]
+        for m in range(W.N)
+    ]

@@ -34,7 +34,7 @@ from .lattice_ops import (
     phi_special,
     sign,
 )
-from .linalg import ZERO, contract, rat_str
+from .linalg import ZERO, pairings, rat_str
 
 
 def _delta(j: int) -> int:
@@ -237,15 +237,9 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
         ctx = _DualCtx(W)
-        Pi = bracket_matrix(spec, W)
-        fields = [[ctx.field(j, n) for n in range(N)] for j in range(nu)]
-        rho = fields[0]
-        for m in range(N):
-            row = contract(rho[m].grad, Pi)
-            for j in range(nu):
-                for n in range(N):
-                    acc = sum((row[v] * c for v, c in fields[j][n].grad.items()), ZERO)
-                    res = max(res, abs(acc))
+        grads = [ctx.field(j, n).grad for j in range(nu) for n in range(N)]
+        for row in pairings(grads[:N], bracket_matrix(spec, W), grads):
+            res = max(res, *map(abs, row))
     return res
 
 

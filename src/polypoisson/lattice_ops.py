@@ -286,16 +286,6 @@ def invert(K: Kernel) -> Kernel:
     return Kernel(PerSeq(N, tuple(col)))
 
 
-def apply_dpoly(p: DPoly, f: PerSeq) -> PerSeq:
-    """p(D) applied to f, i.e. sum_r c_r f_{m+r}."""
-    N = f.N
-    out = [ZERO] * N
-    for r, c in p.terms.items():
-        for m in range(N):
-            out[m] += c * f[m + r]
-    return PerSeq(N, tuple(out))
-
-
 def _odd_constraint_rows(N: int) -> list[list[Fraction]]:
     rows = []
     for j in range((N // 2) + 1):
@@ -304,12 +294,6 @@ def _odd_constraint_rows(N: int) -> list[list[Fraction]]:
         row[(-j) % N] += ONE
         rows.append(row)
     return rows
-
-
-def odd_solution_dim(A: DPoly, N: int) -> int:
-    """Dimension of the odd nullspace of A(D) on period N."""
-    mat = kernel_from_dpoly(A, N).matrix() + _odd_constraint_rows(N)
-    return len(linalg.nullspace(mat))
 
 
 def solve_phi(A: DPoly, b: DPoly, N: int) -> OddKernel:

@@ -220,26 +220,24 @@ def dot(u, v) -> Fraction:
     return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
 
 
-def contract(u: dict, A, v: dict = None):
-    """The chain-rule contraction u^T A v of sparse covectors against a matrix.
+def pairings(F, A, G):
+    """The chain-rule table [[f^T A g for g in G] for f in F].
 
-    u and v map indices to coefficients, as gradients (``Dual.grad``) do; the
-    entries of A may be Fractions or Duals, and zero entries are skipped.
-    With v omitted, returns the dense covector u^T A, for checks that pair
-    one gradient with many.
+    F and G hold sparse covectors that map indices to coefficients, as
+    gradients (``Dual.grad``) do; the entries of A may be Fractions or Duals,
+    and zero entries are skipped.  One covector f^T A is built per f, over
+    only the columns that some g reads.  An entry that meets no nonzero
+    product is the Fraction 0.
     """
-    if v is None:
-        row = [ZERO] * len(A[0])
-        for i, ci in u.items():
-            for j, x in enumerate(A[i]):
+    cols = sorted({j for g in G for j in g})
+    table = []
+    for f in F:
+        u = dict.fromkeys(cols, ZERO)
+        for i, ci in f.items():
+            row = A[i]
+            for j in cols:
+                x = row[j]
                 if x:
-                    row[j] += ci * x
-        return row
-    acc = ZERO
-    for i, ci in u.items():
-        row = A[i]
-        for j, cj in v.items():
-            x = row[j]
-            if x:
-                acc += ci * x * cj
-    return acc
+                    u[j] += ci * x
+        table.append([sum((u[j] * c for j, c in g.items() if u[j]), ZERO) for g in G])
+    return table

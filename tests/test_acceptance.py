@@ -2,24 +2,43 @@
 
 Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
 pass/fail lines; the same checks back the CLI verb  polypoisson suite.
+The suite runs once per module: the per-criterion tests read its reports,
+and one test pins the sha256 of its JSON report.
 """
+
+import hashlib
 
 import pytest
 
-from polypoisson.acceptance import CHECKS
+from polypoisson.acceptance import CHECKS, run_suite
+from polypoisson.cli import emit_report
 
 SEED = 2024
 
+# sha256 of emit_report(run_suite(SEED), "json"). A deliberate change to the
+# report updates this pin and says so in CHANGES.md.
+SUITE_JSON_SHA256 = "c510478e883de1ed255d4a551225d79e41128b4c2a1c4faac663b9919f18a3e2"
 
-@pytest.mark.parametrize("check_id,fn", CHECKS, ids=[cid for cid, _ in CHECKS])
-def test_acceptance_criterion(check_id, fn):
-    docs = fn(SEED)
+
+@pytest.fixture(scope="module")
+def suite_docs():
+    return run_suite(SEED)
+
+
+@pytest.mark.parametrize("check_id", [cid for cid, _ in CHECKS])
+def test_acceptance_criterion(check_id, suite_docs):
+    docs = [doc for doc in suite_docs if doc.check.startswith(check_id + ":")]
     assert docs, f"{check_id} produced no reports"
     for doc in docs:
         params = ", ".join(f"{k}={v}" for k, v in sorted(doc.params.items()))
         status = "PASS" if doc.passed else "FAIL"
-        print(f"[{status}] {check_id}:{doc.check} ({params}) residual={doc.residual}")
+        print(f"[{status}] {doc.check} ({params}) residual={doc.residual}")
     failed = [doc for doc in docs if not doc.passed]
     assert not failed, f"{check_id}: {len(failed)} configuration(s) failed: " + "; ".join(
         f"{d.check}{d.params} residual={d.residual}" for d in failed
     )
+
+
+def test_suite_json_report_is_byte_stable(suite_docs):
+    text = emit_report(suite_docs, "json")
+    assert hashlib.sha256(text.encode()).hexdigest() == SUITE_JSON_SHA256

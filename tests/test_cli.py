@@ -90,6 +90,19 @@ def test_vacuous_flow_is_usage_error(argv, capsys):
     assert "usage error" in captured.err and "PASS" not in captured.out
 
 
+def test_compat_certifies_the_requested_period(capsys):
+    assert run_command(["compat", "--N", "7", "--format", "json"]) == 0
+    docs = json.loads(capsys.readouterr().out)
+    assert [d["params"]["N"] for d in docs] == [7]
+
+
+def test_compat_even_period_is_singular(capsys):
+    # the Cayley kernel (1 + D)^-1 of P2 does not exist at even N
+    assert run_command(["compat", "--N", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "singular" in captured.err and "PASS" not in captured.out
+
+
 def test_report_determinism(capsys):
     run_command(["reduce-dirac", "--N", "5", "--seed", "42", "--format", "json"])
     first = capsys.readouterr().out

@@ -290,12 +290,19 @@ def test_jacobiator_zero_and_negative_control():
 
 
 def dense_jacobiator(P, point) -> Fraction:
-    """Reference Jacobiator: every triple I < J < K and all three cyclic terms, in Fractions."""
+    """Reference Jacobiator: every triple I < J < K and all three cyclic terms, in Fractions.
+
+    Values come from Poly.eval (through eval_matrix) and derivatives from
+    Poly.diff, independently of PolyTensor.eval_sparse.
+    """
     TP = as_poly_tensor(P)
-    duals = TP.eval_dual(point)
-    D = TP.n_vars()
-    vals = [[duals[i][j].val for j in range(D)] for i in range(D)]
-    grads = [[duals[i][j].grad for j in range(D)] for i in range(D)]
+    N, D = TP.N, TP.n_vars()
+    x = [point[name][m] for name in TP.field_names for m in range(N)]
+    vals = TP.eval_matrix(point)
+    grads = [[{} for _ in range(D)] for _ in range(D)]
+    for (i, m, j, n), poly in TP.entries.items():
+        for s in {var for mono in poly.terms for var, _ in mono}:
+            grads[i * N + m][j * N + n][s] = poly.diff(s).eval(x)
 
     def term(I, J, K) -> Fraction:
         acc = F(0)
@@ -354,6 +361,44 @@ def test_jacobiator_matches_dense_triple_loop():
                     broken.append(got)
     assert all(broken)
     assert any(r.denominator > 1 for r in broken)
+
+
+def pencil(P: PolyTensor, Q: PolyTensor, t) -> PolyTensor:
+    """P + tQ, summed entry by entry."""
+    out = PolyTensor(P.field_names, P.N, P.bracket_scale)
+    out.entries = dict(P.entries)
+    for (i, m, j, n), poly in Q.entries.items():
+        out.add_term(i, m, j, n, poly * t)
+    return out
+
+
+def test_compatibility_equals_pencil_jacobiator():
+    # one evaluation of P and of Q per point gives exactly the Jacobiator of
+    # each summed pencil member
+    N = 5
+    rng = Random(29)
+    abr = ("a", "b", "rho")
+    ts = [F(1), F(2), F(3), F(-1, 2)]
+    P1 = as_poly_tensor(closed_tensor("P1", N))
+    P2 = as_poly_tensor(closed_tensor("P2", N))
+    dropped = []
+    for key in rng.sample(sorted(P2.entries), 3):
+        broken = PolyTensor(P2.field_names, N, P2.bracket_scale)
+        broken.entries = dict(P2.entries)
+        del broken.entries[key]
+        dropped.append(broken)
+    pairs = [(P1, P2)] + [(P1, Q) for Q in dropped]
+    pairs += [(P1, perturbed(P2, rng, antisymmetric=True)), (P1, perturbed(P2, rng, antisymmetric=False))]
+    pairs += [(perturbed(P1, rng, antisymmetric=True), P2), (perturbed(P1, rng, antisymmetric=False), dropped[0])]
+    got = []
+    for P, Q in pairs:
+        pts = [random_fields(abr, N, rng) for _ in range(2)]
+        want = max(dense_jacobiator(pencil(P, Q, t), pt) for pt in pts for t in ts)
+        got.append(compatibility(P, Q, pts))
+        assert got[-1] == want
+    assert got[0] == 0
+    assert all(got[1:])
+    assert any(r.denominator > 1 for r in got)
 
 
 def test_compatibility_self_and_pair():

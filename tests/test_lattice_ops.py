@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from polypoisson import linalg
 from polypoisson.lattice_ops import (
     DPoly,
     Kernel,
@@ -11,12 +12,10 @@ from polypoisson.lattice_ops import (
     PerSeq,
     SignWindow,
     SingularOperator,
-    apply_dpoly,
     compose,
     convolve_apply,
     invert,
     kernel_from_dpoly,
-    odd_solution_dim,
     phi_special,
     random_odd_kernel,
     solve_phi,
@@ -81,10 +80,12 @@ def test_dpoly_ring_homomorphism():
 
 
 def test_apply_dpoly_matches_kernel_action():
+    # p(D) f = sum_r c_r f_{m+r}: the kernel of p acts with (Df)_m = f_{m+1}
     N = 6
     p = DPoly({2: F(3), -1: F(-1, 2), 0: F(1)})
     f = seq(1, -2, 3, 0, 5, -1)
-    assert apply_dpoly(p, f).values == convolve_apply(kernel_from_dpoly(p, N), f).values
+    shifted = tuple(sum(c * f[m + r] for r, c in p.terms.items()) for m in range(N))
+    assert shifted == convolve_apply(kernel_from_dpoly(p, N), f).values
 
 
 def test_invert_one_plus_d_period_3():
@@ -165,9 +166,12 @@ def test_phi_special_defining_equation():
 
 
 def test_phi_special_unique_when_coprime():
+    # A(D) phi = 0 has no odd solution but 0: phi_m + phi_{-m} = 0 for every m
     for nu, k, N in ((2, 1, 5), (3, 0, 7), (4, 1, 7)):
         j = nu - k
-        assert odd_solution_dim(DPoly({0: 2, j: -1, -j: -1}), N) == 0
+        odd_rows = [[F(int(n == m % N) + int(n == -m % N)) for n in range(N)] for m in range(N // 2 + 1)]
+        mat = kernel_from_dpoly(DPoly({0: 2, j: -1, -j: -1}), N).matrix() + odd_rows
+        assert len(linalg.nullspace(mat)) == 0
 
 
 def test_oddness_invariants():

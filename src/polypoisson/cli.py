@@ -158,10 +158,13 @@ def _cmd_verify_w(cfg: RunConfig) -> list:
         W = random_polygon(cfg.nu, cfg.N, rng)
         spec = BracketSpec.standard(cfg.nu, cfg.N, phi)
         res = verify_structure(spec, W, check, trials=cfg.trials, seed=cfg.seed)
+        params = {"nu": cfg.nu, "N": cfg.N, "phi": cfg.phi_source, "k": cfg.k}
+        if check == "jacobi":
+            params["trials"] = cfg.trials
         docs.append(
             ReportDoc(
                 f"verify-w:{check}",
-                {"nu": cfg.nu, "N": cfg.N, "phi": cfg.phi_source, "k": cfg.k},
+                params,
                 rat_str(res),
                 res == 0,
                 cfg.seed,

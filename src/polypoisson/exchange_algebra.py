@@ -18,11 +18,14 @@ below verifies this exactly); writing A_pm = R +- Q they read
 All values are exact rationals.  Sign and leg conventions are pinned jointly
 by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
 
-The three blocks are assembled into the coordinate bracket matrix Pi in one
-place, ``_assemble``: ``bracket_matrix`` runs it on the polygon's rational
-coordinates, and ``jacobi_residual`` runs it on Dual coordinates, so that
-every entry of Pi carries its gradient.  The T-matrices, Q and A_pm are built
-once per BracketSpec.  An observable of the polygon is a function from a
+All three blocks are quadratic in the coordinates, so the coordinate bracket
+matrix Pi is built in one place, ``_pi_table``: a sparse table of integer
+triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
+nonzeros of R +- Q, phi and A_pm.  ``bracket_matrix`` evaluates it in ints at
+the polygon's scaled coordinates, and ``jacobi_residual`` reads the exact
+gradients of the entries it needs from the same triples.  The table is built
+per call; the T-matrices, Q, A_pm and the nonzero lists are built once per
+BracketSpec.  An observable of the polygon is a function from a
 ``_DualCtx`` to a Dual, whose gradient is a sparse covector over the
 coordinates; every chain-rule bracket pairs such gradients against Pi with
 ``linalg.pairings``.
@@ -33,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from . import linalg
@@ -190,6 +194,16 @@ def _pair(nu: int, a: int, b: int) -> int:
     return a * nu + b
 
 
+def _nonzeros(X, nu: int) -> list:
+    """The nonzero entries of a nu^2 x nu^2 matrix as (p, q, r, s, x): row (p, q), column (r, s)."""
+    return [
+        (i // nu, i % nu, j // nu, j % nu, x)
+        for i, row in enumerate(X)
+        for j, x in enumerate(row)
+        if x
+    ]
+
+
 def flip_matrix(nu: int):
     """The coordinate swap P on Q^nu (x) Q^nu: (x(x)y)P = y(x)x."""
     n2 = nu * nu
@@ -311,22 +325,46 @@ class BracketSpec:
         return _frozen(linalg.mat_sub(self.R, self.Q))
 
     @cached_property
+    def _vv_bases(self) -> tuple:
+        # R, R + Q and R - Q, indexed by sgn(k).  R +- Q is summed here, not
+        # read from a_plus/a_minus, so that replacing those caches to probe the
+        # V-M and M-M blocks leaves the V-V block as it is.
+        return (self.R, _frozen(linalg.mat_add(self.R, self.Q)), _frozen(linalg.mat_sub(self.R, self.Q)))
+
+    @cached_property
     def _t_matrices(self) -> dict:
-        # T_k is R, R + Q or R - Q by the sign of k, with phi_k added on the
-        # diagonal, since Id(x)Id is the nu^2 identity.  R +- Q is summed here,
-        # not read from a_plus/a_minus, so that replacing those caches to probe
-        # the V-M and M-M blocks leaves the V-V block as it is.  Equal entries
-        # share one Fraction: a spec lives as long as its caller holds it, and
-        # most of the 2N-1 matrices' entries are 0 or +-1.
+        # T_k is R + sgn(k) Q with phi_k added on the diagonal, since Id(x)Id is
+        # the nu^2 identity.  The off-diagonal entries are the base matrices'
+        # own Fractions; the new diagonal sums share one Fraction per value,
+        # as a spec lives as long as its caller holds it.
         shared = {}
         out = {}
-        base = (self.R, linalg.mat_add(self.R, self.Q), linalg.mat_sub(self.R, self.Q))
         for k in range(1 - self.N, self.N):
-            T = [list(row) for row in base[sign(k)]]
+            T = [list(row) for row in self._vv_bases[sign(k)]]
             for r, row in enumerate(T):
-                row[r] += self.phi[k]
-            out[k] = tuple(tuple(shared.setdefault(x, x) for x in row) for row in T)
+                x = row[r] + self.phi[k]
+                row[r] = shared.setdefault(x, x)
+            out[k] = _frozen(T)
         return out
+
+    @cached_property
+    def _pi_template(self) -> tuple:
+        # The sparse data _pi_table builds Pi from, over one denominator L:
+        # (L, vv, phi, a_minus, a_plus).  vv[sgn(k)] lists the nonzeros of
+        # R + sgn(k) Q, phi[k] is phi_k L for k in [0, N), and a_minus/a_plus
+        # list the nonzeros of A_-/A_+, read here from their caches.  Each
+        # nonzero is (p, q, r, s, int): row (p, q), column (r, s), times L.
+        nu = self.nu
+        vv = [_nonzeros(B, nu) for B in self._vv_bases]
+        a_minus, a_plus = _nonzeros(self.a_minus, nu), _nonzeros(self.a_plus, nu)
+        phi = [self.phi[k] for k in range(self.N)]
+        entries = [x for terms in (*vv, a_minus, a_plus) for *_, x in terms] + phi
+        L = lcm(*(x.denominator for x in entries))
+
+        def scaled(terms):
+            return [(p, q, r, s, int(x * L)) for p, q, r, s, x in terms]
+
+        return L, [scaled(t) for t in vv], [int(x * L) for x in phi], scaled(a_minus), scaled(a_plus)
 
     def t_matrix(self, k: int):
         """R + sgn(k) Q + phi_k Id(x)Id for a window difference k.
@@ -414,55 +452,111 @@ class _DualCtx:
 
 
 # ---------------------------------------------------------------------------
-# the coordinate bracket matrix: one assembly for values and gradients
+# the coordinate bracket matrix: one integer quadratic table for values and gradients
 # ---------------------------------------------------------------------------
 
 
-def _assemble(spec: BracketSpec, V, M):
-    """The bracket matrix Pi over the coordinates (V_0, ..., V_{N-1}, M).
+def _pi_table(spec: BracketSpec) -> tuple:
+    """Pi as a sparse integer quadratic table: (L, rows).
 
-    V holds the N fundamental-domain vertices and M the monodromy, with
-    entries that are Fractions (Pi at the point) or Duals (each entry of Pi
-    carries its gradient in every coordinate).  Coordinates are ordered as in
-    Polygon.var_v / Polygon.var_m.
+    rows[i][j] lists triples (a, b, c) of ints with Pi_ij = sum c x_a x_b / L,
+    over the coordinates x = (V_0, ..., V_{N-1}, M) ordered as in
+    Polygon.var_v / Polygon.var_m.  The table is built from the sparse
+    nonzeros in spec._pi_template, once per call: it is not cached on the
+    spec, because a caller holding many specs would hold every table.
     """
     nu, N = spec.nu, spec.N
+    L, vv, phi, a_minus, a_plus = spec._pi_template
     base = N * nu
-    Pi = linalg.zeros(base + nu * nu, base + nu * nu)
-    # V-V: {V_m (x) V_n} = (V_m (x) V_n) T_{m-n}
+    D = base + nu * nu
+    rows = [[[] for _ in range(D)] for _ in range(D)]
+    mvar = [[base + i * nu + j for j in range(nu)] for i in range(nu)]
+    # V-V: {V_m (x) V_n} = (V_m (x) V_n) [R + sgn(m-n) Q + phi_{m-n} Id(x)Id]
     for m in range(N):
+        vm = m * nu
         for n in range(N):
-            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), spec.t_matrix(m - n))[0]
-            for a in range(nu):
-                Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
-    # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
-    one_m = linalg.kron(linalg.identity(nu), M)
-    m_one = linalg.kron(M, linalg.identity(nu))
-    vm = linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus), linalg.mat_mul(spec.a_plus, one_m))
-    for i in range(nu):
-        block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
-        for m in range(N):
-            for a in range(nu):
-                for j in range(nu):
-                    x = block[m][a * nu + j]
-                    Pi[m * nu + a][base + i * nu + j] = x
-                    Pi[base + i * nu + j][m * nu + a] = -x
-    # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
-    mm = linalg.kron(M, M)
-    mm = linalg.mat_add(linalg.mat_mul(mm, spec.a_minus), linalg.mat_mul(spec.a_plus, mm))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus), one_m))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus), m_one))
-    for i1 in range(nu):
-        for j1 in range(nu):
-            for i2 in range(nu):
-                for j2 in range(nu):
-                    Pi[base + i1 * nu + j1][base + i2 * nu + j2] = mm[_pair(nu, i1, i2)][_pair(nu, j1, j2)]
-    return Pi
+            vn = n * nu
+            for c, d, a, b, x in vv[sign(m - n)]:
+                rows[vm + a][vn + b].append((vm + c, vn + d, x))
+            p = phi[(m - n) % N]
+            if p:
+                for a in range(nu):
+                    for b in range(nu):
+                        rows[vm + a][vn + b].append((vm + a, vn + b, p))
+    # V-M: {V_m^a, M_ij} = sum_c V_m^c [(1(x)M) A_- - A_+ (1(x)M)]_{(c,i),(a,j)}
+    #      = sum_c V_m^c [sum_s M_is A_-[(c,s),(a,j)] - sum_q A_+[(c,i),(a,q)] M_qj],
+    # and {M_ij, V_m^a} is its negative.
+    for m in range(N):
+        vm = m * nu
+        for c, s, a, j, x in a_minus:
+            for i in range(nu):
+                rows[vm + a][mvar[i][j]].append((vm + c, mvar[i][s], x))
+                rows[mvar[i][j]][vm + a].append((vm + c, mvar[i][s], -x))
+        for c, i, a, q, x in a_plus:
+            for j in range(nu):
+                rows[vm + a][mvar[i][j]].append((vm + c, mvar[q][j], -x))
+                rows[mvar[i][j]][vm + a].append((vm + c, mvar[q][j], x))
+    # M-M: {M_i1j1, M_i2j2} is the ((i1,i2),(j1,j2)) entry of
+    # (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1.  Each nonzero of
+    # A_pm fixes four of the eight indices; u and v run over the two left free.
+    for u in range(nu):
+        for v in range(nu):
+            # M_{i1 r} M_{i2 s} A_-[(r,s),(j1,j2)] with i1 = u, i2 = v
+            for r, s, j1, j2, x in a_minus:
+                rows[mvar[u][j1]][mvar[v][j2]].append((mvar[u][r], mvar[v][s], x))
+            # A_+[(i1,i2),(r,s)] M_{r j1} M_{s j2} with j1 = u, j2 = v
+            for i1, i2, r, s, x in a_plus:
+                rows[mvar[i1][u]][mvar[i2][v]].append((mvar[r][u], mvar[s][v], x))
+            # -M_{i1 r} A_+[(r,i2),(j1,s)] M_{s j2} with i1 = u, j2 = v
+            for r, i2, j1, s, x in a_plus:
+                rows[mvar[u][j1]][mvar[i2][v]].append((mvar[u][r], mvar[s][v], -x))
+            # -M_{i2 s} A_-[(i1,s),(r,j2)] M_{r j1} with j1 = u, i2 = v
+            for i1, s, r, j2, x in a_minus:
+                rows[mvar[i1][u]][mvar[v][j2]].append((mvar[v][s], mvar[r][u], -x))
+    return L, rows
+
+
+class _PiTable:
+    """The table of _pi_table at one coordinate point.
+
+    The coordinates are scaled to ints X over their common denominator den,
+    so each value of Pi is an int over L den^2 and each gradient entry an int
+    over L den; the coordinates need not form a Polygon.
+    """
+
+    def __init__(self, spec: BracketSpec, coords):
+        self.L, self.rows = _pi_table(spec)
+        self.den = lcm(*(x.denominator for x in coords))
+        self.X = [x.numerator * (self.den // x.denominator) for x in coords]
+
+    def values(self) -> list:
+        """Pi at the point: a D x D matrix of Fractions."""
+        X, scale = self.X, self.L * self.den * self.den
+        Pi = []
+        for row in self.rows:
+            out = []
+            for t in row:
+                acc = 0
+                for a, b, c in t:
+                    acc += c * X[a] * X[b]
+                out.append(Fraction(acc, scale) if acc else ZERO)
+            Pi.append(out)
+        return Pi
+
+    def gradient(self, i: int, j: int) -> dict:
+        """d Pi_ij at the point, as a sparse covector {s: d_s Pi_ij}."""
+        X = self.X
+        g = {}
+        for a, b, c in self.rows[i][j]:
+            g[a] = g.get(a, 0) + c * X[b]
+            g[b] = g.get(b, 0) + c * X[a]
+        scale = self.L * self.den
+        return {s: Fraction(v, scale) for s, v in g.items() if v}
 
 
 def bracket_matrix(spec: BracketSpec, W: Polygon):
     """The full coordinate bracket matrix Pi at the point W (exact, antisym)."""
-    return _assemble(spec, W.V, W.M)
+    return _PiTable(spec, W.coordinates()).values()
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +617,9 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     Pi = bracket_matrix(spec, W)
     res = ZERO
     for m in range(N):
+        ext = [W.vertex(m + N)]
         for n in range(m + 1, N):
-            vmn = linalg.kron([W.vertex(m + N)], [W.V[n]])
-            direct = linalg.mat_mul(vmn, spec.t_matrix(m + N - n))[0]
+            direct = linalg.mat_mul(linalg.kron(ext, [W.V[n]]), spec.t_matrix(m + N - n))[0]
             for a in range(nu):
                 for b in range(nu):
                     acc = ZERO
@@ -553,22 +647,31 @@ def _random_sparse_linear(W: Polygon, rng: Random) -> dict:
 
 
 def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fraction:
-    """Max Jacobiator over random triples of sparse linear observables."""
-    rng = Random(seed)
-    ctx = _DualCtx(W)
-    Pi = _assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
+    """Max Jacobiator over random triples of sparse linear observables.
 
-    def pb(f: dict, g: dict) -> Dual:
-        # pairings gives a plain Fraction 0 when every entry it meets is zero
-        return Dual.const(0) + pairings([f], Pi, [g])[0][0]
+    For linear f, g, h the Jacobiator term {f, {g, h}} pairs f against Pi and
+    the gradient d{g, h} = sum_ij g_i h_j d Pi_ij, which is read from the
+    table at the few entries (i, j) that g and h select.
+    """
+    rng = Random(seed)
+    table = _PiTable(spec, W.coordinates())
+    Pi = table.values()
+
+    def pb_grad(g: dict, h: dict) -> dict:
+        out = {}
+        for i, gi in g.items():
+            for j, hj in h.items():
+                for s, d in table.gradient(i, j).items():
+                    out[s] = out.get(s, ZERO) + gi * hj * d
+        return out
 
     res = ZERO
     for _ in range(trials):
         f = _random_sparse_linear(W, rng)
         g = _random_sparse_linear(W, rng)
         h = _random_sparse_linear(W, rng)
-        jac = pb(f, pb(g, h).grad) + pb(g, pb(h, f).grad) + pb(h, pb(f, g).grad)
-        res = max(res, abs(jac.val))
+        jac = sum(pairings([u], Pi, [pb_grad(v, w)])[0][0] for u, v, w in ((f, g, h), (g, h, f), (h, f, g)))
+        res = max(res, abs(jac))
     return res
 
 

@@ -34,6 +34,14 @@ def test_verify_w_all_checks(capsys):
         assert f"verify-w:{check}" in out
 
 
+def test_verify_w_jacobi_reports_its_trials(capsys):
+    assert run_command(["verify-w", "--nu", "2", "--N", "5", "--check", "jacobi", "--trials", "3", "--format", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert doc["check"] == "verify-w:jacobi" and doc["params"]["trials"] == 3
+    assert run_command(["verify-w", "--nu", "2", "--N", "5", "--check", "momentum", "--format", "json"]) == 0
+    assert "trials" not in json.loads(capsys.readouterr().out)[0]["params"]
+
+
 def test_derive_writes_tensor_json(tmp_path, capsys):
     out = tmp_path / "toda.json"
     assert run_command(["derive", "--name", "toda", "--N", "5", "--out", str(out)]) == 0

@@ -9,8 +9,9 @@ from polypoisson.exchange_algebra import (
     DegeneratePolygon,
     Polygon,
     ProjPolygon,
-    _assemble,
     _DualCtx,
+    _PiTable,
+    _random_sparse_linear,
     bracket_matrix,
     chain_bracket,
     default_rc,
@@ -27,6 +28,7 @@ from polypoisson.exchange_algebra import (
     wronskian,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel
+from polypoisson.linalg import pairings
 from polypoisson.multipoly import Dual, dual_det
 
 F = Fraction
@@ -36,6 +38,78 @@ def spec_with(nu, N, phi=None, rng=None):
     if phi is None:
         phi = random_odd_kernel(N, rng or Random(0))
     return BracketSpec.standard(nu, N, phi)
+
+
+def random_rc_spec(nu, N, rng):
+    """A spec whose R and C are random sparse rationals, not an r-matrix pair."""
+
+    def block():
+        return [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(nu * nu)]
+            for _ in range(nu * nu)
+        ]
+
+    return BracketSpec(nu, N, block(), block(), random_odd_kernel(N, rng))
+
+
+def reference_assemble(spec, V, M):
+    """Pi by the dense kron/mat_mul assembly of the bracket formulas.
+
+    V holds the N fundamental-domain vertices and M the monodromy, with
+    Fraction entries (Pi at the point) or Dual entries (each entry of Pi
+    carries its gradient).  The reference for the integer table.
+    """
+    nu, N = spec.nu, spec.N
+    base = N * nu
+    Pi = linalg.zeros(base + nu * nu, base + nu * nu)
+    # V-V: {V_m (x) V_n} = (V_m (x) V_n) T_{m-n}
+    for m in range(N):
+        for n in range(N):
+            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), spec.t_matrix(m - n))[0]
+            for a in range(nu):
+                Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
+    # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
+    one_m = linalg.kron(linalg.identity(nu), M)
+    m_one = linalg.kron(M, linalg.identity(nu))
+    vm = linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus), linalg.mat_mul(spec.a_plus, one_m))
+    for i in range(nu):
+        block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
+        for m in range(N):
+            for a in range(nu):
+                for j in range(nu):
+                    x = block[m][a * nu + j]
+                    Pi[m * nu + a][base + i * nu + j] = x
+                    Pi[base + i * nu + j][m * nu + a] = -x
+    # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
+    mm = linalg.kron(M, M)
+    mm = linalg.mat_add(linalg.mat_mul(mm, spec.a_minus), linalg.mat_mul(spec.a_plus, mm))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus), one_m))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus), m_one))
+    for i1 in range(nu):
+        for j1 in range(nu):
+            for i2 in range(nu):
+                for j2 in range(nu):
+                    Pi[base + i1 * nu + j1][base + i2 * nu + j2] = mm[i1 * nu + i2][j1 * nu + j2]
+    return Pi
+
+
+def reference_jacobi(spec, W, trials, seed):
+    """jacobi_residual with every entry of Pi a Dual from reference_assemble."""
+    rng = Random(seed)
+    ctx = _DualCtx(W)
+    Pi = reference_assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
+
+    def pb(f, g):
+        return Dual.const(0) + pairings([f], Pi, [g])[0][0]
+
+    res = F(0)
+    for _ in range(trials):
+        f = _random_sparse_linear(W, rng)
+        g = _random_sparse_linear(W, rng)
+        h = _random_sparse_linear(W, rng)
+        jac = pb(f, pb(g, h).grad) + pb(g, pb(h, f).grad) + pb(h, pb(f, g).grad)
+        res = max(res, abs(jac.val))
+    return res
 
 
 def test_ybe_default_pair():
@@ -166,37 +240,57 @@ def test_bracket_blocks_at_identity_monodromy():
                 assert Pi[W.var_v(1, a)][W.var_m(i, j)] == expect
 
 
-def test_dual_assembly_values_and_vertex_gradients():
-    # Pi is quadratic in the coordinates, so the central difference
-    # (Pi(W + e_p) - Pi(W - e_p)) / 2 is the exact derivative along V coordinate p.
+def test_table_values_match_reference_assembly():
     rng = Random(18)
-    for nu in (2, 3):
-        N = 5
-        spec = spec_with(nu, N, rng=rng)
-        W = random_polygon(nu, N, rng)
-        ctx = _DualCtx(W)
-        dual = _assemble(spec, [ctx.vertex(m) for m in range(N)], ctx.monodromy())
-        Pi = bracket_matrix(spec, W)
-        D = W.n_vars()
-        for i in range(D):
-            for j in range(D):
-                x = dual[i][j]
-                assert (x.val if isinstance(x, Dual) else x) == Pi[i][j]
+    N = 7
+    cases = []
+    for nu in (2, 3, 4, 5):
+        for phi in (Kernel.zero(N), random_odd_kernel(N, rng), phi_special(nu, 1, N)):
+            cases.append((BracketSpec.standard(nu, N, phi), random_polygon(nu, N, rng)))
+    cases.append((random_rc_spec(3, 5, rng), random_polygon(3, 5, rng)))
+    for spec, W in cases:
+        assert bracket_matrix(spec, W) == reference_assemble(spec, W.V, W.M)
 
-        def moved(m, a, t):
-            V = [list(row) for row in W.V]
-            V[m][a] += t
-            return bracket_matrix(spec, Polygon(nu, N, tuple(map(tuple, V)), W.M))
 
-        for m in range(N):
-            for a in range(nu):
-                p = W.var_v(m, a)
-                plus, minus = moved(m, a, 1), moved(m, a, -1)
-                for i in range(D):
-                    for j in range(D):
-                        x = dual[i][j]
-                        got = x.grad.get(p, 0) if isinstance(x, Dual) else 0
-                        assert got == (plus[i][j] - minus[i][j]) / 2
+def test_table_gradients_are_central_differences():
+    # Pi is quadratic in the coordinates, so (Pi(x + e_s) - Pi(x - e_s)) / 2 is
+    # the exact derivative along every coordinate s, M included.  The shifted
+    # points are raw coordinate lists: their det M is not 1.
+    rng = Random(22)
+    for spec, W in (
+        (spec_with(2, 5, rng=rng), random_polygon(2, 5, rng)),
+        (random_rc_spec(3, 4, rng), random_polygon(3, 4, rng)),
+    ):
+        x = W.coordinates()
+        D = len(x)
+        table = _PiTable(spec, x)
+        grads = [[table.gradient(i, j) for j in range(D)] for i in range(D)]
+        for s in range(D):
+            plus = _PiTable(spec, [c + (k == s) for k, c in enumerate(x)]).values()
+            minus = _PiTable(spec, [c - (k == s) for k, c in enumerate(x)]).values()
+            for i in range(D):
+                for j in range(D):
+                    assert grads[i][j].get(s, 0) == (plus[i][j] - minus[i][j]) / 2
+
+
+def test_jacobi_negative_controls():
+    # a non-odd phi and a perturbed R each break Jacobi; the residual read
+    # from the table equals the one of the Dual reference assembly
+    found = {}
+    for nu, N in ((2, 5), (3, 5)):
+        W = random_polygon(nu, N, Random(12))
+        R, C = default_rc(nu)
+        non_odd = Kernel(PerSeq(N, tuple(F(k == 1) for k in range(N))))
+        R[0][0] += 1
+        for label, spec in (
+            ("non-odd phi", BracketSpec(nu, N, *default_rc(nu), phi=non_odd)),
+            ("R[0][0] + 1", BracketSpec(nu, N, R, C, Kernel.zero(N))),
+        ):
+            res = verify_structure(spec, W, "jacobi", 20, 0)
+            assert res != 0 and res == reference_jacobi(spec, W, 20, 0), (nu, N, label)
+            found[nu, N, label] = res
+    assert found[2, 5, "non-odd phi"] == F(17127, 68)
+    assert found[2, 5, "R[0][0] + 1"] == F(4906, 17)
 
 
 def test_field_sweep_computes_each_wronskian_once(monkeypatch):

@@ -15,7 +15,6 @@ from .lattice_ops import (
     NoSolution,
     OddKernel,
     PerSeq,
-    SignWindow,
     SingularOperator,
     convolve_apply,
     invert,

@@ -15,6 +15,7 @@ from random import Random
 
 from . import linalg
 from .coord_reduction import (
+    T_SAMPLES,
     closed_tensor,
     compatibility,
     jacobiator,
@@ -69,17 +70,14 @@ class ReportDoc:
     seed: int
     elapsed: float = 0.0
 
-    def to_json(self, with_timing: bool = False) -> dict:
-        doc = {
+    def to_json(self) -> dict:
+        return {
             "check": self.check,
             "params": {k: self.params[k] for k in sorted(self.params)},
             "residual": self.residual,
             "passed": self.passed,
             "seed": self.seed,
         }
-        if with_timing:
-            doc["elapsed_s"] = round(self.elapsed, 3)
-        return doc
 
 
 def _doc(check, params, residual, seed, t0, ok=None) -> ReportDoc:
@@ -281,7 +279,7 @@ def check_extended_toda_compat(seed: int = 0, points: int = 3, N: int = 5) -> li
     P2 = closed_tensor("P2", N)
     pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(points)]
     res = compatibility(P1, P2, pts)
-    return [_doc("extended_toda_compat", {"N": N, "points": points, "t_samples": 4}, res, seed, t0)]
+    return [_doc("extended_toda_compat", {"N": N, "points": points, "t_samples": len(T_SAMPLES)}, res, seed, t0)]
 
 
 def check_pencil_deformations(seed: int = 0) -> list:

@@ -269,10 +269,12 @@ def _cmd_theorem(cfg: RunConfig) -> list:
                 0.0,
             )
         )
+    casimir = {"nu": cfg.nu, "N": cfg.N}
+    casimir.update((k, rep.casimir[k]) for k in ("note", "numeric_residual") if k in rep.casimir)
     docs.append(
         ReportDoc(
             "theorem:casimir",
-            {"nu": cfg.nu, "N": cfg.N},
+            casimir,
             rep.casimir.get("residual", "skipped"),
             rep.casimir.get("verdict") in ("pass", "skipped"),
             cfg.seed,

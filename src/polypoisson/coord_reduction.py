@@ -124,7 +124,7 @@ def coords(W: Polygon) -> Fields:
     return Fields(nu, N, tuple(seqs))
 
 
-def random_fields(field_names, N: int, rng: Random, height: int = 5) -> dict:
+def random_fields(field_names, N: int, rng: Random) -> dict:
     """Random nonvanishing small-height rational values for each named field."""
     out = {}
     for name in field_names:
@@ -132,7 +132,7 @@ def random_fields(field_names, N: int, rng: Random, height: int = 5) -> dict:
         for _ in range(N):
             num = 0
             while num == 0:
-                num = rng.randint(-height, height)
+                num = rng.randint(-5, 5)
             vals.append(Fraction(num, rng.randint(1, 3)))
         out[name] = PerSeq(N, tuple(vals))
     return out
@@ -675,16 +675,17 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def gauge_normalize(W: Polygon, beta: PerSeq = None, force: bool = False) -> Polygon:
+def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     """Rescale vertices by a periodic gauge so the Wronskian ratio becomes beta.
 
     The gauge solves Gamma_{m+nu} = q_m Gamma_m with q = beta w / w'; it is
-    unique up to one overall scalar per step-orbit, removed by normalizing the
-    orbit representatives to 1.  gcd(nu, N) > 1 makes the gauge non-unique
-    (NonUniqueGauge unless force=True); an orbit whose q-product differs from
-    1 admits no exact periodic gauge at all (GaugeInconsistent).
+    unique up to one overall scalar per step-orbit, removed by setting
+    Gamma_0 = 1.  gcd(nu, N) > 1 splits the sites into several orbits and
+    makes the gauge non-unique (NonUniqueGauge); otherwise the one orbit
+    covers every site, and a q-product other than 1 admits no exact periodic
+    gauge at all (GaugeInconsistent).
     """
-    from math import gcd
+    from math import gcd, prod
 
     W.require_nondegenerate()
     nu, N = W.nu, W.N
@@ -693,26 +694,18 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None, force: bool = False) -> Pol
     if not beta.nonvanishing():
         raise ValueError("beta must be nonvanishing")
     g = gcd(nu, N)
-    if g > 1 and not force:
+    if g > 1:
         raise NonUniqueGauge(f"gcd(nu, N) = {g} > 1: gauge not unique")
     w = wronskian(W)
     q = [beta[m] * w[m] / w[m + 1] for m in range(N)]
-    gamma = [None] * N
-    for rep in range(g):
-        prod = ONE
-        m = rep
-        for _ in range(N // g):
-            prod *= q[m]
-            m = (m + nu) % N
-        if prod != 1:
-            raise GaugeInconsistent(
-                f"orbit through {rep}: gauge recursion product {prod} != 1"
-            )
-        gamma[rep] = ONE
-        m = rep
-        for _ in range(N // g - 1):
-            gamma[(m + nu) % N] = gamma[m] * q[m]
-            m = (m + nu) % N
+    total = prod(q)
+    if total != 1:
+        raise GaugeInconsistent(f"orbit through 0: gauge recursion product {total} != 1")
+    gamma = [ONE] * N
+    m = 0
+    for _ in range(N - 1):
+        gamma[(m + nu) % N] = gamma[m] * q[m]
+        m = (m + nu) % N
     V = tuple(tuple(gamma[m] * x for x in W.V[m]) for m in range(N))
     return Polygon(nu, N, V, W.M)
 
@@ -902,12 +895,15 @@ def shift_field(P, field_idx: int, lam):
     return out, had_quadratic
 
 
-def compatibility(P, Q, points, t_samples=None) -> Fraction:
-    """Max Jacobiator of P + tQ over sampled points and rational t values.
+T_SAMPLES = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2))
+
+
+def compatibility(P, Q, points) -> Fraction:
+    """Max Jacobiator of P + tQ over sampled points and the t values T_SAMPLES.
 
     Tensor entries are polynomial, so at a fixed point the Jacobiator of the
-    pencil is a polynomial of degree two in t.  Its vanishing at three or
-    more t values is therefore an exact certificate that every member of the
+    pencil is a polynomial of degree two in t.  Its vanishing at the four
+    T_SAMPLES is therefore an exact certificate that every member of the
     pencil satisfies Jacobi at that point.  The points themselves are
     sampled: a zero at every given point is evidence of compatibility, not
     a proof of it.  P and Q are each evaluated once per point, by
@@ -917,15 +913,11 @@ def compatibility(P, Q, points, t_samples=None) -> Fraction:
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if TP.field_names != TQ.field_names or TP.N != TQ.N:
         raise ValueError("tensors live on different field spaces")
-    if t_samples is None:
-        t_samples = [Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2)]
-    if len(t_samples) < 3:
-        raise ValueError("need more t samples than the t-degree of the Jacobiator")
     res = ZERO
     for point in points:
         pv, pg = TP.eval_sparse(point)
         qv, qg = TQ.eval_sparse(point)
-        for t in t_samples:
+        for t in T_SAMPLES:
             vals = pv + [(I, s, t * v) for I, s, v in qv]
             grads = pg + [(J, K, s, t * d) for J, K, s, d in qg]
             res = max(res, _max_jacobiator(TP.n_vars(), vals, grads))

@@ -21,14 +21,15 @@ by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
 All three blocks are quadratic in the coordinates, so the coordinate bracket
 matrix Pi is built in one place, ``_pi_table``: a sparse table of integer
 triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
-nonzeros of R +- Q, phi and A_pm.  ``bracket_matrix`` evaluates it in ints at
-the polygon's scaled coordinates, and ``jacobi_residual`` reads the exact
-gradients of the entries it needs from the same triples.  The table is built
-per call; the T-matrices, Q, A_pm and the nonzero lists are built once per
-BracketSpec.  An observable of the polygon is a function from a
-``_DualCtx`` to a Dual, whose gradient is a sparse covector over the
-coordinates; every chain-rule bracket pairs such gradients against Pi with
-``linalg.pairings``.
+nonzeros of R +- Q, phi and A_pm.  ``_PiTable`` evaluates it in ints at the
+polygon's scaled coordinates: ``bracket_matrix`` is the Fraction view of those
+ints, the quasi-periodicity and antisymmetry checks read the ints directly,
+and ``jacobi_residual`` reads the exact gradients of the entries it needs
+from the same triples.  The table is built per call; Q, A_pm and the nonzero
+lists are built once per BracketSpec.  An observable of the polygon is a
+function from a ``_DualCtx`` to a Dual, whose gradient is a sparse covector
+over the coordinates; every chain-rule bracket pairs such gradients against
+Pi with ``linalg.pairings``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import lcm
 from random import Random
 
 from . import linalg
-from .lattice_ops import Kernel, PerSeq, SignWindow, sign
+from .lattice_ops import Kernel, PerSeq, sign
 from .linalg import ONE, ZERO, pairings, rat
 from .multipoly import Dual, dual_det
 
@@ -154,7 +155,7 @@ def group_act(p: PerSeq, g, W: Polygon) -> Polygon:
     return Polygon(W.nu, W.N, V, tuple(tuple(row) for row in M))
 
 
-def random_polygon(nu: int, N: int, rng: Random, height: int = 5) -> Polygon:
+def random_polygon(nu: int, N: int, rng: Random) -> Polygon:
     """A random nondegenerate polygon with small-height rational entries.
 
     The monodromy is obtained by solving the extension rule against nu extra
@@ -164,7 +165,7 @@ def random_polygon(nu: int, N: int, rng: Random, height: int = 5) -> Polygon:
         raise ValueError("need N >= nu to pose the extension rule on sampled rows")
     for _ in range(500):
         rows = [
-            [Fraction(rng.randint(-height, height), rng.randint(1, 3)) for _ in range(nu)]
+            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)]
             for _ in range(N + nu)
         ]
         A = [rows[m] for m in range(nu)]
@@ -245,26 +246,14 @@ def default_rc(nu: int):
     return R, C
 
 
-def _leg12(X, nu: int):
-    return linalg.kron(X, linalg.identity(nu))
-
-
-def _leg23(X, nu: int):
-    return linalg.kron(linalg.identity(nu), X)
-
-
-def _leg13(X, nu: int):
-    n3 = nu**3
-    out = linalg.zeros(n3, n3)
-    for a in range(nu):
-        for b in range(nu):
-            for c in range(nu):
-                row = (a * nu + b) * nu + c
-                for d in range(nu):
-                    for f in range(nu):
-                        x = X[_pair(nu, a, c)][_pair(nu, d, f)]
-                        if x:
-                            out[row][(d * nu + b) * nu + f] += x
+def _leg(X, nu: int, p: int, q: int):
+    """X acting on the legs p < q of Q^nu (x) Q^nu (x) Q^nu, as a nu^3 x nu^3 matrix."""
+    out = linalg.zeros(nu**3, nu**3)
+    for a, b, c, d, x in _nonzeros(X, nu):
+        for e in range(nu):
+            row, col = [e] * 3, [e] * 3
+            row[p], row[q], col[p], col[q] = a, b, c, d
+            out[(row[0] * nu + row[1]) * nu + row[2]][(col[0] * nu + col[1]) * nu + col[2]] = x
     return out
 
 
@@ -274,8 +263,8 @@ def verify_ybe(R, C) -> Fraction:
     nu = round(n2**0.5)
     if nu * nu != n2 or len(C) != n2:
         raise ValueError("R and C must be nu^2 x nu^2 on the same nu")
-    r12, r13, r23 = _leg12(R, nu), _leg13(R, nu), _leg23(R, nu)
-    c12, c13 = _leg12(C, nu), _leg13(C, nu)
+    r12, r13, r23 = _leg(R, nu, 0, 1), _leg(R, nu, 0, 2), _leg(R, nu, 1, 2)
+    c12, c13 = _leg(C, nu, 0, 1), _leg(C, nu, 0, 2)
     acc = linalg.commutator(r12, r13)
     acc = linalg.mat_add(acc, linalg.commutator(r12, r23))
     acc = linalg.mat_add(acc, linalg.commutator(r13, r23))
@@ -287,7 +276,8 @@ def verify_ybe(R, C) -> Fraction:
 class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
 
-    The derived matrices (Q, A_+-, the T-matrices) are built once per spec.
+    The derived data (Q, A_+- and the sparse nonzeros _pi_table reads) are
+    built once per spec.
     """
 
     nu: int
@@ -325,37 +315,17 @@ class BracketSpec:
         return _frozen(linalg.mat_sub(self.R, self.Q))
 
     @cached_property
-    def _vv_bases(self) -> tuple:
-        # R, R + Q and R - Q, indexed by sgn(k).  R +- Q is summed here, not
-        # read from a_plus/a_minus, so that replacing those caches to probe the
-        # V-M and M-M blocks leaves the V-V block as it is.
-        return (self.R, _frozen(linalg.mat_add(self.R, self.Q)), _frozen(linalg.mat_sub(self.R, self.Q)))
-
-    @cached_property
-    def _t_matrices(self) -> dict:
-        # T_k is R + sgn(k) Q with phi_k added on the diagonal, since Id(x)Id is
-        # the nu^2 identity.  The off-diagonal entries are the base matrices'
-        # own Fractions; the new diagonal sums share one Fraction per value,
-        # as a spec lives as long as its caller holds it.
-        shared = {}
-        out = {}
-        for k in range(1 - self.N, self.N):
-            T = [list(row) for row in self._vv_bases[sign(k)]]
-            for r, row in enumerate(T):
-                x = row[r] + self.phi[k]
-                row[r] = shared.setdefault(x, x)
-            out[k] = _frozen(T)
-        return out
-
-    @cached_property
     def _pi_template(self) -> tuple:
         # The sparse data _pi_table builds Pi from, over one denominator L:
         # (L, vv, phi, a_minus, a_plus).  vv[sgn(k)] lists the nonzeros of
         # R + sgn(k) Q, phi[k] is phi_k L for k in [0, N), and a_minus/a_plus
         # list the nonzeros of A_-/A_+, read here from their caches.  Each
         # nonzero is (p, q, r, s, int): row (p, q), column (r, s), times L.
-        nu = self.nu
-        vv = [_nonzeros(B, nu) for B in self._vv_bases]
+        # R +- Q is summed here, not read from a_plus/a_minus, so that
+        # replacing those caches to probe the V-M and M-M blocks leaves the
+        # V-V block as it is.
+        nu, R, Q = self.nu, self.R, self.Q
+        vv = [_nonzeros(B, nu) for B in (R, linalg.mat_add(R, Q), linalg.mat_sub(R, Q))]
         a_minus, a_plus = _nonzeros(self.a_minus, nu), _nonzeros(self.a_plus, nu)
         phi = [self.phi[k] for k in range(self.N)]
         entries = [x for terms in (*vv, a_minus, a_plus) for *_, x in terms] + phi
@@ -365,14 +335,6 @@ class BracketSpec:
             return [(p, q, r, s, int(x * L)) for p, q, r, s, x in terms]
 
         return L, [scaled(t) for t in vv], [int(x * L) for x in phi], scaled(a_minus), scaled(a_plus)
-
-    def t_matrix(self, k: int):
-        """R + sgn(k) Q + phi_k Id(x)Id for a window difference k.
-
-        The 2N-1 matrices are built once per spec and shared, hence read-only.
-        """
-        SignWindow(self.N)[k]  # range check
-        return self._t_matrices[k]
 
     def to_json(self) -> dict:
         from .linalg import rat_str
@@ -529,19 +491,24 @@ class _PiTable:
         self.den = lcm(*(x.denominator for x in coords))
         self.X = [x.numerator * (self.den // x.denominator) for x in coords]
 
-    def values(self) -> list:
-        """Pi at the point: a D x D matrix of Fractions."""
-        X, scale = self.X, self.L * self.den * self.den
-        Pi = []
+    def ints(self) -> list:
+        """L den^2 Pi at the point: a D x D matrix of ints."""
+        X = self.X
+        out = []
         for row in self.rows:
-            out = []
+            vals = []
             for t in row:
                 acc = 0
                 for a, b, c in t:
                     acc += c * X[a] * X[b]
-                out.append(Fraction(acc, scale) if acc else ZERO)
-            Pi.append(out)
-        return Pi
+                vals.append(acc)
+            out.append(vals)
+        return out
+
+    def values(self) -> list:
+        """Pi at the point: a D x D matrix of Fractions."""
+        scale = self.L * self.den * self.den
+        return [[Fraction(v, scale) if v else ZERO for v in row] for row in self.ints()]
 
     def gradient(self, i: int, j: int) -> dict:
         """d Pi_ij at the point, as a sparse covector {s: d_s Pi_ij}."""
@@ -611,33 +578,44 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     For m < n the difference m+N-n stays inside the sign window, so
     {V_{m+N}, V_n} may be computed both directly from the bracket formula
     (sign +1, phi periodic) and by the product rule through V_m M; the two
-    must agree exactly.
+    must agree exactly.  Both sides are ints over L den^3: the direct side
+    reads the nonzeros of R + Q and phi, the product-rule side the ints of
+    the table.
     """
     nu, N = spec.nu, spec.N
-    Pi = bracket_matrix(spec, W)
-    res = ZERO
+    _, vv, phi, _, _ = spec._pi_template
+    table = _PiTable(spec, W.coordinates())
+    P, X = table.ints(), table.X
+    base = N * nu
+    M = [X[base + c * nu : base + c * nu + nu] for c in range(nu)]
+    res = 0
     for m in range(N):
-        ext = [W.vertex(m + N)]
+        vm = X[m * nu : m * nu + nu]
+        ext = [sum(vm[c] * M[c][a] for c in range(nu)) for a in range(nu)]  # V_m M, over den^2
         for n in range(m + 1, N):
-            direct = linalg.mat_mul(linalg.kron(ext, [W.V[n]]), spec.t_matrix(m + N - n))[0]
+            vn = X[n * nu : n * nu + nu]
+            direct = [[0] * nu for _ in range(nu)]
+            for c, d, a, b, x in vv[1]:
+                direct[a][b] += x * ext[c] * vn[d]
+            p = phi[(m - n) % N]
             for a in range(nu):
                 for b in range(nu):
-                    acc = ZERO
+                    # {V_m^c M_ca, V_n^b} = M_ca {V_m^c, V_n^b} + V_m^c {M_ca, V_n^b}
+                    j = n * nu + b
+                    acc = direct[a][b] + p * ext[a] * vn[b]
                     for c in range(nu):
-                        acc += W.M[c][a] * Pi[W.var_v(m, c)][W.var_v(n, b)]
-                        acc -= W.V[m][c] * Pi[W.var_v(n, b)][W.var_m(c, a)]
-                    res = max(res, abs(direct[_pair(nu, a, b)] - acc))
-    return res
+                        acc -= M[c][a] * P[m * nu + c][j] - vm[c] * P[j][base + c * nu + a]
+                    res = max(res, abs(acc))
+    return Fraction(res, table.L * table.den**3)
 
 
 def antisymmetry_residual(spec: BracketSpec, W: Polygon) -> Fraction:
-    Pi = bracket_matrix(spec, W)
-    D = W.n_vars()
-    res = ZERO
-    for i in range(D):
-        for j in range(i, D):
-            res = max(res, abs(Pi[i][j] + Pi[j][i]))
-    return res
+    """Max |Pi_ij + Pi_ji|, over L den^2 from the ints of the table."""
+    table = _PiTable(spec, W.coordinates())
+    P = table.ints()
+    D = len(P)
+    res = max(abs(P[i][j] + P[j][i]) for i in range(D) for j in range(i, D))
+    return Fraction(res, table.L * table.den**2)
 
 
 def _random_sparse_linear(W: Polygon, rng: Random) -> dict:
@@ -732,26 +710,13 @@ def projective_action(X, v):
     return [vA[j] + c[j] - d * v[j] - vb * v[j] for j in range(k)]
 
 
-def _r_tensor_terms(R, nu: int):
-    """Decompose the matrix of R in E_ac (x) E_bd coordinates."""
-    terms = []
-    for a in range(nu):
-        for b in range(nu):
-            for c in range(nu):
-                for d in range(nu):
-                    x = R[_pair(nu, a, b)][_pair(nu, c, d)]
-                    if x:
-                        terms.append((a, c, b, d, x))
-    return terms
-
-
 def projective_bracket(R, P: ProjPolygon, m: int, n: int):
     """{v_m (x) v_n} = (v_m (x) v_n).R - sgn(m-n) (v_m - v_n) (x) (v_m - v_n)."""
     nu = P.nu
     k = nu - 1
     vm, vn = P.v[m % len(P.v)], P.v[n % len(P.v)]
     table = [[ZERO] * k for _ in range(k)]
-    for a, c, b, d, x in _r_tensor_terms(R, nu):
+    for a, b, c, d, x in _nonzeros(R, nu):
         X = [[ONE if (i, j) == (a, c) else ZERO for j in range(nu)] for i in range(nu)]
         Y = [[ONE if (i, j) == (b, d) else ZERO for j in range(nu)] for i in range(nu)]
         Xv = projective_action(X, vm)

@@ -243,7 +243,7 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     return res
 
 
-def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2, lambdas=None) -> TheoremReport:
+def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremReport:
     """Verify the Casimir and linearity properties of the phi^(k) family.
 
     For each 1 <= k <= nu-1: quad_coeff(nu, k, phi^(k), N) must be the zero
@@ -304,8 +304,7 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2, lambdas=Non
         report.casimir = {"verdict": "skipped", "note": str(exc)}
 
     rng = Random(seed + 1)
-    if lambdas is None:
-        lambdas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
+    lambdas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
     if nu in (2, 3) and solved:
         resid = ZERO
         for k, phik in solved.items():

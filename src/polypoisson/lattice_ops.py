@@ -38,22 +38,6 @@ def sign(k: int) -> int:
 
 
 @dataclass(frozen=True)
-class SignWindow:
-    """Discrete sign values sigma_k on the window |k| <= N-1.
-
-    The bracket only ever evaluates sigma at fundamental-domain differences,
-    so lookups outside the window are an error rather than an extension.
-    """
-
-    N: int
-
-    def __getitem__(self, k: int) -> int:
-        if abs(k) > self.N - 1:
-            raise IndexError(f"sigma_{k} lies outside the window |k| <= {self.N - 1}")
-        return sign(k)
-
-
-@dataclass(frozen=True)
 class PerSeq:
     """A period-N sequence of rationals, indexed by residues mod N."""
 
@@ -343,11 +327,11 @@ def phi_special(nu: int, k: int, N: int) -> OddKernel:
     return solve_phi(A, b, N)
 
 
-def random_odd_kernel(N: int, rng, lo: int = -6, hi: int = 6, den: int = 4) -> OddKernel:
+def random_odd_kernel(N: int, rng) -> OddKernel:
     """A random odd kernel with small-height rational entries."""
     vals = [ZERO] * N
     for j in range(1, (N + 1) // 2):
-        x = Fraction(rng.randint(lo, hi), rng.randint(1, den))
+        x = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         vals[j] = x
         vals[N - j] = -x
     return OddKernel(PerSeq(N, tuple(vals)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,29 @@ def test_theorem_report_json(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["nu"] == 3 and len(doc["cases"]) == 2
     assert all(c["verdict"] == "pass" for c in doc["cases"])
+
+
+def test_theorem_casimir_params_say_why(capsys):
+    # gcd(nu, N) > 1: the failure carries the documented obstruction and the
+    # sampled residual next to the kernel-level one; exit 1 is kept
+    assert run_command(["theorem", "--nu", "2", "--N", "4", "--format", "json"]) == 1
+    (doc,) = [d for d in json.loads(capsys.readouterr().out) if d["check"] == "theorem:casimir"]
+    assert doc["params"]["note"].startswith("known obstruction: gcd(nu, N) = 2 > 1")
+    assert doc["params"]["numeric_residual"] == "432/5" and not doc["passed"]
+    assert run_command(["theorem", "--nu", "3", "--N", "7", "--format", "json"]) == 0
+    (doc,) = [d for d in json.loads(capsys.readouterr().out) if d["check"] == "theorem:casimir"]
+    assert doc["params"] == {"N": 7, "numeric_residual": "0", "nu": 3}
+
+
+# sha256 of the `theorem --nu 4 --N 9 --out` file.  A deliberate change to the
+# theorem report must update this pin and say so.
+THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
+
+
+def test_theorem_out_is_byte_stable(tmp_path, capsys):
+    out = tmp_path / "theorem_4_9.json"
+    assert run_command(["theorem", "--nu", "4", "--N", "9", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == THEOREM_4_9_SHA256
 
 
 def test_derive_op_form_for_word_tensor(tmp_path, capsys):

@@ -27,7 +27,7 @@ from polypoisson.exchange_algebra import (
     verify_ybe,
     wronskian,
 )
-from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel
+from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
 from polypoisson.linalg import pairings
 from polypoisson.multipoly import Dual, dual_det
 
@@ -52,6 +52,25 @@ def random_rc_spec(nu, N, rng):
     return BracketSpec(nu, N, block(), block(), random_odd_kernel(N, rng))
 
 
+def t_matrix(spec, k):
+    """R + sgn(k) Q + phi_k Id(x)Id, the V-V block of the bracket at site difference k."""
+    T = linalg.mat_add(spec.R, linalg.mat_scale(spec.Q, sign(k)))
+    return linalg.mat_add(T, linalg.mat_scale(identity2(spec.nu), spec.phi[k]))
+
+
+def halved_spec(spec):
+    """spec with the V-M and M-M factors A_+- replaced by (R +- C)/2.
+
+    A_+- are cached per spec, so they are set on a fresh spec before any
+    build reads them; the V-V block still reads R +- Q.
+    """
+    halved = BracketSpec(spec.nu, spec.N, spec.R, spec.C, spec.phi)
+    R, C = [list(r) for r in spec.R], [list(r) for r in spec.C]
+    vars(halved)["a_plus"] = linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
+    vars(halved)["a_minus"] = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2))
+    return halved
+
+
 def reference_assemble(spec, V, M):
     """Pi by the dense kron/mat_mul assembly of the bracket formulas.
 
@@ -65,7 +84,7 @@ def reference_assemble(spec, V, M):
     # V-V: {V_m (x) V_n} = (V_m (x) V_n) T_{m-n}
     for m in range(N):
         for n in range(N):
-            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), spec.t_matrix(m - n))[0]
+            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), t_matrix(spec, m - n))[0]
             for a in range(nu):
                 Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
     # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
@@ -91,6 +110,29 @@ def reference_assemble(spec, V, M):
                 for j2 in range(nu):
                     Pi[base + i1 * nu + j1][base + i2 * nu + j2] = mm[i1 * nu + i2][j1 * nu + j2]
     return Pi
+
+
+def reference_quasiperiodicity(spec, W):
+    """quasiperiodicity_residual by dense Fraction products over reference_assemble.
+
+    For m < n, {V_{m+N}, V_n} directly, (V_m M (x) V_n) T_{m+N-n}, against
+    the product rule M_ca {V_m^c, V_n^b} + V_m^c {M_ca, V_n^b}.
+    """
+    nu, N = spec.nu, spec.N
+    Pi = reference_assemble(spec, W.V, W.M)
+    res = F(0)
+    for m in range(N):
+        ext = [W.vertex(m + N)]
+        for n in range(m + 1, N):
+            direct = linalg.mat_mul(linalg.kron(ext, [W.V[n]]), t_matrix(spec, m + N - n))[0]
+            for a in range(nu):
+                for b in range(nu):
+                    acc = F(0)
+                    for c in range(nu):
+                        acc += W.M[c][a] * Pi[W.var_v(m, c)][W.var_v(n, b)]
+                        acc -= W.V[m][c] * Pi[W.var_v(n, b)][W.var_m(c, a)]
+                    res = max(res, abs(direct[a * nu + b] - acc))
+    return res
 
 
 def reference_jacobi(spec, W, trials, seed):
@@ -121,8 +163,8 @@ def test_ybe_default_pair():
 def test_ybe_negative_controls():
     R, C = default_rc(2)
     zero = linalg.zeros(4, 4)
-    assert verify_ybe(zero, C) != 0
-    assert verify_ybe(R, zero) != 0
+    assert verify_ybe(zero, C) == 1
+    assert verify_ybe(R, zero) == 1
 
 
 def test_default_rc_rejects_nu_1():
@@ -383,7 +425,7 @@ def test_quasiperiodicity_without_monodromy_terms_fails():
         for n in range(N):
             if m >= n:
                 continue
-            T_ext = spec.t_matrix(m + N - n)
+            T_ext = t_matrix(spec, m + N - n)
             vm = W.vertex(m + N)
             for a in range(nu):
                 for b in range(nu):
@@ -405,12 +447,38 @@ def test_halved_monodromy_blocks_break_quasiperiodicity():
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
     assert verify_structure(spec, W, "quasiperiodicity") == 0
-    halved = BracketSpec(spec.nu, N, spec.R, spec.C, spec.phi)
-    R, C = [list(r) for r in spec.R], [list(r) for r in spec.C]
-    # A_+- are cached per spec: set them on a fresh spec before any build reads them
-    vars(halved)["a_plus"] = linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
-    vars(halved)["a_minus"] = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2))
-    assert verify_structure(halved, W, "quasiperiodicity") != 0
+    assert verify_structure(halved_spec(spec), W, "quasiperiodicity") != 0
+
+
+def test_quasiperiodicity_and_antisymmetry_match_reference():
+    # both checks read the integer table; the references use dense Fraction
+    # products over reference_assemble.  Random R and C and halved A_pm break
+    # quasi-periodicity; phi enters it periodically, so a non-odd phi leaves
+    # it at 0 and breaks antisymmetry instead.
+    rng = Random(23)
+    found = {}
+    for nu, N in ((2, 5), (3, 5), (3, 7), (4, 5)):
+        W = random_polygon(nu, N, rng)
+        std = spec_with(nu, N, rng=rng)
+        non_odd = Kernel(PerSeq(N, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N))))
+        specs = {
+            "standard": std,
+            "random R, C": random_rc_spec(nu, N, rng),
+            "non-odd phi": BracketSpec(nu, N, std.R, std.C, non_odd),
+            "halved A_pm": halved_spec(std),
+        }
+        for label, spec in specs.items():
+            quasi = verify_structure(spec, W, "quasiperiodicity")
+            anti = verify_structure(spec, W, "antisymmetry")
+            Pi = reference_assemble(spec, W.V, W.M)
+            D = len(Pi)
+            assert quasi == reference_quasiperiodicity(spec, W), (nu, N, label)
+            assert anti == max(abs(Pi[i][j] + Pi[j][i]) for i in range(D) for j in range(D)), (nu, N, label)
+            assert (quasi != 0) == (label in ("random R, C", "halved A_pm")), (nu, N, label)
+            assert (anti != 0) == (label in ("random R, C", "non-odd phi")), (nu, N, label)
+            found[nu, N, label] = quasi, anti
+    assert found[2, 5, "random R, C"] == (F(571096, 3717), F(436484, 10443))
+    assert found[2, 5, "halved A_pm"] == (F(12460, 531), 0)
 
 
 def test_projective_action_lemma_example():

@@ -10,7 +10,6 @@ from polypoisson.lattice_ops import (
     NoSolution,
     OddKernel,
     PerSeq,
-    SignWindow,
     SingularOperator,
     compose,
     convolve_apply,
@@ -185,18 +184,6 @@ def test_oddness_invariants():
             assert phi[N // 2] == 0
     with pytest.raises(ValueError):
         OddKernel(PerSeq(4, (F(0), F(1), F(0), F(2))))
-
-
-def test_sign_window():
-    sw = SignWindow(5)
-    assert sw[3] == 1 and sw[-2] == -1 and sw[0] == 0
-    with pytest.raises(IndexError):
-        sw[5]
-    # the increment identity inside the window
-    for m in range(-4, 4):
-        lhs = sw[m + 1] - sw[m]
-        rhs = (1 if m == 0 else 0) + (1 if m + 1 == 0 else 0)
-        assert lhs == rhs
 
 
 def test_json_round_trip():

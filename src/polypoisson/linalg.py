@@ -2,12 +2,17 @@
 
 Matrices are plain lists of lists of ``fractions.Fraction``.  Everything here
 is exact; there is no floating point and no pivot-size heuristics beyond
-picking the first nonzero pivot.
+picking the first nonzero pivot.  ``rref``, ``solve`` and ``nullspace``
+eliminate over Fractions.  ``det`` and ``adjugate`` scale the matrix once to
+ints over a common denominator and run Bareiss's fraction-free elimination,
+in which every division is exact; ``pairings`` contracts in scaled ints as
+well.  All three build Fractions only for their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Rational = Fraction
 
@@ -115,27 +120,83 @@ def max_abs(a) -> Fraction:
     return m
 
 
-def det(a) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(a)
-    a = mat_copy(a)
-    sign = ONE
-    d = ONE
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k]), None)
-        if piv is None:
-            return ZERO
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+def _scaled(a):
+    """(m, d) with m a matrix of ints and a = m / d, d the lcm of a's denominators."""
+    d = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
+def _int_det(m) -> int:
+    """Determinant of a square int matrix by Bareiss elimination; m is overwritten.
+
+    After step k every entry right of and below the pivot is a minor of m of
+    order k+2 (Sylvester's identity), so the division by the previous pivot
+    is exact.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        d *= a[k][k]
-        inv = ONE / a[k][k]
+        pk, mk = m[k][k], m[k]
         for r in range(k + 1, n):
-            f = a[r][k] * inv
-            if f:
-                for c in range(k, n):
-                    a[r][c] -= f * a[k][c]
-    return sign * d
+            mr = m[r]
+            f = mr[k]
+            mr[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(mr[k + 1 :], mk[k + 1 :])]
+        prev = pk
+    return sign * m[-1][-1] if n else 1
+
+
+def _int_adjugate(m):
+    """(det m, adj m) for a square int matrix m, fraction-free.
+
+    For invertible m, fraction-free Gauss-Jordan on [m | I] ends at
+    [det I | adj m] up to the sign of the row swaps.  For singular m the
+    adjugate is the signed (n-1)-minors, adj_ij = (-1)^(i+j) det(m without
+    row j and column i), each by Bareiss; they all vanish when rank m <= n-2.
+    """
+    n = len(m)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if not aug[k][k]:
+            piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
+            if piv is None:
+                return 0, [
+                    [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for t, r in enumerate(m) if t != j]) for j in range(n)]
+                    for i in range(n)
+                ]
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        pk, ak = aug[k][k], aug[k]
+        for r in range(n):
+            if r != k:
+                f = aug[r][k]
+                aug[r] = [(pk * x - f * y) // prev for x, y in zip(aug[r], ak)]
+        prev = pk
+    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+
+
+def det(a) -> Fraction:
+    """Determinant by Bareiss elimination over ints, after one scaling."""
+    m, d = _scaled(a)
+    return Fraction(_int_det(m), d ** len(m))
+
+
+def adjugate(a):
+    """adj(a) = det(a) a^-1, or the signed (n-1)-minors when a is singular.
+
+    Computed fraction-free on the scaled int matrix m = d a, whose adjugate
+    is d^(n-1) adj(a).
+    """
+    m, d = _scaled(a)
+    _, adj = _int_adjugate(m)
+    s = d ** (len(m) - 1) if m else 1
+    return [[Fraction(x, s) for x in row] for row in adj]
 
 
 def rref(a):
@@ -221,23 +282,40 @@ def dot(u, v) -> Fraction:
 
 
 def pairings(F, A, G):
-    """The chain-rule table [[f^T A g for g in G] for f in F].
+    """The chain-rule table [[f^T A g for g in G] for f in F], exact.
 
-    F and G hold sparse covectors that map indices to coefficients, as
-    gradients (``Dual.grad``) do; the entries of A may be Fractions or Duals,
-    and zero entries are skipped.  One covector f^T A is built per f, over
-    only the columns that some g reads.  An entry that meets no nonzero
-    product is the Fraction 0.
+    F and G hold sparse covectors that map indices to rational coefficients,
+    as gradients (``Dual.grad``) do, and A is a rational matrix.  The rows of
+    A that some f reads, over the columns that some g reads, are scaled to
+    ints over one denominator dA, and each f and g to ints over its own
+    denominator; one covector f^T A is built per f in ints, and each entry is
+    the single Fraction acc / (df dA dg), or 0 when acc is 0.
     """
     cols = sorted({j for g in G for j in g})
+    pos = {j: p for p, j in enumerate(cols)}
+    rows = sorted({i for f in F for i in f})
+    ints, dA = _scaled([[A[i][j] for j in cols] for i in rows])
+    block = dict(zip(rows, ints))
+    gs = []
+    for g in G:
+        gi, dg = _scaled_covector(g)
+        gs.append(([(pos[j], c) for j, c in gi.items() if c], dg * dA))
     table = []
     for f in F:
-        u = dict.fromkeys(cols, ZERO)
-        for i, ci in f.items():
-            row = A[i]
-            for j in cols:
-                x = row[j]
-                if x:
-                    u[j] += ci * x
-        table.append([sum((u[j] * c for j, c in g.items() if u[j]), ZERO) for g in G])
+        fi, df = _scaled_covector(f)
+        u = [0] * len(cols)
+        for i, c in fi.items():
+            if c:
+                u = [x + c * y for x, y in zip(u, block[i])]
+        out = []
+        for g, den in gs:
+            acc = sum(u[p] * c for p, c in g)
+            out.append(Fraction(acc, df * den) if acc else ZERO)
+        table.append(out)
     return table
+
+
+def _scaled_covector(f: dict):
+    """(fi, d) with fi a covector of ints and f = fi / d."""
+    d = lcm(*(c.denominator for c in f.values()))
+    return {i: c.numerator * (d // c.denominator) for i, c in f.items()}, d

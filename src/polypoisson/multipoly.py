@@ -5,17 +5,18 @@ pairs.  This is deliberately minimal plumbing: exact arithmetic, partial
 derivatives and point evaluation are all the rest of the package needs.
 
 ``dual_det`` differentiates a determinant without expanding it over Duals:
-the value comes from one exact elimination on the entries' values, and the
-gradient from Jacobi's formula d det A = tr(adj(A) dA), with the adjugate
-taken as det(A) A^-1, or from the signed (n-1)-minors when A is singular.
-Its cost is polynomial in the matrix size.
+the value and the adjugate come from one fraction-free elimination of the
+entries' values, scaled to ints, and the gradient from Jacobi's formula
+d det A = tr(adj(A) dA), summed in ints.  Its cost is O(n^3) int operations
+plus one pass over the entries' gradients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from .linalg import ONE, ZERO, det, identity, rat, solve, zeros
+from .linalg import ONE, ZERO, _int_adjugate, _scaled, rat
 
 
 class Poly:
@@ -222,40 +223,24 @@ class Dual:
 def dual_det(rows) -> Dual:
     """Determinant of a square matrix of Duals, gradient by Jacobi's formula.
 
-    The value is det A for the matrix A of the entries' values, computed once
-    by exact elimination.  The gradient is d det A = sum_ij adj(A)_ji dA_ij,
-    accumulated from each entry's sparse gradient.  The adjugate is
-    det(A) A^-1 when A is invertible and the signed (n-1)-minors when it is
-    singular; those vanish, and so does the gradient, when rank A <= n-2.
-    The cost is O(n^3) Fraction operations plus n^2 scaled-gradient sums.
+    The entries' values are scaled once to an int matrix m over a common
+    denominator d, and one fraction-free elimination gives det m and adj m
+    (the signed (n-1)-minors when m is singular; those vanish, and so does
+    the gradient, when rank m <= n-2).  The gradient d det A = sum_ij
+    adj(A)_ji dA_ij, with adj(A) = adj(m) / d^(n-1), is summed in ints over
+    the entries' sparse gradients scaled to one denominator dg, and divided
+    by d^(n-1) dg once per variable at the end.
     """
-    vals = [[x.val for x in row] for row in rows]
-    d = det(vals)
-    adj = _adjugate(vals, d)
-    grad = {}
+    n = len(rows)
+    m, d = _scaled([[x.val for x in row] for row in rows])
+    value, adj = _int_adjugate(m)
+    dg = lcm(*(c.denominator for row in rows for x in row for c in x.grad.values()))
+    acc = {}
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             c = adj[j][i]
-            if not c:
-                continue
-            for v, dx in x.grad.items():
-                s = grad.get(v, ZERO) + c * dx
-                if s:
-                    grad[v] = s
-                else:
-                    grad.pop(v, None)
-    return Dual(d, grad)
-
-
-def _adjugate(a, d: Fraction):
-    """adj(a) for a square matrix a of Fractions with determinant d."""
-    n = len(a)
-    if d:
-        return [[d * x for x in row] for row in solve(a, identity(n))]
-    # singular: adj(a)_ij = (-1)^(i+j) det(a without row j and column i)
-    adj = zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            m = det([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j])
-            adj[i][j] = -m if (i + j) % 2 else m
-    return adj
+            if c:
+                for v, dx in x.grad.items():
+                    acc[v] = acc.get(v, 0) + c * dx.numerator * (dg // dx.denominator)
+    den = d ** (n - 1) * dg
+    return Dual(Fraction(value, d**n), {v: Fraction(g, den) for v, g in acc.items() if g})

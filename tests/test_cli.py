@@ -80,15 +80,25 @@ def test_theorem_casimir_params_say_why(capsys):
     assert doc["params"] == {"N": 7, "numeric_residual": "0", "nu": 3}
 
 
-# sha256 of the `theorem --nu 4 --N 9 --out` file.  A deliberate change to the
-# theorem report must update this pin and say so.
+# sha256 of the `theorem --nu 4 --N 9 --out` and `theorem --nu 5 --N 11 --out`
+# files.  A deliberate change to the theorem report must update these pins
+# and say so.
 THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
+THEOREM_5_11_SHA256 = "1906843d1f92853b22cf4e8024c0ac39067cf36f96365d654411be4136c84b8a"
+
+
+def _theorem_out_sha256(tmp_path, nu: int, N: int) -> str:
+    out = tmp_path / f"theorem_{nu}_{N}.json"
+    assert run_command(["theorem", "--nu", str(nu), "--N", str(N), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def test_theorem_out_is_byte_stable(tmp_path, capsys):
-    out = tmp_path / "theorem_4_9.json"
-    assert run_command(["theorem", "--nu", "4", "--N", "9", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == THEOREM_4_9_SHA256
+    assert _theorem_out_sha256(tmp_path, 4, 9) == THEOREM_4_9_SHA256
+
+
+def test_theorem_5_11_out_is_byte_stable(tmp_path, capsys):
+    assert _theorem_out_sha256(tmp_path, 5, 11) == THEOREM_5_11_SHA256
 
 
 def test_derive_op_form_for_word_tensor(tmp_path, capsys):

@@ -28,8 +28,8 @@ from polypoisson.exchange_algebra import (
     wronskian,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
-from polypoisson.linalg import pairings
 from polypoisson.multipoly import Dual, dual_det
+from test_linalg import reference_pairings
 
 F = Fraction
 
@@ -142,7 +142,7 @@ def reference_jacobi(spec, W, trials, seed):
     Pi = reference_assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
 
     def pb(f, g):
-        return Dual.const(0) + pairings([f], Pi, [g])[0][0]
+        return Dual.const(0) + reference_pairings([f], Pi, [g])[0][0]
 
     res = F(0)
     for _ in range(trials):
@@ -514,6 +514,28 @@ def test_projective_phi_independence_and_closed_form():
         for m, n in ((0, 3), (2, 1), (4, 4)):
             closed = projective_bracket(R, P, m, n)
             assert tables_a[m][n] == tables_b[m][n] == closed
+
+
+def test_projective_chain_table_matches_closed_form_for_random_r():
+    # default_rc's R has nonzeros only at R[(i, j)][(j, i)], so it cannot tell
+    # the index order (a, b, c, d) of projective_bracket from (a, c, b, d)
+    rng = Random(18)
+    for nu in (2, 3):
+        N = 5
+        W = random_polygon(nu, N, rng)
+        while any(W.V[m][nu - 1] == 0 for m in range(N)):
+            W = random_polygon(nu, N, rng)
+        P = ProjPolygon.from_polygon(W)
+        R = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(nu * nu)]
+            for _ in range(nu * nu)
+        ]
+        assert any(R[p][q] for p in range(nu * nu) for q in range(nu * nu) if p // nu != q % nu)
+        _, C = default_rc(nu)
+        tables = projective_chain_table(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)), W)
+        for m in range(N):
+            for n in range(N):
+                assert tables[m][n] == projective_bracket(R, P, m, n), (nu, m, n)
 
 
 def test_degenerate_polygon_rejected():

@@ -1,10 +1,30 @@
 from fractions import Fraction
 from random import Random
 
-from polypoisson.linalg import pairings
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polypoisson.linalg import ZERO, adjugate, det, pairings
 from polypoisson.multipoly import Dual
 
 F = Fraction
+
+
+def reference_pairings(F_, A, G):
+    """Test-only chain-rule table over Fractions or Duals, one covector f^T A per f."""
+    cols = sorted({j for g in G for j in g})
+    table = []
+    for f in F_:
+        u = dict.fromkeys(cols, ZERO)
+        for i, ci in f.items():
+            row = A[i]
+            for j in cols:
+                x = row[j]
+                if x:
+                    u[j] += ci * x
+        table.append([sum((u[j] * c for j, c in g.items() if u[j]), ZERO) for g in G])
+    return table
 
 
 def dense_pairing(f: dict, A, g: dict):
@@ -16,10 +36,10 @@ def dense_pairing(f: dict, A, g: dict):
     return acc
 
 
-def random_covector(rng: Random, D: int, cols=None) -> dict:
+def random_covector(rng: Random, D: int, cols=None, dens=(1, 2, 3, 4)) -> dict:
     cols = list(range(D) if cols is None else cols)
     support = rng.sample(cols, rng.randint(1, min(3, len(cols))))
-    return {j: F(rng.randint(-5, 5) or 1, rng.randint(1, 4)) for j in support}
+    return {j: F(rng.randint(-5, 5) or 1, rng.choice(dens)) for j in support}
 
 
 def test_pairings_matches_dense_reference():
@@ -30,7 +50,9 @@ def test_pairings_matches_dense_reference():
         [Dual(x, {v: F(rng.choice((-2, -1, 1, 2))) for v in rng.sample(range(4), 2) if rng.random() < 0.7}) for x in row]
         for row in frac
     ]
-    for A in (frac, dual):
+    # pairings takes Fraction matrices only; the Dual case checks the
+    # reference that reference_jacobi pairs Dual-valued Pi with
+    for A, pair in ((frac, pairings), (dual, reference_pairings)):
         F_ = [random_covector(rng, D) for _ in range(4)] + [{}]
         cases = [
             [random_covector(rng, D) for _ in range(5)],
@@ -40,7 +62,7 @@ def test_pairings_matches_dense_reference():
             [random_covector(rng, D, cols=(1, 4)) for _ in range(3)],
         ]
         for G in cases:
-            table = pairings(F_, A, G)
+            table = pair(F_, A, G)
             assert len(table) == len(F_)
             for f, row in zip(F_, table):
                 assert len(row) == len(G)
@@ -55,3 +77,119 @@ def test_pairings_matches_dense_reference():
     A = [[F(0), F(1)], [F(0), F(0)]]
     assert pairings([{0: F(1)}], A, [{1: F(1)}]) == [[F(1)]]
     assert pairings([{1: F(1)}], A, [{0: F(1)}]) == [[F(0)]]
+
+
+def test_pairings_equals_reference_exactly():
+    rng = Random(41)
+    D = 8
+    # denominators 4, 6, 9, 10, 35: none divides another, so each scaling
+    # needs the lcm of its row's or covector's denominators
+    dens = (4, 6, 9, 10, 35)
+    A = [[F(rng.randint(-7, 7), rng.choice(dens)) if rng.random() < 0.7 else F(0) for _ in range(D)] for _ in range(D)]
+    A[3] = [F(0)] * D  # an all-zero row
+    for _ in range(20):
+        F_ = [random_covector(rng, D, dens=dens) for _ in range(3)] + [{}, {3: F(5, 6)}]
+        for G in ([random_covector(rng, D, dens=dens) for _ in range(4)], [], [{}], [{3: F(1, 9)}, {0: F(-2, 35), 7: F(3, 4)}]):
+            got = pairings(F_, A, G)
+            assert got == reference_pairings(F_, A, G)
+            assert all(type(x) is Fraction for row in got for x in row)
+    # the f over the zero row and the empty f give exact zeros
+    got = pairings([{}, {3: F(5, 6)}], A, [{0: F(1, 4)}, {5: F(2, 9)}])
+    assert got == [[0, 0], [0, 0]]
+    assert pairings([], A, [{0: F(1)}]) == []
+
+
+def reference_det(a) -> Fraction:
+    """Test-only determinant by Gaussian elimination over Fractions."""
+    n = len(a)
+    a = [row[:] for row in a]
+    d = F(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k]), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            d = -d
+        d *= a[k][k]
+        for r in range(k + 1, n):
+            f = a[r][k] / a[k][k]
+            a[r] = [x - f * y for x, y in zip(a[r], a[k])]
+    return d
+
+
+def reference_adjugate(a):
+    """adj(a)_ij = (-1)^(i+j) det(a without row j and column i), by reference_det."""
+    n = len(a)
+    return [
+        [(-1) ** (i + j) * reference_det([r[:i] + r[i + 1 :] for k, r in enumerate(a) if k != j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _assert_matches_reference(a):
+    before = [row[:] for row in a]
+    assert det(a) == reference_det(a)
+    adj = adjugate(a)
+    assert adj == reference_adjugate(a)
+    assert all(type(x) is Fraction for row in adj for x in row)
+    assert a == before
+    return adj
+
+
+_entry = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-30, 30), st.integers(1, 12)),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    n = draw(st.integers(0, 6))
+    a = [[draw(_entry) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a row that is a combination of two others: rank <= n-1
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        s, t = draw(_entry), draw(_entry)
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_det_and_adjugate_match_fraction_elimination(a):
+    _assert_matches_reference(a)
+
+
+Z = F(0)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # zero pivot at step 0
+        [[Z, F(2), F(1)], [F(3), F(1, 2), Z], [F(1), F(1), F(1, 3)]],
+        # zero pivot mid-elimination: the leading 2x2 minor vanishes
+        [[F(1), F(2), F(3), F(1)], [F(2), F(4), F(1), Z], [F(1, 2), F(1), F(5), F(2)], [F(3), F(1), Z, F(7, 3)]],
+        # zero pivot at step n-2, invertible: rows 1 and 2 swap
+        [[F(1), F(1), F(1)], [F(1), F(1), F(2)], [F(1), F(2), F(1)]],
+        # zero pivot in the last column, singular of rank n-1
+        [[F(1), F(2), F(3)], [F(4), F(5), F(6)], [F(7), F(8), F(9)]],
+        # a zero last column: singular of rank n-1
+        [[F(1, 2), F(1), Z], [F(3), F(1, 3), Z], [F(2), F(5), Z]],
+        # rank n-2: every (n-1)-minor vanishes
+        [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(-1, 2), F(-1), F(-3, 2)]],
+        [[Z]],
+        [[F(-3, 7)]],
+        [],
+    ],
+)
+def test_det_and_adjugate_forced_zero_pivots(a):
+    adj = _assert_matches_reference(a)
+    n = len(a)
+    d = det(a)
+    if d:
+        # a adj(a) = det(a) I
+        assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in a] == [
+            [d if i == j else 0 for j in range(n)] for i in range(n)
+        ]

@@ -71,3 +71,36 @@ def test_dual_det_singular_rank_n_minus_2_has_zero_gradient():
     got = _assert_matches_laplace(rows)
     assert got.val == 0
     assert not _nonzero(got.grad)
+
+
+def test_dual_det_one_by_one():
+    rng = Random(34)
+    for val in (F(-3, 7), F(0)):
+        got = _assert_matches_laplace([[_random_dual(rng, val)]])
+        assert got.val == val
+
+
+def _rank_deficient(rng: Random, n: int, rank: int):
+    """An n x n matrix of Duals whose values have the given rank.
+
+    The gradients' denominators 2..7 make the lcm over all entries matter.
+    """
+    basis = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(rank)]
+    vals = basis[:]
+    for _ in range(n - rank):
+        coeffs = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in basis]
+        vals.append([sum((c * b[j] for c, b in zip(coeffs, basis)), F(0)) for j in range(n)])
+    rng.shuffle(vals)
+    return [
+        [Dual(x, {v: F(rng.randint(-4, 4) or 1, rng.randint(2, 7)) for v in rng.sample(range(8), 2)}) for x in row]
+        for row in vals
+    ]
+
+
+def test_dual_det_rank_deficient_sizes():
+    rng = Random(35)
+    for n in range(2, 6):
+        got = _assert_matches_laplace(_rank_deficient(rng, n, n - 1))
+        assert got.val == 0 and _nonzero(got.grad), n
+        got = _assert_matches_laplace(_rank_deficient(rng, n, n - 2))
+        assert got.val == 0 and not _nonzero(got.grad), n

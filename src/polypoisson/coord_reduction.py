@@ -608,21 +608,22 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "P2":
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        cay = compose(_K(N, [(0, 1), (1, -1)]), _Kinv(N, [(0, 1), (1, 1)]))
+        inv = _Kinv(N, [(0, 1), (1, 1)])
+        cay = compose(_K(N, [(0, 1), (1, -1)]), inv)
         T.add_word(A, A, ("f", A), ("k", cay), ("f", A))
         T.add_word(A, A, ("k", _K(N, [(1, 1)])), ("f", B))
         T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -1)])))
         T.add_word(A, B, ("k", _K(N, [(2, 1)])), ("f", RHO))
         T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, RHO, ("f", A), ("k", compose(_K(N, [(2, 1), (1, -1)]), _Kinv(N, [(0, 1), (1, 1)]))), ("f", RHO))
+        T.add_word(A, RHO, ("f", A), ("k", compose(_K(N, [(2, 1), (1, -1)]), inv)), ("f", RHO))
         T.add_word(B, A, ("k", _K(N, [(1, 1)])), ("f", RHO))
         T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -1)])))
         T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 1)])), ("f", RHO))
         T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -1)])), ("f", A))
         T.add_word(B, RHO, ("f", B), ("k", _K(N, [(1, 1), (0, -1)])), ("f", RHO))
-        T.add_word(RHO, A, ("f", RHO), ("k", compose(_K(N, [(0, 1), (-1, -1)]), _Kinv(N, [(0, 1), (1, 1)]))), ("f", A))
+        T.add_word(RHO, A, ("f", RHO), ("k", compose(_K(N, [(0, 1), (-1, -1)]), inv)), ("f", A))
         T.add_word(RHO, B, ("f", RHO), ("k", _K(N, [(0, 1), (-1, -1)])), ("f", B))
-        T.add_word(RHO, RHO, ("f", RHO), ("k", compose(_K(N, [(2, 1), (-1, -1)]), _Kinv(N, [(0, 1), (1, 1)]))), ("f", RHO))
+        T.add_word(RHO, RHO, ("f", RHO), ("k", compose(_K(N, [(2, 1), (-1, -1)]), inv)), ("f", RHO))
         return T
     raise ValueError(f"unknown tensor {name!r}")
 
@@ -732,24 +733,28 @@ def dirac_reduce(P_eval, constrained) -> list:
 
     P_eval is the full antisymmetric matrix at a point on the constraint
     surface and ``constrained`` lists the constrained indices.  The C block is
-    inverted against the columns of B^T by an exact linear solve, so a
-    singular C is accepted as long as the couplings lie in its range and the
-    reduction is well defined; otherwise ConstraintNotSecondClass is raised.
+    inverted against the columns of B^T by one exact elimination of
+    [C | B^T], whose left block is rref(C): it gives the solution Z of
+    C Z = B^T with zeros in the free coordinates, and the nullspace of C.  So
+    a singular C is accepted as long as the couplings lie in its range and
+    that nullspace does not couple to the free block, which makes the
+    reduction well defined; otherwise ConstraintNotSecondClass is raised.
     """
     D = len(P_eval)
     con = sorted(constrained)
-    free = [i for i in range(D) if i not in set(con)]
+    conset = set(con)
+    free = [i for i in range(D) if i not in conset]
     A = [[P_eval[i][j] for j in free] for i in free]
     B = [[P_eval[i][j] for j in con] for i in free]
-    C = [[P_eval[i][j] for j in con] for i in con]
-    Bt = linalg.transpose(B)
-    Z = linalg.solve(C, Bt)
-    if Z is None:
+    k = len(con)
+    red, pivots = linalg.rref([[P_eval[i][j] for j in con] + [P_eval[j][i] for j in free] for i in con])
+    if pivots and pivots[-1] >= k:
         raise ConstraintNotSecondClass("couplings do not lie in the range of the constraint block")
-    null = linalg.nullspace(C)
-    for v in null:
-        img = linalg.mat_vec(B, v)
-        if any(img):
+    Z = linalg.zeros(k, len(free))
+    for r, c in enumerate(pivots):
+        Z[c] = red[r][k:]
+    for v in linalg.rref_nullspace(red, pivots, k):
+        if any(linalg.mat_vec(B, v)):
             raise ConstraintNotSecondClass("constraint block nullspace couples to the free block")
     return linalg.mat_add(A, linalg.mat_mul(B, Z))
 
@@ -807,30 +812,37 @@ def _max_jacobiator(D: int, vals, grads) -> Fraction:
     """The Jacobiator maximum from lists of values (I, s, P_Is) and gradient
     entries (J, K, s, d_s P_JK) over D field sites.
 
-    Only nonzero products are visited: each gradient entry d_s P_{J K} meets
-    the nonzero P_{I s} of column s, and the product is kept when (I, J, K)
-    is a cyclic rotation of an ascending triple.  The products are Python
-    ints: the values are scaled by the lcm Lv of their denominators and the
-    gradient entries by the lcm Lg of theirs, and the result is the exact
-    Fraction max |sum| / (Lv Lg).  The sums are grouped by the smallest index
-    of the triple, so one transient table over the other two is held at a
-    time.  The sums are bilinear and repeated keys add, so the lists of
-    P + tQ are P's lists followed by Q's lists scaled by t.
+    The values are scaled to ints by the lcm Lv of their denominators and
+    the gradient entries by the lcm Lg of theirs (``_int_tables``), the
+    Jacobiators are summed in ints by ``_accumulate`` one smallest index at a
+    time, and the result is the exact Fraction max |sum| / (Lv Lg).
     """
     Lv = lcm(*{v.denominator for _, _, v in vals})
     Lg = lcm(*{d.denominator for _, _, _, d in grads})
+    V, G = _int_tables(D, vals, grads, Lv, Lg)
+    res = 0
+    for a in range(D):
+        acc = defaultdict(int)
+        _accumulate(acc, a, D, V, G)
+        if acc:
+            res = max(res, max(map(abs, acc.values())))
+    return Fraction(res, Lv * Lg)
 
-    # Lv P as ints: row[I] lists (s, P_Is), col[s] lists (I, P_Is) by
-    # ascending I.
+
+def _int_tables(D: int, vals, grads, Lv: int, Lg: int):
+    """The values and gradient entries of one tensor as int tables, (V, G).
+
+    V = (row, col) holds Lv P: row[I] lists (s, P_Is), col[s] lists (I, P_Is)
+    by ascending I.  G = (by_s, up, down) holds Lg dP: by_s[s] lists (J, K,
+    d_s P_JK) with J < K by ascending J, up[J] lists (K, s, d_s P_JK) with
+    K > J, down[K] lists (J, s, d_s P_JK) with J > K.
+    """
     row = [[] for _ in range(D)]
     col = [[] for _ in range(D)]
     for I, s, v in vals:
         v = v.numerator * (Lv // v.denominator)
         row[I].append((s, v))
         col[s].append((I, v))
-    # Lg dP as ints: by_s[s] lists (J, K, d_s P_JK) with J < K by ascending J,
-    # up[J] lists (K, s, d_s P_JK) with K > J, down[K] lists (J, s, d_s P_JK)
-    # with J > K.
     by_s = [[] for _ in range(D)]
     up = [[] for _ in range(D)]
     down = [[] for _ in range(D)]
@@ -841,32 +853,40 @@ def _max_jacobiator(D: int, vals, grads) -> Fraction:
             up[J].append((K, s, d))
         elif J > K:
             down[K].append((J, s, d))
-    first = itemgetter(0)
     for ent in col + by_s:
-        ent.sort(key=first)
+        ent.sort(key=_first)
+    return (row, col), (by_s, up, down)
 
-    res = 0
-    for a in range(D):
-        # Jacobiators of the triples a < b < c, keyed b * D + c.
-        acc = defaultdict(int)
-        # P_{a s} d_s P_{b c}
-        for s, v in row[a]:
-            ent = by_s[s]
-            for b, c, d in ent[bisect_right(ent, a, key=first) :]:
-                acc[b * D + c] += v * d
-        # P_{b s} d_s P_{c a}
-        for c, s, d in down[a]:
-            ent = col[s]
-            for b, v in ent[bisect_right(ent, a, key=first) : bisect_left(ent, c, key=first)]:
-                acc[b * D + c] += v * d
-        # P_{c s} d_s P_{a b}
-        for b, s, d in up[a]:
-            ent = col[s]
-            for c, v in ent[bisect_right(ent, b, key=first) :]:
-                acc[b * D + c] += v * d
-        if acc:
-            res = max(res, max(map(abs, acc.values())))
-    return Fraction(res, Lv * Lg)
+
+_first = itemgetter(0)
+
+
+def _accumulate(acc, a: int, D: int, V, G):
+    """Add to acc[b * D + c] the terms sum_s P_Is d_s Q_JK + cyclic of the
+    triples a < b < c, P read from the value tables V and Q from the
+    gradient tables G of ``_int_tables``.
+
+    Only nonzero products are visited: each gradient entry d_s Q_JK meets
+    the nonzero P_Is of column s, and the product is kept when (I, J, K) is
+    a cyclic rotation of the ascending triple.
+    """
+    row, col = V
+    by_s, up, down = G
+    # P_{a s} d_s Q_{b c}
+    for s, v in row[a]:
+        ent = by_s[s]
+        for b, c, d in ent[bisect_right(ent, a, key=_first) :]:
+            acc[b * D + c] += v * d
+    # P_{b s} d_s Q_{c a}
+    for c, s, d in down[a]:
+        ent = col[s]
+        for b, v in ent[bisect_right(ent, a, key=_first) : bisect_left(ent, c, key=_first)]:
+            acc[b * D + c] += v * d
+    # P_{c s} d_s Q_{a b}
+    for b, s, d in up[a]:
+        ent = col[s]
+        for c, v in ent[bisect_right(ent, b, key=_first) :]:
+            acc[b * D + c] += v * d
 
 
 def shift_field(P, field_idx: int, lam):
@@ -906,19 +926,38 @@ def compatibility(P, Q, points) -> Fraction:
     T_SAMPLES is therefore an exact certificate that every member of the
     pencil satisfies Jacobi at that point.  The points themselves are
     sampled: a zero at every given point is evidence of compatibility, not
-    a proof of it.  P and Q are each evaluated once per point, by
-    ``eval_sparse``, and no dense matrix is built: the lists of P + tQ are
-    P's lists followed by Q's lists scaled by t.
+    a proof of it.
+
+    P and Q are each evaluated once per point, by ``eval_sparse``, into int
+    tables over a common Lv and Lg, and each triple's Jacobiator a + t b +
+    t^2 c is summed once: a = J(P), b the mixed term (P's values against Q's
+    gradients and Q's against P's), c = J(Q).  For t = p/q the residual is
+    max |q^2 a + p q b + p^2 c| / (q^2 Lv Lg).
     """
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if TP.field_names != TQ.field_names or TP.N != TQ.N:
         raise ValueError("tensors live on different field spaces")
+    D = TP.n_vars()
+    ts = [(t.numerator, t.denominator) for t in T_SAMPLES]
     res = ZERO
     for point in points:
         pv, pg = TP.eval_sparse(point)
         qv, qg = TQ.eval_sparse(point)
-        for t in T_SAMPLES:
-            vals = pv + [(I, s, t * v) for I, s, v in qv]
-            grads = pg + [(J, K, s, t * d) for J, K, s, d in qg]
-            res = max(res, _max_jacobiator(TP.n_vars(), vals, grads))
+        Lv = lcm(*{v.denominator for _, _, v in pv + qv})
+        Lg = lcm(*{d.denominator for _, _, _, d in pg + qg})
+        VP, GP = _int_tables(D, pv, pg, Lv, Lg)
+        VQ, GQ = _int_tables(D, qv, qg, Lv, Lg)
+        best = [0] * len(ts)
+        for a in range(D):
+            A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
+            _accumulate(A, a, D, VP, GP)
+            _accumulate(B, a, D, VP, GQ)
+            _accumulate(B, a, D, VQ, GP)
+            _accumulate(C, a, D, VQ, GQ)
+            keys = A.keys() | B.keys() | C.keys()
+            abc = [(A.get(k, 0), B.get(k, 0), C.get(k, 0)) for k in keys]
+            for i, (p, q) in enumerate(ts):
+                qq, pq, pp = q * q, p * q, p * p
+                best[i] = max(best[i], max((abs(qq * x + pq * y + pp * z) for x, y, z in abc), default=0))
+        res = max(res, *(Fraction(m, q * q * Lv * Lg) for m, (_, q) in zip(best, ts)))
     return res

@@ -2,11 +2,13 @@
 
 Matrices are plain lists of lists of ``fractions.Fraction``.  Everything here
 is exact; there is no floating point and no pivot-size heuristics beyond
-picking the first nonzero pivot.  ``rref``, ``solve`` and ``nullspace``
-eliminate over Fractions.  ``det`` and ``adjugate`` scale the matrix once to
-ints over a common denominator and run Bareiss's fraction-free elimination,
-in which every division is exact; ``pairings`` contracts in scaled ints as
-well.  All three build Fractions only for their results.
+picking the first nonzero pivot.  Elimination runs in scaled ints with
+Bareiss's fraction-free updates, in which every division is exact: ``det``
+scales the matrix once to ints over a common denominator, ``rref`` (under
+``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
+``rref`` and ``adjugate`` share one fraction-free Gauss-Jordan.
+``pairings`` contracts in scaled ints as well.  All of them build Fractions
+only for their results.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ def zeros(rows: int, cols: int) -> list[list[Fraction]]:
 
 def identity(n: int) -> list[list[Fraction]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a):
-    return [row[:] for row in a]
 
 
 def mat_add(a, b):
@@ -151,34 +149,62 @@ def _int_det(m) -> int:
     return sign * m[-1][-1] if n else 1
 
 
+def _int_rref(m):
+    """Fraction-free Gauss-Jordan on an int matrix m, in place: (pivots, p, sign).
+
+    Each step with pivot pk in column c replaces every other row by
+    (pk * row - f * pivot_row) // prev, f the row's entry in column c and
+    prev the previous pivot; columns with no pivot are skipped.  Every
+    division is exact (Bareiss 1968): the entries stay minors of m.  At the
+    end each pivot row holds the last pivot p in its pivot column and zeros
+    in the other pivot columns, so m / p is the reduced row echelon form;
+    sign is that of the row swaps.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        if r == rows:
+            break
+        if not m[r][c]:
+            piv = next((i for i in range(r + 1, rows) if m[i][c]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        pk, mr = m[r][c], m[r]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                if f:
+                    m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], mr)]
+                elif pk != prev:
+                    m[i] = [pk * x // prev for x in m[i]]
+        pivots.append(c)
+        prev = pk
+        r += 1
+    return pivots, prev, sign
+
+
 def _int_adjugate(m):
     """(det m, adj m) for a square int matrix m, fraction-free.
 
-    For invertible m, fraction-free Gauss-Jordan on [m | I] ends at
-    [det I | adj m] up to the sign of the row swaps.  For singular m the
-    adjugate is the signed (n-1)-minors, adj_ij = (-1)^(i+j) det(m without
-    row j and column i), each by Bareiss; they all vanish when rank m <= n-2.
+    For invertible m, ``_int_rref`` on [m | I] ends at [p I | p m^-1] with
+    p = sign det m, so adj m = sign times the right block.  For singular m
+    the adjugate is the signed (n-1)-minors, adj_ij = (-1)^(i+j) det(m
+    without row j and column i), each by Bareiss; they all vanish when
+    rank m <= n-2.
     """
     n = len(m)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    sign, prev = 1, 1
-    for k in range(n):
-        if not aug[k][k]:
-            piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
-            if piv is None:
-                return 0, [
-                    [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for t, r in enumerate(m) if t != j]) for j in range(n)]
-                    for i in range(n)
-                ]
-            aug[k], aug[piv] = aug[piv], aug[k]
-            sign = -sign
-        pk, ak = aug[k][k], aug[k]
-        for r in range(n):
-            if r != k:
-                f = aug[r][k]
-                aug[r] = [(pk * x - f * y) // prev for x, y in zip(aug[r], ak)]
-        prev = pk
-    return sign * prev, [[sign * x for x in row[n:]] for row in aug]
+    pivots, p, sign = _int_rref(aug)
+    if pivots and pivots[-1] >= n:
+        return 0, [
+            [(-1) ** (i + j) * _int_det([r[:i] + r[i + 1 :] for t, r in enumerate(m) if t != j]) for j in range(n)]
+            for i in range(n)
+        ]
+    return sign * p, [[sign * x for x in row[n:]] for row in aug]
 
 
 def det(a) -> Fraction:
@@ -200,28 +226,18 @@ def adjugate(a):
 
 
 def rref(a):
-    """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    a = mat_copy(a)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a, pivots
+    """Reduced row echelon form; returns (rref_matrix, pivot_columns).
+
+    Each row is scaled to ints over the lcm of its own denominators, which
+    leaves the rref unchanged; ``_int_rref`` eliminates fraction-free, and
+    each entry is one Fraction over the last pivot.
+    """
+    m = []
+    for row in a:
+        d = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (d // x.denominator) for x in row])
+    pivots, p, _ = _int_rref(m)
+    return [[Fraction(x, p) if x else ZERO for x in row] for row in m], pivots
 
 
 def solve(a, b):
@@ -252,12 +268,17 @@ def solve(a, b):
 
 def nullspace(a):
     """Basis (list of vectors) of the right nullspace of a."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    red, pivots = rref(a)
-    free = [c for c in range(cols) if c not in pivots]
+    return rref_nullspace(*rref(a), len(a[0]) if a else 0)
+
+
+def rref_nullspace(red, pivots, cols):
+    """Nullspace basis of the first cols columns, read from their rref.
+
+    red and pivots are what ``rref`` returns for a matrix whose first cols
+    columns hold every pivot, as for [C | B] when C x = B is consistent.
+    """
     basis = []
-    for f in free:
+    for f in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols
         v[f] = ONE
         for r, c in enumerate(pivots):

@@ -145,6 +145,13 @@ def test_compat_even_period_is_singular(capsys):
     assert "singular" in captured.err and "PASS" not in captured.out
 
 
+def test_singular_operator_reports_its_nullity(capsys):
+    # 1 + D + D^2 (the geometric kernel of P0) kills both cube roots of unity
+    assert run_command(["derive", "--name", "P0", "--N", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "nullspace dimension 2" in captured.err and "PASS" not in captured.out
+
+
 def test_report_determinism(capsys):
     run_command(["reduce-dirac", "--N", "5", "--seed", "42", "--format", "json"])
     first = capsys.readouterr().out

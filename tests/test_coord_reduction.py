@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from random import Random
 
@@ -136,6 +138,20 @@ def test_closed_tensor_singular_operator_period():
         closed_tensor("P0", 6)  # (1+D+D^2) is singular when 3 | N
 
 
+@pytest.mark.parametrize(
+    "N, digest",
+    [
+        (5, "f26e5d9d04c5018eab5442030cb0855fce1af4fda811f82b470e4ec097c8c413"),
+        (7, "1eb488ef08566689acdac93587890b37e2941f19b4d0382b88f6066a30b6a692"),
+        (11, "f6b2e339ac1dc0904c3d8e95a476633ce2dc6dc46db5b17a65511aa2700eee9b"),
+    ],
+)
+def test_p2_polynomial_entries_are_pinned(N, digest):
+    # every entry of P2, whose four Cayley words share one (1 + D)^-1
+    doc = closed_tensor("P2", N).to_poly().to_json()
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_ftv_u_at_zero_field_is_shift_difference():
     N = 5
     T = closed_tensor("ftv_u", N)
@@ -246,7 +262,20 @@ def test_dirac_rejects_unreducible_block():
         [F(-1), F(0), F(0)],
         [F(0), F(0), F(0)],
     ]
-    with pytest.raises(ConstraintNotSecondClass):
+    with pytest.raises(ConstraintNotSecondClass, match="range of the constraint block"):
+        dirac_reduce(P, [1, 2])
+
+
+def test_dirac_rejects_nullspace_coupling():
+    # C = [[0, 1], [0, 0]] is not antisymmetric, so its range (e_1) is not
+    # orthogonal to its nullspace (also e_1): B^T = (1, 0)^T lies in the range,
+    # yet the null vector e_1 couples to the free index through B
+    P = [
+        [F(0), F(1), F(0)],
+        [F(0), F(0), F(1)],
+        [F(0), F(0), F(0)],
+    ]
+    with pytest.raises(ConstraintNotSecondClass, match="nullspace couples to the free block"):
         dirac_reduce(P, [1, 2])
 
 

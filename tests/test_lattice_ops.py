@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polypoisson import linalg
 from polypoisson.lattice_ops import (
@@ -184,6 +186,97 @@ def test_oddness_invariants():
             assert phi[N // 2] == 0
     with pytest.raises(ValueError):
         OddKernel(PerSeq(4, (F(0), F(1), F(0), F(2))))
+
+
+_coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def short_kernels(draw):
+    """(p, N): a shift polynomial with 1-3 terms at shifts -2..2, and N in 3..13."""
+    terms = draw(st.dictionaries(st.integers(-2, 2), _coeff, min_size=1, max_size=3))
+    return DPoly(terms), draw(st.integers(3, 13))
+
+
+@given(short_kernels())
+def test_invert_is_a_two_sided_inverse(case):
+    p, N = case
+    K = kernel_from_dpoly(p, N)
+    delta = Kernel.delta(N).seq.values
+    try:
+        L = invert(K)
+    except SingularOperator as err:
+        assert err.nullity == len(linalg.nullspace(K.matrix())) > 0
+        return
+    assert compose(K, L).seq.values == delta
+    assert compose(L, K).seq.values == delta
+
+
+@pytest.mark.parametrize(
+    "terms, N, nullity",
+    [
+        ({0: 1, 1: 1}, 4, 1),  # 1 + D kills the alternating sequence
+        ({0: 1, 1: 1, 2: 1}, 3, 2),  # 1 + D + D^2 kills both cube roots of unity
+        ({0: 1, 1: 1, 2: 1}, 6, 2),
+    ],
+)
+def test_singular_operator_nullity(terms, N, nullity):
+    with pytest.raises(SingularOperator) as info:
+        invert(kernel_from_dpoly(DPoly(terms), N))
+    assert info.value.nullity == nullity
+    assert f"nullspace dimension {nullity}" in str(info.value)
+
+
+def _odd_rows(N: int):
+    return [[F(int(n == j % N) + int(n == -j % N)) for n in range(N)] for j in range(N // 2 + 1)]
+
+
+@st.composite
+def odd_kernel_equations(draw):
+    """(A, b, N): A(D) symmetric and b(D) antisymmetric under D -> D^-1, so
+    that b(D) delta is odd and A(D) maps odd kernels to odd kernels."""
+    A = {0: draw(_coeff)}
+    b = {}
+    for r in draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)):
+        c, e = draw(_coeff), draw(_coeff)
+        A[r] = A[-r] = c
+        b[r], b[-r] = e, -e
+    return DPoly(A), DPoly(b), draw(st.integers(3, 13))
+
+
+def _check_solve_phi(A, b, N):
+    """solve_phi's kernel is odd, solves A(D) phi = b(D) delta exactly, and is
+    orthogonal to the odd homogeneous solutions; returns their number."""
+    phi = solve_phi(A, b, N)
+    assert all(phi[-m] == -phi[m] for m in range(N))
+    assert convolve_apply(kernel_from_dpoly(A, N), phi.seq).values == kernel_from_dpoly(b, N).seq.values
+    hom = linalg.nullspace(kernel_from_dpoly(A, N).matrix() + _odd_rows(N))
+    assert all(linalg.dot(h, phi.seq.values) == 0 for h in hom)
+    return len(hom)
+
+
+@given(odd_kernel_equations())
+# 2 - D^3 - D^-3 kills the odd sin(2 pi m / 3) at N = 6 and 9
+@example((DPoly({0: 2, 3: -1, -3: -1}), DPoly({3: 1, -3: -1}), 6))
+@example((DPoly({0: 2, 3: -1, -3: -1}), DPoly({3: 1, -3: -1}), 9))
+def test_solve_phi_is_odd_exact_and_minimal(case):
+    try:
+        _check_solve_phi(*case)
+    except NoSolution:
+        A, b, N = case
+        rhs = list(kernel_from_dpoly(b, N).seq.values) + [F(0)] * (N // 2 + 1)
+        assert linalg.solve(kernel_from_dpoly(A, N).matrix() + _odd_rows(N), rhs) is None
+
+
+@pytest.mark.parametrize("N", [6, 9, 12])
+def test_solve_phi_minimal_norm_with_homogeneous_solutions(N):
+    # A(D) = 2 - D^3 - D^-3 kills odd kernels of period 3, and b = A (D - D^-1)
+    # puts b(D) delta in its range: of the solutions (D - D^-1) delta + h, the
+    # one returned must be orthogonal to every such h
+    A = DPoly({0: 2, 3: -1, -3: -1})
+    c = DPoly({1: 1, -1: -1})
+    assert _check_solve_phi(A, A * c, N) >= 1
+    assert solve_phi(A, A * c, N).seq.values != kernel_from_dpoly(c, N).seq.values
 
 
 def test_json_round_trip():

@@ -1,11 +1,13 @@
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polypoisson.linalg import ZERO, adjugate, det, pairings
+from polypoisson import linalg
+from polypoisson.linalg import ZERO, adjugate, det, nullspace, pairings, rref, solve
 from polypoisson.multipoly import Dual
 
 F = Fraction
@@ -155,7 +157,6 @@ def rational_matrices(draw):
     return a
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
 @given(rational_matrices())
 def test_det_and_adjugate_match_fraction_elimination(a):
     _assert_matches_reference(a)
@@ -193,3 +194,100 @@ def test_det_and_adjugate_forced_zero_pivots(a):
         assert [[sum(x * y for x, y in zip(row, col)) for col in zip(*adj)] for row in a] == [
             [d if i == j else 0 for j in range(n)] for i in range(n)
         ]
+
+
+def reference_rref(a):
+    """Test-only reduced row echelon form by Gauss-Jordan over Fractions."""
+    a = [row[:] for row in a]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, pivots
+
+
+@st.composite
+def shaped_systems(draw):
+    """(a, x0, b): an r x c matrix, a vector x0 and a vector b, r and c in 1..7.
+
+    Some matrices get a row that combines two others (rank-deficient) and
+    some a zero column; wide, tall, square and 1 x n shapes all occur.
+    """
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    a = [[draw(_entry) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, rows - 1)) for _ in range(3))
+        s, t = draw(_entry), draw(_entry)
+        a[i] = [s * x + t * y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        z = draw(st.integers(0, cols - 1))
+        for row in a:
+            row[z] = F(0)
+    x0 = [draw(_entry) for _ in range(cols)]
+    b = [draw(_entry) for _ in range(rows)]
+    return a, x0, b
+
+
+def _mat_vec(a, x):
+    return [sum((c * v for c, v in zip(row, x)), F(0)) for row in a]
+
+
+def _check_solution(a, b, x, pivots):
+    """x solves a x = b exactly and is zero in the free coordinates."""
+    vector = not isinstance(b[0], list)
+    xs = [x] if vector else [list(col) for col in zip(*x)]
+    bs = [b] if vector else [list(col) for col in zip(*b)]
+    for xc, bc in zip(xs, bs):
+        assert _mat_vec(a, xc) == bc
+        assert all(v == 0 for c, v in enumerate(xc) if c not in pivots)
+
+
+@given(shaped_systems())
+@example(([[F(0), F(0), F(0)]], [F(1), F(2), F(3)], [F(0)]))  # 1 x n, all zero
+@example(([[F(1, 2), F(0), F(3, 4), F(-1, 6)]], [F(1), F(0), F(2), F(1)], [F(5)]))  # 1 x n
+@example(([[F(0), F(1)], [F(0), F(2)], [F(0), F(3)]], [F(4), F(1)], [F(1), F(0), F(0)]))  # tall, zero column
+def test_rref_solve_nullspace_match_fraction_elimination(system):
+    a, x0, b = system
+    rows, cols = len(a), len(a[0])
+    before = [row[:] for row in a]
+    red, pivots = rref(a)
+    assert (red, pivots) == reference_rref(a)
+    assert all(type(x) is Fraction for row in red for x in row)
+    assert a == before
+
+    # solve and nullspace over the Fraction elimination are the reference
+    consistent = _mat_vec(a, x0)
+    wide = [[u, v] for u, v in zip(b, consistent)]
+    cases = (consistent, b, wide)
+    got = [solve(a, rhs) for rhs in cases] + [nullspace(a)]
+    with mock.patch.object(linalg, "rref", reference_rref):
+        assert got == [solve(a, rhs) for rhs in cases] + [nullspace(a)]
+
+    # a vector right-hand side a x0 is consistent: its solution is exact,
+    # with zeros in the free coordinates
+    _check_solution(a, consistent, got[0], pivots)
+    # a random one returns None exactly when it is inconsistent
+    _, aug_pivots = reference_rref([row + [v] for row, v in zip(a, b)])
+    assert (got[1] is None) == (cols in aug_pivots)
+    # a matrix right-hand side solves column by column
+    assert (got[2] is None) == (got[1] is None)
+    if got[2] is not None:
+        _check_solution(a, wide, got[2], pivots)
+    # the nullspace has dimension cols - rank and is annihilated by a
+    assert len(got[3]) == cols - len(pivots)
+    assert all(not any(_mat_vec(a, v)) for v in got[3])

@@ -59,7 +59,6 @@ from .coord_reduction import (
 from .gen_nu import HatKernels, TheoremReport, casimir_coeffs, check_theorem, oppbs_hats, quad_coeff
 from .dynamics import (
     LinearityViolated,
-    Observable,
     TransferMatrix,
     commute_check,
     det_transfer,

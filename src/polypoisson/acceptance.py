@@ -16,6 +16,7 @@ from random import Random
 from . import linalg
 from .coord_reduction import (
     T_SAMPLES,
+    as_poly_tensor,
     closed_tensor,
     compatibility,
     jacobiator,
@@ -316,16 +317,11 @@ def check_flow_consistency(seed: int = 0, points: int = 10) -> list:
         docs.append(_doc("lifted_flow", {"N": N, "polygons": points // 2}, res, seed, t0))
     t0 = time.time()
     N = 5
-    toda = closed_tensor("toda", N)
-    Smu = sum_field(("mu", "rho"), N, "mu")
-    trT = trace_transfer(("mu", "rho"), N, 2)
-    detT = det_transfer(("mu", "rho"), N)
-    res = ZERO
-    for _ in range(points):
-        pt = random_fields(("mu", "rho"), N, rng)
-        res = max(res, abs(commute_check(toda, Smu, trT, pt)))
-        res = max(res, abs(commute_check(toda, Smu, detT, pt)))
-    docs.append(_doc("commuting_integrals", {"N": N, "points": points}, res, seed, t0))
+    names = ("mu", "rho")
+    toda = as_poly_tensor(closed_tensor("toda", N))
+    Smu = sum_field(names, N, "mu")
+    res = max(commute_check(toda, Smu, I) for I in (trace_transfer(names, N), det_transfer(names, N)))
+    docs.append(_doc("commuting_integrals", {"N": N, "certificate": "symbolic"}, res, seed, t0))
     return docs
 
 

@@ -92,8 +92,7 @@ def _load_phi(cfg: RunConfig, rng: Random) -> OddKernel:
     if src == "random":
         return random_odd_kernel(cfg.N, rng)
     if src.startswith("file:"):
-        with open(src[5:], "r", encoding="utf-8") as fh:
-            return OddKernel(PerSeq.from_json(json.load(fh)))
+        return OddKernel(_load_seq(cfg, src[5:]))
     raise ValueError(f"bad phi source {src!r}")
 
 
@@ -104,9 +103,19 @@ def _load_beta(cfg: RunConfig, rng: Random) -> PerSeq:
     if src == "random":
         return random_fields(("beta",), cfg.N, rng)["beta"]
     if src.startswith("file:"):
-        with open(src[5:], "r", encoding="utf-8") as fh:
-            return PerSeq.from_json(json.load(fh))
+        beta = _load_seq(cfg, src[5:])
+        if not beta.nonvanishing():
+            raise ValueError("beta must be nonvanishing")
+        return beta
     raise ValueError(f"bad beta source {src!r}")
+
+
+def _load_seq(cfg: RunConfig, path: str) -> PerSeq:
+    with open(path, "r", encoding="utf-8") as fh:
+        seq = PerSeq.from_json(json.load(fh))
+    if seq.N != cfg.N:
+        raise ValueError(f"{path} has period {seq.N}, not --N {cfg.N}")
+    return seq
 
 
 def emit_report(docs, fmt: str = "json", path: str = "") -> str:

@@ -23,7 +23,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 from operator import itemgetter
 from random import Random
 
@@ -64,6 +64,16 @@ class ConstraintNotSecondClass(ValueError):
 _ALIASES = {2: ("rho", "mu"), 3: ("rho", "b", "a")}
 
 
+def alias_index(nu: int, name: str) -> int:
+    """The r of the field a^(r) a name stands for: a{r}, or a nu = 2, 3 alias."""
+    if name.startswith("a") and name[1:].isdigit():
+        return int(name[1:])
+    names = _ALIASES.get(nu, ())
+    if name in names:
+        return names.index(name)
+    raise KeyError(f"unknown field alias {name!r} for nu={nu}")
+
+
 @dataclass(frozen=True)
 class Fields:
     """The quotient coordinates a^(0)..a^(nu-1) of a polygon, as periodic sequences.
@@ -85,16 +95,8 @@ class Fields:
         if not self.a[0].nonvanishing():
             raise ValueError("a^(0) = w'/w must be nonvanishing")
 
-    def alias_index(self, name: str) -> int:
-        if name.startswith("a") and name[1:].isdigit():
-            return int(name[1:])
-        names = _ALIASES.get(self.nu, ())
-        if name in names:
-            return names.index(name)
-        raise KeyError(f"unknown field alias {name!r} for nu={self.nu}")
-
     def by_name(self, name: str) -> PerSeq:
-        return self.a[self.alias_index(name)]
+        return self.a[alias_index(self.nu, name)]
 
     def point(self) -> dict:
         out = {f"a{k}": self.a[k] for k in range(self.nu)}
@@ -122,6 +124,12 @@ def coords(W: Polygon) -> Fields:
             vals.append(linalg.det(rows) / w[m])
         seqs.append(PerSeq(N, tuple(vals)))
     return Fields(nu, N, tuple(seqs))
+
+
+def field_gradients(W: Polygon, field_names) -> list:
+    """Vertex-space gradients of the named fields at W, field-major (_var order)."""
+    ctx = _DualCtx(W)
+    return [ctx.field(alias_index(W.nu, f), m).grad for f in field_names for m in range(W.N)]
 
 
 def random_fields(field_names, N: int, rng: Random) -> dict:
@@ -206,23 +214,17 @@ class PolyTensor:
 
         Returns (vals, grads): vals lists (I, s, P_Is) and grads lists
         (J, K, s, d_s P_JK), with I, J, K, s flat field-site indices, each
-        read off the polynomial entries term by term.
+        entry evaluated once by ``Poly.eval_grad``.
         """
         x = self._point_values(point)
         N = self.N
         vals, grads = [], []
         for (i, m, j, n), poly in self.entries.items():
             J, K = _var(i, m, N), _var(j, n, N)
-            val = ZERO
-            grad = defaultdict(int)
-            for mono, c in poly.terms.items():
-                powers = [x[var] ** e for var, e in mono]
-                val += c * prod(powers)
-                for k, (var, e) in enumerate(mono):
-                    grad[var] += c * e * x[var] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+            val, grad = poly.eval_grad(x)
             if val:
                 vals.append((J, K, val))
-            grads.extend((J, K, s, d) for s, d in grad.items() if d)
+            grads.extend((J, K, s, d) for s, d in grad.items())
         return vals, grads
 
     def to_json(self) -> dict:
@@ -659,10 +661,7 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
         raise ValueError(f"no chain-rule oracle for tensor {name!r}")
     TP = as_poly_tensor(T)
     mat = TP.eval_matrix(fields)
-    ctx = _DualCtx(W)
-    idx_of = {"rho": 0, "mu": 1} if spec.nu == 2 else {"rho": 0, "b": 1, "a": 2}
-    # field-major, so gradient I is that of the tensor's variable I
-    grads = [ctx.field(idx_of[fname], m).grad for fname in TP.field_names for m in range(N)]
+    grads = field_gradients(W, TP.field_names)
     table = pairings(grads, bracket_matrix(spec, W), grads)
     res = ZERO
     for I, row in enumerate(table):

@@ -1,15 +1,20 @@
 """Hamiltonian flows, transfer-matrix invariants and pencil deformations.
 
-Exact checks (flows, commuting integrals, Lie-derivative deformations) run
-over the rationals; the only floating-point surface in the package is the
-fixed-step integrator at the bottom, which exists for exploratory
-trajectories and drift reporting.
+Field observables are polynomials (``multipoly.Poly``) in the field-site
+variables ``_var(i, m, N)`` of a tensor: Hamiltonians, site sums, and the
+trace and determinant of the monodromy of the recursion.  Exact checks
+(flows, the symbolic commuting-integrals certificate, Lie-derivative
+deformations) run over the rationals; the only floating-point surface in
+the package is the fixed-step integrator at the bottom, which exists for
+exploratory trajectories and drift reporting.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from random import Random
 
 from . import linalg
@@ -17,17 +22,19 @@ from .coord_reduction import (
     Fields,
     PolyTensor,
     _var,
+    alias_index,
     as_poly_tensor,
     closed_tensor,
     compatibility,
     coords,
+    field_gradients,
     jacobiator,
     random_fields,
 )
-from .exchange_algebra import Polygon, _DualCtx
+from .exchange_algebra import Polygon
 from .lattice_ops import PerSeq
-from .linalg import ONE, ZERO, pairings
-from .multipoly import Dual, Poly
+from .linalg import ONE, ZERO
+from .multipoly import Poly
 
 
 class LinearityViolated(ValueError):
@@ -39,99 +46,27 @@ class LinearityViolated(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Observable:
-    """A differentiable function of field coordinates with exact gradient.
-
-    ``fn`` receives field-major dual variables (duals[i][m] for field i,
-    site m) and returns a Dual; gradients are exact by construction and can
-    be cross-checked against divided differences with validate_gradient.
-    """
-
-    name: str
-    fields: tuple
-    N: int
-    fn: object
-
-    def _duals(self, point):
-        if isinstance(point, Fields):
-            point = point.point()
-        return [
-            [Dual.var(point[f][m], _var(i, m, self.N)) for m in range(self.N)]
-            for i, f in enumerate(self.fields)
-        ]
-
-    def value(self, point) -> Fraction:
-        return self.eval_dual(point).val
-
-    def eval_dual(self, point) -> Dual:
-        return self.fn(self._duals(point))
-
-    def gradient(self, point) -> dict:
-        return self.eval_dual(point).grad
-
-    def validate_gradient(self, point, rng: Random, directions: int = 3, degree: int = 4) -> Fraction:
-        """Max difference between the dual gradient and a divided-difference
-        derivative along random coordinate directions (exact for polynomial
-        sections of degree <= ``degree``)."""
-        if isinstance(point, Fields):
-            point = point.point()
-        dual = self.eval_dual(point)
-        res = ZERO
-        nvar = len(self.fields) * self.N
-        for _ in range(directions):
-            v = rng.randrange(nvar)
-            i, m = divmod(v, self.N)
-            fname = self.fields[i]
-            samples = []
-            for t in range(degree + 1):
-                shifted = dict(point)
-                vals = list(point[fname].values)
-                vals[m] = vals[m] + t
-                shifted[fname] = PerSeq(self.N, tuple(vals))
-                samples.append(self.value(shifted))
-            deriv = _lagrange_derivative_at_zero(samples)
-            res = max(res, abs(deriv - dual.grad.get(v, ZERO)))
-        return res
-
-
-def _lagrange_derivative_at_zero(samples) -> Fraction:
-    """p'(0) for the polynomial interpolating samples at t = 0, 1, ..., d."""
-    d = len(samples) - 1
-    acc = ZERO
-    for t in range(d + 1):
-        acc += samples[t] * _lagrange_basis_derivative(t, d)
-    return acc
-
-
-def _lagrange_basis_derivative(t: int, d: int) -> Fraction:
-    denom = ONE
-    for u in range(d + 1):
-        if u != t:
-            denom *= Fraction(t - u)
-    total = ZERO
-    for s in range(d + 1):
-        if s == t:
-            continue
-        prod = ONE
-        for u in range(d + 1):
-            if u in (t, s):
-                continue
-            prod *= Fraction(-u)
-        total += prod
-    return total / denom
-
-
-def sum_field(field_names, N: int, which: str) -> Observable:
+def sum_field(field_names, N: int, which: str) -> Poly:
+    """The site sum of one field."""
     idx = tuple(field_names).index(which)
+    return Poly({((_var(idx, m, N), 1),): ONE for m in range(N)})
 
-    def fn(duals):
-        acc = Dual.const(0)
-        for m in range(N):
-            acc = acc + duals[idx][m]
-        return acc
 
-    return Observable(f"sum_{which}", tuple(field_names), N, fn)
+def field_polys(field_names, N: int) -> list:
+    """a^(r)_m as Polys: the site-m variable of the field a{r} or its alias."""
+    nu = len(field_names)
+    a = [None] * nu
+    for i, name in enumerate(field_names):
+        a[alias_index(nu, name)] = [Poly.var(_var(i, m, N)) for m in range(N)]
+    return a
+
+
+def _vars(H: Poly, TP: PolyTensor) -> set:
+    """The variables of H, which must be field-site variables of the tensor."""
+    vs = {v for mono in H.terms for v, _ in mono}
+    if any(v >= TP.n_vars() for v in vs):
+        raise ValueError("observable and tensor live on different field spaces")
+    return vs
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +76,11 @@ def sum_field(field_names, N: int, which: str) -> Observable:
 
 @dataclass
 class TransferMatrix:
-    """Per-site companion matrices of the order-nu recursion and their product."""
+    """Per-site companion matrices of the order-nu recursion and their product.
+
+    ``of(a, N)`` takes the entries a^(r)_m as Fractions (``Fields.a``) or as
+    Polys (``field_polys``), so the monodromy is a matrix of either.
+    """
 
     nu: int
     N: int
@@ -149,15 +88,15 @@ class TransferMatrix:
     monodromy: list
 
     @classmethod
-    def from_fields(cls, fields: Fields) -> "TransferMatrix":
-        nu, N = fields.nu, fields.N
+    def of(cls, a, N: int) -> "TransferMatrix":
+        nu = len(a)
         comps = []
         for m in range(N):
             L = linalg.zeros(nu, nu)
             for i in range(nu - 1):
                 L[i + 1][i] = ONE
             for r in range(nu):
-                L[r][nu - 1] = (-1) ** (nu - r + 1) * fields.a[r][m]
+                L[r][nu - 1] = (-1) ** (nu - r + 1) * a[r][m]
             comps.append(L)
         T = comps[0]
         for L in comps[1:]:
@@ -169,54 +108,28 @@ def char_poly(T) -> list:
     """Characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] of T."""
     n = len(T)
     coeffs = [ONE]
-    Mk = None
+    Mk, eye = None, linalg.identity(n)
     for k in range(1, n + 1):
-        Mk = T if Mk is None else linalg.mat_mul(T, linalg.mat_add(Mk, _scal_eye(n, coeffs[-1])))
+        Mk = T if Mk is None else linalg.mat_mul(T, linalg.mat_add(Mk, linalg.mat_scale(eye, coeffs[-1])))
         ck = -sum(Mk[i][i] for i in range(n)) / k
         coeffs.append(ck)
     return coeffs
 
 
-def _scal_eye(n: int, c):
-    return [[c if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
 def transfer_invariants(fields: Fields) -> list:
     """Characteristic-polynomial coefficients of the monodromy of the recursion."""
-    return char_poly(TransferMatrix.from_fields(fields).monodromy)
+    return char_poly(TransferMatrix.of(fields.a, fields.N).monodromy)
 
 
-def trace_transfer(field_names, N: int, nu: int) -> Observable:
-    """tr(T) as an exact observable; for nu = 2 the fields are (mu, rho)."""
-    names = tuple(field_names)
-    if nu == 2:
-        mu_i, rho_i = names.index("mu"), names.index("rho")
-
-        def fn(duals):
-            T = None
-            for m in range(N):
-                L = [
-                    [Dual.const(0), -duals[rho_i][m]],
-                    [Dual.const(1), duals[mu_i][m]],
-                ]
-                T = L if T is None else linalg.mat_mul(T, L)
-            return T[0][0] + T[1][1]
-
-        return Observable("tr_T", names, N, fn)
-    raise NotImplementedError("trace observable is built for nu = 2")
+def trace_transfer(field_names, N: int) -> Poly:
+    """tr T of the monodromy, a polynomial in the fields."""
+    T = TransferMatrix.of(field_polys(field_names, N), N).monodromy
+    return sum(T[i][i] for i in range(len(T)))
 
 
-def det_transfer(field_names, N: int, nu: int = 2) -> Observable:
-    names = tuple(field_names)
-    rho_i = names.index("rho")
-
-    def fn(duals):
-        acc = Dual.const(1)
-        for m in range(N):
-            acc = acc * duals[rho_i][m]
-        return acc
-
-    return Observable("det_T", names, N, fn)
+def det_transfer(field_names, N: int) -> Poly:
+    """det T, the product of the companions' determinants a^(0)_m."""
+    return prod(field_polys(field_names, N)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -224,19 +137,12 @@ def det_transfer(field_names, N: int, nu: int = 2) -> Observable:
 # ---------------------------------------------------------------------------
 
 
-def ham_vf(P, H: Observable, point) -> dict:
+def ham_vf(P, H: Poly, point) -> dict:
     """Velocities P . dH at the point, exact, one sequence per field."""
     TP = as_poly_tensor(P)
-    if tuple(H.fields) != TP.field_names or H.N != TP.N:
-        raise ValueError("observable and tensor live on different field spaces")
-    mat = TP.eval_matrix(point)
-    grad = H.gradient(point)
-    D = TP.n_vars()
-    vel = [ZERO] * D
-    for j, cj in grad.items():
-        for i in range(D):
-            if mat[i][j]:
-                vel[i] += mat[i][j] * cj
+    _vars(H, TP)
+    _, grad = H.eval_grad(TP._point_values(point))
+    vel = linalg.mat_vec(TP.eval_matrix(point), [grad.get(v, ZERO) for v in range(TP.n_vars())])
     N = TP.N
     return {
         name: PerSeq(N, tuple(vel[_var(i, m, N)] for m in range(N)))
@@ -267,27 +173,31 @@ def lifted_flow_residual(W: Polygon) -> Fraction:
     """Exact mismatch between the pushforward of lifted_vf and the Toda flow."""
     N = W.N
     vdot, _ = lifted_vf(W)
-    flat = [ZERO] * W.n_vars()
-    for m in range(N):
-        for a in range(W.nu):
-            flat[W.var_v(m, a)] = vdot[m][a]
-    ctx = _DualCtx(W)
-    fields = coords(W)
-    toda = closed_tensor("toda", N)
-    vel = ham_vf(toda, sum_field(("mu", "rho"), N, "mu"), fields)
+    flat = {W.var_v(m, a): x for m in range(N) for a, x in enumerate(vdot[m])}
+    names = ("mu", "rho")
+    vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W))
     res = ZERO
-    for alias, k in (("mu", 1), ("rho", 0)):
-        for m in range(N):
-            obs = ctx.field(k, m)
-            push = sum(c * flat[v] for v, c in obs.grad.items())
-            res = max(res, abs(push - vel[alias][m]))
+    for I, grad in enumerate(field_gradients(W, names)):
+        i, m = divmod(I, N)
+        push = sum(c * flat.get(v, ZERO) for v, c in grad.items())
+        res = max(res, abs(push - vel[names[i]][m]))
     return res
 
 
-def commute_check(P, I1: Observable, I2: Observable, point) -> Fraction:
-    """{I1, I2} under the tensor at the point, exact."""
-    mat = as_poly_tensor(P).eval_matrix(point)
-    return pairings([I1.gradient(point)], mat, [I2.gradient(point)])[0][0]
+def commute_check(P, I1: Poly, I2: Poly) -> Fraction:
+    """Max-abs coefficient of {I1, I2} = sum_{I,K} d_I I1 P_IK d_K I2, expanded
+    as a polynomial in the fields: zero certifies that I1 and I2 commute."""
+    TP = as_poly_tensor(P)
+    N = TP.N
+    d1 = {v: I1.diff(v) for v in _vars(I1, TP)}
+    d2 = {v: I2.diff(v) for v in _vars(I2, TP)}
+    acc = defaultdict(int)
+    for (i, m, j, n), poly in TP.entries.items():
+        I, K = _var(i, m, N), _var(j, n, N)
+        if I in d1 and K in d2:
+            for mono, c in (d1[I] * poly * d2[K]).terms.items():
+                acc[mono] += c
+    return max(map(abs, acc.values()), default=ZERO)
 
 
 # ---------------------------------------------------------------------------

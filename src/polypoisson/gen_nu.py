@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .coord_reduction import jacobiator, random_fields, shift_field, closed_tensor
-from .exchange_algebra import BracketSpec, _DualCtx, bracket_matrix, random_polygon
+from .coord_reduction import closed_tensor, field_gradients, jacobiator, random_fields, shift_field
+from .exchange_algebra import BracketSpec, bracket_matrix, random_polygon
 from .lattice_ops import (
     DPoly,
     Kernel,
@@ -236,8 +236,7 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     res = ZERO
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
-        ctx = _DualCtx(W)
-        grads = [ctx.field(j, n).grad for j in range(nu) for n in range(N)]
+        grads = field_gradients(W, [f"a{j}" for j in range(nu)])
         for row in pairings(grads[:N], bracket_matrix(spec, W), grads):
             res = max(res, *map(abs, row))
     return res

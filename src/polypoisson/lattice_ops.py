@@ -103,7 +103,10 @@ class PerSeq:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PerSeq":
-        return cls(int(doc["N"]), tuple(rat(v) for v in doc["values"]))
+        try:
+            return cls(int(doc["N"]), tuple(rat(v) for v in doc["values"]))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed sequence document: {exc}") from exc
 
 
 @dataclass(frozen=True)

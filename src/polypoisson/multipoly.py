@@ -13,8 +13,9 @@ plus one pass over the entries' gradients.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .linalg import ONE, ZERO, _int_adjugate, _scaled, rat
 
@@ -55,6 +56,8 @@ class Poly:
             else:
                 out.terms.pop(m, None)
         return out
+
+    __radd__ = __add__
 
     def __neg__(self):
         out = Poly()
@@ -113,6 +116,17 @@ class Poly:
                 t *= point[var] ** e
             acc += t
         return acc
+
+    def eval_grad(self, point):
+        """(value, {var: nonzero partial derivative}) at point."""
+        val = ZERO
+        grad = defaultdict(int)
+        for mono, c in self.terms.items():
+            powers = [point[var] ** e for var, e in mono]
+            val += c * prod(powers)
+            for k, (var, e) in enumerate(mono):
+                grad[var] += c * e * point[var] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+        return val, {v: d for v, d in grad.items() if d}
 
     def degree_in(self, vars_of_interest) -> int:
         best = 0

@@ -17,7 +17,7 @@ SEED = 2024
 
 # sha256 of emit_report(run_suite(SEED), "json"). A deliberate change to the
 # report updates this pin and says so in CHANGES.md.
-SUITE_JSON_SHA256 = "c510478e883de1ed255d4a551225d79e41128b4c2a1c4faac663b9919f18a3e2"
+SUITE_JSON_SHA256 = "e658d7af4ef8165851641638523d5ba55bc66dc49e7a19b29db16cbcf47b2857"
 
 
 @pytest.fixture(scope="module")

@@ -132,6 +132,34 @@ def test_vacuous_flow_is_usage_error(argv, capsys):
     assert "usage error" in captured.err and "PASS" not in captured.out
 
 
+def _seq_file(tmp_path, doc):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(doc))
+    return f"file:{path}"
+
+
+PERIOD_7_PHI = {"N": 7, "values": ["0", "1", "-1", "2", "-2", "1", "-1"]}
+PERIOD_7_BETA = {"N": 7, "values": ["1"] * 7}
+ZERO_BETA = {"N": 5, "values": ["1", "2", "0", "1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, message",
+    [
+        (["derive", "--name", "murho", "--N", "5", "--phi"], PERIOD_7_PHI, "period 7, not --N 5"),
+        (["reduce-dirac", "--N", "5", "--beta"], PERIOD_7_BETA, "period 7, not --N 5"),
+        (["derive", "--name", "ftv_u", "--N", "5", "--beta"], PERIOD_7_BETA, "period 7, not --N 5"),
+        (["reduce-dirac", "--N", "5", "--beta"], ZERO_BETA, "nonvanishing"),
+        (["derive", "--name", "murho", "--N", "5", "--phi"], {"foo": 1}, "malformed"),
+        (["reduce-dirac", "--N", "5", "--beta"], [1, 2], "malformed"),
+    ],
+)
+def test_bad_sequence_file_is_usage_error(argv, doc, message, tmp_path, capsys):
+    assert run_command(argv + [_seq_file(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "PASS" not in captured.out
+
+
 def test_compat_certifies_the_requested_period(capsys):
     assert run_command(["compat", "--N", "7", "--format", "json"]) == 0
     docs = json.loads(capsys.readouterr().out)

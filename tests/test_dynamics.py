@@ -3,8 +3,10 @@ from random import Random
 
 import pytest
 
+from polypoisson import acceptance, dynamics, linalg
 from polypoisson.coord_reduction import (
     Fields,
+    _var,
     as_poly_tensor,
     closed_tensor,
     coords,
@@ -13,11 +15,11 @@ from polypoisson.coord_reduction import (
 )
 from polypoisson.dynamics import (
     LinearityViolated,
-    Observable,
     TransferMatrix,
     char_poly,
     commute_check,
     det_transfer,
+    field_polys,
     gf_check,
     ham_vf,
     integrate,
@@ -32,6 +34,7 @@ from polypoisson.dynamics import (
 )
 from polypoisson.exchange_algebra import Polygon, random_polygon
 from polypoisson.lattice_ops import PerSeq, phi_special
+from polypoisson.multipoly import Poly
 
 F = Fraction
 
@@ -50,9 +53,18 @@ def test_ham_vf_toda_flow():
 def test_ham_vf_constant_hamiltonian():
     N = 5
     toda = closed_tensor("toda", N)
-    const = Observable("const", ("mu", "rho"), N, lambda duals: duals[0][0] * 0 + 7)
-    vel = ham_vf(toda, const, random_fields(("mu", "rho"), N, Random(1)))
+    vel = ham_vf(toda, Poly.const(7), random_fields(("mu", "rho"), N, Random(1)))
     assert all(v == 0 for v in vel["mu"].values) and all(v == 0 for v in vel["rho"].values)
+
+
+def test_ham_vf_rejects_variables_outside_the_field_space():
+    N = 5
+    toda = closed_tensor("toda", N)
+    pt = random_fields(("mu", "rho"), N, Random(1))
+    with pytest.raises(ValueError, match="different field spaces"):
+        ham_vf(toda, Poly.var(2 * N), pt)
+    with pytest.raises(ValueError, match="different field spaces"):
+        commute_check(toda, Poly.var(0), Poly.var(2 * N))
 
 
 def test_ham_vf_casimir_tensor_freezes_rho():
@@ -97,7 +109,7 @@ def test_transfer_invariants_examples():
     # char poly x^2 + 2x + 1: trace -2, determinant 1
     assert coeffs == [F(1), F(2), F(1)]
     f1 = Fields(2, 1, (PerSeq.constant(1, 3), PerSeq.constant(1, 5)))
-    T = TransferMatrix.from_fields(f1)
+    T = TransferMatrix.of(f1.a, 1)
     assert T.monodromy == [[F(0), F(-3)], [F(1), F(5)]]
 
 
@@ -125,26 +137,104 @@ def test_transfer_matches_polygon_monodromy():
 
 def test_commuting_integrals():
     N = 5
-    rng = Random(7)
+    names = ("mu", "rho")
     toda = closed_tensor("toda", N)
-    Smu = sum_field(("mu", "rho"), N, "mu")
-    trT = trace_transfer(("mu", "rho"), N, 2)
-    detT = det_transfer(("mu", "rho"), N)
-    for _ in range(3):
-        pt = random_fields(("mu", "rho"), N, rng)
-        assert commute_check(toda, Smu, Smu, pt) == 0
-        assert commute_check(toda, Smu, trT, pt) == 0
-        assert commute_check(toda, Smu, detT, pt) == 0
+    Smu = sum_field(names, N, "mu")
+    for I in (Smu, trace_transfer(names, N), det_transfer(names, N)):
+        assert commute_check(toda, Smu, I) == 0
 
 
-def test_observable_gradient_validation():
+def test_trace_transfer_term_counts():
+    assert [len(trace_transfer(("mu", "rho"), N).terms) for N in (5, 7, 9, 11)] == [11, 29, 76, 199]
+
+
+def _principal_minors_2(T):
+    n = len(T)
+    return sum(T[i][i] * T[j][j] - T[i][j] * T[j][i] for i in range(n) for j in range(i + 1, n))
+
+
+def test_nu3_spectral_invariants_commute_under_both_pencil_tensors():
+    N = 5
+    names = ("a", "b", "rho")
+    T = TransferMatrix.of(field_polys(names, N), N).monodromy
+    invariants = (trace_transfer(names, N), _principal_minors_2(T), det_transfer(names, N))
+    assert all(isinstance(I, Poly) and not I.is_zero() for I in invariants)
+    for name in ("P1", "P2"):
+        P = as_poly_tensor(closed_tensor(name, N))
+        for i in range(3):
+            for j in range(i + 1, 3):
+                assert commute_check(P, invariants[i], invariants[j]) == 0, (name, i, j)
+
+
+def test_transfer_polys_evaluate_to_the_transfer_invariants():
+    N = 5
+    pt = random_fields(("mu", "rho"), N, Random(11))
+    f = Fields(2, N, (pt["rho"], pt["mu"]))
+    x = [pt[name][m] for name in ("mu", "rho") for m in range(N)]
+    _, c1, c0 = transfer_invariants(f)
+    assert trace_transfer(("mu", "rho"), N).eval(x) == -c1
+    assert det_transfer(("mu", "rho"), N).eval(x) == c0
+
+
+def test_eval_grad_matches_diff_and_central_differences():
     N = 5
     rng = Random(8)
     pt = random_fields(("mu", "rho"), N, rng)
-    trT = trace_transfer(("mu", "rho"), N, 2)
-    assert trT.validate_gradient(pt, rng) == 0
-    detT = det_transfer(("mu", "rho"), N)
-    assert detT.validate_gradient(pt, rng, degree=2) == 0
+    x = [pt[name][m] for name in ("mu", "rho") for m in range(N)]
+    for H in (trace_transfer(("mu", "rho"), N), det_transfer(("mu", "rho"), N)):
+        val, grad = H.eval_grad(x)
+        assert val == H.eval(x)
+        assert grad == {v: H.diff(v).eval(x) for v in range(2 * N) if H.diff(v).eval(x)}
+        # H has degree at most one in each variable, so the central
+        # difference is exact
+        for v in range(2 * N):
+            up, down = list(x), list(x)
+            up[v] += 1
+            down[v] -= 1
+            assert (H.eval(up) - H.eval(down)) / 2 == grad.get(v, 0)
+
+
+def _commuting_integrals_doc():
+    docs = acceptance.check_flow_consistency(0, points=0)
+    return next(d for d in docs if d.check == "commuting_integrals")
+
+
+def test_commuting_integrals_negative_controls(monkeypatch):
+    assert _commuting_integrals_doc().passed
+    real_closed_tensor = acceptance.closed_tensor
+
+    def perturbed(name, N):
+        T = as_poly_tensor(real_closed_tensor(name, N))
+        T.add_term(0, 0, 1, 0, Poly.var(_var(1, 0, N)))
+        return T
+
+    with monkeypatch.context() as mp:
+        mp.setattr(acceptance, "closed_tensor", perturbed)
+        assert not _commuting_integrals_doc().passed
+
+    def short_trace(names, N):
+        comps = TransferMatrix.of(field_polys(names, N), N).companions
+        T = comps[0]
+        for L in comps[1:-1]:
+            T = linalg.mat_mul(T, L)
+        return T[0][0] + T[1][1]
+
+    monkeypatch.setattr(acceptance, "trace_transfer", short_trace)
+    assert not _commuting_integrals_doc().passed
+
+
+def test_lifted_flow_negative_control(monkeypatch):
+    W = random_polygon(2, 5, Random(4))
+    assert lifted_flow_residual(W) == 0
+    real_lifted_vf = dynamics.lifted_vf
+
+    def perturbed(W):
+        vdot, mdot = real_lifted_vf(W)
+        bumped = tuple(x + 1 for x in vdot[2])
+        return vdot[:2] + (bumped,) + vdot[3:], mdot
+
+    monkeypatch.setattr(dynamics, "lifted_vf", perturbed)
+    assert lifted_flow_residual(W) != 0
 
 
 def test_lie_deform_toda_mu_direction():

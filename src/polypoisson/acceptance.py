@@ -266,7 +266,7 @@ def check_pushforward(seed: int = 0, points: int = 10) -> list:
             res = max(res, pushforward_check(u))
         docs.append(_doc("pushforward", {"N": N, "points": points}, res, seed, t0))
     t0 = time.time()
-    lhs = closed_tensor("ftv_S", 5).eval_entry(0, 0, {"S": PerSeq.constant(5, 1)})
+    lhs = closed_tensor("ftv_S", 5).eval_matrix({"S": PerSeq.constant(5, 1)})
     rhs = kernel_from_dpoly(DPoly({1: 1, 2: 1, -1: -1, -2: -1}), 5).matrix()
     res = max(linalg.max_abs(linalg.mat_sub(lhs, rhs)), pushforward_check(PerSeq.constant(5, 1)))
     docs.append(_doc("pushforward", {"N": 5, "case": "u=1 closed form"}, res, seed, t0))
@@ -305,16 +305,18 @@ def check_pencil_deformations(seed: int = 0) -> list:
     return docs
 
 
-def check_flow_consistency(seed: int = 0, points: int = 10) -> list:
+def check_flow_consistency(seed: int = 0, polygons: int = 5) -> list:
+    if polygons < 1:
+        raise ValueError("polygons must be at least 1")
     docs = []
     rng = Random(seed)
     for N in (5, 7):
         t0 = time.time()
         res = ZERO
-        for _ in range(points // 2):
+        for _ in range(polygons):
             W = random_polygon(2, N, rng)
             res = max(res, lifted_flow_residual(W))
-        docs.append(_doc("lifted_flow", {"N": N, "polygons": points // 2}, res, seed, t0))
+        docs.append(_doc("lifted_flow", {"N": N, "polygons": polygons}, res, seed, t0))
     t0 = time.time()
     N = 5
     names = ("mu", "rho")

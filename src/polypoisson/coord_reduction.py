@@ -11,10 +11,13 @@ them: the chain-rule oracle, Dirac reduction at a constraint surface, the
 u -> S pushforward identity, exact Jacobiator evaluation and pencil
 compatibility certificates.
 
-Tensors come in two interchangeable forms: PolyTensor stores entries as
-polynomials in the field variables and supports exact differentiation;
-OpTensor stores field-dressed operator words and is the shape the closed
-formulas are written in.
+Tensors come in two forms on one field-space header: PolyTensor stores
+entries as polynomials in the field variables and supports exact
+differentiation; OpTensor stores field-dressed operator words, the shape the
+closed formulas are written in.  One walk over the paths of a word serves
+both readings of it: ``to_poly`` takes each path's product as a polynomial,
+``eval_matrix`` as a number at a point, the only place a field inverse can
+be formed.
 """
 
 from __future__ import annotations
@@ -155,19 +158,19 @@ def _var(field_idx: int, site: int, N: int) -> int:
     return field_idx * N + site
 
 
-class PolyTensor:
-    """Poisson tensor with entries polynomial in the field variables.
+class _FieldTensor:
+    """The field space a reduced tensor lives on, shared by both forms.
 
     Entry ((i, m), (j, n)) is the bracket {x^i_m, x^j_n} scaled by
     ``bracket_scale`` relative to the raw reduced bracket of the polygon
     space (the named tensors carry the factor 1/2 their closed forms use).
+    Subclasses yield the entry values at a point from ``_values``.
     """
 
     def __init__(self, field_names, N: int, bracket_scale=ONE):
         self.field_names = tuple(field_names)
         self.N = N
         self.bracket_scale = rat(bracket_scale)
-        self.entries: dict = {}
 
     @property
     def d(self) -> int:
@@ -175,6 +178,40 @@ class PolyTensor:
 
     def n_vars(self) -> int:
         return self.d * self.N
+
+    def point_values(self, point) -> list:
+        """The field values at a point (Fields or a name -> PerSeq map), in _var order."""
+        if isinstance(point, Fields):
+            point = point.point()
+        return [point[name][m] for name in self.field_names for m in range(self.N)]
+
+    def eval_matrix(self, point):
+        """Dense (d N) x (d N) antisymmetric matrix at the point."""
+        N = self.N
+        out = linalg.zeros(self.n_vars(), self.n_vars())
+        for i, m, j, n, v in self._values(point):
+            out[_var(i, m, N)][_var(j, n, N)] += v
+        return out
+
+    def _header(self, form: str) -> dict:
+        return {
+            "form": form,
+            "fields": list(self.field_names),
+            "N": self.N,
+            "bracket_scale": rat_str(self.bracket_scale),
+        }
+
+    @classmethod
+    def _from_header(cls, doc: dict):
+        return cls(tuple(doc["fields"]), int(doc["N"]), rat(doc["bracket_scale"]))
+
+
+class PolyTensor(_FieldTensor):
+    """Poisson tensor with entries polynomial in the field variables."""
+
+    def __init__(self, field_names, N: int, bracket_scale=ONE):
+        super().__init__(field_names, N, bracket_scale)
+        self.entries: dict = {}
 
     def add_term(self, i, m, j, n, poly: Poly):
         if poly.is_zero():
@@ -187,27 +224,10 @@ class PolyTensor:
         else:
             self.entries[key] = new
 
-    def entry(self, i, m, j, n) -> Poly:
-        return self.entries.get((i, m % self.N, j, n % self.N), Poly())
-
-    def _point_values(self, point) -> list:
-        if isinstance(point, Fields):
-            point = point.point()
-        vals = [ZERO] * self.n_vars()
-        for i, name in enumerate(self.field_names):
-            seq = point[name]
-            for m in range(self.N):
-                vals[_var(i, m, self.N)] = seq[m]
-        return vals
-
-    def eval_matrix(self, point):
-        """Dense (d N) x (d N) antisymmetric matrix at the point."""
-        vals = self._point_values(point)
-        D = self.n_vars()
-        out = linalg.zeros(D, D)
+    def _values(self, point):
+        x = self.point_values(point)
         for (i, m, j, n), poly in self.entries.items():
-            out[_var(i, m, self.N)][_var(j, n, self.N)] = poly.eval(vals)
-        return out
+            yield i, m, j, n, poly.eval(x)
 
     def eval_sparse(self, point):
         """The nonzero values and gradient entries of the entries at the point.
@@ -216,7 +236,7 @@ class PolyTensor:
         (J, K, s, d_s P_JK), with I, J, K, s flat field-site indices, each
         entry evaluated once by ``Poly.eval_grad``.
         """
-        x = self._point_values(point)
+        x = self.point_values(point)
         N = self.N
         vals, grads = [], []
         for (i, m, j, n), poly in self.entries.items():
@@ -235,17 +255,11 @@ class PolyTensor:
                 for mono, c in sorted(poly.terms.items())
             ]
             ent.append({"i": i, "m": m, "j": j, "n": n, "terms": terms})
-        return {
-            "form": "poly",
-            "fields": list(self.field_names),
-            "N": self.N,
-            "bracket_scale": rat_str(self.bracket_scale),
-            "entries": ent,
-        }
+        return {**self._header("poly"), "entries": ent}
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolyTensor":
-        out = cls(tuple(doc["fields"]), int(doc["N"]), rat(doc["bracket_scale"]))
+        out = cls._from_header(doc)
         for ent in doc["entries"]:
             terms = {
                 tuple((int(v), int(e)) for v, e in mono): rat(c)
@@ -259,66 +273,79 @@ class PolyTensor:
 # ("c", PerSeq constant diagonal) or ("k", Kernel)
 
 
-class OpTensor:
+class OpTensor(_FieldTensor):
     """Poisson tensor whose entries are field-dressed circulant operator words."""
 
     def __init__(self, field_names, N: int, bracket_scale=ONE):
-        self.field_names = tuple(field_names)
-        self.N = N
-        self.bracket_scale = rat(bracket_scale)
+        super().__init__(field_names, N, bracket_scale)
         self.words: dict = {}
 
     def add_word(self, i: int, j: int, *factors):
         self.words.setdefault((i, j), []).append(tuple(factors))
 
-    def _diag(self, factor, point_vals):
-        name = self.field_names[factor[1]]
-        seq = point_vals[name]
-        if factor[0] == "f":
-            return [seq[m] for m in range(self.N)]
-        vals = []
-        for m in range(self.N):
-            if not seq[m]:
-                raise ZeroDivisionError(f"field {name} vanishes at site {m}")
-            vals.append(ONE / seq[m])
-        return vals
+    def _paths(self, seg_value):
+        """Yield (i, m, j, n, value), one term per path of every word.
 
-    def eval_entry(self, i: int, j: int, point) -> list:
-        """The N x N matrix of the (i, j) operator word sum at the point."""
-        if isinstance(point, Fields):
-            point = point.point()
+        A word is split at its kernels into diagonal segments.  A path from
+        site m steps, at each kernel K, from its site s to a site n with
+        K[s - n] != 0, and ends at the site n it reaches after the last
+        kernel; its value is the product of those kernel entries and of
+        ``seg_value(segment, site)`` for each segment at the site the path is
+        on.  The words are never formed as N x N matrices.
+        """
         N = self.N
-        total = linalg.zeros(N, N)
-        for word in self.words.get((i, j), []):
-            mat = None
-            for factor in word:
-                if factor[0] in ("f", "finv"):
-                    dv = self._diag(factor, point)
-                    fm = [[dv[r] if r == c else ZERO for c in range(N)] for r in range(N)]
-                elif factor[0] == "c":
-                    fm = [
-                        [factor[1][r] if r == c else ZERO for c in range(N)]
-                        for r in range(N)
-                    ]
-                else:
-                    fm = factor[1].matrix()
-                mat = fm if mat is None else linalg.mat_mul(mat, fm)
-            total = linalg.mat_add(total, mat)
-        return total
-
-    def eval_matrix(self, point):
-        d = len(self.field_names)
-        N = self.N
-        D = d * N
-        out = linalg.zeros(D, D)
-        for i in range(d):
-            for j in range(d):
-                if (i, j) not in self.words:
-                    continue
-                blk = self.eval_entry(i, j, point)
+        for (i, j), words in self.words.items():
+            for word in words:
+                segs, steps = [[]], []
+                for factor in word:
+                    if factor[0] == "k":
+                        K = factor[1].seq
+                        steps.append([[(n, K[s - n]) for n in range(N) if K[s - n]] for s in range(N)])
+                        segs.append([])
+                    else:
+                        segs[-1].append(factor)
+                diag = [[seg_value(seg, site) for site in range(N)] for seg in segs]
                 for m in range(N):
-                    for n in range(N):
-                        out[_var(i, m, N)][_var(j, n, N)] = blk[m][n]
+                    paths = [(m, diag[0][m])]
+                    for step, dg in zip(steps, diag[1:]):
+                        paths = [(n, acc * dg[n] * kv) for s, acc in paths for n, kv in step[s]]
+                    for n, acc in paths:
+                        yield i, m, j, n, acc
+
+    def _values(self, point):
+        x = self.point_values(point)
+        N = self.N
+
+        def at(seg, site):
+            v = ONE
+            for kind, arg in seg:
+                if kind == "c":
+                    v *= arg[site]
+                elif kind == "f":
+                    v *= x[_var(arg, site, N)]
+                elif x[_var(arg, site, N)]:
+                    v /= x[_var(arg, site, N)]
+                else:
+                    raise ZeroDivisionError(f"field {self.field_names[arg]} vanishes at site {site}")
+            return v
+
+        return self._paths(at)
+
+    def to_poly(self) -> PolyTensor:
+        """Expand the operator words into polynomial entries (no field inverses)."""
+        N = self.N
+
+        def at(seg, site):
+            p = Poly.const(1)
+            for kind, arg in seg:
+                if kind == "finv":
+                    raise ValueError("cannot expand a word with field inverses")
+                p = p * (Poly.var(_var(arg, site, N)) if kind == "f" else arg[site])
+            return p
+
+        out = PolyTensor(self.field_names, N, self.bracket_scale)
+        for i, m, j, n, p in self._paths(at):
+            out.add_term(i, m, j, n, p)
         return out
 
     def to_json(self) -> dict:
@@ -343,17 +370,11 @@ class OpTensor:
         for (i, j), wlist in sorted(self.words.items()):
             for word in wlist:
                 words.append({"i": i, "j": j, "factors": [factor_doc(f) for f in word]})
-        return {
-            "form": "op",
-            "fields": list(self.field_names),
-            "N": N,
-            "bracket_scale": rat_str(self.bracket_scale),
-            "words": words,
-        }
+        return {**self._header("op"), "words": words}
 
     @classmethod
     def from_json(cls, doc: dict) -> "OpTensor":
-        out = cls(tuple(doc["fields"]), int(doc["N"]), rat(doc["bracket_scale"]))
+        out = cls._from_header(doc)
         names = list(out.field_names)
         for wd in doc["words"]:
             factors = []
@@ -368,57 +389,6 @@ class OpTensor:
                     factors.append(("k", kernel_from_dpoly(DPoly.from_json(f), out.N)))
             out.add_word(int(wd["i"]), int(wd["j"]), *factors)
         return out
-
-    def to_poly(self) -> PolyTensor:
-        """Expand the operator words into polynomial entries (no field inverses).
-
-        A word from site m is a sum over paths that pick one site per kernel;
-        each path is walked once and its product added at the site it ends on.
-        """
-        N = self.N
-        out = PolyTensor(self.field_names, N, self.bracket_scale)
-        for (i, j), words in self.words.items():
-            for word in words:
-                # collapse to alternating [diag, kernel, diag, kernel, ...]
-                segs = [[]]
-                kernels = []
-                for factor in word:
-                    if factor[0] == "finv":
-                        raise ValueError("cannot expand a word with field inverses")
-                    if factor[0] == "k":
-                        kernels.append(factor[1])
-                        segs.append([])
-                    else:
-                        segs[-1].append(factor)
-                # diag[k][site]: the product of segment k's factors at the site
-                diag = [[_diag_poly(seg, site, N) for site in range(N)] for seg in segs]
-                L = len(kernels)
-
-                def walk(seg_idx, m, site, acc):
-                    if seg_idx == L:
-                        out.add_term(i, m, j, site, acc)
-                        return
-                    K = kernels[seg_idx]
-                    nxt_diag = diag[seg_idx + 1]
-                    for nxt in range(N):
-                        kv = K.seq[site - nxt]
-                        if kv:
-                            walk(seg_idx + 1, m, nxt, acc * nxt_diag[nxt] * kv)
-
-                for m in range(N):
-                    walk(0, m, m, diag[0][m])
-        return out
-
-
-def _diag_poly(seg, site: int, N: int) -> Poly:
-    """The product of a segment's field and constant diagonal factors at a site."""
-    p = Poly.const(1)
-    for factor in seg:
-        if factor[0] == "f":
-            p = p * Poly.var(_var(factor[1], site, N))
-        else:
-            p = p * factor[1][site]
-    return p
 
 
 def as_poly_tensor(P) -> PolyTensor:
@@ -765,7 +735,7 @@ def toda_dirac_vs_ftv(N: int, u: PerSeq, beta: PerSeq) -> Fraction:
     full = toda.eval_matrix(point)
     con = [_var(1, m, N) for m in range(N)]
     red = dirac_reduce(full, con)
-    ftv = closed_tensor("ftv_u", N, beta=beta).eval_entry(0, 0, {"u": u})
+    ftv = closed_tensor("ftv_u", N, beta=beta).eval_matrix({"u": u})
     return linalg.max_abs(linalg.mat_sub(red, ftv))
 
 
@@ -782,11 +752,11 @@ def pushforward_check(u: PerSeq) -> Fraction:
     S = PerSeq(N, tuple(u[m] * u[m + 1] for m in range(N)))
     if not S.nonvanishing():
         raise ZeroDivisionError("S = u u' must be nonvanishing")
-    P_u = closed_tensor("ftv_u", N).eval_entry(0, 0, {"u": u})
+    P_u = closed_tensor("ftv_u", N).eval_matrix({"u": u})
     # Jacobian of S = u u': dS = (u' + u D) du
     J = [[(u[m + 1] if n == m else ZERO) + (u[m] if n == (m + 1) % N else ZERO) for n in range(N)] for m in range(N)]
     lhs = linalg.mat_mul(linalg.mat_mul(J, P_u), linalg.transpose(J))
-    rhs = closed_tensor("ftv_S", N).eval_entry(0, 0, {"S": S})
+    rhs = closed_tensor("ftv_S", N).eval_matrix({"S": S})
     return linalg.max_abs(linalg.mat_sub(lhs, rhs))
 
 

@@ -141,7 +141,7 @@ def ham_vf(P, H: Poly, point) -> dict:
     """Velocities P . dH at the point, exact, one sequence per field."""
     TP = as_poly_tensor(P)
     _vars(H, TP)
-    _, grad = H.eval_grad(TP._point_values(point))
+    _, grad = H.eval_grad(TP.point_values(point))
     vel = linalg.mat_vec(TP.eval_matrix(point), [grad.get(v, ZERO) for v in range(TP.n_vars())])
     N = TP.N
     return {

@@ -77,10 +77,6 @@ class PerSeq:
         c = rat(c)
         return PerSeq(self.N, tuple(c * a for a in self.values))
 
-    def pointwise(self, other: "PerSeq") -> "PerSeq":
-        self._check(other)
-        return PerSeq(self.N, tuple(a * b for a, b in zip(self.values, other.values)))
-
     def shift(self, r: int) -> "PerSeq":
         """The sequence m -> self[m + r]."""
         return PerSeq(self.N, tuple(self[(m + r)] for m in range(self.N)))

@@ -4,6 +4,9 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_json_roundtrip import op_tensors, rationals
 
 from polypoisson import linalg
 from polypoisson.coord_reduction import (
@@ -109,24 +112,76 @@ def two_kernel_tensor(N: int) -> OpTensor:
     return T
 
 
+def reference_eval_matrix(T: OpTensor, point) -> list:
+    """The dense evaluation of an OpTensor: each factor of a word as an N x N
+    matrix (diagonal or circulant), the factors chained by mat_mul and the
+    words of a block summed by mat_add."""
+    N, d = T.N, len(T.field_names)
+    out = linalg.zeros(d * N, d * N)
+    for (i, j), words in T.words.items():
+        total = linalg.zeros(N, N)
+        for word in words:
+            mat = None
+            for kind, arg in word:
+                if kind == "k":
+                    fm = arg.matrix()
+                else:
+                    seq = arg if kind == "c" else point[T.field_names[arg]]
+                    diag = [1 / seq[r] if kind == "finv" else seq[r] for r in range(N)]
+                    fm = [[diag[r] if r == c else F(0) for c in range(N)] for r in range(N)]
+                mat = fm if mat is None else linalg.mat_mul(mat, fm)
+            total = linalg.mat_add(total, mat)
+        for m in range(N):
+            for n in range(N):
+                out[i * N + m][j * N + n] = total[m][n]
+    return out
+
+
+def assert_eval_matches_reference(T: OpTensor, point):
+    """eval_matrix equals the dense reference, and so does to_poly's
+    expansion whenever no word has a field inverse."""
+    ref = reference_eval_matrix(T, point)
+    assert T.eval_matrix(point) == ref
+    if all(kind != "finv" for words in T.words.values() for word in words for kind, _ in word):
+        assert T.to_poly().eval_matrix(point) == ref
+
+
 def test_optensor_to_poly_matches_eval():
     rng = Random(3)
     abr = ("a", "b", "rho")
     for N in (5, 7):
         cases = [(closed_tensor(name, N), fields) for name, fields in (
-            ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("P0", ("a", "b")), ("ftv_u", ("u",))
+            ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("P0", ("a", "b")), ("ftv_u", ("u",)), ("ftv_S", ("S",))
         )]
+        beta = random_fields(("beta",), N, rng)["beta"]
+        cases.append((closed_tensor("ftv_u", N, beta=beta), ("u",)))
         cases.append((two_kernel_tensor(N), ("a", "b")))
         for T, fields in cases:
-            pt = random_fields(fields, N, rng)
-            direct = T.eval_matrix(pt)
-            via_poly = T.to_poly().eval_matrix(pt)
-            assert linalg.max_abs(linalg.mat_sub(direct, via_poly)) == 0
+            assert_eval_matches_reference(T, random_fields(fields, N, rng))
+
+
+@st.composite
+def op_tensors_at_points(draw):
+    T = draw(op_tensors())
+    nonzero = rationals.filter(bool)
+    pt = {name: PerSeq(T.N, tuple(draw(st.lists(nonzero, min_size=T.N, max_size=T.N)))) for name in T.field_names}
+    return T, pt
+
+
+@given(op_tensors_at_points())
+def test_optensor_eval_matches_dense_reference(case):
+    assert_eval_matches_reference(*case)
 
 
 def test_ftv_S_rejects_to_poly():
     with pytest.raises(ValueError):
         closed_tensor("ftv_S", 5).to_poly()
+
+
+def test_ftv_S_eval_names_the_vanishing_field_site():
+    S = PerSeq(5, (F(1), F(2), F(0), F(-1), F(3)))
+    with pytest.raises(ZeroDivisionError, match="field S vanishes at site 2"):
+        closed_tensor("ftv_S", 5).eval_matrix({"S": S})
 
 
 def test_closed_tensor_singular_operator_period():
@@ -155,7 +210,7 @@ def test_p2_polynomial_entries_are_pinned(N, digest):
 def test_ftv_u_at_zero_field_is_shift_difference():
     N = 5
     T = closed_tensor("ftv_u", N)
-    mat = T.eval_entry(0, 0, {"u": PerSeq.constant(N, 0)})
+    mat = T.eval_matrix({"u": PerSeq.constant(N, 0)})
     expect = kernel_from_dpoly(DPoly({1: 1, -1: -1}), N).matrix()
     assert linalg.max_abs(linalg.mat_sub(mat, expect)) == 0
 
@@ -242,7 +297,7 @@ def test_dirac_toda_period3_is_zero_matrix():
     full = toda.eval_matrix(pt)
     red = dirac_reduce(full, [N + m for m in range(N)])
     assert linalg.max_abs(red) == 0
-    ftv = closed_tensor("ftv_u", N).eval_entry(0, 0, {"u": PerSeq.constant(N, 1)})
+    ftv = closed_tensor("ftv_u", N).eval_matrix({"u": PerSeq.constant(N, 1)})
     assert linalg.max_abs(ftv) == 0
 
 

@@ -53,7 +53,6 @@ from .coord_reduction import (
     normalized_fields,
     oracle_match,
     pushforward_check,
-    shift_field,
     toda_dirac_vs_ftv,
 )
 from .gen_nu import HatKernels, TheoremReport, casimir_coeffs, check_theorem, oppbs_hats, quad_coeff

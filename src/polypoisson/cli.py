@@ -26,7 +26,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -39,52 +38,8 @@ from .gen_nu import check_theorem
 from .lattice_ops import OddKernel, PerSeq, phi_special, random_odd_kernel
 from .linalg import rat_str
 
-VERBS = (
-    "verify-ybe",
-    "verify-w",
-    "derive",
-    "phi",
-    "reduce-dirac",
-    "pushforward",
-    "theorem",
-    "compat",
-    "flow",
-    "suite",
-)
-
-
-@dataclass
-class RunConfig:
-    verb: str
-    nu: int = 2
-    N: int = 5
-    k: int = 0
-    phi_source: str = "special"
-    beta_source: str = ""
-    seed: int = 0
-    trials: int = 10
-    out: str = ""
-    fmt: str = "text"
-    name: str = "toda"
-    check: str = "all"
-    dt: float = 1e-3
-    steps: int = 1000
-
-    def __post_init__(self):
-        if self.verb not in VERBS:
-            raise ValueError(f"unknown verb {self.verb!r}")
-        if self.N < 3:
-            raise ValueError("N must be >= 3")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be a finite positive number")
-
-
-def _load_phi(cfg: RunConfig, rng: Random) -> OddKernel:
-    src = cfg.phi_source
+def _load_phi(cfg: argparse.Namespace, rng: Random) -> OddKernel:
+    src = cfg.phi
     if src == "special":
         return phi_special(cfg.nu, cfg.k, cfg.N)
     if src == "zero":
@@ -96,8 +51,8 @@ def _load_phi(cfg: RunConfig, rng: Random) -> OddKernel:
     raise ValueError(f"bad phi source {src!r}")
 
 
-def _load_beta(cfg: RunConfig, rng: Random) -> PerSeq:
-    src = cfg.beta_source
+def _load_beta(cfg: argparse.Namespace, rng: Random) -> PerSeq:
+    src = cfg.beta
     if not src or src == "one":
         return PerSeq.constant(cfg.N, 1)
     if src == "random":
@@ -110,7 +65,7 @@ def _load_beta(cfg: RunConfig, rng: Random) -> PerSeq:
     raise ValueError(f"bad beta source {src!r}")
 
 
-def _load_seq(cfg: RunConfig, path: str) -> PerSeq:
+def _load_seq(cfg: argparse.Namespace, path: str) -> PerSeq:
     with open(path, "r", encoding="utf-8") as fh:
         seq = PerSeq.from_json(json.load(fh))
     if seq.N != cfg.N:
@@ -146,14 +101,14 @@ def emit_report(docs, fmt: str = "json", path: str = "") -> str:
     return text
 
 
-def _cmd_verify_ybe(cfg: RunConfig) -> list:
+def _cmd_verify_ybe(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     R, C = default_rc(cfg.nu)
     res = verify_ybe(R, C)
     return [ReportDoc("ybe", {"nu": cfg.nu}, rat_str(res), res == 0, cfg.seed, time.time() - t0)]
 
 
-def _cmd_verify_w(cfg: RunConfig) -> list:
+def _cmd_verify_w(cfg: argparse.Namespace) -> list:
     rng = Random(cfg.seed)
     phi = _load_phi(cfg, rng)
     checks = (
@@ -167,7 +122,7 @@ def _cmd_verify_w(cfg: RunConfig) -> list:
         W = random_polygon(cfg.nu, cfg.N, rng)
         spec = BracketSpec.standard(cfg.nu, cfg.N, phi)
         res = verify_structure(spec, W, check, trials=cfg.trials, seed=cfg.seed)
-        params = {"nu": cfg.nu, "N": cfg.N, "phi": cfg.phi_source, "k": cfg.k}
+        params = {"nu": cfg.nu, "N": cfg.N, "phi": cfg.phi, "k": cfg.k}
         if check == "jacobi":
             params["trials"] = cfg.trials
         docs.append(
@@ -183,7 +138,7 @@ def _cmd_verify_w(cfg: RunConfig) -> list:
     return docs
 
 
-def _cmd_derive(cfg: RunConfig) -> list:
+def _cmd_derive(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     rng = Random(cfg.seed)
     kwargs = {}
@@ -208,7 +163,7 @@ def _cmd_derive(cfg: RunConfig) -> list:
     ]
 
 
-def _cmd_phi(cfg: RunConfig) -> list:
+def _cmd_phi(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     phi = phi_special(cfg.nu, cfg.k, cfg.N)
     values = ", ".join(rat_str(v) for v in phi.seq.values)
@@ -221,7 +176,7 @@ def _cmd_phi(cfg: RunConfig) -> list:
     ]
 
 
-def _cmd_reduce_dirac(cfg: RunConfig) -> list:
+def _cmd_reduce_dirac(cfg: argparse.Namespace) -> list:
     rng = Random(cfg.seed)
     beta = _load_beta(cfg, rng)
     t0 = time.time()
@@ -232,7 +187,7 @@ def _cmd_reduce_dirac(cfg: RunConfig) -> list:
     return [
         ReportDoc(
             "reduce-dirac",
-            {"N": cfg.N, "beta": cfg.beta_source or "one", "trials": cfg.trials},
+            {"N": cfg.N, "beta": cfg.beta or "one", "trials": cfg.trials},
             rat_str(res),
             res == 0,
             cfg.seed,
@@ -241,7 +196,7 @@ def _cmd_reduce_dirac(cfg: RunConfig) -> list:
     ]
 
 
-def _cmd_pushforward(cfg: RunConfig) -> list:
+def _cmd_pushforward(cfg: argparse.Namespace) -> list:
     rng = Random(cfg.seed)
     t0 = time.time()
     res = Fraction(0)
@@ -260,7 +215,7 @@ def _cmd_pushforward(cfg: RunConfig) -> list:
     ]
 
 
-def _cmd_theorem(cfg: RunConfig) -> list:
+def _cmd_theorem(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     rep = check_theorem(cfg.nu, cfg.N, seed=cfg.seed)
     if cfg.out:
@@ -304,11 +259,11 @@ def _cmd_theorem(cfg: RunConfig) -> list:
     return docs
 
 
-def _cmd_compat(cfg: RunConfig) -> list:
+def _cmd_compat(cfg: argparse.Namespace) -> list:
     return acceptance.check_extended_toda_compat(cfg.seed, N=cfg.N)
 
 
-def _cmd_flow(cfg: RunConfig) -> list:
+def _cmd_flow(cfg: argparse.Namespace) -> list:
     from .dynamics import trajectory_csv
 
     docs = acceptance.check_flow_consistency(cfg.seed)
@@ -335,7 +290,7 @@ def _cmd_flow(cfg: RunConfig) -> list:
     return docs
 
 
-def _cmd_suite(cfg: RunConfig) -> list:
+def _cmd_suite(cfg: argparse.Namespace) -> list:
     return run_suite(seed=cfg.seed)
 
 
@@ -351,6 +306,7 @@ _DISPATCH = {
     "flow": _cmd_flow,
     "suite": _cmd_suite,
 }
+VERBS = tuple(_DISPATCH)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,29 +335,18 @@ def run_command(argv) -> int:
     """Dispatch one CLI invocation; returns the process exit code."""
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        cfg = parser.parse_args(argv)
     except SystemExit:
         return 2
-    try:
-        cfg = RunConfig(
-            verb=ns.verb,
-            nu=ns.nu,
-            N=ns.N,
-            k=ns.k,
-            phi_source=ns.phi,
-            beta_source=ns.beta,
-            seed=ns.seed,
-            trials=ns.trials,
-            out=ns.out,
-            fmt=ns.fmt,
-            name=ns.name,
-            check=ns.check,
-            dt=ns.dt,
-            steps=ns.steps,
-        )
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    for bad, what in (
+        (cfg.N < 3, "N must be >= 3"),
+        (cfg.trials < 1, "trials must be >= 1"),
+        (cfg.steps < 1, "steps must be >= 1"),
+        (not (math.isfinite(cfg.dt) and cfg.dt > 0), "dt must be a finite positive number"),
+    ):
+        if bad:
+            print(f"usage error: {what}", file=sys.stderr)
+            return 2
     try:
         docs = _DISPATCH[cfg.verb](cfg)
     except (ValueError, NotImplementedError, OSError) as exc:

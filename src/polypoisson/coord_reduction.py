@@ -8,8 +8,8 @@ closed-form Poisson tensors on those coordinates (the quadratic Toda bracket,
 the lattice Virasoro bracket and its fixed-sequence generalisation, and the
 three distinguished nu = 3 tensors), and carries the machinery that verifies
 them: the chain-rule oracle, Dirac reduction at a constraint surface, the
-u -> S pushforward identity, exact Jacobiator evaluation and pencil
-compatibility certificates.
+u -> S pushforward identity, and one sweep of the pencil P + tQ at a field
+point that serves both exact Jacobiators and compatibility certificates.
 
 Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
@@ -753,9 +753,10 @@ def pushforward_check(u: PerSeq) -> Fraction:
     if not S.nonvanishing():
         raise ZeroDivisionError("S = u u' must be nonvanishing")
     P_u = closed_tensor("ftv_u", N).eval_matrix({"u": u})
-    # Jacobian of S = u u': dS = (u' + u D) du
-    J = [[(u[m + 1] if n == m else ZERO) + (u[m] if n == (m + 1) % N else ZERO) for n in range(N)] for m in range(N)]
-    lhs = linalg.mat_mul(linalg.mat_mul(J, P_u), linalg.transpose(J))
+    # the Jacobian of S = u u' is bidiagonal, dS_m = u_{m+1} du_m + u_m du_{m+1},
+    # so J P J^T is formed by rows and then by columns
+    JP = [[u[m + 1] * a + u[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
+    lhs = [[row[n] * u[n + 1] + row[(n + 1) % N] * u[n] for n in range(N)] for row in JP]
     rhs = closed_tensor("ftv_S", N).eval_matrix({"S": S})
     return linalg.max_abs(linalg.mat_sub(lhs, rhs))
 
@@ -769,33 +770,47 @@ def jacobiator(P, point) -> Fraction:
     """Max-abs Jacobiator of a tensor at a point, exact.
 
     The maximum over triples I < J < K of field sites of
-      |sum_s P_{I s} d_s P_{J K} + cyclic|.
-    The tensor is evaluated once, by ``PolyTensor.eval_sparse``, into lists
-    of its nonzero values and gradient entries; no dense matrix is built.
+      |sum_s P_{I s} d_s P_{J K} + cyclic|,
+    read as the t^0 term of ``_pencil_sums`` with no second tensor.
     """
-    TP = as_poly_tensor(P)
-    return _max_jacobiator(TP.n_vars(), *TP.eval_sparse(point))
+    L, sums = _pencil_sums(as_poly_tensor(P), None, point)
+    return Fraction(max((abs(a) for abc in sums for a, _, _ in abc), default=0), L)
 
 
-def _max_jacobiator(D: int, vals, grads) -> Fraction:
-    """The Jacobiator maximum from lists of values (I, s, P_Is) and gradient
-    entries (J, K, s, d_s P_JK) over D field sites.
+def _pencil_sums(TP: PolyTensor, TQ, point):
+    """The Jacobiator of the pencil P + tQ at a point, one smallest index at a time.
 
-    The values are scaled to ints by the lcm Lv of their denominators and
-    the gradient entries by the lcm Lg of theirs (``_int_tables``), the
-    Jacobiators are summed in ints by ``_accumulate`` one smallest index at a
-    time, and the result is the exact Fraction max |sum| / (Lv Lg).
+    Returns (L, sums): for each smallest index a, ``sums`` yields the list
+    of (x, y, z) over the triples a < b < c with a nonzero term, where the
+    triple's Jacobiator of P + tQ is (x + t y + t^2 z) / L: x = J(P), y the
+    mixed term (P's values against Q's gradients and Q's against P's), z =
+    J(Q).  TQ = None gives y = z = 0.
+
+    P and Q are each evaluated once, by ``PolyTensor.eval_sparse``, into
+    lists of their nonzero values and gradient entries; no dense matrix is
+    built.  The values are scaled to ints by the lcm Lv of their
+    denominators and the gradient entries by the lcm Lg of theirs
+    (``_int_tables``), so L = Lv Lg, and the sums are formed in ints by
+    ``_accumulate``.  The triples of one smallest index are held at a time.
     """
-    Lv = lcm(*{v.denominator for _, _, v in vals})
-    Lg = lcm(*{d.denominator for _, _, _, d in grads})
-    V, G = _int_tables(D, vals, grads, Lv, Lg)
-    res = 0
-    for a in range(D):
-        acc = defaultdict(int)
-        _accumulate(acc, a, D, V, G)
-        if acc:
-            res = max(res, max(map(abs, acc.values())))
-    return Fraction(res, Lv * Lg)
+    pv, pg = TP.eval_sparse(point)
+    qv, qg = TQ.eval_sparse(point) if TQ is not None else ([], [])
+    Lv = lcm(*{v.denominator for _, _, v in pv + qv})
+    Lg = lcm(*{d.denominator for _, _, _, d in pg + qg})
+    D = TP.n_vars()
+    VP, GP = _int_tables(D, pv, pg, Lv, Lg)
+    VQ, GQ = _int_tables(D, qv, qg, Lv, Lg)
+
+    def sums():
+        for a in range(D):
+            A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
+            _accumulate(A, a, D, VP, GP)
+            _accumulate(B, a, D, VP, GQ)
+            _accumulate(B, a, D, VQ, GP)
+            _accumulate(C, a, D, VQ, GQ)
+            yield [(A.get(k, 0), B.get(k, 0), C.get(k, 0)) for k in A.keys() | B.keys() | C.keys()]
+
+    return Lv * Lg, sums()
 
 
 def _int_tables(D: int, vals, grads, Lv: int, Lg: int):
@@ -858,32 +873,6 @@ def _accumulate(acc, a: int, D: int, V, G):
             acc[b * D + c] += v * d
 
 
-def shift_field(P, field_idx: int, lam):
-    """Substitute x -> x + lam at every site of one field family.
-
-    Returns (shifted PolyTensor, had_quadratic): when the entries are linear
-    in the family the result is the tensor plus lam times its constant-shift
-    Lie derivative, i.e. a pencil member.
-    """
-    TP = as_poly_tensor(P)
-    lam = rat(lam)
-    N = TP.N
-    fam = {_var(field_idx, m, N) for m in range(N)}
-    had_quadratic = any(p.degree_in(fam) >= 2 for p in TP.entries.values())
-    out = PolyTensor(TP.field_names, N, TP.bracket_scale)
-    for (i, m, j, n), poly in TP.entries.items():
-        acc_total = Poly()
-        for mono, c in poly.terms.items():
-            acc = Poly.const(c)
-            for v, e in mono:
-                base = Poly.var(v) + (lam if v in fam else 0)
-                for _ in range(e):
-                    acc = acc * base
-            acc_total = acc_total + acc
-        out.add_term(i, m, j, n, acc_total)
-    return out, had_quadratic
-
-
 T_SAMPLES = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2))
 
 
@@ -896,37 +885,30 @@ def compatibility(P, Q, points) -> Fraction:
     pencil satisfies Jacobi at that point.  The points themselves are
     sampled: a zero at every given point is evidence of compatibility, not
     a proof of it.
+    """
+    return _pencil_max(P, Q, points)[1]
 
-    P and Q are each evaluated once per point, by ``eval_sparse``, into int
-    tables over a common Lv and Lg, and each triple's Jacobiator a + t b +
-    t^2 c is summed once: a = J(P), b the mixed term (P's values against Q's
-    gradients and Q's against P's), c = J(Q).  For t = p/q the residual is
-    max |q^2 a + p q b + p^2 c| / (q^2 Lv Lg).
+
+def _pencil_max(P, Q, points):
+    """(max J(Q), compatibility(P, Q, points)), both from one sweep per point.
+
+    Each triple's Jacobiator x + t y + t^2 z comes from ``_pencil_sums``;
+    J(Q) is its t^2 term, and for t = p/q the pencil residual is
+    max |q^2 x + p q y + p^2 z| / (q^2 L).
     """
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if TP.field_names != TQ.field_names or TP.N != TQ.N:
         raise ValueError("tensors live on different field spaces")
-    D = TP.n_vars()
     ts = [(t.numerator, t.denominator) for t in T_SAMPLES]
-    res = ZERO
+    jac = res = ZERO
     for point in points:
-        pv, pg = TP.eval_sparse(point)
-        qv, qg = TQ.eval_sparse(point)
-        Lv = lcm(*{v.denominator for _, _, v in pv + qv})
-        Lg = lcm(*{d.denominator for _, _, _, d in pg + qg})
-        VP, GP = _int_tables(D, pv, pg, Lv, Lg)
-        VQ, GQ = _int_tables(D, qv, qg, Lv, Lg)
-        best = [0] * len(ts)
-        for a in range(D):
-            A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
-            _accumulate(A, a, D, VP, GP)
-            _accumulate(B, a, D, VP, GQ)
-            _accumulate(B, a, D, VQ, GP)
-            _accumulate(C, a, D, VQ, GQ)
-            keys = A.keys() | B.keys() | C.keys()
-            abc = [(A.get(k, 0), B.get(k, 0), C.get(k, 0)) for k in keys]
+        L, sums = _pencil_sums(TP, TQ, point)
+        top, best = 0, [0] * len(ts)
+        for abc in sums:
+            top = max(top, max((abs(z) for _, _, z in abc), default=0))
             for i, (p, q) in enumerate(ts):
                 qq, pq, pp = q * q, p * q, p * p
                 best[i] = max(best[i], max((abs(qq * x + pq * y + pp * z) for x, y, z in abc), default=0))
-        res = max(res, *(Fraction(m, q * q * Lv * Lg) for m, (_, q) in zip(best, ts)))
-    return res
+        jac = max(jac, Fraction(top, L))
+        res = max(res, *(Fraction(m, q * q * L) for m, (_, q) in zip(best, ts)))
+    return jac, res

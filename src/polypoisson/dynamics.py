@@ -4,7 +4,8 @@ Field observables are polynomials (``multipoly.Poly``) in the field-site
 variables ``_var(i, m, N)`` of a tensor: Hamiltonians, site sums, and the
 trace and determinant of the monodromy of the recursion.  Exact checks
 (flows, the symbolic commuting-integrals certificate, Lie-derivative
-deformations) run over the rationals; the only floating-point surface in
+deformations, whose pencil with the tensor is certified by one sweep per
+field point) run over the rationals; the only floating-point surface in
 the package is the fixed-step integrator at the bottom, which exists for
 exploratory trajectories and drift reporting.
 """
@@ -15,21 +16,18 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from random import Random
 
 from . import linalg
 from .coord_reduction import (
     Fields,
     PolyTensor,
+    _pencil_max,
     _var,
     alias_index,
     as_poly_tensor,
     closed_tensor,
-    compatibility,
     coords,
     field_gradients,
-    jacobiator,
-    random_fields,
 )
 from .exchange_algebra import Polygon
 from .lattice_ops import PerSeq
@@ -231,29 +229,19 @@ def lie_deform(P, direction) -> PolyTensor:
     return out
 
 
-def gf_check(P, direction, seed: int = 0, points: int = 3):
+def gf_check(P, direction, points):
     """Residuals of the three pencil identities for the shift deformation.
 
-    Returns (square of the Lie derivative, Jacobiator of the deformation,
-    compatibility of the pair), all exact; (0, 0, 0) certifies that the
-    deformed tensor is Poisson and compatible with the original.
+    Returns (the Lie derivative of LP = lie_deform(P) along the same shift,
+    max Jacobiator of LP at the points, compatibility of (P, LP) at the
+    points), all exact; (0, 0, 0) certifies that the deformed tensor is
+    Poisson and compatible with the original there.  The last two come from
+    one sweep of the pencil P + t LP per point.
     """
     TP = as_poly_tensor(P)
     LP = lie_deform(TP, direction)
-    fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
-    N = TP.N
-    fam = [_var(fidx, m, N) for m in range(N)]
-    second = ZERO
-    for poly in LP.entries.values():
-        for v in fam:
-            dd = poly.diff(v)
-            for c in dd.terms.values():
-                second = max(second, abs(c))
-    rng = Random(seed)
-    pts = [random_fields(TP.field_names, N, rng) for _ in range(points)]
-    jac = max((jacobiator(LP, pt) for pt in pts), default=ZERO)
-    compat = compatibility(TP, LP, pts)
-    return second, jac, compat
+    second = max((abs(c) for p in lie_deform(LP, direction).entries.values() for c in p.terms.values()), default=ZERO)
+    return (second, *_pencil_max(TP, LP, points))
 
 
 # ---------------------------------------------------------------------------

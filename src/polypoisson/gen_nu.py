@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
 
-from .coord_reduction import closed_tensor, field_gradients, jacobiator, random_fields, shift_field
+from .coord_reduction import closed_tensor, compatibility, field_gradients, random_fields
+from .dynamics import LinearityViolated, lie_deform
 from .exchange_algebra import BracketSpec, bracket_matrix, random_polygon
 from .lattice_ops import (
     DPoly,
@@ -70,47 +71,16 @@ def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
         raise ValueError("k must lie in 0..nu-1")
     width = N - 1
     js = range(-width, width + 1)
+    ks = [l for l in range(nu + 1) if l != k]
 
-    def ww_at(j):
+    def hat(j, ls, rs, e=1):
+        """Sum over l in ls of sign(x) - e delta(x) at x = j - e l, plus, for
+        each r in rs, phi + e delta at j + e (r - l)."""
         acc = Fraction(0)
-        for l in range(nu):
-            acc += sign(j - l) - _delta(j - l)
-            for r in range(nu):
-                acc += phi[j + r - l] + _delta(j + r - l)
-        return acc
-
-    def w_alk_at(j):
-        acc = Fraction(0)
-        for l in range(nu + 1):
-            if l == k:
-                continue
-            acc += sign(j - l) - _delta(j - l)
-            for r in range(nu):
-                acc += phi[j + r - l] + _delta(j + r - l)
-        return acc
-
-    def alk_w_at(j):
-        acc = Fraction(0)
-        for l in range(nu + 1):
-            if l == k:
-                continue
-            acc += sign(j + l) + _delta(j + l)
-            for r in range(nu):
-                acc += phi[j + l - r] - _delta(j + l - r)
-        return acc
-
-    def alk_alk_at(j):
-        acc = Fraction(0)
-        for l in range(nu + 1):
-            if l == k:
-                continue
-            acc += sign(j - l) - _delta(j - l)
-            for r in range(nu + 1):
-                if r == k:
-                    continue
-                acc += phi[j + r - l] + _delta(j + r - l)
-        for l in range(1, nu - k + 1):
-            acc += 2 * _delta(j - l)
+        for l in ls:
+            acc += sign(j - e * l) - e * _delta(j - e * l)
+            for r in rs:
+                acc += phi[j + e * (r - l)] + e * _delta(j + e * (r - l))
         return acc
 
     return HatKernels(
@@ -118,10 +88,10 @@ def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
         k,
         N,
         width,
-        {j: ww_at(j) for j in js},
-        {j: w_alk_at(j) for j in js},
-        {j: alk_w_at(j) for j in js},
-        {j: alk_alk_at(j) for j in js},
+        {j: hat(j, range(nu), range(nu)) for j in js},
+        {j: hat(j, ks, range(nu)) for j in js},
+        {j: hat(j, ks, range(nu), e=-1) for j in js},
+        {j: hat(j, ks, ks) + 2 * (1 <= j <= nu - k) for j in js},
     )
 
 
@@ -248,9 +218,12 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
     For each 1 <= k <= nu-1: quad_coeff(nu, k, phi^(k), N) must be the zero
     kernel.  For k = 0: the casimir_coeffs kernels must vanish and random
     polygons must satisfy {a^(0)_m, a^(j)_n} = 0 exactly.  The spectral-shift
-    verdict substitutes a^(k) -> a^(k) + lambda in the closed tensors (orders
-    2 and 3); for higher orders it records the kernel-level certificate
-    (vanishing quadratic coefficient) that the shift extends to a pencil.
+    verdict (orders 2 and 3) certifies at a sampled field point that the
+    closed tensor P and its Lie derivative LP along a^(k) -> a^(k) + lambda
+    form a pencil, which covers the shifted tensor P + lambda LP for every
+    lambda; a direction P is quadratic in gives residual 1.  For higher
+    orders it records the kernel-level certificate (vanishing quadratic
+    coefficient) that the shift extends to a pencil.
     """
     if nu < 2 or N < 3:
         raise ValueError("need nu >= 2 and N >= 3")
@@ -302,21 +275,18 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
     except NoSolution as exc:
         report.casimir = {"verdict": "skipped", "note": str(exc)}
 
-    rng = Random(seed + 1)
-    lambdas = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(3)]
     if nu in (2, 3) and solved:
+        rng = Random(seed + 1)
         resid = ZERO
         for k, phik in solved.items():
             base = closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik)
-            # field index of a^(k) inside the tensor's own ordering
+            # the a^(k) of the tensor's own field names
             alias = {2: {1: "mu"}, 3: {1: "b", 2: "a"}}[nu][k]
-            fidx = base.field_names.index(alias)
             pt = random_fields(base.field_names, N, rng)
-            for lam in lambdas:
-                shifted, quad_left = shift_field(base, fidx, lam)
-                if quad_left:
-                    resid = max(resid, Fraction(1))
-                resid = max(resid, jacobiator(shifted, pt))
+            try:
+                resid = max(resid, compatibility(base, lie_deform(base, alias), [pt]))
+            except LinearityViolated:
+                resid = max(resid, Fraction(1))
         report.spectral = {
             "verdict": "pass" if resid == 0 else "fail",
             "residual": rat_str(resid),

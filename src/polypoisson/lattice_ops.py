@@ -77,10 +77,6 @@ class PerSeq:
         c = rat(c)
         return PerSeq(self.N, tuple(c * a for a in self.values))
 
-    def shift(self, r: int) -> "PerSeq":
-        """The sequence m -> self[m + r]."""
-        return PerSeq(self.N, tuple(self[(m + r)] for m in range(self.N)))
-
     def is_zero(self) -> bool:
         return not any(self.values)
 

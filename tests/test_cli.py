@@ -124,6 +124,7 @@ def test_flow_writes_trajectory(tmp_path, capsys):
         ["flow", "--steps", "0"],
         ["flow", "--steps", "-3"],
         ["flow", "--dt", "0", "--steps", "10"],
+        ["pushforward", "--trials", "0"],
     ],
 )
 def test_vacuous_flow_is_usage_error(argv, capsys):

@@ -16,6 +16,7 @@ from polypoisson.coord_reduction import (
     NonUniqueGauge,
     OpTensor,
     PolyTensor,
+    _pencil_max,
     as_poly_tensor,
     closed_tensor,
     compatibility,
@@ -26,9 +27,9 @@ from polypoisson.coord_reduction import (
     oracle_match,
     pushforward_check,
     random_fields,
-    shift_field,
     toda_dirac_vs_ftv,
 )
+from polypoisson.dynamics import lie_deform
 from polypoisson.exchange_algebra import BracketSpec, Polygon, group_act, random_polygon, wronskian
 from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
 from polypoisson.multipoly import Poly
@@ -480,6 +481,8 @@ def test_compatibility_equals_pencil_jacobiator():
         want = max(dense_jacobiator(pencil(P, Q, t), pt) for pt in pts for t in ts)
         got.append(compatibility(P, Q, pts))
         assert got[-1] == want
+        # the same sweep reads J(Q) off the t^2 term
+        assert _pencil_max(P, Q, pts) == (max(dense_jacobiator(Q, pt) for pt in pts), want)
     assert got[0] == 0
     assert all(got[1:])
     assert any(r.denominator > 1 for r in got)
@@ -508,17 +511,17 @@ def test_compatibility_negative_control():
     assert compatibility(P1, broken, pts) != 0
 
 
-def test_shift_field_linear_direction():
+def test_pencil_with_lie_derivative_is_the_shifted_tensor():
+    # P + lam LP at a point is P at the point with the direction shifted by
+    # lam, so certifying the (P, LP) pencil covers every shifted tensor
     N = 5
-    toda = as_poly_tensor(closed_tensor("toda", N))
-    pt = random_fields(("mu", "rho"), N, Random(14))
-    shifted, had_quad = shift_field(toda, 0, F(3, 2))
-    assert not had_quad
-    # shifting mu by lambda only changes entries through their mu-dependence
-    moved = {"mu": PerSeq(N, tuple(v + F(3, 2) for v in pt["mu"].values)), "rho": pt["rho"]}
-    assert shifted.eval_matrix(pt) == toda.eval_matrix(moved)
-    _, had_quad = shift_field(as_poly_tensor(closed_tensor("ftv_u", N)), 0, F(1))
-    assert had_quad
+    rng = Random(14)
+    for name, direction in (("toda", "mu"), ("P1", "a"), ("P2", "b")):
+        P = as_poly_tensor(closed_tensor(name, N))
+        pt = random_fields(P.field_names, N, rng)
+        for lam in (F(3, 2), F(-2), F(1, 3)):
+            moved = dict(pt, **{direction: PerSeq(N, tuple(v + lam for v in pt[direction].values))})
+            assert pencil(P, lie_deform(P, direction), lam).eval_matrix(pt) == P.eval_matrix(moved)
 
 
 def test_op_tensor_json_round_trip():

@@ -264,9 +264,28 @@ def test_lie_deform_rejects_quadratic_direction():
 
 def test_gf_check_named_tensors():
     N = 5
+    rng = Random(3)
     for name, direction in (("toda", "mu"), ("P1", "a"), ("P2", "b")):
-        r1, r2, r3 = gf_check(closed_tensor(name, N), direction, seed=3, points=2)
+        P = closed_tensor(name, N)
+        pts = [random_fields(P.field_names, N, rng) for _ in range(2)]
+        r1, r2, r3 = gf_check(P, direction, pts)
         assert (r1, r2, r3) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("broken", ["toda", "P1", "P2"])
+def test_pencil_deformations_negative_controls(monkeypatch, broken):
+    assert all(d.passed for d in acceptance.check_pencil_deformations(0))
+    real_closed_tensor = acceptance.closed_tensor
+
+    def dropped(name, N):
+        T = as_poly_tensor(real_closed_tensor(name, N))
+        if name == broken:
+            del T.entries[min(T.entries)]
+        return T
+
+    monkeypatch.setattr(acceptance, "closed_tensor", dropped)
+    docs = acceptance.check_pencil_deformations(0)
+    assert {d.params["tensor"]: d.passed for d in docs} == {n: n != broken for n in ("toda", "P1", "P2")}
 
 
 def test_deformed_tensor_is_poisson():

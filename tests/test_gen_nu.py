@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from polypoisson import gen_nu
 from polypoisson.coord_reduction import closed_tensor
 from polypoisson.gen_nu import (
     HatKernels,
@@ -153,6 +154,28 @@ def test_check_theorem_small_orders():
         assert rep.spectral["verdict"] == "pass"
         doc = rep.to_json()
         assert doc["nu"] == nu and doc["N"] == N
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_check_theorem_spectral_negative_controls(monkeypatch, nu):
+    real_closed_tensor = gen_nu.closed_tensor
+
+    def dropped(name, N, phi):
+        T = real_closed_tensor(name, N, phi=phi)
+        del T.entries[min(T.entries)]
+        return T
+
+    def quadratic(name, N, phi):
+        # a phi other than phi^(k) leaves the bracket quadratic in a^(k)
+        return real_closed_tensor(name, N, phi=random_odd_kernel(N, Random(3)))
+
+    for control, residual in ((dropped, None), (quadratic, "1")):
+        monkeypatch.setattr(gen_nu, "closed_tensor", control)
+        rep = check_theorem(nu, 7, seed=0, polygons=1)
+        assert rep.spectral["verdict"] == "fail"
+        assert residual in (None, rep.spectral["residual"])
+        assert all(c["verdict"] == "pass" for c in rep.cases)
+        assert rep.casimir["verdict"] == "pass"
 
 
 def test_check_theorem_order4():

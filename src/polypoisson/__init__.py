@@ -8,7 +8,7 @@ structural identity exactly: no floating point outside the trajectory
 integrator.
 """
 
-from .linalg import Rational, rat, rat_str
+from .linalg import rat, rat_str
 from .lattice_ops import (
     DPoly,
     Kernel,

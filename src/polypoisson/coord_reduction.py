@@ -132,7 +132,7 @@ def coords(W: Polygon) -> Fields:
 def field_gradients(W: Polygon, field_names) -> list:
     """Vertex-space gradients of the named fields at W, field-major (_var order)."""
     ctx = _DualCtx(W)
-    return [ctx.field(alias_index(W.nu, f), m).grad for f in field_names for m in range(W.N)]
+    return [ctx.field(alias_index(W.nu, f), m)[1] for f in field_names for m in range(W.N)]
 
 
 def random_fields(field_names, N: int, rng: Random) -> dict:

@@ -27,9 +27,11 @@ ints, the quasi-periodicity and antisymmetry checks read the ints directly,
 and ``jacobi_residual`` reads the exact gradients of the entries it needs
 from the same triples.  The table is built per call; Q, A_pm and the nonzero
 lists are built once per BracketSpec.  An observable of the polygon is a
-function from a ``_DualCtx`` to a Dual, whose gradient is a sparse covector
-over the coordinates; every chain-rule bracket pairs such gradients against
-Pi with ``linalg.pairings``.
+function from a ``_DualCtx`` to a pair (value, gradient), the gradient a
+sparse {var: Fraction} covector over the coordinates: Wronskians, fields and
+affine-chart coordinates differentiate determinants and quotients in ints
+through ``linalg.det_grad``.  Every chain-rule bracket pairs such gradients
+against Pi with ``linalg.pairings``.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from random import Random
 
 from . import linalg
 from .lattice_ops import Kernel, PerSeq, sign
-from .linalg import ONE, ZERO, pairings, rat
-from .multipoly import Dual, dual_det
+from .linalg import ONE, ZERO, det_grad, pairings, rat
 
 
 class DegeneratePolygon(ValueError):
@@ -359,58 +360,80 @@ class BracketSpec:
 
 
 class _DualCtx:
-    """Caches dual-number vertices and Wronskians of a polygon (gradients over all coordinates)."""
+    """Vertices, Wronskians and fields of a polygon with exact gradients over all coordinates.
+
+    A vertex entry is (value, grad, den), grad a dict of ints over den: the
+    unit gradient for V_m with m < N, and for V_m = V_{m-N} M with N <= m <
+    2N the partials M_ca in V_{m-N}^c and V_{m-N}^c in M_ca.  Fields at sites
+    0..N-1 need no later vertex unless N < nu, which raises ValueError.
+    ``wronskian``, ``field`` and ``proj`` return (value, gradient), the
+    gradient a sparse {var: Fraction} covector, from ``linalg.det_grad``
+    (each Wronskian once per context) and the int quotient rule ``_quotient``.
+    """
 
     def __init__(self, W: Polygon):
         self.W = W
         self.nu = W.nu
         self.N = W.N
-        self._vertices: dict[int, list[Dual]] = {}
-        self._wronskians: dict[int, Dual] = {}
-        self._mdual = [
-            [Dual.var(W.M[i][j], W.var_m(i, j)) for j in range(W.nu)] for i in range(W.nu)
-        ]
-
-    def monodromy(self):
-        return self._mdual
+        self._vertices: dict[int, list] = {}
+        self._wronskians: dict[int, tuple] = {}
+        self._m, self._dm = linalg._scaled(W.M)
 
     def vertex(self, m: int) -> list:
-        if m < 0:
-            raise IndexError("dual vertices only extend forward")
-        if m not in self._vertices:
+        if not 0 <= m < 2 * self.N:
+            raise ValueError(f"vertex {m} is beyond V_0..V_{2 * self.N - 1}: field gradients need N >= nu")
+        row = self._vertices.get(m)
+        if row is None:
+            W, nu, mi, dm = self.W, self.nu, self._m, self._dm
             if m < self.N:
-                row = [
-                    Dual.var(self.W.V[m][a], self.W.var_v(m, a)) for a in range(self.nu)
-                ]
+                row = [(x, {W.var_v(m, a): 1}, 1) for a, x in enumerate(W.V[m])]
             else:
-                prev = self.vertex(m - self.N)
-                row = [
-                    sum((prev[c] * self._mdual[c][a] for c in range(self.nu)), Dual.const(0))
-                    for a in range(self.nu)
-                ]
+                (v,), dv = linalg._scaled([W.V[m - self.N]])
+                row = []
+                for a, x in enumerate(W.vertex(m)):
+                    grad = {W.var_v(m, c): mi[c][a] * dv for c in range(nu)}
+                    grad.update((W.var_m(c, a), v[c] * dm) for c in range(nu))
+                    row.append((x, grad, dv * dm))
             self._vertices[m] = row
-        return self._vertices[m]
+        return row
 
-    def wronskian(self, m: int) -> Dual:
+    def _w(self, m: int) -> tuple:
         if m not in self._wronskians:
-            self._wronskians[m] = dual_det([self.vertex(m + r) for r in range(self.nu)])
+            self._wronskians[m] = det_grad([self.vertex(m + r) for r in range(self.nu)])
         return self._wronskians[m]
 
-    def alpha(self, k: int, m: int) -> Dual:
-        rows = [self.vertex(m + r) for r in range(self.nu + 1) if r != k]
-        return dual_det(rows)
+    def wronskian(self, m: int) -> tuple:
+        w, g, den = self._w(m)
+        return w, {v: Fraction(x, den) for v, x in g.items()}
 
-    def field(self, k: int, m: int) -> Dual:
+    def field(self, k: int, m: int) -> tuple:
         """a^(k)_m: alpha^(k)/w for k >= 1 and w'/w for k = 0."""
-        w = self.wronskian(m)
         if k == 0:
-            return self.wronskian(m + 1) / w
-        return self.alpha(k, m) / w
+            return _quotient(self._w(m + 1), self._w(m))
+        rows = [self.vertex(m + r) for r in range(self.nu + 1) if r != k]
+        return _quotient(det_grad(rows), self._w(m))
 
-    def proj(self, m: int, comp: int) -> Dual:
+    def proj(self, m: int, comp: int) -> tuple:
         """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}."""
         row = self.vertex(m)
-        return row[comp] / row[self.nu - 1]
+        return _quotient(row[comp], row[self.nu - 1])
+
+
+def _quotient(A: tuple, B: tuple) -> tuple:
+    """(a / b, d(a / b)) for A = (a, ga, DA) and B = (b, gb, DB), da = ga / DA.
+
+    The quotient rule (b da - a db) / b^2 in ints, with a = an / ad and
+    b = bn / bd: (bn ad DB bd ga - an bd^2 DA gb) / (DA ad DB bn^2).
+    """
+    a, ga, DA = A
+    b, gb, DB = B
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    ca, cb = bn * ad * DB * bd, an * bd * bd * DA
+    acc = {v: ca * x for v, x in ga.items()}
+    for v, x in gb.items():
+        acc[v] = acc.get(v, 0) - cb * x
+    den = DA * ad * DB * bn * bn
+    return a / b, {v: Fraction(x, den) for v, x in acc.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -532,12 +555,12 @@ def bracket_matrix(spec: BracketSpec, W: Polygon):
 
 
 def chain_bracket(spec: BracketSpec, W: Polygon, f, g) -> Fraction:
-    """{f, g} at W for observables f, g (functions from a _DualCtx to a Dual).
+    """{f, g} at W for observables f, g (functions from a _DualCtx to (value, gradient)).
 
     The gradients are paired against the bracket matrix.
     """
     ctx = _DualCtx(W)
-    return pairings([f(ctx).grad], bracket_matrix(spec, W), [g(ctx).grad])[0][0]
+    return pairings([f(ctx)[1]], bracket_matrix(spec, W), [g(ctx)[1]])[0][0]
 
 
 def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
@@ -561,14 +584,14 @@ def momentum_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     coords = W.coordinates()
     w = [ctx.wronskian(m) for m in range(W.N)]
     units = [{vid: ONE} for vid in range(W.N * W.nu)]
-    table = pairings([wm.grad for wm in w], bracket_matrix(spec, W), units)
+    table = pairings([grad for _, grad in w], bracket_matrix(spec, W), units)
     res = ZERO
     for m, row in enumerate(table):
         for n in range(W.N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(W.nu):
                 vid = W.var_v(n, a)
-                res = max(res, abs(row[vid] - coeff * w[m].val * coords[vid]))
+                res = max(res, abs(row[vid] - coeff * w[m][0] * coords[vid]))
     return res
 
 
@@ -740,7 +763,7 @@ def projective_chain_table(spec: BracketSpec, W: Polygon):
     """
     k = spec.nu - 1
     ctx = _DualCtx(W)
-    grads = [ctx.proj(m, c).grad for m in range(W.N) for c in range(k)]
+    grads = [ctx.proj(m, c)[1] for m in range(W.N) for c in range(k)]
     flat = pairings(grads, bracket_matrix(spec, W), grads)
     return [
         [[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)]

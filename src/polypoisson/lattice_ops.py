@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .linalg import ONE, ZERO, Rational, dot, rat, rat_str
+from .linalg import ONE, ZERO, dot, rat, rat_str
 
 
 class SingularOperator(ValueError):

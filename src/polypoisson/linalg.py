@@ -6,17 +6,16 @@ picking the first nonzero pivot.  Elimination runs in scaled ints with
 Bareiss's fraction-free updates, in which every division is exact: ``det``
 scales the matrix once to ints over a common denominator, ``rref`` (under
 ``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
-``rref`` and ``adjugate`` share one fraction-free Gauss-Jordan.
-``pairings`` contracts in scaled ints as well.  All of them build Fractions
-only for their results.
+``rref`` and ``adjugate`` share one fraction-free Gauss-Jordan, which also
+gives ``det_grad``, the one determinant-with-gradient.  ``pairings``
+contracts in scaled ints as well.  All of them build Fractions only for
+their results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-
-Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -225,6 +224,31 @@ def adjugate(a):
     return [[Fraction(x, s) for x in row] for row in adj]
 
 
+def det_grad(rows):
+    """(det, g, den) for a square matrix of entries (value, grad, den), grad a dict of ints.
+
+    The values are scaled to an int matrix m = d A, and one fraction-free
+    elimination gives det m and adj m (the signed (n-1)-minors when m is
+    singular; all zero when rank m <= n-2).  The gradient is Jacobi's formula
+    d det A = sum_ij adj(A)_ji dA_ij, adj(A) = adj(m) / d^(n-1), summed in
+    ints over the entries' gradients scaled to one denominator dg: d det A =
+    g / den with den = d^(n-1) dg, g holding its nonzero ints only.
+    """
+    n = len(rows)
+    m, d = _scaled([[x for x, _, _ in row] for row in rows])
+    value, adj = _int_adjugate(m)
+    dg = lcm(*(den for row in rows for _, _, den in row))
+    acc = {}
+    for i, row in enumerate(rows):
+        for j, (_, grad, den) in enumerate(row):
+            c = adj[j][i]
+            if c:
+                c *= dg // den
+                for v, dx in grad.items():
+                    acc[v] = acc.get(v, 0) + c * dx
+    return Fraction(value, d**n), {v: g for v, g in acc.items() if g}, d ** (n - 1) * dg
+
+
 def rref(a):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns).
 
@@ -306,7 +330,7 @@ def pairings(F, A, G):
     """The chain-rule table [[f^T A g for g in G] for f in F], exact.
 
     F and G hold sparse covectors that map indices to rational coefficients,
-    as gradients (``Dual.grad``) do, and A is a rational matrix.  The rows of
+    as the gradients of polygon observables do, and A is a rational matrix.  The rows of
     A that some f reads, over the columns that some g reads, are scaled to
     ints over one denominator dA, and each f and g to ints over its own
     denominator; one covector f^T A is built per f in ints, and each entry is

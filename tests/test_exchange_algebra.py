@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from polypoisson import linalg
+from polypoisson.coord_reduction import field_gradients
 from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
@@ -28,8 +29,8 @@ from polypoisson.exchange_algebra import (
     wronskian,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
-from polypoisson.multipoly import Dual, dual_det
 from test_linalg import reference_pairings
+from test_multipoly import Dual, laplace_det
 
 F = Fraction
 
@@ -135,11 +136,20 @@ def reference_quasiperiodicity(spec, W):
     return res
 
 
+def dual_vertices(W, count):
+    """V_0..V_{count-1} (count >= N) and M as rows of Duals, extended by V_{m+N} = V_m M."""
+    nu, N = W.nu, W.N
+    M = [[Dual.var(W.M[i][j], W.var_m(i, j)) for j in range(nu)] for i in range(nu)]
+    V = [[Dual.var(x, W.var_v(m, a)) for a, x in enumerate(W.V[m])] for m in range(N)]
+    for m in range(N, count):
+        V.append([sum((V[m - N][c] * M[c][a] for c in range(nu)), Dual.const(0)) for a in range(nu)])
+    return V, M
+
+
 def reference_jacobi(spec, W, trials, seed):
     """jacobi_residual with every entry of Pi a Dual from reference_assemble."""
     rng = Random(seed)
-    ctx = _DualCtx(W)
-    Pi = reference_assemble(spec, [ctx.vertex(m) for m in range(W.N)], ctx.monodromy())
+    Pi = reference_assemble(spec, *dual_vertices(W, W.N))
 
     def pb(f, g):
         return Dual.const(0) + reference_pairings([f], Pi, [g])[0][0]
@@ -344,15 +354,50 @@ def test_field_sweep_computes_each_wronskian_once(monkeypatch):
 
     def counting_det(rows):
         calls.append(len(rows))
-        return dual_det(rows)
+        return linalg.det_grad(rows)
 
-    monkeypatch.setattr(ea, "dual_det", counting_det)
+    monkeypatch.setattr(ea, "det_grad", counting_det)
     nu, N = 3, 5
     ctx = _DualCtx(random_polygon(nu, N, Random(21)))
     for k in range(nu):
         for m in range(N):
             ctx.field(k, m)
     assert len(calls) == (N + 1) + (nu - 1) * N
+
+
+def _assert_same(got, want: Dual):
+    value, grad = got
+    assert type(value) is Fraction and all(type(x) is Fraction for x in grad.values())
+    assert (value, grad) == (want.val, {v: d for v, d in want.grad.items() if d})
+
+
+def test_field_gradients_match_dual_reference():
+    # every field, Wronskian and chart coordinate of _DualCtx against Duals
+    # extended by M and Laplace determinants, exactly and as Fractions; at
+    # nu = 5, where Laplace costs 5!, at the first and the last site only
+    rng = Random(23)
+    for nu, N in [(nu, N) for nu in range(2, 5) for N in sorted({nu, nu + 1, 2 * nu + 1, 13})] + [(5, 5), (5, 13)]:
+        W = random_polygon(nu, N, rng)
+        ctx = _DualCtx(W)
+        V, _ = dual_vertices(W, N + nu)
+        sites = range(N) if nu < 5 else (0, N - 1)
+        w = {n: laplace_det(V[n : n + nu]) for n in {m + e for m in sites for e in (0, 1)}}
+        for m in sites:
+            _assert_same(ctx.wronskian(m), w[m])
+            _assert_same(ctx.field(0, m), w[m + 1] / w[m])
+            for k in range(1, nu):
+                alpha = laplace_det([V[m + r] for r in range(nu + 1) if r != k])
+                _assert_same(ctx.field(k, m), alpha / w[m])
+            for c in range(nu - 1) if W.V[m][nu - 1] else ():
+                _assert_same(ctx.proj(m, c), V[m][c] / V[m][nu - 1])
+
+
+def test_field_gradients_need_n_at_least_nu():
+    # a hand-built polygon with N < nu reaches past V_{2N-1}; its
+    # Wronskians w_0..w_3 are -1, -3, -1, -3
+    W = Polygon(3, 2, ((1, 2, 0), (0, 1, 3)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    with pytest.raises(ValueError, match="N >= nu"):
+        field_gradients(W, ["a0"])
 
 
 def test_antisymmetry_ten_polygons_per_configuration():
@@ -405,7 +450,9 @@ def test_chain_bracket_antisymmetry_and_momentum():
         for n in range(N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(2):
-                got = chain_bracket(spec, W, lambda ctx: ctx.wronskian(m), lambda ctx: ctx.vertex(n)[a])
+                got = chain_bracket(
+                    spec, W, lambda ctx: ctx.wronskian(m), lambda ctx: (W.V[n][a], {W.var_v(n, a): F(1)})
+                )
                 assert got == coeff * W.wronskian_at(m) * W.V[n][a]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from polypoisson import linalg
 from polypoisson.linalg import ZERO, adjugate, det, nullspace, pairings, rref, solve
-from polypoisson.multipoly import Dual
+from test_multipoly import Dual
 
 F = Fraction
 

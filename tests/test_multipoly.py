@@ -1,9 +1,93 @@
+"""The determinant of a matrix of Duals by ``linalg.det_grad``, against Laplace.
+
+``Dual`` is a forward-mode oracle that lives in the tests only; the package
+differentiates determinants and quotients in ints (``linalg.det_grad`` and
+``exchange_algebra._quotient``), and ``test_exchange_algebra`` checks the
+polygon gradients against Duals as well.
+"""
+
 from fractions import Fraction
+from math import lcm
 from random import Random
 
-from polypoisson.multipoly import Dual, dual_det
+from polypoisson.linalg import ONE, ZERO, det_grad, rat
 
 F = Fraction
+
+
+class Dual:
+    """Value plus sparse exact gradient, for forward-mode differentiation."""
+
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val, grad=None):
+        self.val = rat(val) if not isinstance(val, Fraction) else val
+        self.grad = grad or {}
+
+    @classmethod
+    def var(cls, val, v: int) -> "Dual":
+        return cls(val, {v: ONE})
+
+    @classmethod
+    def const(cls, val) -> "Dual":
+        return cls(val, {})
+
+    def __bool__(self):
+        return bool(self.val) or bool(self.grad)
+
+    def __add__(self, other):
+        if not isinstance(other, Dual):
+            return Dual(self.val + rat(other), dict(self.grad))
+        g = dict(self.grad)
+        for v, d in other.grad.items():
+            s = g.get(v, ZERO) + d
+            if s:
+                g[v] = s
+            else:
+                g.pop(v, None)
+        return Dual(self.val + other.val, g)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Dual(-self.val, {v: -d for v, d in self.grad.items()})
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, Dual) else Dual.const(-rat(other)))
+
+    def __rsub__(self, other):
+        return (-self) + rat(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Dual):
+            c = rat(other)
+            if not c:
+                return Dual.const(0)
+            return Dual(self.val * c, {v: d * c for v, d in self.grad.items()})
+        g = {}
+        if other.val:
+            for v, d in self.grad.items():
+                g[v] = d * other.val
+        if self.val:
+            for v, d in other.grad.items():
+                s = g.get(v, ZERO) + self.val * d
+                if s:
+                    g[v] = s
+                else:
+                    g.pop(v, None)
+        return Dual(self.val * other.val, g)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Dual):
+            return self * (ONE / rat(other))
+        return self * other.reciprocal()
+
+    def reciprocal(self) -> "Dual":
+        inv = ONE / self.val
+        f = -inv * inv
+        return Dual(inv, {v: f * d for v, d in self.grad.items()})
 
 
 def laplace_det(rows) -> Dual:
@@ -34,11 +118,20 @@ def _random_dual(rng: Random, val=None) -> Dual:
     return Dual(val, {v: F(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for v in support})
 
 
+def as_entry(x: Dual) -> tuple:
+    """A Dual as a det_grad entry: (value, int gradient, its denominator)."""
+    den = lcm(*(c.denominator for c in x.grad.values()))
+    return x.val, {v: c.numerator * (den // c.denominator) for v, c in x.grad.items()}, den
+
+
 def _assert_matches_laplace(rows) -> Dual:
-    got, ref = dual_det(rows), laplace_det(rows)
-    assert got.val == ref.val
-    assert _nonzero(got.grad) == _nonzero(ref.grad)
-    return got
+    value, g, den = det_grad([[as_entry(x) for x in row] for row in rows])
+    ref = laplace_det(rows)
+    assert type(value) is Fraction and all(type(x) is int for x in g.values())
+    assert value == ref.val
+    assert {v: F(x, den) for v, x in g.items()} == _nonzero(ref.grad)
+    assert all(g.values())
+    return ref
 
 
 def test_dual_det_matches_laplace_on_random_sparse_matrices():

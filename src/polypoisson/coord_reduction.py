@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 from random import Random
 
@@ -228,24 +228,6 @@ class PolyTensor(_FieldTensor):
         x = self.point_values(point)
         for (i, m, j, n), poly in self.entries.items():
             yield i, m, j, n, poly.eval(x)
-
-    def eval_sparse(self, point):
-        """The nonzero values and gradient entries of the entries at the point.
-
-        Returns (vals, grads): vals lists (I, s, P_Is) and grads lists
-        (J, K, s, d_s P_JK), with I, J, K, s flat field-site indices, each
-        entry evaluated once by ``Poly.eval_grad``.
-        """
-        x = self.point_values(point)
-        N = self.N
-        vals, grads = [], []
-        for (i, m, j, n), poly in self.entries.items():
-            J, K = _var(i, m, N), _var(j, n, N)
-            val, grad = poly.eval_grad(x)
-            if val:
-                vals.append((J, K, val))
-            grads.extend((J, K, s, d) for s, d in grad.items())
-        return vals, grads
 
     def to_json(self) -> dict:
         ent = []
@@ -655,8 +637,6 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     covers every site, and a q-product other than 1 admits no exact periodic
     gauge at all (GaugeInconsistent).
     """
-    from math import gcd, prod
-
     W.require_nondegenerate()
     nu, N = W.nu, W.N
     if beta is None:
@@ -786,20 +766,24 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     mixed term (P's values against Q's gradients and Q's against P's), z =
     J(Q).  TQ = None gives y = z = 0.
 
-    P and Q are each evaluated once, by ``PolyTensor.eval_sparse``, into
-    lists of their nonzero values and gradient entries; no dense matrix is
-    built.  The values are scaled to ints by the lcm Lv of their
-    denominators and the gradient entries by the lcm Lg of theirs
-    (``_int_tables``), so L = Lv Lg, and the sums are formed in ints by
-    ``_accumulate``.  The triples of one smallest index are held at a time.
+    The point is scaled once to ints X over the lcm dx of its denominators;
+    with K the top degree of the entries and Lc the lcm of their coefficient
+    denominators, ``_int_eval`` evaluates each tensor once, values over Lv =
+    Lc dx^K and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0), so L
+    = Lv Lg.  No dense matrix and no Fraction is built; ``_accumulate`` sums
+    in ints, holding the triples of one smallest index at a time.
     """
-    pv, pg = TP.eval_sparse(point)
-    qv, qg = TQ.eval_sparse(point) if TQ is not None else ([], [])
-    Lv = lcm(*{v.denominator for _, _, v in pv + qv})
-    Lg = lcm(*{d.denominator for _, _, _, d in pg + qg})
+    x = TP.point_values(point)
+    dx = lcm(*{v.denominator for v in x})
+    X = [v.numerator * (dx // v.denominator) for v in x]
+    polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
+    top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
+    Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+    pw = [Lc * dx ** (top - k) for k in range(top + 1)]
+    Lv, Lg = pw[0], pw[1] if top else Lc
     D = TP.n_vars()
-    VP, GP = _int_tables(D, pv, pg, Lv, Lg)
-    VQ, GQ = _int_tables(D, qv, qg, Lv, Lg)
+    VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
+    VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
 
     def sums():
         for a in range(D):
@@ -813,25 +797,45 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     return Lv * Lg, sums()
 
 
-def _int_tables(D: int, vals, grads, Lv: int, Lg: int):
-    """The values and gradient entries of one tensor as int tables, (V, G).
+def _int_eval(T: PolyTensor, X, pw):
+    """(vals, grads) of T at the int point X: vals lists the nonzero (J, K, v)
+    and grads the nonzero (J, K, s, d_s), J, K, s flat field-site indices.  A
+    term c x^mono of degree k adds pw[k] c X^mono, pw[k] = Lc dx^(K-k), to
+    its value and the X-derivatives of that to its gradient entries."""
+    N = T.N
+    vals, grads = [], []
+    for (i, m, j, n), poly in T.entries.items():
+        J, K = _var(i, m, N), _var(j, n, N)
+        val, grad = 0, defaultdict(int)
+        for mono, c in poly.terms.items():
+            c = c.numerator * pw[sum(e for _, e in mono)] // c.denominator
+            powers = [X[v] ** e for v, e in mono]
+            val += c * prod(powers)
+            for k, (v, e) in enumerate(mono):
+                grad[v] += c * e * X[v] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+        if val:
+            vals.append((J, K, val))
+        grads.extend((J, K, s, d) for s, d in grad.items() if d)
+    return vals, grads
 
-    V = (row, col) holds Lv P: row[I] lists (s, P_Is), col[s] lists (I, P_Is)
-    by ascending I.  G = (by_s, up, down) holds Lg dP: by_s[s] lists (J, K,
+
+def _int_tables(D: int, vals, grads):
+    """The int values and gradient entries of one tensor as tables, (V, G).
+
+    V = (row, col) holds P: row[I] lists (s, P_Is), col[s] lists (I, P_Is)
+    by ascending I.  G = (by_s, up, down) holds dP: by_s[s] lists (J, K,
     d_s P_JK) with J < K by ascending J, up[J] lists (K, s, d_s P_JK) with
     K > J, down[K] lists (J, s, d_s P_JK) with J > K.
     """
     row = [[] for _ in range(D)]
     col = [[] for _ in range(D)]
     for I, s, v in vals:
-        v = v.numerator * (Lv // v.denominator)
         row[I].append((s, v))
         col[s].append((I, v))
     by_s = [[] for _ in range(D)]
     up = [[] for _ in range(D)]
     down = [[] for _ in range(D)]
     for J, K, s, d in grads:
-        d = d.numerator * (Lg // d.denominator)
         if J < K:
             by_s[s].append((J, K, d))
             up[J].append((K, s, d))
@@ -892,23 +896,27 @@ def compatibility(P, Q, points) -> Fraction:
 def _pencil_max(P, Q, points):
     """(max J(Q), compatibility(P, Q, points)), both from one sweep per point.
 
-    Each triple's Jacobiator x + t y + t^2 z comes from ``_pencil_sums``;
-    J(Q) is its t^2 term, and for t = p/q the pencil residual is
-    max |q^2 x + p q y + p^2 z| / (q^2 L).
+    Each triple's Jacobiator x + t y + t^2 z comes from ``_pencil_sums``; J(Q)
+    is its t^2 term, and for t = p/q the residual max |q^2 x + p q y + p^2 z|
+    / (q^2 L) is compared in ints over the lcm of the q^2.  No point: ValueError.
     """
+    if not points:
+        raise ValueError("at least one point is required")
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if TP.field_names != TQ.field_names or TP.N != TQ.N:
         raise ValueError("tensors live on different field spaces")
-    ts = [(t.numerator, t.denominator) for t in T_SAMPLES]
-    jac = res = ZERO
+    qq = lcm(*(t.denominator**2 for t in T_SAMPLES))
+    ts = [(t.denominator**2, t.numerator * t.denominator, t.numerator**2, qq // t.denominator**2) for t in T_SAMPLES]
+    jac, res = (0, 1), (0, 1)
     for point in points:
         L, sums = _pencil_sums(TP, TQ, point)
-        top, best = 0, [0] * len(ts)
+        top = best = 0
         for abc in sums:
             top = max(top, max((abs(z) for _, _, z in abc), default=0))
-            for i, (p, q) in enumerate(ts):
-                qq, pq, pp = q * q, p * q, p * p
-                best[i] = max(best[i], max((abs(qq * x + pq * y + pp * z) for x, y, z in abc), default=0))
-        jac = max(jac, Fraction(top, L))
-        res = max(res, *(Fraction(m, q * q * L) for m, (_, q) in zip(best, ts)))
-    return jac, res
+            for a, b, c, k in ts:
+                best = max(best, k * max((abs(a * x + b * y + c * z) for x, y, z in abc), default=0))
+        if top * jac[1] > jac[0] * L:
+            jac = (top, L)
+        if best * res[1] > res[0] * qq * L:
+            res = (best, qq * L)
+    return Fraction(*jac), Fraction(*res)

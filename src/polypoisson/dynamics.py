@@ -59,7 +59,7 @@ def field_polys(field_names, N: int) -> list:
     return a
 
 
-def _vars(H: Poly, TP: PolyTensor) -> set:
+def _vars(H: Poly, TP) -> set:
     """The variables of H, which must be field-site variables of the tensor."""
     vs = {v for mono in H.terms for v, _ in mono}
     if any(v >= TP.n_vars() for v in vs):
@@ -136,15 +136,16 @@ def det_transfer(field_names, N: int) -> Poly:
 
 
 def ham_vf(P, H: Poly, point) -> dict:
-    """Velocities P . dH at the point, exact, one sequence per field."""
-    TP = as_poly_tensor(P)
-    _vars(H, TP)
-    _, grad = H.eval_grad(TP.point_values(point))
-    vel = linalg.mat_vec(TP.eval_matrix(point), [grad.get(v, ZERO) for v in range(TP.n_vars())])
-    N = TP.N
+    """Velocities P . dH at the point, exact, per field, from the entry values of either form."""
+    _vars(H, P)
+    _, grad = H.eval_grad(P.point_values(point))
+    N = P.N
+    vel = [ZERO] * P.n_vars()
+    for i, m, j, n, v in P._values(point):
+        vel[_var(i, m, N)] += v * grad.get(_var(j, n, N), ZERO)
     return {
         name: PerSeq(N, tuple(vel[_var(i, m, N)] for m in range(N)))
-        for i, name in enumerate(TP.field_names)
+        for i, name in enumerate(P.field_names)
     }
 
 

@@ -8,15 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_json_roundtrip import op_tensors, rationals
 
-from polypoisson import linalg
+from polypoisson import acceptance, linalg
 from polypoisson.coord_reduction import (
     ConstraintNotSecondClass,
     Fields,
     GaugeInconsistent,
     NonUniqueGauge,
     OpTensor,
+    T_SAMPLES,
     PolyTensor,
     _pencil_max,
+    _var,
     as_poly_tensor,
     closed_tensor,
     compatibility,
@@ -29,7 +31,7 @@ from polypoisson.coord_reduction import (
     random_fields,
     toda_dirac_vs_ftv,
 )
-from polypoisson.dynamics import lie_deform
+from polypoisson.dynamics import gf_check, lie_deform
 from polypoisson.exchange_algebra import BracketSpec, Polygon, group_act, random_polygon, wronskian
 from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
 from polypoisson.multipoly import Poly
@@ -378,7 +380,7 @@ def dense_jacobiator(P, point) -> Fraction:
     """Reference Jacobiator: every triple I < J < K and all three cyclic terms, in Fractions.
 
     Values come from Poly.eval (through eval_matrix) and derivatives from
-    Poly.diff, independently of PolyTensor.eval_sparse.
+    Poly.diff, independently of the int evaluation of the pencil sweep.
     """
     TP = as_poly_tensor(P)
     N, D = TP.N, TP.n_vars()
@@ -486,6 +488,91 @@ def test_compatibility_equals_pencil_jacobiator():
     assert got[0] == 0
     assert all(got[1:])
     assert any(r.denominator > 1 for r in got)
+
+
+def uv_tensor(entries) -> PolyTensor:
+    """A PolyTensor on the fields (u, v) at N = 3 from {(i, m, j, n): {mono: coeff}}."""
+    T = PolyTensor(("u", "v"), 3)
+    for key, terms in entries.items():
+        T.add_term(*key, Poly(terms))
+    return T
+
+
+# flat variables at N = 3: u_m = m, v_m = 3 + m
+MIXED = uv_tensor({
+    (1, 0, 1, 1): {((3, 3),): F(2, 3)},  # v_0^3
+    (0, 1, 1, 2): {((1, 1), (4, 2)): F(-5, 7)},  # u_1 v_1^2
+    (0, 2, 0, 0): {(): F(3, 4)},  # a constant entry
+    (0, 0, 0, 2): {((2, 1),): F(-3, 4)},
+    (1, 1, 1, 2): {((1, 1),): F(1, 2), ((2, 1), (5, 1)): F(7, 5), ((0, 2),): F(-1, 3)},
+    (1, 2, 1, 1): {((1, 1),): F(-1, 2), ((3, 1), (4, 1)): F(2, 9)},
+    (0, 1, 1, 0): {((0, 1), (3, 1)): F(1, 6), (): F(-2)},
+})
+CUBIC = uv_tensor({
+    (0, 0, 1, 2): {((5, 3),): F(4, 5)},  # v_2^3
+    (1, 0, 0, 1): {((0, 1), (3, 2)): F(-1, 3), ((1, 2), (4, 1)): F(5, 11)},  # u_0 v_0^2, u_1^2 v_1
+    (0, 2, 1, 1): {((2, 1),): F(3, 8), (): F(1, 5)},
+})
+CONSTANT = uv_tensor({(0, 0, 1, 1): {(): F(3, 7)}, (1, 2, 0, 1): {(): F(-5, 2)}})
+EMPTY = uv_tensor({})
+UV_POINTS = [
+    # a zero coordinate among small-height values
+    {"u": PerSeq(3, (F(0), F(2, 3), F(-5, 2))), "v": PerSeq(3, (F(1), F(-3, 4), F(7, 5)))},
+    # denominators near 10^6, and a zero v
+    {"u": PerSeq(3, (F(1, 999983), F(-7, 1000003), F(4, 999979))), "v": PerSeq(3, (F(999961, 1000033), F(0), F(-2, 999953)))},
+]
+
+
+def test_int_evaluation_matches_dense_reference_on_every_scaling_path():
+    # cubic, constant, fractional and zero-valued terms against Poly.eval and
+    # Poly.diff, at points with a zero coordinate and with large denominators
+    jacs = []
+    for T in (MIXED, CUBIC, CONSTANT, EMPTY):
+        for pt in UV_POINTS:
+            got = jacobiator(T, pt)
+            assert type(got) is Fraction
+            assert got == dense_jacobiator(T, pt)
+            jacs.append(got)
+    assert jacobiator(EMPTY, UV_POINTS[0]) == 0
+    assert jacobiator(CONSTANT, UV_POINTS[0]) == 0  # no gradient entries at all
+    assert all(jacs[:4]) and any(r.denominator > 10**6 for r in jacs)
+    for P, Q in ((MIXED, CUBIC), (CUBIC, MIXED), (MIXED, CONSTANT), (CONSTANT, CONSTANT), (CUBIC, EMPTY), (EMPTY, EMPTY)):
+        got = compatibility(P, Q, UV_POINTS)
+        assert type(got) is Fraction
+        assert got == max(dense_jacobiator(pencil(P, Q, t), pt) for pt in UV_POINTS for t in T_SAMPLES)
+        jac_q, res = _pencil_max(P, Q, UV_POINTS)
+        assert type(jac_q) is Fraction and type(res) is Fraction
+        assert jac_q == max(dense_jacobiator(Q, pt) for pt in UV_POINTS)
+
+
+def test_gf_check_matches_dense_reference_with_a_perturbed_term():
+    N = 5
+    rng = Random(31)
+    P1 = as_poly_tensor(closed_tensor("P1", N))
+    pts = [random_fields(P1.field_names, N, rng) for _ in range(2)]
+    broken = PolyTensor(P1.field_names, N, P1.bracket_scale)
+    broken.entries = dict(P1.entries)
+    # a^0 b^2 / 3 added to one entry: still linear in the direction a
+    broken.add_term(1, 2, 2, 4, Poly({((_var(0, 0, N), 1), (_var(1, 2, N), 1)): F(1, 3)}))
+    LP = lie_deform(broken, "a")
+    got = gf_check(broken, "a", pts)
+    want = (
+        max(dense_jacobiator(LP, pt) for pt in pts),
+        max(dense_jacobiator(pencil(broken, LP, t), pt) for pt in pts for t in T_SAMPLES),
+    )
+    assert got == want and all(type(r) is Fraction for r in got)
+    assert got[1] != 0
+
+
+def test_pencil_needs_a_point():
+    P1 = closed_tensor("P1", 5)
+    P2 = closed_tensor("P2", 5)
+    with pytest.raises(ValueError, match="at least one point"):
+        compatibility(P1, P2, [])
+    with pytest.raises(ValueError, match="at least one point"):
+        gf_check(P1, "a", [])
+    with pytest.raises(ValueError, match="at least one point"):
+        acceptance.check_extended_toda_compat(0, points=0)
 
 
 def test_compatibility_self_and_pair():

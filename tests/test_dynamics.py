@@ -75,6 +75,24 @@ def test_ham_vf_casimir_tensor_freezes_rho():
     assert all(v == 0 for v in vel["rho"].values)
 
 
+def test_ham_vf_reads_either_tensor_form_like_the_dense_product():
+    # the sum over entry values matches P . dH formed with the dense matrix,
+    # and the operator form gives what its expansion gives
+    N = 5
+    rng = Random(6)
+    names = ("mu", "rho")
+    H = trace_transfer(names, N) + sum_field(names, N, "rho") * Poly.var(_var(0, 2, N), Fraction(-3, 2))
+    for T in (closed_tensor("toda", N), closed_tensor("murho", N, phi=phi_special(2, 1, N))):
+        TP = as_poly_tensor(T)
+        pt = random_fields(names, N, rng)
+        vel = ham_vf(T, H, pt)
+        assert vel == ham_vf(TP, H, pt)
+        _, grad = H.eval_grad(TP.point_values(pt))
+        dense = linalg.mat_vec(TP.eval_matrix(pt), [grad.get(v, 0) for v in range(TP.n_vars())])
+        assert [x for name in names for x in vel[name].values] == dense
+        assert any(dense)
+
+
 def test_lifted_vf_constant_wronskian():
     V = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1))
     M = ((1, -1), (1, 0))

@@ -35,7 +35,7 @@ from .exchange_algebra import (
     BracketSpec,
     Polygon,
     _DualCtx,
-    bracket_matrix,
+    _PiTable,
     wronskian,
 )
 from .lattice_ops import (
@@ -48,7 +48,7 @@ from .lattice_ops import (
     kernel_from_dpoly,
     phi_special,
 )
-from .linalg import ONE, ZERO, pairings, rat, rat_str
+from .linalg import ONE, ZERO, rat, rat_str
 from .multipoly import Poly
 
 
@@ -130,9 +130,12 @@ def coords(W: Polygon) -> Fields:
 
 
 def field_gradients(W: Polygon, field_names) -> list:
-    """Vertex-space gradients of the named fields at W, field-major (_var order)."""
+    """Vertex-space gradients of the named fields at W, field-major (_var order).
+
+    Each is an int covector (grad, den) standing for grad / den.
+    """
     ctx = _DualCtx(W)
-    return [ctx.field(alias_index(W.nu, f), m)[1] for f in field_names for m in range(W.N)]
+    return [ctx.field(alias_index(W.nu, f), m)[1:] for f in field_names for m in range(W.N)]
 
 
 def random_fields(field_names, N: int, rng: Random) -> dict:
@@ -614,7 +617,7 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     TP = as_poly_tensor(T)
     mat = TP.eval_matrix(fields)
     grads = field_gradients(W, TP.field_names)
-    table = pairings(grads, bracket_matrix(spec, W), grads)
+    table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
     res = ZERO
     for I, row in enumerate(table):
         for K, acc in enumerate(row):

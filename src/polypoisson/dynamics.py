@@ -176,9 +176,9 @@ def lifted_flow_residual(W: Polygon) -> Fraction:
     names = ("mu", "rho")
     vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W))
     res = ZERO
-    for I, grad in enumerate(field_gradients(W, names)):
+    for I, (grad, den) in enumerate(field_gradients(W, names)):
         i, m = divmod(I, N)
-        push = sum(c * flat.get(v, ZERO) for v, c in grad.items())
+        push = sum(c * flat.get(v, ZERO) for v, c in grad.items()) / den
         res = max(res, abs(push - vel[names[i]][m]))
     return res
 

@@ -24,14 +24,15 @@ triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
 nonzeros of R +- Q, phi and A_pm.  ``_PiTable`` evaluates it in ints at the
 polygon's scaled coordinates: ``bracket_matrix`` is the Fraction view of those
 ints, the quasi-periodicity and antisymmetry checks read the ints directly,
-and ``jacobi_residual`` reads the exact gradients of the entries it needs
+and ``jacobi_residual`` reads the int gradients of the entries it needs
 from the same triples.  The table is built per call; Q, A_pm and the nonzero
 lists are built once per BracketSpec.  An observable of the polygon is a
-function from a ``_DualCtx`` to a pair (value, gradient), the gradient a
-sparse {var: Fraction} covector over the coordinates: Wronskians, fields and
-affine-chart coordinates differentiate determinants and quotients in ints
-through ``linalg.det_grad``.  Every chain-rule bracket pairs such gradients
-against Pi with ``linalg.pairings``.
+function from a ``_DualCtx`` to a triple (value, grad, den), grad a sparse
+{var: int} covector over the coordinates standing for grad / den: fields
+come from one int solve per site, Wronskians from ``linalg.det_grad`` on the
+same elimination, and affine-chart coordinates from the quotient rule in
+ints.  Every chain-rule bracket pairs such int gradients against the ints of
+Pi with ``linalg.pairings`` and builds a Fraction per nonzero result only.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 from . import linalg
@@ -360,15 +361,19 @@ class BracketSpec:
 
 
 class _DualCtx:
-    """Vertices, Wronskians and fields of a polygon with exact gradients over all coordinates.
+    """Vertices, Wronskians and fields of a polygon with exact int gradients over all coordinates.
 
-    A vertex entry is (value, grad, den), grad a dict of ints over den: the
-    unit gradient for V_m with m < N, and for V_m = V_{m-N} M with N <= m <
-    2N the partials M_ca in V_{m-N}^c and V_{m-N}^c in M_ca.  Fields at sites
-    0..N-1 need no later vertex unless N < nu, which raises ValueError.
-    ``wronskian``, ``field`` and ``proj`` return (value, gradient), the
-    gradient a sparse {var: Fraction} covector, from ``linalg.det_grad``
-    (each Wronskian once per context) and the int quotient rule ``_quotient``.
+    A vertex entry is (value, grad, den), grad a dict of ints over den, one
+    den per vertex: the unit gradient for V_m with m < N, and for V_m =
+    V_{m-N} M with N <= m < 2N the partials M_ca in V_{m-N}^c and V_{m-N}^c
+    in M_ca.  Fields at sites 0..N-1 need no later vertex unless N < nu,
+    which raises ValueError.
+    ``wronskian``, ``field`` and ``proj`` return observables in the same
+    shape (value, grad, den).  Each site m is solved once per context:
+    V_{m+nu} = sum_k c_k V_{m+k} gives every field a^(k)_m = (-1)^(nu-1-k) c_k,
+    with c^T B_m = V_{m+nu} for B_m the rows V_m..V_{m+nu-1} and
+    dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1, from one adjugate of B_m in ints,
+    which also gives w_m = det B_m through ``linalg.det_grad``.
     """
 
     def __init__(self, W: Polygon):
@@ -376,7 +381,7 @@ class _DualCtx:
         self.nu = W.nu
         self.N = W.N
         self._vertices: dict[int, list] = {}
-        self._wronskians: dict[int, tuple] = {}
+        self._sites: dict[int, tuple] = {}
         self._m, self._dm = linalg._scaled(W.M)
 
     def vertex(self, m: int) -> list:
@@ -397,43 +402,49 @@ class _DualCtx:
             self._vertices[m] = row
         return row
 
-    def _w(self, m: int) -> tuple:
-        if m not in self._wronskians:
-            self._wronskians[m] = det_grad([self.vertex(m + r) for r in range(self.nu)])
-        return self._wronskians[m]
+    def _site(self, m: int) -> tuple:
+        """(B_m rows, (d, det, adj) of d B_m in ints, fields a^(0..nu-1)_m), once per site."""
+        site = self._sites.get(m)
+        if site is None:
+            nu = self.nu
+            rows = [self.vertex(m + r) for r in range(nu + 1)]
+            B, d = linalg._scaled([[x for x, _, _ in row] for row in rows[:nu]])
+            delta, adj = linalg._int_adjugate(B)
+            if not delta:
+                raise DegeneratePolygon(f"Wronskian vanishes at site {m}: V_{m}..V_{m + nu - 1} are dependent")
+            (v,), dv = linalg._scaled([[x for x, _, _ in rows[nu]]])
+            # c_k = c[k] / cd, since B^-1 = d adj / delta; c[nu] = -cd
+            cd = delta * dv
+            c = [d * sum(x * adj[a][k] for a, x in enumerate(v)) for k in range(nu)] + [-cd]
+            dg = lcm(*(den for row in rows for _, _, den in row))
+            # H[a] = (dV_{m+nu} - c^T dB)_a cd dg, and dc_k = sum_a H[a] d adj[a][k] / (cd dg delta)
+            H = [linalg._sparse_sum((-x * (dg // row[a][2]), row[a][1]) for x, row in zip(c, rows)) for a in range(nu)]
+            fields = []
+            for k in range(nu):
+                sgn = (-1) ** (nu - 1 - k)
+                grad = linalg._sparse_sum((sgn * d * adj[a][k], H[a]) for a in range(nu))
+                g = gcd(cd * dg * delta, *grad.values())  # smaller ints make every pairing cheaper
+                fields.append((Fraction(sgn * c[k], cd), {v: x // g for v, x in grad.items()}, cd * dg * delta // g))
+            site = self._sites[m] = (rows[:nu], (d, delta, adj), fields)
+        return site
 
     def wronskian(self, m: int) -> tuple:
-        w, g, den = self._w(m)
-        return w, {v: Fraction(x, den) for v, x in g.items()}
+        rows, solved, _ = self._site(m)
+        return det_grad(rows, solved)
 
     def field(self, k: int, m: int) -> tuple:
-        """a^(k)_m: alpha^(k)/w for k >= 1 and w'/w for k = 0."""
-        if k == 0:
-            return _quotient(self._w(m + 1), self._w(m))
-        rows = [self.vertex(m + r) for r in range(self.nu + 1) if r != k]
-        return _quotient(det_grad(rows), self._w(m))
+        """a^(k)_m = alpha^(k)/w for k >= 1 and w'/w for k = 0, from the solve at site m."""
+        return self._site(m)[2][k]
 
     def proj(self, m: int, comp: int) -> tuple:
-        """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}."""
-        row = self.vertex(m)
-        return _quotient(row[comp], row[self.nu - 1])
+        """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}, by the quotient rule in ints.
 
-
-def _quotient(A: tuple, B: tuple) -> tuple:
-    """(a / b, d(a / b)) for A = (a, ga, DA) and B = (b, gb, DB), da = ga / DA.
-
-    The quotient rule (b da - a db) / b^2 in ints, with a = an / ad and
-    b = bn / bd: (bn ad DB bd ga - an bd^2 DA gb) / (DA ad DB bn^2).
-    """
-    a, ga, DA = A
-    b, gb, DB = B
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    ca, cb = bn * ad * DB * bd, an * bd * bd * DA
-    acc = {v: ca * x for v, x in ga.items()}
-    for v, x in gb.items():
-        acc[v] = acc.get(v, 0) - cb * x
-    den = DA * ad * DB * bn * bn
-    return a / b, {v: Fraction(x, den) for v, x in acc.items() if x}
+        For a = an / ad, b = bn / bd with gradients ga, gb over D:
+        d(a / b) = (bn ad bd ga - an bd^2 gb) / (ad D bn^2).
+        """
+        (a, ga, D), (b, gb, _) = self.vertex(m)[comp], self.vertex(m)[self.nu - 1]
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        return a / b, linalg._sparse_sum(((bn * ad * bd, ga), (-an * bd * bd, gb))), ad * D * bn * bn
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +517,18 @@ class _PiTable:
 
     The coordinates are scaled to ints X over their common denominator den,
     so each value of Pi is an int over L den^2 and each gradient entry an int
-    over L den; the coordinates need not form a Polygon.
+    over L den; the coordinates need not form a Polygon.  A caller that pairs
+    at many points passes the table pi = _pi_table(spec) it built once.
     """
 
-    def __init__(self, spec: BracketSpec, coords):
-        self.L, self.rows = _pi_table(spec)
+    def __init__(self, spec: BracketSpec, coords, pi=None):
+        self.L, self.rows = pi or _pi_table(spec)
         self.den = lcm(*(x.denominator for x in coords))
         self.X = [x.numerator * (self.den // x.denominator) for x in coords]
 
+    @cached_property
     def ints(self) -> list:
-        """L den^2 Pi at the point: a D x D matrix of ints."""
+        """L den^2 Pi at the point: a D x D matrix of ints, built once."""
         X = self.X
         out = []
         for row in self.rows:
@@ -531,17 +544,20 @@ class _PiTable:
     def values(self) -> list:
         """Pi at the point: a D x D matrix of Fractions."""
         scale = self.L * self.den * self.den
-        return [[Fraction(v, scale) if v else ZERO for v in row] for row in self.ints()]
+        return [[Fraction(v, scale) if v else ZERO for v in row] for row in self.ints]
 
     def gradient(self, i: int, j: int) -> dict:
-        """d Pi_ij at the point, as a sparse covector {s: d_s Pi_ij}."""
+        """L den d Pi_ij at the point, as a sparse int covector {s: L den d_s Pi_ij}."""
         X = self.X
         g = {}
         for a, b, c in self.rows[i][j]:
             g[a] = g.get(a, 0) + c * X[b]
             g[b] = g.get(b, 0) + c * X[a]
-        scale = self.L * self.den
-        return {s: Fraction(v, scale) for s, v in g.items() if v}
+        return {s: v for s, v in g.items() if v}
+
+    def pairings(self, F, G) -> list:
+        """linalg.pairings of the int covectors F and G against Pi at the point."""
+        return pairings(F, self.ints, G, self.L * self.den**2)
 
 
 def bracket_matrix(spec: BracketSpec, W: Polygon):
@@ -555,12 +571,12 @@ def bracket_matrix(spec: BracketSpec, W: Polygon):
 
 
 def chain_bracket(spec: BracketSpec, W: Polygon, f, g) -> Fraction:
-    """{f, g} at W for observables f, g (functions from a _DualCtx to (value, gradient)).
+    """{f, g} at W for observables f, g (functions from a _DualCtx to (value, grad, den)).
 
-    The gradients are paired against the bracket matrix.
+    The int gradients are paired against the ints of Pi at W.
     """
     ctx = _DualCtx(W)
-    return pairings([f(ctx)[1]], bracket_matrix(spec, W), [g(ctx)[1]])[0][0]
+    return _PiTable(spec, W.coordinates()).pairings([f(ctx)[1:]], [g(ctx)[1:]])[0][0]
 
 
 def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
@@ -583,8 +599,8 @@ def momentum_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     ctx = _DualCtx(W)
     coords = W.coordinates()
     w = [ctx.wronskian(m) for m in range(W.N)]
-    units = [{vid: ONE} for vid in range(W.N * W.nu)]
-    table = pairings([grad for _, grad in w], bracket_matrix(spec, W), units)
+    units = [({vid: 1}, 1) for vid in range(W.N * W.nu)]
+    table = _PiTable(spec, coords).pairings([x[1:] for x in w], units)
     res = ZERO
     for m, row in enumerate(table):
         for n in range(W.N):
@@ -608,7 +624,7 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     nu, N = spec.nu, spec.N
     _, vv, phi, _, _ = spec._pi_template
     table = _PiTable(spec, W.coordinates())
-    P, X = table.ints(), table.X
+    P, X = table.ints, table.X
     base = N * nu
     M = [X[base + c * nu : base + c * nu + nu] for c in range(nu)]
     res = 0
@@ -635,7 +651,7 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
 def antisymmetry_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     """Max |Pi_ij + Pi_ji|, over L den^2 from the ints of the table."""
     table = _PiTable(spec, W.coordinates())
-    P = table.ints()
+    P = table.ints
     D = len(P)
     res = max(abs(P[i][j] + P[j][i]) for i in range(D) for j in range(i, D))
     return Fraction(res, table.L * table.den**2)
@@ -652,26 +668,26 @@ def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fr
 
     For linear f, g, h the Jacobiator term {f, {g, h}} pairs f against Pi and
     the gradient d{g, h} = sum_ij g_i h_j d Pi_ij, which is read from the
-    table at the few entries (i, j) that g and h select.
+    table at the few entries (i, j) that g and h select; all of it in ints
+    over the covectors' common denominators.
     """
     rng = Random(seed)
     table = _PiTable(spec, W.coordinates())
-    Pi = table.values()
 
-    def pb_grad(g: dict, h: dict) -> dict:
-        out = {}
-        for i, gi in g.items():
-            for j, hj in h.items():
-                for s, d in table.gradient(i, j).items():
-                    out[s] = out.get(s, ZERO) + gi * hj * d
-        return out
+    def scaled(f: dict) -> tuple:
+        d = lcm(*(c.denominator for c in f.values()))
+        return {i: c.numerator * (d // c.denominator) for i, c in f.items()}, d
+
+    def pb_grad(g: tuple, h: tuple) -> tuple:
+        out = linalg._sparse_sum((gi * hj, table.gradient(i, j)) for i, gi in g[0].items() for j, hj in h[0].items())
+        return out, g[1] * h[1] * table.L * table.den
 
     res = ZERO
     for _ in range(trials):
-        f = _random_sparse_linear(W, rng)
-        g = _random_sparse_linear(W, rng)
-        h = _random_sparse_linear(W, rng)
-        jac = sum(pairings([u], Pi, [pb_grad(v, w)])[0][0] for u, v, w in ((f, g, h), (g, h, f), (h, f, g)))
+        f = scaled(_random_sparse_linear(W, rng))
+        g = scaled(_random_sparse_linear(W, rng))
+        h = scaled(_random_sparse_linear(W, rng))
+        jac = sum(table.pairings([u], [pb_grad(v, w)])[0][0] for u, v, w in ((f, g, h), (g, h, f), (h, f, g)))
         res = max(res, abs(jac))
     return res
 
@@ -763,8 +779,8 @@ def projective_chain_table(spec: BracketSpec, W: Polygon):
     """
     k = spec.nu - 1
     ctx = _DualCtx(W)
-    grads = [ctx.proj(m, c)[1] for m in range(W.N) for c in range(k)]
-    flat = pairings(grads, bracket_matrix(spec, W), grads)
+    grads = [ctx.proj(m, c)[1:] for m in range(W.N) for c in range(k)]
+    flat = _PiTable(spec, W.coordinates()).pairings(grads, grads)
     return [
         [[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)]
         for m in range(W.N)

@@ -18,13 +18,15 @@ asserted exactly there; with N >= 2 nu + 1 this still covers every residue.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from .coord_reduction import closed_tensor, compatibility, field_gradients, random_fields
 from .dynamics import LinearityViolated, lie_deform
-from .exchange_algebra import BracketSpec, bracket_matrix, random_polygon
+from .exchange_algebra import BracketSpec, _PiTable, _pi_table, random_polygon
 from .lattice_ops import (
     DPoly,
     Kernel,
@@ -35,11 +37,7 @@ from .lattice_ops import (
     phi_special,
     sign,
 )
-from .linalg import ZERO, pairings, rat_str
-
-
-def _delta(j: int) -> int:
-    return 1 if j == 0 else 0
+from .linalg import ZERO, rat_str
 
 
 @dataclass(frozen=True)
@@ -66,32 +64,41 @@ class HatKernels:
 
 
 def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
-    """The four raw coefficient sums for given (nu, k, phi), over the window."""
+    """The four raw coefficient sums for given (nu, k, phi), over the window.
+
+    Each is summed in ints over the lcm L of phi's denominators.  The double
+    sum over (l, r) reads phi and delta at j + e (r - l) only, so the pairs
+    are counted once per difference r - l, and each offset costs O(nu).
+    """
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
     width = N - 1
-    js = range(-width, width + 1)
     ks = [l for l in range(nu + 1) if l != k]
+    L = lcm(*(x.denominator for x in phi.seq.values))
+    p = [int(x * L) for x in phi.seq.values]
 
-    def hat(j, ls, rs, e=1):
-        """Sum over l in ls of sign(x) - e delta(x) at x = j - e l, plus, for
+    def hat(ls, rs, e=1):
+        """j -> sum over l in ls of sign(x) - e delta(x) at x = j - e l, plus, for
         each r in rs, phi + e delta at j + e (r - l)."""
-        acc = Fraction(0)
-        for l in ls:
-            acc += sign(j - e * l) - e * _delta(j - e * l)
-            for r in rs:
-                acc += phi[j + e * (r - l)] + e * _delta(j + e * (r - l))
-        return acc
+        count = Counter(r - l for l in ls for r in rs)
+        out = {}
+        for j in range(-width, width + 1):
+            acc = L * sum(sign(j - e * l) - e * (j == e * l) for l in ls)
+            for d, c in count.items():
+                x = j + e * d
+                acc += c * (p[x % len(p)] + e * L * (x == 0))
+            out[j] = Fraction(acc, L)
+        return out
 
     return HatKernels(
         nu,
         k,
         N,
         width,
-        {j: hat(j, range(nu), range(nu)) for j in js},
-        {j: hat(j, ks, range(nu)) for j in js},
-        {j: hat(j, ks, range(nu), e=-1) for j in js},
-        {j: hat(j, ks, ks) + 2 * (1 <= j <= nu - k) for j in js},
+        hat(range(nu), range(nu)),
+        hat(ks, range(nu)),
+        hat(ks, range(nu), e=-1),
+        {j: x + 2 * (1 <= j <= nu - k) for j, x in hat(ks, ks).items()},
     )
 
 
@@ -200,14 +207,19 @@ class TheoremReport:
 
 
 def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, seed: int) -> Fraction:
-    """Exact chain-rule check that a^(0) brackets to zero with every field."""
+    """Exact chain-rule check that a^(0) brackets to zero with every field.
+
+    The int field gradients are paired against the ints of Pi at each polygon,
+    read from one table _pi_table(spec).
+    """
     rng = Random(seed)
     spec = BracketSpec.standard(nu, N, phi)
+    pi = _pi_table(spec)
     res = ZERO
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
         grads = field_gradients(W, [f"a{j}" for j in range(nu)])
-        for row in pairings(grads[:N], bracket_matrix(spec, W), grads):
+        for row in _PiTable(spec, W.coordinates(), pi).pairings(grads[:N], grads):
             res = max(res, *map(abs, row))
     return res
 

@@ -6,10 +6,10 @@ picking the first nonzero pivot.  Elimination runs in scaled ints with
 Bareiss's fraction-free updates, in which every division is exact: ``det``
 scales the matrix once to ints over a common denominator, ``rref`` (under
 ``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
-``rref`` and ``adjugate`` share one fraction-free Gauss-Jordan, which also
-gives ``det_grad``, the one determinant-with-gradient.  ``pairings``
-contracts in scaled ints as well.  All of them build Fractions only for
-their results.
+``rref`` and ``_int_adjugate`` share one fraction-free Gauss-Jordan, which
+also gives ``det_grad``, the one determinant-with-gradient.  ``pairings``
+contracts int gradients against an int matrix.  All of them build Fractions
+only for their results.
 """
 
 from __future__ import annotations
@@ -88,22 +88,6 @@ def transpose(a):
 
 def commutator(a, b):
     return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def kron(a, b):
-    """Kronecker product; index pair (i,k) -> i*len(b)+k."""
-    nb = len(b)
-    mb = len(b[0])
-    out = zeros(len(a) * nb, len(a[0]) * mb)
-    for i, row in enumerate(a):
-        for j, c in enumerate(row):
-            if not c:
-                continue
-            for k in range(nb):
-                for l in range(mb):
-                    if b[k][l]:
-                        out[i * nb + k][j * mb + l] = c * b[k][l]
-    return out
 
 
 def max_abs(a) -> Fraction:
@@ -212,41 +196,35 @@ def det(a) -> Fraction:
     return Fraction(_int_det(m), d ** len(m))
 
 
-def adjugate(a):
-    """adj(a) = det(a) a^-1, or the signed (n-1)-minors when a is singular.
-
-    Computed fraction-free on the scaled int matrix m = d a, whose adjugate
-    is d^(n-1) adj(a).
-    """
-    m, d = _scaled(a)
-    _, adj = _int_adjugate(m)
-    s = d ** (len(m) - 1) if m else 1
-    return [[Fraction(x, s) for x in row] for row in adj]
-
-
-def det_grad(rows):
+def det_grad(rows, solved=None):
     """(det, g, den) for a square matrix of entries (value, grad, den), grad a dict of ints.
 
     The values are scaled to an int matrix m = d A, and one fraction-free
     elimination gives det m and adj m (the signed (n-1)-minors when m is
-    singular; all zero when rank m <= n-2).  The gradient is Jacobi's formula
+    singular; all zero when rank m <= n-2); a caller that has run it already
+    passes ``solved = (d, det m, adj m)``.  The gradient is Jacobi's formula
     d det A = sum_ij adj(A)_ji dA_ij, adj(A) = adj(m) / d^(n-1), summed in
     ints over the entries' gradients scaled to one denominator dg: d det A =
     g / den with den = d^(n-1) dg, g holding its nonzero ints only.
     """
     n = len(rows)
-    m, d = _scaled([[x for x, _, _ in row] for row in rows])
-    value, adj = _int_adjugate(m)
+    if solved is None:
+        m, d = _scaled([[x for x, _, _ in row] for row in rows])
+        solved = (d, *_int_adjugate(m))
+    d, value, adj = solved
     dg = lcm(*(den for row in rows for _, _, den in row))
+    terms = ((adj[j][i] * (dg // den), grad) for i, row in enumerate(rows) for j, (_, grad, den) in enumerate(row))
+    return Fraction(value, d**n), _sparse_sum(terms), d ** (n - 1) * dg
+
+
+def _sparse_sum(terms) -> dict:
+    """sum c g over the pairs (c, g) in terms, g a sparse {index: int}; zeros dropped."""
     acc = {}
-    for i, row in enumerate(rows):
-        for j, (_, grad, den) in enumerate(row):
-            c = adj[j][i]
-            if c:
-                c *= dg // den
-                for v, dx in grad.items():
-                    acc[v] = acc.get(v, 0) + c * dx
-    return Fraction(value, d**n), {v: g for v, g in acc.items() if g}, d ** (n - 1) * dg
+    for c, g in terms:
+        if c:
+            for v, x in g.items():
+                acc[v] = acc.get(v, 0) + c * x
+    return {v: x for v, x in acc.items() if x}
 
 
 def rref(a):
@@ -326,41 +304,29 @@ def dot(u, v) -> Fraction:
     return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
 
 
-def pairings(F, A, G):
-    """The chain-rule table [[f^T A g for g in G] for f in F], exact.
+def pairings(F, A, G, den=1):
+    """The chain-rule table [[f^T A g / den for g in G] for f in F], exact.
 
-    F and G hold sparse covectors that map indices to rational coefficients,
-    as the gradients of polygon observables do, and A is a rational matrix.  The rows of
-    A that some f reads, over the columns that some g reads, are scaled to
-    ints over one denominator dA, and each f and g to ints over its own
-    denominator; one covector f^T A is built per f in ints, and each entry is
-    the single Fraction acc / (df dA dg), or 0 when acc is 0.
+    F and G hold int covectors (c, d), c a sparse {index: int} standing for
+    c / d, as the gradients of polygon observables do; A is a matrix of ints
+    over den, as ``_PiTable.ints`` gives Pi.  The rows of A that some f
+    reads are cut to the columns that some g reads, one int covector f^T A
+    is built per f, and each entry is the single Fraction acc / (df den dg),
+    or 0 when acc is 0.
     """
-    cols = sorted({j for g in G for j in g})
+    cols = sorted({j for g, _ in G for j in g})
     pos = {j: p for p, j in enumerate(cols)}
-    rows = sorted({i for f in F for i in f})
-    ints, dA = _scaled([[A[i][j] for j in cols] for i in rows])
-    block = dict(zip(rows, ints))
-    gs = []
-    for g in G:
-        gi, dg = _scaled_covector(g)
-        gs.append(([(pos[j], c) for j, c in gi.items() if c], dg * dA))
+    block = {i: [A[i][j] for j in cols] for i in {i for f, _ in F for i in f}}
+    gs = [([(pos[j], c) for j, c in g.items() if c], dg * den) for g, dg in G]
     table = []
-    for f in F:
-        fi, df = _scaled_covector(f)
+    for f, df in F:
         u = [0] * len(cols)
-        for i, c in fi.items():
+        for i, c in f.items():
             if c:
                 u = [x + c * y for x, y in zip(u, block[i])]
         out = []
-        for g, den in gs:
+        for g, dg in gs:
             acc = sum(u[p] * c for p, c in g)
-            out.append(Fraction(acc, df * den) if acc else ZERO)
+            out.append(Fraction(acc, df * dg) if acc else ZERO)
         table.append(out)
     return table
-
-
-def _scaled_covector(f: dict):
-    """(fi, d) with fi a covector of ints and f = fi / d."""
-    d = lcm(*(c.denominator for c in f.values()))
-    return {i: c.numerator * (d // c.denominator) for i, c in f.items()}, d

@@ -53,6 +53,22 @@ def random_rc_spec(nu, N, rng):
     return BracketSpec(nu, N, block(), block(), random_odd_kernel(N, rng))
 
 
+def kron(a, b):
+    """Kronecker product; index pair (i,k) -> i*len(b)+k (a test-only reference helper)."""
+    nb = len(b)
+    mb = len(b[0])
+    out = linalg.zeros(len(a) * nb, len(a[0]) * mb)
+    for i, row in enumerate(a):
+        for j, c in enumerate(row):
+            if not c:
+                continue
+            for k in range(nb):
+                for l in range(mb):
+                    if b[k][l]:
+                        out[i * nb + k][j * mb + l] = c * b[k][l]
+    return out
+
+
 def t_matrix(spec, k):
     """R + sgn(k) Q + phi_k Id(x)Id, the V-V block of the bracket at site difference k."""
     T = linalg.mat_add(spec.R, linalg.mat_scale(spec.Q, sign(k)))
@@ -85,12 +101,12 @@ def reference_assemble(spec, V, M):
     # V-V: {V_m (x) V_n} = (V_m (x) V_n) T_{m-n}
     for m in range(N):
         for n in range(N):
-            vv = linalg.mat_mul(linalg.kron([V[m]], [V[n]]), t_matrix(spec, m - n))[0]
+            vv = linalg.mat_mul(kron([V[m]], [V[n]]), t_matrix(spec, m - n))[0]
             for a in range(nu):
                 Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
     # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
-    one_m = linalg.kron(linalg.identity(nu), M)
-    m_one = linalg.kron(M, linalg.identity(nu))
+    one_m = kron(linalg.identity(nu), M)
+    m_one = kron(M, linalg.identity(nu))
     vm = linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus), linalg.mat_mul(spec.a_plus, one_m))
     for i in range(nu):
         block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
@@ -101,7 +117,7 @@ def reference_assemble(spec, V, M):
                     Pi[m * nu + a][base + i * nu + j] = x
                     Pi[base + i * nu + j][m * nu + a] = -x
     # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
-    mm = linalg.kron(M, M)
+    mm = kron(M, M)
     mm = linalg.mat_add(linalg.mat_mul(mm, spec.a_minus), linalg.mat_mul(spec.a_plus, mm))
     mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus), one_m))
     mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus), m_one))
@@ -125,7 +141,7 @@ def reference_quasiperiodicity(spec, W):
     for m in range(N):
         ext = [W.vertex(m + N)]
         for n in range(m + 1, N):
-            direct = linalg.mat_mul(linalg.kron(ext, [W.V[n]]), t_matrix(spec, m + N - n))[0]
+            direct = linalg.mat_mul(kron(ext, [W.V[n]]), t_matrix(spec, m + N - n))[0]
             for a in range(nu):
                 for b in range(nu):
                     acc = F(0)
@@ -200,8 +216,8 @@ def test_swap_normalized_casimir_property():
         for _ in range(5):
             g = [[F(rng.randint(-3, 3)) for _ in range(nu)] for _ in range(nu)]
             h = [[F(rng.randint(-3, 3)) for _ in range(nu)] for _ in range(nu)]
-            lhs = linalg.mat_mul(linalg.kron(g, h), Q)
-            rhs = linalg.mat_mul(Q, linalg.kron(h, g))
+            lhs = linalg.mat_mul(kron(g, h), Q)
+            rhs = linalg.mat_mul(Q, kron(h, g))
             assert linalg.max_abs(linalg.mat_sub(lhs, rhs)) == 0
 
 
@@ -317,12 +333,14 @@ def test_table_gradients_are_central_differences():
         D = len(x)
         table = _PiTable(spec, x)
         grads = [[table.gradient(i, j) for j in range(D)] for i in range(D)]
+        assert all(type(d) is int and d for row in grads for g in row for d in g.values())
         for s in range(D):
             plus = _PiTable(spec, [c + (k == s) for k, c in enumerate(x)]).values()
             minus = _PiTable(spec, [c - (k == s) for k, c in enumerate(x)]).values()
             for i in range(D):
                 for j in range(D):
-                    assert grads[i][j].get(s, 0) == (plus[i][j] - minus[i][j]) / 2
+                    got = F(grads[i][j].get(s, 0), table.L * table.den)
+                    assert got == (plus[i][j] - minus[i][j]) / 2
 
 
 def test_jacobi_negative_controls():
@@ -346,43 +364,45 @@ def test_jacobi_negative_controls():
 
 
 def test_field_sweep_computes_each_wronskian_once(monkeypatch):
-    # a sweep of all nu*N fields needs the N+1 Wronskians w_0..w_N and the
-    # (nu-1)*N numerators alpha^(k)_m with k >= 1, each determinant once
-    import polypoisson.exchange_algebra as ea
-
+    # a sweep of all nu*N fields and the N Wronskians w_0..w_{N-1} solves
+    # c^T B_m = V_{m+nu} once per site: N adjugates of nu x nu matrices
     calls = []
+    real = linalg._int_adjugate
 
-    def counting_det(rows):
-        calls.append(len(rows))
-        return linalg.det_grad(rows)
+    def counting_adjugate(m):
+        calls.append(len(m))
+        return real(m)
 
-    monkeypatch.setattr(ea, "det_grad", counting_det)
+    monkeypatch.setattr(linalg, "_int_adjugate", counting_adjugate)
     nu, N = 3, 5
     ctx = _DualCtx(random_polygon(nu, N, Random(21)))
     for k in range(nu):
         for m in range(N):
             ctx.field(k, m)
-    assert len(calls) == (N + 1) + (nu - 1) * N
+    for m in range(N):
+        ctx.wronskian(m)
+    assert calls == [nu] * N
 
 
 def _assert_same(got, want: Dual):
-    value, grad = got
-    assert type(value) is Fraction and all(type(x) is Fraction for x in grad.values())
+    value, grad, den = got
+    assert type(value) is Fraction and type(den) is int and den > 0
+    assert all(type(x) is int for x in grad.values())
+    grad = {v: Fraction(x, den) for v, x in grad.items()}
     assert (value, grad) == (want.val, {v: d for v, d in want.grad.items() if d})
 
 
 def test_field_gradients_match_dual_reference():
     # every field, Wronskian and chart coordinate of _DualCtx against Duals
-    # extended by M and Laplace determinants, exactly and as Fractions; at
-    # nu = 5, where Laplace costs 5!, at the first and the last site only
+    # extended by M and Laplace determinants, exactly, at every site and k:
+    # the per-site solve's int gradients over their den equal the Duals'
     rng = Random(23)
     for nu, N in [(nu, N) for nu in range(2, 5) for N in sorted({nu, nu + 1, 2 * nu + 1, 13})] + [(5, 5), (5, 13)]:
         W = random_polygon(nu, N, rng)
         ctx = _DualCtx(W)
         V, _ = dual_vertices(W, N + nu)
-        sites = range(N) if nu < 5 else (0, N - 1)
-        w = {n: laplace_det(V[n : n + nu]) for n in {m + e for m in sites for e in (0, 1)}}
-        for m in sites:
+        w = {n: laplace_det(V[n : n + nu]) for n in range(N + 1)}
+        for m in range(N):
             _assert_same(ctx.wronskian(m), w[m])
             _assert_same(ctx.field(0, m), w[m + 1] / w[m])
             for k in range(1, nu):
@@ -390,6 +410,19 @@ def test_field_gradients_match_dual_reference():
                 _assert_same(ctx.field(k, m), alpha / w[m])
             for c in range(nu - 1) if W.V[m][nu - 1] else ():
                 _assert_same(ctx.proj(m, c), V[m][c] / V[m][nu - 1])
+
+
+def test_field_gradients_on_a_degenerate_polygon_name_the_site():
+    # V_3 = V_2 makes B_1 = [V_1, V_2, V_3] singular, and B_2 and B_3 too
+    W = random_polygon(3, 7, Random(0))
+    V = list(W.V)
+    V[3] = V[2]
+    W = Polygon(3, 7, tuple(V), W.M)
+    assert W.wronskian_at(0) != 0 and W.wronskian_at(1) == 0
+    with pytest.raises(DegeneratePolygon, match="site 1:"):
+        field_gradients(W, ["a0", "a1", "a2"])
+    with pytest.raises(DegeneratePolygon, match="site 2:"):
+        _DualCtx(W).wronskian(2)
 
 
 def test_field_gradients_need_n_at_least_nu():
@@ -451,7 +484,7 @@ def test_chain_bracket_antisymmetry_and_momentum():
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(2):
                 got = chain_bracket(
-                    spec, W, lambda ctx: ctx.wronskian(m), lambda ctx: (W.V[n][a], {W.var_v(n, a): F(1)})
+                    spec, W, lambda ctx: ctx.wronskian(m), lambda ctx: (W.V[n][a], {W.var_v(n, a): 1}, 1)
                 )
                 assert got == coeff * W.wronskian_at(m) * W.V[n][a]
 

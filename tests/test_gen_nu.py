@@ -7,6 +7,7 @@ from polypoisson import gen_nu
 from polypoisson.coord_reduction import closed_tensor
 from polypoisson.gen_nu import (
     HatKernels,
+    _numeric_casimir_residual,
     casimir_coeffs,
     check_theorem,
     hat_consistency,
@@ -17,6 +18,7 @@ from polypoisson.gen_nu import (
 from polypoisson.lattice_ops import (
     DPoly,
     Kernel,
+    NoSolution,
     OddKernel,
     PerSeq,
     compose,
@@ -27,6 +29,55 @@ from polypoisson.lattice_ops import (
 )
 
 F = Fraction
+
+
+def reference_hats(nu, k, phi, N):
+    """The four raw window sums as the literal double sums over (l, r), in Fractions."""
+    width = N - 1
+    ks = [l for l in range(nu + 1) if l != k]
+
+    def delta(j):
+        return 1 if j == 0 else 0
+
+    def hat(j, ls, rs, e=1):
+        acc = Fraction(0)
+        for l in ls:
+            acc += sign(j - e * l) - e * delta(j - e * l)
+            for r in rs:
+                acc += phi[j + e * (r - l)] + e * delta(j + e * (r - l))
+        return acc
+
+    js = range(-width, width + 1)
+    return (
+        {j: hat(j, range(nu), range(nu)) for j in js},
+        {j: hat(j, ks, range(nu)) for j in js},
+        {j: hat(j, ks, range(nu), e=-1) for j in js},
+        {j: hat(j, ks, ks) + 2 * (1 <= j <= nu - k) for j in js},
+    )
+
+
+def test_hats_equal_the_double_sum_reference():
+    # the difference-count sums equal the literal double sums at every k,
+    # for N = nu + 2, 2 nu + 1 and 2 nu + 2 (gcd(nu, N) > 1 among them), for
+    # a random odd phi and for phi^(k) wherever it exists
+    rng = Random(6)
+    specials = 0
+    for nu in range(2, 7):
+        for N in (nu + 2, 2 * nu + 1, 2 * nu + 2):
+            odd = random_odd_kernel(N, rng)
+            for k in range(nu):
+                phis = [odd]
+                try:
+                    phis.append(phi_special(nu, k, N))
+                except NoSolution:
+                    pass
+                specials += len(phis) - 1
+                for phi in phis:
+                    hats = oppbs_hats(nu, k, phi, N)
+                    got = (hats.ww, hats.w_alk, hats.alk_w, hats.alk_alk)
+                    assert got == reference_hats(nu, k, phi, N), (nu, N, k)
+                    assert all(type(x) is Fraction for d in got for x in d.values())
+    assert specials == 60
 
 
 def test_ww_literal_sum_forms_agree():
@@ -191,6 +242,17 @@ def test_check_theorem_order6():
     assert all(c["verdict"] == "pass" for c in rep.cases)
     assert rep.casimir["verdict"] == "pass"
     assert rep.casimir["numeric_residual"] == "0"
+
+
+def test_numeric_casimir_residual_negative_control():
+    # an odd phi other than phi^(0) leaves {a^(0), a^(j)} nonzero; the exact
+    # residuals were computed by the Fraction chain rule before the int one
+    phi = random_odd_kernel(7, Random(5))
+    want = {2: F(65455, 528), 3: F(672382995393357, 2819809817816), 4: F(128193821545914018, 328525399108445)}
+    for nu, residual in want.items():
+        got = _numeric_casimir_residual(nu, 7, phi, 1, 0)
+        assert type(got) is Fraction and got == residual
+        assert _numeric_casimir_residual(nu, 7, phi_special(nu, 0, 7), 1, 0) == 0
 
 
 def test_check_theorem_noncoprime_reports_casimir_obstruction():

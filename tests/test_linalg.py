@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 from unittest import mock
 
@@ -7,10 +8,37 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import linalg
-from polypoisson.linalg import ZERO, adjugate, det, nullspace, pairings, rref, solve
+from polypoisson.linalg import ZERO, det, nullspace, pairings, rref, solve
 from test_multipoly import Dual
 
 F = Fraction
+
+
+def adjugate(a):
+    """adj(a) = det(a) a^-1, or the signed (n-1)-minors when a is singular.
+
+    Test-only wrapper around ``linalg._int_adjugate`` on the scaled int
+    matrix m = d a, whose adjugate is d^(n-1) adj(a).
+    """
+    m, d = linalg._scaled(a)
+    _, adj = linalg._int_adjugate(m)
+    s = d ** (len(m) - 1) if m else 1
+    return [[Fraction(x, s) for x in row] for row in adj]
+
+
+def int_pairings(F_, A, G):
+    """``linalg.pairings`` of Fraction covectors against a Fraction matrix.
+
+    The covectors are scaled to ints over their own denominators and A to
+    ints over one denominator, the shapes the package pairs in.
+    """
+
+    def scaled(f):
+        d = lcm(*(c.denominator for c in f.values()))
+        return {i: int(c * d) for i, c in f.items()}, d
+
+    ints, den = linalg._scaled(A)
+    return pairings([scaled(f) for f in F_], ints, [scaled(g) for g in G], den)
 
 
 def reference_pairings(F_, A, G):
@@ -52,9 +80,9 @@ def test_pairings_matches_dense_reference():
         [Dual(x, {v: F(rng.choice((-2, -1, 1, 2))) for v in rng.sample(range(4), 2) if rng.random() < 0.7}) for x in row]
         for row in frac
     ]
-    # pairings takes Fraction matrices only; the Dual case checks the
+    # pairings takes int matrices only; the Dual case checks the
     # reference that reference_jacobi pairs Dual-valued Pi with
-    for A, pair in ((frac, pairings), (dual, reference_pairings)):
+    for A, pair in ((frac, int_pairings), (dual, reference_pairings)):
         F_ = [random_covector(rng, D) for _ in range(4)] + [{}]
         cases = [
             [random_covector(rng, D) for _ in range(5)],
@@ -76,9 +104,11 @@ def test_pairings_matches_dense_reference():
                     else:
                         assert got == want
     # an asymmetric matrix tells f^T A g from f^T A^T g
-    A = [[F(0), F(1)], [F(0), F(0)]]
-    assert pairings([{0: F(1)}], A, [{1: F(1)}]) == [[F(1)]]
-    assert pairings([{1: F(1)}], A, [{0: F(1)}]) == [[F(0)]]
+    A = [[0, 1], [0, 0]]
+    assert pairings([({0: 1}, 1)], A, [({1: 1}, 1)]) == [[F(1)]]
+    assert pairings([({1: 1}, 1)], A, [({0: 1}, 1)]) == [[F(0)]]
+    # the int matrix's denominator and each covector's divide the entry once
+    assert pairings([({0: 3}, 2)], A, [({1: 5}, 7)], 9) == [[F(15, 126)]]
 
 
 def test_pairings_equals_reference_exactly():
@@ -92,13 +122,13 @@ def test_pairings_equals_reference_exactly():
     for _ in range(20):
         F_ = [random_covector(rng, D, dens=dens) for _ in range(3)] + [{}, {3: F(5, 6)}]
         for G in ([random_covector(rng, D, dens=dens) for _ in range(4)], [], [{}], [{3: F(1, 9)}, {0: F(-2, 35), 7: F(3, 4)}]):
-            got = pairings(F_, A, G)
+            got = int_pairings(F_, A, G)
             assert got == reference_pairings(F_, A, G)
             assert all(type(x) is Fraction for row in got for x in row)
     # the f over the zero row and the empty f give exact zeros
-    got = pairings([{}, {3: F(5, 6)}], A, [{0: F(1, 4)}, {5: F(2, 9)}])
+    got = int_pairings([{}, {3: F(5, 6)}], A, [{0: F(1, 4)}, {5: F(2, 9)}])
     assert got == [[0, 0], [0, 0]]
-    assert pairings([], A, [{0: F(1)}]) == []
+    assert int_pairings([], A, [{0: F(1)}]) == []
 
 
 def reference_det(a) -> Fraction:

@@ -1,9 +1,10 @@
 """The determinant of a matrix of Duals by ``linalg.det_grad``, against Laplace.
 
 ``Dual`` is a forward-mode oracle that lives in the tests only; the package
-differentiates determinants and quotients in ints (``linalg.det_grad`` and
-``exchange_algebra._quotient``), and ``test_exchange_algebra`` checks the
-polygon gradients against Duals as well.
+differentiates determinants, the per-site solve for the fields and the
+chart quotients in ints (``linalg.det_grad`` and ``exchange_algebra._DualCtx``),
+and ``test_exchange_algebra`` checks the polygon gradients against Duals as
+well.
 """
 
 from fractions import Fraction
@@ -91,20 +92,27 @@ class Dual:
 
 
 def laplace_det(rows) -> Dual:
-    """Reference determinant with gradient: Laplace expansion over Duals, O(n!)."""
+    """Reference determinant with gradient: Laplace expansion over Duals.
+
+    Expanded along the first row, then along the first row of each minor;
+    a minor is fixed by the columns it keeps, so each is expanded once.
+    """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    acc = Dual.const(0)
-    sign = 1
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * laplace_det(minor)
-        acc = acc + (term if sign > 0 else -term)
-        sign = -sign
-    return acc
+    memo = {}
+
+    def minor(cols: tuple) -> Dual:
+        row = rows[n - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        if cols not in memo:
+            acc = Dual.const(0)
+            for j, c in enumerate(cols):
+                term = row[c] * minor(cols[:j] + cols[j + 1 :])
+                acc = acc + (term if j % 2 == 0 else -term)
+            memo[cols] = acc
+        return memo[cols]
+
+    return minor(tuple(range(n)))
 
 
 def _nonzero(grad: dict) -> dict:

@@ -174,6 +174,7 @@ def check_projective(seed: int = 0, samples: int = 10) -> list:
     for nu in (2, 3):
         t0 = time.time()
         N = 5
+        R, _ = default_rc(nu)
         res = ZERO
         for _ in range(samples // 2):
             W = random_polygon(nu, N, rng)
@@ -184,7 +185,6 @@ def check_projective(seed: int = 0, samples: int = 10) -> list:
             phi_b = random_odd_kernel(N, rng)
             spec_a = BracketSpec.standard(nu, N, phi_a)
             spec_b = BracketSpec.standard(nu, N, phi_b)
-            R, _ = default_rc(nu)
             tables_a = projective_chain_table(spec_a, W)
             tables_b = projective_chain_table(spec_b, W)
             for m in range(N):

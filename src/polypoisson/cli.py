@@ -38,6 +38,7 @@ from .gen_nu import check_theorem
 from .lattice_ops import OddKernel, PerSeq, phi_special, random_odd_kernel
 from .linalg import rat_str
 
+
 def _load_phi(cfg: argparse.Namespace, rng: Random) -> OddKernel:
     src = cfg.phi
     if src == "special":

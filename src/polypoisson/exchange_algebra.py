@@ -21,26 +21,28 @@ by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
 All three blocks are quadratic in the coordinates, so the coordinate bracket
 matrix Pi is built in one place, ``_pi_table``: a sparse table of integer
 triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
-nonzeros of R +- Q, phi and A_pm.  ``_PiTable`` evaluates it in ints at the
+nonzeros of R, A_pm and phi.  ``_PiTable`` evaluates it in ints at the
 polygon's scaled coordinates: ``bracket_matrix`` is the Fraction view of those
 ints, the quasi-periodicity and antisymmetry checks read the ints directly,
 and ``jacobi_residual`` reads the int gradients of the entries it needs
-from the same triples.  The table is built per call; Q, A_pm and the nonzero
-lists are built once per BracketSpec.  An observable of the polygon is a
-function from a ``_DualCtx`` to a triple (value, grad, den), grad a sparse
-{var: int} covector over the coordinates standing for grad / den: fields
-come from one int solve per site, Wronskians from ``linalg.det_grad`` on the
-same elimination, and affine-chart coordinates from the quotient rule in
-ints.  Every chain-rule bracket pairs such int gradients against the ints of
-Pi with ``linalg.pairings`` and builds a Fraction per nonzero result only.
+from the same triples.  The table is built per call; R and C are read once
+per BracketSpec as nonzeros, over which Q and A_pm are summed sparsely.  An
+observable of the polygon is a function from a ``_DualCtx`` to a triple
+(value, grad, den), grad a sparse {var: int} covector over the coordinates
+standing for grad / den: fields come from one int solve per site, Wronskians
+from ``linalg.det_grad`` on the same elimination, and affine-chart
+coordinates from the quotient rule in ints.  Every chain-rule bracket pairs
+such int gradients against the ints of Pi with ``linalg.pairings`` and
+builds a Fraction per nonzero result only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import permutations
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from random import Random
 
 from . import linalg
@@ -73,6 +75,8 @@ class Polygon:
         object.__setattr__(self, "M", M)
         if len(V) != self.N or any(len(row) != self.nu for row in V):
             raise ValueError("V must hold N rows of length nu")
+        if len(M) != self.nu or any(len(row) != self.nu for row in M):
+            raise ValueError("M must be nu x nu")
         if linalg.det([list(r) for r in M]) != 1:
             raise ValueError("monodromy must have determinant 1")
 
@@ -128,12 +132,7 @@ class Polygon:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Polygon":
-        return cls(
-            int(doc["nu"]),
-            int(doc["N"]),
-            tuple(tuple(rat(x) for x in row) for row in doc["V"]),
-            tuple(tuple(rat(x) for x in row) for row in doc["M"]),
-        )
+        return cls(int(doc["nu"]), int(doc["N"]), doc["V"], doc["M"])
 
 
 def wronskian(W: Polygon) -> PerSeq:
@@ -207,24 +206,6 @@ def _nonzeros(X, nu: int) -> list:
     ]
 
 
-def flip_matrix(nu: int):
-    """The coordinate swap P on Q^nu (x) Q^nu: (x(x)y)P = y(x)x."""
-    n2 = nu * nu
-    P = linalg.zeros(n2, n2)
-    for a in range(nu):
-        for b in range(nu):
-            P[_pair(nu, a, b)][_pair(nu, b, a)] = ONE
-    return P
-
-
-def identity2(nu: int):
-    return linalg.identity(nu * nu)
-
-
-def _frozen(X) -> tuple:
-    return tuple(tuple(row) for row in X)
-
-
 def default_rc(nu: int):
     """The standard skew r-matrix and the Casimir element for sl_nu.
 
@@ -236,50 +217,53 @@ def default_rc(nu: int):
     """
     if nu < 2:
         raise ValueError("nu must be >= 2")
-    n2 = nu * nu
-    R = linalg.zeros(n2, n2)
-    for i in range(nu):
-        for j in range(i + 1, nu):
-            # E_ij (x) E_ji as an endomorphism: (a,b) -> (c,d) entry
-            # (E_ij)_{ac} (E_ji)_{bd} = [a=i][c=j][b=j][d=i]
-            R[_pair(nu, i, j)][_pair(nu, j, i)] += ONE
-            R[_pair(nu, j, i)][_pair(nu, i, j)] -= ONE
-    C = linalg.mat_sub(flip_matrix(nu), identity2(nu))
+    R, C = linalg.zeros(nu * nu, nu * nu), linalg.zeros(nu * nu, nu * nu)
+    for i, j in permutations(range(nu), 2):
+        # E_ij (x) E_ji as an endomorphism: (a,b) -> (c,d) entry
+        # (E_ij)_{ac} (E_ji)_{bd} = [a=i][c=j][b=j][d=i]
+        ij, ji = _pair(nu, i, j), _pair(nu, j, i)
+        R[ij][ji] = ONE if i < j else -ONE
+        # the swap minus the identity, which cancel at (i,i),(i,i)
+        C[ij][ji], C[ij][ij] = ONE, -ONE
     return R, C
 
 
-def _leg(X, nu: int, p: int, q: int):
-    """X acting on the legs p < q of Q^nu (x) Q^nu (x) Q^nu, as a nu^3 x nu^3 matrix."""
-    out = linalg.zeros(nu**3, nu**3)
-    for a, b, c, d, x in _nonzeros(X, nu):
+def _leg(terms: list, nu: int, p: int, q: int) -> dict:
+    """X, given by its nonzeros, on the legs p < q of (Q^nu)^(x)3, as sparse rows {row: [(col, x)]}."""
+    out = {}
+    for a, b, c, d, x in terms:
         for e in range(nu):
             row, col = [e] * 3, [e] * 3
             row[p], row[q], col[p], col[q] = a, b, c, d
-            out[(row[0] * nu + row[1]) * nu + row[2]][(col[0] * nu + col[1]) * nu + col[2]] = x
+            out.setdefault((row[0] * nu + row[1]) * nu + row[2], []).append(((col[0] * nu + col[1]) * nu + col[2], x))
     return out
 
 
 def verify_ybe(R, C) -> Fraction:
-    """Max-abs entry of [R12,R13] + [R12,R23] + [R13,R23] + [C12,C13]."""
+    """Max-abs entry of [R12,R13] + [R12,R23] + [R13,R23] + [C12,C13], by sparse products."""
     n2 = len(R)
-    nu = round(n2**0.5)
-    if nu * nu != n2 or len(C) != n2:
+    nu = isqrt(n2)
+    if nu * nu != n2 or len(C) != n2 or any(len(row) != n2 for row in (*R, *C)):
         raise ValueError("R and C must be nu^2 x nu^2 on the same nu")
-    r12, r13, r23 = _leg(R, nu, 0, 1), _leg(R, nu, 0, 2), _leg(R, nu, 1, 2)
-    c12, c13 = _leg(C, nu, 0, 1), _leg(C, nu, 0, 2)
-    acc = linalg.commutator(r12, r13)
-    acc = linalg.mat_add(acc, linalg.commutator(r12, r23))
-    acc = linalg.mat_add(acc, linalg.commutator(r13, r23))
-    acc = linalg.mat_add(acc, linalg.commutator(c12, c13))
-    return linalg.max_abs(acc)
+    R, C = _nonzeros(R, nu), _nonzeros(C, nu)
+    r12, r13, r23 = (_leg(R, nu, p, q) for p, q in ((0, 1), (0, 2), (1, 2)))
+    c12, c13 = (_leg(C, nu, 0, q) for q in (1, 2))
+    acc = {}
+    for X, Y in ((r12, r13), (r12, r23), (r13, r23), (c12, c13)):
+        for A, B, s in ((X, Y, 1), (Y, X, -1)):
+            for i, row in A.items():
+                for k, x in row:
+                    for j, y in B.get(k, ()):
+                        acc[i, j] = acc.get((i, j), ZERO) + s * x * y
+    return max((abs(x) for x in acc.values()), default=ZERO)
 
 
 @dataclass(frozen=True)
 class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
 
-    The derived data (Q, A_+- and the sparse nonzeros _pi_table reads) are
-    built once per spec.
+    R and C are dense nu^2 x nu^2 matrices, the public and JSON form.  The
+    sparse data _pi_table reads is built once per spec from their nonzeros.
     """
 
     nu: int
@@ -293,6 +277,9 @@ class BracketSpec:
         C = tuple(tuple(rat(x) for x in row) for row in self.C)
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "C", C)
+        n2 = self.nu * self.nu
+        if len(R) != n2 or len(C) != n2 or any(len(row) != n2 for row in (*R, *C)):
+            raise ValueError("R and C must be nu^2 x nu^2")
         if self.phi.N != self.N:
             raise ValueError("phi period must match N")
 
@@ -302,41 +289,25 @@ class BracketSpec:
         return cls(nu, N, tuple(tuple(r) for r in R), tuple(tuple(r) for r in C), phi)
 
     @cached_property
-    def Q(self):
-        """C + Id(x)Id, the swap-normalized Casimir block."""
-        return _frozen(linalg.mat_add(self.C, identity2(self.nu)))
-
-    @cached_property
-    def a_plus(self):
-        """A_+ = R + Q, a factor of the V-M and M-M blocks."""
-        return _frozen(linalg.mat_add(self.R, self.Q))
-
-    @cached_property
-    def a_minus(self):
-        """A_- = R - Q, a factor of the V-M and M-M blocks."""
-        return _frozen(linalg.mat_sub(self.R, self.Q))
-
-    @cached_property
     def _pi_template(self) -> tuple:
-        # The sparse data _pi_table builds Pi from, over one denominator L:
-        # (L, vv, phi, a_minus, a_plus).  vv[sgn(k)] lists the nonzeros of
-        # R + sgn(k) Q, phi[k] is phi_k L for k in [0, N), and a_minus/a_plus
-        # list the nonzeros of A_-/A_+, read here from their caches.  Each
-        # nonzero is (p, q, r, s, int): row (p, q), column (r, s), times L.
-        # R +- Q is summed here, not read from a_plus/a_minus, so that
-        # replacing those caches to probe the V-M and M-M blocks leaves the
-        # V-V block as it is.
-        nu, R, Q = self.nu, self.R, self.Q
-        vv = [_nonzeros(B, nu) for B in (R, linalg.mat_add(R, Q), linalg.mat_sub(R, Q))]
-        a_minus, a_plus = _nonzeros(self.a_minus, nu), _nonzeros(self.a_plus, nu)
+        """The sparse data _pi_table builds Pi from, over one denominator L.
+
+        (L, vv, phi, a_minus, a_plus): vv[s] lists the nonzeros of R + s Q
+        for s in (0, 1, -1), Q = C + Id(x)Id summed over the nonzeros of C,
+        in row-major order, each as (p, q, r, s, int): row (p, q), column
+        (r, s), times L.  phi[k] is phi_k L for k in [0, N).  a_minus and
+        a_plus, the factors A_pm = R +- Q of the V-M and M-M blocks, are
+        vv[-1] and vv[1]; a probe of those blocks may replace them alone.
+        """
+        nu = self.nu
+        R, Q = ({t[:4]: t[4] for t in _nonzeros(X, nu)} for X in (self.R, self.C))
+        Q.update({(a, b, a, b): Q.get((a, b, a, b), 0) + 1 for a in range(nu) for b in range(nu)})
+        keys = sorted(R.keys() | Q.keys())
+        vv = [[(*k, x) for k in keys if (x := R.get(k, 0) + s * Q.get(k, 0))] for s in (0, 1, -1)]
         phi = [self.phi[k] for k in range(self.N)]
-        entries = [x for terms in (*vv, a_minus, a_plus) for *_, x in terms] + phi
-        L = lcm(*(x.denominator for x in entries))
-
-        def scaled(terms):
-            return [(p, q, r, s, int(x * L)) for p, q, r, s, x in terms]
-
-        return L, [scaled(t) for t in vv], [int(x * L) for x in phi], scaled(a_minus), scaled(a_plus)
+        L = lcm(*(x.denominator for x in [t[4] for terms in vv for t in terms] + phi))
+        vv = [[(*t[:4], int(t[4] * L)) for t in terms] for terms in vv]
+        return L, vv, [int(x * L) for x in phi], vv[-1], vv[1]
 
     def to_json(self) -> dict:
         from .linalg import rat_str
@@ -351,13 +322,7 @@ class BracketSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BracketSpec":
-        return cls(
-            int(doc["nu"]),
-            int(doc["N"]),
-            tuple(tuple(rat(x) for x in row) for row in doc["R"]),
-            tuple(tuple(rat(x) for x in row) for row in doc["C"]),
-            Kernel.from_json(doc["phi"]),
-        )
+        return cls(int(doc["nu"]), int(doc["N"]), doc["R"], doc["C"], Kernel.from_json(doc["phi"]))
 
 
 class _DualCtx:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 from .coord_reduction import closed_tensor, compatibility, field_gradients, random_fields
@@ -270,8 +270,6 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
             "verdict": "pass" if resid == 0 else "fail",
             "residual": rat_str(resid),
         }
-        from math import gcd
-
         if resid != 0 and gcd(nu, N) > 1:
             report.casimir["note"] = (
                 f"known obstruction: gcd(nu, N) = {gcd(nu, N)} > 1 leaves a "

@@ -86,10 +86,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
 def max_abs(a) -> Fraction:
     m = ZERO
     for row in a:

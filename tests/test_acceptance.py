@@ -10,8 +10,10 @@ import hashlib
 
 import pytest
 
+from polypoisson import acceptance, coord_reduction, lattice_ops
 from polypoisson.acceptance import CHECKS, run_suite
 from polypoisson.cli import emit_report
+from polypoisson.lattice_ops import PerSeq
 
 SEED = 2024
 
@@ -42,3 +44,30 @@ def test_acceptance_criterion(check_id, suite_docs):
 def test_suite_json_report_is_byte_stable(suite_docs):
     text = emit_report(suite_docs, "json")
     assert hashlib.sha256(text.encode()).hexdigest() == SUITE_JSON_SHA256
+
+
+def test_linearity_choice_negative_control(monkeypatch):
+    # criterion 8 with phi^(k) swapped for phi^(k') of the wrong order k' =
+    # k mod (nu - 1) + 1: the a^(k) a^(k) coefficient quad_coeff(nu, k,
+    # phi^(k'), N) no longer vanishes.  At nu = 2 there is no other k.
+    real = lattice_ops.phi_special
+    monkeypatch.setattr(acceptance, "phi_special", lambda nu, k, N: real(nu, k % (nu - 1) + 1, N))
+    got = {(d.params["nu"], d.params["N"]): (d.residual, d.passed) for d in acceptance.check_linearity_choice(0)}
+    assert got == {(nu, N): ("0", True) if nu == 2 else ("2", False) for nu in (2, 3, 4, 5) for N in (7, 9, 11)}
+
+
+def test_toda_to_ftv_negative_control(monkeypatch):
+    # criterion 9 with the closed form ftv_u(beta) read at beta_0 + 1: the
+    # Dirac-reduced Toda bracket at rho = beta no longer matches it
+    real = coord_reduction.closed_tensor
+
+    def shifted(name, N, phi=None, beta=None):
+        if name == "ftv_u":
+            beta = PerSeq(N, (beta[0] + 1,) + tuple(beta[m] for m in range(1, N)))
+        return real(name, N, phi, beta)
+
+    monkeypatch.setattr(coord_reduction, "closed_tensor", shifted)
+    docs = acceptance.check_toda_to_ftv(0)
+    assert [(d.params["N"], d.params["beta"], d.residual, d.passed) for d in docs] == [
+        (N, beta, "1", False) for N in (5, 7) for beta in ("one", "random")
+    ]

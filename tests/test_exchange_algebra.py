@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt, lcm
 from random import Random
 
 import pytest
@@ -12,13 +13,12 @@ from polypoisson.exchange_algebra import (
     ProjPolygon,
     _DualCtx,
     _PiTable,
+    _nonzeros,
     _random_sparse_linear,
     bracket_matrix,
     chain_bracket,
     default_rc,
-    flip_matrix,
     group_act,
-    identity2,
     momentum_formula_coeff,
     projective_action,
     projective_bracket,
@@ -41,16 +41,67 @@ def spec_with(nu, N, phi=None, rng=None):
     return BracketSpec.standard(nu, N, phi)
 
 
+def random_block(nu, rng):
+    """A random sparse nu^2 x nu^2 matrix of small rationals."""
+    return [
+        [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(nu * nu)]
+        for _ in range(nu * nu)
+    ]
+
+
 def random_rc_spec(nu, N, rng):
     """A spec whose R and C are random sparse rationals, not an r-matrix pair."""
+    return BracketSpec(nu, N, random_block(nu, rng), random_block(nu, rng), random_odd_kernel(N, rng))
 
-    def block():
-        return [
-            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(nu * nu)]
-            for _ in range(nu * nu)
-        ]
 
-    return BracketSpec(nu, N, block(), block(), random_odd_kernel(N, rng))
+def flip_matrix(nu):
+    """The coordinate swap P on Q^nu (x) Q^nu: (x(x)y)P = y(x)x."""
+    P = linalg.zeros(nu * nu, nu * nu)
+    for a in range(nu):
+        for b in range(nu):
+            P[a * nu + b][b * nu + a] = F(1)
+    return P
+
+
+def identity2(nu):
+    return linalg.identity(nu * nu)
+
+
+def dense_q(spec):
+    """Q = C + Id(x)Id as a dense matrix."""
+    return linalg.mat_add([list(r) for r in spec.C], identity2(spec.nu))
+
+
+def dense_a_pm(spec):
+    """(A_-, A_+) = R -+ Q as dense matrices, or the pair halved_spec set on spec."""
+    if "reference_a_pm" in vars(spec):
+        return vars(spec)["reference_a_pm"]
+    R, Q = [list(r) for r in spec.R], dense_q(spec)
+    return linalg.mat_sub(R, Q), linalg.mat_add(R, Q)
+
+
+def reference_ybe(R, C):
+    """verify_ybe by dense nu^3 x nu^3 legs and dense commutators."""
+    nu = isqrt(len(R))
+
+    def leg(X, p, q):
+        out = linalg.zeros(nu**3, nu**3)
+        for a, b, c, d, x in _nonzeros(X, nu):
+            for e in range(nu):
+                row, col = [e] * 3, [e] * 3
+                row[p], row[q], col[p], col[q] = a, b, c, d
+                out[(row[0] * nu + row[1]) * nu + row[2]][(col[0] * nu + col[1]) * nu + col[2]] = x
+        return out
+
+    def commutator(a, b):
+        return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+
+    r12, r13, r23 = leg(R, 0, 1), leg(R, 0, 2), leg(R, 1, 2)
+    c12, c13 = leg(C, 0, 1), leg(C, 0, 2)
+    acc = commutator(r12, r13)
+    for a, b in ((r12, r23), (r13, r23), (c12, c13)):
+        acc = linalg.mat_add(acc, commutator(a, b))
+    return linalg.max_abs(acc)
 
 
 def kron(a, b):
@@ -71,20 +122,32 @@ def kron(a, b):
 
 def t_matrix(spec, k):
     """R + sgn(k) Q + phi_k Id(x)Id, the V-V block of the bracket at site difference k."""
-    T = linalg.mat_add(spec.R, linalg.mat_scale(spec.Q, sign(k)))
+    T = linalg.mat_add(spec.R, linalg.mat_scale(dense_q(spec), sign(k)))
     return linalg.mat_add(T, linalg.mat_scale(identity2(spec.nu), spec.phi[k]))
 
 
 def halved_spec(spec):
     """spec with the V-M and M-M factors A_+- replaced by (R +- C)/2.
 
-    A_+- are cached per spec, so they are set on a fresh spec before any
-    build reads them; the V-V block still reads R +- Q.
+    The sparse template is cached per spec, so a copy of spec's template
+    with only a_minus and a_plus replaced is set on a fresh spec before any
+    build reads it; the V-V block still reads R +- Q.  The dense halved pair
+    is kept on the spec for dense_a_pm.
     """
-    halved = BracketSpec(spec.nu, spec.N, spec.R, spec.C, spec.phi)
+    nu = spec.nu
+    halved = BracketSpec(nu, spec.N, spec.R, spec.C, spec.phi)
     R, C = [list(r) for r in spec.R], [list(r) for r in spec.C]
-    vars(halved)["a_plus"] = linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
-    vars(halved)["a_minus"] = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2))
+    a_pm = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2)), linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
+    L, vv, phi, _, _ = spec._pi_template
+    a_minus, a_plus = (_nonzeros(A, nu) for A in a_pm)
+    L2 = lcm(L, *(x.denominator for *_, x in a_minus + a_plus))
+    vars(halved)["_pi_template"] = (
+        L2,
+        [[(p, q, r, s, x * (L2 // L)) for p, q, r, s, x in terms] for terms in vv],
+        [x * (L2 // L) for x in phi],
+        *([(p, q, r, s, int(x * L2)) for p, q, r, s, x in terms] for terms in (a_minus, a_plus)),
+    )
+    vars(halved)["reference_a_pm"] = a_pm
     return halved
 
 
@@ -105,9 +168,10 @@ def reference_assemble(spec, V, M):
             for a in range(nu):
                 Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
     # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
+    a_minus, a_plus = dense_a_pm(spec)
     one_m = kron(linalg.identity(nu), M)
     m_one = kron(M, linalg.identity(nu))
-    vm = linalg.mat_sub(linalg.mat_mul(one_m, spec.a_minus), linalg.mat_mul(spec.a_plus, one_m))
+    vm = linalg.mat_sub(linalg.mat_mul(one_m, a_minus), linalg.mat_mul(a_plus, one_m))
     for i in range(nu):
         block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
         for m in range(N):
@@ -118,9 +182,9 @@ def reference_assemble(spec, V, M):
                     Pi[base + i * nu + j][m * nu + a] = -x
     # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
     mm = kron(M, M)
-    mm = linalg.mat_add(linalg.mat_mul(mm, spec.a_minus), linalg.mat_mul(spec.a_plus, mm))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, spec.a_plus), one_m))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, spec.a_minus), m_one))
+    mm = linalg.mat_add(linalg.mat_mul(mm, a_minus), linalg.mat_mul(a_plus, mm))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, a_plus), one_m))
+    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, a_minus), m_one))
     for i1 in range(nu):
         for j1 in range(nu):
             for i2 in range(nu):
@@ -181,7 +245,7 @@ def reference_jacobi(spec, W, trials, seed):
 
 
 def test_ybe_default_pair():
-    for nu in (2, 3, 4):
+    for nu in (2, 3, 4, 5, 6):
         R, C = default_rc(nu)
         assert verify_ybe(R, C) == 0
 
@@ -191,6 +255,56 @@ def test_ybe_negative_controls():
     zero = linalg.zeros(4, 4)
     assert verify_ybe(zero, C) == 1
     assert verify_ybe(R, zero) == 1
+    # one entry of R with its sign flipped at nu = 3
+    R, C = default_rc(3)
+    R[1][3] = -R[1][3]
+    res = verify_ybe(R, C)
+    assert res != 0 and res == reference_ybe(R, C)
+
+
+def test_ybe_sparse_equals_dense_reference():
+    rng = Random(24)
+    for nu in (2, 3):
+        for _ in range(4):
+            R, C = random_block(nu, rng), random_block(nu, rng)
+            res = verify_ybe(R, C)
+            assert res != 0 and res == reference_ybe(R, C), nu
+        R, C = default_rc(nu)
+        assert reference_ybe(R, C) == 0
+
+
+def test_ybe_rejects_malformed_shapes():
+    R, C = default_rc(2)
+    ragged = [list(row) for row in R]
+    ragged[2] = ragged[2][:3]
+    for bad in (ragged, linalg.zeros(5, 5), linalg.zeros(4, 9)):
+        with pytest.raises(ValueError):
+            verify_ybe(bad, C)
+        with pytest.raises(ValueError):
+            verify_ybe(R, bad)
+
+
+def test_default_rc_matches_dense_construction():
+    # C is the swap minus the identity; R is +1 at (i,j),(j,i) for i < j and -1 for i > j
+    for nu in range(2, 6):
+        R, C = default_rc(nu)
+        assert C == linalg.mat_sub(flip_matrix(nu), identity2(nu))
+        assert sorted((p, q, r, s, x) for p, q, r, s, x in _nonzeros(R, nu)) == sorted(
+            (i, j, j, i, F(1 if i < j else -1)) for i in range(nu) for j in range(nu) if i != j
+        )
+
+
+def test_pi_template_sums_r_and_q_sparsely():
+    # vv[s] lists the nonzeros of R + s Q scaled by L; a_minus and a_plus are vv[-1] and vv[1]
+    rng = Random(25)
+    for spec in [random_rc_spec(nu, 5, rng) for nu in (2, 3, 4)] + [spec_with(3, 5, rng=rng)]:
+        L, vv, phi, a_minus, a_plus = spec._pi_template
+        R, Q = [list(r) for r in spec.R], dense_q(spec)
+        for s, dense in ((0, R), (1, linalg.mat_add(R, Q)), (-1, linalg.mat_sub(R, Q))):
+            assert vv[s] == [(p, q, r, t, x * L) for p, q, r, t, x in _nonzeros(dense, spec.nu)]
+            assert all(type(x) is int for *_, x in vv[s])
+        assert a_minus is vv[-1] and a_plus is vv[1]
+        assert phi == [spec.phi[k] * L for k in range(spec.N)]
 
 
 def test_default_rc_rejects_nu_1():
@@ -224,6 +338,22 @@ def test_swap_normalized_casimir_property():
 def test_polygon_validation():
     with pytest.raises(ValueError):
         Polygon(2, 3, ((1, 0), (0, 1), (1, 1)), ((2, 0), (0, 1)))  # det != 1
+
+
+def test_from_json_rejects_malformed_shapes():
+    # a 3 x 3 monodromy at nu = 2 has det 1 but is not nu x nu; a 5 x 5 R
+    # at nu = 2 is not nu^2 x nu^2; each also with one ragged row
+    doc = random_polygon(2, 3, Random(26)).to_json()
+    for M in (["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]), (["1", "0"], ["0"]):
+        with pytest.raises(ValueError, match="M must be nu x nu"):
+            Polygon.from_json({**doc, "M": [list(row) for row in M]})
+    doc = spec_with(2, 5).to_json()
+    wide = [row + ["0"] for row in doc["R"]] + [["0"] * 5]
+    ragged = [list(row) for row in doc["C"]]
+    ragged[1] = ragged[1][:3]
+    for key, bad in (("R", wide), ("C", wide), ("R", ragged), ("C", ragged)):
+        with pytest.raises(ValueError, match="R and C must be nu"):
+            BracketSpec.from_json({**doc, key: bad})
 
 
 def test_polygon_extension_rule():
@@ -300,7 +430,7 @@ def test_bracket_blocks_at_identity_monodromy():
     Pi = bracket_matrix(spec, W)
     mvars = [W.var_m(i, j) for i in range(nu) for j in range(nu)]
     assert all(Pi[p][q] == 0 for p in mvars for q in mvars)
-    Q = linalg.mat_add([list(r) for r in spec.C], identity2(nu))
+    Q = dense_q(spec)
     for a in range(nu):
         for i in range(nu):
             for j in range(nu):

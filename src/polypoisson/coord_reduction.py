@@ -14,10 +14,11 @@ point that serves both exact Jacobiators and compatibility certificates.
 Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
 differentiation; OpTensor stores field-dressed operator words, the shape the
-closed formulas are written in.  One walk over the paths of a word serves
-both readings of it: ``to_poly`` takes each path's product as a polynomial,
-``eval_matrix`` as a number at a point, the only place a field inverse can
-be formed.
+closed formulas are written in.  One int walk over the paths of a word, its
+kernels and diagonal segments scaled once to ints, serves every reading:
+``to_poly`` builds one Fraction per coefficient, ``eval_matrix`` one per
+entry at a point (the only place a field inverse can be formed), and
+``pushforward_check`` one for its residual.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .lattice_ops import (
     phi_special,
 )
 from .linalg import ONE, ZERO, rat, rat_str
-from .multipoly import Poly
+from .multipoly import Poly, _mono_mul
 
 
 class NonUniqueGauge(ValueError):
@@ -167,7 +168,7 @@ class _FieldTensor:
     Entry ((i, m), (j, n)) is the bracket {x^i_m, x^j_n} scaled by
     ``bracket_scale`` relative to the raw reduced bracket of the polygon
     space (the named tensors carry the factor 1/2 their closed forms use).
-    Subclasses yield the entry values at a point from ``_values``.
+    Subclasses yield each entry's value at a point at most once from ``_values``.
     """
 
     def __init__(self, field_names, N: int, bracket_scale=ONE):
@@ -193,7 +194,7 @@ class _FieldTensor:
         N = self.N
         out = linalg.zeros(self.n_vars(), self.n_vars())
         for i, m, j, n, v in self._values(point):
-            out[_var(i, m, N)][_var(j, n, N)] += v
+            out[_var(i, m, N)][_var(j, n, N)] = v
         return out
 
     def _header(self, form: str) -> dict:
@@ -268,38 +269,60 @@ class OpTensor(_FieldTensor):
     def add_word(self, i: int, j: int, *factors):
         self.words.setdefault((i, j), []).append(tuple(factors))
 
-    def _paths(self, seg_value):
-        """Yield (i, m, j, n, value), one term per path of every word.
+    def _walk(self, seg_value):
+        """(L, sums): sums[i, m, j, n, mono] is the int total, over L, of the
+        products of the paths from site m to site n of the words of block (i, j).
 
         A word is split at its kernels into diagonal segments.  A path from
-        site m steps, at each kernel K, from its site s to a site n with
-        K[s - n] != 0, and ends at the site n it reaches after the last
-        kernel; its value is the product of those kernel entries and of
-        ``seg_value(segment, site)`` for each segment at the site the path is
-        on.  The words are never formed as N x N matrices.
+        site m steps, at each kernel K, from its site s to each s - d with
+        K_d != 0; its product is that of those kernel entries and of
+        ``seg_value(segment, site) = (mono, value)`` for each segment at the
+        site it is on.  Kernels and segments are scaled once to ints, so paths
+        multiply ints and monomials only, and paths meeting at one site and
+        monomial merge.
         """
         N = self.N
-        for (i, j), words in self.words.items():
-            for word in words:
-                segs, steps = [[]], []
+        words, L = [], 1
+        for (i, j), wlist in self.words.items():
+            for word in wlist:
+                # a unit step onto the start site reads the first segment like the others
+                segs, steps = [[]], [(1, [(0, 1)])]
                 for factor in word:
                     if factor[0] == "k":
-                        K = factor[1].seq
-                        steps.append([[(n, K[s - n]) for n in range(N) if K[s - n]] for s in range(N)])
+                        den, ks = _scaled(factor[1].seq.values)
+                        steps.append((den, [(d, k) for d, k in enumerate(ks) if k]))
                         segs.append([])
                     else:
                         segs[-1].append(factor)
-                diag = [[seg_value(seg, site) for site in range(N)] for seg in segs]
-                for m in range(N):
-                    paths = [(m, diag[0][m])]
-                    for step, dg in zip(steps, diag[1:]):
-                        paths = [(n, acc * dg[n] * kv) for s, acc in paths for n, kv in step[s]]
-                    for n, acc in paths:
-                        yield i, m, j, n, acc
+                diag = []
+                for seg in segs:
+                    monos, vals = zip(*[seg_value(seg, site) for site in range(N)])
+                    den, ints = _scaled(vals)
+                    diag.append((den, list(zip(monos, ints))))
+                den = prod(dn for dn, _ in steps + diag)
+                L = lcm(L, den)
+                words.append((i, j, den, [(nz, dg) for (_, nz), (_, dg) in zip(steps, diag)]))
+        sums = defaultdict(int)
+        for i, j, den, walk in words:
+            for m in range(N):
+                paths = {(m, ()): L // den}
+                for nz, dg in walk:
+                    nxt = defaultdict(int)
+                    for (s, mono), acc in paths.items():
+                        for d, kv in nz:
+                            n = (s - d) % N
+                            seg_mono, g = dg[n]
+                            if g:
+                                nxt[n, _mono_mul(mono, seg_mono)] += acc * kv * g
+                    paths = nxt
+                for (n, mono), acc in paths.items():
+                    sums[i, m, j, n, mono] += acc
+        return L, sums
 
-    def _values(self, point):
+    def int_matrix(self, point):
+        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L."""
         x = self.point_values(point)
-        N = self.N
+        N, D = self.N, self.n_vars()
 
         def at(seg, site):
             v = ONE
@@ -312,25 +335,40 @@ class OpTensor(_FieldTensor):
                     v /= x[_var(arg, site, N)]
                 else:
                     raise ZeroDivisionError(f"field {self.field_names[arg]} vanishes at site {site}")
-            return v
+            return (), v
 
-        return self._paths(at)
+        L, sums = self._walk(at)
+        rows = [[0] * D for _ in range(D)]
+        for (i, m, j, n, _), v in sums.items():
+            rows[_var(i, m, N)][_var(j, n, N)] = v
+        return L, rows
+
+    def _values(self, point):
+        L, rows = self.int_matrix(point)
+        N = self.N
+        for I, row in enumerate(rows):
+            yield from ((I // N, I % N, K // N, K % N, Fraction(v, L)) for K, v in enumerate(row) if v)
 
     def to_poly(self) -> PolyTensor:
         """Expand the operator words into polynomial entries (no field inverses)."""
         N = self.N
 
         def at(seg, site):
-            p = Poly.const(1)
+            mono, c = (), ONE
             for kind, arg in seg:
                 if kind == "finv":
                     raise ValueError("cannot expand a word with field inverses")
-                p = p * (Poly.var(_var(arg, site, N)) if kind == "f" else arg[site])
-            return p
+                if kind == "f":
+                    mono = _mono_mul(mono, ((_var(arg, site, N), 1),))
+                else:
+                    c *= arg[site]
+            return mono, c
 
+        L, sums = self._walk(at)
         out = PolyTensor(self.field_names, N, self.bracket_scale)
-        for i, m, j, n, p in self._paths(at):
-            out.add_term(i, m, j, n, p)
+        for (i, m, j, n, mono), c in sums.items():
+            if c:
+                out.entries.setdefault((i, m, j, n), Poly()).terms[mono] = Fraction(c, L)
         return out
 
     def to_json(self) -> dict:
@@ -374,6 +412,12 @@ class OpTensor(_FieldTensor):
                     factors.append(("k", kernel_from_dpoly(DPoly.from_json(f), out.N)))
             out.add_word(int(wd["i"]), int(wd["j"]), *factors)
         return out
+
+
+def _scaled(values):
+    """(den, ints): rational values as ints over den, the lcm of their denominators."""
+    den = lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def as_poly_tensor(P) -> PolyTensor:
@@ -735,13 +779,15 @@ def pushforward_check(u: PerSeq) -> Fraction:
     S = PerSeq(N, tuple(u[m] * u[m + 1] for m in range(N)))
     if not S.nonvanishing():
         raise ZeroDivisionError("S = u u' must be nonvanishing")
-    P_u = closed_tensor("ftv_u", N).eval_matrix({"u": u})
+    Lu, P_u = closed_tensor("ftv_u", N).int_matrix({"u": u})
+    LS, rhs = closed_tensor("ftv_S", N).int_matrix({"S": S})
+    du, U = _scaled(u.values)
     # the Jacobian of S = u u' is bidiagonal, dS_m = u_{m+1} du_m + u_m du_{m+1},
-    # so J P J^T is formed by rows and then by columns
-    JP = [[u[m + 1] * a + u[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
-    lhs = [[row[n] * u[n + 1] + row[(n + 1) % N] * u[n] for n in range(N)] for row in JP]
-    rhs = closed_tensor("ftv_S", N).eval_matrix({"S": S})
-    return linalg.max_abs(linalg.mat_sub(lhs, rhs))
+    # so J P J^T is formed by rows and then by columns, in ints over Lu du^2
+    JP = [[U[(m + 1) % N] * a + U[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
+    lhs = [[row[n] * U[(n + 1) % N] + row[(n + 1) % N] * U[n] for n in range(N)] for row in JP]
+    res = max(abs(a * LS - b * Lu * du * du) for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb))
+    return Fraction(res, LS * Lu * du * du)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +823,7 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     in ints, holding the triples of one smallest index at a time.
     """
     x = TP.point_values(point)
-    dx = lcm(*{v.denominator for v in x})
-    X = [v.numerator * (dx // v.denominator) for v in x]
+    dx, X = _scaled(x)
     polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
     top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
     Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
@@ -915,6 +960,7 @@ def _pencil_max(P, Q, points):
         L, sums = _pencil_sums(TP, TQ, point)
         top = best = 0
         for abc in sums:
+            abc = [xyz for xyz in abc if any(xyz)]
             top = max(top, max((abs(z) for _, _, z in abc), default=0))
             for a, b, c, k in ts:
                 best = max(best, k * max((abs(a * x + b * y + c * z) for x, y, z in abc), default=0))

@@ -71,3 +71,38 @@ def test_toda_to_ftv_negative_control(monkeypatch):
     assert [(d.params["N"], d.params["beta"], d.residual, d.passed) for d in docs] == [
         (N, beta, "1", False) for N in (5, 7) for beta in ("one", "random")
     ]
+
+
+def test_pushforward_negative_control(monkeypatch):
+    # criterion 10 with ftv_S missing its last word, the second one with a
+    # field inverse: S = u u' no longer carries ftv_u onto ftv_S
+    real = coord_reduction.closed_tensor
+
+    def lossy(name, N, phi=None, beta=None):
+        T = real(name, N, phi, beta)
+        if name == "ftv_S":
+            T.words[0, 0].pop()
+        return T
+
+    monkeypatch.setattr(coord_reduction, "closed_tensor", lossy)
+    docs = acceptance.check_pushforward(0)
+    assert [(d.residual, d.passed) for d in docs] == [("10", False), ("10", False), ("1", False)]
+
+
+def test_closed_forms_negative_control(monkeypatch):
+    # criterion 5 with the sign of the (0, 0, +1) linear block flipped, the
+    # 2 [n = m+1] x_n term of {mu, mu} and of {a, a}: the closed forms no
+    # longer match the chain-rule brackets
+    real = coord_reduction._add_linear_block
+
+    def flipped(T, i, j, shift, coeff, field, at_first_site):
+        if (i, j, shift) == (0, 0, 1):
+            coeff = -coeff
+        real(T, i, j, shift, coeff, field, at_first_site)
+
+    monkeypatch.setattr(coord_reduction, "_add_linear_block", flipped)
+    docs = acceptance.check_closed_forms(0)
+    assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [
+        ("murho", "358", False),
+        ("abrho", "8070975/48209", False),
+    ]

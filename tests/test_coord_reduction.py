@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_json_roundtrip import op_tensors, rationals
 
-from polypoisson import acceptance, linalg
+from polypoisson import acceptance, coord_reduction, linalg
 from polypoisson.coord_reduction import (
     ConstraintNotSecondClass,
     Fields,
@@ -149,17 +149,23 @@ def assert_eval_matches_reference(T: OpTensor, point):
         assert T.to_poly().eval_matrix(point) == ref
 
 
+def named_op_tensors(N: int, rng: Random) -> list:
+    """(tensor, fields) for every named OpTensor at N, ftv_u at a random beta
+    too, and the two-kernel tensor with its 1/3 and inverted kernels and its
+    constant diagonal."""
+    abr = ("a", "b", "rho")
+    cases = [(closed_tensor(name, N), fields) for name, fields in (
+        ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("P0", ("a", "b")), ("ftv_u", ("u",)), ("ftv_S", ("S",))
+    )]
+    cases.append((closed_tensor("ftv_u", N, beta=random_fields(("beta",), N, rng)["beta"]), ("u",)))
+    cases.append((two_kernel_tensor(N), ("a", "b")))
+    return cases
+
+
 def test_optensor_to_poly_matches_eval():
     rng = Random(3)
-    abr = ("a", "b", "rho")
     for N in (5, 7):
-        cases = [(closed_tensor(name, N), fields) for name, fields in (
-            ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("P0", ("a", "b")), ("ftv_u", ("u",)), ("ftv_S", ("S",))
-        )]
-        beta = random_fields(("beta",), N, rng)["beta"]
-        cases.append((closed_tensor("ftv_u", N, beta=beta), ("u",)))
-        cases.append((two_kernel_tensor(N), ("a", "b")))
-        for T, fields in cases:
+        for T, fields in named_op_tensors(N, rng):
             assert_eval_matches_reference(T, random_fields(fields, N, rng))
 
 
@@ -174,6 +180,103 @@ def op_tensors_at_points(draw):
 @given(op_tensors_at_points())
 def test_optensor_eval_matches_dense_reference(case):
     assert_eval_matches_reference(*case)
+
+
+def reference_to_poly(T: OpTensor) -> PolyTensor:
+    """The per-path expansion of an OpTensor: every path from each site m
+    carries its product as a Poly, multiplied factor by factor, and each
+    path's Poly is added to its entry."""
+    N = T.N
+    out = PolyTensor(T.field_names, N, T.bracket_scale)
+    for (i, j), words in T.words.items():
+        for word in words:
+            for m in range(N):
+                paths = [(m, Poly.const(1))]
+                for kind, arg in word:
+                    if kind == "k":
+                        paths = [(n, p * arg[s - n]) for s, p in paths for n in range(N) if arg[s - n]]
+                    elif kind == "f":
+                        paths = [(s, p * Poly.var(_var(arg, s, N))) for s, p in paths]
+                    else:
+                        assert kind == "c"
+                        paths = [(s, p * arg[s]) for s, p in paths]
+                for n, p in paths:
+                    out.add_term(i, m, j, n, p)
+    return out
+
+
+def test_to_poly_equals_per_path_reference():
+    # the int walk gives the same Poly in every entry, not only the same
+    # values at some point
+    rng = Random(41)
+    for N in (5, 7):
+        for T, _ in named_op_tensors(N, rng):
+            if T.field_names == ("S",):
+                continue  # ftv_S has field inverses
+            got, want = T.to_poly(), reference_to_poly(T)
+            assert (got.field_names, got.N, got.bracket_scale) == (want.field_names, want.N, want.bracket_scale)
+            assert {k: p.terms for k, p in got.entries.items()} == {k: p.terms for k, p in want.entries.items()}
+            assert all(type(c) is Fraction for p in got.entries.values() for c in p.terms.values())
+
+
+def coprime_point(fields, N: int, rng: Random) -> dict:
+    """Nonzero field values whose denominators run through 2, 3, 5 and 7."""
+    return {
+        name: PerSeq(N, tuple(F(rng.choice((-4, -3, -1, 1, 2, 5)), (2, 3, 5, 7)[(k + m) % 4]) for m in range(N)))
+        for k, name in enumerate(fields)
+    }
+
+
+def test_eval_matrix_and_values_at_coprime_denominators():
+    rng = Random(43)
+    for N in (5, 7):
+        for T, fields in named_op_tensors(N, rng):
+            pt = coprime_point(fields, N, rng)
+            ref = reference_eval_matrix(T, pt)
+            assert T.eval_matrix(pt) == ref
+            vals = [(i * N + m, j * N + n, v) for i, m, j, n, v in T._values(pt)]
+            assert len({(I, K) for I, K, _ in vals}) == len(vals)  # one value per entry
+            assert all(type(v) is Fraction and v for _, _, v in vals)
+            assert {(I, K): v for I, K, v in vals} == {
+                (I, K): v for I, row in enumerate(ref) for K, v in enumerate(row) if v
+            }
+            L, rows = T.int_matrix(pt)
+            assert L > 1
+            assert [[F(v, L) for v in row] for row in rows] == ref
+
+
+def reference_pushforward(u: PerSeq) -> Fraction:
+    """The pushforward residual in Fractions: J P_u J^T against ftv_S at S =
+    u u', both tensors evaluated by the dense reference."""
+    N = u.N
+    S = PerSeq(N, tuple(u[m] * u[m + 1] for m in range(N)))
+    P_u = reference_eval_matrix(coord_reduction.closed_tensor("ftv_u", N), {"u": u})
+    JP = [[u[m + 1] * a + u[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
+    lhs = [[row[n] * u[n + 1] + row[(n + 1) % N] * u[n] for n in range(N)] for row in JP]
+    rhs = reference_eval_matrix(coord_reduction.closed_tensor("ftv_S", N), {"S": S})
+    return linalg.max_abs(linalg.mat_sub(lhs, rhs))
+
+
+def test_pushforward_matches_fraction_reference(monkeypatch):
+    rng = Random(47)
+    us = [random_fields(("u",), N, rng)["u"] for N in (5, 7, 9) for _ in range(3)]
+    for u in us:
+        got = pushforward_check(u)
+        assert type(got) is Fraction
+        assert got == reference_pushforward(u) == 0
+    # with the last ftv_S word dropped both residuals move, and still agree
+    real = coord_reduction.closed_tensor
+
+    def lossy(name, N, phi=None, beta=None):
+        T = real(name, N, phi, beta)
+        if name == "ftv_S":
+            T.words[0, 0].pop()
+        return T
+
+    monkeypatch.setattr(coord_reduction, "closed_tensor", lossy)
+    broken = [pushforward_check(u) for u in us]
+    assert broken == [reference_pushforward(u) for u in us]
+    assert all(broken) and any(r.denominator > 1 for r in broken)
 
 
 def test_ftv_S_rejects_to_poly():

@@ -30,7 +30,6 @@ from .exchange_algebra import (
     chain_bracket,
     default_rc,
     group_act,
-    projective_action,
     projective_bracket,
     random_polygon,
     verify_structure,

@@ -109,33 +109,28 @@ class Fields:
         return out
 
 
-def coords(W: Polygon) -> Fields:
+def coords(W: Polygon, ctx: _DualCtx = None) -> Fields:
     """The recursion coefficients of a nondegenerate polygon.
 
     a^(k)_m is the ratio of the (nu x nu) determinant on vertices
     m..m+nu omitting m+k to the Wronskian w_m, and a^(0)_m = w_{m+1}/w_m.
-    The result is periodic and invariant under the projective action.
+    The values come from the one solve per site of ``_DualCtx`` (ctx, when
+    given), which raises DegeneratePolygon at the first site with w_m = 0
+    and ValueError when N < nu.  The result is periodic and invariant under
+    the projective action.
     """
-    W.require_nondegenerate()
-    nu, N = W.nu, W.N
-    w = [W.wronskian_at(m) for m in range(N + 1)]
-    seqs = []
-    seqs.append(PerSeq(N, tuple(w[m + 1] / w[m] for m in range(N))))
-    for k in range(1, nu):
-        vals = []
-        for m in range(N):
-            rows = [W.vertex(m + r) for r in range(nu + 1) if r != k]
-            vals.append(linalg.det(rows) / w[m])
-        seqs.append(PerSeq(N, tuple(vals)))
-    return Fields(nu, N, tuple(seqs))
+    ctx = ctx or _DualCtx(W)
+    seqs = (PerSeq(W.N, tuple(ctx.field(k, m)[0] for m in range(W.N))) for k in range(W.nu))
+    return Fields(W.nu, W.N, tuple(seqs))
 
 
-def field_gradients(W: Polygon, field_names) -> list:
+def field_gradients(W: Polygon, field_names, ctx: _DualCtx = None) -> list:
     """Vertex-space gradients of the named fields at W, field-major (_var order).
 
-    Each is an int covector (grad, den) standing for grad / den.
+    Each is an int covector (grad, den) standing for grad / den, read from
+    ctx when given.
     """
-    ctx = _DualCtx(W)
+    ctx = ctx or _DualCtx(W)
     return [ctx.field(alias_index(W.nu, f), m)[1:] for f in field_names for m in range(W.N)]
 
 
@@ -289,7 +284,7 @@ class OpTensor(_FieldTensor):
                 segs, steps = [[]], [(1, [(0, 1)])]
                 for factor in word:
                     if factor[0] == "k":
-                        den, ks = _scaled(factor[1].seq.values)
+                        (ks,), den = linalg._scaled([factor[1].seq.values])
                         steps.append((den, [(d, k) for d, k in enumerate(ks) if k]))
                         segs.append([])
                     else:
@@ -297,7 +292,7 @@ class OpTensor(_FieldTensor):
                 diag = []
                 for seg in segs:
                     monos, vals = zip(*[seg_value(seg, site) for site in range(N)])
-                    den, ints = _scaled(vals)
+                    (ints,), den = linalg._scaled([vals])
                     diag.append((den, list(zip(monos, ints))))
                 den = prod(dn for dn, _ in steps + diag)
                 L = lcm(L, den)
@@ -412,12 +407,6 @@ class OpTensor(_FieldTensor):
                     factors.append(("k", kernel_from_dpoly(DPoly.from_json(f), out.N)))
             out.add_word(int(wd["i"]), int(wd["j"]), *factors)
         return out
-
-
-def _scaled(values):
-    """(den, ints): rational values as ints over den, the lcm of their denominators."""
-    den = lcm(*{v.denominator for v in values})
-    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def as_poly_tensor(P) -> PolyTensor:
@@ -648,7 +637,8 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     N = spec.N
     if name == "P0":
         W = gauge_normalize(W, PerSeq.constant(N, 1))
-    fields = coords(W)
+    ctx = _DualCtx(W)
+    fields = coords(W, ctx)
     if name in ("murho", "abrho"):
         T = closed_tensor(name, N, phi=spec.phi)
     elif name in _TENSOR_PHI:
@@ -660,7 +650,7 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
         raise ValueError(f"no chain-rule oracle for tensor {name!r}")
     TP = as_poly_tensor(T)
     mat = TP.eval_matrix(fields)
-    grads = field_gradients(W, TP.field_names)
+    grads = field_gradients(W, TP.field_names, ctx)
     table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
     res = ZERO
     for I, row in enumerate(table):
@@ -781,7 +771,7 @@ def pushforward_check(u: PerSeq) -> Fraction:
         raise ZeroDivisionError("S = u u' must be nonvanishing")
     Lu, P_u = closed_tensor("ftv_u", N).int_matrix({"u": u})
     LS, rhs = closed_tensor("ftv_S", N).int_matrix({"S": S})
-    du, U = _scaled(u.values)
+    (U,), du = linalg._scaled([u.values])
     # the Jacobian of S = u u' is bidiagonal, dS_m = u_{m+1} du_m + u_m du_{m+1},
     # so J P J^T is formed by rows and then by columns, in ints over Lu du^2
     JP = [[U[(m + 1) % N] * a + U[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
@@ -823,7 +813,7 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     in ints, holding the triples of one smallest index at a time.
     """
     x = TP.point_values(point)
-    dx, X = _scaled(x)
+    (X,), dx = linalg._scaled([x])
     polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
     top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
     Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})

@@ -29,7 +29,7 @@ from .coord_reduction import (
     coords,
     field_gradients,
 )
-from .exchange_algebra import Polygon
+from .exchange_algebra import Polygon, _DualCtx
 from .lattice_ops import PerSeq
 from .linalg import ONE, ZERO
 from .multipoly import Poly
@@ -174,9 +174,10 @@ def lifted_flow_residual(W: Polygon) -> Fraction:
     vdot, _ = lifted_vf(W)
     flat = {W.var_v(m, a): x for m in range(N) for a, x in enumerate(vdot[m])}
     names = ("mu", "rho")
-    vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W))
+    ctx = _DualCtx(W)
+    vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W, ctx))
     res = ZERO
-    for I, (grad, den) in enumerate(field_gradients(W, names)):
+    for I, (grad, den) in enumerate(field_gradients(W, names, ctx)):
         i, m = divmod(I, N)
         push = sum(c * flat.get(v, ZERO) for v, c in grad.items()) / den
         res = max(res, abs(push - vel[names[i]][m]))

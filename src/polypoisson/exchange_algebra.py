@@ -33,7 +33,10 @@ standing for grad / den: fields come from one int solve per site, Wronskians
 from ``linalg.det_grad`` on the same elimination, and affine-chart
 coordinates from the quotient rule in ints.  Every chain-rule bracket pairs
 such int gradients against the ints of Pi with ``linalg.pairings`` and
-builds a Fraction per nonzero result only.
+builds a Fraction per nonzero result only; the momentum check contracts
+each dw_m with the ints of Pi itself and compares by cross-multiplication,
+one Fraction per site.  The projective closed form is one contraction of
+the nonzeros of R with the chart points (v, 1).
 """
 
 from __future__ import annotations
@@ -351,7 +354,7 @@ class _DualCtx:
 
     def vertex(self, m: int) -> list:
         if not 0 <= m < 2 * self.N:
-            raise ValueError(f"vertex {m} is beyond V_0..V_{2 * self.N - 1}: field gradients need N >= nu")
+            raise ValueError(f"vertex {m} is beyond V_0..V_{2 * self.N - 1}: fields need N >= nu")
         row = self._vertices.get(m)
         if row is None:
             W, nu, mi, dm = self.W, self.nu, self._m, self._dm
@@ -488,8 +491,7 @@ class _PiTable:
 
     def __init__(self, spec: BracketSpec, coords, pi=None):
         self.L, self.rows = pi or _pi_table(spec)
-        self.den = lcm(*(x.denominator for x in coords))
-        self.X = [x.numerator * (self.den // x.denominator) for x in coords]
+        (self.X,), self.den = linalg._scaled([coords])
 
     @cached_property
     def ints(self) -> list:
@@ -560,19 +562,28 @@ def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:
 
 
 def momentum_residual(spec: BracketSpec, W: Polygon) -> Fraction:
-    """Max-abs residual of the scaling-action momentum identity over all (m, n)."""
+    """Max-abs residual of the scaling-action momentum identity over all (m, n).
+
+    The coefficient of {w_m, V_n} = c w_m V_n depends on m - n only, so the
+    2N - 1 values c_d = momentum_formula_coeff(spec, d, 0) are scaled to ints
+    cs over one dc.  Per site m, dw_m = g / dg against the vertex columns of
+    Pi is one int row u over dg L den^2, compared with cs w_m X by
+    cross-multiplication; one Fraction per site.
+    """
+    nu, N = W.nu, W.N
     ctx = _DualCtx(W)
-    coords = W.coordinates()
-    w = [ctx.wronskian(m) for m in range(W.N)]
-    units = [({vid: 1}, 1) for vid in range(W.N * W.nu)]
-    table = _PiTable(spec, coords).pairings([x[1:] for x in w], units)
+    table = _PiTable(spec, W.coordinates())
+    P, X, scale = table.ints, table.X, table.L * table.den
+    (cs,), dc = linalg._scaled([[momentum_formula_coeff(spec, d, 0) for d in range(1 - N, N)]])
     res = ZERO
-    for m, row in enumerate(table):
-        for n in range(W.N):
-            coeff = momentum_formula_coeff(spec, m, n)
-            for a in range(W.nu):
-                vid = W.var_v(n, a)
-                res = max(res, abs(row[vid] - coeff * w[m][0] * coords[vid]))
+    for m in range(N):
+        w, g, dg = ctx.wronskian(m)
+        u = [0] * (N * nu)
+        for i, c in g.items():
+            u = [x + c * y for x, y in zip(u, P[i])]
+        lhs, rhs = dc * w.denominator, w.numerator * dg * scale
+        top = max(abs(x * lhs - cs[m - k // nu + N - 1] * rhs * X[k]) for k, x in enumerate(u))
+        res = max(res, Fraction(top, dg * scale * table.den * lhs))
     return res
 
 
@@ -697,44 +708,30 @@ class ProjPolygon:
         return cls(W.nu, tuple(rows), W.M)
 
 
-def projective_action(X, v):
-    """Infinitesimal projective action X.v = vA + c - dv - (v b^T) v.
-
-    X is an nu x nu matrix written in blocks [[A, b^T], [c, d]] with A of size
-    (nu-1) x (nu-1) and b, c row vectors; v is a row vector in Q^(nu-1).
-    """
-    nu = len(X)
-    k = nu - 1
-    A = [row[:k] for row in X[:k]]
-    bT = [X[i][k] for i in range(k)]
-    c = X[k][:k]
-    d = X[k][k]
-    vA = [sum(v[i] * A[i][j] for i in range(k)) for j in range(k)]
-    vb = sum(v[i] * bT[i] for i in range(k))
-    return [vA[j] + c[j] - d * v[j] - vb * v[j] for j in range(k)]
-
-
 def projective_bracket(R, P: ProjPolygon, m: int, n: int):
-    """{v_m (x) v_n} = (v_m (x) v_n).R - sgn(m-n) (v_m - v_n) (x) (v_m - v_n)."""
+    """{v_m (x) v_n} = (v_m (x) v_n).R - sgn(m-n) (v_m - v_n) (x) (v_m - v_n).
+
+    With v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart
+    as E_ac.v = v'_a (e_c if c < k else -v), so the R term is one
+    contraction S = (v'_m (x) v'_n) R whose row and column k fold back onto
+    -v_m and -v_n.
+    """
     nu = P.nu
     k = nu - 1
     vm, vn = P.v[m % len(P.v)], P.v[n % len(P.v)]
-    table = [[ZERO] * k for _ in range(k)]
+    wm, wn = (*vm, ONE), (*vn, ONE)
+    S = [[ZERO] * nu for _ in range(nu)]
     for a, b, c, d, x in _nonzeros(R, nu):
-        X = [[ONE if (i, j) == (a, c) else ZERO for j in range(nu)] for i in range(nu)]
-        Y = [[ONE if (i, j) == (b, d) else ZERO for j in range(nu)] for i in range(nu)]
-        Xv = projective_action(X, vm)
-        Yv = projective_action(Y, vn)
-        for al in range(k):
-            for be in range(k):
-                table[al][be] += x * Xv[al] * Yv[be]
+        S[c][d] += x * wm[a] * wn[b]
     s = sign(m - n)
-    if s:
-        diff = [vm[i] - vn[i] for i in range(k)]
-        for al in range(k):
-            for be in range(k):
-                table[al][be] -= s * diff[al] * diff[be]
-    return table
+    diff = [x - y for x, y in zip(vm, vn)]
+    return [
+        [
+            S[al][be] - S[k][be] * vm[al] - S[al][k] * vn[be] + S[k][k] * vm[al] * vn[be] - s * diff[al] * diff[be]
+            for be in range(k)
+        ]
+        for al in range(k)
+    ]
 
 
 def projective_chain_table(spec: BracketSpec, W: Polygon):

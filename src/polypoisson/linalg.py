@@ -98,8 +98,11 @@ def max_abs(a) -> Fraction:
 
 
 def _scaled(a):
-    """(m, d) with m a matrix of ints and a = m / d, d the lcm of a's denominators."""
-    d = lcm(*(x.denominator for row in a for x in row))
+    """(m, d) with m a matrix of ints and a = m / d, d the lcm of a's denominators.
+
+    A vector v is scaled as the one-row matrix: (ints,), d = _scaled([v]).
+    """
+    d = lcm(*{x.denominator for row in a for x in row})
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 

@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from polypoisson import acceptance, coord_reduction, lattice_ops
+from polypoisson import acceptance, coord_reduction, exchange_algebra, lattice_ops
 from polypoisson.acceptance import CHECKS, run_suite
 from polypoisson.cli import emit_report
 from polypoisson.lattice_ops import PerSeq
@@ -106,3 +106,38 @@ def test_closed_forms_negative_control(monkeypatch):
         ("murho", "358", False),
         ("abrho", "8070975/48209", False),
     ]
+
+
+def test_momentum_negative_control(monkeypatch):
+    # criterion 3 with the momentum coefficient one too large at m - n = 1
+    # mod N: {w_m, V_n} no longer matches c_{m-n} w_m V_n there
+    real = exchange_algebra.momentum_formula_coeff
+
+    def bumped(spec, m, n):
+        return real(spec, m, n) + ((m - n) % spec.N == 1)
+
+    monkeypatch.setattr(exchange_algebra, "momentum_formula_coeff", bumped)
+    docs = acceptance.check_momentum(0)
+    assert [(d.params["nu"], d.params["N"], d.residual, d.passed) for d in docs] == [
+        (2, 5, "116/3", False),
+        (2, 7, "968/7", False),
+        (3, 5, "19946180/64893", False),
+        (3, 7, "1005309/365", False),
+    ]
+
+
+def test_projective_negative_control(monkeypatch):
+    # criterion 6 with R[1][nu], the (0, 1), (1, 0) entry, negated in the
+    # closed form only: the chain-rule tables, built from the unchanged
+    # spec, no longer match it.  A non-odd phi would not do, since the
+    # projective bracket is phi-independent for every phi.
+    real = acceptance.default_rc
+
+    def flipped(nu):
+        R, C = real(nu)
+        R[1][nu] = -R[1][nu]
+        return R, C
+
+    monkeypatch.setattr(acceptance, "default_rc", flipped)
+    docs = acceptance.check_projective(0)
+    assert [(d.params["nu"], d.residual, d.passed) for d in docs] == [(2, "50", False), (3, "30", False)]

@@ -32,7 +32,7 @@ from polypoisson.coord_reduction import (
     toda_dirac_vs_ftv,
 )
 from polypoisson.dynamics import gf_check, lie_deform
-from polypoisson.exchange_algebra import BracketSpec, Polygon, group_act, random_polygon, wronskian
+from polypoisson.exchange_algebra import BracketSpec, DegeneratePolygon, Polygon, group_act, random_polygon, wronskian
 from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
 from polypoisson.multipoly import Poly
 
@@ -59,6 +59,60 @@ def test_coords_order3_cycle():
     assert f.by_name("a").values == (F(0),) * 4
     assert f.by_name("b").values == (F(0),) * 4
     assert f.by_name("rho").values == (F(1),) * 4
+
+
+def reference_coords(W):
+    """The fields by determinants: a^(0)_m = w_{m+1} / w_m and a^(k)_m the
+    det of V_m..V_{m+nu} without V_{m+k}, over w_m, each re-extended by M."""
+    W.require_nondegenerate()
+    nu, N = W.nu, W.N
+    w = [W.wronskian_at(m) for m in range(N + 1)]
+    seqs = [PerSeq(N, tuple(w[m + 1] / w[m] for m in range(N)))]
+    for k in range(1, nu):
+        vals = [linalg.det([W.vertex(m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
+        seqs.append(PerSeq(N, tuple(vals)))
+    return Fields(nu, N, tuple(seqs))
+
+
+def test_coords_match_determinant_reference():
+    rng = Random(26)
+    for nu in (2, 3, 4, 5):
+        for N in sorted({nu, nu + 1, 2 * nu + 1, 11}):
+            W = random_polygon(nu, N, rng)
+            assert coords(W) == reference_coords(W), (nu, N)
+
+
+def test_coords_on_a_degenerate_polygon_name_the_site():
+    # V_3 = V_2 makes w_1, w_2 and w_3 vanish; w_0 does not
+    W = random_polygon(3, 7, Random(0))
+    V = list(W.V)
+    V[3] = V[2]
+    W = Polygon(3, 7, tuple(V), W.M)
+    with pytest.raises(DegeneratePolygon, match="site 1:"):
+        coords(W)
+    with pytest.raises(DegeneratePolygon, match="site 1"):
+        reference_coords(W)
+
+
+def test_oracle_match_reads_one_context(monkeypatch):
+    # the field values and their gradients come from one _DualCtx, whose
+    # per-site solves leave no determinant to take
+    made, dets = [], []
+    real_ctx, real_det = coord_reduction._DualCtx, linalg._int_det
+
+    def counting(W):
+        made.append(W)
+        return real_ctx(W)
+
+    monkeypatch.setattr(coord_reduction, "_DualCtx", counting)
+    monkeypatch.setattr(linalg, "_int_det", lambda m: dets.append(m) or real_det(m))
+    rng = Random(27)
+    for nu, name in ((2, "murho"), (3, "abrho")):
+        W = random_polygon(nu, 5, rng)
+        spec = BracketSpec.standard(nu, 5, random_odd_kernel(5, rng))
+        made.clear(), dets.clear()
+        assert oracle_match(spec, W, name) == 0
+        assert made == [W] and dets == [], name
 
 
 def test_coords_projective_invariance():

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from polypoisson import linalg
-from polypoisson.coord_reduction import field_gradients
+from polypoisson.coord_reduction import coords, field_gradients
 from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
@@ -14,13 +14,13 @@ from polypoisson.exchange_algebra import (
     _DualCtx,
     _PiTable,
     _nonzeros,
+    _pair,
     _random_sparse_linear,
     bracket_matrix,
     chain_bracket,
     default_rc,
     group_act,
     momentum_formula_coeff,
-    projective_action,
     projective_bracket,
     projective_chain_table,
     random_polygon,
@@ -561,6 +561,8 @@ def test_field_gradients_need_n_at_least_nu():
     W = Polygon(3, 2, ((1, 2, 0), (0, 1, 3)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     with pytest.raises(ValueError, match="N >= nu"):
         field_gradients(W, ["a0"])
+    with pytest.raises(ValueError, match="N >= nu"):
+        coords(W)
 
 
 def test_antisymmetry_ten_polygons_per_configuration():
@@ -689,6 +691,110 @@ def test_quasiperiodicity_and_antisymmetry_match_reference():
             found[nu, N, label] = quasi, anti
     assert found[2, 5, "random R, C"] == (F(571096, 3717), F(436484, 10443))
     assert found[2, 5, "halved A_pm"] == (F(12460, 531), 0)
+
+
+def reference_momentum_residual(spec, W):
+    """The momentum residual as Fractions: dw_m paired against every unit
+    covector, each entry against momentum_formula_coeff(spec, m, n) w_m x."""
+    ctx = _DualCtx(W)
+    coords = W.coordinates()
+    w = [ctx.wronskian(m) for m in range(W.N)]
+    units = [({vid: 1}, 1) for vid in range(W.N * W.nu)]
+    table = _PiTable(spec, coords).pairings([x[1:] for x in w], units)
+    res = F(0)
+    for m, row in enumerate(table):
+        for n in range(W.N):
+            coeff = momentum_formula_coeff(spec, m, n)
+            for a in range(W.nu):
+                vid = W.var_v(n, a)
+                res = max(res, abs(row[vid] - coeff * w[m][0] * coords[vid]))
+    return res
+
+
+def test_momentum_residual_equals_fraction_reference():
+    # standard specs pass; a random sparse R (C from default_rc) breaks the
+    # identity, and the int residual equals the Fraction one either way
+    rng = Random(24)
+    found = []
+    for nu in (2, 3, 4):
+        for N in (nu + 1, 2 * nu + 1):
+            _, C = default_rc(nu)
+            specs = {
+                "standard": spec_with(nu, N, rng=rng),
+                "random R": BracketSpec(nu, N, random_block(nu, rng), C, random_odd_kernel(N, rng)),
+            }
+            for label, spec in specs.items():
+                for _ in range(2):
+                    W = random_polygon(nu, N, rng)
+                    res = verify_structure(spec, W, "momentum")
+                    assert type(res) is Fraction and res == reference_momentum_residual(spec, W), (nu, N, label)
+                    assert (res != 0) == (label == "random R"), (nu, N, label)
+                    found.append(res)
+    assert len(found) == 24 and sum(1 for r in found if r) == 12
+
+
+def projective_action(X, v):
+    """Infinitesimal projective action X.v = vA + c - dv - (v b^T) v.
+
+    X is an nu x nu matrix written in blocks [[A, b^T], [c, d]] with A of size
+    (nu-1) x (nu-1) and b, c row vectors; v is a row vector in Q^(nu-1).
+    """
+    nu = len(X)
+    k = nu - 1
+    A = [row[:k] for row in X[:k]]
+    bT = [X[i][k] for i in range(k)]
+    c = X[k][:k]
+    d = X[k][k]
+    vA = [sum(v[i] * A[i][j] for i in range(k)) for j in range(k)]
+    vb = sum(v[i] * bT[i] for i in range(k))
+    return [vA[j] + c[j] - d * v[j] - vb * v[j] for j in range(k)]
+
+
+def reference_projective_bracket(R, P, m, n):
+    """The projective closed form summed over the nonzeros of R, each as
+    (E_ac.v_m) (x) (E_bd.v_n) from two unit matrices and projective_action."""
+    nu = P.nu
+    k = nu - 1
+    vm, vn = P.v[m % len(P.v)], P.v[n % len(P.v)]
+    table = [[F(0)] * k for _ in range(k)]
+    for a, b, c, d, x in _nonzeros(R, nu):
+        X = [[F(1) if (i, j) == (a, c) else F(0) for j in range(nu)] for i in range(nu)]
+        Y = [[F(1) if (i, j) == (b, d) else F(0) for j in range(nu)] for i in range(nu)]
+        Xv = projective_action(X, vm)
+        Yv = projective_action(Y, vn)
+        for al in range(k):
+            for be in range(k):
+                table[al][be] += x * Xv[al] * Yv[be]
+    s = sign(m - n)
+    diff = [vm[i] - vn[i] for i in range(k)]
+    for al in range(k):
+        for be in range(k):
+            table[al][be] -= s * diff[al] * diff[be]
+    return table
+
+
+def test_projective_bracket_equals_reference():
+    # default_rc and a random sparse R at every (m, n); the random R carries
+    # nonzeros in row and column pair index nu - 1, the c = k branch of E_ac.v
+    rng = Random(25)
+    for nu in (2, 3, 4):
+        k, N = nu - 1, 5
+        W = random_polygon(nu, N, rng)
+        while any(W.V[m][k] == 0 for m in range(N)):
+            W = random_polygon(nu, N, rng)
+        P = ProjPolygon.from_polygon(W)
+        R = [
+            [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.15 else F(0) for _ in range(nu * nu)]
+            for _ in range(nu * nu)
+        ]
+        R[_pair(nu, k, k)][_pair(nu, k, 0)] = F(2, 3)
+        R[_pair(nu, 0, k)][_pair(nu, k, k)] = F(-5, 2)
+        for RR in (default_rc(nu)[0], R):
+            for m in range(N):
+                for n in range(N):
+                    got = projective_bracket(RR, P, m, n)
+                    assert got == reference_projective_bracket(RR, P, m, n), (nu, m, n)
+                    assert all(type(x) is Fraction for row in got for x in row)
 
 
 def test_projective_action_lemma_example():

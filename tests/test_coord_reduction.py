@@ -83,7 +83,7 @@ def test_coords_match_determinant_reference():
 
 
 def test_coords_on_a_degenerate_polygon_name_the_site():
-    # V_3 = V_2 makes w_1, w_2 and w_3 vanish; w_0 does not
+    # V_3 = V_2 makes w_1 and w_2 vanish; w_0 does not
     W = random_polygon(3, 7, Random(0))
     V = list(W.V)
     V[3] = V[2]
@@ -110,7 +110,8 @@ def test_oracle_match_reads_one_context(monkeypatch):
     for nu, name in ((2, "murho"), (3, "abrho")):
         W = random_polygon(nu, 5, rng)
         spec = BracketSpec.standard(nu, 5, random_odd_kernel(5, rng))
-        made.clear(), dets.clear()
+        made.clear()
+        dets.clear()
         assert oracle_match(spec, W, name) == 0
         assert made == [W] and dets == [], name
 

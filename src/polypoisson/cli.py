@@ -30,7 +30,7 @@ from fractions import Fraction
 from random import Random
 
 from . import acceptance
-from .acceptance import ReportDoc, run_suite
+from .acceptance import ReportDoc, _doc, run_suite
 from .coord_reduction import closed_tensor, pushforward_check, random_fields, toda_dirac_vs_ftv
 from .dynamics import integrate, toda_float_vf, toda_invariants
 from .exchange_algebra import BracketSpec, default_rc, random_polygon, verify_structure, verify_ybe
@@ -105,8 +105,7 @@ def emit_report(docs, fmt: str = "json", path: str = "") -> str:
 def _cmd_verify_ybe(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     R, C = default_rc(cfg.nu)
-    res = verify_ybe(R, C)
-    return [ReportDoc("ybe", {"nu": cfg.nu}, rat_str(res), res == 0, cfg.seed, time.time() - t0)]
+    return [_doc("ybe", {"nu": cfg.nu}, verify_ybe(R, C), cfg.seed, t0)]
 
 
 def _cmd_verify_w(cfg: argparse.Namespace) -> list:
@@ -126,16 +125,7 @@ def _cmd_verify_w(cfg: argparse.Namespace) -> list:
         params = {"nu": cfg.nu, "N": cfg.N, "phi": cfg.phi, "k": cfg.k}
         if check == "jacobi":
             params["trials"] = cfg.trials
-        docs.append(
-            ReportDoc(
-                f"verify-w:{check}",
-                params,
-                rat_str(res),
-                res == 0,
-                cfg.seed,
-                time.time() - t0,
-            )
-        )
+        docs.append(_doc(f"verify-w:{check}", params, res, cfg.seed, t0))
     return docs
 
 
@@ -152,16 +142,7 @@ def _cmd_derive(cfg: argparse.Namespace) -> list:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(doc_json, fh, sort_keys=True, indent=2)
-    return [
-        ReportDoc(
-            f"derive:{cfg.name}",
-            {"N": cfg.N, "out": cfg.out or "(stdout)"},
-            "0",
-            True,
-            cfg.seed,
-            time.time() - t0,
-        )
-    ]
+    return [_doc(f"derive:{cfg.name}", {"N": cfg.N, "out": cfg.out or "(stdout)"}, 0, cfg.seed, t0)]
 
 
 def _cmd_phi(cfg: argparse.Namespace) -> list:
@@ -172,9 +153,7 @@ def _cmd_phi(cfg: argparse.Namespace) -> list:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(phi.to_json(), fh, sort_keys=True, indent=2)
-    return [
-        ReportDoc("phi", {"nu": cfg.nu, "k": cfg.k, "N": cfg.N}, "0", True, cfg.seed, time.time() - t0)
-    ]
+    return [_doc("phi", {"nu": cfg.nu, "k": cfg.k, "N": cfg.N}, 0, cfg.seed, t0)]
 
 
 def _cmd_reduce_dirac(cfg: argparse.Namespace) -> list:
@@ -185,16 +164,7 @@ def _cmd_reduce_dirac(cfg: argparse.Namespace) -> list:
     for _ in range(cfg.trials):
         u = random_fields(("u",), cfg.N, rng)["u"]
         res = max(res, toda_dirac_vs_ftv(cfg.N, u, beta))
-    return [
-        ReportDoc(
-            "reduce-dirac",
-            {"N": cfg.N, "beta": cfg.beta or "one", "trials": cfg.trials},
-            rat_str(res),
-            res == 0,
-            cfg.seed,
-            time.time() - t0,
-        )
-    ]
+    return [_doc("reduce-dirac", {"N": cfg.N, "beta": cfg.beta or "one", "trials": cfg.trials}, res, cfg.seed, t0)]
 
 
 def _cmd_pushforward(cfg: argparse.Namespace) -> list:
@@ -204,16 +174,7 @@ def _cmd_pushforward(cfg: argparse.Namespace) -> list:
     for _ in range(cfg.trials):
         u = random_fields(("u",), cfg.N, rng)["u"]
         res = max(res, pushforward_check(u))
-    return [
-        ReportDoc(
-            "pushforward",
-            {"N": cfg.N, "trials": cfg.trials},
-            rat_str(res),
-            res == 0,
-            cfg.seed,
-            time.time() - t0,
-        )
-    ]
+    return [_doc("pushforward", {"N": cfg.N, "trials": cfg.trials}, res, cfg.seed, t0)]
 
 
 def _cmd_theorem(cfg: argparse.Namespace) -> list:
@@ -278,16 +239,8 @@ def _cmd_flow(cfg: argparse.Namespace) -> list:
         with open(cfg.out + ".drift.json", "w", encoding="utf-8") as fh:
             json.dump(rep, fh, sort_keys=True, indent=2)
     drift = max(rep["max_relative_drift"])
-    docs.append(
-        ReportDoc(
-            "flow:integrator",
-            {"N": N, "dt": cfg.dt, "steps": cfg.steps},
-            f"{drift:.3e}",
-            drift < 1e-8,
-            cfg.seed,
-            time.time() - t0,
-        )
-    )
+    params = {"N": N, "dt": cfg.dt, "steps": cfg.steps}
+    docs.append(_doc("flow:integrator", params, f"{drift:.3e}", cfg.seed, t0, ok=drift < 1e-8))
     return docs
 
 

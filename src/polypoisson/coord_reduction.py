@@ -14,11 +14,13 @@ point that serves both exact Jacobiators and compatibility certificates.
 Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
 differentiation; OpTensor stores field-dressed operator words, the shape the
-closed formulas are written in.  One int walk over the paths of a word, its
-kernels and diagonal segments scaled once to ints, serves every reading:
-``to_poly`` builds one Fraction per coefficient, ``eval_matrix`` one per
-entry at a point (the only place a field inverse can be formed), and
-``pushforward_check`` one for its residual.
+closed formulas are written in.  Every named tensor is built as words; the
+full quotient brackets murho and abrho are returned expanded by ``to_poly``,
+the distinguished closed forms as words.  One int walk over the paths of a
+word, its kernels and diagonal segments scaled once to ints, serves every
+reading: ``to_poly`` builds one Fraction per coefficient, ``eval_matrix``
+one per entry at a point (the only place a field inverse can be formed),
+and ``pushforward_check`` one for its residual.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .exchange_algebra import (
     Polygon,
     _DualCtx,
     _PiTable,
-    wronskian,
 )
 from .lattice_ops import (
     DPoly,
@@ -240,12 +241,18 @@ class PolyTensor(_FieldTensor):
 
     @classmethod
     def from_json(cls, doc: dict) -> "PolyTensor":
+        """Read ``to_json`` output; a monomial that is not strictly sorted by
+        variable with positive exponents, or repeats in one entry, is a ValueError."""
         out = cls._from_header(doc)
         for ent in doc["entries"]:
-            terms = {
-                tuple((int(v), int(e)) for v, e in mono): rat(c)
-                for mono, c in ent["terms"]
-            }
+            terms = {}
+            for mono, c in ent["terms"]:
+                mono = tuple((int(v), int(e)) for v, e in mono)
+                if any(e < 1 for _, e in mono) or any(a >= b for (a, _), (b, _) in zip(mono, mono[1:])):
+                    raise ValueError(f"monomial {mono} is not strictly sorted with positive exponents")
+                if mono in terms:
+                    raise ValueError(f"monomial {mono} repeats in one entry")
+                terms[mono] = rat(c)
             out.add_term(int(ent["i"]), int(ent["m"]), int(ent["j"]), int(ent["n"]), Poly(terms))
         return out
 
@@ -424,81 +431,8 @@ def _coeff_kernel(N: int, phi: Kernel, phi_part: DPoly, delta_part: DPoly) -> Ke
     return out + kernel_from_dpoly(delta_part, N)
 
 
-def _add_exchange_block(T: PolyTensor, i: int, j: int, ck: Kernel):
-    """Quadratic block c_{m-n} x^i_m x^j_n from a coefficient kernel."""
-    N = T.N
-    for m in range(N):
-        for n in range(N):
-            c = ck[m - n]
-            if c:
-                vi, vj = _var(i, m, N), _var(j, n, N)
-                mono = ((vi, 2),) if vi == vj else tuple(sorted(((vi, 1), (vj, 1))))
-                T.add_term(i, m, j, n, Poly({mono: c}))
-
-
-def _add_linear_block(T: PolyTensor, i: int, j: int, shift: int, coeff, field: int, at_first_site: bool):
-    """Term coeff * [n = m+shift] x^field_{m or n} added to block (i, j)."""
-    N = T.N
-    for m in range(N):
-        n = (m + shift) % N
-        site = m if at_first_site else n
-        T.add_term(i, m, j, n, Poly({((_var(field, site, N), 1),): rat(coeff)}))
-
-
 def _dp(pairs) -> DPoly:
     return DPoly.from_coeffs(pairs)
-
-
-def build_murho(phi: OddKernel) -> PolyTensor:
-    """The order-2 quotient bracket in the fields (mu, rho) for a given phi."""
-    N = phi.N
-    T = PolyTensor(("mu", "rho"), N, bracket_scale=ONE)
-    MU, RHO = 0, 1
-    _add_exchange_block(T, MU, MU, _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)])))
-    _add_linear_block(T, MU, MU, +1, 2, RHO, at_first_site=False)
-    _add_linear_block(T, MU, MU, -1, -2, RHO, at_first_site=True)
-    murho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (-1, -1), (2, -1)]), _dp([(0, -1), (-1, 1), (1, 1), (2, -1)]))
-    _add_exchange_block(T, MU, RHO, murho_k)
-    _add_exchange_block(T, RHO, MU, -murho_k.transpose())
-    _add_exchange_block(T, RHO, RHO, _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)])))
-    return T
-
-
-def build_abrho(phi: OddKernel) -> PolyTensor:
-    """The order-3 quotient bracket in the fields (a, b, rho) for a given phi."""
-    N = phi.N
-    T = PolyTensor(("a", "b", "rho"), N, bracket_scale=ONE)
-    A, B, RHO = 0, 1, 2
-    _add_exchange_block(T, A, A, _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)])))
-    _add_linear_block(T, A, A, +1, 2, B, at_first_site=False)
-    _add_linear_block(T, A, A, -1, -2, B, at_first_site=True)
-
-    ab_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (2, -1), (-1, -1)]), _dp([(0, -1), (1, 1), (2, -1), (-1, 1)]))
-    _add_exchange_block(T, A, B, ab_k)
-    _add_exchange_block(T, B, A, -ab_k.transpose())
-    _add_linear_block(T, A, B, +2, 2, RHO, at_first_site=False)
-    _add_linear_block(T, A, B, -1, -2, RHO, at_first_site=True)
-    _add_linear_block(T, B, A, -2, -2, RHO, at_first_site=True)
-    _add_linear_block(T, B, A, +1, 2, RHO, at_first_site=False)
-
-    arho_k = _coeff_kernel(N, phi, _dp([(0, 1), (2, 1), (3, -1), (-1, -1)]), _dp([(0, -1), (2, 1), (3, -1), (-1, 1)]))
-    _add_exchange_block(T, A, RHO, arho_k)
-    _add_exchange_block(T, RHO, A, -arho_k.transpose())
-
-    _add_exchange_block(T, B, B, _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)])))
-    # {b_m, b_n} += 2 [n=m+1] a_m rho_n - 2 [n=m-1] rho_m a_n
-    for m in range(N):
-        n = (m + 1) % N
-        T.add_term(B, m, B, n, Poly({((_var(A, m, N), 1), (_var(RHO, n, N), 1)): Fraction(2)}))
-        n = (m - 1) % N
-        T.add_term(B, m, B, n, Poly({((_var(RHO, m, N), 1), (_var(A, n, N), 1)): Fraction(-2)}))
-
-    brho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (3, -1), (-2, -1)]), _dp([(0, -1), (1, 1), (3, -1), (-2, 1)]))
-    _add_exchange_block(T, B, RHO, brho_k)
-    _add_exchange_block(T, RHO, B, -brho_k.transpose())
-
-    _add_exchange_block(T, RHO, RHO, _coeff_kernel(N, phi, _dp([(0, 2), (3, -1), (-3, -1)]), _dp([(3, -1), (-3, 1)])))
-    return T
 
 
 def _K(N: int, pairs) -> Kernel:
@@ -509,21 +443,70 @@ def _Kinv(N: int, pairs) -> Kernel:
     return invert(_K(N, pairs))
 
 
+def build_murho(phi: OddKernel) -> OpTensor:
+    """The order-2 quotient bracket in the fields (mu, rho) for a given phi."""
+    N = phi.N
+    T = OpTensor(("mu", "rho"), N)
+    MU, RHO = 0, 1
+    mumu_k = _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)]))
+    murho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (-1, -1), (2, -1)]), _dp([(0, -1), (-1, 1), (1, 1), (2, -1)]))
+    rhorho_k = _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)]))
+    T.add_word(MU, MU, ("f", MU), ("k", mumu_k), ("f", MU))
+    T.add_word(MU, MU, ("k", _K(N, [(1, 2)])), ("f", RHO))
+    T.add_word(MU, MU, ("f", RHO), ("k", _K(N, [(-1, -2)])))
+    T.add_word(MU, RHO, ("f", MU), ("k", murho_k), ("f", RHO))
+    T.add_word(RHO, MU, ("f", RHO), ("k", -murho_k.transpose()), ("f", MU))
+    T.add_word(RHO, RHO, ("f", RHO), ("k", rhorho_k), ("f", RHO))
+    return T
+
+
+def build_abrho(phi: OddKernel) -> OpTensor:
+    """The order-3 quotient bracket in the fields (a, b, rho) for a given phi."""
+    N = phi.N
+    T = OpTensor(("a", "b", "rho"), N)
+    A, B, RHO = 0, 1, 2
+    aa_k = _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)]))
+    ab_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (2, -1), (-1, -1)]), _dp([(0, -1), (1, 1), (2, -1), (-1, 1)]))
+    arho_k = _coeff_kernel(N, phi, _dp([(0, 1), (2, 1), (3, -1), (-1, -1)]), _dp([(0, -1), (2, 1), (3, -1), (-1, 1)]))
+    bb_k = _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)]))
+    brho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (3, -1), (-2, -1)]), _dp([(0, -1), (1, 1), (3, -1), (-2, 1)]))
+    rhorho_k = _coeff_kernel(N, phi, _dp([(0, 2), (3, -1), (-3, -1)]), _dp([(3, -1), (-3, 1)]))
+    T.add_word(A, A, ("f", A), ("k", aa_k), ("f", A))
+    T.add_word(A, A, ("k", _K(N, [(1, 2)])), ("f", B))
+    T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -2)])))
+    T.add_word(A, B, ("f", A), ("k", ab_k), ("f", B))
+    T.add_word(A, B, ("k", _K(N, [(2, 2)])), ("f", RHO))
+    T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -2)])))
+    T.add_word(B, A, ("f", B), ("k", -ab_k.transpose()), ("f", A))
+    T.add_word(B, A, ("k", _K(N, [(1, 2)])), ("f", RHO))
+    T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -2)])))
+    T.add_word(A, RHO, ("f", A), ("k", arho_k), ("f", RHO))
+    T.add_word(RHO, A, ("f", RHO), ("k", -arho_k.transpose()), ("f", A))
+    T.add_word(B, B, ("f", B), ("k", bb_k), ("f", B))
+    T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 2)])), ("f", RHO))
+    T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -2)])), ("f", A))
+    T.add_word(B, RHO, ("f", B), ("k", brho_k), ("f", RHO))
+    T.add_word(RHO, B, ("f", RHO), ("k", -brho_k.transpose()), ("f", B))
+    T.add_word(RHO, RHO, ("f", RHO), ("k", rhorho_k), ("f", RHO))
+    return T
+
+
 def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None):
     """Construct one of the named reduced Poisson tensors on period N.
 
-    murho(phi) and abrho(phi) are the full quotient brackets; toda, ftv_u(beta),
-    ftv_S, P0, P1, P2 are the distinguished closed forms (stored with the
+    murho(phi) and abrho(phi) are the full quotient brackets, returned
+    expanded as PolyTensors; toda, ftv_u(beta), ftv_S, P0, P1, P2 are the
+    distinguished closed forms, returned as OpTensors (stored with the
     factor-1/2 normalisation their operator displays use).
     """
     if name == "murho":
         if phi is None:
             raise ValueError("murho needs phi")
-        return build_murho(phi)
+        return build_murho(phi).to_poly()
     if name == "abrho":
         if phi is None:
             raise ValueError("abrho needs phi")
-        return build_abrho(phi)
+        return build_abrho(phi).to_poly()
     half = Fraction(1, 2)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)
@@ -648,14 +631,13 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
         T = closed_tensor(name, N)
     else:
         raise ValueError(f"no chain-rule oracle for tensor {name!r}")
-    TP = as_poly_tensor(T)
-    mat = TP.eval_matrix(fields)
-    grads = field_gradients(W, TP.field_names, ctx)
+    mat = T.eval_matrix(fields)
+    grads = field_gradients(W, T.field_names, ctx)
     table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
     res = ZERO
     for I, row in enumerate(table):
         for K, acc in enumerate(row):
-            res = max(res, abs(acc * TP.bracket_scale - mat[I][K]))
+            res = max(res, abs(acc * T.bracket_scale - mat[I][K]))
     return res
 
 
@@ -674,7 +656,7 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     covers every site, and a q-product other than 1 admits no exact periodic
     gauge at all (GaugeInconsistent).
     """
-    W.require_nondegenerate()
+    w = W.require_nondegenerate()
     nu, N = W.nu, W.N
     if beta is None:
         beta = PerSeq.constant(N, 1)
@@ -683,7 +665,6 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     g = gcd(nu, N)
     if g > 1:
         raise NonUniqueGauge(f"gcd(nu, N) = {g} > 1: gauge not unique")
-    w = wronskian(W)
     q = [beta[m] * w[m] / w[m + 1] for m in range(N)]
     total = prod(q)
     if total != 1:

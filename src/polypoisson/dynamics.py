@@ -157,11 +157,11 @@ def lifted_vf(W: Polygon):
     """
     if W.nu != 2:
         raise ValueError("the lifted flow is defined for nu = 2")
-    W.require_nondegenerate()
+    w = W.require_nondegenerate()
     N = W.N
     vdot = []
     for m in range(N):
-        ratio = W.wronskian_at(m) / W.wronskian_at(m - 1)
+        ratio = w[m] / w[m - 1]
         prev = W.vertex(m - 1)
         vdot.append(tuple(ratio * x for x in prev))
     mdot = tuple(tuple(ZERO for _ in range(W.nu)) for _ in range(W.nu))

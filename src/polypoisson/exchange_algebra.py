@@ -118,10 +118,12 @@ class Polygon:
     def is_nondegenerate(self) -> bool:
         return all(self.wronskian_at(m) != 0 for m in range(self.N))
 
-    def require_nondegenerate(self):
-        for m in range(self.N):
-            if self.wronskian_at(m) == 0:
-                raise DegeneratePolygon(f"Wronskian vanishes at site {m}")
+    def require_nondegenerate(self) -> PerSeq:
+        """The Wronskian, or DegeneratePolygon at the first site where it vanishes."""
+        w = wronskian(self)
+        if 0 in w.values:
+            raise DegeneratePolygon(f"Wronskian vanishes at site {w.values.index(0)}")
+        return w
 
     def to_json(self) -> dict:
         from .linalg import rat_str

@@ -90,17 +90,23 @@ def test_pushforward_negative_control(monkeypatch):
 
 
 def test_closed_forms_negative_control(monkeypatch):
-    # criterion 5 with the sign of the (0, 0, +1) linear block flipped, the
-    # 2 [n = m+1] x_n term of {mu, mu} and of {a, a}: the closed forms no
-    # longer match the chain-rule brackets
-    real = coord_reduction._add_linear_block
+    # criterion 5 with the sign of the (0, 0, +1) linear word flipped, the
+    # (k 2D)(f x) word of {mu, mu} and of {a, a}, the only one there that
+    # starts with a kernel: the closed forms no longer match the chain-rule
+    # brackets
+    def flipped(build):
+        def built(phi):
+            T = build(phi)
+            words = T.words[0, 0]
+            (w,) = [w for w, word in enumerate(words) if word[0][0] == "k"]
+            (_, K), field = words[w]
+            words[w] = (("k", -K), field)
+            return T
 
-    def flipped(T, i, j, shift, coeff, field, at_first_site):
-        if (i, j, shift) == (0, 0, 1):
-            coeff = -coeff
-        real(T, i, j, shift, coeff, field, at_first_site)
+        return built
 
-    monkeypatch.setattr(coord_reduction, "_add_linear_block", flipped)
+    for name in ("build_murho", "build_abrho"):
+        monkeypatch.setattr(coord_reduction, name, flipped(getattr(coord_reduction, name)))
     docs = acceptance.check_closed_forms(0)
     assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [
         ("murho", "358", False),
@@ -141,3 +147,22 @@ def test_projective_negative_control(monkeypatch):
     monkeypatch.setattr(acceptance, "default_rc", flipped)
     docs = acceptance.check_projective(0)
     assert [(d.params["nu"], d.residual, d.passed) for d in docs] == [(2, "50", False), (3, "30", False)]
+
+
+def test_integrator_drift_negative_control(monkeypatch):
+    # criterion 14 with the fourth-order step swapped for a first-order
+    # Euler step: the fine drift is far above 1e-8 and a 10x larger step
+    # raises it only 10x, not the 1e4x of a fourth-order method
+    def euler(vf, start, dt, steps, invariants):
+        state = {name: list(vals) for name, vals in start.items()}
+        inv0 = invariants(state)
+        drift = [0.0] * len(inv0)
+        for _ in range(steps):
+            k = vf(state)
+            state = {name: [x + dt * v for x, v in zip(state[name], k[name])] for name in state}
+            drift = [max(d, abs(ic - i0) / max(abs(i0), 1e-30)) for d, i0, ic in zip(drift, inv0, invariants(state))]
+        return [], {"steps": steps, "dt": dt, "max_relative_drift": drift}
+
+    monkeypatch.setattr(acceptance, "integrate", euler)
+    (doc,) = acceptance.check_integrator_drift(0)
+    assert (doc.params["ratio"], doc.params["drift_fine"], doc.passed) == ("10.0", "3.874e-03", False)

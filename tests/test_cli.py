@@ -80,9 +80,12 @@ def test_theorem_casimir_params_say_why(capsys):
     assert doc["params"] == {"N": 7, "numeric_residual": "0", "nu": 3}
 
 
-# sha256 of the `theorem --nu 4 --N 9 --out` and `theorem --nu 5 --N 11 --out`
-# files.  A deliberate change to the theorem report must update these pins
-# and say so.
+# sha256 of the `theorem --nu nu --N N --out` files.  (2, 5) and (3, 7)
+# read the murho and abrho tensors in their spectral check, (4, 9) and
+# (5, 11) the kernel-level certificate.  A deliberate change to the theorem
+# report must update these pins and say so.
+THEOREM_2_5_SHA256 = "f3386eaa237a025d0a4a579dd829c93053b608670fe5bfc4d80d96671c62da1f"
+THEOREM_3_7_SHA256 = "04b7a2cc02601ea60ec2356dbb84e4e8c7ebbb8ddcd8a85098619d801484cfdc"
 THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
 THEOREM_5_11_SHA256 = "1906843d1f92853b22cf4e8024c0ac39067cf36f96365d654411be4136c84b8a"
 
@@ -99,6 +102,13 @@ def test_theorem_out_is_byte_stable(tmp_path, capsys):
 
 def test_theorem_5_11_out_is_byte_stable(tmp_path, capsys):
     assert _theorem_out_sha256(tmp_path, 5, 11) == THEOREM_5_11_SHA256
+
+
+@pytest.mark.parametrize(
+    "nu, N, digest", [(2, 5, THEOREM_2_5_SHA256), (3, 7, THEOREM_3_7_SHA256)], ids=("nu2-N5", "nu3-N7")
+)
+def test_theorem_out_with_closed_tensor_is_byte_stable(nu, N, digest, tmp_path, capsys):
+    assert _theorem_out_sha256(tmp_path, nu, N) == digest
 
 
 def test_derive_op_form_for_word_tensor(tmp_path, capsys):

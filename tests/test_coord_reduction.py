@@ -92,6 +92,8 @@ def test_coords_on_a_degenerate_polygon_name_the_site():
         coords(W)
     with pytest.raises(DegeneratePolygon, match="site 1"):
         reference_coords(W)
+    with pytest.raises(DegeneratePolygon, match="^Wronskian vanishes at site 1$"):
+        gauge_normalize(W)
 
 
 def test_oracle_match_reads_one_context(monkeypatch):
@@ -788,6 +790,36 @@ def test_poly_tensor_json_round_trip():
     pt = random_fields(("mu", "rho"), N, Random(15))
     assert back.eval_matrix(pt) == toda.eval_matrix(pt)
     assert back.bracket_scale == toda.bracket_scale
+
+
+def test_named_tensor_monomials_are_canonical():
+    # every monomial of an expanded named tensor is strictly sorted by
+    # variable with positive exponents, the invariant Poly arithmetic keys on
+    N = 5
+    rng = Random(17)
+    tensors = [closed_tensor(name, N, phi=random_odd_kernel(N, rng)) for name in ("murho", "abrho")]
+    tensors += [closed_tensor(name, N).to_poly() for name in ("toda", "P0", "P1", "P2", "ftv_u")]
+    for T in tensors:
+        for poly in T.entries.values():
+            for mono in poly.terms:
+                assert all(e > 0 for _, e in mono), mono
+                assert all(a < b for (a, _), (b, _) in zip(mono, mono[1:])), mono
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([[[[0, 1], [1, 1]], "1"], [[[0, 1], [1, 1]], "2"]], "repeats"),
+        ([[[[1, 1], [0, 1]], "1"]], "strictly sorted"),
+        ([[[[0, 1], [0, 1]], "1"]], "strictly sorted"),
+        ([[[[0, 0]], "1"]], "positive exponents"),
+    ],
+)
+def test_poly_tensor_from_json_rejects_noncanonical_monomials(terms, message):
+    doc = {"form": "poly", "fields": ["u"], "N": 3, "bracket_scale": "1"}
+    doc["entries"] = [{"i": 0, "m": 0, "j": 0, "n": 1, "terms": terms}]
+    with pytest.raises(ValueError, match=message):
+        PolyTensor.from_json(doc)
 
 
 def test_fields_aliases():

@@ -27,7 +27,6 @@ from .exchange_algebra import (
     DegeneratePolygon,
     Polygon,
     ProjPolygon,
-    chain_bracket,
     default_rc,
     group_act,
     projective_bracket,
@@ -49,7 +48,6 @@ from .coord_reduction import (
     dirac_reduce,
     gauge_normalize,
     jacobiator,
-    normalized_fields,
     oracle_match,
     pushforward_check,
     toda_dirac_vs_ftv,

@@ -30,7 +30,7 @@ from fractions import Fraction
 from random import Random
 
 from . import acceptance
-from .acceptance import ReportDoc, _doc, run_suite
+from .acceptance import _doc, run_suite
 from .coord_reduction import closed_tensor, pushforward_check, random_fields, toda_dirac_vs_ftv
 from .dynamics import integrate, toda_float_vf, toda_invariants
 from .exchange_algebra import BracketSpec, default_rc, random_polygon, verify_structure, verify_ybe
@@ -138,6 +138,8 @@ def _cmd_derive(cfg: argparse.Namespace) -> list:
     if cfg.name == "ftv_u":
         kwargs["beta"] = _load_beta(cfg, rng)
     T = closed_tensor(cfg.name, cfg.N, **kwargs)
+    if "phi" in kwargs:
+        T = T.to_poly()  # the full quotient brackets are written expanded
     doc_json = T.to_json()
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
@@ -183,42 +185,19 @@ def _cmd_theorem(cfg: argparse.Namespace) -> list:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             json.dump(rep.to_json(), fh, sort_keys=True, indent=2)
-    docs = []
-    for case in rep.cases:
-        docs.append(
-            ReportDoc(
-                "theorem:linearity",
-                {"nu": cfg.nu, "N": cfg.N, "k": case["k"], "note": case.get("note", "")},
-                case["residual"] if case["residual"] is not None else "skipped",
-                case["verdict"] in ("pass", "skipped"),
-                cfg.seed,
-                0.0,
-            )
-        )
+    rows = [
+        ("theorem:linearity", {"nu": cfg.nu, "N": cfg.N, "k": case["k"], "note": case.get("note", "")}, case)
+        for case in rep.cases
+    ]
     casimir = {"nu": cfg.nu, "N": cfg.N}
     casimir.update((k, rep.casimir[k]) for k in ("note", "numeric_residual") if k in rep.casimir)
-    docs.append(
-        ReportDoc(
-            "theorem:casimir",
-            casimir,
-            rep.casimir.get("residual", "skipped"),
-            rep.casimir.get("verdict") in ("pass", "skipped"),
-            cfg.seed,
-            0.0,
-        )
-    )
-    docs.append(
-        ReportDoc(
-            "theorem:spectral",
-            {"nu": cfg.nu, "N": cfg.N, "note": rep.spectral.get("note", "")},
-            rep.spectral.get("residual", "skipped"),
-            rep.spectral.get("verdict") in ("pass", "skipped"),
-            cfg.seed,
-            0.0,
-        )
-    )
-    docs[-1].elapsed = time.time() - t0
-    return docs
+    rows.append(("theorem:casimir", casimir, rep.casimir))
+    rows.append(("theorem:spectral", {"nu": cfg.nu, "N": cfg.N, "note": rep.spectral.get("note", "")}, rep.spectral))
+    ok = ("pass", "skipped")
+    return [
+        _doc(check, params, row.get("residual") or "skipped", cfg.seed, t0, ok=row.get("verdict") in ok)
+        for check, params, row in rows
+    ]
 
 
 def _cmd_compat(cfg: argparse.Namespace) -> list:

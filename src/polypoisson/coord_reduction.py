@@ -14,13 +14,14 @@ point that serves both exact Jacobiators and compatibility certificates.
 Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
 differentiation; OpTensor stores field-dressed operator words, the shape the
-closed formulas are written in.  Every named tensor is built as words; the
-full quotient brackets murho and abrho are returned expanded by ``to_poly``,
-the distinguished closed forms as words.  One int walk over the paths of a
-word, its kernels and diagonal segments scaled once to ints, serves every
-reading: ``to_poly`` builds one Fraction per coefficient, ``eval_matrix``
-one per entry at a point (the only place a field inverse can be formed),
-and ``pushforward_check`` one for its residual.
+closed formulas are written in.  Every named tensor is built and returned as
+words; a caller that differentiates expands it once by ``to_poly``.  One int
+walk over the paths of a word, its kernels and diagonal segments scaled once
+to ints, serves every reading: ``to_poly`` builds one Fraction per
+coefficient, ``eval_matrix`` one per entry at a point (the only place a
+field inverse can be formed), and ``pushforward_check`` one for its
+residual.  ``dirac_reduce`` eliminates in ints as well, one Fraction per
+entry of the reduced matrix.
 """
 
 from __future__ import annotations
@@ -492,21 +493,20 @@ def build_abrho(phi: OddKernel) -> OpTensor:
 
 
 def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None):
-    """Construct one of the named reduced Poisson tensors on period N.
+    """Construct one of the named reduced Poisson tensors on period N, as an OpTensor.
 
-    murho(phi) and abrho(phi) are the full quotient brackets, returned
-    expanded as PolyTensors; toda, ftv_u(beta), ftv_S, P0, P1, P2 are the
-    distinguished closed forms, returned as OpTensors (stored with the
-    factor-1/2 normalisation their operator displays use).
+    murho(phi) and abrho(phi) are the full quotient brackets; toda,
+    ftv_u(beta), ftv_S, P0, P1, P2 are the distinguished closed forms (stored
+    with the factor-1/2 normalisation their operator displays use).
     """
     if name == "murho":
         if phi is None:
             raise ValueError("murho needs phi")
-        return build_murho(phi).to_poly()
+        return build_murho(phi)
     if name == "abrho":
         if phi is None:
             raise ValueError("abrho needs phi")
-        return build_abrho(phi).to_poly()
+        return build_abrho(phi)
     half = Fraction(1, 2)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)
@@ -678,52 +678,45 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     return Polygon(nu, N, V, W.M)
 
 
-def normalized_fields(W: Polygon, beta: PerSeq = None):
-    """The gauge-fixed field u and its site-pair product S = beta'^-1 u u'.
-
-    The polygon is gauge normalized so its Wronskian ratio equals beta (the
-    constant-Wronskian case for beta = 1); the surviving recursion
-    coefficient is u and S is the scaling-invariant combination the
-    lattice Virasoro bracket is usually written in.
-    """
-    N = W.N
-    if beta is None:
-        beta = PerSeq.constant(N, 1)
-    Wn = gauge_normalize(W, beta)
-    u = coords(Wn).by_name("a1" if W.nu != 2 else "mu")
-    S = PerSeq(N, tuple(u[m] * u[m + 1] / beta[m + 1] for m in range(N)))
-    return u, S
-
-
 def dirac_reduce(P_eval, constrained) -> list:
     """Dirac reduction A + B C^-1 B^T of an evaluated bracket matrix.
 
     P_eval is the full antisymmetric matrix at a point on the constraint
-    surface and ``constrained`` lists the constrained indices.  The C block is
-    inverted against the columns of B^T by one exact elimination of
-    [C | B^T], whose left block is rref(C): it gives the solution Z of
-    C Z = B^T with zeros in the free coordinates, and the nullspace of C.  So
-    a singular C is accepted as long as the couplings lie in its range and
-    that nullspace does not couple to the free block, which makes the
-    reduction well defined; otherwise ConstraintNotSecondClass is raised.
+    surface and ``constrained`` lists the constrained indices.  P_eval is
+    scaled once to ints P / d, and one fraction-free elimination of [C | B^T]
+    ends at p times its rref, p the last pivot: it gives p Z, Z the solution
+    of C Z = B^T with zeros in the free coordinates, and p times each
+    nullspace vector of C.  So a singular C is accepted as long as the
+    couplings lie in its range and that nullspace does not couple to the free
+    block, which makes the reduction well defined; otherwise
+    ConstraintNotSecondClass is raised.  With A and B read from the ints of
+    P, the reduced matrix A + B Z is (p A + B pZ) / (d p), one Fraction per
+    entry.
     """
     D = len(P_eval)
     con = sorted(constrained)
     conset = set(con)
     free = [i for i in range(D) if i not in conset]
-    A = [[P_eval[i][j] for j in free] for i in free]
-    B = [[P_eval[i][j] for j in con] for i in free]
+    P, d = linalg._scaled(P_eval)
     k = len(con)
-    red, pivots = linalg.rref([[P_eval[i][j] for j in con] + [P_eval[j][i] for j in free] for i in con])
+    red = [[P[i][j] for j in con] + [P[j][i] for j in free] for i in con]
+    pivots, p, _ = linalg._int_rref(red)
     if pivots and pivots[-1] >= k:
         raise ConstraintNotSecondClass("couplings do not lie in the range of the constraint block")
-    Z = linalg.zeros(k, len(free))
-    for r, c in enumerate(pivots):
-        Z[c] = red[r][k:]
-    for v in linalg.rref_nullspace(red, pivots, k):
-        if any(linalg.mat_vec(B, v)):
+    B = [[P[i][j] for j in con] for i in free]
+    for f in (c for c in range(k) if c not in pivots):
+        # p times the nullspace vector with a 1 in the non-pivot column f
+        if any(p * row[f] - sum(row[c] * red[r][f] for r, c in enumerate(pivots)) for row in B):
             raise ConstraintNotSecondClass("constraint block nullspace couples to the free block")
-    return linalg.mat_add(A, linalg.mat_mul(B, Z))
+    dp, pZ = d * p, [row[k:] for row in red[: len(pivots)]]
+    out = []
+    for i, brow in zip(free, B):
+        acc = [p * P[i][j] for j in free]
+        for c, z in zip(pivots, pZ):
+            if brow[c]:
+                acc = [x + brow[c] * y for x, y in zip(acc, z)]
+        out.append([Fraction(x, dp) if x else ZERO for x in acc])
+    return out
 
 
 def toda_dirac_vs_ftv(N: int, u: PerSeq, beta: PerSeq) -> Fraction:

@@ -22,11 +22,11 @@ All three blocks are quadratic in the coordinates, so the coordinate bracket
 matrix Pi is built in one place, ``_pi_table``: a sparse table of integer
 triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
 nonzeros of R, A_pm and phi.  ``_PiTable`` evaluates it in ints at the
-polygon's scaled coordinates: ``bracket_matrix`` is the Fraction view of those
-ints, the quasi-periodicity and antisymmetry checks read the ints directly,
-and ``jacobi_residual`` reads the int gradients of the entries it needs
-from the same triples.  The table is built per call; R and C are read once
-per BracketSpec as nonzeros, over which Q and A_pm are summed sparsely.  An
+polygon's scaled coordinates: the quasi-periodicity and antisymmetry
+checks read the ints directly, and ``jacobi_residual`` reads the int
+gradients of the entries it needs from the same triples.  The table is
+built per call; R and C are read once per BracketSpec as nonzeros, over
+which Q and A_pm are summed sparsely.  An
 observable of the polygon is a function from a ``_DualCtx`` to a triple
 (value, grad, den), grad a sparse {var: int} covector over the coordinates
 standing for grad / den: fields come from one int solve per site, Wronskians
@@ -510,11 +510,6 @@ class _PiTable:
             out.append(vals)
         return out
 
-    def values(self) -> list:
-        """Pi at the point: a D x D matrix of Fractions."""
-        scale = self.L * self.den * self.den
-        return [[Fraction(v, scale) if v else ZERO for v in row] for row in self.ints]
-
     def gradient(self, i: int, j: int) -> dict:
         """L den d Pi_ij at the point, as a sparse int covector {s: L den d_s Pi_ij}."""
         X = self.X
@@ -529,23 +524,9 @@ class _PiTable:
         return pairings(F, self.ints, G, self.L * self.den**2)
 
 
-def bracket_matrix(spec: BracketSpec, W: Polygon):
-    """The full coordinate bracket matrix Pi at the point W (exact, antisym)."""
-    return _PiTable(spec, W.coordinates()).values()
-
-
 # ---------------------------------------------------------------------------
 # chain-rule bracket and structure checks
 # ---------------------------------------------------------------------------
-
-
-def chain_bracket(spec: BracketSpec, W: Polygon, f, g) -> Fraction:
-    """{f, g} at W for observables f, g (functions from a _DualCtx to (value, grad, den)).
-
-    The int gradients are paired against the ints of Pi at W.
-    """
-    ctx = _DualCtx(W)
-    return _PiTable(spec, W.coordinates()).pairings([f(ctx)[1:]], [g(ctx)[1:]])[0][0]
 
 
 def momentum_formula_coeff(spec: BracketSpec, m: int, n: int) -> Fraction:

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
-from .coord_reduction import closed_tensor, compatibility, field_gradients, random_fields
+from .coord_reduction import as_poly_tensor, closed_tensor, compatibility, field_gradients, random_fields
 from .dynamics import LinearityViolated, lie_deform
 from .exchange_algebra import BracketSpec, _PiTable, _pi_table, random_polygon
 from .lattice_ops import (
@@ -289,7 +289,7 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
         rng = Random(seed + 1)
         resid = ZERO
         for k, phik in solved.items():
-            base = closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik)
+            base = as_poly_tensor(closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik))
             # the a^(k) of the tensor's own field names
             alias = {2: {1: "mu"}, 3: {1: "b", 2: "a"}}[nu][k]
             pt = random_fields(base.field_names, N, rng)

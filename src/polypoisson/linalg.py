@@ -269,15 +269,8 @@ def solve(a, b):
 
 def nullspace(a):
     """Basis (list of vectors) of the right nullspace of a."""
-    return rref_nullspace(*rref(a), len(a[0]) if a else 0)
-
-
-def rref_nullspace(red, pivots, cols):
-    """Nullspace basis of the first cols columns, read from their rref.
-
-    red and pivots are what ``rref`` returns for a matrix whose first cols
-    columns hold every pivot, as for [C | B] when C x = B is consistent.
-    """
+    red, pivots = rref(a)
+    cols = len(a[0]) if a else 0
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         v = [ZERO] * cols

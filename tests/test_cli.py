@@ -111,6 +111,30 @@ def test_theorem_out_with_closed_tensor_is_byte_stable(nu, N, digest, tmp_path, 
     assert _theorem_out_sha256(tmp_path, nu, N) == digest
 
 
+# sha256 of the `derive --name ... --N 5 --out` files (P0 at N = 7): murho
+# and abrho are written expanded ("poly" form), the closed forms as words
+# ("op" form).  A deliberate change to either wire format must update these
+# pins and say so.
+DERIVE_SHA256 = {
+    "murho": (["--nu", "2", "--k", "1"], "62ba6ddf9b4cf9cb4ed619ed95d872a07d1945a5f62330e3facc60ff8e213f80"),
+    "abrho": (["--nu", "3", "--k", "1"], "fded14e45838ed5332c2d9418790666354c34624a76ed25281cf1bb51d3e575f"),
+    "toda": ([], "8ca72f19f4b46d3e2c39c5235753ddec4cd09a30915c57701db1e96faecd8cf4"),
+    "ftv_u": ([], "3c3287c2e39822bb84ee2f893d59bc445282ba705ad2c6d4aee6e10d5b81479d"),
+    "ftv_S": ([], "5efa66c8e928887f829f1fc2dbd18ca6b48a5640d95747496c1af630cfb72d3d"),
+    "P1": ([], "6c763145dbb6cb1d4eb74aa1b804f877e142b18656afd0fb8c1c67e12fe2f1a1"),
+    "P2": ([], "a41b9cf9ef7022348a8ed3f8669c17803932371a880b5d9d2aa9df126d6f6fc6"),
+    "P0": (["--N", "7"], "6ed41806bb1275b3103ea9da872d769ee124bafba8b15d6fbf9131fe9102b82b"),
+}
+
+
+@pytest.mark.parametrize("name", list(DERIVE_SHA256))
+def test_derive_out_is_byte_stable(name, tmp_path, capsys):
+    extra, digest = DERIVE_SHA256[name]
+    out = tmp_path / f"{name}.json"
+    assert run_command(["derive", "--name", name, "--N", "5", *extra, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_derive_op_form_for_word_tensor(tmp_path, capsys):
     out = tmp_path / "ftv_S.json"
     assert run_command(["derive", "--name", "ftv_S", "--N", "5", "--out", str(out)]) == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_json_roundtrip import op_tensors, rationals
 
@@ -497,18 +497,105 @@ def test_dirac_rejects_nullspace_coupling():
         dirac_reduce(P, [1, 2])
 
 
-def test_normalized_fields_round_trip():
-    from polypoisson.coord_reduction import normalized_fields
+def reference_dirac_reduce(P_eval, constrained) -> list:
+    """Dirac reduction by Fraction elimination: the rref of [C | B^T], the
+    nullspace of C read from it, then A + B Z with dense Fraction products."""
+    con = sorted(constrained)
+    free = [i for i in range(len(P_eval)) if i not in con]
+    A = [[P_eval[i][j] for j in free] for i in free]
+    B = [[P_eval[i][j] for j in con] for i in free]
+    k = len(con)
+    red, pivots = linalg.rref([[P_eval[i][j] for j in con] + [P_eval[j][i] for j in free] for i in con])
+    if pivots and pivots[-1] >= k:
+        raise ConstraintNotSecondClass("couplings do not lie in the range of the constraint block")
+    Z = linalg.zeros(k, len(free))
+    for r, c in enumerate(pivots):
+        Z[c] = red[r][k:]
+    for f in (c for c in range(k) if c not in pivots):
+        v = [F(0)] * k
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        if any(linalg.mat_vec(B, v)):
+            raise ConstraintNotSecondClass("constraint block nullspace couples to the free block")
+    return linalg.mat_add(A, linalg.mat_mul(B, Z))
 
-    rng = Random(17)
-    W = random_polygon(2, 5, rng)
-    u, S = normalized_fields(W)
-    # after normalization the recursion is V'' = u V' - V, so u is the mu of
-    # the gauge-fixed polygon and S is the consecutive product
-    Wn = gauge_normalize(W)
-    assert u.values == coords(Wn).by_name("mu").values
-    for m in range(5):
-        assert S[m] == u[m] * u[m + 1]
+
+DIRAC_CASES = {
+    "regular": None,
+    "redundant": None,
+    "range": "range of the constraint block",
+    "coupling": "nullspace couples to the free block",
+}
+
+
+@st.composite
+def dirac_inputs(draw):
+    """(case, P, constrained): an antisymmetric P whose constraint block C is
+    invertible, then per case one more constrained index.  "redundant" adds
+    a combination of the constrained coordinates (C singular, the couplings
+    in its range); "range" an index with no C entries but couplings to the
+    free block; "coupling" breaks antisymmetry with a C block [[0, c], [0, 0]]
+    beside C whose null vector reaches the free block through B.  The
+    indices are then permuted."""
+    case = draw(st.sampled_from(sorted(DIRAC_CASES)))
+    nfree, k = draw(st.integers(1, 3)), draw(st.sampled_from((2, 4)))
+    D = nfree + k
+    P = [[F(0)] * D for _ in range(D)]
+    for i in range(D):
+        for j in range(i + 1, D):
+            P[i][j] = draw(rationals)
+            P[j][i] = -P[i][j]
+    con = list(range(nfree, D))
+    assume(linalg.det([[P[i][j] for j in con] for i in con]) != 0)
+    nonzero = rationals.filter(bool)
+    if case == "redundant":
+        c = draw(st.lists(rationals, min_size=k, max_size=k).filter(any))
+        T = linalg.identity(D) + [[F(0)] * nfree + c]
+        P = linalg.mat_mul(linalg.mat_mul(T, P), linalg.transpose(T))
+    elif case == "range":
+        b = draw(st.lists(rationals, min_size=nfree, max_size=nfree).filter(any))
+        P = [row + [F(0)] for row in P] + [[-x for x in b] + [F(0)] * (k + 1)]
+        for j, x in enumerate(b):
+            P[j][D] = x
+    elif case == "coupling":
+        b = draw(st.lists(rationals, min_size=nfree, max_size=nfree).filter(any))
+        P = [row + [F(0)] * 2 for row in P] + [[F(0)] * (D + 2) for _ in range(2)]
+        P[D][D + 1] = draw(nonzero)
+        for j, x in enumerate(b):
+            P[j][D] = x
+    n = len(P)
+    perm = draw(st.permutations(range(n)))
+    P = [[P[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    return case, P, [i for i in range(n) if perm[i] >= nfree]
+
+
+@given(dirac_inputs())
+def test_dirac_reduce_matches_fraction_reference(case_P_con):
+    case, P, con = case_P_con
+    try:
+        want = reference_dirac_reduce(P, con)
+    except ConstraintNotSecondClass as exc:
+        want = str(exc)
+    try:
+        got = dirac_reduce(P, con)
+    except ConstraintNotSecondClass as exc:
+        got = str(exc)
+    assert got == want
+    if DIRAC_CASES[case] is None:
+        assert linalg.max_abs(linalg.mat_add(got, linalg.transpose(got))) == 0
+    else:
+        assert DIRAC_CASES[case] in got
+
+
+def test_dirac_reduce_matches_fraction_reference_on_toda():
+    # the last pivot of the int elimination is negative here (-64 at N = 7)
+    rng = Random(23)
+    for N in (5, 7):
+        point = {"mu": random_fields(("u",), N, rng)["u"], "rho": random_fields(("beta",), N, rng)["beta"]}
+        full = closed_tensor("toda", N).eval_matrix(point)
+        con = [N + m for m in range(N)]
+        assert dirac_reduce(full, con) == reference_dirac_reduce(full, con)
 
 
 def test_pushforward_examples():
@@ -797,7 +884,7 @@ def test_named_tensor_monomials_are_canonical():
     # variable with positive exponents, the invariant Poly arithmetic keys on
     N = 5
     rng = Random(17)
-    tensors = [closed_tensor(name, N, phi=random_odd_kernel(N, rng)) for name in ("murho", "abrho")]
+    tensors = [closed_tensor(name, N, phi=random_odd_kernel(N, rng)).to_poly() for name in ("murho", "abrho")]
     tensors += [closed_tensor(name, N).to_poly() for name in ("toda", "P0", "P1", "P2", "ftv_u")]
     for T in tensors:
         for poly in T.entries.values():

@@ -16,8 +16,6 @@ from polypoisson.exchange_algebra import (
     _nonzeros,
     _pair,
     _random_sparse_linear,
-    bracket_matrix,
-    chain_bracket,
     default_rc,
     group_act,
     momentum_formula_coeff,
@@ -33,6 +31,13 @@ from test_linalg import reference_pairings
 from test_multipoly import Dual, laplace_det
 
 F = Fraction
+
+
+def pi_values(spec, coords):
+    """Pi at the coordinates as Fractions: the ints of _PiTable over L den^2."""
+    table = _PiTable(spec, coords)
+    scale = table.L * table.den**2
+    return [[F(v, scale) for v in row] for row in table.ints]
 
 
 def spec_with(nu, N, phi=None, rng=None):
@@ -405,7 +410,7 @@ def test_bracket_blocks_same_site_is_r_table():
     N = 5
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
-    Pi = bracket_matrix(spec, W)
+    Pi = pi_values(spec, W.coordinates())
     R = spec.R
     nu = 2
     for a in range(nu):
@@ -427,7 +432,7 @@ def test_bracket_blocks_at_identity_monodromy():
     spec = spec_with(nu, N, rng=Random(10))
     V = tuple(tuple(F(x) for x in row) for row in ((1, 2), (0, 1), (1, 1), (2, 1), (3, 1)))
     W = Polygon(nu, N, V, ((1, 0), (0, 1)))
-    Pi = bracket_matrix(spec, W)
+    Pi = pi_values(spec, W.coordinates())
     mvars = [W.var_m(i, j) for i in range(nu) for j in range(nu)]
     assert all(Pi[p][q] == 0 for p in mvars for q in mvars)
     Q = dense_q(spec)
@@ -447,7 +452,7 @@ def test_table_values_match_reference_assembly():
             cases.append((BracketSpec.standard(nu, N, phi), random_polygon(nu, N, rng)))
     cases.append((random_rc_spec(3, 5, rng), random_polygon(3, 5, rng)))
     for spec, W in cases:
-        assert bracket_matrix(spec, W) == reference_assemble(spec, W.V, W.M)
+        assert pi_values(spec, W.coordinates()) == reference_assemble(spec, W.V, W.M)
 
 
 def test_table_gradients_are_central_differences():
@@ -465,8 +470,8 @@ def test_table_gradients_are_central_differences():
         grads = [[table.gradient(i, j) for j in range(D)] for i in range(D)]
         assert all(type(d) is int and d for row in grads for g in row for d in g.values())
         for s in range(D):
-            plus = _PiTable(spec, [c + (k == s) for k, c in enumerate(x)]).values()
-            minus = _PiTable(spec, [c - (k == s) for k, c in enumerate(x)]).values()
+            plus = pi_values(spec, [c + (k == s) for k, c in enumerate(x)])
+            minus = pi_values(spec, [c - (k == s) for k, c in enumerate(x)])
             for i in range(D):
                 for j in range(D):
                     got = F(grads[i][j].get(s, 0), table.L * table.den)
@@ -606,31 +611,27 @@ def test_chain_bracket_antisymmetry_and_momentum():
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
 
-    def w0(ctx):
-        return ctx.wronskian(0)
-
-    assert chain_bracket(spec, W, w0, w0) == 0
+    ctx = _DualCtx(W)
+    table = _PiTable(spec, W.coordinates())
+    w = [ctx.wronskian(m)[1:] for m in range(N)]
+    assert table.pairings(w[:1], w[:1]) == [[0]]
     # {w_m, (V_n)_a} against the closed momentum coefficient
+    got = table.pairings(w, [({W.var_v(n, a): 1}, 1) for n in range(N) for a in range(2)])
     for m in range(N):
         for n in range(N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(2):
-                got = chain_bracket(
-                    spec, W, lambda ctx: ctx.wronskian(m), lambda ctx: (W.V[n][a], {W.var_v(n, a): 1}, 1)
-                )
-                assert got == coeff * W.wronskian_at(m) * W.V[n][a]
+                assert got[m][2 * n + a] == coeff * W.wronskian_at(m) * W.V[n][a]
 
 
 def test_quasiperiodicity_without_monodromy_terms_fails():
     # dropping the monodromy contribution from the product rule must break
     # the extension consistency: guards against silently ignoring M-blocks
-    from polypoisson.exchange_algebra import bracket_matrix
-
     rng = Random(14)
     N = 5
     spec = spec_with(2, N, rng=rng)
     W = random_polygon(2, N, rng)
-    Pi = bracket_matrix(spec, W)
+    Pi = pi_values(spec, W.coordinates())
     nu = 2
     bad = Fraction(0)
     for m in range(N):

@@ -212,7 +212,7 @@ def test_check_theorem_spectral_negative_controls(monkeypatch, nu):
     real_closed_tensor = gen_nu.closed_tensor
 
     def dropped(name, N, phi):
-        T = real_closed_tensor(name, N, phi=phi)
+        T = real_closed_tensor(name, N, phi=phi).to_poly()
         del T.entries[min(T.entries)]
         return T
 

@@ -15,7 +15,6 @@ from random import Random
 
 from . import linalg
 from .coord_reduction import (
-    T_SAMPLES,
     as_poly_tensor,
     closed_tensor,
     compatibility,
@@ -278,7 +277,7 @@ def check_extended_toda_compat(seed: int = 0, points: int = 3, N: int = 5) -> li
     P2 = closed_tensor("P2", N)
     pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(points)]
     res = compatibility(P1, P2, pts)
-    return [_doc("extended_toda_compat", {"N": N, "points": points, "t_samples": len(T_SAMPLES)}, res, seed, t0)]
+    return [_doc("extended_toda_compat", {"N": N, "points": points}, res, seed, t0)]
 
 
 def check_pencil_deformations(seed: int = 0) -> list:
@@ -289,8 +288,9 @@ def check_pencil_deformations(seed: int = 0) -> list:
         t0 = time.time()
         P = closed_tensor(name, N)
         pts = [random_fields(P.field_names, N, rng) for _ in range(3)]
-        res = max(gf_check(P, direction, pts))
-        docs.append(_doc("pencil_deformation", {"tensor": name, "direction": direction, "N": N}, res, seed, t0))
+        res = gf_check(P, direction, pts)
+        params = {"tensor": name, "direction": direction, "N": N, "points": len(pts)}
+        docs.append(_doc("pencil_deformation", params, res, seed, t0))
     return docs
 
 

@@ -189,10 +189,10 @@ def _cmd_theorem(cfg: argparse.Namespace) -> list:
         ("theorem:linearity", {"nu": cfg.nu, "N": cfg.N, "k": case["k"], "note": case.get("note", "")}, case)
         for case in rep.cases
     ]
-    casimir = {"nu": cfg.nu, "N": cfg.N}
-    casimir.update((k, rep.casimir[k]) for k in ("note", "numeric_residual") if k in rep.casimir)
-    rows.append(("theorem:casimir", casimir, rep.casimir))
-    rows.append(("theorem:spectral", {"nu": cfg.nu, "N": cfg.N, "note": rep.spectral.get("note", "")}, rep.spectral))
+    for check, row in (("theorem:casimir", rep.casimir), ("theorem:spectral", rep.spectral)):
+        params = {"nu": cfg.nu, "N": cfg.N}
+        params.update((k, row[k]) for k in ("note", "numeric_residual", "points") if k in row)
+        rows.append((check, params, row))
     ok = ("pass", "skipped")
     return [
         _doc(check, params, row.get("residual") or "skipped", cfg.seed, t0, ok=row.get("verdict") in ok)

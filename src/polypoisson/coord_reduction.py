@@ -764,20 +764,21 @@ def jacobiator(P, point) -> Fraction:
 
     The maximum over triples I < J < K of field sites of
       |sum_s P_{I s} d_s P_{J K} + cyclic|,
-    read as the t^0 term of ``_pencil_sums`` with no second tensor.
+    read as the t^0 coefficient of ``_pencil_sums`` with no second tensor.
     """
-    L, sums = _pencil_sums(as_poly_tensor(P), None, point)
-    return Fraction(max((abs(a) for abc in sums for a, _, _ in abc), default=0), L)
+    L, (x, _, _) = _pencil_sums(as_poly_tensor(P), None, point)
+    return Fraction(x, L)
 
 
 def _pencil_sums(TP: PolyTensor, TQ, point):
-    """The Jacobiator of the pencil P + tQ at a point, one smallest index at a time.
+    """The Jacobiator of the pencil P + tQ at a point, by its t-coefficients.
 
-    Returns (L, sums): for each smallest index a, ``sums`` yields the list
-    of (x, y, z) over the triples a < b < c with a nonzero term, where the
-    triple's Jacobiator of P + tQ is (x + t y + t^2 z) / L: x = J(P), y the
-    mixed term (P's values against Q's gradients and Q's against P's), z =
-    J(Q).  TQ = None gives y = z = 0.
+    Returns (L, (x, y, z)): each triple's Jacobiator of P + tQ is a
+    polynomial (x' + t y' + t^2 z') / L in t, x' = J(P), y' the mixed term
+    (P's values against Q's gradients and Q's against P's), z' = J(Q), and
+    x, y, z are the max-abs of x', y', z' over the triples.  All three are
+    zero exactly when every member of the pencil satisfies Jacobi at the
+    point.  TQ = None gives y = z = 0.
 
     The point is scaled once to ints X over the lcm dx of its denominators;
     with K the top degree of the entries and Lc the lcm of their coefficient
@@ -796,17 +797,15 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     D = TP.n_vars()
     VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
     VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
-
-    def sums():
-        for a in range(D):
-            A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
-            _accumulate(A, a, D, VP, GP)
-            _accumulate(B, a, D, VP, GQ)
-            _accumulate(B, a, D, VQ, GP)
-            _accumulate(C, a, D, VQ, GQ)
-            yield [(A.get(k, 0), B.get(k, 0), C.get(k, 0)) for k in A.keys() | B.keys() | C.keys()]
-
-    return Lv * Lg, sums()
+    xyz = (0, 0, 0)
+    for a in range(D):
+        A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
+        _accumulate(A, a, D, VP, GP)
+        _accumulate(B, a, D, VP, GQ)
+        _accumulate(B, a, D, VQ, GP)
+        _accumulate(C, a, D, VQ, GQ)
+        xyz = tuple(max(m, max(map(abs, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
+    return Lv * Lg, xyz
 
 
 def _int_eval(T: PolyTensor, X, pw):
@@ -889,47 +888,20 @@ def _accumulate(acc, a: int, D: int, V, G):
             acc[b * D + c] += v * d
 
 
-T_SAMPLES = (Fraction(1), Fraction(2), Fraction(3), Fraction(-1, 2))
-
-
 def compatibility(P, Q, points) -> Fraction:
-    """Max Jacobiator of P + tQ over sampled points and the t values T_SAMPLES.
+    """Max over the points of the largest t-coefficient of the Jacobiator of P + tQ.
 
     Tensor entries are polynomial, so at a fixed point the Jacobiator of the
-    pencil is a polynomial of degree two in t.  Its vanishing at the four
-    T_SAMPLES is therefore an exact certificate that every member of the
-    pencil satisfies Jacobi at that point.  The points themselves are
-    sampled: a zero at every given point is evidence of compatibility, not
-    a proof of it.
-    """
-    return _pencil_max(P, Q, points)[1]
-
-
-def _pencil_max(P, Q, points):
-    """(max J(Q), compatibility(P, Q, points)), both from one sweep per point.
-
-    Each triple's Jacobiator x + t y + t^2 z comes from ``_pencil_sums``; J(Q)
-    is its t^2 term, and for t = p/q the residual max |q^2 x + p q y + p^2 z|
-    / (q^2 L) is compared in ints over the lcm of the q^2.  No point: ValueError.
+    pencil is a polynomial of degree two in t; ``_pencil_sums`` reads its
+    three coefficients exactly, and their vanishing certifies that every
+    member of the pencil satisfies Jacobi at that point.  The points
+    themselves are sampled: a zero at every given point is evidence of
+    compatibility, not a proof of it.  No point, or tensors on different
+    field spaces: ValueError.
     """
     if not points:
         raise ValueError("at least one point is required")
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     if TP.field_names != TQ.field_names or TP.N != TQ.N:
         raise ValueError("tensors live on different field spaces")
-    qq = lcm(*(t.denominator**2 for t in T_SAMPLES))
-    ts = [(t.denominator**2, t.numerator * t.denominator, t.numerator**2, qq // t.denominator**2) for t in T_SAMPLES]
-    jac, res = (0, 1), (0, 1)
-    for point in points:
-        L, sums = _pencil_sums(TP, TQ, point)
-        top = best = 0
-        for abc in sums:
-            abc = [xyz for xyz in abc if any(xyz)]
-            top = max(top, max((abs(z) for _, _, z in abc), default=0))
-            for a, b, c, k in ts:
-                best = max(best, k * max((abs(a * x + b * y + c * z) for x, y, z in abc), default=0))
-        if top * jac[1] > jac[0] * L:
-            jac = (top, L)
-        if best * res[1] > res[0] * qq * L:
-            res = (best, qq * L)
-    return Fraction(*jac), Fraction(*res)
+    return max(Fraction(max(xyz), L) for L, xyz in (_pencil_sums(TP, TQ, pt) for pt in points))

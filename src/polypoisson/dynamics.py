@@ -21,11 +21,11 @@ from . import linalg
 from .coord_reduction import (
     Fields,
     PolyTensor,
-    _pencil_max,
     _var,
     alias_index,
     as_poly_tensor,
     closed_tensor,
+    compatibility,
     coords,
     field_gradients,
 )
@@ -231,16 +231,16 @@ def lie_deform(P, direction) -> PolyTensor:
     return out
 
 
-def gf_check(P, direction, points):
-    """(max Jacobiator of LP, compatibility of (P, LP)) at the points, LP = lie_deform(P).
+def gf_check(P, direction, points) -> Fraction:
+    """compatibility(P, LP, points), LP = lie_deform(P, direction), exact.
 
-    Both are exact and come from one sweep of the pencil P + t LP per point;
-    (0, 0) certifies that LP is Poisson and compatible with P there.  LP is
+    One sweep of the pencil P + t LP per point; its t^2 coefficient is J(LP),
+    so zero certifies that LP is Poisson and compatible with P there.  LP is
     constant along the direction, since lie_deform only accepts P at most
     linear in it, so its own Lie derivative vanishes and is not checked.
     """
     TP = as_poly_tensor(P)
-    return _pencil_max(TP, lie_deform(TP, direction), points)
+    return compatibility(TP, lie_deform(TP, direction), points)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from random import Random
 
-from .coord_reduction import as_poly_tensor, closed_tensor, compatibility, field_gradients, random_fields
-from .dynamics import LinearityViolated, lie_deform
+from .coord_reduction import closed_tensor, field_gradients, random_fields
+from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _PiTable, _pi_table, random_polygon
 from .lattice_ops import (
     DPoly,
@@ -289,18 +289,19 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
         rng = Random(seed + 1)
         resid = ZERO
         for k, phik in solved.items():
-            base = as_poly_tensor(closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik))
+            base = closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik)
             # the a^(k) of the tensor's own field names
             alias = {2: {1: "mu"}, 3: {1: "b", 2: "a"}}[nu][k]
             pt = random_fields(base.field_names, N, rng)
             try:
-                resid = max(resid, compatibility(base, lie_deform(base, alias), [pt]))
+                resid = max(resid, gf_check(base, alias, [pt]))
             except LinearityViolated:
                 resid = max(resid, Fraction(1))
         report.spectral = {
             "verdict": "pass" if resid == 0 else "fail",
             "residual": rat_str(resid),
             "note": "tensor-level shift",
+            "points": 1,
         }
     else:
         kernel_ok = all(c["verdict"] in ("pass", "skipped") for c in report.cases)

@@ -84,8 +84,8 @@ def test_theorem_casimir_params_say_why(capsys):
 # read the murho and abrho tensors in their spectral check, (4, 9) and
 # (5, 11) the kernel-level certificate.  A deliberate change to the theorem
 # report must update these pins and say so.
-THEOREM_2_5_SHA256 = "f3386eaa237a025d0a4a579dd829c93053b608670fe5bfc4d80d96671c62da1f"
-THEOREM_3_7_SHA256 = "04b7a2cc02601ea60ec2356dbb84e4e8c7ebbb8ddcd8a85098619d801484cfdc"
+THEOREM_2_5_SHA256 = "b5843d1ec1400d63d6b44649fa02c2fe20f0a2bfdd40cbc5cc04534ef52f9ca6"
+THEOREM_3_7_SHA256 = "5913c1cd3b4b3acc12b3544df26b764be3f20497d21bbea7b8cc7390695cb1a3"
 THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
 THEOREM_5_11_SHA256 = "1906843d1f92853b22cf4e8024c0ac39067cf36f96365d654411be4136c84b8a"
 

@@ -15,9 +15,8 @@ from polypoisson.coord_reduction import (
     GaugeInconsistent,
     NonUniqueGauge,
     OpTensor,
-    T_SAMPLES,
     PolyTensor,
-    _pencil_max,
+    _pencil_sums,
     _var,
     as_poly_tensor,
     closed_tensor,
@@ -623,8 +622,8 @@ def test_jacobiator_zero_and_negative_control():
     assert jacobiator(broken, pt) != 0
 
 
-def dense_jacobiator(P, point) -> Fraction:
-    """Reference Jacobiator: every triple I < J < K and all three cyclic terms, in Fractions.
+def dense_triples(P, point) -> dict:
+    """Reference Jacobiator of every triple I < J < K, all three cyclic terms, in Fractions.
 
     Values come from Poly.eval (through eval_matrix) and derivatives from
     Poly.diff, independently of the int evaluation of the pencil sweep.
@@ -645,12 +644,16 @@ def dense_jacobiator(P, point) -> Fraction:
                 acc += vals[I][s] * d
         return acc
 
-    res = F(0)
-    for I in range(D):
-        for J in range(I + 1, D):
-            for K in range(J + 1, D):
-                res = max(res, abs(term(I, J, K) + term(J, K, I) + term(K, I, J)))
-    return res
+    return {
+        (I, J, K): term(I, J, K) + term(J, K, I) + term(K, I, J)
+        for I in range(D)
+        for J in range(I + 1, D)
+        for K in range(J + 1, D)
+    }
+
+
+def dense_jacobiator(P, point) -> Fraction:
+    return max(map(abs, dense_triples(P, point).values()), default=F(0))
 
 
 def perturbed(TP: PolyTensor, rng: Random, antisymmetric: bool) -> PolyTensor:
@@ -706,13 +709,29 @@ def pencil(P: PolyTensor, Q: PolyTensor, t) -> PolyTensor:
     return out
 
 
+def dense_pencil(P, Q, point) -> tuple:
+    """Reference t-coefficients (x, y, z) of the Jacobiator of P + tQ at a point.
+
+    Each triple's Jacobiator x' + t y' + t^2 z' is read from the summed
+    members at t = 0, 1, -1: x' = J0, y' = (J1 - J-1) / 2, z' = (J1 + J-1) / 2
+    - J0; x, y, z are the max-abs of each over the triples.
+    """
+    P, Q = as_poly_tensor(P), as_poly_tensor(Q)
+    J0, J1, Jm = (dense_triples(T, point) for T in (P, pencil(P, Q, F(1)), pencil(P, Q, F(-1))))
+    coeffs = [(J0[k], (J1[k] - Jm[k]) / 2, (J1[k] + Jm[k]) / 2 - J0[k]) for k in J0]
+    return tuple(max((abs(c[i]) for c in coeffs), default=F(0)) for i in range(3))
+
+
+def dense_compatibility(P, Q, points) -> Fraction:
+    return max(max(dense_pencil(P, Q, pt)) for pt in points)
+
+
 def test_compatibility_equals_pencil_jacobiator():
-    # one evaluation of P and of Q per point gives exactly the Jacobiator of
-    # each summed pencil member
+    # one evaluation of P and of Q per point gives exactly the three
+    # t-coefficients of each triple's Jacobiator of the pencil
     N = 5
     rng = Random(29)
     abr = ("a", "b", "rho")
-    ts = [F(1), F(2), F(3), F(-1, 2)]
     P1 = as_poly_tensor(closed_tensor("P1", N))
     P2 = as_poly_tensor(closed_tensor("P2", N))
     dropped = []
@@ -727,11 +746,13 @@ def test_compatibility_equals_pencil_jacobiator():
     got = []
     for P, Q in pairs:
         pts = [random_fields(abr, N, rng) for _ in range(2)]
-        want = max(dense_jacobiator(pencil(P, Q, t), pt) for pt in pts for t in ts)
         got.append(compatibility(P, Q, pts))
-        assert got[-1] == want
-        # the same sweep reads J(Q) off the t^2 term
-        assert _pencil_max(P, Q, pts) == (max(dense_jacobiator(Q, pt) for pt in pts), want)
+        assert got[-1] == dense_compatibility(P, Q, pts)
+        # the same sweep reads J(P) off the t^0 term and J(Q) off the t^2 term
+        L, xyz = _pencil_sums(P, Q, pts[0])
+        coeffs = tuple(F(c, L) for c in xyz)
+        assert coeffs == dense_pencil(P, Q, pts[0])
+        assert (coeffs[0], coeffs[2]) == (dense_jacobiator(P, pts[0]), dense_jacobiator(Q, pts[0]))
     assert got[0] == 0
     assert all(got[1:])
     assert any(r.denominator > 1 for r in got)
@@ -786,10 +807,7 @@ def test_int_evaluation_matches_dense_reference_on_every_scaling_path():
     for P, Q in ((MIXED, CUBIC), (CUBIC, MIXED), (MIXED, CONSTANT), (CONSTANT, CONSTANT), (CUBIC, EMPTY), (EMPTY, EMPTY)):
         got = compatibility(P, Q, UV_POINTS)
         assert type(got) is Fraction
-        assert got == max(dense_jacobiator(pencil(P, Q, t), pt) for pt in UV_POINTS for t in T_SAMPLES)
-        jac_q, res = _pencil_max(P, Q, UV_POINTS)
-        assert type(jac_q) is Fraction and type(res) is Fraction
-        assert jac_q == max(dense_jacobiator(Q, pt) for pt in UV_POINTS)
+        assert got == dense_compatibility(P, Q, UV_POINTS)
 
 
 def test_gf_check_matches_dense_reference_with_a_perturbed_term():
@@ -801,14 +819,10 @@ def test_gf_check_matches_dense_reference_with_a_perturbed_term():
     broken.entries = dict(P1.entries)
     # a^0 b^2 / 3 added to one entry: still linear in the direction a
     broken.add_term(1, 2, 2, 4, Poly({((_var(0, 0, N), 1), (_var(1, 2, N), 1)): F(1, 3)}))
-    LP = lie_deform(broken, "a")
     got = gf_check(broken, "a", pts)
-    want = (
-        max(dense_jacobiator(LP, pt) for pt in pts),
-        max(dense_jacobiator(pencil(broken, LP, t), pt) for pt in pts for t in T_SAMPLES),
-    )
-    assert got == want and all(type(r) is Fraction for r in got)
-    assert got[1] != 0
+    assert type(got) is Fraction
+    assert got == dense_compatibility(broken, lie_deform(broken, "a"), pts)
+    assert got != 0
 
 
 def test_pencil_needs_a_point():
@@ -820,6 +834,16 @@ def test_pencil_needs_a_point():
         gf_check(P1, "a", [])
     with pytest.raises(ValueError, match="at least one point"):
         acceptance.check_extended_toda_compat(0, points=0)
+
+
+def test_pencil_needs_one_field_space():
+    pts = [random_fields(("a", "b", "rho"), 5, Random(17))]
+    # different field names at one period
+    with pytest.raises(ValueError, match="different field spaces"):
+        compatibility(closed_tensor("P1", 5), closed_tensor("toda", 5), pts)
+    # the same field names at different periods
+    with pytest.raises(ValueError, match="different field spaces"):
+        compatibility(closed_tensor("P1", 5), closed_tensor("P1", 7), pts)
 
 
 def test_compatibility_self_and_pair():

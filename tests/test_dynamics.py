@@ -286,7 +286,7 @@ def test_gf_check_named_tensors():
     for name, direction in (("toda", "mu"), ("P1", "a"), ("P2", "b")):
         P = closed_tensor(name, N)
         pts = [random_fields(P.field_names, N, rng) for _ in range(2)]
-        assert gf_check(P, direction, pts) == (0, 0)
+        assert gf_check(P, direction, pts) == 0
 
 
 @pytest.mark.parametrize("broken", ["toda", "P1", "P2"])

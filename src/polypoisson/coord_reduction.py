@@ -19,9 +19,9 @@ words; a caller that differentiates expands it once by ``to_poly``.  One int
 walk over the paths of a word, its kernels and diagonal segments scaled once
 to ints, serves every reading: ``to_poly`` builds one Fraction per
 coefficient, ``eval_matrix`` one per entry at a point (the only place a
-field inverse can be formed), and ``pushforward_check`` one for its
-residual.  ``dirac_reduce`` eliminates in ints as well, one Fraction per
-entry of the reduced matrix.
+field inverse can be formed), and ``pushforward_check`` and
+``toda_dirac_vs_ftv`` one for their residual.  ``dirac_reduce``
+eliminates in ints as well, one Fraction per reduced entry.
 """
 
 from __future__ import annotations
@@ -693,11 +693,15 @@ def dirac_reduce(P_eval, constrained) -> list:
     P, the reduced matrix A + B Z is (p A + B pZ) / (d p), one Fraction per
     entry.
     """
-    D = len(P_eval)
+    dp, rows = _dirac_ints(*linalg._scaled(P_eval), constrained)
+    return [[Fraction(x, dp) if x else ZERO for x in row] for row in rows]
+
+
+def _dirac_ints(P, d: int, constrained) -> tuple:
+    """dirac_reduce's int core on the ints P over d: (d p, rows), the reduced matrix as int rows over d p."""
     con = sorted(constrained)
     conset = set(con)
-    free = [i for i in range(D) if i not in conset]
-    P, d = linalg._scaled(P_eval)
+    free = [i for i in range(len(P)) if i not in conset]
     k = len(con)
     red = [[P[i][j] for j in con] + [P[j][i] for j in free] for i in con]
     pivots, p, _ = linalg._int_rref(red)
@@ -708,26 +712,24 @@ def dirac_reduce(P_eval, constrained) -> list:
         # p times the nullspace vector with a 1 in the non-pivot column f
         if any(p * row[f] - sum(row[c] * red[r][f] for r, c in enumerate(pivots)) for row in B):
             raise ConstraintNotSecondClass("constraint block nullspace couples to the free block")
-    dp, pZ = d * p, [row[k:] for row in red[: len(pivots)]]
+    pZ = [row[k:] for row in red[: len(pivots)]]
     out = []
     for i, brow in zip(free, B):
         acc = [p * P[i][j] for j in free]
         for c, z in zip(pivots, pZ):
             if brow[c]:
                 acc = [x + brow[c] * y for x, y in zip(acc, z)]
-        out.append([Fraction(x, dp) if x else ZERO for x in acc])
-    return out
+        out.append(acc)
+    return d * p, out
 
 
 def toda_dirac_vs_ftv(N: int, u: PerSeq, beta: PerSeq) -> Fraction:
-    """Residual between Dirac-reduced Toda at rho = beta and the closed form."""
-    toda = closed_tensor("toda", N)
-    point = {"mu": u, "rho": beta}
-    full = toda.eval_matrix(point)
-    con = [_var(1, m, N) for m in range(N)]
-    red = dirac_reduce(full, con)
-    ftv = closed_tensor("ftv_u", N, beta=beta).eval_matrix({"u": u})
-    return linalg.max_abs(linalg.mat_sub(red, ftv))
+    """Residual between Dirac-reduced Toda at rho = beta and the closed form, cross-multiplied in ints."""
+    L, full = closed_tensor("toda", N).int_matrix({"mu": u, "rho": beta})
+    dp, red = _dirac_ints(full, L, [_var(1, m, N) for m in range(N)])
+    L, ftv = closed_tensor("ftv_u", N, beta=beta).int_matrix({"u": u})
+    res = max(abs(a * L - b * dp) for ra, rb in zip(red, ftv) for a, b in zip(ra, rb))
+    return Fraction(res, abs(dp) * L)
 
 
 def pushforward_check(u: PerSeq) -> Fraction:

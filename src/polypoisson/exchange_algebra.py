@@ -18,25 +18,25 @@ below verifies this exactly); writing A_pm = R +- Q they read
 All values are exact rationals.  Sign and leg conventions are pinned jointly
 by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
 
-All three blocks are quadratic in the coordinates, so the coordinate bracket
-matrix Pi is built in one place, ``_pi_table``: a sparse table of integer
-triples (a, b, c) per entry, with Pi_ij = sum c x_a x_b / L, read from the
-nonzeros of R, A_pm and phi.  ``_PiTable`` evaluates it in ints at the
-polygon's scaled coordinates: the quasi-periodicity and antisymmetry
-checks read the ints directly, and ``jacobi_residual`` reads the int
-gradients of the entries it needs from the same triples.  The table is
-built per call; R and C are read once per BracketSpec as nonzeros, over
-which Q and A_pm are summed sparsely.  An
-observable of the polygon is a function from a ``_DualCtx`` to a triple
-(value, grad, den), grad a sparse {var: int} covector over the coordinates
-standing for grad / den: fields come from one int solve per site, Wronskians
-from ``linalg.det_grad`` on the same elimination, and affine-chart
-coordinates from the quotient rule in ints.  Every chain-rule bracket pairs
-such int gradients against the ints of Pi with ``linalg.pairings`` and
-builds a Fraction per nonzero result only; the momentum check contracts
-each dw_m with the ints of Pi itself and compares by cross-multiplication,
-one Fraction per site.  The projective closed form is one contraction of
-the nonzeros of R with the chart points (v, 1).
+All three blocks are quadratic in the coordinates; a V-V block depends on
+(m, n) only through sgn(m-n) and phi_{m-n}, the others not at all.  So the
+coordinate bracket matrix Pi is assembled in one place, ``_pi_cells``: int
+cells of triples (u, v, c), each an entry sum c U_u W_v / L over two slices
+of the coordinates, read from the nonzeros of R +- Q, A_pm and phi and
+cached on the BracketSpec, O(nu^4) of them whatever N.  ``_PiTable``
+evaluates them block by block in ints at the polygon's scaled coordinates:
+the quasi-periodicity and antisymmetry checks read the ints directly, and
+``jacobi_residual`` reads the int gradients of the entries it needs from the
+same cells.  An observable of the polygon is a function from a ``_DualCtx``
+to a triple (value, grad, den), grad a sparse {var: int} covector over the
+coordinates standing for grad / den: fields come from one int solve per
+site, Wronskians from ``linalg.det_grad`` on the same elimination, and
+affine-chart coordinates from the quotient rule in ints.  Every chain-rule
+bracket pairs such int gradients against the ints of Pi with
+``linalg.pairings`` and builds a Fraction per nonzero result only; the
+momentum check contracts each dw_m with the ints of Pi itself and compares
+by cross-multiplication, one Fraction per site.  The projective closed form
+is one contraction of the nonzeros of R with the chart points (v, 1).
 """
 
 from __future__ import annotations
@@ -267,8 +267,8 @@ def verify_ybe(R, C) -> Fraction:
 class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
 
-    R and C are dense nu^2 x nu^2 matrices, the public and JSON form.  The
-    sparse data _pi_table reads is built once per spec from their nonzeros.
+    R and C are dense nu^2 x nu^2 matrices, the public and JSON form.  Pi's
+    cells (_cells, from _pi_template alone) are built once per spec.
     """
 
     nu: int
@@ -295,7 +295,7 @@ class BracketSpec:
 
     @cached_property
     def _pi_template(self) -> tuple:
-        """The sparse data _pi_table builds Pi from, over one denominator L.
+        """The sparse data _pi_cells builds Pi's cells from, over one denominator L.
 
         (L, vv, phi, a_minus, a_plus): vv[s] lists the nonzeros of R + s Q
         for s in (0, 1, -1), Q = C + Id(x)Id summed over the nonzeros of C,
@@ -313,6 +313,8 @@ class BracketSpec:
         L = lcm(*(x.denominator for x in [t[4] for terms in vv for t in terms] + phi))
         vv = [[(*t[:4], int(t[4] * L)) for t in terms] for terms in vv]
         return L, vv, [int(x * L) for x in phi], vv[-1], vv[1]
+
+    _cells = cached_property(lambda self: _pi_cells(self))
 
     def to_json(self) -> dict:
         from .linalg import rat_str
@@ -418,50 +420,35 @@ class _DualCtx:
 
 
 # ---------------------------------------------------------------------------
-# the coordinate bracket matrix: one integer quadratic table for values and gradients
+# the coordinate bracket matrix: one integer cell template for values and gradients
 # ---------------------------------------------------------------------------
 
 
-def _pi_table(spec: BracketSpec) -> tuple:
-    """Pi as a sparse integer quadratic table: (L, rows).
+def _pi_cells(spec: BracketSpec) -> tuple:
+    """Pi's cell template (L, phi, vv, vm, mm), from spec._pi_template alone.
 
-    rows[i][j] lists triples (a, b, c) of ints with Pi_ij = sum c x_a x_b / L,
-    over the coordinates x = (V_0, ..., V_{N-1}, M) ordered as in
-    Polygon.var_v / Polygon.var_m.  The table is built from the sparse
-    nonzeros in spec._pi_template, once per call: it is not cached on the
-    spec, because a caller holding many specs would hold every table.
+    A cell lists int triples (u, v, x) for sum x U_u W_v / L over two slices
+    U, W of the coordinates.  Pi at (V_m^a, V_n^b) is cell vv[sgn(m-n)][a][b]
+    on (V_m, V_n) plus phi_{m-n} V_m^a V_n^b / L; at (V_m^a, M_ij) it is
+    vm[a][i nu + j] on (V_m, M), at (M_ij, V_m^a) minus that, and at
+    (M_P, M_Q) mm[P][Q] on (M, M).  No cell depends on m, n or N.
     """
-    nu, N = spec.nu, spec.N
+    nu, n2 = spec.nu, spec.nu * spec.nu
     L, vv, phi, a_minus, a_plus = spec._pi_template
-    base = N * nu
-    D = base + nu * nu
-    rows = [[[] for _ in range(D)] for _ in range(D)]
-    mvar = [[base + i * nu + j for j in range(nu)] for i in range(nu)]
+    vv_cells = [[[[] for _ in range(nu)] for _ in range(nu)] for _ in vv]
+    vm, mm = [[[] for _ in range(n2)] for _ in range(nu)], [[[] for _ in range(n2)] for _ in range(n2)]
     # V-V: {V_m (x) V_n} = (V_m (x) V_n) [R + sgn(m-n) Q + phi_{m-n} Id(x)Id]
-    for m in range(N):
-        vm = m * nu
-        for n in range(N):
-            vn = n * nu
-            for c, d, a, b, x in vv[sign(m - n)]:
-                rows[vm + a][vn + b].append((vm + c, vn + d, x))
-            p = phi[(m - n) % N]
-            if p:
-                for a in range(nu):
-                    for b in range(nu):
-                        rows[vm + a][vn + b].append((vm + a, vn + b, p))
+    for cells, terms in zip(vv_cells, vv):
+        for c, d, a, b, x in terms:
+            cells[a][b].append((c, d, x))
     # V-M: {V_m^a, M_ij} = sum_c V_m^c [(1(x)M) A_- - A_+ (1(x)M)]_{(c,i),(a,j)}
-    #      = sum_c V_m^c [sum_s M_is A_-[(c,s),(a,j)] - sum_q A_+[(c,i),(a,q)] M_qj],
-    # and {M_ij, V_m^a} is its negative.
-    for m in range(N):
-        vm = m * nu
-        for c, s, a, j, x in a_minus:
-            for i in range(nu):
-                rows[vm + a][mvar[i][j]].append((vm + c, mvar[i][s], x))
-                rows[mvar[i][j]][vm + a].append((vm + c, mvar[i][s], -x))
-        for c, i, a, q, x in a_plus:
-            for j in range(nu):
-                rows[vm + a][mvar[i][j]].append((vm + c, mvar[q][j], -x))
-                rows[mvar[i][j]][vm + a].append((vm + c, mvar[q][j], x))
+    #      = sum_c V_m^c [sum_s M_is A_-[(c,s),(a,j)] - sum_q A_+[(c,i),(a,q)] M_qj].
+    for c, s, a, j, x in a_minus:
+        for i in range(nu):
+            vm[a][i * nu + j].append((c, i * nu + s, x))
+    for c, i, a, q, x in a_plus:
+        for j in range(nu):
+            vm[a][i * nu + j].append((c, q * nu + j, -x))
     # M-M: {M_i1j1, M_i2j2} is the ((i1,i2),(j1,j2)) entry of
     # (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1.  Each nonzero of
     # A_pm fixes four of the eight indices; u and v run over the two left free.
@@ -469,55 +456,76 @@ def _pi_table(spec: BracketSpec) -> tuple:
         for v in range(nu):
             # M_{i1 r} M_{i2 s} A_-[(r,s),(j1,j2)] with i1 = u, i2 = v
             for r, s, j1, j2, x in a_minus:
-                rows[mvar[u][j1]][mvar[v][j2]].append((mvar[u][r], mvar[v][s], x))
+                mm[u * nu + j1][v * nu + j2].append((u * nu + r, v * nu + s, x))
             # A_+[(i1,i2),(r,s)] M_{r j1} M_{s j2} with j1 = u, j2 = v
             for i1, i2, r, s, x in a_plus:
-                rows[mvar[i1][u]][mvar[i2][v]].append((mvar[r][u], mvar[s][v], x))
+                mm[i1 * nu + u][i2 * nu + v].append((r * nu + u, s * nu + v, x))
             # -M_{i1 r} A_+[(r,i2),(j1,s)] M_{s j2} with i1 = u, j2 = v
             for r, i2, j1, s, x in a_plus:
-                rows[mvar[u][j1]][mvar[i2][v]].append((mvar[u][r], mvar[s][v], -x))
+                mm[u * nu + j1][i2 * nu + v].append((u * nu + r, s * nu + v, -x))
             # -M_{i2 s} A_-[(i1,s),(r,j2)] M_{r j1} with j1 = u, i2 = v
             for i1, s, r, j2, x in a_minus:
-                rows[mvar[i1][u]][mvar[v][j2]].append((mvar[v][s], mvar[r][u], -x))
-    return L, rows
+                mm[i1 * nu + u][v * nu + j2].append((v * nu + s, r * nu + u, -x))
+    return L, phi, vv_cells, vm, mm
 
 
 class _PiTable:
-    """The table of _pi_table at one coordinate point.
+    """Pi at one coordinate point, block by block from the spec's cell template.
 
     The coordinates are scaled to ints X over their common denominator den,
     so each value of Pi is an int over L den^2 and each gradient entry an int
-    over L den; the coordinates need not form a Polygon.  A caller that pairs
-    at many points passes the table pi = _pi_table(spec) it built once.
+    over L den; the coordinates need not form a Polygon.  Values and
+    gradients read the same cells of _pi_cells, cached on the spec as
+    spec._cells, so a caller at many points builds them once.
     """
 
-    def __init__(self, spec: BracketSpec, coords, pi=None):
-        self.L, self.rows = pi or _pi_table(spec)
+    def __init__(self, spec: BracketSpec, coords):
+        self.nu, self.N = spec.nu, spec.N
+        self.L, self.phi, *self.cells = spec._cells
         (self.X,), self.den = linalg._scaled([coords])
 
     @cached_property
     def ints(self) -> list:
-        """L den^2 Pi at the point: a D x D matrix of ints, built once."""
-        X = self.X
-        out = []
-        for row in self.rows:
-            vals = []
-            for t in row:
-                acc = 0
-                for a, b, c in t:
-                    acc += c * X[a] * X[b]
-                vals.append(acc)
-            out.append(vals)
-        return out
+        """L den^2 Pi at the point: a D x D matrix of ints, built once, site pair by site pair."""
+        (vv, vm, mm), phi, nu, N = self.cells, self.phi, self.nu, self.N
+        base = N * nu
+        V, M = [self.X[m * nu : m * nu + nu] for m in range(N)], self.X[base:]
+        rows = []
+        for m, U in enumerate(V):
+            block = [[] for _ in range(nu)]
+            for n, W in enumerate(V):
+                cells, p = vv[sign(m - n)], phi[(m - n) % N]
+                for a, row in enumerate(block):
+                    pu = p * U[a]
+                    for b, cell in enumerate(cells[a]):
+                        acc = pu * W[b]
+                        for c, d, x in cell:
+                            acc += x * U[c] * W[d]
+                        row.append(acc)
+            for a, row in enumerate(block):
+                row.extend(sum(x * U[c] * M[k] for c, k, x in cell) for cell in vm[a])
+            rows += block
+        mrows = [[sum(x * M[k] * M[l] for k, l, x in cell) for cell in cells] for cells in mm]
+        rows += [[-row[base + P] for row in rows] + mrow for P, mrow in enumerate(mrows)]
+        return rows
 
     def gradient(self, i: int, j: int) -> dict:
-        """L den d Pi_ij at the point, as a sparse int covector {s: L den d_s Pi_ij}."""
-        X = self.X
-        g = {}
-        for a, b, c in self.rows[i][j]:
-            g[a] = g.get(a, 0) + c * X[b]
-            g[b] = g.get(b, 0) + c * X[a]
-        return {s: v for s, v in g.items() if v}
+        """L den d Pi_ij at the point, as a sparse int covector {s: L den d_s Pi_ij}, from the cell of (i, j)."""
+        nu, base = self.nu, self.N * self.nu
+        if i >= base > j:
+            return {s: -x for s, x in self.gradient(j, i).items()}
+        vv, vm, mm = self.cells
+        (oi, u), (oj, v) = ((k - k % nu, k % nu) if k < base else (base, k - base) for k in (i, j))
+        if j < base:  # the cell of sgn(m-n), with phi_{m-n} at (a, b)
+            k = (oi - oj) // nu
+            terms = vv[sign(k)][u][v] + [(u, v, self.phi[k % self.N])]
+        else:
+            terms = (mm if i >= base else vm)[u][v]
+        X, g = self.X, {}
+        for a, b, x in terms:
+            g[oi + a] = g.get(oi + a, 0) + x * X[oj + b]
+            g[oj + b] = g.get(oj + b, 0) + x * X[oi + a]
+        return {s: x for s, x in g.items() if x}
 
     def pairings(self, F, G) -> list:
         """linalg.pairings of the int covectors F and G against Pi at the point."""

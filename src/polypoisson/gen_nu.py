@@ -26,7 +26,7 @@ from random import Random
 
 from .coord_reduction import closed_tensor, field_gradients, random_fields
 from .dynamics import LinearityViolated, gf_check
-from .exchange_algebra import BracketSpec, _PiTable, _pi_table, random_polygon
+from .exchange_algebra import BracketSpec, _PiTable, random_polygon
 from .lattice_ops import (
     DPoly,
     Kernel,
@@ -210,16 +210,15 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     """Exact chain-rule check that a^(0) brackets to zero with every field.
 
     The int field gradients are paired against the ints of Pi at each polygon,
-    read from one table _pi_table(spec).
+    all evaluated from the cell template cached on the one spec.
     """
     rng = Random(seed)
     spec = BracketSpec.standard(nu, N, phi)
-    pi = _pi_table(spec)
     res = ZERO
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
         grads = field_gradients(W, [f"a{j}" for j in range(nu)])
-        for row in _PiTable(spec, W.coordinates(), pi).pairings(grads[:N], grads):
+        for row in _PiTable(spec, W.coordinates()).pairings(grads[:N], grads):
             res = max(res, *map(abs, row))
     return res
 

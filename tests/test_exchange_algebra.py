@@ -3,8 +3,10 @@ from math import isqrt, lcm
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from polypoisson import linalg
+from polypoisson import exchange_algebra, gen_nu, linalg
 from polypoisson.coord_reduction import coords, field_gradients
 from polypoisson.exchange_algebra import (
     BracketSpec,
@@ -196,6 +198,73 @@ def reference_assemble(spec, V, M):
                 for j2 in range(nu):
                     Pi[base + i1 * nu + j1][base + i2 * nu + j2] = mm[i1 * nu + i2][j1 * nu + j2]
     return Pi
+
+
+def reference_pi_table(spec):
+    """Pi as a D x D table of int triple lists (L, rows), with Pi_ij = sum c x_a x_b / L.
+
+    Every entry spells out its own triples (a, b, c) over the coordinates x =
+    (V_0, ..., V_{N-1}, M), from the nonzeros in spec._pi_template: the
+    reference for the cell template _PiTable evaluates.
+    """
+    nu, N = spec.nu, spec.N
+    L, vv, phi, a_minus, a_plus = spec._pi_template
+    base = N * nu
+    D = base + nu * nu
+    rows = [[[] for _ in range(D)] for _ in range(D)]
+    mvar = [[base + i * nu + j for j in range(nu)] for i in range(nu)]
+    # V-V: {V_m (x) V_n} = (V_m (x) V_n) [R + sgn(m-n) Q + phi_{m-n} Id(x)Id]
+    for m in range(N):
+        vm = m * nu
+        for n in range(N):
+            vn = n * nu
+            for c, d, a, b, x in vv[sign(m - n)]:
+                rows[vm + a][vn + b].append((vm + c, vn + d, x))
+            p = phi[(m - n) % N]
+            if p:
+                for a in range(nu):
+                    for b in range(nu):
+                        rows[vm + a][vn + b].append((vm + a, vn + b, p))
+    # V-M: {V_m^a, M_ij} = sum_c V_m^c [sum_s M_is A_-[(c,s),(a,j)] - sum_q A_+[(c,i),(a,q)] M_qj],
+    # and {M_ij, V_m^a} is its negative.
+    for m in range(N):
+        vm = m * nu
+        for c, s, a, j, x in a_minus:
+            for i in range(nu):
+                rows[vm + a][mvar[i][j]].append((vm + c, mvar[i][s], x))
+                rows[mvar[i][j]][vm + a].append((vm + c, mvar[i][s], -x))
+        for c, i, a, q, x in a_plus:
+            for j in range(nu):
+                rows[vm + a][mvar[i][j]].append((vm + c, mvar[q][j], -x))
+                rows[mvar[i][j]][vm + a].append((vm + c, mvar[q][j], x))
+    # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1, u and v the free indices
+    for u in range(nu):
+        for v in range(nu):
+            for r, s, j1, j2, x in a_minus:
+                rows[mvar[u][j1]][mvar[v][j2]].append((mvar[u][r], mvar[v][s], x))
+            for i1, i2, r, s, x in a_plus:
+                rows[mvar[i1][u]][mvar[i2][v]].append((mvar[r][u], mvar[s][v], x))
+            for r, i2, j1, s, x in a_plus:
+                rows[mvar[u][j1]][mvar[i2][v]].append((mvar[u][r], mvar[s][v], -x))
+            for i1, s, r, j2, x in a_minus:
+                rows[mvar[i1][u]][mvar[v][j2]].append((mvar[v][s], mvar[r][u], -x))
+    return L, rows
+
+
+def reference_table_at(spec, X):
+    """(ints, gradients) of reference_pi_table at the int coordinates X, entry by entry."""
+    _, rows = reference_pi_table(spec)
+    ints = [[sum(c * X[a] * X[b] for a, b, c in t) for t in row] for row in rows]
+    grads = []
+    for row in rows:
+        grads.append([])
+        for t in row:
+            g = {}
+            for a, b, c in t:
+                g[a] = g.get(a, 0) + c * X[b]
+                g[b] = g.get(b, 0) + c * X[a]
+            grads[-1].append({s: v for s, v in g.items() if v})
+    return ints, grads
 
 
 def reference_quasiperiodicity(spec, W):
@@ -476,6 +545,61 @@ def test_table_gradients_are_central_differences():
                 for j in range(D):
                     got = F(grads[i][j].get(s, 0), table.L * table.den)
                     assert got == (plus[i][j] - minus[i][j]) / 2
+
+
+@st.composite
+def cell_cases(draw):
+    """(spec, coords): nu 2-4 and N 1-7 (N < nu too), a standard, random R/C
+    or halved spec, an odd or non-odd phi, and coordinates that need not form
+    a Polygon."""
+    nu, N = draw(st.integers(2, 4)), draw(st.integers(1, 7))
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        phi = random_odd_kernel(N, rng)
+    else:
+        phi = Kernel(PerSeq(N, tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(N))))
+    kind = draw(st.sampled_from(["standard", "random R, C", "halved A_pm"]))
+    spec = random_rc_spec(nu, N, rng) if kind == "random R, C" else BracketSpec.standard(nu, N, phi)
+    if kind == "random R, C":
+        spec = BracketSpec(nu, N, spec.R, spec.C, phi)
+    elif kind == "halved A_pm":
+        spec = halved_spec(spec)
+    coords = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(N * nu + nu * nu)]
+    return spec, coords
+
+
+@given(cell_cases())
+def test_cell_template_matches_reference_table(case):
+    # the per-spec cells give every value and every gradient of the per-entry
+    # triple table, in ints over the same L and den
+    spec, coords = case
+    table = _PiTable(spec, coords)
+    assert table.L == reference_pi_table(spec)[0]
+    ints, grads = reference_table_at(spec, table.X)
+    D = len(coords)
+    assert table.ints == ints
+    assert [[table.gradient(i, j) for j in range(D)] for i in range(D)] == grads
+
+
+def test_cells_are_built_once_per_spec(monkeypatch):
+    # the Casimir check pairs at three polygons on one spec: one cell build;
+    # a gradient is read from the cells without evaluating all of Pi
+    calls = []
+    real = exchange_algebra._pi_cells
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(exchange_algebra, "_pi_cells", counting)
+    assert gen_nu._numeric_casimir_residual(3, 7, phi_special(3, 0, 7), polygons=3, seed=0) == 0
+    assert len(calls) == 1
+    spec, W = spec_with(2, 5), random_polygon(2, 5, Random(1))
+    table = _PiTable(spec, W.coordinates())
+    got = [table.gradient(i, j) for i, j in ((0, 3), (11, 1), (1, 12), (13, 11))]
+    assert "ints" not in vars(table) and len(calls) == 2
+    _, grads = reference_table_at(spec, table.X)
+    assert all(got) and got == [grads[i][j] for i, j in ((0, 3), (11, 1), (1, 12), (13, 11))]
 
 
 def test_jacobi_negative_controls():

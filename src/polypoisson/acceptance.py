@@ -13,15 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from . import linalg
+from . import coord_reduction, linalg
 from .coord_reduction import (
     as_poly_tensor,
     closed_tensor,
     compatibility,
     oracle_match,
-    pushforward_check,
     random_fields,
-    toda_dirac_vs_ftv,
 )
 from .dynamics import (
     commute_check,
@@ -238,16 +236,18 @@ def check_toda_to_ftv(seed: int = 0, points: int = 10) -> list:
     docs = []
     rng = Random(seed)
     for N in (5, 7):
+        toda = coord_reduction.closed_tensor("toda", N)
         for blabel in ("one", "random"):
             t0 = time.time()
             if blabel == "one":
                 beta = PerSeq.constant(N, 1)
             else:
                 beta = random_fields(("b",), N, rng)["b"]
+            ftv_u = coord_reduction.closed_tensor("ftv_u", N, beta=beta)
             res = ZERO
             for _ in range(points):
                 u = random_fields(("u",), N, rng)["u"]
-                res = max(res, toda_dirac_vs_ftv(N, u, beta))
+                res = max(res, coord_reduction._toda_ftv_residual(toda, ftv_u, u, beta))
             docs.append(_doc("toda_to_ftv", {"N": N, "beta": blabel, "points": points}, res, seed, t0))
     return docs
 
@@ -257,15 +257,16 @@ def check_pushforward(seed: int = 0, points: int = 10) -> list:
     rng = Random(seed)
     for N in (5, 7):
         t0 = time.time()
+        tensors = coord_reduction.closed_tensor("ftv_u", N), coord_reduction.closed_tensor("ftv_S", N)
         res = ZERO
         for _ in range(points):
             u = random_fields(("u",), N, rng)["u"]
-            res = max(res, pushforward_check(u))
+            res = max(res, coord_reduction._pushforward_residual(*tensors, u))
         docs.append(_doc("pushforward", {"N": N, "points": points}, res, seed, t0))
     t0 = time.time()
     lhs = closed_tensor("ftv_S", 5).eval_matrix({"S": PerSeq.constant(5, 1)})
     rhs = kernel_from_dpoly(DPoly({1: 1, 2: 1, -1: -1, -2: -1}), 5).matrix()
-    res = max(linalg.max_abs(linalg.mat_sub(lhs, rhs)), pushforward_check(PerSeq.constant(5, 1)))
+    res = max(linalg.max_abs(linalg.mat_sub(lhs, rhs)), coord_reduction.pushforward_check(PerSeq.constant(5, 1)))
     docs.append(_doc("pushforward", {"N": 5, "case": "u=1 closed form"}, res, seed, t0))
     return docs
 

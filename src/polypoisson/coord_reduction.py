@@ -19,9 +19,9 @@ words; a caller that differentiates expands it once by ``to_poly``.  One int
 walk over the paths of a word, its kernels and diagonal segments scaled once
 to ints, serves every reading: ``to_poly`` builds one Fraction per
 coefficient, ``eval_matrix`` one per entry at a point (the only place a
-field inverse can be formed), and ``pushforward_check`` and
-``toda_dirac_vs_ftv`` one for their residual.  ``dirac_reduce``
-eliminates in ints as well, one Fraction per reduced entry.
+field inverse can be formed), and ``oracle_match``, ``pushforward_check``
+and ``toda_dirac_vs_ftv`` one per residual.  ``dirac_reduce`` eliminates
+in ints as well, one Fraction per reduced entry.
 """
 
 from __future__ import annotations
@@ -279,10 +279,10 @@ class OpTensor(_FieldTensor):
         A word is split at its kernels into diagonal segments.  A path from
         site m steps, at each kernel K, from its site s to each s - d with
         K_d != 0; its product is that of those kernel entries and of
-        ``seg_value(segment, site) = (mono, value)`` for each segment at the
-        site it is on.  Kernels and segments are scaled once to ints, so paths
-        multiply ints and monomials only, and paths meeting at one site and
-        monomial merge.
+        ``seg_value(segment, site) = (mono, num, den)``, ints standing for
+        mono num / den, for each segment at the site it is on.  Kernels and
+        segments are scaled once to ints, so paths multiply ints and
+        monomials only, and paths meeting at one site and monomial merge.
         """
         N = self.N
         words, L = [], 1
@@ -299,9 +299,9 @@ class OpTensor(_FieldTensor):
                         segs[-1].append(factor)
                 diag = []
                 for seg in segs:
-                    monos, vals = zip(*[seg_value(seg, site) for site in range(N)])
-                    (ints,), den = linalg._scaled([vals])
-                    diag.append((den, list(zip(monos, ints))))
+                    vals = [seg_value(seg, site) for site in range(N)]
+                    den = lcm(*(dn for _, _, dn in vals))
+                    diag.append((den, [(mono, num * (den // dn)) for mono, num, dn in vals]))
                 den = prod(dn for dn, _ in steps + diag)
                 L = lcm(L, den)
                 words.append((i, j, den, [(nz, dg) for (_, nz), (_, dg) in zip(steps, diag)]))
@@ -323,22 +323,24 @@ class OpTensor(_FieldTensor):
         return L, sums
 
     def int_matrix(self, point):
-        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L."""
-        x = self.point_values(point)
+        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L.
+
+        The point is scaled once to ints X over dx: a field is X / dx, its inverse dx / X."""
+        (X,), dx = linalg._scaled([self.point_values(point)])
         N, D = self.N, self.n_vars()
 
         def at(seg, site):
-            v = ONE
+            num = den = 1
             for kind, arg in seg:
                 if kind == "c":
-                    v *= arg[site]
+                    num, den = num * arg[site].numerator, den * arg[site].denominator
                 elif kind == "f":
-                    v *= x[_var(arg, site, N)]
-                elif x[_var(arg, site, N)]:
-                    v /= x[_var(arg, site, N)]
+                    num, den = num * X[_var(arg, site, N)], den * dx
+                elif X[_var(arg, site, N)]:
+                    num, den = num * dx, den * X[_var(arg, site, N)]
                 else:
                     raise ZeroDivisionError(f"field {self.field_names[arg]} vanishes at site {site}")
-            return (), v
+            return (), num, den
 
         L, sums = self._walk(at)
         rows = [[0] * D for _ in range(D)]
@@ -357,15 +359,15 @@ class OpTensor(_FieldTensor):
         N = self.N
 
         def at(seg, site):
-            mono, c = (), ONE
+            mono, num, den = (), 1, 1
             for kind, arg in seg:
                 if kind == "finv":
                     raise ValueError("cannot expand a word with field inverses")
                 if kind == "f":
                     mono = _mono_mul(mono, ((_var(arg, site, N), 1),))
                 else:
-                    c *= arg[site]
-            return mono, c
+                    num, den = num * arg[site].numerator, den * arg[site].denominator
+            return mono, num, den
 
         L, sums = self._walk(at)
         out = PolyTensor(self.field_names, N, self.bracket_scale)
@@ -616,6 +618,8 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     tensor entry, over every pair of field sites.  The named tensors require
     the bracket data to carry their distinguished phi; P0 lives on the
     constant Wronskian surface, so the polygon is gauge normalized first.
+    The ints v / L of ``int_matrix`` and acc / (df den dg) of ``_int_pairings``
+    are cross-multiplied; a Fraction is built only for a nonzero difference.
     """
     N = spec.N
     if name == "P0":
@@ -631,13 +635,16 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
         T = closed_tensor(name, N)
     else:
         raise ValueError(f"no chain-rule oracle for tensor {name!r}")
-    mat = T.eval_matrix(fields)
+    L, mat = T.int_matrix(fields)
     grads = field_gradients(W, T.field_names, ctx)
-    table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
+    table = _PiTable(spec, W.coordinates())
+    sn, sd_den = T.bracket_scale.numerator, T.bracket_scale.denominator * table.L * table.den**2
     res = ZERO
-    for I, row in enumerate(table):
-        for K, acc in enumerate(row):
-            res = max(res, abs(acc * T.bracket_scale - mat[I][K]))
+    for (_, df), row, vals in zip(grads, linalg._int_pairings(grads, table.ints, grads), mat):
+        for (_, dg), acc, v in zip(grads, row, vals):
+            diff = acc * sn * L - v * df * dg * sd_den
+            if diff:
+                res = max(res, Fraction(abs(diff), df * dg * sd_den * L))
     return res
 
 
@@ -725,9 +732,14 @@ def _dirac_ints(P, d: int, constrained) -> tuple:
 
 def toda_dirac_vs_ftv(N: int, u: PerSeq, beta: PerSeq) -> Fraction:
     """Residual between Dirac-reduced Toda at rho = beta and the closed form, cross-multiplied in ints."""
-    L, full = closed_tensor("toda", N).int_matrix({"mu": u, "rho": beta})
-    dp, red = _dirac_ints(full, L, [_var(1, m, N) for m in range(N)])
-    L, ftv = closed_tensor("ftv_u", N, beta=beta).int_matrix({"u": u})
+    return _toda_ftv_residual(closed_tensor("toda", N), closed_tensor("ftv_u", N, beta=beta), u, beta)
+
+
+def _toda_ftv_residual(toda: OpTensor, ftv_u: OpTensor, u: PerSeq, beta: PerSeq) -> Fraction:
+    """``toda_dirac_vs_ftv`` on the tensors toda and ftv_u(beta), which a caller builds once."""
+    L, full = toda.int_matrix({"mu": u, "rho": beta})
+    dp, red = _dirac_ints(full, L, [_var(1, m, u.N) for m in range(u.N)])
+    L, ftv = ftv_u.int_matrix({"u": u})
     res = max(abs(a * L - b * dp) for ra, rb in zip(red, ftv) for a, b in zip(ra, rb))
     return Fraction(res, abs(dp) * L)
 
@@ -739,14 +751,19 @@ def pushforward_check(u: PerSeq) -> Fraction:
     the S-space closed form; returns the max-abs difference of the two N x N
     matrices.
     """
-    N = u.N
-    if N % 2 == 0:
+    if u.N % 2 == 0:
         raise ValueError("N must be odd")
+    return _pushforward_residual(closed_tensor("ftv_u", u.N), closed_tensor("ftv_S", u.N), u)
+
+
+def _pushforward_residual(ftv_u: OpTensor, ftv_S: OpTensor, u: PerSeq) -> Fraction:
+    """``pushforward_check`` on the tensors ftv_u and ftv_S at odd N, which a caller builds once."""
+    N = u.N
     S = PerSeq(N, tuple(u[m] * u[m + 1] for m in range(N)))
     if not S.nonvanishing():
         raise ZeroDivisionError("S = u u' must be nonvanishing")
-    Lu, P_u = closed_tensor("ftv_u", N).int_matrix({"u": u})
-    LS, rhs = closed_tensor("ftv_S", N).int_matrix({"S": S})
+    Lu, P_u = ftv_u.int_matrix({"u": u})
+    LS, rhs = ftv_S.int_matrix({"S": S})
     (U,), du = linalg._scaled([u.values])
     # the Jacobian of S = u u' is bidiagonal, dS_m = u_{m+1} du_m + u_m du_{m+1},
     # so J P J^T is formed by rows and then by columns, in ints over Lu du^2

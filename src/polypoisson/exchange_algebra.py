@@ -33,10 +33,10 @@ coordinates standing for grad / den: fields come from one int solve per
 site, Wronskians from ``linalg.det_grad`` on the same elimination, and
 affine-chart coordinates from the quotient rule in ints.  Every chain-rule
 bracket pairs such int gradients against the ints of Pi with
-``linalg.pairings`` and builds a Fraction per nonzero result only; the
-momentum check contracts each dw_m with the ints of Pi itself and compares
-by cross-multiplication, one Fraction per site.  The projective closed form
-is one contraction of the nonzeros of R with the chart points (v, 1).
+``linalg._int_pairings`` and sums or compares in ints, with no Fraction per
+entry; the momentum check contracts each dw_m with the ints of Pi itself,
+one Fraction per site.  The projective closed form is one contraction of
+the nonzeros of R with the chart points (v, 1).
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 from random import Random
 
 from . import linalg
@@ -341,11 +341,10 @@ class _DualCtx:
     in M_ca.  Fields at sites 0..N-1 need no later vertex unless N < nu,
     which raises ValueError.
     ``wronskian``, ``field`` and ``proj`` return observables in the same
-    shape (value, grad, den).  Each site m is solved once per context:
-    V_{m+nu} = sum_k c_k V_{m+k} gives every field a^(k)_m = (-1)^(nu-1-k) c_k,
-    with c^T B_m = V_{m+nu} for B_m the rows V_m..V_{m+nu-1} and
-    dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1, from one adjugate of B_m in ints,
-    which also gives w_m = det B_m through ``linalg.det_grad``.
+    shape (value, grad, den).  One adjugate of B_m, the rows V_m..V_{m+nu-1},
+    in ints per site and context gives w_m = det B_m by ``linalg.det_grad``;
+    the first field at m solves c^T B_m = V_{m+nu} with it, which gives every
+    a^(k)_m = (-1)^(nu-1-k) c_k and dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1.
     """
 
     def __init__(self, W: Polygon):
@@ -354,6 +353,7 @@ class _DualCtx:
         self.N = W.N
         self._vertices: dict[int, list] = {}
         self._sites: dict[int, tuple] = {}
+        self._fields: dict[int, list] = {}
         self._m, self._dm = linalg._scaled(W.M)
 
     def vertex(self, m: int) -> list:
@@ -375,7 +375,7 @@ class _DualCtx:
         return row
 
     def _site(self, m: int) -> tuple:
-        """(B_m rows, (d, det, adj) of d B_m in ints, fields a^(0..nu-1)_m), once per site."""
+        """(rows V_m..V_{m+nu}, (d, det, adj) of d B_m in ints), once per site."""
         site = self._sites.get(m)
         if site is None:
             nu = self.nu
@@ -384,29 +384,32 @@ class _DualCtx:
             delta, adj = linalg._int_adjugate(B)
             if not delta:
                 raise DegeneratePolygon(f"Wronskian vanishes at site {m}: V_{m}..V_{m + nu - 1} are dependent")
-            (v,), dv = linalg._scaled([[x for x, _, _ in rows[nu]]])
-            # c_k = c[k] / cd, since B^-1 = d adj / delta; c[nu] = -cd
-            cd = delta * dv
-            c = [d * sum(x * adj[a][k] for a, x in enumerate(v)) for k in range(nu)] + [-cd]
-            dg = lcm(*(den for row in rows for _, _, den in row))
-            # H[a] = (dV_{m+nu} - c^T dB)_a cd dg, and dc_k = sum_a H[a] d adj[a][k] / (cd dg delta)
-            H = [linalg._sparse_sum((-x * (dg // row[a][2]), row[a][1]) for x, row in zip(c, rows)) for a in range(nu)]
-            fields = []
-            for k in range(nu):
-                sgn = (-1) ** (nu - 1 - k)
-                grad = linalg._sparse_sum((sgn * d * adj[a][k], H[a]) for a in range(nu))
-                g = gcd(cd * dg * delta, *grad.values())  # smaller ints make every pairing cheaper
-                fields.append((Fraction(sgn * c[k], cd), {v: x // g for v, x in grad.items()}, cd * dg * delta // g))
-            site = self._sites[m] = (rows[:nu], (d, delta, adj), fields)
+            site = self._sites[m] = (rows, (d, delta, adj))
         return site
 
     def wronskian(self, m: int) -> tuple:
-        rows, solved, _ = self._site(m)
-        return det_grad(rows, solved)
+        rows, solved = self._site(m)
+        return det_grad(rows[:-1], solved)
 
     def field(self, k: int, m: int) -> tuple:
         """a^(k)_m = alpha^(k)/w for k >= 1 and w'/w for k = 0, from the solve at site m."""
-        return self._site(m)[2][k]
+        fields = self._fields.get(m)
+        if fields is None:
+            nu, (rows, (d, delta, adj)) = self.nu, self._site(m)
+            (v,), dv = linalg._scaled([[x for x, _, _ in rows[nu]]])
+            # c_k = c[k] / cd, since B^-1 = d adj / delta; c[nu] = -cd
+            cd = delta * dv
+            c = [d * sum(x * adj[a][j] for a, x in enumerate(v)) for j in range(nu)] + [-cd]
+            dg = lcm(*(den for row in rows for _, _, den in row))
+            # H[a] = (dV_{m+nu} - c^T dB)_a cd dg, and dc_j = sum_a H[a] d adj[a][j] / (cd dg delta)
+            H = [linalg._sparse_sum((-x * (dg // row[a][2]), row[a][1]) for x, row in zip(c, rows)) for a in range(nu)]
+            fields = self._fields[m] = []
+            for j in range(nu):
+                sgn = (-1) ** (nu - 1 - j)
+                grad = linalg._sparse_sum((sgn * d * adj[a][j], H[a]) for a in range(nu))
+                g = gcd(cd * dg * delta, *grad.values())  # smaller ints make every pairing cheaper
+                fields.append((Fraction(sgn * c[j], cd), {v: x // g for v, x in grad.items()}, cd * dg * delta // g))
+        return fields[k]
 
     def proj(self, m: int, comp: int) -> tuple:
         """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}, by the quotient rule in ints.
@@ -635,27 +638,24 @@ def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fr
 
     For linear f, g, h the Jacobiator term {f, {g, h}} pairs f against Pi and
     the gradient d{g, h} = sum_ij g_i h_j d Pi_ij, which is read from the
-    table at the few entries (i, j) that g and h select; all of it in ints
-    over the covectors' common denominators.
+    table at the few entries (i, j) that g and h select.  In ints each term is
+    over df dg dh L^2 den^3, so one ``linalg._int_pairings`` sums a trial.
     """
     rng = Random(seed)
     table = _PiTable(spec, W.coordinates())
-
-    def scaled(f: dict) -> tuple:
-        d = lcm(*(c.denominator for c in f.values()))
-        return {i: c.numerator * (d // c.denominator) for i, c in f.items()}, d
-
-    def pb_grad(g: tuple, h: tuple) -> tuple:
-        out = linalg._sparse_sum((gi * hj, table.gradient(i, j)) for i, gi in g[0].items() for j, hj in h[0].items())
-        return out, g[1] * h[1] * table.L * table.den
-
     res = ZERO
     for _ in range(trials):
-        f = scaled(_random_sparse_linear(W, rng))
-        g = scaled(_random_sparse_linear(W, rng))
-        h = scaled(_random_sparse_linear(W, rng))
-        jac = sum(table.pairings([u], [pb_grad(v, w)])[0][0] for u, v, w in ((f, g, h), (g, h, f), (h, f, g)))
-        res = max(res, abs(jac))
+        trio = []
+        for f in (_random_sparse_linear(W, rng) for _ in range(3)):
+            d = lcm(*(c.denominator for c in f.values()))
+            trio.append(({i: c.numerator * (d // c.denominator) for i, c in f.items()}, d))
+        # d{g, h}, d{h, f} and d{f, g}, to pair with f, g and h
+        pb = [
+            (linalg._sparse_sum((gi * hj, table.gradient(i, j)) for i, gi in g.items() for j, hj in h.items()), 1)
+            for (g, _), (h, _) in zip(trio[1:] + trio[:1], trio[2:] + trio[:2])
+        ]
+        jac = sum(row[k] for k, row in enumerate(linalg._int_pairings(trio, table.ints, pb)))
+        res = max(res, Fraction(abs(jac), prod(d for _, d in trio) * table.L**2 * table.den**3))
     return res
 
 

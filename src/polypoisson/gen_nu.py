@@ -37,7 +37,7 @@ from .lattice_ops import (
     phi_special,
     sign,
 )
-from .linalg import ZERO, rat_str
+from .linalg import ZERO, _int_pairings, rat_str
 
 
 @dataclass(frozen=True)
@@ -218,8 +218,9 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
         grads = field_gradients(W, [f"a{j}" for j in range(nu)])
-        for row in _PiTable(spec, W.coordinates()).pairings(grads[:N], grads):
-            res = max(res, *map(abs, row))
+        pi = _PiTable(spec, W.coordinates())
+        for (_, df), row in zip(grads, _int_pairings(grads[:N], pi.ints, grads)):
+            res = max([res] + [Fraction(abs(a), df * dg * pi.L * pi.den**2) for (_, dg), a in zip(grads, row) if a])
     return res
 
 

@@ -7,9 +7,9 @@ Bareiss's fraction-free updates, in which every division is exact: ``det``
 scales the matrix once to ints over a common denominator, ``rref`` (under
 ``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
 ``rref`` and ``_int_adjugate`` share one fraction-free Gauss-Jordan, which
-also gives ``det_grad``, the one determinant-with-gradient.  ``pairings``
-contracts int gradients against an int matrix.  All of them build Fractions
-only for their results.
+also gives ``det_grad``, the one determinant-with-gradient.  ``_int_pairings``
+contracts int gradients against an int matrix, and ``pairings`` is its
+Fraction view.  All of them build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -301,24 +301,25 @@ def pairings(F, A, G, den=1):
 
     F and G hold int covectors (c, d), c a sparse {index: int} standing for
     c / d, as the gradients of polygon observables do; A is a matrix of ints
-    over den, as ``_PiTable.ints`` gives Pi.  The rows of A that some f
-    reads are cut to the columns that some g reads, one int covector f^T A
-    is built per f, and each entry is the single Fraction acc / (df den dg),
-    or 0 when acc is 0.
+    over den, as ``_PiTable.ints`` gives Pi.  Each entry is the one Fraction
+    acc / (df den dg) of ``_int_pairings``, or 0 when acc is 0.
     """
+    rows = _int_pairings(F, A, G)
+    return [[Fraction(a, df * den * dg) if a else ZERO for a, (_, dg) in zip(row, G)] for row, (_, df) in zip(rows, F)]
+
+
+def _int_pairings(F, A, G) -> list:
+    """The int core of ``pairings``, no Fraction made: entry (f, g) is the int acc for acc / (df den dg).
+    The rows of A that F reads, cut to the columns that G reads, give one int covector f^T A per f."""
     cols = sorted({j for g, _ in G for j in g})
     pos = {j: p for p, j in enumerate(cols)}
     block = {i: [A[i][j] for j in cols] for i in {i for f, _ in F for i in f}}
-    gs = [([(pos[j], c) for j, c in g.items() if c], dg * den) for g, dg in G]
+    gs = [[(pos[j], c) for j, c in g.items() if c] for g, _ in G]
     table = []
-    for f, df in F:
+    for f, _ in F:
         u = [0] * len(cols)
         for i, c in f.items():
             if c:
                 u = [x + c * y for x, y in zip(u, block[i])]
-        out = []
-        for g, dg in gs:
-            acc = sum(u[p] * c for p, c in g)
-            out.append(Fraction(acc, df * dg) if acc else ZERO)
-        table.append(out)
+        table.append([sum(u[p] * c for p, c in g) for g in gs])
     return table

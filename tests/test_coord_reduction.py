@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_json_roundtrip import op_tensors, rationals
 
-from polypoisson import acceptance, coord_reduction, linalg
+from polypoisson import acceptance, coord_reduction, exchange_algebra, linalg
 from polypoisson.coord_reduction import (
     ConstraintNotSecondClass,
     Fields,
@@ -23,6 +23,7 @@ from polypoisson.coord_reduction import (
     compatibility,
     coords,
     dirac_reduce,
+    field_gradients,
     gauge_normalize,
     jacobiator,
     oracle_match,
@@ -31,7 +32,15 @@ from polypoisson.coord_reduction import (
     toda_dirac_vs_ftv,
 )
 from polypoisson.dynamics import gf_check, lie_deform
-from polypoisson.exchange_algebra import BracketSpec, DegeneratePolygon, Polygon, group_act, random_polygon, wronskian
+from polypoisson.exchange_algebra import (
+    BracketSpec,
+    DegeneratePolygon,
+    Polygon,
+    _PiTable,
+    group_act,
+    random_polygon,
+    wronskian,
+)
 from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
 from polypoisson.multipoly import Poly
 
@@ -301,6 +310,52 @@ def test_eval_matrix_and_values_at_coprime_denominators():
             assert [[F(v, L) for v in row] for row in rows] == ref
 
 
+def reference_int_matrix(T: OpTensor, point) -> list:
+    """The Fraction route to T at a point: each segment's site value a
+    Fraction product of field values, inverses and constants, which
+    ``_walk`` scales over the lcm of its denominators; entries as Fractions."""
+    x, N = T.point_values(point), T.N
+
+    def at(seg, site):
+        v = F(1)
+        for kind, arg in seg:
+            v *= arg[site] if kind == "c" else x[_var(arg, site, N)] ** (-1 if kind == "finv" else 1)
+        return (), v.numerator, v.denominator
+
+    L, sums = T._walk(at)
+    out = linalg.zeros(T.n_vars(), T.n_vars())
+    for (i, m, j, n, _), v in sums.items():
+        out[_var(i, m, N)][_var(j, n, N)] = F(v, L)
+    return out
+
+
+def test_int_matrix_at_the_int_point_equals_the_fraction_route():
+    # all eight names; ftv_S reads a field inverse and ftv_u at a random
+    # beta a constant diagonal, at negative and coprime-denominator values
+    rng = Random(53)
+    for N in (5, 7):
+        phi = random_odd_kernel(N, rng)
+        cases = named_op_tensors(N, rng) + [
+            (closed_tensor("murho", N, phi=phi), ("mu", "rho")),
+            (closed_tensor("abrho", N, phi=phi), ("a", "b", "rho")),
+        ]
+        kinds = {kind for T, _ in cases for words in T.words.values() for word in words for kind, _ in word}
+        assert kinds == {"f", "finv", "c", "k"}
+        for T, fields in cases:
+            for pt in (random_fields(fields, N, rng), coprime_point(fields, N, rng)):
+                L, rows = T.int_matrix(pt)
+                assert all(type(v) is int for row in rows for v in row)
+                assert [[F(v, L) for v in row] for row in rows] == reference_int_matrix(T, pt)
+
+
+def test_int_matrix_names_the_vanishing_field_site():
+    for site in (0, 2, 4):
+        S = [F(-1, 3), F(2), F(5, 7), F(1, 2), F(3)]
+        S[site] = F(0)
+        with pytest.raises(ZeroDivisionError, match=f"^field S vanishes at site {site}$"):
+            closed_tensor("ftv_S", 5).int_matrix({"S": PerSeq(5, tuple(S))})
+
+
 def reference_pushforward(u: PerSeq) -> Fraction:
     """The pushforward residual in Fractions: J P_u J^T against ftv_S at S =
     u u', both tensors evaluated by the dense reference."""
@@ -388,6 +443,66 @@ def test_oracle_matches():
     assert oracle_match(BracketSpec.standard(3, N, phi_special(3, 2, N)), W3, "P1") == 0
     assert oracle_match(BracketSpec.standard(3, N, phi_special(3, 1, N)), W3, "P2") == 0
     assert oracle_match(BracketSpec.standard(3, N, phi_special(3, 0, N)), W3, "P0") == 0
+
+
+def reference_oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
+    """oracle_match by the Fraction route: the closed form by eval_matrix,
+    the chain brackets by _PiTable.pairings, compared entry by entry."""
+    N = spec.N
+    if name == "P0":
+        W = gauge_normalize(W, PerSeq.constant(N, 1))
+    T = closed_tensor(name, N, phi=spec.phi) if name in ("murho", "abrho") else closed_tensor(name, N)
+    grads = field_gradients(W, T.field_names)
+    table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
+    mat = T.eval_matrix(coords(W))
+    return max(abs(acc * T.bracket_scale - v) for row, vals in zip(table, mat) for acc, v in zip(row, vals))
+
+
+def flip_kernel_first_word(build):
+    """build with the sign of the (0, 0) word that starts with a kernel
+    flipped: the closed-form controls of criterion 5."""
+
+    def built(phi):
+        T = build(phi)
+        words = T.words[0, 0]
+        (w,) = [w for w, word in enumerate(words) if word[0][0] == "k"]
+        (_, K), field = words[w]
+        words[w] = (("k", -K), field)
+        return T
+
+    return built
+
+
+def test_oracle_match_equals_the_fraction_route(monkeypatch):
+    rng = Random(59)
+    N = 5
+    special = {"toda": (2, 1), "P0": (3, 0), "P1": (3, 2), "P2": (3, 1)}
+    for name in ("murho", "abrho", *special):
+        nu = 2 if name in ("murho", "toda") else 3
+        phi = phi_special(*special[name], N) if name in special else random_odd_kernel(N, rng)
+        spec, W = BracketSpec.standard(nu, N, phi), random_polygon(nu, N, rng)
+        assert oracle_match(spec, W, name) == reference_oracle_match(spec, W, name) == 0, name
+    for build in ("build_murho", "build_abrho"):
+        monkeypatch.setattr(coord_reduction, build, flip_kernel_first_word(getattr(coord_reduction, build)))
+    for nu, name in ((2, "murho"), (3, "abrho")):
+        for _ in range(3):
+            spec = BracketSpec.standard(nu, N, random_odd_kernel(N, rng))
+            W = random_polygon(nu, N, rng)
+            got = oracle_match(spec, W, name)
+            assert got and got == reference_oracle_match(spec, W, name), name
+
+
+def test_closed_forms_build_no_fraction_table(monkeypatch):
+    # criterion 5 reads the closed forms by int_matrix and the chain
+    # brackets by _int_pairings: the Fraction views are never called
+    def fraction_route(*args, **kwargs):
+        raise AssertionError("the closed-form check took a Fraction route")
+
+    monkeypatch.setattr(linalg, "pairings", fraction_route)
+    monkeypatch.setattr(exchange_algebra, "pairings", fraction_route)
+    monkeypatch.setattr(coord_reduction._FieldTensor, "eval_matrix", fraction_route)
+    docs = acceptance.check_closed_forms(0)
+    assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [("murho", "0", True), ("abrho", "0", True)]
 
 
 def test_rho_is_casimir_for_phi0():

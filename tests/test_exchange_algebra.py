@@ -684,6 +684,22 @@ def test_field_gradients_on_a_degenerate_polygon_name_the_site():
         _DualCtx(W).wronskian(2)
 
 
+def test_wronskian_sweep_builds_no_field_gradient(monkeypatch):
+    # a Wronskian reads the site's elimination only; the fields of a site
+    # and their gradients (one gcd each) wait for its first field call
+    calls = []
+    real = exchange_algebra.gcd
+    monkeypatch.setattr(exchange_algebra, "gcd", lambda *a: calls.append(a) or real(*a))
+    W = random_polygon(3, 5, Random(61))
+    ctx = _DualCtx(W)
+    for m in range(5):
+        assert ctx.wronskian(m)[0] == W.wronskian_at(m)
+    assert calls == []
+    fields = [ctx.field(k, 2) for k in range(3)]
+    assert len(calls) == 3  # the three fields of site 2, built together
+    assert [f[0] for f in fields] == [a[2] for a in coords(W).a]
+
+
 def test_field_gradients_need_n_at_least_nu():
     # a hand-built polygon with N < nu reaches past V_{2N-1}; its
     # Wronskians w_0..w_3 are -1, -3, -1, -3

@@ -131,6 +131,29 @@ def test_pairings_equals_reference_exactly():
     assert int_pairings([], A, [{0: F(1)}]) == []
 
 
+# int covectors (c, d) for c / d: empty ones and zero coefficients included
+int_covectors = st.tuples(st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=3), st.integers(1, 6))
+
+
+@given(
+    A=st.lists(st.lists(st.integers(-9, 9), min_size=6, max_size=6), min_size=6, max_size=6),
+    F_=st.lists(int_covectors, max_size=4),
+    G=st.lists(int_covectors, max_size=4),
+    den=st.integers(1, 9),
+)
+@example(A=[[1] * 6] * 6, F_=[({}, 1), ({2: 0}, 3)], G=[({0: 0, 1: 2}, 5)], den=2)
+def test_int_pairings_matches_reference(A, F_, G, den):
+    """Each int entry acc of _int_pairings stands for f^T (A / den) g = acc / (df den dg)."""
+    got = linalg._int_pairings(F_, A, G)
+    assert all(type(acc) is int for row in got for acc in row)
+    frac = [[F(x, den) for x in row] for row in A]
+    want = reference_pairings(
+        [{i: F(c, d) for i, c in f.items()} for f, d in F_], frac, [{j: F(c, d) for j, c in g.items()} for g, d in G]
+    )
+    assert [[F(acc, df * den * dg) for acc, (_, dg) in zip(row, G)] for row, (_, df) in zip(got, F_)] == want
+    assert pairings(F_, A, G, den) == want
+
+
 def reference_det(a) -> Fraction:
     """Test-only determinant by Gaussian elimination over Fractions."""
     n = len(a)

@@ -35,9 +35,7 @@ from .dynamics import (
 from .exchange_algebra import (
     BracketSpec,
     default_rc,
-    projective_bracket,
-    projective_chain_table,
-    ProjPolygon,
+    _projective_residual,
     random_polygon,
     verify_structure,
     verify_ybe,
@@ -177,21 +175,8 @@ def check_projective(seed: int = 0, samples: int = 10) -> list:
             W = random_polygon(nu, N, rng)
             while any(W.V[m][nu - 1] == 0 for m in range(N)):
                 W = random_polygon(nu, N, rng)
-            P = ProjPolygon.from_polygon(W)
-            phi_a = random_odd_kernel(N, rng)
-            phi_b = random_odd_kernel(N, rng)
-            spec_a = BracketSpec.standard(nu, N, phi_a)
-            spec_b = BracketSpec.standard(nu, N, phi_b)
-            tables_a = projective_chain_table(spec_a, W)
-            tables_b = projective_chain_table(spec_b, W)
-            for m in range(N):
-                for n in range(N):
-                    ta, tb = tables_a[m][n], tables_b[m][n]
-                    closed = projective_bracket(R, P, m, n)
-                    for al in range(nu - 1):
-                        for be in range(nu - 1):
-                            res = max(res, abs(ta[al][be] - tb[al][be]))
-                            res = max(res, abs(ta[al][be] - closed[al][be]))
+            specs = [BracketSpec.standard(nu, N, random_odd_kernel(N, rng)) for _ in range(2)]
+            res = max(res, _projective_residual(R, specs, W))
         docs.append(_doc("projective_phi_independence", {"nu": nu, "N": N, "samples": samples}, res, seed, t0))
     return docs
 

@@ -166,29 +166,26 @@ def random_polygon(nu: int, N: int, rng: Random) -> Polygon:
 
     The monodromy is obtained by solving the extension rule against nu extra
     sampled rows and scaling its last row to normalize the determinant to 1.
+    Each entry n / d has d in 1..3, so 6 times the rows are ints: det A, det B
+    and every site's Wronskian are tested by Bareiss in ints, and one
+    fraction-free elimination of [A | B] gives M = A^-1 B.
     """
     if N < nu:
         raise ValueError("need N >= nu to pose the extension rule on sampled rows")
     for _ in range(500):
-        rows = [
-            [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)]
-            for _ in range(N + nu)
-        ]
-        A = [rows[m] for m in range(nu)]
-        B = [rows[N + m] for m in range(nu)]
-        if linalg.det(A) == 0 or linalg.det(B) == 0:
+        drawn = [[(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)] for _ in range(N + nu)]
+        v = [[x * (6 // d) for x, d in row] for row in drawn]
+        det_a, det_b = (linalg._int_det([r[:] for r in v[s : s + nu]]) for s in (0, N))
+        if not det_a or not det_b:
             continue
-        M = linalg.solve(A, B)
-        d = linalg.det(M)
-        if d == 0:
-            continue
-        M[-1] = [x / d for x in M[-1]]
-        try:
-            W = Polygon(nu, N, tuple(tuple(r) for r in rows[:N]), tuple(tuple(r) for r in M))
-        except ValueError:
-            continue
-        if W.is_nondegenerate():
-            return W
+        aug = [a + b for a, b in zip(v, v[N:])]
+        _, p, _ = linalg._int_rref(aug)
+        # M = A^-1 B with its last row divided by det M = det_b / det_a, as ints over p det_b
+        M = [[x * (det_a if c == nu - 1 else det_b) for x in row[nu:]] for c, row in enumerate(aug)]
+        ext = v[:N] + [[sum(x * mc[a] for x, mc in zip(row, M)) for a in range(nu)] for row in v[: nu - 1]]
+        if all(linalg._int_det([r[:] for r in ext[m : m + nu]]) for m in range(N)):
+            V = tuple(tuple(Fraction(x, d) for x, d in row) for row in drawn[:N])
+            return Polygon(nu, N, V, tuple(tuple(Fraction(x, p * det_b) for x in row) for row in M))
     raise RuntimeError("failed to sample a nondegenerate polygon")
 
 
@@ -699,30 +696,53 @@ class ProjPolygon:
         return cls(W.nu, tuple(rows), W.M)
 
 
+def _projective_ints(R, P: ProjPolygon, pairs) -> tuple:
+    """(den, {(m, n): den times projective_bracket(R, P, m, n)}) in ints, for (m, n) in pairs.
+
+    The chart points are scaled to ints u / e over one e and the nonzeros of
+    R to ints over dR, so den = dR e^4; (u, e) is the point (v, 1) over e.
+    """
+    nu, k = P.nu, P.nu - 1
+    U, e = linalg._scaled(P.v)
+    terms = _nonzeros(R, nu)
+    dR = lcm(*(x.denominator for *_, x in terms))
+    terms = [(*t, x.numerator * (dR // x.denominator)) for *t, x in terms]
+    tables = {}
+    for m, n in pairs:
+        um, un = (*U[m % len(U)], e), (*U[n % len(U)], e)
+        S = [[0] * nu for _ in range(nu)]
+        for a, b, c, d, x in terms:
+            S[c][d] += x * um[a] * un[b]
+        s = sign(m - n) * dR * e * e
+        diff = [x - y for x, y in zip(um, un)]
+        tables[m, n] = [
+            [
+                (S[al][be] * e - S[k][be] * um[al] - S[al][k] * un[be]) * e
+                + S[k][k] * um[al] * un[be]
+                - s * diff[al] * diff[be]
+                for be in range(k)
+            ]
+            for al in range(k)
+        ]
+    return dR * e**4, tables
+
+
 def projective_bracket(R, P: ProjPolygon, m: int, n: int):
     """{v_m (x) v_n} = (v_m (x) v_n).R - sgn(m-n) (v_m - v_n) (x) (v_m - v_n).
 
     With v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart
     as E_ac.v = v'_a (e_c if c < k else -v), so the R term is one
     contraction S = (v'_m (x) v'_n) R whose row and column k fold back onto
-    -v_m and -v_n.
+    -v_m and -v_n; it is summed in ints by ``_projective_ints``.
     """
-    nu = P.nu
-    k = nu - 1
-    vm, vn = P.v[m % len(P.v)], P.v[n % len(P.v)]
-    wm, wn = (*vm, ONE), (*vn, ONE)
-    S = [[ZERO] * nu for _ in range(nu)]
-    for a, b, c, d, x in _nonzeros(R, nu):
-        S[c][d] += x * wm[a] * wn[b]
-    s = sign(m - n)
-    diff = [x - y for x, y in zip(vm, vn)]
-    return [
-        [
-            S[al][be] - S[k][be] * vm[al] - S[al][k] * vn[be] + S[k][k] * vm[al] * vn[be] - s * diff[al] * diff[be]
-            for be in range(k)
-        ]
-        for al in range(k)
-    ]
+    den, tables = _projective_ints(R, P, [(m, n)])
+    return [[Fraction(x, den) for x in row] for row in tables[m, n]]
+
+
+def _chart_gradients(W: Polygon) -> list:
+    """The int gradients of the chart coordinates v_m^c, in the order (m, c)."""
+    ctx = _DualCtx(W)
+    return [ctx.proj(m, c)[1:] for m in range(W.N) for c in range(W.nu - 1)]
 
 
 def projective_chain_table(spec: BracketSpec, W: Polygon):
@@ -731,10 +751,32 @@ def projective_chain_table(spec: BracketSpec, W: Polygon):
     Returns tables with tables[m][n] the (nu-1) x (nu-1) table of (m, n).
     """
     k = spec.nu - 1
-    ctx = _DualCtx(W)
-    grads = [ctx.proj(m, c)[1:] for m in range(W.N) for c in range(k)]
+    grads = _chart_gradients(W)
     flat = _PiTable(spec, W.coordinates()).pairings(grads, grads)
     return [
         [[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)]
         for m in range(W.N)
     ]
+
+
+def _projective_residual(R, specs, W: Polygon) -> Fraction:
+    """Max gap of the chart tables of specs from each other and from projective_bracket(R, ...).
+
+    One list of chart gradients is paired against each spec's ints of Pi,
+    the closed form is summed in ints over one chart denominator, and the
+    first table is compared with the others and with the closed form by
+    cross-multiplication; a Fraction is built only for a nonzero gap.
+    """
+    k, N, coords = W.nu - 1, W.N, W.coordinates()
+    grads = _chart_gradients(W)
+    pis = [_PiTable(spec, coords) for spec in specs]
+    tables = [(linalg._int_pairings(grads, pi.ints, grads), pi.L * pi.den**2) for pi in pis]
+    dc, closed = _projective_ints(R, ProjPolygon.from_polygon(W), [(m, n) for m in range(N) for n in range(N)])
+    res = ZERO
+    for i, (_, df) in enumerate(grads):
+        for j, (_, dg) in enumerate(grads):
+            (x, dx), *rest = [(t[i][j], df * d * dg) for t, d in tables] + [(closed[i // k, j // k][i % k][j % k], dc)]
+            for y, dy in rest:
+                if gap := x * dy - y * dx:
+                    res = max(res, Fraction(abs(gap), dx * dy))
+    return res

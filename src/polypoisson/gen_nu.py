@@ -11,6 +11,9 @@ deformation kernels: phi^(0) makes a^(0) a Casimir, and phi^(k) (0 < k < nu)
 removes the a^(k) a^(k) quadratic term, making the bracket linear in a^(k).
 
 All raw sums use the true integer sign and plain deltas; phi is periodic.
+Hats and closed forms outer(D) [a(D) phi + b(D) delta] are int sequences
+over the lcm L of phi's denominators, on the int circulant action of
+lattice_ops; kernels build one Fraction per entry, hat_consistency one.
 The raw window formulas are only trustworthy for |j| <= N - 1 - nu (beyond
 that the underlying vertex brackets leave the sign window), so consistency is
 asserted exactly there; with N >= 2 nu + 1 this still covers every residue.
@@ -21,23 +24,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from random import Random
 
 from .coord_reduction import closed_tensor, field_gradients, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _PiTable, random_polygon
-from .lattice_ops import (
-    DPoly,
-    Kernel,
-    NoSolution,
-    OddKernel,
-    compose,
-    kernel_from_dpoly,
-    phi_special,
-    sign,
-)
-from .linalg import ZERO, _int_pairings, rat_str
+from .lattice_ops import Kernel, NoSolution, OddKernel, PerSeq, _int_convolve, _kernel_values, phi_special, sign
+from .linalg import ZERO, _int_pairings, _scaled, rat_str
 
 
 @dataclass(frozen=True)
@@ -63,48 +57,66 @@ class HatKernels:
         return self.alk_alk[j] - self.w_alk[j] - self.alk_w[j] + self.ww[j]
 
 
-def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
-    """The four raw coefficient sums for given (nu, k, phi), over the window.
+def _hat_ints(nu: int, k: int, p: list, L: int) -> tuple:
+    """L times the four raw window sums (ww, w_alk, alk_w, alk_alk) as {j: int}, p = L phi.
 
-    Each is summed in ints over the lcm L of phi's denominators.  The double
-    sum over (l, r) reads phi and delta at j + e (r - l) only, so the pairs
-    are counted once per difference r - l, and each offset costs O(nu).
+    The double sum over (l, r) reads phi and delta at j + e (r - l) only, so
+    the pairs are counted once per difference r - l, and each offset costs
+    O(nu).
     """
-    if not 0 <= k <= nu - 1:
-        raise ValueError("k must lie in 0..nu-1")
-    width = N - 1
+    N = len(p)
     ks = [l for l in range(nu + 1) if l != k]
-    L = lcm(*(x.denominator for x in phi.seq.values))
-    p = [int(x * L) for x in phi.seq.values]
 
     def hat(ls, rs, e=1):
         """j -> sum over l in ls of sign(x) - e delta(x) at x = j - e l, plus, for
         each r in rs, phi + e delta at j + e (r - l)."""
         count = Counter(r - l for l in ls for r in rs)
         out = {}
-        for j in range(-width, width + 1):
+        for j in range(1 - N, N):
             acc = L * sum(sign(j - e * l) - e * (j == e * l) for l in ls)
             for d, c in count.items():
                 x = j + e * d
-                acc += c * (p[x % len(p)] + e * L * (x == 0))
-            out[j] = Fraction(acc, L)
+                acc += c * (p[x % N] + e * L * (x == 0))
+            out[j] = acc
         return out
 
-    return HatKernels(
-        nu,
-        k,
-        N,
-        width,
-        hat(range(nu), range(nu)),
-        hat(ks, range(nu)),
-        hat(ks, range(nu), e=-1),
-        {j: x + 2 * (1 <= j <= nu - k) for j, x in hat(ks, ks).items()},
-    )
+    alk_alk = {j: x + 2 * L * (1 <= j <= nu - k) for j, x in hat(ks, ks).items()}
+    return hat(range(nu), range(nu)), hat(ks, range(nu)), hat(ks, range(nu), e=-1), alk_alk
 
 
-def _geom(lo: int, hi: int) -> DPoly:
-    """D^lo + D^(lo+1) + ... + D^hi."""
-    return DPoly({r: 1 for r in range(lo, hi + 1)})
+def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
+    """The four raw coefficient sums for given (nu, k, phi), over the window |j| <= N - 1.
+
+    Each is summed in ints over the lcm L of phi's denominators (``_hat_ints``).
+    """
+    if not 0 <= k <= nu - 1:
+        raise ValueError("k must lie in 0..nu-1")
+    (p,), L = _scaled([phi.seq.values])
+    hats = ({j: Fraction(x, L) for j, x in h.items()} for h in _hat_ints(nu, k, p, L))
+    return HatKernels(nu, k, N, N - 1, *hats)
+
+
+def _closed_ints(nu: int, s: int, p: list, L: int, *outers: dict) -> list:
+    """[L outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] for outer in outers], p = L phi.
+
+    Each outer is a shift polynomial {r: int}; the one inner sequence is
+    shared, and every product is the int circulant action of lattice_ops.
+    """
+    N = len(p)
+    inner = _int_convolve(_kernel_values({nu: 1, s: -1}, N), p)
+    inner = [x + L * y for x, y in zip(inner, _kernel_values({nu: 1, s: 1}, N))]
+    return [_int_convolve(_kernel_values(outer, N), inner) for outer in outers]
+
+
+def _w_alk_outer(nu: int, k: int) -> dict:
+    """(D^-nu - D^-k)(D-1)^-1 = -D^-nu (1 + D + ... + D^(nu-k-1)), a polynomial."""
+    return {r - nu: -1 for r in range(nu - k)}
+
+
+def _closed_kernels(nu: int, s: int, phi: Kernel, *outers: dict) -> list:
+    """The kernels of _closed_ints, one Fraction per entry."""
+    (p,), L = _scaled([phi.seq.values])
+    return [Kernel(PerSeq(len(p), tuple(Fraction(x, L) for x in ints))) for ints in _closed_ints(nu, s, p, L, *outers)]
 
 
 def w_alk_minus_ww_closed(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
@@ -113,10 +125,7 @@ def w_alk_minus_ww_closed(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
     The (D-1)^-1 cancels into the prefactor: (D^-nu - D^-k)(D-1)^-1 is the
     polynomial -D^-nu (1 + D + ... + D^(nu-k-1)).
     """
-    inner = compose(kernel_from_dpoly(DPoly({nu: 1, 0: -1}), N), phi)
-    inner = inner + kernel_from_dpoly(DPoly({nu: 1, 0: 1}), N)
-    pref = kernel_from_dpoly(_geom(0, nu - k - 1).scale(-1) * DPoly({-nu: 1}), N)
-    return compose(pref, inner)
+    return _closed_kernels(nu, 0, phi, _w_alk_outer(nu, k))[0]
 
 
 def quad_coeff(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
@@ -127,25 +136,18 @@ def quad_coeff(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
     """
     if not 1 <= k <= nu - 1:
         raise ValueError("k must lie in 1..nu-1")
-    inner = compose(kernel_from_dpoly(DPoly({nu: 1, k: -1}), N), phi)
-    inner = inner + kernel_from_dpoly(DPoly({nu: 1, k: 1}), N)
-    return compose(kernel_from_dpoly(DPoly({-nu: 1, -k: -1}), N), inner)
+    return _closed_kernels(nu, k, phi, {-nu: 1, -k: -1})[0]
 
 
 def casimir_coeffs(nu: int, phi: Kernel, N: int):
     """Coefficient kernels of {a^(0), a^(0)} and {a^(0), a^(k)} for k = 1..nu-1.
 
+    They are (D^-nu - D^-k)[(D^nu - 1) phi + D^nu + 1] for k = 0..nu-1.
     Returns (K00, {k: K0k}).  All of them vanish for phi = phi^(0) when
     gcd(nu, N) = 1, which is the Casimir property of a^(0).
     """
-    inner = compose(kernel_from_dpoly(DPoly({nu: 1, 0: -1}), N), phi)
-    inner = inner + kernel_from_dpoly(DPoly({nu: 1, 0: 1}), N)
-    k00 = compose(kernel_from_dpoly(DPoly({-nu: 1, 0: -1}), N), inner)
-    k0k = {
-        k: compose(kernel_from_dpoly(DPoly({-nu: 1, -k: -1}), N), inner)
-        for k in range(1, nu)
-    }
-    return k00, k0k
+    k00, *k0k = _closed_kernels(nu, 0, phi, *({-nu: 1, -k: -1} for k in range(nu)))
+    return k00, dict(enumerate(k0k, 1))
 
 
 def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
@@ -153,26 +155,22 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
 
     Compared on |j| <= N - 1 - nu (shrunk by one more where a shift of the
     window is taken); this tests the geometric-series algebra instead of
-    assuming it.
+    assuming it.  Hats and closed forms are ints over the lcm L of phi's
+    denominators, so the one Fraction built is the residual.
     """
-    hats = oppbs_hats(nu, k, phi, N)
+    if not 0 <= k <= nu - 1:
+        raise ValueError("k must lie in 0..nu-1")
+    (p,), L = _scaled([phi.seq.values])
+    ww, w_alk, alk_w, alk_alk = _hat_ints(nu, k, p, L)
+    diff, k00, k0k = _closed_ints(nu, 0, p, L, _w_alk_outer(nu, k), {-nu: 1, 0: -1}, {-nu: 1, -k: -1})
     lim = N - 1 - nu
-    res = ZERO
-    closed_diff = w_alk_minus_ww_closed(nu, k, phi, N)
-    for j in range(-lim, lim + 1):
-        res = max(res, abs(hats.w_alk[j] - hats.ww[j] - closed_diff[j]))
+    res = [w_alk[j] - ww[j] - diff[j % N] for j in range(-lim, lim + 1)]
+    res += [2 * ww[j] - ww[j + 1] - ww[j - 1] - k00[j % N] for j in range(1 - lim, lim)]
     if k >= 1:
-        closed_quad = quad_coeff(nu, k, phi, N)
-        for j in range(-lim, lim + 1):
-            res = max(res, abs(hats.combination_alk_alk(j) - closed_quad[j]))
-    k00, k0k = casimir_coeffs(nu, phi, N)
-    for j in range(-(lim - 1), lim):
-        got = 2 * hats.ww[j] - hats.ww[j + 1] - hats.ww[j - 1]
-        res = max(res, abs(got - k00[j]))
-        if k >= 1:
-            got = (hats.w_alk[j + 1] - hats.ww[j + 1]) - (hats.w_alk[j] - hats.ww[j])
-            res = max(res, abs(got - k0k[k][j]))
-    return res
+        (quad,) = _closed_ints(nu, k, p, L, {-nu: 1, -k: -1})
+        res += [alk_alk[j] - w_alk[j] - alk_w[j] + ww[j] - quad[j % N] for j in range(-lim, lim + 1)]
+        res += [w_alk[j + 1] - ww[j + 1] - w_alk[j] + ww[j] - k0k[j % N] for j in range(1 - lim, lim)]
+    return Fraction(max(map(abs, res), default=0), L)
 
 
 # ---------------------------------------------------------------------------

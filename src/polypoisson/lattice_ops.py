@@ -9,7 +9,10 @@ composition of operators is convolution of kernels.
 The module also carries the constrained solver that produces the odd periodic
 kernels used as the deformation parameter of the vertex bracket: given shift
 polynomials A and b it solves ``A(D) phi = b(D) delta`` exactly over the
-rationals with the oddness constraints adjoined.
+rationals with the oddness constraints adjoined, by one fraction-free
+elimination in ints.  Convolution is one int circulant action over the
+kernel's nonzeros, ``_int_convolve``, which ``convolve_apply`` (one Fraction
+per entry) and the closed forms of ``gen_nu`` share.
 """
 
 from __future__ import annotations
@@ -224,26 +227,33 @@ def kernel_from_dpoly(p: DPoly, N: int) -> Kernel:
     """Kernel of p(D) on period N: K_m = sum of c_r over r = -m mod N."""
     if N < 1:
         raise ValueError("period must be >= 1")
-    vals = [ZERO] * N
-    for r, c in p.terms.items():
-        vals[(-r) % N] += c
-    return Kernel(PerSeq(N, tuple(vals)))
+    return Kernel(PerSeq(N, tuple(_kernel_values(p.terms, N))))
+
+
+def _kernel_values(terms: dict, N: int) -> list:
+    """The values of kernel_from_dpoly for {r: c_r}; ints stay ints."""
+    vals = [0] * N
+    for r, c in terms.items():
+        vals[-r % N] += c
+    return vals
+
+
+def _int_convolve(k: list, f: list) -> list:
+    """(k.f)_m = sum_s k_s f_{m-s} for int sequences of one period, over the nonzeros of k."""
+    out = [0] * len(f)
+    for s, c in enumerate(k):
+        if c:
+            out = [x + c * y for x, y in zip(out, f[-s:] + f[:-s])]
+    return out
 
 
 def convolve_apply(K: Kernel, f: PerSeq) -> PerSeq:
-    """Exact cyclic convolution (K.f)_m = sum_n K_{m-n} f_n."""
+    """Exact cyclic convolution (K.f)_m = sum_n K_{m-n} f_n, in ints after one scaling of each."""
     if K.N != f.N:
         raise ValueError(f"period mismatch: {K.N} != {f.N}")
-    N = K.N
-    out = []
-    for m in range(N):
-        acc = ZERO
-        for n in range(N):
-            kv = K.seq[m - n]
-            if kv and f.values[n]:
-                acc += kv * f.values[n]
-        out.append(acc)
-    return PerSeq(N, tuple(out))
+    (k,), dk = linalg._scaled([K.seq.values])
+    (x,), dx = linalg._scaled([f.values])
+    return PerSeq(K.N, tuple(Fraction(v, dk * dx) for v in _int_convolve(k, x)))
 
 
 def compose(K: Kernel, L: Kernel) -> Kernel:
@@ -265,36 +275,29 @@ def invert(K: Kernel) -> Kernel:
     return Kernel(PerSeq(N, tuple(col)))
 
 
-def _odd_constraint_rows(N: int) -> list[list[Fraction]]:
-    rows = []
-    for j in range((N // 2) + 1):
-        row = [ZERO] * N
-        row[j % N] += ONE
-        row[(-j) % N] += ONE
-        rows.append(row)
-    return rows
-
-
 def solve_phi(A: DPoly, b: DPoly, N: int) -> OddKernel:
     """Solve A(D) phi = b(D) delta for an odd periodic kernel phi.
 
-    The oddness constraints are adjoined to the exact linear system.  When the
-    solution set is a positive-dimensional affine space the representative
-    orthogonal to the homogeneous solution space is returned, which is the
-    minimal-norm solution.  Raises NoSolution when the constrained system is
-    inconsistent.
+    The oddness constraints are adjoined to the exact linear system, and one
+    fraction-free elimination of [A(D); odd rows | b(D) delta] in ints gives
+    both the particular solution (zero in the free coordinates) and the
+    homogeneous basis.  When the solution set is a positive-dimensional
+    affine space the representative orthogonal to the homogeneous solution
+    space is returned, which is the minimal-norm solution.  Raises NoSolution
+    when the constrained system is inconsistent.
     """
     if N < 3:
         raise ValueError("period must be >= 3")
-    a_mat = kernel_from_dpoly(A, N).matrix()
-    rhs = list(kernel_from_dpoly(b, N).seq.values)
-    odd_rows = _odd_constraint_rows(N)
-    mat = a_mat + odd_rows
-    vec = rhs + [ZERO] * len(odd_rows)
-    particular = linalg.solve(mat, vec)
-    if particular is None:
+    (a, rhs), _ = linalg._scaled([_kernel_values(A.terms, N), _kernel_values(b.terms, N)])
+    m = [[a[r - n] for n in range(N)] + [rhs[r]] for r in range(N)]
+    m += [[int(n == j) + int(n == -j % N) for n in range(N)] + [0] for j in range(N // 2 + 1)]
+    pivots, p, _ = linalg._int_rref(m)
+    if N in pivots:
         raise NoSolution("no odd periodic kernel satisfies the equation")
-    hom = linalg.nullspace(mat)
+    rows = dict(zip(pivots, m))  # pivot column -> its row of p times the rref
+    particular = [Fraction(rows[c][N], p) if c in rows else ZERO for c in range(N)]
+    free = [f for f in range(N) if f not in rows]
+    hom = [[Fraction(-rows[c][f], p) if c in rows else ONE if c == f else ZERO for c in range(N)] for f in free]
     if hom:
         gram = [[dot(u, v) for v in hom] for u in hom]
         proj = linalg.solve(gram, [dot(u, particular) for u in hom])

@@ -88,11 +88,14 @@ THEOREM_2_5_SHA256 = "b5843d1ec1400d63d6b44649fa02c2fe20f0a2bfdd40cbc5cc04534ef5
 THEOREM_3_7_SHA256 = "5913c1cd3b4b3acc12b3544df26b764be3f20497d21bbea7b8cc7390695cb1a3"
 THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
 THEOREM_5_11_SHA256 = "1906843d1f92853b22cf4e8024c0ac39067cf36f96365d654411be4136c84b8a"
+# (6, 12) fails: gcd(6, 12) > 1 leaves the Casimir kernel residual 1 and a
+# nonzero numeric residual, so the kernel identities run on nonzero values
+THEOREM_6_12_SHA256 = "96e4c6f121c1f7d42db422c8f9e860249951de0da31a012c7fc146ddcf6f31b3"
 
 
-def _theorem_out_sha256(tmp_path, nu: int, N: int) -> str:
+def _theorem_out_sha256(tmp_path, nu: int, N: int, code: int = 0) -> str:
     out = tmp_path / f"theorem_{nu}_{N}.json"
-    assert run_command(["theorem", "--nu", str(nu), "--N", str(N), "--out", str(out)]) == 0
+    assert run_command(["theorem", "--nu", str(nu), "--N", str(N), "--out", str(out)]) == code
     return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
@@ -102,6 +105,10 @@ def test_theorem_out_is_byte_stable(tmp_path, capsys):
 
 def test_theorem_5_11_out_is_byte_stable(tmp_path, capsys):
     assert _theorem_out_sha256(tmp_path, 5, 11) == THEOREM_5_11_SHA256
+
+
+def test_failing_theorem_6_12_out_is_byte_stable(tmp_path, capsys):
+    assert _theorem_out_sha256(tmp_path, 6, 12, code=1) == THEOREM_6_12_SHA256
 
 
 @pytest.mark.parametrize(

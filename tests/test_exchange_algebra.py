@@ -17,6 +17,7 @@ from polypoisson.exchange_algebra import (
     _PiTable,
     _nonzeros,
     _pair,
+    _projective_residual,
     _random_sparse_linear,
     default_rc,
     group_act,
@@ -428,6 +429,47 @@ def test_from_json_rejects_malformed_shapes():
     for key, bad in (("R", wide), ("C", wide), ("R", ragged), ("C", ragged)):
         with pytest.raises(ValueError, match="R and C must be nu"):
             BracketSpec.from_json({**doc, key: bad})
+
+
+def reference_random_polygon(nu, N, rng):
+    """random_polygon in Fractions: det by linalg.det, M by linalg.solve, and
+    each site's Wronskian from Polygon.vertex products."""
+    for _ in range(500):
+        rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)] for _ in range(N + nu)]
+        A, B = rows[:nu], rows[N : N + nu]
+        if linalg.det(A) == 0 or linalg.det(B) == 0:
+            continue
+        M = linalg.solve(A, B)
+        d = linalg.det(M)
+        M[-1] = [x / d for x in M[-1]]
+        W = Polygon(nu, N, tuple(tuple(r) for r in rows[:N]), tuple(tuple(r) for r in M))
+        if W.is_nondegenerate():
+            return W
+    raise RuntimeError("failed to sample a nondegenerate polygon")
+
+
+def test_random_polygon_equals_fraction_reference():
+    # same polygon and the same generator state after it, draw after draw,
+    # N = nu included (every Wronskian then reads V_m M); seed 56 at (2, 2)
+    # and seed 18 at (3, 11) each draw a polygon whose Wronskian vanishes
+    # only at a site that reads V_m M, which the sampled rows V_{N+m} miss
+    rejected = 0
+    for nu in range(2, 6):
+        for N in (nu, nu + 1, 2 * nu + 1, 11):
+            for seed in [*range(8), *{(2, 2): [56], (3, 11): [18]}.get((nu, N), [])]:
+                a, b = Random(seed), Random(seed)
+                for _ in range(3):
+                    start = b.getstate()
+                    W = random_polygon(nu, N, a)
+                    assert W == reference_random_polygon(nu, N, b), (nu, N, seed)
+                    assert a.getstate() == b.getstate()
+                    # the first attempt's rows differ from W.V when it was rejected
+                    b.setstate(start)
+                    rejected += [[F(b.randint(-5, 5), b.randint(1, 3)) for _ in range(nu)] for _ in range(N)] != [
+                        list(row) for row in W.V
+                    ]
+                    b.setstate(a.getstate())
+    assert rejected > 0
 
 
 def test_polygon_extension_rule():
@@ -993,6 +1035,30 @@ def test_projective_chain_table_matches_closed_form_for_random_r():
         for m in range(N):
             for n in range(N):
                 assert tables[m][n] == projective_bracket(R, P, m, n), (nu, m, n)
+
+
+def test_projective_residual_equals_fraction_tables():
+    # the int residual is the max over all site pairs of |ta - tb| and
+    # |ta - closed| read from projective_chain_table and the reference closed
+    # form, for the default R (zero) and a random R (nonzero)
+    rng = Random(19)
+    for nu in (2, 3):
+        N = 5
+        W = random_polygon(nu, N, rng)
+        while any(W.V[m][nu - 1] == 0 for m in range(N)):
+            W = random_polygon(nu, N, rng)
+        P = ProjPolygon.from_polygon(W)
+        specs = [spec_with(nu, N, rng=rng), spec_with(nu, N, phi=phi_special(nu, 0, N))]
+        ta, tb = (projective_chain_table(spec, W) for spec in specs)
+        for R in (default_rc(nu)[0], random_block(nu, rng)):
+            want = F(0)
+            for m in range(N):
+                for n in range(N):
+                    closed = reference_projective_bracket(R, P, m, n)
+                    for a, b, c in zip(sum(ta[m][n], []), sum(tb[m][n], []), sum(closed, [])):
+                        want = max(want, abs(a - b), abs(a - c))
+            assert _projective_residual(R, specs, W) == want
+        assert want != 0
 
 
 def test_degenerate_polygon_rejected():

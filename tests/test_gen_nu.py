@@ -2,6 +2,8 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polypoisson import gen_nu
 from polypoisson.coord_reduction import closed_tensor
@@ -27,6 +29,7 @@ from polypoisson.lattice_ops import (
     random_odd_kernel,
     sign,
 )
+from test_lattice_ops import reference_convolve
 
 F = Fraction
 
@@ -78,6 +81,111 @@ def test_hats_equal_the_double_sum_reference():
                     assert got == reference_hats(nu, k, phi, N), (nu, N, k)
                     assert all(type(x) is Fraction for d in got for x in d.values())
     assert specials == 60
+
+
+def reference_closed(outer, s, nu, phi, N):
+    """outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] by dense Fraction convolutions."""
+    inner = reference_convolve(kernel_from_dpoly(DPoly({nu: 1, s: -1}), N), phi.seq)
+    inner = inner + kernel_from_dpoly(DPoly({nu: 1, s: 1}), N).seq
+    return Kernel(reference_convolve(kernel_from_dpoly(outer, N), inner))
+
+
+def w_alk_prefactor(nu, k):
+    """(D^-nu - D^-k)(D-1)^-1 = -D^-nu (1 + D + ... + D^(nu-k-1))."""
+    return DPoly({r - nu: -1 for r in range(nu - k)})
+
+
+def reference_hat_consistency(nu, k, phi, N, w_alk_pref=None):
+    """hat_consistency from the literal double sums and Fraction closed forms."""
+    ww, w_alk, alk_w, alk_alk = reference_hats(nu, k, phi, N)
+    diff = reference_closed(w_alk_pref or w_alk_prefactor(nu, k), 0, nu, phi, N)
+    k00 = reference_closed(DPoly({-nu: 1, 0: -1}), 0, nu, phi, N)
+    lim = N - 1 - nu
+    res = [w_alk[j] - ww[j] - diff[j] for j in range(-lim, lim + 1)]
+    res += [2 * ww[j] - ww[j + 1] - ww[j - 1] - k00[j] for j in range(1 - lim, lim)]
+    if k >= 1:
+        quad = reference_closed(DPoly({-nu: 1, -k: -1}), k, nu, phi, N)
+        k0k = reference_closed(DPoly({-nu: 1, -k: -1}), 0, nu, phi, N)
+        res += [alk_alk[j] - w_alk[j] - alk_w[j] + ww[j] - quad[j] for j in range(-lim, lim + 1)]
+        res += [(w_alk[j + 1] - ww[j + 1]) - (w_alk[j] - ww[j]) - k0k[j] for j in range(1 - lim, lim)]
+    return max(map(abs, res), default=F(0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """(nu, k, phi, N): phi zero, sparse or dense, odd or not, N in nu + 2..2 nu + 4
+    (even N and gcd(nu, N) > 1 among them), or phi^(k) where it exists."""
+    nu = draw(st.integers(2, 5))
+    k = draw(st.integers(0, nu - 1))
+    N = draw(st.integers(nu + 2, 2 * nu + 4))
+    shape = draw(st.sampled_from(["zero", "sparse", "dense", "odd", "special"]))
+    coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 6))
+    vals = [F(0)] * N
+    if shape == "sparse":
+        for s in draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=2)):
+            vals[s] = draw(coeff)
+    elif shape == "dense":
+        vals = draw(st.lists(coeff, min_size=N, max_size=N))
+    elif shape == "odd":
+        for j in range(1, (N + 1) // 2):
+            vals[j] = draw(coeff)
+            vals[N - j] = -vals[j]
+    elif shape == "special":
+        try:
+            return nu, k, phi_special(nu, k, N), N
+        except NoSolution:
+            pass
+    return nu, k, Kernel(PerSeq(N, tuple(vals))), N
+
+
+@given(kernel_cases())
+@example((4, 0, phi_special(4, 0, 12), 12))
+def test_kernel_identities_equal_fraction_reference(case):
+    nu, k, phi, N = case
+
+    def expect(outer, s):
+        return reference_closed(outer, s, nu, phi, N).seq.values
+
+    assert w_alk_minus_ww_closed(nu, k, phi, N).seq.values == expect(w_alk_prefactor(nu, k), 0)
+    k00, k0k = casimir_coeffs(nu, phi, N)
+    assert [K.seq.values for K in (k00, *k0k.values())] == [expect(DPoly({-nu: 1, -j: -1}), 0) for j in range(nu)]
+    if k >= 1:
+        assert quad_coeff(nu, k, phi, N).seq.values == expect(DPoly({-nu: 1, -k: -1}), k)
+    assert hat_consistency(nu, k, phi, N) == reference_hat_consistency(nu, k, phi, N) == 0
+
+
+def test_hat_consistency_negative_control(monkeypatch):
+    # the w_alk - ww prefactor with its D^-nu coefficient -1 changed to -2, in
+    # the int route (gen_nu._w_alk_outer) and in the Fraction reference alike:
+    # both read the same nonzero residual, for an odd phi, a non-odd one and phi^(k)
+    real = gen_nu._w_alk_outer
+
+    def bumped(nu, k):
+        return {**real(nu, k), -nu: -2}
+
+    monkeypatch.setattr(gen_nu, "_w_alk_outer", bumped)
+    rng = Random(9)
+    for nu, k, N in ((2, 1, 7), (3, 0, 9), (4, 2, 11)):
+        skew = Kernel(PerSeq(N, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(N))))
+        for phi in (random_odd_kernel(N, rng), skew, phi_special(nu, k, N)):
+            res = gen_nu.hat_consistency(nu, k, phi, N)
+            assert res == reference_hat_consistency(nu, k, phi, N, DPoly(bumped(nu, k))) != 0, (nu, k, N)
+
+
+def test_hat_consistency_builds_one_fraction(monkeypatch):
+    phi = phi_special(5, 2, 11)
+    real = Fraction.__new__
+    made = []
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    res = hat_consistency(5, 2, phi, 11)
+    monkeypatch.undo()
+    assert res == 0
+    assert len(made) == 1
 
 
 def test_ww_literal_sum_forms_agree():

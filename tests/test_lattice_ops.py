@@ -279,6 +279,75 @@ def test_solve_phi_minimal_norm_with_homogeneous_solutions(N):
     assert solve_phi(A, A * c, N).seq.values != kernel_from_dpoly(c, N).seq.values
 
 
+def reference_convolve(K, f):
+    """The dense Fraction convolution over all N^2 index pairs."""
+    N = K.N
+    return PerSeq(N, tuple(sum((K[m - n] * f[n] for n in range(N)), F(0)) for m in range(N)))
+
+
+def reference_solve_phi(A, b, N):
+    """solve_phi as two Fraction eliminations: linalg.solve for the particular
+    solution, linalg.nullspace for the homogeneous one, then the Gram projection."""
+    mat = kernel_from_dpoly(A, N).matrix() + _odd_rows(N)
+    particular = linalg.solve(mat, list(kernel_from_dpoly(b, N).seq.values) + [F(0)] * (N // 2 + 1))
+    if particular is None:
+        raise NoSolution("no odd periodic kernel satisfies the equation")
+    hom = linalg.nullspace(mat)
+    if hom:
+        gram = [[linalg.dot(u, v) for v in hom] for u in hom]
+        proj = linalg.solve(gram, [linalg.dot(u, particular) for u in hom])
+        for coef, u in zip(proj, hom):
+            particular = [x - coef * y for x, y in zip(particular, u)]
+    return OddKernel(PerSeq(N, tuple(particular)))
+
+
+@st.composite
+def convolution_cases(draw):
+    """(K, f): a zero, sparse (1-2 nonzeros) or dense kernel and a dense sequence, N in 1..12."""
+    N = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["zero", "sparse", "dense"]))
+    vals = [F(0)] * N
+    if shape == "dense":
+        vals = draw(st.lists(_coeff, min_size=N, max_size=N))
+    elif shape == "sparse":
+        for s in draw(st.sets(st.integers(0, N - 1), min_size=1, max_size=2)):
+            vals[s] = draw(_coeff)
+    return Kernel(PerSeq(N, tuple(vals))), PerSeq(N, tuple(draw(st.lists(_coeff, min_size=N, max_size=N))))
+
+
+@given(convolution_cases())
+def test_convolve_apply_equals_dense_reference(case):
+    K, f = case
+    got = convolve_apply(K, f)
+    assert got.values == reference_convolve(K, f).values
+    assert all(type(x) is Fraction for x in got.values)
+    L = Kernel(f)
+    assert compose(K, L).seq.values == reference_convolve(K, f).values
+
+
+@given(st.integers(2, 6), st.integers(5, 21), st.data())
+@example(4, 12, None)  # even N with gcd(nu, N) = 4: several k have no or many solutions
+@example(3, 9, None)
+def test_solve_phi_equals_two_elimination_reference(nu, N, data):
+    # phi_special's equations for every k (non-unique at even N or gcd > 1),
+    # one with no odd solution, one with odd homogeneous solutions when 3 | N,
+    # and a drawn symmetric/antisymmetric pair
+    cases = [(DPoly({0: 2, nu - k: -1, k - nu: -1}), DPoly({nu - k: 1, k - nu: -1})) for k in range(nu)]
+    A3 = DPoly({0: 2, 3: -1, -3: -1})
+    cases += [(DPoly({0: 1, 1: -1}), DPoly({0: 2})), (A3, A3 * DPoly({1: 1, -1: -1}))]
+    if data is not None:
+        A, b, _ = data.draw(odd_kernel_equations())
+        cases.append((A, b))
+    for A, b in cases:
+        try:
+            expect = reference_solve_phi(A, b, N).seq.values
+        except NoSolution:
+            with pytest.raises(NoSolution):
+                solve_phi(A, b, N)
+            continue
+        assert solve_phi(A, b, N).seq.values == expect
+
+
 def test_json_round_trip():
     phi = phi_special(2, 1, 5)
     assert Kernel.from_json(phi.to_json()).seq.values == phi.seq.values

@@ -117,12 +117,12 @@ def coords(W: Polygon, ctx: _DualCtx = None) -> Fields:
     a^(k)_m is the ratio of the (nu x nu) determinant on vertices
     m..m+nu omitting m+k to the Wronskian w_m, and a^(0)_m = w_{m+1}/w_m.
     The values come from the one solve per site of ``_DualCtx`` (ctx, when
-    given), which raises DegeneratePolygon at the first site with w_m = 0
-    and ValueError when N < nu.  The result is periodic and invariant under
-    the projective action.
+    given), with no gradient built; it raises DegeneratePolygon at the first
+    site with w_m = 0 and ValueError when N < nu.  The result is periodic and
+    invariant under the projective action.
     """
     ctx = ctx or _DualCtx(W)
-    seqs = (PerSeq(W.N, tuple(ctx.field(k, m)[0] for m in range(W.N))) for k in range(W.nu))
+    seqs = (PerSeq(W.N, tuple(ctx.value(k, m) for m in range(W.N))) for k in range(W.nu))
     return Fields(W.nu, W.N, tuple(seqs))
 
 

@@ -339,9 +339,10 @@ class _DualCtx:
     which raises ValueError.
     ``wronskian``, ``field`` and ``proj`` return observables in the same
     shape (value, grad, den).  One adjugate of B_m, the rows V_m..V_{m+nu-1},
-    in ints per site and context gives w_m = det B_m by ``linalg.det_grad``;
-    the first field at m solves c^T B_m = V_{m+nu} with it, which gives every
-    a^(k)_m = (-1)^(nu-1-k) c_k and dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1.
+    in ints per site and context gives w_m = det B_m by ``linalg.det_grad``
+    and solves c^T B_m = V_{m+nu}: ``value`` reads a^(k)_m = (-1)^(nu-1-k) c_k
+    alone, ``factor`` holds dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1 as nu sparse
+    covectors and a nu x nu mix, and ``field`` mixes one gradient from it.
     """
 
     def __init__(self, W: Polygon):
@@ -350,7 +351,7 @@ class _DualCtx:
         self.N = W.N
         self._vertices: dict[int, list] = {}
         self._sites: dict[int, tuple] = {}
-        self._fields: dict[int, list] = {}
+        self._factors: dict[int, tuple] = {}
         self._m, self._dm = linalg._scaled(W.M)
 
     def vertex(self, m: int) -> list:
@@ -372,7 +373,7 @@ class _DualCtx:
         return row
 
     def _site(self, m: int) -> tuple:
-        """(rows V_m..V_{m+nu}, (d, det, adj) of d B_m in ints), once per site."""
+        """(rows V_m..V_{m+nu}, (d, det, adj) of d B_m in ints, c, cd), once per site."""
         site = self._sites.get(m)
         if site is None:
             nu = self.nu
@@ -381,32 +382,39 @@ class _DualCtx:
             delta, adj = linalg._int_adjugate(B)
             if not delta:
                 raise DegeneratePolygon(f"Wronskian vanishes at site {m}: V_{m}..V_{m + nu - 1} are dependent")
-            site = self._sites[m] = (rows, (d, delta, adj))
+            (v,), dv = linalg._scaled([[x for x, _, _ in rows[nu]]])
+            # c^T B_m = V_{m+nu} as c_k = c[k] / cd, since B^-1 = d adj / delta; c[nu] = -cd
+            cd = delta * dv
+            c = [d * sum(x * adj[a][j] for a, x in enumerate(v)) for j in range(nu)] + [-cd]
+            site = self._sites[m] = (rows, (d, delta, adj), c, cd)
         return site
 
     def wronskian(self, m: int) -> tuple:
-        rows, solved = self._site(m)
+        rows, solved, _, _ = self._site(m)
         return det_grad(rows[:-1], solved)
 
-    def field(self, k: int, m: int) -> tuple:
-        """a^(k)_m = alpha^(k)/w for k >= 1 and w'/w for k = 0, from the solve at site m."""
-        fields = self._fields.get(m)
-        if fields is None:
-            nu, (rows, (d, delta, adj)) = self.nu, self._site(m)
-            (v,), dv = linalg._scaled([[x for x, _, _ in rows[nu]]])
-            # c_k = c[k] / cd, since B^-1 = d adj / delta; c[nu] = -cd
-            cd = delta * dv
-            c = [d * sum(x * adj[a][j] for a, x in enumerate(v)) for j in range(nu)] + [-cd]
+    def value(self, k: int, m: int) -> Fraction:
+        """a^(k)_m alone, from the solve at site m, with no gradient built."""
+        _, _, c, cd = self._site(m)
+        return Fraction((-1) ** (self.nu - 1 - k) * c[k], cd)
+
+    def factor(self, m: int) -> tuple:
+        """(H, K, den) in ints at site m: grad a^(k)_m = sum_a K[a][k] H[a] / den, H[a] about nu + 1 entries."""
+        if m not in self._factors:
+            nu, (rows, (d, delta, adj), c, cd) = self.nu, self._site(m)
             dg = lcm(*(den for row in rows for _, _, den in row))
-            # H[a] = (dV_{m+nu} - c^T dB)_a cd dg, and dc_j = sum_a H[a] d adj[a][j] / (cd dg delta)
+            # H[a] = (dV_{m+nu} - c^T dB_m)_a cd dg and K[a][k] = (-1)^(nu-1-k) d adj[a][k]
             H = [linalg._sparse_sum((-x * (dg // row[a][2]), row[a][1]) for x, row in zip(c, rows)) for a in range(nu)]
-            fields = self._fields[m] = []
-            for j in range(nu):
-                sgn = (-1) ** (nu - 1 - j)
-                grad = linalg._sparse_sum((sgn * d * adj[a][j], H[a]) for a in range(nu))
-                g = gcd(cd * dg * delta, *grad.values())  # smaller ints make every pairing cheaper
-                fields.append((Fraction(sgn * c[j], cd), {v: x // g for v, x in grad.items()}, cd * dg * delta // g))
-        return fields[k]
+            K = [[(-1) ** (nu - 1 - k) * d * adj[a][k] for k in range(nu)] for a in range(nu)]
+            self._factors[m] = (H, K, cd * dg * delta)
+        return self._factors[m]
+
+    def field(self, k: int, m: int) -> tuple:
+        """a^(k)_m = alpha^(k)/w for k >= 1 and w'/w for k = 0, its gradient mixed from ``factor``."""
+        H, K, den = self.factor(m)
+        grad = linalg._sparse_sum((row[k], h) for row, h in zip(K, H))
+        g = gcd(den, *grad.values())  # smaller ints make every pairing cheaper
+        return self.value(k, m), {v: x // g for v, x in grad.items()}, den // g
 
     def proj(self, m: int, comp: int) -> tuple:
         """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}, by the quotient rule in ints.
@@ -624,10 +632,11 @@ def antisymmetry_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     return Fraction(res, table.L * table.den**2)
 
 
-def _random_sparse_linear(W: Polygon, rng: Random) -> dict:
+def _random_sparse_linear(W: Polygon, rng: Random) -> tuple:
+    """An int covector (f, 6) on 1-3 coordinates: f_v / 6 = a / b, a in -4..4 but not 0, b in 1..3."""
     D = W.n_vars()
     support = rng.sample(range(D), rng.randint(1, 3))
-    return {v: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)) for v in support}
+    return {v: (rng.randint(-4, 4) or 1) * 6 // rng.randint(1, 3) for v in support}, 6
 
 
 def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fraction:
@@ -635,23 +644,18 @@ def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fr
 
     For linear f, g, h the Jacobiator term {f, {g, h}} pairs f against Pi and
     the gradient d{g, h} = sum_ij g_i h_j d Pi_ij, which is read from the
-    table at the few entries (i, j) that g and h select.  In ints each term is
-    over df dg dh L^2 den^3, so one ``linalg._int_pairings`` sums a trial.
+    table at the few entries (i, j) that g and h select.  In ints each term
+    f^T Pi d{g, h} is over df dg dh L^2 den^3, so a trial sums its three.
     """
     rng = Random(seed)
     table = _PiTable(spec, W.coordinates())
     res = ZERO
     for _ in range(trials):
-        trio = []
-        for f in (_random_sparse_linear(W, rng) for _ in range(3)):
-            d = lcm(*(c.denominator for c in f.values()))
-            trio.append(({i: c.numerator * (d // c.denominator) for i, c in f.items()}, d))
-        # d{g, h}, d{h, f} and d{f, g}, to pair with f, g and h
-        pb = [
-            (linalg._sparse_sum((gi * hj, table.gradient(i, j)) for i, gi in g.items() for j, hj in h.items()), 1)
-            for (g, _), (h, _) in zip(trio[1:] + trio[:1], trio[2:] + trio[:2])
-        ]
-        jac = sum(row[k] for k, row in enumerate(linalg._int_pairings(trio, table.ints, pb)))
+        trio = [_random_sparse_linear(W, rng) for _ in range(3)]
+        jac = 0
+        for (f, _), (g, _), (h, _) in zip(trio, trio[1:] + trio[:1], trio[2:] + trio[:2]):
+            dgh = linalg._sparse_sum((gi * hj, table.gradient(i, j)) for i, gi in g.items() for j, hj in h.items())
+            jac += sum(fi * table.ints[i][s] * x for i, fi in f.items() for s, x in dgh.items())
         res = max(res, Fraction(abs(jac), prod(d for _, d in trio) * table.L**2 * table.den**3))
     return res
 

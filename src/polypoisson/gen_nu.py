@@ -27,9 +27,9 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
-from .coord_reduction import closed_tensor, field_gradients, random_fields
+from .coord_reduction import closed_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
-from .exchange_algebra import BracketSpec, _PiTable, random_polygon
+from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
 from .lattice_ops import Kernel, NoSolution, OddKernel, PerSeq, _int_convolve, _kernel_values, phi_special, sign
 from .linalg import ZERO, _int_pairings, _scaled, rat_str
 
@@ -207,18 +207,25 @@ class TheoremReport:
 def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, seed: int) -> Fraction:
     """Exact chain-rule check that a^(0) brackets to zero with every field.
 
-    The int field gradients are paired against the ints of Pi at each polygon,
-    all evaluated from the cell template cached on the one spec.
+    grad a^(j)_n = sum_a K_n[a][j] H_n[a] / den_n (``_DualCtx.factor``), so the
+    N gradients of a^(0)_m are paired against the ints of Pi and the nu N
+    covectors H_n[a] alone, and each bracket is a K_n-mix of those ints t_a
+    over df den_n L den^2, one Fraction per nonzero.
     """
     rng = Random(seed)
     spec = BracketSpec.standard(nu, N, phi)
     res = ZERO
     for _ in range(polygons):
         W = random_polygon(nu, N, rng)
-        grads = field_gradients(W, [f"a{j}" for j in range(nu)])
+        ctx = _DualCtx(W)
+        grads, factors = [ctx.field(0, m)[1:] for m in range(N)], [ctx.factor(n) for n in range(N)]
         pi = _PiTable(spec, W.coordinates())
-        for (_, df), row in zip(grads, _int_pairings(grads[:N], pi.ints, grads)):
-            res = max([res] + [Fraction(abs(a), df * dg * pi.L * pi.den**2) for (_, dg), a in zip(grads, row) if a])
+        table = _int_pairings(grads, pi.ints, [(h, 1) for H, _, _ in factors for h in H])
+        for (_, df), row in zip(grads, table):
+            for n, (_, K, den) in enumerate(factors):
+                if any(t := row[n * nu : n * nu + nu]):
+                    accs = (sum(k[j] * x for k, x in zip(K, t)) for j in range(nu))
+                    res = max([res] + [Fraction(abs(a), df * den * pi.L * pi.den**2) for a in accs if a])
     return res
 
 

@@ -311,9 +311,8 @@ def reference_jacobi(spec, W, trials, seed):
 
     res = F(0)
     for _ in range(trials):
-        f = _random_sparse_linear(W, rng)
-        g = _random_sparse_linear(W, rng)
-        h = _random_sparse_linear(W, rng)
+        trio = [_random_sparse_linear(W, rng) for _ in range(3)]
+        f, g, h = ({v: F(c, d) for v, c in ints.items()} for ints, d in trio)
         jac = pb(f, pb(g, h).grad) + pb(g, pb(h, f).grad) + pb(h, pb(f, g).grad)
         res = max(res, abs(jac.val))
     return res
@@ -703,12 +702,22 @@ def test_field_gradients_match_dual_reference():
         ctx = _DualCtx(W)
         V, _ = dual_vertices(W, N + nu)
         w = {n: laplace_det(V[n : n + nu]) for n in range(N + 1)}
+        mvars = {W.var_m(i, j) for i in range(nu) for j in range(nu)}
         for m in range(N):
             _assert_same(ctx.wronskian(m), w[m])
             _assert_same(ctx.field(0, m), w[m + 1] / w[m])
             for k in range(1, nu):
                 alpha = laplace_det([V[m + r] for r in range(nu + 1) if r != k])
                 _assert_same(ctx.field(k, m), alpha / w[m])
+            # each field is the K-mix of its site's factor, which reaches M at
+            # exactly the sites whose rows V_m..V_{m+nu} wrap past V_{N-1}
+            H, K, den = ctx.factor(m)
+            assert any(v in mvars for h in H for v in h) == (m + nu >= N)
+            for k in range(nu):
+                mix = linalg._sparse_sum((row[k], h) for row, h in zip(K, H))
+                value, grad, gden = ctx.field(k, m)
+                assert value == ctx.value(k, m)
+                assert {v: F(x, den) for v, x in mix.items()} == {v: F(x, gden) for v, x in grad.items()}
             for c in range(nu - 1) if W.V[m][nu - 1] else ():
                 _assert_same(ctx.proj(m, c), V[m][c] / V[m][nu - 1])
 
@@ -727,8 +736,8 @@ def test_field_gradients_on_a_degenerate_polygon_name_the_site():
 
 
 def test_wronskian_sweep_builds_no_field_gradient(monkeypatch):
-    # a Wronskian reads the site's elimination only; the fields of a site
-    # and their gradients (one gcd each) wait for its first field call
+    # a Wronskian and coords read the site's solve only; each field's
+    # gradient (one gcd) waits for its first field call
     calls = []
     real = exchange_algebra.gcd
     monkeypatch.setattr(exchange_algebra, "gcd", lambda *a: calls.append(a) or real(*a))
@@ -736,10 +745,11 @@ def test_wronskian_sweep_builds_no_field_gradient(monkeypatch):
     ctx = _DualCtx(W)
     for m in range(5):
         assert ctx.wronskian(m)[0] == W.wronskian_at(m)
-    assert calls == []
+    values = coords(W, ctx)
+    assert calls == [] and not ctx._factors
     fields = [ctx.field(k, 2) for k in range(3)]
-    assert len(calls) == 3  # the three fields of site 2, built together
-    assert [f[0] for f in fields] == [a[2] for a in coords(W).a]
+    assert len(calls) == 3  # one per field of site 2
+    assert [f[0] for f in fields] == [a[2] for a in values.a]
 
 
 def test_field_gradients_need_n_at_least_nu():

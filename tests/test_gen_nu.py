@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -6,7 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import gen_nu
-from polypoisson.coord_reduction import closed_tensor
+from polypoisson.coord_reduction import closed_tensor, field_gradients
+from polypoisson.exchange_algebra import BracketSpec, _PiTable, random_polygon
 from polypoisson.gen_nu import (
     HatKernels,
     _numeric_casimir_residual,
@@ -29,6 +31,7 @@ from polypoisson.lattice_ops import (
     random_odd_kernel,
     sign,
 )
+from polypoisson.linalg import _int_pairings
 from test_lattice_ops import reference_convolve
 
 F = Fraction
@@ -361,6 +364,34 @@ def test_numeric_casimir_residual_negative_control():
         got = _numeric_casimir_residual(nu, 7, phi, 1, 0)
         assert type(got) is Fraction and got == residual
         assert _numeric_casimir_residual(nu, 7, phi_special(nu, 0, 7), 1, 0) == 0
+
+
+def dense_casimir_residual(nu, N, phi, polygons, seed):
+    """Reference: every field gradient built densely and paired against every a^(0) gradient."""
+    rng = Random(seed)
+    spec = BracketSpec.standard(nu, N, phi)
+    res = F(0)
+    for _ in range(polygons):
+        W = random_polygon(nu, N, rng)
+        grads = field_gradients(W, [f"a{j}" for j in range(nu)])
+        pi = _PiTable(spec, W.coordinates())
+        for (_, df), row in zip(grads, _int_pairings(grads[:N], pi.ints, grads)):
+            res = max([res] + [F(abs(a), df * dg * pi.L * pi.den**2) for (_, dg), a in zip(grads, row) if a])
+    return res
+
+
+def test_numeric_casimir_residual_matches_dense_pairing():
+    # pairing a^(0) against each site's nu covectors H_n[a] and mixing by K_n
+    # gives the dense pairing's exact residual: 0 at phi^(0) for coprime
+    # (nu, N), the obstruction where gcd(nu, N) > 1, and at a random odd phi
+    for nu, N in ((2, 7), (3, 7), (4, 7), (4, 9), (5, 11), (3, 6), (4, 8), (6, 12)):
+        phi0 = phi_special(nu, 0, N)
+        want = dense_casimir_residual(nu, N, phi0, 2, 1)
+        assert (want != 0) == (gcd(nu, N) > 1), (nu, N)
+        assert _numeric_casimir_residual(nu, N, phi0, 2, 1) == want, (nu, N)
+    phi = random_odd_kernel(9, Random(8))
+    want = dense_casimir_residual(4, 9, phi, 2, 3)
+    assert want != 0 and _numeric_casimir_residual(4, 9, phi, 2, 3) == want
 
 
 def test_check_theorem_noncoprime_reports_casimir_obstruction():

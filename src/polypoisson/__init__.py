@@ -52,7 +52,7 @@ from .coord_reduction import (
     pushforward_check,
     toda_dirac_vs_ftv,
 )
-from .gen_nu import HatKernels, TheoremReport, casimir_coeffs, check_theorem, oppbs_hats, quad_coeff
+from .gen_nu import TheoremReport, casimir_coeffs, check_theorem, quad_coeff
 from .dynamics import (
     LinearityViolated,
     TransferMatrix,

@@ -84,6 +84,15 @@ def _doc(check, params, residual, seed, t0, ok=None) -> ReportDoc:
     return ReportDoc(check, params, residual, passed, seed, time.time() - t0)
 
 
+# the sample counts of the sampled checks, which every report row records
+_JACOBI_TRIALS = 20
+_STRUCTURE_POLYGONS = 5
+_CLOSED_FORM_POLYGONS = 10
+_PROJECTIVE_SAMPLES = 10
+_CASIMIR_POLYGONS = 5
+_FIELD_POINTS = 10
+
+
 def _zero_phi(N: int) -> OddKernel:
     return OddKernel(PerSeq.constant(N, 0))
 
@@ -97,7 +106,7 @@ def check_ybe(seed: int = 0) -> list:
     return docs
 
 
-def check_jacobi(seed: int = 0, trials: int = 20) -> list:
+def check_jacobi(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for nu in (2, 3):
@@ -112,58 +121,58 @@ def check_jacobi(seed: int = 0, trials: int = 20) -> list:
                 t0 = time.time()
                 W = random_polygon(nu, N, rng)
                 spec = BracketSpec.standard(nu, N, phi)
-                res = verify_structure(spec, W, "jacobi", trials=trials, seed=rng.randrange(10**6))
+                res = verify_structure(spec, W, "jacobi", trials=_JACOBI_TRIALS, seed=rng.randrange(10**6))
                 docs.append(
-                    _doc("jacobi", {"nu": nu, "N": N, "phi": label, "trials": trials}, res, seed, t0)
+                    _doc("jacobi", {"nu": nu, "N": N, "phi": label, "trials": _JACOBI_TRIALS}, res, seed, t0)
                 )
     return docs
 
 
-def _structure_sweep(check: str, seed: int, polygons: int) -> list:
+def _structure_sweep(check: str, seed: int) -> list:
     docs = []
     rng = Random(seed)
     for nu in (2, 3):
         for N in (5, 7):
             t0 = time.time()
             res = ZERO
-            for _ in range(polygons):
+            for _ in range(_STRUCTURE_POLYGONS):
                 W = random_polygon(nu, N, rng)
                 phi = random_odd_kernel(N, rng)
                 spec = BracketSpec.standard(nu, N, phi)
                 res = max(res, verify_structure(spec, W, check))
             docs.append(
-                _doc(check, {"nu": nu, "N": N, "polygons": polygons}, res, seed, t0)
+                _doc(check, {"nu": nu, "N": N, "polygons": _STRUCTURE_POLYGONS}, res, seed, t0)
             )
     return docs
 
 
-def check_momentum(seed: int = 0, polygons: int = 5) -> list:
-    return _structure_sweep("momentum", seed, polygons)
+def check_momentum(seed: int = 0) -> list:
+    return _structure_sweep("momentum", seed)
 
 
-def check_quasiperiodicity(seed: int = 0, polygons: int = 5) -> list:
-    return _structure_sweep("quasiperiodicity", seed, polygons)
+def check_quasiperiodicity(seed: int = 0) -> list:
+    return _structure_sweep("quasiperiodicity", seed)
 
 
-def check_closed_forms(seed: int = 0, polygons: int = 10) -> list:
+def check_closed_forms(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for nu, name in ((2, "murho"), (3, "abrho")):
         t0 = time.time()
         res = ZERO
-        for _ in range(polygons):
+        for _ in range(_CLOSED_FORM_POLYGONS):
             N = 5
             W = random_polygon(nu, N, rng)
             phi = random_odd_kernel(N, rng)
             spec = BracketSpec.standard(nu, N, phi)
             res = max(res, oracle_match(spec, W, name))
         docs.append(
-            _doc("closed_form_oracle", {"nu": nu, "tensor": name, "polygons": polygons}, res, seed, t0)
+            _doc("closed_form_oracle", {"nu": nu, "tensor": name, "polygons": _CLOSED_FORM_POLYGONS}, res, seed, t0)
         )
     return docs
 
 
-def check_projective(seed: int = 0, samples: int = 10) -> list:
+def check_projective(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for nu in (2, 3):
@@ -171,28 +180,27 @@ def check_projective(seed: int = 0, samples: int = 10) -> list:
         N = 5
         R, _ = default_rc(nu)
         res = ZERO
-        for _ in range(samples // 2):
+        for _ in range(_PROJECTIVE_SAMPLES // 2):
             W = random_polygon(nu, N, rng)
             while any(W.V[m][nu - 1] == 0 for m in range(N)):
                 W = random_polygon(nu, N, rng)
             specs = [BracketSpec.standard(nu, N, random_odd_kernel(N, rng)) for _ in range(2)]
             res = max(res, _projective_residual(R, specs, W))
-        docs.append(_doc("projective_phi_independence", {"nu": nu, "N": N, "samples": samples}, res, seed, t0))
+        params = {"nu": nu, "N": N, "samples": _PROJECTIVE_SAMPLES}
+        docs.append(_doc("projective_phi_independence", params, res, seed, t0))
     return docs
 
 
-def check_casimir_choice(seed: int = 0, polygons: int = 5) -> list:
+def check_casimir_choice(seed: int = 0) -> list:
     docs = []
     for nu in (2, 3, 4):
         t0 = time.time()
         N = 7
         phi0 = phi_special(nu, 0, N)
         k00, k0k = casimir_coeffs(nu, phi0, N)
-        res = k00.seq.max_abs()
-        for K in k0k.values():
-            res = max(res, K.seq.max_abs())
-        res = max(res, _numeric_casimir_residual(nu, N, phi0, polygons, seed))
-        docs.append(_doc("casimir_choice", {"nu": nu, "N": N, "polygons": polygons}, res, seed, t0))
+        res = max(K.seq.max_abs() for K in (k00, *k0k.values()))
+        res = max(res, _numeric_casimir_residual(nu, N, phi0, _CASIMIR_POLYGONS, seed))
+        docs.append(_doc("casimir_choice", {"nu": nu, "N": N, "polygons": _CASIMIR_POLYGONS}, res, seed, t0))
     return docs
 
 
@@ -217,7 +225,7 @@ def check_linearity_choice(seed: int = 0) -> list:
     return docs
 
 
-def check_toda_to_ftv(seed: int = 0, points: int = 10) -> list:
+def check_toda_to_ftv(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for N in (5, 7):
@@ -230,24 +238,24 @@ def check_toda_to_ftv(seed: int = 0, points: int = 10) -> list:
                 beta = random_fields(("b",), N, rng)["b"]
             ftv_u = coord_reduction.closed_tensor("ftv_u", N, beta=beta)
             res = ZERO
-            for _ in range(points):
+            for _ in range(_FIELD_POINTS):
                 u = random_fields(("u",), N, rng)["u"]
                 res = max(res, coord_reduction._toda_ftv_residual(toda, ftv_u, u, beta))
-            docs.append(_doc("toda_to_ftv", {"N": N, "beta": blabel, "points": points}, res, seed, t0))
+            docs.append(_doc("toda_to_ftv", {"N": N, "beta": blabel, "points": _FIELD_POINTS}, res, seed, t0))
     return docs
 
 
-def check_pushforward(seed: int = 0, points: int = 10) -> list:
+def check_pushforward(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for N in (5, 7):
         t0 = time.time()
         tensors = coord_reduction.closed_tensor("ftv_u", N), coord_reduction.closed_tensor("ftv_S", N)
         res = ZERO
-        for _ in range(points):
+        for _ in range(_FIELD_POINTS):
             u = random_fields(("u",), N, rng)["u"]
             res = max(res, coord_reduction._pushforward_residual(*tensors, u))
-        docs.append(_doc("pushforward", {"N": N, "points": points}, res, seed, t0))
+        docs.append(_doc("pushforward", {"N": N, "points": _FIELD_POINTS}, res, seed, t0))
     t0 = time.time()
     lhs = closed_tensor("ftv_S", 5).eval_matrix({"S": PerSeq.constant(5, 1)})
     rhs = kernel_from_dpoly(DPoly({1: 1, 2: 1, -1: -1, -2: -1}), 5).matrix()

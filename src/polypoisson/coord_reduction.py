@@ -46,6 +46,7 @@ from .lattice_ops import (
     Kernel,
     OddKernel,
     PerSeq,
+    _exchange_kernels,
     compose,
     invert,
     kernel_from_dpoly,
@@ -100,9 +101,6 @@ class Fields:
                 raise ValueError("field period mismatch")
         if not self.a[0].nonvanishing():
             raise ValueError("a^(0) = w'/w must be nonvanishing")
-
-    def by_name(self, name: str) -> PerSeq:
-        return self.a[alias_index(self.nu, name)]
 
     def point(self) -> dict:
         out = {f"a{k}": self.a[k] for k in range(self.nu)}
@@ -428,69 +426,50 @@ def as_poly_tensor(P) -> PolyTensor:
 # ---------------------------------------------------------------------------
 
 
-def _coeff_kernel(N: int, phi: Kernel, phi_part: DPoly, delta_part: DPoly) -> Kernel:
-    """The exchange coefficient phi_part(D) phi + delta_part(D) delta as a kernel."""
-    out = compose(kernel_from_dpoly(phi_part, N), phi)
-    return out + kernel_from_dpoly(delta_part, N)
-
-
-def _dp(pairs) -> DPoly:
-    return DPoly.from_coeffs(pairs)
-
-
 def _K(N: int, pairs) -> Kernel:
-    return kernel_from_dpoly(_dp(pairs), N)
+    return kernel_from_dpoly(DPoly.from_coeffs(pairs), N)
 
 
 def _Kinv(N: int, pairs) -> Kernel:
     return invert(_K(N, pairs))
 
 
+def _exchange_tensor(nu: int, names, phi: OddKernel) -> OpTensor:
+    """The exchange words of the order-nu quotient bracket on the named fields:
+    (f j)(k E_jk)(f k) for j <= k, and its mirror (f k)(k -E_jk^T)(f j) for j < k."""
+    T = OpTensor(names, phi.N)
+    t = {alias_index(nu, name): i for i, name in enumerate(names)}
+    for j in range(nu):
+        for k, E in enumerate(_exchange_kernels(nu, j, range(j, nu), phi), j):
+            T.add_word(t[j], t[k], ("f", t[j]), ("k", E), ("f", t[k]))
+            if j < k:
+                T.add_word(t[k], t[j], ("f", t[k]), ("k", -E.transpose()), ("f", t[j]))
+    return T
+
+
 def build_murho(phi: OddKernel) -> OpTensor:
     """The order-2 quotient bracket in the fields (mu, rho) for a given phi."""
     N = phi.N
-    T = OpTensor(("mu", "rho"), N)
+    T = _exchange_tensor(2, ("mu", "rho"), phi)
     MU, RHO = 0, 1
-    mumu_k = _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)]))
-    murho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (-1, -1), (2, -1)]), _dp([(0, -1), (-1, 1), (1, 1), (2, -1)]))
-    rhorho_k = _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)]))
-    T.add_word(MU, MU, ("f", MU), ("k", mumu_k), ("f", MU))
     T.add_word(MU, MU, ("k", _K(N, [(1, 2)])), ("f", RHO))
     T.add_word(MU, MU, ("f", RHO), ("k", _K(N, [(-1, -2)])))
-    T.add_word(MU, RHO, ("f", MU), ("k", murho_k), ("f", RHO))
-    T.add_word(RHO, MU, ("f", RHO), ("k", -murho_k.transpose()), ("f", MU))
-    T.add_word(RHO, RHO, ("f", RHO), ("k", rhorho_k), ("f", RHO))
     return T
 
 
 def build_abrho(phi: OddKernel) -> OpTensor:
     """The order-3 quotient bracket in the fields (a, b, rho) for a given phi."""
     N = phi.N
-    T = OpTensor(("a", "b", "rho"), N)
+    T = _exchange_tensor(3, ("a", "b", "rho"), phi)
     A, B, RHO = 0, 1, 2
-    aa_k = _coeff_kernel(N, phi, _dp([(0, 2), (1, -1), (-1, -1)]), _dp([(1, -1), (-1, 1)]))
-    ab_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (2, -1), (-1, -1)]), _dp([(0, -1), (1, 1), (2, -1), (-1, 1)]))
-    arho_k = _coeff_kernel(N, phi, _dp([(0, 1), (2, 1), (3, -1), (-1, -1)]), _dp([(0, -1), (2, 1), (3, -1), (-1, 1)]))
-    bb_k = _coeff_kernel(N, phi, _dp([(0, 2), (2, -1), (-2, -1)]), _dp([(2, -1), (-2, 1)]))
-    brho_k = _coeff_kernel(N, phi, _dp([(0, 1), (1, 1), (3, -1), (-2, -1)]), _dp([(0, -1), (1, 1), (3, -1), (-2, 1)]))
-    rhorho_k = _coeff_kernel(N, phi, _dp([(0, 2), (3, -1), (-3, -1)]), _dp([(3, -1), (-3, 1)]))
-    T.add_word(A, A, ("f", A), ("k", aa_k), ("f", A))
     T.add_word(A, A, ("k", _K(N, [(1, 2)])), ("f", B))
     T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -2)])))
-    T.add_word(A, B, ("f", A), ("k", ab_k), ("f", B))
     T.add_word(A, B, ("k", _K(N, [(2, 2)])), ("f", RHO))
     T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -2)])))
-    T.add_word(B, A, ("f", B), ("k", -ab_k.transpose()), ("f", A))
     T.add_word(B, A, ("k", _K(N, [(1, 2)])), ("f", RHO))
     T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -2)])))
-    T.add_word(A, RHO, ("f", A), ("k", arho_k), ("f", RHO))
-    T.add_word(RHO, A, ("f", RHO), ("k", -arho_k.transpose()), ("f", A))
-    T.add_word(B, B, ("f", B), ("k", bb_k), ("f", B))
     T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 2)])), ("f", RHO))
     T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -2)])), ("f", A))
-    T.add_word(B, RHO, ("f", B), ("k", brho_k), ("f", RHO))
-    T.add_word(RHO, B, ("f", RHO), ("k", -brho_k.transpose()), ("f", B))
-    T.add_word(RHO, RHO, ("f", RHO), ("k", rhorho_k), ("f", RHO))
     return T
 
 

@@ -50,7 +50,7 @@ from random import Random
 
 from . import linalg
 from .lattice_ops import Kernel, PerSeq, sign
-from .linalg import ONE, ZERO, det_grad, pairings, rat
+from .linalg import ONE, ZERO, det_grad, rat
 
 
 class DegeneratePolygon(ValueError):
@@ -114,9 +114,6 @@ class Polygon:
     def wronskian_at(self, m: int) -> Fraction:
         rows = [self.vertex(m + r) for r in range(self.nu)]
         return linalg.det(rows)
-
-    def is_nondegenerate(self) -> bool:
-        return all(self.wronskian_at(m) != 0 for m in range(self.N))
 
     def require_nondegenerate(self) -> PerSeq:
         """The Wronskian, or DegeneratePolygon at the first site where it vanishes."""
@@ -535,10 +532,6 @@ class _PiTable:
             g[oj + b] = g.get(oj + b, 0) + x * X[oi + a]
         return {s: x for s, x in g.items() if x}
 
-    def pairings(self, F, G) -> list:
-        """linalg.pairings of the int covectors F and G against Pi at the point."""
-        return pairings(F, self.ints, G, self.L * self.den**2)
-
 
 # ---------------------------------------------------------------------------
 # chain-rule bracket and structure checks
@@ -743,36 +736,17 @@ def projective_bracket(R, P: ProjPolygon, m: int, n: int):
     return [[Fraction(x, den) for x in row] for row in tables[m, n]]
 
 
-def _chart_gradients(W: Polygon) -> list:
-    """The int gradients of the chart coordinates v_m^c, in the order (m, c)."""
-    ctx = _DualCtx(W)
-    return [ctx.proj(m, c)[1:] for m in range(W.N) for c in range(W.nu - 1)]
-
-
-def projective_chain_table(spec: BracketSpec, W: Polygon):
-    """{v_m (x) v_n} through the full bracket in the affine chart, for every site pair.
-
-    Returns tables with tables[m][n] the (nu-1) x (nu-1) table of (m, n).
-    """
-    k = spec.nu - 1
-    grads = _chart_gradients(W)
-    flat = _PiTable(spec, W.coordinates()).pairings(grads, grads)
-    return [
-        [[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)]
-        for m in range(W.N)
-    ]
-
-
 def _projective_residual(R, specs, W: Polygon) -> Fraction:
     """Max gap of the chart tables of specs from each other and from projective_bracket(R, ...).
 
-    One list of chart gradients is paired against each spec's ints of Pi,
+    One list of chart gradients, the int gradients of the chart coordinates
+    v_m^c in the order (m, c), is paired against each spec's ints of Pi,
     the closed form is summed in ints over one chart denominator, and the
     first table is compared with the others and with the closed form by
     cross-multiplication; a Fraction is built only for a nonzero gap.
     """
-    k, N, coords = W.nu - 1, W.N, W.coordinates()
-    grads = _chart_gradients(W)
+    k, N, coords, ctx = W.nu - 1, W.N, W.coordinates(), _DualCtx(W)
+    grads = [ctx.proj(m, c)[1:] for m in range(N) for c in range(k)]
     pis = [_PiTable(spec, coords) for spec in specs]
     tables = [(linalg._int_pairings(grads, pi.ints, grads), pi.L * pi.den**2) for pi in pis]
     dc, closed = _projective_ints(R, ProjPolygon.from_polygon(W), [(m, n) for m in range(N) for n in range(N)])

@@ -11,9 +11,12 @@ deformation kernels: phi^(0) makes a^(0) a Casimir, and phi^(k) (0 < k < nu)
 removes the a^(k) a^(k) quadratic term, making the bracket linear in a^(k).
 
 All raw sums use the true integer sign and plain deltas; phi is periodic.
-Hats and closed forms outer(D) [a(D) phi + b(D) delta] are int sequences
-over the lcm L of phi's denominators, on the int circulant action of
-lattice_ops; kernels build one Fraction per entry, hat_consistency one.
+Hats and closed forms outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta]
+(``lattice_ops._closed_ints``) are int sequences over the lcm L of phi's
+denominators, and hat_consistency builds one Fraction.  The kernels that
+quad_coeff (E_kk) and casimir_coeffs (E_0k) return are the exchange kernels
+of ``lattice_ops._exchange_kernels``, the one formula the named quotient
+brackets of coord_reduction read as well.
 The raw window formulas are only trustworthy for |j| <= N - 1 - nu (beyond
 that the underlying vertex brackets leave the sign window), so consistency is
 asserted exactly there; with N >= 2 nu + 1 this still covers every residue.
@@ -30,31 +33,8 @@ from random import Random
 from .coord_reduction import closed_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
-from .lattice_ops import Kernel, NoSolution, OddKernel, PerSeq, _int_convolve, _kernel_values, phi_special, sign
+from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, sign
 from .linalg import ZERO, _int_pairings, _scaled, rat_str
-
-
-@dataclass(frozen=True)
-class HatKernels:
-    """Raw window sums of the four exchange coefficient kernels.
-
-    Each map sends an integer offset j (valid for |j| <= width) to the exact
-    coefficient; the sums are not periodic as written, so they are kept on
-    the window rather than forced into period-N kernels.
-    """
-
-    nu: int
-    k: int
-    N: int
-    width: int
-    ww: dict
-    w_alk: dict
-    alk_w: dict
-    alk_alk: dict
-
-    def combination_alk_alk(self, j: int) -> Fraction:
-        """alk_alk - w_alk - alk_w + ww: the a^(k) a^(k) coefficient."""
-        return self.alk_alk[j] - self.w_alk[j] - self.alk_w[j] + self.ww[j]
 
 
 def _hat_ints(nu: int, k: int, p: list, L: int) -> tuple:
@@ -84,69 +64,37 @@ def _hat_ints(nu: int, k: int, p: list, L: int) -> tuple:
     return hat(range(nu), range(nu)), hat(ks, range(nu)), hat(ks, range(nu), e=-1), alk_alk
 
 
-def oppbs_hats(nu: int, k: int, phi: Kernel, N: int) -> HatKernels:
-    """The four raw coefficient sums for given (nu, k, phi), over the window |j| <= N - 1.
-
-    Each is summed in ints over the lcm L of phi's denominators (``_hat_ints``).
-    """
-    if not 0 <= k <= nu - 1:
-        raise ValueError("k must lie in 0..nu-1")
-    (p,), L = _scaled([phi.seq.values])
-    hats = ({j: Fraction(x, L) for j, x in h.items()} for h in _hat_ints(nu, k, p, L))
-    return HatKernels(nu, k, N, N - 1, *hats)
-
-
-def _closed_ints(nu: int, s: int, p: list, L: int, *outers: dict) -> list:
-    """[L outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] for outer in outers], p = L phi.
-
-    Each outer is a shift polynomial {r: int}; the one inner sequence is
-    shared, and every product is the int circulant action of lattice_ops.
-    """
-    N = len(p)
-    inner = _int_convolve(_kernel_values({nu: 1, s: -1}, N), p)
-    inner = [x + L * y for x, y in zip(inner, _kernel_values({nu: 1, s: 1}, N))]
-    return [_int_convolve(_kernel_values(outer, N), inner) for outer in outers]
-
-
 def _w_alk_outer(nu: int, k: int) -> dict:
     """(D^-nu - D^-k)(D-1)^-1 = -D^-nu (1 + D + ... + D^(nu-k-1)), a polynomial."""
     return {r - nu: -1 for r in range(nu - k)}
 
 
-def _closed_kernels(nu: int, s: int, phi: Kernel, *outers: dict) -> list:
-    """The kernels of _closed_ints, one Fraction per entry."""
-    (p,), L = _scaled([phi.seq.values])
-    return [Kernel(PerSeq(len(p), tuple(Fraction(x, L) for x in ints))) for ints in _closed_ints(nu, s, p, L, *outers)]
-
-
-def w_alk_minus_ww_closed(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
-    """(D^-nu - D^-k)(D-1)^-1 [ (D^nu - 1) phi + (D^nu + 1) ] as a periodic kernel.
-
-    The (D-1)^-1 cancels into the prefactor: (D^-nu - D^-k)(D-1)^-1 is the
-    polynomial -D^-nu (1 + D + ... + D^(nu-k-1)).
-    """
-    return _closed_kernels(nu, 0, phi, _w_alk_outer(nu, k))[0]
+def _require_period(phi: Kernel, N: int):
+    if phi.N != N:
+        raise ValueError("phi period must match N")
 
 
 def quad_coeff(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
-    """The a^(k) a^(k) coefficient kernel (D^-nu - D^-k)[(D^nu - D^k) phi + D^nu + D^k].
+    """The a^(k) a^(k) coefficient kernel E_kk = (D^-nu - D^-k)[(D^nu - D^k) phi + D^nu + D^k].
 
     It vanishes identically exactly when phi solves the order nu-k linearising
     equation, which is how the distinguished phi^(k) are characterised.
     """
     if not 1 <= k <= nu - 1:
         raise ValueError("k must lie in 1..nu-1")
-    return _closed_kernels(nu, k, phi, {-nu: 1, -k: -1})[0]
+    _require_period(phi, N)
+    return _exchange_kernels(nu, k, [k], phi)[0]
 
 
 def casimir_coeffs(nu: int, phi: Kernel, N: int):
-    """Coefficient kernels of {a^(0), a^(0)} and {a^(0), a^(k)} for k = 1..nu-1.
+    """Coefficient kernels E_0k of {a^(0), a^(k)} for k = 0..nu-1.
 
-    They are (D^-nu - D^-k)[(D^nu - 1) phi + D^nu + 1] for k = 0..nu-1.
-    Returns (K00, {k: K0k}).  All of them vanish for phi = phi^(0) when
-    gcd(nu, N) = 1, which is the Casimir property of a^(0).
+    They are (D^-nu - D^-k)[(D^nu - 1) phi + D^nu + 1].  Returns (E_00,
+    {k: E_0k}).  All of them vanish for phi = phi^(0) when gcd(nu, N) = 1,
+    which is the Casimir property of a^(0).
     """
-    k00, *k0k = _closed_kernels(nu, 0, phi, *({-nu: 1, -k: -1} for k in range(nu)))
+    _require_period(phi, N)
+    k00, *k0k = _exchange_kernels(nu, 0, range(nu), phi)
     return k00, dict(enumerate(k0k, 1))
 
 
@@ -160,6 +108,7 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
     """
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
+    _require_period(phi, N)
     (p,), L = _scaled([phi.seq.values])
     ww, w_alk, alk_w, alk_alk = _hat_ints(nu, k, p, L)
     diff, k00, k0k = _closed_ints(nu, 0, p, L, _w_alk_outer(nu, k), {-nu: 1, 0: -1}, {-nu: 1, -k: -1})
@@ -268,9 +217,7 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
     try:
         phi0 = phi_special(nu, 0, N)
         k00, k0k = casimir_coeffs(nu, phi0, N)
-        resid = k00.seq.max_abs()
-        for K in k0k.values():
-            resid = max(resid, K.seq.max_abs())
+        resid = max(K.seq.max_abs() for K in (k00, *k0k.values()))
         report.casimir = {
             "verdict": "pass" if resid == 0 else "fail",
             "residual": rat_str(resid),

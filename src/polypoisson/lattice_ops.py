@@ -12,7 +12,9 @@ polynomials A and b it solves ``A(D) phi = b(D) delta`` exactly over the
 rationals with the oddness constraints adjoined, by one fraction-free
 elimination in ints.  Convolution is one int circulant action over the
 kernel's nonzeros, ``_int_convolve``, which ``convolve_apply`` (one Fraction
-per entry) and the closed forms of ``gen_nu`` share.
+per entry) and the closed forms ``_closed_ints`` share.  The one formula for
+the exchange coefficient kernels E_jk of the reduced brackets,
+``_exchange_kernels``, is such a closed form; ``phi_special`` solves E_kk = 0.
 """
 
 from __future__ import annotations
@@ -245,6 +247,29 @@ def _int_convolve(k: list, f: list) -> list:
         if c:
             out = [x + c * y for x, y in zip(out, f[-s:] + f[:-s])]
     return out
+
+
+def _closed_ints(nu: int, s: int, p: list, L: int, *outers: dict) -> list:
+    """[L outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] for outer in outers], p = L phi.
+
+    Each outer is a shift polynomial {r: int}; the one inner sequence is
+    shared, and every product is the int circulant action ``_int_convolve``.
+    """
+    N = len(p)
+    inner = _int_convolve(_kernel_values({nu: 1, s: -1}, N), p)
+    inner = [x + L * y for x, y in zip(inner, _kernel_values({nu: 1, s: 1}, N))]
+    return [_int_convolve(_kernel_values(outer, N), inner) for outer in outers]
+
+
+def _exchange_kernels(nu: int, j: int, ks, phi: Kernel) -> list:
+    """[E_jk for k in ks], E_jk = (D^-nu - D^-k)[(D^nu - D^j) phi + (D^nu + D^j) delta].
+
+    E_jk is the kernel of the exchange term a^(j)_m E_jk(m - n) a^(k)_n of
+    the order-nu reduced bracket {a^(j)_m, a^(k)_n}; one Fraction per entry.
+    """
+    (p,), L = linalg._scaled([phi.seq.values])
+    outers = ({-nu: 1, -k: -1} for k in ks)
+    return [Kernel(PerSeq(len(p), tuple(Fraction(x, L) for x in ints))) for ints in _closed_ints(nu, j, p, L, *outers)]
 
 
 def convolve_apply(K: Kernel, f: PerSeq) -> PerSeq:

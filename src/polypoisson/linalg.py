@@ -8,8 +8,9 @@ scales the matrix once to ints over a common denominator, ``rref`` (under
 ``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
 ``rref`` and ``_int_adjugate`` share one fraction-free Gauss-Jordan, which
 also gives ``det_grad``, the one determinant-with-gradient.  ``_int_pairings``
-contracts int gradients against an int matrix, and ``pairings`` is its
-Fraction view.  All of them build Fractions only for their results.
+contracts int gradients against an int matrix and builds no Fraction; its
+callers cross-multiply the ints and build one Fraction per residual.  The
+others build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -296,21 +297,14 @@ def dot(u, v) -> Fraction:
     return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
 
 
-def pairings(F, A, G, den=1):
-    """The chain-rule table [[f^T A g / den for g in G] for f in F], exact.
+def _int_pairings(F, A, G) -> list:
+    """The chain-rule table of f^T (A / den) g for f in F, g in G: entry (f, g) is the int acc for acc / (df den dg).
 
     F and G hold int covectors (c, d), c a sparse {index: int} standing for
-    c / d, as the gradients of polygon observables do; A is a matrix of ints
-    over den, as ``_PiTable.ints`` gives Pi.  Each entry is the one Fraction
-    acc / (df den dg) of ``_int_pairings``, or 0 when acc is 0.
+    c / d; A is a matrix of ints over den, as ``_PiTable.ints`` gives Pi.  The
+    rows of A that F reads, cut to the columns that G reads, give one int
+    covector f^T A per f.
     """
-    rows = _int_pairings(F, A, G)
-    return [[Fraction(a, df * den * dg) if a else ZERO for a, (_, dg) in zip(row, G)] for row, (_, df) in zip(rows, F)]
-
-
-def _int_pairings(F, A, G) -> list:
-    """The int core of ``pairings``, no Fraction made: entry (f, g) is the int acc for acc / (df den dg).
-    The rows of A that F reads, cut to the columns that G reads, give one int covector f^T A per f."""
     cols = sorted({j for g, _ in G for j in g})
     pos = {j: p for p, j in enumerate(cols)}
     block = {i: [A[i][j] for j in cols] for i in {i for f, _ in F for i in f}}

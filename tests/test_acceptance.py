@@ -71,6 +71,28 @@ def test_linearity_choice_negative_control(monkeypatch):
     assert got == {(nu, N): ("0", True) if nu == 2 else ("2", False) for nu in (2, 3, 4, 5) for N in (7, 9, 11)}
 
 
+def test_exchange_kernel_negative_control(monkeypatch):
+    # criteria 5, 7 and 8 read the exchange kernels E_jk from the one formula
+    # lattice_ops._exchange_kernels: with L (one, over L) added at index 1 of
+    # every _closed_ints output, the named quotient brackets no longer match
+    # the chain rule, and the Casimir kernels and a^(k) a^(k) coefficients
+    # no longer vanish
+    real = lattice_ops._closed_ints
+
+    def bumped(nu, s, p, L, *outers):
+        return [[x + L * (m == 1) for m, x in enumerate(ints)] for ints in real(nu, s, p, L, *outers)]
+
+    monkeypatch.setattr(lattice_ops, "_closed_ints", bumped)
+    docs = acceptance.check_closed_forms(0)
+    assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [
+        ("murho", "2685/16", False),
+        ("abrho", "10496/21", False),
+    ]
+    docs = acceptance.check_casimir_choice(0) + acceptance.check_linearity_choice(0)
+    assert len(docs) == 3 + 12
+    assert all((d.residual, d.passed) == ("1", False) for d in docs)
+
+
 def test_toda_to_ftv_negative_control(monkeypatch):
     # criterion 9 with the closed form ftv_u(beta) read at beta_0 + 1: the
     # Dirac-reduced Toda bracket at rho = beta no longer matches it

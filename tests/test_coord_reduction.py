@@ -6,11 +6,13 @@ from random import Random
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from test_exchange_algebra import pi_pairings
 from test_json_roundtrip import op_tensors, rationals
 
-from polypoisson import acceptance, coord_reduction, exchange_algebra, linalg
+from polypoisson import acceptance, coord_reduction, linalg
 from polypoisson.coord_reduction import (
     ConstraintNotSecondClass,
+    alias_index,
     Fields,
     GaugeInconsistent,
     NonUniqueGauge,
@@ -32,6 +34,7 @@ from polypoisson.coord_reduction import (
     toda_dirac_vs_ftv,
 )
 from polypoisson.dynamics import gf_check, lie_deform
+from polypoisson.gen_nu import casimir_coeffs, quad_coeff
 from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
@@ -41,7 +44,16 @@ from polypoisson.exchange_algebra import (
     random_polygon,
     wronskian,
 )
-from polypoisson.lattice_ops import DPoly, PerSeq, invert, kernel_from_dpoly, phi_special, random_odd_kernel
+from polypoisson.lattice_ops import (
+    DPoly,
+    NoSolution,
+    PerSeq,
+    compose,
+    invert,
+    kernel_from_dpoly,
+    phi_special,
+    random_odd_kernel,
+)
 from polypoisson.multipoly import Poly
 
 F = Fraction
@@ -56,17 +68,17 @@ def mu_rho_one_polygon():
 
 def test_coords_mu_rho_one():
     f = coords(mu_rho_one_polygon())
-    assert f.by_name("mu").values == (F(1),) * 5
-    assert f.by_name("rho").values == (F(1),) * 5
+    assert f.point()["mu"].values == (F(1),) * 5
+    assert f.point()["rho"].values == (F(1),) * 5
 
 
 def test_coords_order3_cycle():
     V = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
     M = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     f = coords(Polygon(3, 4, V, M))
-    assert f.by_name("a").values == (F(0),) * 4
-    assert f.by_name("b").values == (F(0),) * 4
-    assert f.by_name("rho").values == (F(1),) * 4
+    assert f.point()["a"].values == (F(0),) * 4
+    assert f.point()["b"].values == (F(0),) * 4
+    assert f.point()["rho"].values == (F(1),) * 4
 
 
 def reference_coords(W):
@@ -447,13 +459,13 @@ def test_oracle_matches():
 
 def reference_oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     """oracle_match by the Fraction route: the closed form by eval_matrix,
-    the chain brackets by _PiTable.pairings, compared entry by entry."""
+    the chain brackets by Fraction pairings, compared entry by entry."""
     N = spec.N
     if name == "P0":
         W = gauge_normalize(W, PerSeq.constant(N, 1))
     T = closed_tensor(name, N, phi=spec.phi) if name in ("murho", "abrho") else closed_tensor(name, N)
     grads = field_gradients(W, T.field_names)
-    table = _PiTable(spec, W.coordinates()).pairings(grads, grads)
+    table = pi_pairings(_PiTable(spec, W.coordinates()), grads, grads)
     mat = T.eval_matrix(coords(W))
     return max(abs(acc * T.bracket_scale - v) for row, vals in zip(table, mat) for acc, v in zip(row, vals))
 
@@ -493,16 +505,75 @@ def test_oracle_match_equals_the_fraction_route(monkeypatch):
 
 
 def test_closed_forms_build_no_fraction_table(monkeypatch):
-    # criterion 5 reads the closed forms by int_matrix and the chain
-    # brackets by _int_pairings: the Fraction views are never called
+    # criterion 5 reads the closed forms by int_matrix, not by the Fraction
+    # view eval_matrix, and the chain brackets by _int_pairings
     def fraction_route(*args, **kwargs):
         raise AssertionError("the closed-form check took a Fraction route")
 
-    monkeypatch.setattr(linalg, "pairings", fraction_route)
-    monkeypatch.setattr(exchange_algebra, "pairings", fraction_route)
     monkeypatch.setattr(coord_reduction._FieldTensor, "eval_matrix", fraction_route)
     docs = acceptance.check_closed_forms(0)
     assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [("murho", "0", True), ("abrho", "0", True)]
+
+
+# The exchange words of murho and abrho by hand: for each pair of fields
+# (x, y), the shift polynomials (phi part, delta part) of the coefficient
+# kernel K of the word (f x)(k K)(f y); for x != y the mirror word
+# (f y)(k -K^T)(f x) makes 13 words in all
+HAND_EXCHANGE = {
+    "murho": {
+        ("mu", "mu"): ({0: 2, 1: -1, -1: -1}, {1: -1, -1: 1}),
+        ("mu", "rho"): ({0: 1, 1: 1, -1: -1, 2: -1}, {0: -1, -1: 1, 1: 1, 2: -1}),
+        ("rho", "rho"): ({0: 2, 2: -1, -2: -1}, {2: -1, -2: 1}),
+    },
+    "abrho": {
+        ("a", "a"): ({0: 2, 1: -1, -1: -1}, {1: -1, -1: 1}),
+        ("a", "b"): ({0: 1, 1: 1, 2: -1, -1: -1}, {0: -1, 1: 1, 2: -1, -1: 1}),
+        ("a", "rho"): ({0: 1, 2: 1, 3: -1, -1: -1}, {0: -1, 2: 1, 3: -1, -1: 1}),
+        ("b", "b"): ({0: 2, 2: -1, -2: -1}, {2: -1, -2: 1}),
+        ("b", "rho"): ({0: 1, 1: 1, 3: -1, -2: -1}, {0: -1, 1: 1, 3: -1, -2: 1}),
+        ("rho", "rho"): ({0: 2, 3: -1, -3: -1}, {3: -1, -3: 1}),
+    },
+}
+
+
+def test_exchange_words_match_hand_expansions():
+    # every exchange word (f x)(k K)(f y) of block (x, y), for a random odd
+    # phi and phi^(k) wherever it exists, against the hand expansion
+    # phi_part(D) phi + delta_part(D) delta by Fraction composition
+    rng = Random(27)
+    checked = 0
+    for N in (5, 6, 7, 9, 12):
+        for name, nu in (("murho", 2), ("abrho", 3)):
+            phis = [random_odd_kernel(N, rng)]
+            for k in range(nu):
+                try:
+                    phis.append(phi_special(nu, k, N))
+                except NoSolution:
+                    pass
+            for phi in phis:
+                T = closed_tensor(name, N, phi=phi)
+                names = T.field_names
+                got = [
+                    ((names[i], names[j]), word[1][1])
+                    for (i, j), words in T.words.items()
+                    for word in words
+                    if [f[0] for f in word] == ["f", "k", "f"] and (word[0][1], word[2][1]) == (i, j)
+                ]
+                want = {}
+                for (x, y), (phi_part, delta_part) in HAND_EXCHANGE[name].items():
+                    K = compose(kernel_from_dpoly(DPoly(phi_part), N), phi) + kernel_from_dpoly(DPoly(delta_part), N)
+                    want[x, y] = K
+                    if x != y:
+                        want[y, x] = -K.transpose()
+                assert len(got) == len(want) == (4 if nu == 2 else 9)
+                assert dict(got) == want, (name, N)
+                checked += len(got)
+                # casimir_coeffs (E_0k) and quad_coeff (E_kk) read the same formula
+                alias = {alias_index(nu, x): x for x in names}
+                k00, k0k = casimir_coeffs(nu, phi, N)
+                assert [k00, *k0k.values()] == [want[alias[0], alias[k]] for k in range(nu)]
+                assert [quad_coeff(nu, k, phi, N) for k in range(1, nu)] == [want[alias[k], alias[k]] for k in range(1, nu)]
+    assert checked == 240
 
 
 def test_rho_is_casimir_for_phi0():
@@ -1050,7 +1121,11 @@ def test_poly_tensor_from_json_rejects_noncanonical_monomials(terms, message):
 
 def test_fields_aliases():
     f = Fields(3, 4, (PerSeq.constant(4, 1), PerSeq.constant(4, 2), PerSeq.constant(4, 3)))
-    assert f.by_name("rho").values == f.by_name("a0").values
-    assert f.by_name("b")[0] == 2 and f.by_name("a")[0] == 3
+    point = f.point()
+    assert point["rho"].values == point["a0"].values
+    assert point["b"][0] == 2 and point["a"][0] == 3
+    assert f.a[alias_index(3, "b")] is point["b"]
     with pytest.raises(KeyError):
-        f.by_name("mu")
+        point["mu"]
+    with pytest.raises(KeyError):
+        alias_index(3, "mu")

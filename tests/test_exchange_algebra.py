@@ -23,17 +23,22 @@ from polypoisson.exchange_algebra import (
     group_act,
     momentum_formula_coeff,
     projective_bracket,
-    projective_chain_table,
     random_polygon,
     verify_structure,
     verify_ybe,
     wronskian,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
-from test_linalg import reference_pairings
+from test_linalg import fraction_pairings, reference_pairings
 from test_multipoly import Dual, laplace_det
 
 F = Fraction
+
+
+def pi_pairings(table, F_, G):
+    """The chain-rule table of the int covectors F_ and G against Pi at the
+    point of a _PiTable, one Fraction per entry."""
+    return fraction_pairings(F_, table.ints, G, table.L * table.den**2)
 
 
 def pi_values(spec, coords):
@@ -442,7 +447,7 @@ def reference_random_polygon(nu, N, rng):
         d = linalg.det(M)
         M[-1] = [x / d for x in M[-1]]
         W = Polygon(nu, N, tuple(tuple(r) for r in rows[:N]), tuple(tuple(r) for r in M))
-        if W.is_nondegenerate():
+        if 0 not in wronskian(W).values:
             return W
     raise RuntimeError("failed to sample a nondegenerate polygon")
 
@@ -806,9 +811,9 @@ def test_chain_bracket_antisymmetry_and_momentum():
     ctx = _DualCtx(W)
     table = _PiTable(spec, W.coordinates())
     w = [ctx.wronskian(m)[1:] for m in range(N)]
-    assert table.pairings(w[:1], w[:1]) == [[0]]
+    assert pi_pairings(table, w[:1], w[:1]) == [[0]]
     # {w_m, (V_n)_a} against the closed momentum coefficient
-    got = table.pairings(w, [({W.var_v(n, a): 1}, 1) for n in range(N) for a in range(2)])
+    got = pi_pairings(table, w, [({W.var_v(n, a): 1}, 1) for n in range(N) for a in range(2)])
     for m in range(N):
         for n in range(N):
             coeff = momentum_formula_coeff(spec, m, n)
@@ -893,7 +898,7 @@ def reference_momentum_residual(spec, W):
     coords = W.coordinates()
     w = [ctx.wronskian(m) for m in range(W.N)]
     units = [({vid: 1}, 1) for vid in range(W.N * W.nu)]
-    table = _PiTable(spec, coords).pairings([x[1:] for x in w], units)
+    table = pi_pairings(_PiTable(spec, coords), [x[1:] for x in w], units)
     res = F(0)
     for m, row in enumerate(table):
         for n in range(W.N):
@@ -1007,6 +1012,16 @@ def test_projective_same_site_table_is_zero():
     assert table[0][0] == 0
 
 
+def chain_table(spec, W):
+    """{v_m (x) v_n} through the full bracket in the affine chart, by Fraction
+    pairings: tables[m][n] is the (nu-1) x (nu-1) table of the site pair (m, n)."""
+    k = spec.nu - 1
+    ctx = _DualCtx(W)
+    grads = [ctx.proj(m, c)[1:] for m in range(W.N) for c in range(k)]
+    flat = pi_pairings(_PiTable(spec, W.coordinates()), grads, grads)
+    return [[[flat[m * k + a][n * k : n * k + k] for a in range(k)] for n in range(W.N)] for m in range(W.N)]
+
+
 def test_projective_phi_independence_and_closed_form():
     rng = Random(16)
     for nu in (2, 3):
@@ -1018,8 +1033,8 @@ def test_projective_phi_independence_and_closed_form():
         R, _ = default_rc(nu)
         spec_a = spec_with(nu, N, rng=rng)
         spec_b = spec_with(nu, N, phi=phi_special(nu, 0, N))
-        tables_a = projective_chain_table(spec_a, W)
-        tables_b = projective_chain_table(spec_b, W)
+        tables_a = chain_table(spec_a, W)
+        tables_b = chain_table(spec_b, W)
         for m, n in ((0, 3), (2, 1), (4, 4)):
             closed = projective_bracket(R, P, m, n)
             assert tables_a[m][n] == tables_b[m][n] == closed
@@ -1041,7 +1056,7 @@ def test_projective_chain_table_matches_closed_form_for_random_r():
         ]
         assert any(R[p][q] for p in range(nu * nu) for q in range(nu * nu) if p // nu != q % nu)
         _, C = default_rc(nu)
-        tables = projective_chain_table(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)), W)
+        tables = chain_table(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)), W)
         for m in range(N):
             for n in range(N):
                 assert tables[m][n] == projective_bracket(R, P, m, n), (nu, m, n)
@@ -1049,7 +1064,7 @@ def test_projective_chain_table_matches_closed_form_for_random_r():
 
 def test_projective_residual_equals_fraction_tables():
     # the int residual is the max over all site pairs of |ta - tb| and
-    # |ta - closed| read from projective_chain_table and the reference closed
+    # |ta - closed| read from chain_table and the reference closed
     # form, for the default R (zero) and a random R (nonzero)
     rng = Random(19)
     for nu in (2, 3):
@@ -1059,7 +1074,7 @@ def test_projective_residual_equals_fraction_tables():
             W = random_polygon(nu, N, rng)
         P = ProjPolygon.from_polygon(W)
         specs = [spec_with(nu, N, rng=rng), spec_with(nu, N, phi=phi_special(nu, 0, N))]
-        ta, tb = (projective_chain_table(spec, W) for spec in specs)
+        ta, tb = (chain_table(spec, W) for spec in specs)
         for R in (default_rc(nu)[0], random_block(nu, rng)):
             want = F(0)
             for m in range(N):

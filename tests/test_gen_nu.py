@@ -10,14 +10,13 @@ from polypoisson import gen_nu
 from polypoisson.coord_reduction import closed_tensor, field_gradients
 from polypoisson.exchange_algebra import BracketSpec, _PiTable, random_polygon
 from polypoisson.gen_nu import (
-    HatKernels,
+    _hat_ints,
     _numeric_casimir_residual,
+    _w_alk_outer,
     casimir_coeffs,
     check_theorem,
     hat_consistency,
-    oppbs_hats,
     quad_coeff,
-    w_alk_minus_ww_closed,
 )
 from polypoisson.lattice_ops import (
     DPoly,
@@ -25,13 +24,13 @@ from polypoisson.lattice_ops import (
     NoSolution,
     OddKernel,
     PerSeq,
-    compose,
+    _closed_ints,
     kernel_from_dpoly,
     phi_special,
     random_odd_kernel,
     sign,
 )
-from polypoisson.linalg import _int_pairings
+from polypoisson.linalg import _int_pairings, _scaled
 from test_lattice_ops import reference_convolve
 
 F = Fraction
@@ -62,6 +61,22 @@ def reference_hats(nu, k, phi, N):
     )
 
 
+def hats(nu, k, phi):
+    """The four raw window sums (ww, w_alk, alk_w, alk_alk) of ``_hat_ints``
+    over |j| <= N - 1, as {j: Fraction}."""
+    (p,), L = _scaled([phi.seq.values])
+    got = _hat_ints(nu, k, p, L)
+    assert all(type(x) is int for h in got for x in h.values())
+    return tuple({j: F(x, L) for j, x in h.items()} for h in got)
+
+
+def w_alk_minus_ww_closed(nu, k, phi):
+    """(D^-nu - D^-k)(D-1)^-1 [(D^nu - 1) phi + (D^nu + 1) delta] from ``_closed_ints``."""
+    (p,), L = _scaled([phi.seq.values])
+    (ints,) = _closed_ints(nu, 0, p, L, _w_alk_outer(nu, k))
+    return Kernel(PerSeq(len(p), tuple(F(x, L) for x in ints)))
+
+
 def test_hats_equal_the_double_sum_reference():
     # the difference-count sums equal the literal double sums at every k,
     # for N = nu + 2, 2 nu + 1 and 2 nu + 2 (gcd(nu, N) > 1 among them), for
@@ -79,10 +94,7 @@ def test_hats_equal_the_double_sum_reference():
                     pass
                 specials += len(phis) - 1
                 for phi in phis:
-                    hats = oppbs_hats(nu, k, phi, N)
-                    got = (hats.ww, hats.w_alk, hats.alk_w, hats.alk_alk)
-                    assert got == reference_hats(nu, k, phi, N), (nu, N, k)
-                    assert all(type(x) is Fraction for d in got for x in d.values())
+                    assert hats(nu, k, phi) == reference_hats(nu, k, phi, N), (nu, N, k)
     assert specials == 60
 
 
@@ -149,7 +161,7 @@ def test_kernel_identities_equal_fraction_reference(case):
     def expect(outer, s):
         return reference_closed(outer, s, nu, phi, N).seq.values
 
-    assert w_alk_minus_ww_closed(nu, k, phi, N).seq.values == expect(w_alk_prefactor(nu, k), 0)
+    assert w_alk_minus_ww_closed(nu, k, phi).seq.values == expect(w_alk_prefactor(nu, k), 0)
     k00, k0k = casimir_coeffs(nu, phi, N)
     assert [K.seq.values for K in (k00, *k0k.values())] == [expect(DPoly({-nu: 1, -j: -1}), 0) for j in range(nu)]
     if k >= 1:
@@ -195,7 +207,7 @@ def test_ww_literal_sum_forms_agree():
     # the (sigma - 1)/(phi + 1) rewriting equals the raw three-sum form
     nu, N = 2, 7
     phi = random_odd_kernel(N, Random(0))
-    hats = oppbs_hats(nu, 0, phi, N)
+    ww = hats(nu, 0, phi)[0]
 
     def delta(j):
         return 1 if j == 0 else 0
@@ -208,16 +220,16 @@ def test_ww_literal_sum_forms_agree():
                 raw += phi[j + r - l]
             for r in range(1, nu):
                 raw += delta(j + r - l)
-        assert hats.ww[j] == raw
+        assert ww[j] == raw
 
 
 def test_hats_zero_phi_example():
-    hats = oppbs_hats(2, 0, Kernel.zero(5), 5)
+    ww = hats(2, 0, Kernel.zero(5))[0]
     # deep negative offsets: the two (sigma - delta) terms are -1 each and
     # every delta in the (phi + delta) sums is off
-    assert hats.ww[-4] == -2
-    assert hats.ww[0] == (0 - 1) + (-1 - 0) + 2  # sigma terms minus deltas plus identity sums
-    assert hats.ww[4] == 2  # antisymmetric to ww[-4]... delta sums vanish there too
+    assert ww[-4] == -2
+    assert ww[0] == (0 - 1) + (-1 - 0) + 2  # sigma terms minus deltas plus identity sums
+    assert ww[4] == 2  # antisymmetric to ww[-4]... delta sums vanish there too
 
 
 def test_hat_consistency_random_phi():
@@ -231,10 +243,10 @@ def test_hat_consistency_random_phi():
 def test_w_alk_minus_ww_closed_matches_window():
     nu, k, N = 3, 1, 9
     phi = random_odd_kernel(N, Random(2))
-    hats = oppbs_hats(nu, k, phi, N)
-    closed = w_alk_minus_ww_closed(nu, k, phi, N)
+    ww, w_alk, _, _ = hats(nu, k, phi)
+    closed = w_alk_minus_ww_closed(nu, k, phi)
     for j in range(-(N - 1 - nu), N - nu):
-        assert hats.w_alk[j] - hats.ww[j] == closed[j]
+        assert w_alk[j] - ww[j] == closed[j]
 
 
 def test_quad_coeff_zero_phi():
@@ -254,6 +266,18 @@ def test_quad_coeff_rejects_k0():
         quad_coeff(3, 0, Kernel.zero(5), 5)
 
 
+@pytest.mark.parametrize("N", [7, 11])
+@pytest.mark.parametrize("fn", ["hat_consistency", "quad_coeff", "casimir_coeffs"])
+def test_kernel_identities_reject_phi_of_another_period(fn, N):
+    # this period-9 phi with N = 7 once gave hat_consistency a false residual
+    # 27/4, and with N = 11 an IndexError, while quad_coeff and
+    # casimir_coeffs returned period-9 kernels
+    phi = random_odd_kernel(9, Random(10))
+    args = {"hat_consistency": (3, 1, phi, N), "quad_coeff": (3, 1, phi, N), "casimir_coeffs": (3, phi, N)}[fn]
+    with pytest.raises(ValueError, match="phi period must match N"):
+        getattr(gen_nu, fn)(*args)
+
+
 def test_casimir_coeffs_zero_phi_example():
     k00, _ = casimir_coeffs(2, Kernel.zero(5), 5)
     expect = kernel_from_dpoly(DPoly({-2: 1, 2: -1}), 5)
@@ -265,46 +289,6 @@ def test_casimir_coeffs_vanish_for_phi0():
         k00, k0k = casimir_coeffs(nu, phi_special(nu, 0, N), N)
         assert k00.is_zero()
         assert all(K.is_zero() for K in k0k.values())
-
-
-def test_general_kernels_reproduce_order2_lines():
-    # the general-order closed kernels specialise to the handwritten order-2
-    # coefficient kernels: {rho,rho} and {rho,mu}
-    N = 7
-    phi = random_odd_kernel(N, Random(3))
-    k00, k0k = casimir_coeffs(2, phi, N)
-    rhorho = compose(kernel_from_dpoly(DPoly({0: 2, 2: -1, -2: -1}), N), phi) + kernel_from_dpoly(
-        DPoly({2: -1, -2: 1}), N
-    )
-    assert (k00 - rhorho).is_zero()
-    murho = compose(
-        kernel_from_dpoly(DPoly({0: 1, 1: 1, -1: -1, 2: -1}), N), phi
-    ) + kernel_from_dpoly(DPoly({0: -1, -1: 1, 1: 1, 2: -1}), N)
-    # {rho_m, mu_n} = -{mu_n, rho_m}: transpose and negate the handwritten kernel
-    assert (k0k[1] + murho.transpose()).is_zero()
-
-
-def test_general_kernels_reproduce_order3_lines():
-    N = 9
-    phi = random_odd_kernel(N, Random(4))
-    _, k0k = casimir_coeffs(3, phi, N)
-    arho = compose(
-        kernel_from_dpoly(DPoly({0: 1, 2: 1, 3: -1, -1: -1}), N), phi
-    ) + kernel_from_dpoly(DPoly({0: -1, 2: 1, 3: -1, -1: 1}), N)
-    assert (k0k[2] + arho.transpose()).is_zero()
-    brho = compose(
-        kernel_from_dpoly(DPoly({0: 1, 1: 1, 3: -1, -2: -1}), N), phi
-    ) + kernel_from_dpoly(DPoly({0: -1, 1: 1, 3: -1, -2: 1}), N)
-    assert (k0k[1] + brho.transpose()).is_zero()
-
-
-def test_quad_coeff_matches_order2_mumu_line():
-    N = 7
-    phi = random_odd_kernel(N, Random(5))
-    mumu = compose(kernel_from_dpoly(DPoly({0: 2, 1: -1, -1: -1}), N), phi) + kernel_from_dpoly(
-        DPoly({1: -1, -1: 1}), N
-    )
-    assert (quad_coeff(2, 1, phi, N) - mumu).is_zero()
 
 
 def test_check_theorem_small_orders():
@@ -414,8 +398,8 @@ def test_check_theorem_short_period():
 def test_hats_dataclass_combination():
     nu, k, N = 2, 1, 7
     phi = phi_special(2, 1, N)
-    hats = oppbs_hats(nu, k, phi, N)
-    assert isinstance(hats, HatKernels)
+    ww, w_alk, alk_w, alk_alk = hats(nu, k, phi)
     closed = quad_coeff(nu, k, phi, N)
+    # alk_alk - w_alk - alk_w + ww: the a^(k) a^(k) coefficient
     for j in range(-(N - 1 - nu), N - nu):
-        assert hats.combination_alk_alk(j) == closed[j]
+        assert alk_alk[j] - w_alk[j] - alk_w[j] + ww[j] == closed[j]

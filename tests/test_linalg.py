@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import linalg
-from polypoisson.linalg import ZERO, det, nullspace, pairings, rref, solve
+from polypoisson.linalg import ZERO, det, nullspace, rref, solve
 from test_multipoly import Dual
 
 F = Fraction
@@ -26,8 +26,19 @@ def adjugate(a):
     return [[Fraction(x, s) for x in row] for row in adj]
 
 
+def fraction_pairings(F_, A, G, den=1):
+    """The chain-rule table [[f^T A g / den for g in G] for f in F_], one Fraction per entry.
+
+    F_ and G hold int covectors (c, d) standing for c / d and A is a matrix
+    of ints over den; each entry is acc / (df den dg), acc the int of
+    ``linalg._int_pairings``.
+    """
+    rows = linalg._int_pairings(F_, A, G)
+    return [[F(a, df * den * dg) for a, (_, dg) in zip(row, G)] for row, (_, df) in zip(rows, F_)]
+
+
 def int_pairings(F_, A, G):
-    """``linalg.pairings`` of Fraction covectors against a Fraction matrix.
+    """``fraction_pairings`` of Fraction covectors against a Fraction matrix.
 
     The covectors are scaled to ints over their own denominators and A to
     ints over one denominator, the shapes the package pairs in.
@@ -38,7 +49,7 @@ def int_pairings(F_, A, G):
         return {i: int(c * d) for i, c in f.items()}, d
 
     ints, den = linalg._scaled(A)
-    return pairings([scaled(f) for f in F_], ints, [scaled(g) for g in G], den)
+    return fraction_pairings([scaled(f) for f in F_], ints, [scaled(g) for g in G], den)
 
 
 def reference_pairings(F_, A, G):
@@ -80,7 +91,7 @@ def test_pairings_matches_dense_reference():
         [Dual(x, {v: F(rng.choice((-2, -1, 1, 2))) for v in rng.sample(range(4), 2) if rng.random() < 0.7}) for x in row]
         for row in frac
     ]
-    # pairings takes int matrices only; the Dual case checks the
+    # fraction_pairings takes int matrices only; the Dual case checks the
     # reference that reference_jacobi pairs Dual-valued Pi with
     for A, pair in ((frac, int_pairings), (dual, reference_pairings)):
         F_ = [random_covector(rng, D) for _ in range(4)] + [{}]
@@ -105,10 +116,10 @@ def test_pairings_matches_dense_reference():
                         assert got == want
     # an asymmetric matrix tells f^T A g from f^T A^T g
     A = [[0, 1], [0, 0]]
-    assert pairings([({0: 1}, 1)], A, [({1: 1}, 1)]) == [[F(1)]]
-    assert pairings([({1: 1}, 1)], A, [({0: 1}, 1)]) == [[F(0)]]
+    assert fraction_pairings([({0: 1}, 1)], A, [({1: 1}, 1)]) == [[F(1)]]
+    assert fraction_pairings([({1: 1}, 1)], A, [({0: 1}, 1)]) == [[F(0)]]
     # the int matrix's denominator and each covector's divide the entry once
-    assert pairings([({0: 3}, 2)], A, [({1: 5}, 7)], 9) == [[F(15, 126)]]
+    assert fraction_pairings([({0: 3}, 2)], A, [({1: 5}, 7)], 9) == [[F(15, 126)]]
 
 
 def test_pairings_equals_reference_exactly():
@@ -151,7 +162,7 @@ def test_int_pairings_matches_reference(A, F_, G, den):
         [{i: F(c, d) for i, c in f.items()} for f, d in F_], frac, [{j: F(c, d) for j, c in g.items()} for g, d in G]
     )
     assert [[F(acc, df * den * dg) for acc, (_, dg) in zip(row, G)] for row, (_, df) in zip(got, F_)] == want
-    assert pairings(F_, A, G, den) == want
+    assert fraction_pairings(F_, A, G, den) == want
 
 
 def reference_det(a) -> Fraction:

@@ -91,6 +91,8 @@ _CLOSED_FORM_POLYGONS = 10
 _PROJECTIVE_SAMPLES = 10
 _CASIMIR_POLYGONS = 5
 _FIELD_POINTS = 10
+_COMPAT_POINTS = 3
+_FLOW_POLYGONS = 5
 
 
 def _zero_phi(N: int) -> OddKernel:
@@ -264,14 +266,14 @@ def check_pushforward(seed: int = 0) -> list:
     return docs
 
 
-def check_extended_toda_compat(seed: int = 0, points: int = 3, N: int = 5) -> list:
+def check_extended_toda_compat(seed: int = 0, N: int = 5) -> list:
     t0 = time.time()
     rng = Random(seed)
     P1 = closed_tensor("P1", N)
     P2 = closed_tensor("P2", N)
-    pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(points)]
+    pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(_COMPAT_POINTS)]
     res = compatibility(P1, P2, pts)
-    return [_doc("extended_toda_compat", {"N": N, "points": points}, res, seed, t0)]
+    return [_doc("extended_toda_compat", {"N": N, "points": _COMPAT_POINTS}, res, seed, t0)]
 
 
 def check_pencil_deformations(seed: int = 0) -> list:
@@ -288,18 +290,16 @@ def check_pencil_deformations(seed: int = 0) -> list:
     return docs
 
 
-def check_flow_consistency(seed: int = 0, polygons: int = 5) -> list:
-    if polygons < 1:
-        raise ValueError("polygons must be at least 1")
+def check_flow_consistency(seed: int = 0) -> list:
     docs = []
     rng = Random(seed)
     for N in (5, 7):
         t0 = time.time()
         res = ZERO
-        for _ in range(polygons):
+        for _ in range(_FLOW_POLYGONS):
             W = random_polygon(2, N, rng)
             res = max(res, lifted_flow_residual(W))
-        docs.append(_doc("lifted_flow", {"N": N, "polygons": polygons}, res, seed, t0))
+        docs.append(_doc("lifted_flow", {"N": N, "polygons": _FLOW_POLYGONS}, res, seed, t0))
     t0 = time.time()
     N = 5
     names = ("mu", "rho")

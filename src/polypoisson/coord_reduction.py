@@ -15,7 +15,10 @@ Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
 differentiation; OpTensor stores field-dressed operator words, the shape the
 closed formulas are written in.  Every named tensor is built and returned as
-words; a caller that differentiates expands it once by ``to_poly``.  One int
+words; a caller that differentiates expands it once by ``to_poly``.  toda, P1
+and P2 are murho and abrho at a special phi: all five append one table of
+linear words (``_linear_words``, scaled by c = 2, or 1 under the factor 1/2),
+and ``_exchange_word`` adds every off-diagonal exchange partner.  One int
 walk over the paths of a word, its kernels and diagonal segments scaled once
 to ints, serves every reading: ``to_poly`` builds one Fraction per
 coefficient, ``eval_matrix`` one per entry at a point (the only place a
@@ -434,43 +437,54 @@ def _Kinv(N: int, pairs) -> Kernel:
     return invert(_K(N, pairs))
 
 
+def _exchange_word(T: OpTensor, i: int, j: int, K: Kernel):
+    """Add the exchange word (f i)(k K)(f j) and, for i != j, its partner
+    (f j)(k -K^T)(f i); for i == j the word alone, its kernel being odd."""
+    T.add_word(i, j, ("f", i), ("k", K), ("f", j))
+    if i != j:
+        T.add_word(j, i, ("f", j), ("k", -K.transpose()), ("f", i))
+
+
 def _exchange_tensor(nu: int, names, phi: OddKernel) -> OpTensor:
     """The exchange words of the order-nu quotient bracket on the named fields:
-    (f j)(k E_jk)(f k) for j <= k, and its mirror (f k)(k -E_jk^T)(f j) for j < k."""
+    (f j)(k E_jk)(f k) for j <= k, with its partner for j < k."""
     T = OpTensor(names, phi.N)
     t = {alias_index(nu, name): i for i, name in enumerate(names)}
     for j in range(nu):
         for k, E in enumerate(_exchange_kernels(nu, j, range(j, nu), phi), j):
-            T.add_word(t[j], t[k], ("f", t[j]), ("k", E), ("f", t[k]))
-            if j < k:
-                T.add_word(t[k], t[j], ("f", t[k]), ("k", -E.transpose()), ("f", t[j]))
+            _exchange_word(T, t[j], t[k], E)
+    return T
+
+
+# The phi-independent (linear) words of the order-2 (mu, rho) and order-3
+# (a, b, rho) quotient brackets, keyed on the field names: (i, j, *factors),
+# each kernel ("k", s, x) standing for x D^s before the scale c.
+_LINEAR_WORDS = {
+    ("mu", "rho"): [(0, 0, ("k", 1, 1), ("f", 1)), (0, 0, ("f", 1), ("k", -1, -1))],
+    ("a", "b", "rho"): [
+        (0, 0, ("k", 1, 1), ("f", 1)), (0, 0, ("f", 1), ("k", -1, -1)),
+        (0, 1, ("k", 2, 1), ("f", 2)), (0, 1, ("f", 2), ("k", -1, -1)),
+        (1, 0, ("k", 1, 1), ("f", 2)), (1, 0, ("f", 2), ("k", -2, -1)),
+        (1, 1, ("f", 0), ("k", 1, 1), ("f", 2)), (1, 1, ("f", 2), ("k", -1, -1), ("f", 0)),
+    ],
+}
+
+
+def _linear_words(T: OpTensor, c: int) -> OpTensor:
+    """Append the linear words of T's quotient bracket, every kernel scaled by c."""
+    for i, j, *word in _LINEAR_WORDS[T.field_names]:
+        T.add_word(i, j, *(("k", _K(T.N, [(f[1], c * f[2])])) if f[0] == "k" else f for f in word))
     return T
 
 
 def build_murho(phi: OddKernel) -> OpTensor:
     """The order-2 quotient bracket in the fields (mu, rho) for a given phi."""
-    N = phi.N
-    T = _exchange_tensor(2, ("mu", "rho"), phi)
-    MU, RHO = 0, 1
-    T.add_word(MU, MU, ("k", _K(N, [(1, 2)])), ("f", RHO))
-    T.add_word(MU, MU, ("f", RHO), ("k", _K(N, [(-1, -2)])))
-    return T
+    return _linear_words(_exchange_tensor(2, ("mu", "rho"), phi), 2)
 
 
 def build_abrho(phi: OddKernel) -> OpTensor:
     """The order-3 quotient bracket in the fields (a, b, rho) for a given phi."""
-    N = phi.N
-    T = _exchange_tensor(3, ("a", "b", "rho"), phi)
-    A, B, RHO = 0, 1, 2
-    T.add_word(A, A, ("k", _K(N, [(1, 2)])), ("f", B))
-    T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -2)])))
-    T.add_word(A, B, ("k", _K(N, [(2, 2)])), ("f", RHO))
-    T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -2)])))
-    T.add_word(B, A, ("k", _K(N, [(1, 2)])), ("f", RHO))
-    T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -2)])))
-    T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 2)])), ("f", RHO))
-    T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -2)])), ("f", A))
-    return T
+    return _linear_words(_exchange_tensor(3, ("a", "b", "rho"), phi), 2)
 
 
 def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None):
@@ -492,19 +506,15 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)
         MU, RHO = 0, 1
-        T.add_word(MU, MU, ("k", _K(N, [(1, 1)])), ("f", RHO))
-        T.add_word(MU, MU, ("f", RHO), ("k", _K(N, [(-1, -1)])))
-        T.add_word(MU, RHO, ("f", MU), ("k", _K(N, [(1, 1), (0, -1)])), ("f", RHO))
-        T.add_word(RHO, MU, ("f", RHO), ("k", _K(N, [(0, 1), (-1, -1)])), ("f", MU))
-        T.add_word(RHO, RHO, ("f", RHO), ("k", _K(N, [(1, 1), (-1, -1)])), ("f", RHO))
-        return T
+        _exchange_word(T, MU, RHO, _K(N, [(1, 1), (0, -1)]))
+        _exchange_word(T, RHO, RHO, _K(N, [(1, 1), (-1, -1)]))
+        return _linear_words(T, 1)
     if name == "ftv_u":
         if beta is None:
             beta = PerSeq.constant(N, 1)
         T = OpTensor(("u",), N, bracket_scale=half)
         U = 0
-        quad = compose(_K(N, [(1, 1), (0, -1)]).scale(-1), _Kinv(N, [(0, 1), (1, 1)]))
-        T.add_word(U, U, ("f", U), ("k", quad), ("f", U))
+        _exchange_word(T, U, U, compose(_K(N, [(1, 1), (0, -1)]).scale(-1), _Kinv(N, [(0, 1), (1, 1)])))
         T.add_word(U, U, ("k", _K(N, [(1, 1)])), ("c", beta))
         T.add_word(U, U, ("c", beta), ("k", _K(N, [(-1, -1)])))
         return T
@@ -526,14 +536,13 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
         T = OpTensor(("a", "b"), N, bracket_scale=half)
         A, B = 0, 1
         geo = _Kinv(N, [(0, 1), (1, 1), (2, 1)])
-        T.add_word(A, A, ("f", A), ("k", compose(geo, _K(N, [(0, 1), (2, -1)]))), ("f", A))
+        _exchange_word(T, A, A, compose(geo, _K(N, [(0, 1), (2, -1)])))
+        _exchange_word(T, A, B, compose(geo, _K(N, [(1, 1), (2, -1)])))
+        _exchange_word(T, B, B, compose(geo, _K(N, [(0, 1), (2, -1)])))
         T.add_word(A, A, ("k", _K(N, [(1, 1)])), ("f", B))
         T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, B, ("f", A), ("k", compose(geo, _K(N, [(1, 1), (2, -1)]))), ("f", B))
         T.add_word(A, B, ("k", _K(N, [(2, 1), (-1, -1)])))
-        T.add_word(B, A, ("f", B), ("k", compose(geo, _K(N, [(0, 1), (1, -1)]))), ("f", A))
         T.add_word(B, A, ("k", _K(N, [(1, 1), (-2, -1)])))
-        T.add_word(B, B, ("f", B), ("k", compose(geo, _K(N, [(0, 1), (2, -1)]))), ("f", B))
         T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 1)])))
         T.add_word(B, B, ("k", _K(N, [(-1, -1)])), ("f", A))
         return T
@@ -542,43 +551,21 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
         # quotient bracket produces (the chain-rule oracle pins it).
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        T.add_word(A, A, ("k", _K(N, [(1, 1)])), ("f", B))
-        T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, B, ("f", A), ("k", _K(N, [(1, 1), (0, -1)])), ("f", B))
-        T.add_word(A, B, ("k", _K(N, [(2, 1)])), ("f", RHO))
-        T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, RHO, ("f", A), ("k", _K(N, [(2, 1), (0, -1)])), ("f", RHO))
-        T.add_word(B, A, ("f", B), ("k", _K(N, [(0, 1), (-1, -1)])), ("f", A))
-        T.add_word(B, A, ("k", _K(N, [(1, 1)])), ("f", RHO))
-        T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -1)])))
-        T.add_word(B, B, ("f", B), ("k", _K(N, [(1, 1), (-1, -1)])), ("f", B))
-        T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 1)])), ("f", RHO))
-        T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -1)])), ("f", A))
-        T.add_word(B, RHO, ("f", B), ("k", _K(N, [(2, 1), (1, 1), (0, -1), (-1, -1)])), ("f", RHO))
-        T.add_word(RHO, A, ("f", RHO), ("k", _K(N, [(0, 1), (-2, -1)])), ("f", A))
-        T.add_word(RHO, B, ("f", RHO), ("k", _K(N, [(1, 1), (0, 1), (-1, -1), (-2, -1)])), ("f", B))
-        T.add_word(RHO, RHO, ("f", RHO), ("k", _K(N, [(2, 1), (1, 1), (-1, -1), (-2, -1)])), ("f", RHO))
-        return T
+        _exchange_word(T, A, B, _K(N, [(1, 1), (0, -1)]))
+        _exchange_word(T, A, RHO, _K(N, [(2, 1), (0, -1)]))
+        _exchange_word(T, B, B, _K(N, [(1, 1), (-1, -1)]))
+        _exchange_word(T, B, RHO, _K(N, [(2, 1), (1, 1), (0, -1), (-1, -1)]))
+        _exchange_word(T, RHO, RHO, _K(N, [(2, 1), (1, 1), (-1, -1), (-2, -1)]))
+        return _linear_words(T, 1)
     if name == "P2":
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
         inv = _Kinv(N, [(0, 1), (1, 1)])
-        cay = compose(_K(N, [(0, 1), (1, -1)]), inv)
-        T.add_word(A, A, ("f", A), ("k", cay), ("f", A))
-        T.add_word(A, A, ("k", _K(N, [(1, 1)])), ("f", B))
-        T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, B, ("k", _K(N, [(2, 1)])), ("f", RHO))
-        T.add_word(A, B, ("f", RHO), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, RHO, ("f", A), ("k", compose(_K(N, [(2, 1), (1, -1)]), inv)), ("f", RHO))
-        T.add_word(B, A, ("k", _K(N, [(1, 1)])), ("f", RHO))
-        T.add_word(B, A, ("f", RHO), ("k", _K(N, [(-2, -1)])))
-        T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 1)])), ("f", RHO))
-        T.add_word(B, B, ("f", RHO), ("k", _K(N, [(-1, -1)])), ("f", A))
-        T.add_word(B, RHO, ("f", B), ("k", _K(N, [(1, 1), (0, -1)])), ("f", RHO))
-        T.add_word(RHO, A, ("f", RHO), ("k", compose(_K(N, [(0, 1), (-1, -1)]), inv)), ("f", A))
-        T.add_word(RHO, B, ("f", RHO), ("k", _K(N, [(0, 1), (-1, -1)])), ("f", B))
-        T.add_word(RHO, RHO, ("f", RHO), ("k", compose(_K(N, [(2, 1), (-1, -1)]), inv)), ("f", RHO))
-        return T
+        _exchange_word(T, A, A, compose(_K(N, [(0, 1), (1, -1)]), inv))
+        _exchange_word(T, A, RHO, compose(_K(N, [(2, 1), (1, -1)]), inv))
+        _exchange_word(T, B, RHO, _K(N, [(1, 1), (0, -1)]))
+        _exchange_word(T, RHO, RHO, compose(_K(N, [(2, 1), (-1, -1)]), inv))
+        return _linear_words(T, 1)
     raise ValueError(f"unknown tensor {name!r}")
 
 

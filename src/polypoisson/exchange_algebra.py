@@ -25,18 +25,19 @@ cells of triples (u, v, c), each an entry sum c U_u W_v / L over two slices
 of the coordinates, read from the nonzeros of R +- Q, A_pm and phi and
 cached on the BracketSpec, O(nu^4) of them whatever N.  ``_PiTable``
 evaluates them block by block in ints at the polygon's scaled coordinates:
-the quasi-periodicity and antisymmetry checks read the ints directly, and
-``jacobi_residual`` reads the int gradients of the entries it needs from the
-same cells.  An observable of the polygon is a function from a ``_DualCtx``
-to a triple (value, grad, den), grad a sparse {var: int} covector over the
-coordinates standing for grad / den: fields come from one int solve per
-site, Wronskians from ``linalg.det_grad`` on the same elimination, and
-affine-chart coordinates from the quotient rule in ints.  Every chain-rule
-bracket pairs such int gradients against the ints of Pi with
-``linalg._int_pairings`` and sums or compares in ints, with no Fraction per
-entry; the momentum check contracts each dw_m with the ints of Pi itself,
-one Fraction per site.  The projective closed form is one contraction of
-the nonzeros of R with the chart points (v, 1).
+the antisymmetry check reads the ints directly, the quasi-periodicity check
+the ints and the table's own sign-+1 V-V cells, and ``jacobi_residual`` the
+int gradients of the entries it needs from the same cells.  An observable
+of the polygon is a function from a ``_DualCtx`` to a triple (value, grad,
+den), grad a sparse {var: int} covector over the coordinates standing for
+grad / den: fields come from one int solve per site, Wronskians from
+``linalg.det_grad`` on the same elimination, and affine-chart coordinates
+from the quotient rule in ints.  Every chain-rule bracket pairs such int
+gradients against the ints of Pi with ``linalg._int_pairings`` and sums or
+compares in ints, with no Fraction per entry; the momentum check contracts
+each dw_m with the ints of Pi itself, one Fraction per site.  The
+projective closed form is one contraction of the nonzeros of R with the
+chart points (v, 1).
 """
 
 from __future__ import annotations
@@ -332,8 +333,8 @@ class _DualCtx:
     A vertex entry is (value, grad, den), grad a dict of ints over den, one
     den per vertex: the unit gradient for V_m with m < N, and for V_m =
     V_{m-N} M with N <= m < 2N the partials M_ca in V_{m-N}^c and V_{m-N}^c
-    in M_ca.  Fields at sites 0..N-1 need no later vertex unless N < nu,
-    which raises ValueError.
+    in M_ca, the value read from the same int product.  Fields at sites
+    0..N-1 need no later vertex unless N < nu, which raises ValueError.
     ``wronskian``, ``field`` and ``proj`` return observables in the same
     shape (value, grad, den).  One adjugate of B_m, the rows V_m..V_{m+nu-1},
     in ints per site and context gives w_m = det B_m by ``linalg.det_grad``
@@ -362,10 +363,10 @@ class _DualCtx:
             else:
                 (v,), dv = linalg._scaled([W.V[m - self.N]])
                 row = []
-                for a, x in enumerate(W.vertex(m)):
+                for a in range(nu):
                     grad = {W.var_v(m, c): mi[c][a] * dv for c in range(nu)}
                     grad.update((W.var_m(c, a), v[c] * dm) for c in range(nu))
-                    row.append((x, grad, dv * dm))
+                    row.append((Fraction(sum(x * mi[c][a] for c, x in enumerate(v)), dv * dm), grad, dv * dm))
             self._vertices[m] = row
         return row
 
@@ -585,14 +586,13 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     For m < n the difference m+N-n stays inside the sign window, so
     {V_{m+N}, V_n} may be computed both directly from the bracket formula
     (sign +1, phi periodic) and by the product rule through V_m M; the two
-    must agree exactly.  Both sides are ints over L den^3: the direct side
-    reads the nonzeros of R + Q and phi, the product-rule side the ints of
-    the table.
+    must agree exactly.  Both sides are ints over L den^3 from one _PiTable:
+    the direct side reads its sign-+1 V-V cells and phi at (V_m M, V_n), the
+    product-rule side its ints.
     """
     nu, N = spec.nu, spec.N
-    _, vv, phi, _, _ = spec._pi_template
     table = _PiTable(spec, W.coordinates())
-    P, X = table.ints, table.X
+    P, X, phi, cells = table.ints, table.X, table.phi, table.cells[0][1]
     base = N * nu
     M = [X[base + c * nu : base + c * nu + nu] for c in range(nu)]
     res = 0
@@ -600,16 +600,15 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
         vm = X[m * nu : m * nu + nu]
         ext = [sum(vm[c] * M[c][a] for c in range(nu)) for a in range(nu)]  # V_m M, over den^2
         for n in range(m + 1, N):
-            vn = X[n * nu : n * nu + nu]
-            direct = [[0] * nu for _ in range(nu)]
-            for c, d, a, b, x in vv[1]:
-                direct[a][b] += x * ext[c] * vn[d]
-            p = phi[(m - n) % N]
-            for a in range(nu):
-                for b in range(nu):
+            vn, p = X[n * nu : n * nu + nu], phi[(m - n) % N]
+            for a, cell_row in enumerate(cells):
+                pe = p * ext[a]
+                for b, cell in enumerate(cell_row):
                     # {V_m^c M_ca, V_n^b} = M_ca {V_m^c, V_n^b} + V_m^c {M_ca, V_n^b}
                     j = n * nu + b
-                    acc = direct[a][b] + p * ext[a] * vn[b]
+                    acc = pe * vn[b]
+                    for c, d, x in cell:
+                        acc += x * ext[c] * vn[d]
                     for c in range(nu):
                         acc -= M[c][a] * P[m * nu + c][j] - vm[c] * P[j][base + c * nu + a]
                     res = max(res, abs(acc))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
-from .coord_reduction import closed_tensor, random_fields
+from .coord_reduction import _ALIASES, closed_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
 from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, sign
@@ -242,11 +242,9 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
         resid = ZERO
         for k, phik in solved.items():
             base = closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik)
-            # the a^(k) of the tensor's own field names
-            alias = {2: {1: "mu"}, 3: {1: "b", 2: "a"}}[nu][k]
             pt = random_fields(base.field_names, N, rng)
             try:
-                resid = max(resid, gf_check(base, alias, [pt]))
+                resid = max(resid, gf_check(base, _ALIASES[nu][k], [pt]))
             except LinearityViolated:
                 resid = max(resid, Fraction(1))
         report.spectral = {

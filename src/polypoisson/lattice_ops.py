@@ -287,17 +287,19 @@ def compose(K: Kernel, L: Kernel) -> Kernel:
 
 
 def invert(K: Kernel) -> Kernel:
-    """Exact inverse kernel L with K * L = delta; SingularOperator if none."""
+    """Exact inverse kernel L with K * L = delta; SingularOperator if none.
+
+    One fraction-free elimination of the int circulant [k_{m-n} | dk delta],
+    K = k / dk: its right column over the last pivot is the inverse kernel
+    (circulants commute), and the columns of k with no pivot give the nullity.
+    """
     N = K.N
-    delta = [ONE] + [ZERO] * (N - 1)
-    mat = K.matrix()
-    col = linalg.solve(mat, delta)
-    if col is None:
-        nullity = len(linalg.nullspace(mat))
+    (k,), dk = linalg._scaled([K.seq.values])
+    m = [[k[r - n] for n in range(N)] + [dk * (r == 0)] for r in range(N)]
+    pivots, p, _ = linalg._int_rref(m)
+    if nullity := N - sum(c < N for c in pivots):
         raise SingularOperator("circulant operator is singular", nullity)
-    # solve() returns the column f with sum_n K_{m-n} f_n = delta_m; this is
-    # exactly the inverse kernel because circulants commute.
-    return Kernel(PerSeq(N, tuple(col)))
+    return Kernel(PerSeq(N, tuple(Fraction(row[N], p) for row in m)))
 
 
 def solve_phi(A: DPoly, b: DPoly, N: int) -> OddKernel:

@@ -23,14 +23,15 @@ ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '-3/5', or Fractions to Fraction."""
+    """Coerce ints, strings like '-3/5', or Fractions to Fraction; a zero denominator is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
+    if not isinstance(x, (int, str)):
+        raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    try:
         return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:
@@ -256,12 +257,9 @@ def solve(a, b):
     width = len(bm[0])
     aug = [a[i][:] + bm[i][:] for i in range(rows)]
     red, pivots = rref(aug)
-    for row in red:
-        if not any(row[:cols]) and any(row[cols:]):
-            return None
     x = zeros(cols, width)
     for r, c in enumerate(pivots):
-        if c >= cols:
+        if c >= cols:  # a pivot on the right-hand side: inconsistent
             return None
         for j in range(width):
             x[c][j] = red[r][cols + j]
@@ -283,14 +281,8 @@ def nullspace(a):
 
 
 def inverse(a):
-    """Exact inverse; returns None when singular."""
-    n = len(a)
-    sol = solve(a, identity(n))
-    if sol is None:
-        return None
-    if max_abs(mat_sub(mat_mul(a, sol), identity(n))):
-        return None
-    return sol
+    """Exact inverse, the exact solve of a x = I; None when a is singular, as that system is then inconsistent."""
+    return solve(a, identity(len(a)))
 
 
 def dot(u, v) -> Fraction:

@@ -202,6 +202,24 @@ def test_bad_sequence_file_is_usage_error(argv, doc, message, tmp_path, capsys):
     assert message in captured.err and "PASS" not in captured.out
 
 
+ZERO_DENOMINATOR = {"N": 5, "values": ["0", "1", "1/0", "-1", "1"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-w", "--N", "5", "--phi"],
+        ["derive", "--name", "murho", "--N", "5", "--phi"],
+        ["reduce-dirac", "--N", "5", "--beta"],
+    ],
+)
+def test_zero_denominator_in_a_sequence_file_is_usage_error(argv, tmp_path, capsys):
+    assert run_command(argv + [_seq_file(tmp_path, ZERO_DENOMINATOR)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "zero denominator" in captured.err
+    assert "Traceback" not in captured.err and "PASS" not in captured.out
+
+
 def test_compat_certifies_the_requested_period(capsys):
     assert run_command(["compat", "--N", "7", "--format", "json"]) == 0
     docs = json.loads(capsys.readouterr().out)

@@ -504,6 +504,38 @@ def test_oracle_match_equals_the_fraction_route(monkeypatch):
             assert got and got == reference_oracle_match(spec, W, name), name
 
 
+def double_last_diagonal_word(words):
+    """A linear-word table with the kernel of its last (0, 0) word doubled."""
+    w = max(i for i, word in enumerate(words) if word[:2] == (0, 0))
+    i, j, *factors = words[w]
+    doubled = tuple(("k", f[1], 2 * f[2]) if f[0] == "k" else f for f in factors)
+    return words[:w] + [(i, j, *doubled)] + words[w + 1 :]
+
+
+def test_one_linear_word_table_feeds_five_tensors(monkeypatch):
+    # murho, abrho, toda, P1 and P2 read their linear words from one table,
+    # so one doubled kernel there turns all five oracles and criterion 5 red
+    for key, words in list(coord_reduction._LINEAR_WORDS.items()):
+        monkeypatch.setitem(coord_reduction._LINEAR_WORDS, key, double_last_diagonal_word(words))
+    rng, N = Random(0), 7
+    special = {"toda": (2, 1), "P1": (3, 2), "P2": (3, 1)}
+    got = {}
+    for name in ("murho", "abrho", *special):
+        nu = 2 if name in ("murho", "toda") else 3
+        W = random_polygon(nu, N, rng)
+        phi = phi_special(*special[name], N) if name in special else random_odd_kernel(N, rng)
+        got[name] = oracle_match(BracketSpec.standard(nu, N, phi), W, name)
+    assert got == {
+        "murho": Fraction(288, 55),
+        "abrho": Fraction(202171, 104),
+        "toda": Fraction(550, 131),
+        "P1": Fraction(2804861, 378909),
+        "P2": Fraction(14859982, 29185),
+    }
+    docs = acceptance.check_closed_forms(0)
+    assert [(d.residual, d.passed) for d in docs] == [("179", False), ("8070975/96418", False)]
+
+
 def test_closed_forms_build_no_fraction_table(monkeypatch):
     # criterion 5 reads the closed forms by int_matrix, not by the Fraction
     # view eval_matrix, and the chain brackets by _int_pairings
@@ -1018,8 +1050,6 @@ def test_pencil_needs_a_point():
         compatibility(P1, P2, [])
     with pytest.raises(ValueError, match="at least one point"):
         gf_check(P1, "a", [])
-    with pytest.raises(ValueError, match="at least one point"):
-        acceptance.check_extended_toda_compat(0, points=0)
 
 
 def test_pencil_needs_one_field_space():

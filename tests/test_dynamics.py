@@ -213,13 +213,8 @@ def test_eval_grad_matches_diff_and_central_differences():
 
 
 def _commuting_integrals_doc():
-    docs = acceptance.check_flow_consistency(0, polygons=1)
+    docs = acceptance.check_flow_consistency(0)
     return next(d for d in docs if d.check == "commuting_integrals")
-
-
-def test_flow_consistency_needs_a_polygon():
-    with pytest.raises(ValueError):
-        acceptance.check_flow_consistency(0, polygons=0)
 
 
 def test_commuting_integrals_negative_controls(monkeypatch):

@@ -727,6 +727,19 @@ def test_field_gradients_match_dual_reference():
                 _assert_same(ctx.proj(m, c), V[m][c] / V[m][nu - 1])
 
 
+def test_wrapped_vertices_match_the_extension_rule(monkeypatch):
+    # _DualCtx reads V_m = V_{m-N} M for N <= m < 2N from its own int
+    # product, never through Polygon.vertex, and the values agree with it
+    for nu, N in ((2, 5), (3, 7), (4, 9)):
+        W = random_polygon(nu, N, Random(N))
+        want = [W.vertex(m) for m in range(N, 2 * N)]
+        with monkeypatch.context() as mp:
+            mp.setattr(Polygon, "vertex", lambda *a: pytest.fail("_DualCtx called Polygon.vertex"))
+            got = [[x for x, _, _ in _DualCtx(W).vertex(m)] for m in range(N, 2 * N)]
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert got == want
+
+
 def test_field_gradients_on_a_degenerate_polygon_name_the_site():
     # V_3 = V_2 makes B_1 = [V_1, V_2, V_3] singular, and B_2 and B_3 too
     W = random_polygon(3, 7, Random(0))

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polypoisson import linalg
@@ -210,6 +210,43 @@ def test_invert_is_a_two_sided_inverse(case):
         return
     assert compose(K, L).seq.values == delta
     assert compose(L, K).seq.values == delta
+
+
+def reference_invert(K: Kernel) -> Kernel:
+    """invert by the dense route: solve K.matrix() f = delta, and on failure
+    the nullity of K.matrix() by nullspace."""
+    mat = K.matrix()
+    col = linalg.solve(mat, [F(int(m == 0)) for m in range(K.N)])
+    if col is None:
+        raise SingularOperator("circulant operator is singular", len(linalg.nullspace(mat)))
+    return Kernel(PerSeq(K.N, tuple(col)))
+
+
+@st.composite
+def dense_kernels(draw):
+    """A kernel of period 1-12 with small rational values; zeros are common,
+    so many are singular."""
+    N = draw(st.integers(1, 12))
+    vals = draw(st.lists(st.sampled_from([0, 0, 1, -1, 2, F(1, 2), F(-2, 3)]), min_size=N, max_size=N))
+    return Kernel(PerSeq(N, tuple(F(v) for v in vals)))
+
+
+@given(dense_kernels())
+@example(Kernel.zero(1))
+@example(Kernel.zero(6))
+@example(Kernel(PerSeq(4, (F(1), F(1), F(1), F(1)))))
+@settings(max_examples=400)
+def test_invert_equals_the_dense_route(K):
+    # one int elimination of [k | dk delta] gives the same kernel, or the
+    # same SingularOperator message and nullity, as solve then nullspace
+    try:
+        want = reference_invert(K)
+    except SingularOperator as err:
+        with pytest.raises(SingularOperator) as info:
+            invert(K)
+        assert (str(info.value), info.value.nullity) == (str(err), err.nullity)
+        return
+    assert invert(K) == want
 
 
 @pytest.mark.parametrize(

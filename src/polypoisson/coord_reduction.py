@@ -20,11 +20,13 @@ and P2 are murho and abrho at a special phi: all five append one table of
 linear words (``_linear_words``, scaled by c = 2, or 1 under the factor 1/2),
 and ``_exchange_word`` adds every off-diagonal exchange partner.  One int
 walk over the paths of a word, its kernels and diagonal segments scaled once
-to ints, serves every reading: ``to_poly`` builds one Fraction per
-coefficient, ``eval_matrix`` one per entry at a point (the only place a
-field inverse can be formed), and ``oracle_match``, ``pushforward_check``
-and ``toda_dirac_vs_ftv`` one per residual.  ``dirac_reduce`` eliminates
-in ints as well, one Fraction per reduced entry.
+to ints, serves every reading of words: ``to_poly`` builds one Fraction per
+coefficient.  A field point meets either form only in ``int_matrix``: words
+by that walk (the only place a field inverse can be formed), polynomials by
+the pencil sweep's ``_int_eval``.  ``eval_matrix`` builds one Fraction per
+entry, ``ham_vf``, ``oracle_match``, ``pushforward_check`` and
+``toda_dirac_vs_ftv`` one per velocity or residual, and ``dirac_reduce`` one
+per reduced entry, after eliminating in ints.
 """
 
 from __future__ import annotations
@@ -160,13 +162,19 @@ def _var(field_idx: int, site: int, N: int) -> int:
     return field_idx * N + site
 
 
+def _require_period(what: str, seq, N: int):
+    if seq is not None and seq.N != N:
+        raise ValueError(f"{what} has period {seq.N}, not {N}")
+
+
 class _FieldTensor:
     """The field space a reduced tensor lives on, shared by both forms.
 
     Entry ((i, m), (j, n)) is the bracket {x^i_m, x^j_n} scaled by
     ``bracket_scale`` relative to the raw reduced bracket of the polygon
     space (the named tensors carry the factor 1/2 their closed forms use).
-    Subclasses yield each entry's value at a point at most once from ``_values``.
+    A point meets a tensor only in the subclass's ``int_matrix`` (L, rows),
+    int rows over L; ``eval_matrix`` builds one Fraction per nonzero entry.
     """
 
     def __init__(self, field_names, N: int, bracket_scale=ONE):
@@ -182,18 +190,18 @@ class _FieldTensor:
         return self.d * self.N
 
     def point_values(self, point) -> list:
-        """The field values at a point (Fields or a name -> PerSeq map), in _var order."""
+        """The field values at a point (Fields or a name -> PerSeq map), in _var
+        order; a field of a period other than the tensor's is a ValueError."""
         if isinstance(point, Fields):
             point = point.point()
-        return [point[name][m] for name in self.field_names for m in range(self.N)]
+        for name in self.field_names:
+            _require_period(f"field {name!r}", point[name], self.N)
+        return [x for name in self.field_names for x in point[name].values]
 
     def eval_matrix(self, point):
         """Dense (d N) x (d N) antisymmetric matrix at the point."""
-        N = self.N
-        out = linalg.zeros(self.n_vars(), self.n_vars())
-        for i, m, j, n, v in self._values(point):
-            out[_var(i, m, N)][_var(j, n, N)] = v
-        return out
+        L, rows = self.int_matrix(point)
+        return [[Fraction(v, L) if v else ZERO for v in row] for row in rows]
 
     def _header(self, form: str) -> dict:
         return {
@@ -226,10 +234,13 @@ class PolyTensor(_FieldTensor):
         else:
             self.entries[key] = new
 
-    def _values(self, point):
-        x = self.point_values(point)
-        for (i, m, j, n), poly in self.entries.items():
-            yield i, m, j, n, poly.eval(x)
+    def int_matrix(self, point):
+        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L, by ``_int_eval``."""
+        X, pw, L, _ = _int_point(self.entries.values(), self.point_values(point))
+        rows = [[0] * self.n_vars() for _ in range(self.n_vars())]
+        for J, K, v in _int_eval(self, X, pw)[0]:
+            rows[J][K] = v
+        return L, rows
 
     def to_json(self) -> dict:
         ent = []
@@ -348,12 +359,6 @@ class OpTensor(_FieldTensor):
         for (i, m, j, n, _), v in sums.items():
             rows[_var(i, m, N)][_var(j, n, N)] = v
         return L, rows
-
-    def _values(self, point):
-        L, rows = self.int_matrix(point)
-        N = self.N
-        for I, row in enumerate(rows):
-            yield from ((I // N, I % N, K // N, K % N, Fraction(v, L)) for K, v in enumerate(row) if v)
 
     def to_poly(self) -> PolyTensor:
         """Expand the operator words into polynomial entries (no field inverses)."""
@@ -492,8 +497,11 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
 
     murho(phi) and abrho(phi) are the full quotient brackets; toda,
     ftv_u(beta), ftv_S, P0, P1, P2 are the distinguished closed forms (stored
-    with the factor-1/2 normalisation their operator displays use).
+    with the factor-1/2 normalisation their operator displays use).  A phi or
+    beta of a period other than N is a ValueError.
     """
+    _require_period("phi", phi, N)
+    _require_period("beta", beta, N)
     if name == "murho":
         if phi is None:
             raise ValueError("murho needs phi")
@@ -633,6 +641,7 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     nu, N = W.nu, W.N
     if beta is None:
         beta = PerSeq.constant(N, 1)
+    _require_period("beta", beta, N)
     if not beta.nonvanishing():
         raise ValueError("beta must be nonvanishing")
     g = gcd(nu, N)
@@ -765,20 +774,14 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     zero exactly when every member of the pencil satisfies Jacobi at the
     point.  TQ = None gives y = z = 0.
 
-    The point is scaled once to ints X over the lcm dx of its denominators;
-    with K the top degree of the entries and Lc the lcm of their coefficient
-    denominators, ``_int_eval`` evaluates each tensor once, values over Lv =
-    Lc dx^K and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0), so L
-    = Lv Lg.  No dense matrix and no Fraction is built; ``_accumulate`` sums
-    in ints, holding the triples of one smallest index at a time.
+    ``_int_point`` scales the point for the entries of both tensors, and
+    ``_int_eval`` evaluates each tensor once, values over Lv and gradient
+    entries over Lg, so L = Lv Lg.  No dense matrix and no Fraction is
+    built; ``_accumulate`` sums in ints, holding the triples of one smallest
+    index at a time.
     """
-    x = TP.point_values(point)
-    (X,), dx = linalg._scaled([x])
     polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
-    top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
-    Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
-    pw = [Lc * dx ** (top - k) for k in range(top + 1)]
-    Lv, Lg = pw[0], pw[1] if top else Lc
+    X, pw, Lv, Lg = _int_point(polys, TP.point_values(point))
     D = TP.n_vars()
     VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
     VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
@@ -793,22 +796,41 @@ def _pencil_sums(TP: PolyTensor, TQ, point):
     return Lv * Lg, xyz
 
 
+def _int_point(polys, x):
+    """(X, pw, Lv, Lg): the point x as ints X over the lcm dx of its
+    denominators, and the weights pw[k] = Lc dx^(K-k) of a degree-k term, K
+    the top degree of the polys and Lc the lcm of their coefficient
+    denominators, under which ``_int_poly`` gives values over Lv = Lc dx^K
+    and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0)."""
+    (X,), dx = linalg._scaled([x])
+    top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
+    Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+    pw = [Lc * dx ** (top - k) for k in range(top + 1)]
+    return X, pw, pw[0], pw[1] if top else Lc
+
+
+def _int_poly(poly: Poly, X, pw):
+    """(v, grad) of poly at the int point X under the weights pw of
+    ``_int_point``: a term c x^mono of degree k adds pw[k] c X^mono to the
+    int v and its X-derivatives to the ints of grad, a {var: int} map."""
+    val, grad = 0, defaultdict(int)
+    for mono, c in poly.terms.items():
+        c = c.numerator * pw[sum(e for _, e in mono)] // c.denominator
+        powers = [X[v] ** e for v, e in mono]
+        val += c * prod(powers)
+        for k, (v, e) in enumerate(mono):
+            grad[v] += c * e * X[v] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+    return val, grad
+
+
 def _int_eval(T: PolyTensor, X, pw):
-    """(vals, grads) of T at the int point X: vals lists the nonzero (J, K, v)
-    and grads the nonzero (J, K, s, d_s), J, K, s flat field-site indices.  A
-    term c x^mono of degree k adds pw[k] c X^mono, pw[k] = Lc dx^(K-k), to
-    its value and the X-derivatives of that to its gradient entries."""
+    """(vals, grads) of T at the int point X by ``_int_poly``: the nonzero (J, K, v)
+    and (J, K, s, d_s), J, K, s flat field-site indices."""
     N = T.N
     vals, grads = [], []
     for (i, m, j, n), poly in T.entries.items():
         J, K = _var(i, m, N), _var(j, n, N)
-        val, grad = 0, defaultdict(int)
-        for mono, c in poly.terms.items():
-            c = c.numerator * pw[sum(e for _, e in mono)] // c.denominator
-            powers = [X[v] ** e for v, e in mono]
-            val += c * prod(powers)
-            for k, (v, e) in enumerate(mono):
-                grad[v] += c * e * X[v] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+        val, grad = _int_poly(poly, X, pw)
         if val:
             vals.append((J, K, val))
         grads.extend((J, K, s, d) for s, d in grad.items() if d)

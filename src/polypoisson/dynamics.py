@@ -21,6 +21,8 @@ from . import linalg
 from .coord_reduction import (
     Fields,
     PolyTensor,
+    _int_point,
+    _int_poly,
     _var,
     alias_index,
     as_poly_tensor,
@@ -136,17 +138,14 @@ def det_transfer(field_names, N: int) -> Poly:
 
 
 def ham_vf(P, H: Poly, point) -> dict:
-    """Velocities P . dH at the point, exact, per field, from the entry values of either form."""
+    """Velocities P . dH at the point, exact, per field: the int rows of either
+    form (``int_matrix``) meet the int gradient of H, one Fraction per velocity."""
     _vars(H, P)
-    _, grad = H.eval_grad(P.point_values(point))
-    N = P.N
-    vel = [ZERO] * P.n_vars()
-    for i, m, j, n, v in P._values(point):
-        vel[_var(i, m, N)] += v * grad.get(_var(j, n, N), ZERO)
-    return {
-        name: PerSeq(N, tuple(vel[_var(i, m, N)] for m in range(N)))
-        for i, name in enumerate(P.field_names)
-    }
+    L, rows = P.int_matrix(point)
+    X, pw, _, Lg = _int_point([H], P.point_values(point))
+    grad = _int_poly(H, X, pw)[1].items()
+    vel = [Fraction(sum(row[K] * d for K, d in grad), L * Lg) for row in rows]
+    return {name: PerSeq(P.N, tuple(vel[i * P.N : (i + 1) * P.N])) for i, name in enumerate(P.field_names)}
 
 
 def lifted_vf(W: Polygon):

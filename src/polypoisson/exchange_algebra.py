@@ -27,17 +27,17 @@ cached on the BracketSpec, O(nu^4) of them whatever N.  ``_PiTable``
 evaluates them block by block in ints at the polygon's scaled coordinates:
 the antisymmetry check reads the ints directly, the quasi-periodicity check
 the ints and the table's own sign-+1 V-V cells, and ``jacobi_residual`` the
-int gradients of the entries it needs from the same cells.  An observable
-of the polygon is a function from a ``_DualCtx`` to a triple (value, grad,
-den), grad a sparse {var: int} covector over the coordinates standing for
-grad / den: fields come from one int solve per site, Wronskians from
-``linalg.det_grad`` on the same elimination, and affine-chart coordinates
-from the quotient rule in ints.  Every chain-rule bracket pairs such int
-gradients against the ints of Pi with ``linalg._int_pairings`` and sums or
-compares in ints, with no Fraction per entry; the momentum check contracts
-each dw_m with the ints of Pi itself, one Fraction per site.  The
-projective closed form is one contraction of the nonzeros of R with the
-chart points (v, 1).
+int gradients of the entries it needs from the same cells.  The
+observables of a polygon, ``_DualCtx.wronskian``, ``field`` and ``proj``,
+are triples (value, grad, den), grad a sparse {var: int} covector over the
+coordinates standing for grad / den: fields come from one int solve per
+site, Wronskians from ``linalg.det_grad`` on the same elimination, and
+affine-chart coordinates from the quotient rule in ints.  Every chain-rule
+bracket pairs such int gradients against the ints of Pi with
+``linalg._int_pairings`` and sums or compares in ints, with no Fraction per
+entry; the momentum check contracts each dw_m with the ints of Pi itself,
+one Fraction per site.  The projective closed form is one contraction of
+the nonzeros of R with the chart points (v, 1).
 """
 
 from __future__ import annotations
@@ -122,20 +122,6 @@ class Polygon:
         if 0 in w.values:
             raise DegeneratePolygon(f"Wronskian vanishes at site {w.values.index(0)}")
         return w
-
-    def to_json(self) -> dict:
-        from .linalg import rat_str
-
-        return {
-            "nu": self.nu,
-            "N": self.N,
-            "V": [[rat_str(x) for x in row] for row in self.V],
-            "M": [[rat_str(x) for x in row] for row in self.M],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Polygon":
-        return cls(int(doc["nu"]), int(doc["N"]), doc["V"], doc["M"])
 
 
 def wronskian(W: Polygon) -> PerSeq:
@@ -262,8 +248,9 @@ def verify_ybe(R, C) -> Fraction:
 class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
 
-    R and C are dense nu^2 x nu^2 matrices, the public and JSON form.  Pi's
-    cells (_cells, from _pi_template alone) are built once per spec.
+    R and C are the dense nu^2 x nu^2 matrices a caller gives, read once
+    per spec as their nonzeros.  Pi's cells (_cells, from _pi_template
+    alone) are built once per spec.
     """
 
     nu: int
@@ -310,21 +297,6 @@ class BracketSpec:
         return L, vv, [int(x * L) for x in phi], vv[-1], vv[1]
 
     _cells = cached_property(lambda self: _pi_cells(self))
-
-    def to_json(self) -> dict:
-        from .linalg import rat_str
-
-        return {
-            "nu": self.nu,
-            "N": self.N,
-            "R": [[rat_str(x) for x in row] for row in self.R],
-            "C": [[rat_str(x) for x in row] for row in self.C],
-            "phi": self.phi.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BracketSpec":
-        return cls(int(doc["nu"]), int(doc["N"]), doc["R"], doc["C"], Kernel.from_json(doc["phi"]))
 
 
 class _DualCtx:

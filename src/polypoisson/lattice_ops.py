@@ -155,9 +155,6 @@ class DPoly:
         c = rat(c)
         return DPoly({r: c * v for r, v in self.terms.items()})
 
-    def to_json(self) -> dict:
-        return {"terms": {str(r): rat_str(c) for r, c in sorted(self.terms.items())}}
-
     @classmethod
     def from_json(cls, doc: dict) -> "DPoly":
         return cls({int(r): rat(c) for r, c in doc["terms"].items()})
@@ -209,10 +206,6 @@ class Kernel:
 
     def to_json(self) -> dict:
         return self.seq.to_json()
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "Kernel":
-        return cls(PerSeq.from_json(doc))
 
 
 class OddKernel(Kernel):

@@ -5,7 +5,7 @@ is exact; there is no floating point and no pivot-size heuristics beyond
 picking the first nonzero pivot.  Elimination runs in scaled ints with
 Bareiss's fraction-free updates, in which every division is exact: ``det``
 scales the matrix once to ints over a common denominator, ``rref`` (under
-``solve``, ``nullspace`` and ``inverse``) scales each row over its own, and
+``solve`` and ``inverse``) scales each row over its own, and
 ``rref`` and ``_int_adjugate`` share one fraction-free Gauss-Jordan, which
 also gives ``det_grad``, the one determinant-with-gradient.  ``_int_pairings``
 contracts int gradients against an int matrix and builds no Fraction; its
@@ -264,20 +264,6 @@ def solve(a, b):
         for j in range(width):
             x[c][j] = red[r][cols + j]
     return [row[0] for row in x] if vector else x
-
-
-def nullspace(a):
-    """Basis (list of vectors) of the right nullspace of a."""
-    red, pivots = rref(a)
-    cols = len(a[0]) if a else 0
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = [ZERO] * cols
-        v[f] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
 
 
 def inverse(a):

@@ -1,17 +1,15 @@
 """Sparse multivariate polynomials over Q.
 
 Variables are integer ids; a monomial is a sorted tuple of (var, exponent)
-pairs.  This is deliberately minimal plumbing: exact arithmetic, partial
-derivatives and point evaluation are all the rest of the package needs.
+pairs.  This is deliberately minimal plumbing: exact arithmetic and partial
+derivatives; a point meets a Poly in ints, in ``coord_reduction._int_poly``.
 Gradients of polygon observables, which are ratios of determinants, come
 from ``linalg.det_grad`` and not from here.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
-from math import prod
 
 from .linalg import ZERO, rat
 
@@ -112,17 +110,6 @@ class Poly:
                 t *= point[var] ** e
             acc += t
         return acc
-
-    def eval_grad(self, point):
-        """(value, {var: nonzero partial derivative}) at point."""
-        val = ZERO
-        grad = defaultdict(int)
-        for mono, c in self.terms.items():
-            powers = [point[var] ** e for var, e in mono]
-            val += c * prod(powers)
-            for k, (var, e) in enumerate(mono):
-                grad[var] += c * e * point[var] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
-        return val, {v: d for v, d in grad.items() if d}
 
     def degree_in(self, vars_of_interest) -> int:
         best = 0

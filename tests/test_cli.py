@@ -142,6 +142,33 @@ def test_derive_out_is_byte_stable(name, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the `--format json --seed 0` report of each verb that has no
+# other pin.  A deliberate change to one of these reports must update its
+# pin and say so.
+VERB_REPORT_SHA256 = {
+    "verify-ybe": (["verify-ybe", "--nu", "3"], "b0dda06b4025118c6e1abd9a843b17b11b70deb9e7f12e3df0fffb9a2da3feda"),
+    "verify-w-nu2": (
+        ["verify-w", "--nu", "2", "--N", "7", "--phi", "random"],
+        "1066aebf8c9db9375bdbce835bac99cc03223ad99561c526807b3a360c58eb5e",
+    ),
+    "verify-w-nu3": (["verify-w", "--nu", "3", "--N", "7"], "da02ba79e4a7ac98779c6e66908381fa2c5c1aae9d77601d4e5e42a9978e0560"),
+    "reduce-dirac": (
+        ["reduce-dirac", "--N", "5", "--beta", "random"],
+        "73d67c46f3183a67df53a5de686082b5b351bfb0b989a0d8fbf049bcf09322f6",
+    ),
+    "pushforward": (["pushforward", "--N", "7"], "e038bdb97d56549c91830a4aea7a656bf4de8465faf83704f23d43e99e9e5e2b"),
+    "compat": (["compat", "--N", "5"], "472f46bdb97f3d72a255f394d59b51208fa28c4a5b9f576dd1fd3b5193d625a9"),
+    "flow": (["flow"], "2e69c02f0df88b2b475751ca3e8ac2b60dda17bc61a983f576dce6bb0d79bce2"),
+}
+
+
+@pytest.mark.parametrize("case", list(VERB_REPORT_SHA256))
+def test_verb_report_is_byte_stable(case, capsys):
+    argv, digest = VERB_REPORT_SHA256[case]
+    assert run_command([*argv, "--format", "json", "--seed", "0"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_derive_op_form_for_word_tensor(tmp_path, capsys):
     out = tmp_path / "ftv_S.json"
     assert run_command(["derive", "--name", "ftv_S", "--N", "5", "--out", str(out)]) == 0

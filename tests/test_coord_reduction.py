@@ -310,13 +310,9 @@ def test_eval_matrix_and_values_at_coprime_denominators():
         for T, fields in named_op_tensors(N, rng):
             pt = coprime_point(fields, N, rng)
             ref = reference_eval_matrix(T, pt)
-            assert T.eval_matrix(pt) == ref
-            vals = [(i * N + m, j * N + n, v) for i, m, j, n, v in T._values(pt)]
-            assert len({(I, K) for I, K, _ in vals}) == len(vals)  # one value per entry
-            assert all(type(v) is Fraction and v for _, _, v in vals)
-            assert {(I, K): v for I, K, v in vals} == {
-                (I, K): v for I, row in enumerate(ref) for K, v in enumerate(row) if v
-            }
+            mat = T.eval_matrix(pt)
+            assert mat == ref
+            assert all(type(v) is Fraction for row in mat for v in row)
             L, rows = T.int_matrix(pt)
             assert L > 1
             assert [[F(v, L) for v in row] for row in rows] == ref
@@ -840,16 +836,86 @@ def test_jacobiator_zero_and_negative_control():
     assert jacobiator(broken, pt) != 0
 
 
+def reference_poly_matrix(TP: PolyTensor, point) -> list:
+    """The dense matrix of a PolyTensor at a point, each entry by Poly.eval."""
+    N, D = TP.N, TP.n_vars()
+    x = [point[name][m] for name in TP.field_names for m in range(N)]
+    out = linalg.zeros(D, D)
+    for (i, m, j, n), poly in TP.entries.items():
+        out[i * N + m][j * N + n] = poly.eval(x)
+    return out
+
+
+def test_poly_eval_matrix_matches_the_poly_reference():
+    # the int evaluation of int_matrix against Poly.eval, on expanded named
+    # tensors, a tensor of degree 0 (top == 0, values over Lc) and points
+    # with zero field values
+    rng = Random(32)
+    N = 5
+    constant = PolyTensor(("mu", "rho"), N, F(1, 2))
+    for m in range(N):
+        c = F(m + 1, (2, 3, 7)[m % 3])
+        constant.add_term(0, m, 1, m + 2, Poly.const(c))
+        constant.add_term(1, m + 2, 0, m, Poly.const(-c))
+    tensors = [closed_tensor(name, N).to_poly() for name in ("toda", "P1", "P2", "ftv_u")]
+    tensors += [closed_tensor("murho", N, phi=random_odd_kernel(N, rng)).to_poly(), constant]
+    for TP in tensors:
+        pt = random_fields(TP.field_names, N, rng)
+        zero = dict(pt, **{TP.field_names[0]: PerSeq(N, (F(0), F(0)) + pt[TP.field_names[0]].values[2:])})
+        for point in (pt, zero):
+            ref = reference_poly_matrix(TP, point)
+            assert TP.eval_matrix(point) == ref
+            L, rows = TP.int_matrix(point)
+            assert [[F(v, L) for v in row] for row in rows] == ref
+        assert any(any(row) for row in ref)
+
+
+def _period_7(name: str) -> PerSeq:
+    return random_fields((name,), 7, Random(34))[name]
+
+
+WRONG_PERIOD = {
+    "jacobiator": (lambda: jacobiator(closed_tensor("toda", 5), random_fields(("mu", "rho"), 7, Random(35))),
+                   "field 'mu' has period 7, not 5"),
+    "compatibility": (lambda: compatibility(closed_tensor("P1", 5), closed_tensor("P2", 5),
+                                            [random_fields(("a", "b", "rho"), 3, Random(36))]),
+                      "field 'a' has period 3, not 5"),
+    "toda_dirac_vs_ftv": (lambda: toda_dirac_vs_ftv(5, _period_7("u"), _period_7("beta")),
+                          "beta has period 7, not 5"),
+    "closed_tensor_phi": (lambda: closed_tensor("murho", 7, phi=phi_special(2, 1, 5)), "phi has period 5, not 7"),
+    "closed_tensor_beta": (lambda: closed_tensor("ftv_u", 5, beta=_period_7("beta")), "beta has period 7, not 5"),
+    "gauge_normalize": (lambda: gauge_normalize(random_polygon(2, 5, Random(37)), _period_7("beta")),
+                        "beta has period 7, not 5"),
+}
+
+
+@pytest.mark.parametrize("entry", list(WRONG_PERIOD))
+def test_wrong_period_is_refused(entry):
+    # a field, phi or beta of another period was truncated or wrapped
+    call, message = WRONG_PERIOD[entry]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_eval_matrix_and_int_matrix_refuse_a_wrong_period():
+    T = closed_tensor("toda", 5)
+    pt = random_fields(("mu", "rho"), 5, Random(38))
+    with pytest.raises(ValueError, match="field 'rho' has period 7, not 5"):
+        T.eval_matrix(dict(pt, rho=_period_7("rho")))
+    with pytest.raises(ValueError, match="field 'u' has period 3, not 5"):
+        closed_tensor("ftv_u", 5).int_matrix({"u": PerSeq.constant(3, 1)})
+
+
 def dense_triples(P, point) -> dict:
     """Reference Jacobiator of every triple I < J < K, all three cyclic terms, in Fractions.
 
-    Values come from Poly.eval (through eval_matrix) and derivatives from
-    Poly.diff, independently of the int evaluation of the pencil sweep.
+    Values come from Poly.eval and derivatives from Poly.diff, independently
+    of the int evaluation of the pencil sweep.
     """
     TP = as_poly_tensor(P)
     N, D = TP.N, TP.n_vars()
     x = [point[name][m] for name in TP.field_names for m in range(N)]
-    vals = TP.eval_matrix(point)
+    vals = reference_poly_matrix(TP, point)
     grads = [[{} for _ in range(D)] for _ in range(D)]
     for (i, m, j, n), poly in TP.entries.items():
         for s in {var for mono in poly.terms for var, _ in mono}:

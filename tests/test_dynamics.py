@@ -2,10 +2,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from test_coord_reduction import reference_poly_matrix
 
 from polypoisson import acceptance, dynamics, linalg
 from polypoisson.coord_reduction import (
     Fields,
+    PolyTensor,
     _var,
     as_poly_tensor,
     closed_tensor,
@@ -87,10 +89,51 @@ def test_ham_vf_reads_either_tensor_form_like_the_dense_product():
         pt = random_fields(names, N, rng)
         vel = ham_vf(T, H, pt)
         assert vel == ham_vf(TP, H, pt)
-        _, grad = H.eval_grad(TP.point_values(pt))
-        dense = linalg.mat_vec(TP.eval_matrix(pt), [grad.get(v, 0) for v in range(TP.n_vars())])
+        x = TP.point_values(pt)
+        grad = {v: H.diff(v).eval(x) for v in range(TP.n_vars())}
+        dense = linalg.mat_vec(TP.eval_matrix(pt), [grad[v] for v in range(TP.n_vars())])
         assert [x for name in names for x in vel[name].values] == dense
         assert any(dense)
+
+
+def reference_ham_vf(TP: PolyTensor, H: Poly, point) -> list:
+    """P . dH in Fractions: each entry by Poly.eval, each partial of H by
+    Poly.diff and Poly.eval, summed over the dense matrix."""
+    x = TP.point_values(point)
+    return linalg.mat_vec(reference_poly_matrix(TP, point), [H.diff(v).eval(x) for v in range(TP.n_vars())])
+
+
+def degree_zero_tensor(N: int) -> PolyTensor:
+    """A tensor whose entries are all constants, with coprime denominators."""
+    T = PolyTensor(("mu", "rho"), N)
+    for m in range(N):
+        c = F(m + 1, (2, 3, 5)[m % 3])
+        T.add_term(0, m, 1, (m + 1) % N, Poly.const(c))
+        T.add_term(1, (m + 1) % N, 0, m, Poly.const(-c))
+    return T
+
+
+def test_ham_vf_matches_the_poly_reference():
+    # both tensor forms, a constant H, a tensor of degree 0 (values and
+    # gradients then share the scale Lc) and a point with zero field values
+    N = 5
+    rng = Random(31)
+    names = ("mu", "rho")
+    Hs = [
+        trace_transfer(names, N),
+        det_transfer(names, N) + Poly.var(_var(1, 3, N), F(5, 7)) * Poly.var(_var(1, 3, N)) * Poly.var(_var(0, 1, N)),
+        Poly.const(F(-4, 3)),
+    ]
+    tensors = [closed_tensor("toda", N), closed_tensor("murho", N, phi=phi_special(2, 1, N))]
+    zero = random_fields(names, N, rng)
+    zero["mu"] = PerSeq(N, (F(0),) + zero["mu"].values[1:])
+    for pt in (random_fields(names, N, rng), zero):
+        for T in tensors + [degree_zero_tensor(N)]:
+            TP = as_poly_tensor(T)
+            for H in Hs:
+                vel = ham_vf(T, H, pt)
+                assert [x for name in names for x in vel[name].values] == reference_ham_vf(TP, H, pt)
+                assert vel == ham_vf(TP, H, pt)
 
 
 def test_lifted_vf_constant_wronskian():
@@ -192,24 +235,6 @@ def test_transfer_polys_evaluate_to_the_transfer_invariants():
     _, c1, c0 = transfer_invariants(f)
     assert trace_transfer(("mu", "rho"), N).eval(x) == -c1
     assert det_transfer(("mu", "rho"), N).eval(x) == c0
-
-
-def test_eval_grad_matches_diff_and_central_differences():
-    N = 5
-    rng = Random(8)
-    pt = random_fields(("mu", "rho"), N, rng)
-    x = [pt[name][m] for name in ("mu", "rho") for m in range(N)]
-    for H in (trace_transfer(("mu", "rho"), N), det_transfer(("mu", "rho"), N)):
-        val, grad = H.eval_grad(x)
-        assert val == H.eval(x)
-        assert grad == {v: H.diff(v).eval(x) for v in range(2 * N) if H.diff(v).eval(x)}
-        # H has degree at most one in each variable, so the central
-        # difference is exact
-        for v in range(2 * N):
-            up, down = list(x), list(x)
-            up[v] += 1
-            down[v] -= 1
-            assert (H.eval(up) - H.eval(down)) / 2 == grad.get(v, 0)
 
 
 def _commuting_integrals_doc():

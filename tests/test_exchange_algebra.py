@@ -420,19 +420,20 @@ def test_polygon_validation():
 
 
 def test_from_json_rejects_malformed_shapes():
-    # a 3 x 3 monodromy at nu = 2 has det 1 but is not nu x nu; a 5 x 5 R
-    # at nu = 2 is not nu^2 x nu^2; each also with one ragged row
-    doc = random_polygon(2, 3, Random(26)).to_json()
+    # the shapes a document could carry, refused by the constructors: a 3 x 3
+    # monodromy at nu = 2 has det 1 but is not nu x nu; a 5 x 5 R at nu = 2
+    # is not nu^2 x nu^2; each also with one ragged row
+    W = random_polygon(2, 3, Random(26))
     for M in (["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]), (["1", "0"], ["0"]):
         with pytest.raises(ValueError, match="M must be nu x nu"):
-            Polygon.from_json({**doc, "M": [list(row) for row in M]})
-    doc = spec_with(2, 5).to_json()
-    wide = [row + ["0"] for row in doc["R"]] + [["0"] * 5]
-    ragged = [list(row) for row in doc["C"]]
+            Polygon(W.nu, W.N, W.V, M)
+    spec = spec_with(2, 5)
+    wide = [list(row) + [0] for row in spec.R] + [[0] * 5]
+    ragged = [list(row) for row in spec.C]
     ragged[1] = ragged[1][:3]
     for key, bad in (("R", wide), ("C", wide), ("R", ragged), ("C", ragged)):
         with pytest.raises(ValueError, match="R and C must be nu"):
-            BracketSpec.from_json({**doc, key: bad})
+            BracketSpec(spec.nu, spec.N, **{"R": spec.R, "C": spec.C, key: bad}, phi=spec.phi)
 
 
 def reference_random_polygon(nu, N, rng):
@@ -1106,11 +1107,3 @@ def test_degenerate_polygon_rejected():
         W.require_nondegenerate()
 
 
-def test_polygon_and_spec_json_round_trip():
-    rng = Random(17)
-    W = random_polygon(2, 5, rng)
-    assert Polygon.from_json(W.to_json()).V == W.V
-    spec = spec_with(2, 5, rng=rng)
-    back = BracketSpec.from_json(spec.to_json())
-    assert back.R == spec.R and back.C == spec.C
-    assert back.phi.seq.values == spec.phi.seq.values

@@ -8,7 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import linalg
-from polypoisson.linalg import ZERO, det, nullspace, rref, solve
+from polypoisson.linalg import ZERO, det, rref, solve
+from test_lattice_ops import nullspace
 from test_multipoly import Dual
 
 F = Fraction

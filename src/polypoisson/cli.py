@@ -26,13 +26,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from random import Random
 
 from . import acceptance
 from .acceptance import _doc, run_suite
 from .coord_reduction import closed_tensor, pushforward_check, random_fields, toda_dirac_vs_ftv
-from .dynamics import integrate, toda_float_vf, toda_invariants
+from .dynamics import integrate, toda_float_vf, toda_invariants, trajectory_csv
 from .exchange_algebra import BracketSpec, default_rc, random_polygon, verify_structure, verify_ybe
 from .gen_nu import check_theorem
 from .lattice_ops import OddKernel, PerSeq, phi_special, random_odd_kernel
@@ -72,6 +73,12 @@ def _load_seq(cfg: argparse.Namespace, path: str) -> PerSeq:
     if seq.N != cfg.N:
         raise ValueError(f"{path} has period {seq.N}, not --N {cfg.N}")
     return seq
+
+
+def _write_json(path: str, doc) -> None:
+    """The one writer of the --out documents of derive, phi, theorem and flow's drift: sorted keys, indent 2, utf-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
 
 
 def emit_report(docs, fmt: str = "json", path: str = "") -> str:
@@ -140,10 +147,8 @@ def _cmd_derive(cfg: argparse.Namespace) -> list:
     T = closed_tensor(cfg.name, cfg.N, **kwargs)
     if "phi" in kwargs:
         T = T.to_poly()  # the full quotient brackets are written expanded
-    doc_json = T.to_json()
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(doc_json, fh, sort_keys=True, indent=2)
+        _write_json(cfg.out, T.to_json())
     return [_doc(f"derive:{cfg.name}", {"N": cfg.N, "out": cfg.out or "(stdout)"}, 0, cfg.seed, t0)]
 
 
@@ -153,8 +158,7 @@ def _cmd_phi(cfg: argparse.Namespace) -> list:
     values = ", ".join(rat_str(v) for v in phi.seq.values)
     print(f"phi^({cfg.k}) for nu={cfg.nu}, N={cfg.N}: ({values})")
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(phi.to_json(), fh, sort_keys=True, indent=2)
+        _write_json(cfg.out, phi.to_json())
     return [_doc("phi", {"nu": cfg.nu, "k": cfg.k, "N": cfg.N}, 0, cfg.seed, t0)]
 
 
@@ -183,8 +187,7 @@ def _cmd_theorem(cfg: argparse.Namespace) -> list:
     t0 = time.time()
     rep = check_theorem(cfg.nu, cfg.N, seed=cfg.seed)
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            json.dump(rep.to_json(), fh, sort_keys=True, indent=2)
+        _write_json(cfg.out, asdict(rep))
     rows = [
         ("theorem:linearity", {"nu": cfg.nu, "N": cfg.N, "k": case["k"], "note": case.get("note", "")}, case)
         for case in rep.cases
@@ -205,8 +208,6 @@ def _cmd_compat(cfg: argparse.Namespace) -> list:
 
 
 def _cmd_flow(cfg: argparse.Namespace) -> list:
-    from .dynamics import trajectory_csv
-
     docs = acceptance.check_flow_consistency(cfg.seed)
     t0 = time.time()
     N = 3
@@ -215,8 +216,7 @@ def _cmd_flow(cfg: argparse.Namespace) -> list:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(trajectory_csv(traj))
-        with open(cfg.out + ".drift.json", "w", encoding="utf-8") as fh:
-            json.dump(rep, fh, sort_keys=True, indent=2)
+        _write_json(cfg.out + ".drift.json", rep)
     drift = max(rep["max_relative_drift"])
     params = {"N": N, "dt": cfg.dt, "steps": cfg.steps}
     docs.append(_doc("flow:integrator", params, f"{drift:.3e}", cfg.seed, t0, ok=drift < 1e-8))

@@ -45,6 +45,7 @@ from .exchange_algebra import (
     Polygon,
     _DualCtx,
     _PiTable,
+    _require_shape,
 )
 from .lattice_ops import (
     DPoly,
@@ -211,10 +212,6 @@ class _FieldTensor:
             "bracket_scale": rat_str(self.bracket_scale),
         }
 
-    @classmethod
-    def _from_header(cls, doc: dict):
-        return cls(tuple(doc["fields"]), int(doc["N"]), rat(doc["bracket_scale"]))
-
 
 class PolyTensor(_FieldTensor):
     """Poisson tensor with entries polynomial in the field variables."""
@@ -251,23 +248,6 @@ class PolyTensor(_FieldTensor):
             ]
             ent.append({"i": i, "m": m, "j": j, "n": n, "terms": terms})
         return {**self._header("poly"), "entries": ent}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PolyTensor":
-        """Read ``to_json`` output; a monomial that is not strictly sorted by
-        variable with positive exponents, or repeats in one entry, is a ValueError."""
-        out = cls._from_header(doc)
-        for ent in doc["entries"]:
-            terms = {}
-            for mono, c in ent["terms"]:
-                mono = tuple((int(v), int(e)) for v, e in mono)
-                if any(e < 1 for _, e in mono) or any(a >= b for (a, _), (b, _) in zip(mono, mono[1:])):
-                    raise ValueError(f"monomial {mono} is not strictly sorted with positive exponents")
-                if mono in terms:
-                    raise ValueError(f"monomial {mono} repeats in one entry")
-                terms[mono] = rat(c)
-            out.add_term(int(ent["i"]), int(ent["m"]), int(ent["j"]), int(ent["n"]), Poly(terms))
-        return out
 
 
 # operator words: factors are ("f", field_index), ("finv", field_index),
@@ -405,24 +385,6 @@ class OpTensor(_FieldTensor):
             for word in wlist:
                 words.append({"i": i, "j": j, "factors": [factor_doc(f) for f in word]})
         return {**self._header("op"), "words": words}
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "OpTensor":
-        out = cls._from_header(doc)
-        names = list(out.field_names)
-        for wd in doc["words"]:
-            factors = []
-            for f in wd["factors"]:
-                if "field" in f:
-                    factors.append(("f", names.index(f["field"])))
-                elif "fieldinv" in f:
-                    factors.append(("finv", names.index(f["fieldinv"])))
-                elif "const" in f:
-                    factors.append(("c", PerSeq.from_json(f["const"])))
-                else:
-                    factors.append(("k", kernel_from_dpoly(DPoly.from_json(f), out.N)))
-            out.add_word(int(wd["i"]), int(wd["j"]), *factors)
-        return out
 
 
 def as_poly_tensor(P) -> PolyTensor:
@@ -595,6 +557,7 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     The ints v / L of ``int_matrix`` and acc / (df den dg) of ``_int_pairings``
     are cross-multiplied; a Fraction is built only for a nonzero difference.
     """
+    _require_shape(spec, W)
     N = spec.N
     if name == "P0":
         W = gauge_normalize(W, PerSeq.constant(N, 1))

@@ -213,6 +213,8 @@ def lie_deform(P, direction) -> PolyTensor:
     """
     TP = as_poly_tensor(P)
     fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
+    if not 0 <= fidx < TP.d:
+        raise ValueError(f"direction {direction} is not a field index in 0..{TP.d - 1}")
     N = TP.N
     fam = [_var(fidx, m, N) for m in range(N)]
     fam_set = set(fam)

@@ -624,11 +624,18 @@ def jacobi_residual(spec: BracketSpec, W: Polygon, trials: int, seed: int) -> Fr
     return res
 
 
+def _require_shape(spec: BracketSpec, W: Polygon):
+    """A polygon of another (nu, N) than its spec's is a ValueError; (2, 7) and (3, 3) both have 18 coordinates."""
+    if (W.nu, W.N) != (spec.nu, spec.N):
+        raise ValueError(f"polygon has (nu, N) = ({W.nu}, {W.N}) but its spec has ({spec.nu}, {spec.N})")
+
+
 def verify_structure(spec: BracketSpec, W: Polygon, check: str, trials: int = 20, seed: int = 0) -> Fraction:
     """Exact residual of one of the structural identities of the bracket.
 
     check is one of 'jacobi', 'momentum', 'quasiperiodicity', 'antisymmetry'.
     """
+    _require_shape(spec, W)
     if check == "jacobi":
         return jacobi_residual(spec, W, trials, seed)
     if check == "momentum":
@@ -716,6 +723,8 @@ def _projective_residual(R, specs, W: Polygon) -> Fraction:
     first table is compared with the others and with the closed form by
     cross-multiplication; a Fraction is built only for a nonzero gap.
     """
+    for spec in specs:
+        _require_shape(spec, W)
     k, N, coords, ctx = W.nu - 1, W.N, W.coordinates(), _DualCtx(W)
     grads = [ctx.proj(m, c)[1:] for m in range(N) for c in range(k)]
     pis = [_PiTable(spec, coords) for spec in specs]

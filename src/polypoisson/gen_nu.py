@@ -138,19 +138,7 @@ class TheoremReport:
     spectral: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
-        ok = all(c["verdict"] in ("pass", "skipped") for c in self.cases)
-        ok = ok and self.casimir.get("verdict") in ("pass", "skipped")
-        ok = ok and self.spectral.get("verdict") in ("pass", "skipped")
-        return ok
-
-    def to_json(self) -> dict:
-        return {
-            "nu": self.nu,
-            "N": self.N,
-            "cases": self.cases,
-            "casimir": self.casimir,
-            "spectral": self.spectral,
-        }
+        return all(row.get("verdict") in ("pass", "skipped") for row in (*self.cases, self.casimir, self.spectral))
 
 
 def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, seed: int) -> Fraction:
@@ -178,16 +166,20 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     return res
 
 
-def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremReport:
+_THEOREM_POLYGONS = 2  # the random polygons of the exact Casimir check
+
+
+def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     """Verify the Casimir and linearity properties of the phi^(k) family.
 
     For each 1 <= k <= nu-1: quad_coeff(nu, k, phi^(k), N) must be the zero
-    kernel.  For k = 0: the casimir_coeffs kernels must vanish and random
-    polygons must satisfy {a^(0)_m, a^(j)_n} = 0 exactly.  The spectral-shift
-    verdict (orders 2 and 3) certifies at a sampled field point that the
-    closed tensor P and its Lie derivative LP along a^(k) -> a^(k) + lambda
-    form a pencil, which covers the shifted tensor P + lambda LP for every
-    lambda; a direction P is quadratic in gives residual 1.  For higher
+    kernel.  For k = 0: the casimir_coeffs kernels must vanish and
+    _THEOREM_POLYGONS random polygons must satisfy {a^(0)_m, a^(j)_n} = 0
+    exactly.  The spectral-shift verdict (orders 2 and 3) certifies at a
+    sampled field point that the closed tensor P and its Lie derivative LP
+    along a^(k) -> a^(k) + lambda form a pencil, which covers the shifted
+    tensor P + lambda LP for every lambda; a direction P is quadratic in
+    gives residual 1.  For higher
     orders it records the kernel-level certificate (vanishing quadratic
     coefficient) that the shift extends to a pencil.
     """
@@ -228,7 +220,7 @@ def check_theorem(nu: int, N: int, seed: int = 0, polygons: int = 2) -> TheoremR
                 "shift-invariant defect of size 2 gcd / N in the coefficient kernels"
             )
         if N > nu:
-            numeric = _numeric_casimir_residual(nu, N, phi0, polygons, seed)
+            numeric = _numeric_casimir_residual(nu, N, phi0, _THEOREM_POLYGONS, seed)
             report.casimir["numeric_residual"] = rat_str(numeric)
             if numeric != 0:
                 report.casimir["verdict"] = "fail"

@@ -100,8 +100,12 @@ class PerSeq:
 
     @classmethod
     def from_json(cls, doc: dict) -> "PerSeq":
+        """Read ``to_json`` output; a period that is no JSON int, or a value no int or 'p/q' string, is a ValueError."""
         try:
-            return cls(int(doc["N"]), tuple(rat(v) for v in doc["values"]))
+            N, values = doc["N"], doc["values"]
+            if type(N) is not int or type(values) is not list:
+                raise TypeError("the period must be an integer and the values a list")
+            return cls(N, tuple(rat(v) for v in values))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed sequence document: {exc}") from exc
 
@@ -154,10 +158,6 @@ class DPoly:
     def scale(self, c) -> "DPoly":
         c = rat(c)
         return DPoly({r: c * v for r, v in self.terms.items()})
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DPoly":
-        return cls({int(r): rat(c) for r, c in doc["terms"].items()})
 
 
 @dataclass(frozen=True)

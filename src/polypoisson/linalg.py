@@ -23,10 +23,10 @@ ONE = Fraction(1)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '-3/5', or Fractions to Fraction; a zero denominator is a ValueError."""
+    """Coerce ints (not bools), strings like '-3/5', or Fractions to Fraction; a zero denominator is a ValueError."""
     if isinstance(x, Fraction):
         return x
-    if not isinstance(x, (int, str)):
+    if not isinstance(x, (int, str)) or isinstance(x, bool):
         raise TypeError(f"cannot interpret {x!r} as an exact rational")
     try:
         return Fraction(x)

@@ -101,16 +101,6 @@ class Poly:
                     break
         return out
 
-    def eval(self, point) -> Fraction:
-        """Evaluate at point (a dict or indexable of var -> value)."""
-        acc = ZERO
-        for mono, c in self.terms.items():
-            t = c
-            for var, e in mono:
-                t *= point[var] ** e
-            acc += t
-        return acc
-
     def degree_in(self, vars_of_interest) -> int:
         best = 0
         vs = set(vars_of_interest)

@@ -229,6 +229,29 @@ def test_bad_sequence_file_is_usage_error(argv, doc, message, tmp_path, capsys):
     assert message in captured.err and "PASS" not in captured.out
 
 
+# a period that is not a JSON integer, or a JSON boolean as a value, is no
+# sequence document; read as ints, they and these values (a true in place of
+# the second) would make a valid odd phi and beta
+PHI_VALUES, BETA_VALUES = ["0", "1", "2/3", "-2/3", "-1"], ["1", "1", "2", "1/3", "1"]
+SEQ_FLAGS = (["verify-w", "--N", "5", "--phi"], PHI_VALUES), (["reduce-dirac", "--N", "5", "--beta"], BETA_VALUES)
+
+
+@pytest.mark.parametrize("argv, values", SEQ_FLAGS, ids=["phi", "beta"])
+@pytest.mark.parametrize("period, true_value", [(5.7, False), ("5", False), (5, True)], ids=["N=5.7", "N='5'", "true"])
+def test_a_sequence_file_that_is_not_strict_json_is_usage_error(argv, values, period, true_value, tmp_path, capsys):
+    doc = {"N": period, "values": values[:1] + [True] + values[2:] if true_value else values}
+    assert run_command(argv + [_seq_file(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: malformed sequence document") and len(captured.err.splitlines()) == 1
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("argv, values", SEQ_FLAGS, ids=["phi", "beta"])
+def test_a_sequence_file_of_p_q_strings_is_read(argv, values, tmp_path, capsys):
+    assert run_command(argv + [_seq_file(tmp_path, {"N": 5, "values": values})]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 ZERO_DENOMINATOR = {"N": 5, "values": ["0", "1", "1/0", "-1", "1"]}
 
 

@@ -52,5 +52,10 @@ def test_readme_dotted_names_resolve():
 
 def test_a_deleted_name_does_not_resolve():
     assert resolves("Poly.diff") and resolves("lattice_ops._int_convolve") and resolves("polypoisson.cli")
-    for name in ("Poly.eval_grad", "linalg.nullspace", "Polygon.to_json", "nomodule.name", "_DualCtx.nothing"):
+    assert resolves("PerSeq.from_json") and resolves("PolyTensor.to_json") and resolves("OpTensor.to_json")
+    deleted = (
+        "Poly.eval_grad", "Poly.eval", "linalg.nullspace", "Polygon.to_json", "PolyTensor.from_json",
+        "OpTensor.from_json", "_FieldTensor._from_header", "DPoly.from_json", "TheoremReport.to_json",
+    )
+    for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name

@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from test_coord_reduction import reference_poly_matrix
+from test_coord_reduction import poly_eval, reference_poly_matrix
 
 from polypoisson import acceptance, dynamics, linalg
 from polypoisson.coord_reduction import (
@@ -90,17 +90,17 @@ def test_ham_vf_reads_either_tensor_form_like_the_dense_product():
         vel = ham_vf(T, H, pt)
         assert vel == ham_vf(TP, H, pt)
         x = TP.point_values(pt)
-        grad = {v: H.diff(v).eval(x) for v in range(TP.n_vars())}
+        grad = {v: poly_eval(H.diff(v), x) for v in range(TP.n_vars())}
         dense = linalg.mat_vec(TP.eval_matrix(pt), [grad[v] for v in range(TP.n_vars())])
         assert [x for name in names for x in vel[name].values] == dense
         assert any(dense)
 
 
 def reference_ham_vf(TP: PolyTensor, H: Poly, point) -> list:
-    """P . dH in Fractions: each entry by Poly.eval, each partial of H by
-    Poly.diff and Poly.eval, summed over the dense matrix."""
+    """P . dH in Fractions: each entry by poly_eval, each partial of H by
+    Poly.diff and poly_eval, summed over the dense matrix."""
     x = TP.point_values(point)
-    return linalg.mat_vec(reference_poly_matrix(TP, point), [H.diff(v).eval(x) for v in range(TP.n_vars())])
+    return linalg.mat_vec(reference_poly_matrix(TP, point), [poly_eval(H.diff(v), x) for v in range(TP.n_vars())])
 
 
 def degree_zero_tensor(N: int) -> PolyTensor:
@@ -233,8 +233,8 @@ def test_transfer_polys_evaluate_to_the_transfer_invariants():
     f = Fields(2, N, (pt["rho"], pt["mu"]))
     x = [pt[name][m] for name in ("mu", "rho") for m in range(N)]
     _, c1, c0 = transfer_invariants(f)
-    assert trace_transfer(("mu", "rho"), N).eval(x) == -c1
-    assert det_transfer(("mu", "rho"), N).eval(x) == c0
+    assert poly_eval(trace_transfer(("mu", "rho"), N), x) == -c1
+    assert poly_eval(det_transfer(("mu", "rho"), N), x) == c0
 
 
 def _commuting_integrals_doc():
@@ -298,6 +298,16 @@ def test_lie_deform_toda_mu_direction():
 def test_lie_deform_rejects_quadratic_direction():
     with pytest.raises(LinearityViolated):
         lie_deform(closed_tensor("ftv_u", 5), "u")
+
+
+@pytest.mark.parametrize("direction", [-1, 2, 7])
+def test_a_direction_outside_the_fields_is_refused(direction):
+    # an index outside 0..d-1 names no site variable: unchecked, LP is empty and the check a vacuous 0
+    toda = closed_tensor("toda", 5)
+    pt = random_fields(toda.field_names, 5, Random(42))
+    for call in (lambda: lie_deform(toda, direction), lambda: gf_check(toda, direction, [pt])):
+        with pytest.raises(ValueError, match=rf"direction {direction} is not a field index in 0..1"):
+            call()
 
 
 def test_gf_check_named_tensors():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import isqrt, lcm
 from random import Random
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polypoisson import exchange_algebra, gen_nu, linalg
-from polypoisson.coord_reduction import coords, field_gradients
+from polypoisson.coord_reduction import coords, field_gradients, oracle_match
 from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
@@ -1098,6 +1099,28 @@ def test_projective_residual_equals_fraction_tables():
                         want = max(want, abs(a - b), abs(a - c))
             assert _projective_residual(R, specs, W) == want
         assert want != 0
+
+
+SHAPE_ENTRIES = {
+    **{
+        check: lambda spec, W, check=check: verify_structure(spec, W, check)
+        for check in ("antisymmetry", "jacobi", "momentum", "quasiperiodicity")
+    },
+    "projective": lambda spec, W: _projective_residual(default_rc(spec.nu)[0], [spec], W),
+    "oracle_match": lambda spec, W: oracle_match(spec, W, "murho"),
+}
+
+
+@pytest.mark.parametrize("entry", list(SHAPE_ENTRIES))
+def test_a_polygon_of_another_shape_than_its_spec_is_refused(entry):
+    # unchecked, such a polygon gives a vacuous 0 or an IndexError; the
+    # (2, 7) and (3, 3) polygons have the same 18 coordinates
+    rng = Random(40)
+    for (nu, N), shape in (((2, 5), (2, 7)), ((2, 5), (3, 5)), ((2, 7), (2, 5)), ((2, 7), (3, 3))):
+        spec = BracketSpec.standard(nu, N, random_odd_kernel(N, rng))
+        W = random_polygon(*shape, rng)
+        with pytest.raises(ValueError, match=re.escape(f"(nu, N) = {shape} but its spec has {(nu, N)}")):
+            SHAPE_ENTRIES[entry](spec, W)
 
 
 def test_degenerate_polygon_rejected():

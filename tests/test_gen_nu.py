@@ -293,13 +293,12 @@ def test_casimir_coeffs_vanish_for_phi0():
 
 def test_check_theorem_small_orders():
     for nu, N in ((2, 7), (3, 5), (3, 7)):
-        rep = check_theorem(nu, N, seed=0, polygons=1)
+        rep = check_theorem(nu, N, seed=0)
         assert rep.all_pass()
         assert all(c["verdict"] == "pass" for c in rep.cases)
         assert rep.casimir["verdict"] == "pass"
         assert rep.spectral["verdict"] == "pass"
-        doc = rep.to_json()
-        assert doc["nu"] == nu and doc["N"] == N
+        assert rep.nu == nu and rep.N == N
 
 
 @pytest.mark.parametrize("nu", [2, 3])
@@ -317,7 +316,7 @@ def test_check_theorem_spectral_negative_controls(monkeypatch, nu):
 
     for control, residual in ((dropped, None), (quadratic, "1")):
         monkeypatch.setattr(gen_nu, "closed_tensor", control)
-        rep = check_theorem(nu, 7, seed=0, polygons=1)
+        rep = check_theorem(nu, 7, seed=0)
         assert rep.spectral["verdict"] == "fail"
         assert residual in (None, rep.spectral["residual"])
         assert all(c["verdict"] == "pass" for c in rep.cases)
@@ -325,14 +324,14 @@ def test_check_theorem_spectral_negative_controls(monkeypatch, nu):
 
 
 def test_check_theorem_order4():
-    rep = check_theorem(4, 9, seed=0, polygons=1)
+    rep = check_theorem(4, 9, seed=0)
     assert rep.all_pass()
     assert len(rep.cases) == 3
     assert rep.spectral["note"].startswith("kernel-level")
 
 
 def test_check_theorem_order6():
-    rep = check_theorem(6, 7, seed=0, polygons=1)
+    rep = check_theorem(6, 7, seed=0)
     assert rep.all_pass()
     assert all(c["verdict"] == "pass" for c in rep.cases)
     assert rep.casimir["verdict"] == "pass"
@@ -381,7 +380,7 @@ def test_numeric_casimir_residual_matches_dense_pairing():
 def test_check_theorem_noncoprime_reports_casimir_obstruction():
     # gcd(3, 9) = 3: the leading field genuinely fails to be a Casimir and
     # the defect has the exact shift-invariant size 2 gcd / N
-    rep = check_theorem(3, 9, seed=0, polygons=1)
+    rep = check_theorem(3, 9, seed=0)
     assert rep.casimir["verdict"] == "fail"
     assert rep.casimir["residual"] == "2/3"
     assert "obstruction" in rep.casimir["note"]
@@ -390,7 +389,7 @@ def test_check_theorem_noncoprime_reports_casimir_obstruction():
 
 def test_check_theorem_short_period():
     # N < nu: kernel-level checks still run, polygon sampling is skipped
-    rep = check_theorem(5, 4, seed=0, polygons=1)
+    rep = check_theorem(5, 4, seed=0)
     assert rep.all_pass()
     assert rep.casimir["numeric_residual"].startswith("skipped")
 

@@ -401,9 +401,6 @@ def test_solve_phi_equals_two_elimination_reference(nu, N, data):
 
 
 def test_json_round_trip():
-    # a kernel comes back as the CLI reads a `file:` phi; a shift polynomial
-    # is read from the "terms" factor an op-form tensor document writes
+    # a kernel comes back as the CLI reads a `file:` phi
     phi = phi_special(2, 1, 5)
     assert OddKernel(PerSeq.from_json(phi.to_json())).seq.values == phi.seq.values
-    p = DPoly({2: F(-1, 3), 0: F(5)})
-    assert DPoly.from_json({"terms": {"2": "-1/3", "0": "5"}}).terms == p.terms

@@ -147,9 +147,11 @@ def _cmd_derive(cfg: argparse.Namespace) -> list:
     T = closed_tensor(cfg.name, cfg.N, **kwargs)
     if "phi" in kwargs:
         T = T.to_poly()  # the full quotient brackets are written expanded
+    params = {"N": cfg.N}
     if cfg.out:
         _write_json(cfg.out, T.to_json())
-    return [_doc(f"derive:{cfg.name}", {"N": cfg.N, "out": cfg.out or "(stdout)"}, 0, cfg.seed, t0)]
+        params["out"] = cfg.out
+    return [_doc(f"derive:{cfg.name}", params, 0, cfg.seed, t0)]
 
 
 def _cmd_phi(cfg: argparse.Namespace) -> list:

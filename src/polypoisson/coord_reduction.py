@@ -15,12 +15,20 @@ Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
 differentiation; OpTensor stores field-dressed operator words, the shape the
 closed formulas are written in.  Every named tensor is built and returned as
-words; a caller that differentiates expands it once by ``to_poly``.  toda, P1
-and P2 are murho and abrho at a special phi: all five append one table of
-linear words (``_linear_words``, scaled by c = 2, or 1 under the factor 1/2),
-and ``_exchange_word`` adds every off-diagonal exchange partner.  One int
-walk over the paths of a word, its kernels and diagonal segments scaled once
-to ints, serves every reading of words: ``to_poly`` builds one Fraction per
+words; a caller that differentiates expands it once by ``to_poly``.
+``quotient_tensor`` builds the quotient bracket of every order nu; murho and
+abrho are its nu = 2, 3 cases, and toda, P1 and P2 those at a special phi.
+All five append the phi-independent words of one formula, ``_linear_words``
+(scaled by c = 2, or 1 under the factor 1/2), which has the shape of a
+lattice second Gelfand-Dickey bracket (Belov and Chaltikian 1993;
+Semenov-Tian-Shansky and Sevostyanov 1995): with a^(nu) = 1, q = j + k - p,
+
+  R(j,m; k,n) = c sum_{p=max(0,j+k-nu)}^{min(j,k)-1}
+                  ( a^(p)_n a^(q)_m [n = m+j-p] - a^(p)_m a^(q)_n [n = m-(k-p)] ).
+
+``_exchange_word`` adds every off-diagonal exchange partner.  One int walk
+over the paths of a word, its kernels and diagonal segments scaled once to
+ints, serves every reading of words: ``to_poly`` builds one Fraction per
 coefficient.  A field point meets either form only in ``int_matrix``: words
 by that walk (the only place a field inverse can be formed), polynomials by
 the pencil sweep's ``_int_eval``.  ``eval_matrix`` builds one Fraction per
@@ -412,66 +420,51 @@ def _exchange_word(T: OpTensor, i: int, j: int, K: Kernel):
         T.add_word(j, i, ("f", j), ("k", -K.transpose()), ("f", i))
 
 
-def _exchange_tensor(nu: int, names, phi: OddKernel) -> OpTensor:
-    """The exchange words of the order-nu quotient bracket on the named fields:
-    (f j)(k E_jk)(f k) for j <= k, with its partner for j < k."""
+def _linear_words(T: OpTensor, c: int) -> OpTensor:
+    """Append the linear words R of T's quotient bracket (nu = T.d, fields read
+    by ``alias_index``), scaled by c: for each p, block (a^(j), a^(k)) gets
+    (f q)(k c D^(j-p))(f p) and (f p)(k -c D^(p-k))(f q), f q left out at q = nu."""
+    nu, N = T.d, T.N
+    r = [alias_index(nu, name) for name in T.field_names]
+    field = {k: ("f", i) for i, k in enumerate(r)}
+    for i, j in enumerate(r):
+        for l, k in enumerate(r):
+            for p in range(max(0, j + k - nu), min(j, k)):
+                fq = (field[j + k - p],) if j + k - p < nu else ()
+                T.add_word(i, l, *fq, ("k", _K(N, [(j - p, c)])), field[p])
+                T.add_word(i, l, field[p], ("k", _K(N, [(p - k, -c)])), *fq)
+    return T
+
+
+def quotient_tensor(nu: int, phi: OddKernel, names=None) -> OpTensor:
+    """The order-nu quotient bracket at phi on the fields a{nu-1}..a0, or on
+    ``names``: the exchange words (f j)(k E_jk)(f k), j <= k, of
+    ``_exchange_kernels`` with their partners, and ``_linear_words`` at c = 2."""
+    names = names or tuple(f"a{k}" for k in reversed(range(nu)))
     T = OpTensor(names, phi.N)
     t = {alias_index(nu, name): i for i, name in enumerate(names)}
     for j in range(nu):
         for k, E in enumerate(_exchange_kernels(nu, j, range(j, nu), phi), j):
             _exchange_word(T, t[j], t[k], E)
-    return T
-
-
-# The phi-independent (linear) words of the order-2 (mu, rho) and order-3
-# (a, b, rho) quotient brackets, keyed on the field names: (i, j, *factors),
-# each kernel ("k", s, x) standing for x D^s before the scale c.
-_LINEAR_WORDS = {
-    ("mu", "rho"): [(0, 0, ("k", 1, 1), ("f", 1)), (0, 0, ("f", 1), ("k", -1, -1))],
-    ("a", "b", "rho"): [
-        (0, 0, ("k", 1, 1), ("f", 1)), (0, 0, ("f", 1), ("k", -1, -1)),
-        (0, 1, ("k", 2, 1), ("f", 2)), (0, 1, ("f", 2), ("k", -1, -1)),
-        (1, 0, ("k", 1, 1), ("f", 2)), (1, 0, ("f", 2), ("k", -2, -1)),
-        (1, 1, ("f", 0), ("k", 1, 1), ("f", 2)), (1, 1, ("f", 2), ("k", -1, -1), ("f", 0)),
-    ],
-}
-
-
-def _linear_words(T: OpTensor, c: int) -> OpTensor:
-    """Append the linear words of T's quotient bracket, every kernel scaled by c."""
-    for i, j, *word in _LINEAR_WORDS[T.field_names]:
-        T.add_word(i, j, *(("k", _K(T.N, [(f[1], c * f[2])])) if f[0] == "k" else f for f in word))
-    return T
-
-
-def build_murho(phi: OddKernel) -> OpTensor:
-    """The order-2 quotient bracket in the fields (mu, rho) for a given phi."""
-    return _linear_words(_exchange_tensor(2, ("mu", "rho"), phi), 2)
-
-
-def build_abrho(phi: OddKernel) -> OpTensor:
-    """The order-3 quotient bracket in the fields (a, b, rho) for a given phi."""
-    return _linear_words(_exchange_tensor(3, ("a", "b", "rho"), phi), 2)
+    return _linear_words(T, 2)
 
 
 def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None):
     """Construct one of the named reduced Poisson tensors on period N, as an OpTensor.
 
-    murho(phi) and abrho(phi) are the full quotient brackets; toda,
+    murho(phi) and abrho(phi) are the full quotient brackets, quotient_tensor
+    at nu = 2 and 3 on the fields (mu, rho) and (a, b, rho); toda,
     ftv_u(beta), ftv_S, P0, P1, P2 are the distinguished closed forms (stored
     with the factor-1/2 normalisation their operator displays use).  A phi or
     beta of a period other than N is a ValueError.
     """
     _require_period("phi", phi, N)
     _require_period("beta", beta, N)
-    if name == "murho":
+    if name in ("murho", "abrho"):
         if phi is None:
-            raise ValueError("murho needs phi")
-        return build_murho(phi)
-    if name == "abrho":
-        if phi is None:
-            raise ValueError("abrho needs phi")
-        return build_abrho(phi)
+            raise ValueError(f"{name} needs phi")
+        nu = 2 if name == "murho" else 3
+        return quotient_tensor(nu, phi, _ALIASES[nu][::-1])
     half = Fraction(1, 2)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)

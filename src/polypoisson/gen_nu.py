@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
-from .coord_reduction import _ALIASES, closed_tensor, random_fields
+from .coord_reduction import quotient_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
 from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, sign
@@ -176,12 +176,13 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     kernel.  For k = 0: the casimir_coeffs kernels must vanish and
     _THEOREM_POLYGONS random polygons must satisfy {a^(0)_m, a^(j)_n} = 0
     exactly.  The spectral-shift verdict (orders 2 and 3) certifies at a
-    sampled field point that the closed tensor P and its Lie derivative LP
-    along a^(k) -> a^(k) + lambda form a pencil, which covers the shifted
-    tensor P + lambda LP for every lambda; a direction P is quadratic in
-    gives residual 1.  For higher
-    orders it records the kernel-level certificate (vanishing quadratic
-    coefficient) that the shift extends to a pencil.
+    sampled field point that P = quotient_tensor(nu, phi^(k)) and its Lie
+    derivative LP along a^(k) -> a^(k) + lambda form a pencil, which covers
+    the shifted tensor P + lambda LP for every lambda; a direction P is
+    quadratic in gives residual 1.  For higher orders, where that sweep
+    would cost several times the rest of the check, it records the
+    kernel-level certificate (vanishing quadratic coefficient) that the
+    shift extends to a pencil.
     """
     if nu < 2 or N < 3:
         raise ValueError("need nu >= 2 and N >= 3")
@@ -233,10 +234,10 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
         rng = Random(seed + 1)
         resid = ZERO
         for k, phik in solved.items():
-            base = closed_tensor("murho" if nu == 2 else "abrho", N, phi=phik)
+            base = quotient_tensor(nu, phik)
             pt = random_fields(base.field_names, N, rng)
             try:
-                resid = max(resid, gf_check(base, _ALIASES[nu][k], [pt]))
+                resid = max(resid, gf_check(base, f"a{k}", [pt]))
             except LinearityViolated:
                 resid = max(resid, Fraction(1))
         report.spectral = {

@@ -9,6 +9,7 @@ and one test pins the sha256 of its JSON report.
 import hashlib
 
 import pytest
+from test_coord_reduction import double_last_diagonal_word, flip_kernel_first_word
 
 from polypoisson import acceptance, coord_reduction, exchange_algebra, lattice_ops
 from polypoisson.acceptance import CHECKS, run_suite
@@ -130,25 +131,29 @@ def test_closed_forms_negative_control(monkeypatch):
     # criterion 5 with the sign of the (0, 0, +1) linear word flipped, the
     # (k 2D)(f x) word of {mu, mu} and of {a, a}, the only one there that
     # starts with a kernel: the closed forms no longer match the chain-rule
-    # brackets
-    def flipped(build):
-        def built(phi):
-            T = build(phi)
-            words = T.words[0, 0]
-            (w,) = [w for w, word in enumerate(words) if word[0][0] == "k"]
-            (_, K), field = words[w]
-            words[w] = (("k", -K), field)
-            return T
-
-        return built
-
-    for name in ("build_murho", "build_abrho"):
-        monkeypatch.setattr(coord_reduction, name, flipped(getattr(coord_reduction, name)))
+    # brackets.  murho and abrho are quotient_tensor at nu = 2 and 3.
+    monkeypatch.setattr(coord_reduction, "quotient_tensor", flip_kernel_first_word(coord_reduction.quotient_tensor))
     docs = acceptance.check_closed_forms(0)
     assert [(d.params["tensor"], d.residual, d.passed) for d in docs] == [
         ("murho", "358", False),
         ("abrho", "8070975/48209", False),
     ]
+
+
+def test_extended_toda_compat_negative_control(monkeypatch):
+    # criterion 11 with the kernel of P2's last (0, 0) word, a linear word
+    # (f b)(k -D^-1), doubled: P1 and P2 are no longer compatible.  Swapping
+    # phi would not do: the quotient bracket is affine in phi, so any two of
+    # its members span a pencil of members, and only a changed word is red.
+    real = acceptance.closed_tensor
+
+    def bumped(name, N, **kwargs):
+        T = real(name, N, **kwargs)
+        return double_last_diagonal_word(T) if name == "P2" else T
+
+    monkeypatch.setattr(acceptance, "closed_tensor", bumped)
+    (doc,) = acceptance.check_extended_toda_compat(0)
+    assert (doc.residual, doc.passed) == ("25", False)
 
 
 def test_momentum_negative_control(monkeypatch):

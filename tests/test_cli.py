@@ -55,6 +55,16 @@ def test_derive_writes_tensor_json(tmp_path, capsys):
     assert doc2["form"] == "poly" and doc2["bracket_scale"] == "1"
 
 
+def test_derive_without_out_reports_no_file(capsys):
+    # with no --out the tensor is built and written nowhere, so the report
+    # names no out; stdout stays one JSON document
+    assert run_command(["derive", "--name", "toda", "--N", "5", "--format", "json"]) == 0
+    (doc,) = json.loads(capsys.readouterr().out)
+    assert doc["check"] == "derive:toda" and doc["params"] == {"N": 5} and doc["passed"]
+    assert run_command(["derive", "--name", "toda", "--N", "5"]) == 0
+    assert "out=" not in capsys.readouterr().out
+
+
 def test_reduce_dirac_and_pushforward(capsys):
     assert run_command(["reduce-dirac", "--N", "5", "--beta", "random", "--trials", "3"]) == 0
     assert run_command(["pushforward", "--N", "7", "--trials", "3"]) == 0

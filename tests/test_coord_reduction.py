@@ -30,10 +30,11 @@ from polypoisson.coord_reduction import (
     jacobiator,
     oracle_match,
     pushforward_check,
+    quotient_tensor,
     random_fields,
     toda_dirac_vs_ftv,
 )
-from polypoisson.dynamics import gf_check, lie_deform
+from polypoisson.dynamics import LinearityViolated, gf_check, lie_deform
 from polypoisson.gen_nu import casimir_coeffs, quad_coeff
 from polypoisson.exchange_algebra import (
     BracketSpec,
@@ -470,8 +471,8 @@ def flip_kernel_first_word(build):
     """build with the sign of the (0, 0) word that starts with a kernel
     flipped: the closed-form controls of criterion 5."""
 
-    def built(phi):
-        T = build(phi)
+    def built(*args):
+        T = build(*args)
         words = T.words[0, 0]
         (w,) = [w for w, word in enumerate(words) if word[0][0] == "k"]
         (_, K), field = words[w]
@@ -490,8 +491,8 @@ def test_oracle_match_equals_the_fraction_route(monkeypatch):
         phi = phi_special(*special[name], N) if name in special else random_odd_kernel(N, rng)
         spec, W = BracketSpec.standard(nu, N, phi), random_polygon(nu, N, rng)
         assert oracle_match(spec, W, name) == reference_oracle_match(spec, W, name) == 0, name
-    for build in ("build_murho", "build_abrho"):
-        monkeypatch.setattr(coord_reduction, build, flip_kernel_first_word(getattr(coord_reduction, build)))
+    # murho and abrho are quotient_tensor at nu = 2 and 3
+    monkeypatch.setattr(coord_reduction, "quotient_tensor", flip_kernel_first_word(coord_reduction.quotient_tensor))
     for nu, name in ((2, "murho"), (3, "abrho")):
         for _ in range(3):
             spec = BracketSpec.standard(nu, N, random_odd_kernel(N, rng))
@@ -500,19 +501,20 @@ def test_oracle_match_equals_the_fraction_route(monkeypatch):
             assert got and got == reference_oracle_match(spec, W, name), name
 
 
-def double_last_diagonal_word(words):
-    """A linear-word table with the kernel of its last (0, 0) word doubled."""
-    w = max(i for i, word in enumerate(words) if word[:2] == (0, 0))
-    i, j, *factors = words[w]
-    doubled = tuple(("k", f[1], 2 * f[2]) if f[0] == "k" else f for f in factors)
-    return words[:w] + [(i, j, *doubled)] + words[w + 1 :]
+def double_last_diagonal_word(T):
+    """T with the kernel of its last (0, 0) word doubled; after
+    ``_linear_words`` that is a generated linear word."""
+    words = T.words[0, 0]
+    words[-1] = tuple(("k", f[1].scale(2)) if f[0] == "k" else f for f in words[-1])
+    return T
 
 
-def test_one_linear_word_table_feeds_five_tensors(monkeypatch):
-    # murho, abrho, toda, P1 and P2 read their linear words from one table,
-    # so one doubled kernel there turns all five oracles and criterion 5 red
-    for key, words in list(coord_reduction._LINEAR_WORDS.items()):
-        monkeypatch.setitem(coord_reduction._LINEAR_WORDS, key, double_last_diagonal_word(words))
+def test_one_linear_word_formula_feeds_five_tensors(monkeypatch):
+    # murho, abrho, toda, P1 and P2 read their linear words from one
+    # generator, so one doubled kernel there turns all five oracles and
+    # criterion 5 red
+    real = coord_reduction._linear_words
+    monkeypatch.setattr(coord_reduction, "_linear_words", lambda T, c: double_last_diagonal_word(real(T, c)))
     rng, N = Random(0), 7
     special = {"toda": (2, 1), "P1": (3, 2), "P2": (3, 1)}
     got = {}
@@ -530,6 +532,47 @@ def test_one_linear_word_table_feeds_five_tensors(monkeypatch):
     }
     docs = acceptance.check_closed_forms(0)
     assert [(d.residual, d.passed) for d in docs] == [("179", False), ("8070975/96418", False)]
+
+
+def quotient_oracle_residual(T, spec: BracketSpec, W: Polygon) -> Fraction:
+    """Max-abs difference, over every pair of field sites, between the
+    quotient tensor T at coords(W) and the chain-rule bracket of W's fields."""
+    L, mat = T.int_matrix(coords(W))
+    grads = field_gradients(W, T.field_names)
+    table = _PiTable(spec, W.coordinates())
+    scale = table.L * table.den**2
+    pairs = linalg._int_pairings(grads, table.ints, grads)
+    return max(
+        abs(Fraction(acc, df * dg * scale) - Fraction(v, L))
+        for (_, df), row, vals in zip(grads, pairs, mat)
+        for (_, dg), acc, v in zip(grads, row, vals)
+    )
+
+
+@pytest.mark.parametrize("nu, N", [(4, 9), (4, 8), (5, 11)])
+def test_quotient_tensor_matches_the_chain_rule_at_orders_4_and_5(nu, N):
+    # every entry of the generated bracket, exchange and linear words, at a
+    # random odd phi; (4, 8) has an even N and gcd(nu, N) > 1
+    rng = Random(100 * nu + N)
+    spec = BracketSpec.standard(nu, N, random_odd_kernel(N, rng))
+    W = random_polygon(nu, N, rng)
+    T = quotient_tensor(nu, spec.phi)
+    assert T.field_names == tuple(f"a{k}" for k in reversed(range(nu)))
+    assert quotient_oracle_residual(T, spec, W) == 0
+    assert quotient_oracle_residual(double_last_diagonal_word(T), spec, W) != 0
+
+
+def test_quotient_tensor_is_linear_along_each_field_at_its_phi():
+    # at (4, 9) each phi^(k) makes the bracket linear in a^(k), and the
+    # shift along a^(k) a compatible pencil; a random odd phi leaves it
+    # quadratic
+    nu, N, rng = 4, 9, Random(49)
+    for k in range(nu):
+        T = quotient_tensor(nu, phi_special(nu, k, N))
+        assert gf_check(T, f"a{k}", [random_fields(T.field_names, N, rng)]) == 0
+    T = quotient_tensor(nu, random_odd_kernel(N, rng))
+    with pytest.raises(LinearityViolated):
+        gf_check(T, "a1", [random_fields(T.field_names, N, rng)])
 
 
 def test_closed_forms_build_no_fraction_table(monkeypatch):

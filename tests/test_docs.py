@@ -1,6 +1,7 @@
 """The README cites code by backticked dotted names (`module.name`,
-`Class.name`); each must name something that exists, so a change that
-deletes or renames a cited name fails here until the README follows."""
+`Class.name`) and by bare private names (`_name`); each must name something
+that exists, so a change that deletes or renames a cited name fails here
+until the README follows."""
 
 import importlib
 import inspect
@@ -12,6 +13,7 @@ import polypoisson
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+BARE_PRIVATE = re.compile(r"`(_\w+)`")
 MODULES = {
     m.name: importlib.import_module(f"polypoisson.{m.name}")
     for m in pkgutil.iter_modules(polypoisson.__path__)
@@ -44,10 +46,25 @@ def resolves(dotted: str) -> bool:
     return True
 
 
+def resolves_bare(name: str) -> bool:
+    """The name is an attribute of a package module, or of a class defined in one."""
+    for module in MODULES.values():
+        classes = [c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__]
+        if any(hasattr(obj, name) for obj in (module, *classes)):
+            return True
+    return False
+
+
 def test_readme_dotted_names_resolve():
     names = sorted(set(DOTTED.findall(README.read_text(encoding="utf-8"))))
     assert names
     assert [n for n in names if not resolves(n)] == []
+
+
+def test_readme_bare_private_names_resolve():
+    names = sorted(set(BARE_PRIVATE.findall(README.read_text(encoding="utf-8"))))
+    assert "_pi_template" in names
+    assert [n for n in names if not resolves_bare(n)] == []
 
 
 def test_a_deleted_name_does_not_resolve():
@@ -56,6 +73,9 @@ def test_a_deleted_name_does_not_resolve():
     deleted = (
         "Poly.eval_grad", "Poly.eval", "linalg.nullspace", "Polygon.to_json", "PolyTensor.from_json",
         "OpTensor.from_json", "_FieldTensor._from_header", "DPoly.from_json", "TheoremReport.to_json",
+        "coord_reduction._LINEAR_WORDS", "coord_reduction.build_murho", "coord_reduction.build_abrho",
+        "coord_reduction._exchange_tensor",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
+    assert resolves_bare("_pi_template") and resolves_bare("_linear_words") and not resolves_bare("_no_such_name")

@@ -303,19 +303,19 @@ def test_check_theorem_small_orders():
 
 @pytest.mark.parametrize("nu", [2, 3])
 def test_check_theorem_spectral_negative_controls(monkeypatch, nu):
-    real_closed_tensor = gen_nu.closed_tensor
+    real_quotient_tensor = gen_nu.quotient_tensor
 
-    def dropped(name, N, phi):
-        T = real_closed_tensor(name, N, phi=phi).to_poly()
+    def dropped(order, phi):
+        T = real_quotient_tensor(order, phi).to_poly()
         del T.entries[min(T.entries)]
         return T
 
-    def quadratic(name, N, phi):
+    def quadratic(order, phi):
         # a phi other than phi^(k) leaves the bracket quadratic in a^(k)
-        return real_closed_tensor(name, N, phi=random_odd_kernel(N, Random(3)))
+        return real_quotient_tensor(order, random_odd_kernel(phi.N, Random(3)))
 
     for control, residual in ((dropped, None), (quadratic, "1")):
-        monkeypatch.setattr(gen_nu, "closed_tensor", control)
+        monkeypatch.setattr(gen_nu, "quotient_tensor", control)
         rep = check_theorem(nu, 7, seed=0)
         assert rep.spectral["verdict"] == "fail"
         assert residual in (None, rep.spectral["residual"])

@@ -10,7 +10,6 @@ integrator.
 
 from .linalg import rat, rat_str
 from .lattice_ops import (
-    DPoly,
     Kernel,
     NoSolution,
     OddKernel,

@@ -42,7 +42,6 @@ from .exchange_algebra import (
 )
 from .gen_nu import casimir_coeffs, quad_coeff, _numeric_casimir_residual
 from .lattice_ops import (
-    DPoly,
     NoSolution,
     OddKernel,
     PerSeq,
@@ -260,7 +259,7 @@ def check_pushforward(seed: int = 0) -> list:
         docs.append(_doc("pushforward", {"N": N, "points": _FIELD_POINTS}, res, seed, t0))
     t0 = time.time()
     lhs = closed_tensor("ftv_S", 5).eval_matrix({"S": PerSeq.constant(5, 1)})
-    rhs = kernel_from_dpoly(DPoly({1: 1, 2: 1, -1: -1, -2: -1}), 5).matrix()
+    rhs = kernel_from_dpoly({1: 1, 2: 1, -1: -1, -2: -1}, 5).matrix()
     res = max(linalg.max_abs(linalg.mat_sub(lhs, rhs)), coord_reduction.pushforward_check(PerSeq.constant(5, 1)))
     docs.append(_doc("pushforward", {"N": 5, "case": "u=1 closed form"}, res, seed, t0))
     return docs

@@ -56,7 +56,6 @@ from .exchange_algebra import (
     _require_shape,
 )
 from .lattice_ops import (
-    DPoly,
     Kernel,
     OddKernel,
     PerSeq,
@@ -65,6 +64,7 @@ from .lattice_ops import (
     invert,
     kernel_from_dpoly,
     phi_special,
+    require_period,
 )
 from .linalg import ONE, ZERO, rat, rat_str
 from .multipoly import Poly, _mono_mul
@@ -171,11 +171,6 @@ def _var(field_idx: int, site: int, N: int) -> int:
     return field_idx * N + site
 
 
-def _require_period(what: str, seq, N: int):
-    if seq is not None and seq.N != N:
-        raise ValueError(f"{what} has period {seq.N}, not {N}")
-
-
 class _FieldTensor:
     """The field space a reduced tensor lives on, shared by both forms.
 
@@ -204,7 +199,7 @@ class _FieldTensor:
         if isinstance(point, Fields):
             point = point.point()
         for name in self.field_names:
-            _require_period(f"field {name!r}", point[name], self.N)
+            require_period(f"field {name!r}", point[name], self.N)
         return [x for name in self.field_names for x in point[name].values]
 
     def eval_matrix(self, point):
@@ -404,12 +399,12 @@ def as_poly_tensor(P) -> PolyTensor:
 # ---------------------------------------------------------------------------
 
 
-def _K(N: int, pairs) -> Kernel:
-    return kernel_from_dpoly(DPoly.from_coeffs(pairs), N)
+def _K(N: int, terms: dict) -> Kernel:
+    return kernel_from_dpoly(terms, N)
 
 
-def _Kinv(N: int, pairs) -> Kernel:
-    return invert(_K(N, pairs))
+def _Kinv(N: int, terms: dict) -> Kernel:
+    return invert(_K(N, terms))
 
 
 def _exchange_word(T: OpTensor, i: int, j: int, K: Kernel):
@@ -431,8 +426,8 @@ def _linear_words(T: OpTensor, c: int) -> OpTensor:
         for l, k in enumerate(r):
             for p in range(max(0, j + k - nu), min(j, k)):
                 fq = (field[j + k - p],) if j + k - p < nu else ()
-                T.add_word(i, l, *fq, ("k", _K(N, [(j - p, c)])), field[p])
-                T.add_word(i, l, field[p], ("k", _K(N, [(p - k, -c)])), *fq)
+                T.add_word(i, l, *fq, ("k", _K(N, {j - p: c})), field[p])
+                T.add_word(i, l, field[p], ("k", _K(N, {p - k: -c})), *fq)
     return T
 
 
@@ -458,8 +453,8 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     with the factor-1/2 normalisation their operator displays use).  A phi or
     beta of a period other than N is a ValueError.
     """
-    _require_period("phi", phi, N)
-    _require_period("beta", beta, N)
+    require_period("phi", phi, N)
+    require_period("beta", beta, N)
     if name in ("murho", "abrho"):
         if phi is None:
             raise ValueError(f"{name} needs phi")
@@ -469,23 +464,23 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)
         MU, RHO = 0, 1
-        _exchange_word(T, MU, RHO, _K(N, [(1, 1), (0, -1)]))
-        _exchange_word(T, RHO, RHO, _K(N, [(1, 1), (-1, -1)]))
+        _exchange_word(T, MU, RHO, _K(N, {1: 1, 0: -1}))
+        _exchange_word(T, RHO, RHO, _K(N, {1: 1, -1: -1}))
         return _linear_words(T, 1)
     if name == "ftv_u":
         if beta is None:
             beta = PerSeq.constant(N, 1)
         T = OpTensor(("u",), N, bracket_scale=half)
         U = 0
-        _exchange_word(T, U, U, compose(_K(N, [(1, 1), (0, -1)]).scale(-1), _Kinv(N, [(0, 1), (1, 1)])))
-        T.add_word(U, U, ("k", _K(N, [(1, 1)])), ("c", beta))
-        T.add_word(U, U, ("c", beta), ("k", _K(N, [(-1, -1)])))
+        _exchange_word(T, U, U, compose(_K(N, {1: 1, 0: -1}).scale(-1), _Kinv(N, {0: 1, 1: 1})))
+        T.add_word(U, U, ("k", _K(N, {1: 1})), ("c", beta))
+        T.add_word(U, U, ("c", beta), ("k", _K(N, {-1: -1})))
         return T
     if name == "ftv_S":
         T = OpTensor(("S",), N, bracket_scale=half)
         S = 0
-        D1 = _K(N, [(1, 1)])
-        Dm1 = _K(N, [(-1, 1)])
+        D1 = _K(N, {1: 1})
+        Dm1 = _K(N, {-1: 1})
         T.add_word(S, S, ("k", D1), ("f", S))
         T.add_word(S, S, ("f", S), ("k", D1))
         T.add_word(S, S, ("k", Dm1.scale(-1)), ("f", S))
@@ -498,36 +493,36 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "P0":
         T = OpTensor(("a", "b"), N, bracket_scale=half)
         A, B = 0, 1
-        geo = _Kinv(N, [(0, 1), (1, 1), (2, 1)])
-        _exchange_word(T, A, A, compose(geo, _K(N, [(0, 1), (2, -1)])))
-        _exchange_word(T, A, B, compose(geo, _K(N, [(1, 1), (2, -1)])))
-        _exchange_word(T, B, B, compose(geo, _K(N, [(0, 1), (2, -1)])))
-        T.add_word(A, A, ("k", _K(N, [(1, 1)])), ("f", B))
-        T.add_word(A, A, ("f", B), ("k", _K(N, [(-1, -1)])))
-        T.add_word(A, B, ("k", _K(N, [(2, 1), (-1, -1)])))
-        T.add_word(B, A, ("k", _K(N, [(1, 1), (-2, -1)])))
-        T.add_word(B, B, ("f", A), ("k", _K(N, [(1, 1)])))
-        T.add_word(B, B, ("k", _K(N, [(-1, -1)])), ("f", A))
+        geo = _Kinv(N, {0: 1, 1: 1, 2: 1})
+        _exchange_word(T, A, A, compose(geo, _K(N, {0: 1, 2: -1})))
+        _exchange_word(T, A, B, compose(geo, _K(N, {1: 1, 2: -1})))
+        _exchange_word(T, B, B, compose(geo, _K(N, {0: 1, 2: -1})))
+        T.add_word(A, A, ("k", _K(N, {1: 1})), ("f", B))
+        T.add_word(A, A, ("f", B), ("k", _K(N, {-1: -1})))
+        T.add_word(A, B, ("k", _K(N, {2: 1, -1: -1})))
+        T.add_word(B, A, ("k", _K(N, {1: 1, -2: -1})))
+        T.add_word(B, B, ("f", A), ("k", _K(N, {1: 1})))
+        T.add_word(B, B, ("k", _K(N, {-1: -1})), ("f", A))
         return T
     if name == "P1":
         # The (a, rho) pair is a(D^2-1)rho / rho(1-D^-2)a: the sign the full
         # quotient bracket produces (the chain-rule oracle pins it).
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        _exchange_word(T, A, B, _K(N, [(1, 1), (0, -1)]))
-        _exchange_word(T, A, RHO, _K(N, [(2, 1), (0, -1)]))
-        _exchange_word(T, B, B, _K(N, [(1, 1), (-1, -1)]))
-        _exchange_word(T, B, RHO, _K(N, [(2, 1), (1, 1), (0, -1), (-1, -1)]))
-        _exchange_word(T, RHO, RHO, _K(N, [(2, 1), (1, 1), (-1, -1), (-2, -1)]))
+        _exchange_word(T, A, B, _K(N, {1: 1, 0: -1}))
+        _exchange_word(T, A, RHO, _K(N, {2: 1, 0: -1}))
+        _exchange_word(T, B, B, _K(N, {1: 1, -1: -1}))
+        _exchange_word(T, B, RHO, _K(N, {2: 1, 1: 1, 0: -1, -1: -1}))
+        _exchange_word(T, RHO, RHO, _K(N, {2: 1, 1: 1, -1: -1, -2: -1}))
         return _linear_words(T, 1)
     if name == "P2":
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        inv = _Kinv(N, [(0, 1), (1, 1)])
-        _exchange_word(T, A, A, compose(_K(N, [(0, 1), (1, -1)]), inv))
-        _exchange_word(T, A, RHO, compose(_K(N, [(2, 1), (1, -1)]), inv))
-        _exchange_word(T, B, RHO, _K(N, [(1, 1), (0, -1)]))
-        _exchange_word(T, RHO, RHO, compose(_K(N, [(2, 1), (-1, -1)]), inv))
+        inv = _Kinv(N, {0: 1, 1: 1})
+        _exchange_word(T, A, A, compose(_K(N, {0: 1, 1: -1}), inv))
+        _exchange_word(T, A, RHO, compose(_K(N, {2: 1, 1: -1}), inv))
+        _exchange_word(T, B, RHO, _K(N, {1: 1, 0: -1}))
+        _exchange_word(T, RHO, RHO, compose(_K(N, {2: 1, -1: -1}), inv))
         return _linear_words(T, 1)
     raise ValueError(f"unknown tensor {name!r}")
 
@@ -597,7 +592,7 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     nu, N = W.nu, W.N
     if beta is None:
         beta = PerSeq.constant(N, 1)
-    _require_period("beta", beta, N)
+    require_period("beta", beta, N)
     if not beta.nonvanishing():
         raise ValueError("beta must be nonvanishing")
     g = gcd(nu, N)

@@ -207,28 +207,28 @@ def commute_check(P, I1: Poly, I2: Poly) -> Fraction:
 def lie_deform(P, direction) -> PolyTensor:
     """Lie derivative of the tensor along the unit shift of one field family.
 
-    The entries are differentiated in every site variable of the family; this
-    is only a Poisson-pencil move when the tensor is at most linear in the
-    family, so quadratic dependence raises LinearityViolated.
+    The entries are differentiated in every site variable of the family, in
+    one pass over each entry's terms: a term of degree 1 in the family loses
+    its family variable.  This is only a Poisson-pencil move when the tensor
+    is at most linear in the family, so a term of degree 2 or more raises
+    LinearityViolated.
     """
     TP = as_poly_tensor(P)
     fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
     if not 0 <= fidx < TP.d:
         raise ValueError(f"direction {direction} is not a field index in 0..{TP.d - 1}")
     N = TP.N
-    fam = [_var(fidx, m, N) for m in range(N)]
-    fam_set = set(fam)
-    for poly in TP.entries.values():
-        if poly.degree_in(fam_set) >= 2:
-            raise LinearityViolated(
-                f"tensor is quadratic in field {TP.field_names[fidx]!r}"
-            )
+    fam = {_var(fidx, m, N) for m in range(N)}
     out = PolyTensor(TP.field_names, N, TP.bracket_scale)
-    for (i, m, j, n), poly in TP.entries.items():
-        acc = Poly()
-        for v in fam:
-            acc = acc + poly.diff(v)
-        out.add_term(i, m, j, n, acc)
+    for key, poly in TP.entries.items():
+        acc = defaultdict(int)
+        for mono, c in poly.terms.items():
+            degree = sum(e for v, e in mono if v in fam)
+            if degree >= 2:
+                raise LinearityViolated(f"tensor is quadratic in field {TP.field_names[fidx]!r}")
+            if degree:
+                acc[tuple(ve for ve in mono if ve[0] not in fam)] += c
+        out.add_term(*key, Poly(acc))
     return out
 
 

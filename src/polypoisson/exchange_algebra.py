@@ -50,7 +50,7 @@ from math import gcd, isqrt, lcm, prod
 from random import Random
 
 from . import linalg
-from .lattice_ops import Kernel, PerSeq, sign
+from .lattice_ops import Kernel, PerSeq, require_period, sign
 from .linalg import ONE, ZERO, det_grad, rat
 
 
@@ -267,8 +267,7 @@ class BracketSpec:
         n2 = self.nu * self.nu
         if len(R) != n2 or len(C) != n2 or any(len(row) != n2 for row in (*R, *C)):
             raise ValueError("R and C must be nu^2 x nu^2")
-        if self.phi.N != self.N:
-            raise ValueError("phi period must match N")
+        require_period("phi", self.phi, self.N)
 
     @classmethod
     def standard(cls, nu: int, N: int, phi: Kernel) -> "BracketSpec":

@@ -33,7 +33,7 @@ from random import Random
 from .coord_reduction import quotient_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
-from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, sign
+from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, require_period, sign
 from .linalg import ZERO, _int_pairings, _scaled, rat_str
 
 
@@ -69,11 +69,6 @@ def _w_alk_outer(nu: int, k: int) -> dict:
     return {r - nu: -1 for r in range(nu - k)}
 
 
-def _require_period(phi: Kernel, N: int):
-    if phi.N != N:
-        raise ValueError("phi period must match N")
-
-
 def quad_coeff(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
     """The a^(k) a^(k) coefficient kernel E_kk = (D^-nu - D^-k)[(D^nu - D^k) phi + D^nu + D^k].
 
@@ -82,7 +77,7 @@ def quad_coeff(nu: int, k: int, phi: Kernel, N: int) -> Kernel:
     """
     if not 1 <= k <= nu - 1:
         raise ValueError("k must lie in 1..nu-1")
-    _require_period(phi, N)
+    require_period("phi", phi, N)
     return _exchange_kernels(nu, k, [k], phi)[0]
 
 
@@ -93,7 +88,7 @@ def casimir_coeffs(nu: int, phi: Kernel, N: int):
     {k: E_0k}).  All of them vanish for phi = phi^(0) when gcd(nu, N) = 1,
     which is the Casimir property of a^(0).
     """
-    _require_period(phi, N)
+    require_period("phi", phi, N)
     k00, *k0k = _exchange_kernels(nu, 0, range(nu), phi)
     return k00, dict(enumerate(k0k, 1))
 
@@ -108,7 +103,7 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
     """
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
-    _require_period(phi, N)
+    require_period("phi", phi, N)
     (p,), L = _scaled([phi.seq.values])
     ww, w_alk, alk_w, alk_alk = _hat_ints(nu, k, p, L)
     diff, k00, k0k = _closed_ints(nu, 0, p, L, _w_alk_outer(nu, k), {-nu: 1, 0: -1}, {-nu: 1, -k: -1})
@@ -179,10 +174,9 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     sampled field point that P = quotient_tensor(nu, phi^(k)) and its Lie
     derivative LP along a^(k) -> a^(k) + lambda form a pencil, which covers
     the shifted tensor P + lambda LP for every lambda; a direction P is
-    quadratic in gives residual 1.  For higher orders, where that sweep
-    would cost several times the rest of the check, it records the
-    kernel-level certificate (vanishing quadratic coefficient) that the
-    shift extends to a pencil.
+    quadratic in gives residual 1.  Above order 3, where that sweep would
+    cost several times the rest of the check, or when no phi^(k) was solved,
+    the row is skipped and its note says why.
     """
     if nu < 2 or N < 3:
         raise ValueError("need nu >= 2 and N >= 3")
@@ -223,6 +217,7 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
         if N > nu:
             numeric = _numeric_casimir_residual(nu, N, phi0, _THEOREM_POLYGONS, seed)
             report.casimir["numeric_residual"] = rat_str(numeric)
+            report.casimir["polygons"] = _THEOREM_POLYGONS
             if numeric != 0:
                 report.casimir["verdict"] = "fail"
         else:
@@ -230,7 +225,12 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     except NoSolution as exc:
         report.casimir = {"verdict": "skipped", "note": str(exc)}
 
-    if nu in (2, 3) and solved:
+    if nu > 3:
+        note = "not run above nu = 3: the tensor sweep costs several times the rest of the check"
+        report.spectral = {"verdict": "skipped", "note": note}
+    elif not solved:
+        report.spectral = {"verdict": "skipped", "note": f"no phi^(k) solved at N = {N}"}
+    else:
         rng = Random(seed + 1)
         resid = ZERO
         for k, phik in solved.items():
@@ -245,12 +245,5 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
             "residual": rat_str(resid),
             "note": "tensor-level shift",
             "points": 1,
-        }
-    else:
-        kernel_ok = all(c["verdict"] in ("pass", "skipped") for c in report.cases)
-        report.spectral = {
-            "verdict": "pass" if kernel_ok else "fail",
-            "residual": "0" if kernel_ok else "1",
-            "note": "kernel-level certificate (no closed tensor at this order)",
         }
     return report

@@ -4,7 +4,8 @@ A periodic sequence ``K`` of period ``N`` acts on another periodic sequence
 ``f`` by cyclic convolution, ``(K.f)_m = sum_n K_{m-n} f_n`` with the sum over
 one period.  Under this convention the kernel of the shift ``D`` (which maps
 ``f_m`` to ``f_{m+1}``) is the delta sequence supported at ``-1 mod N``, and
-composition of operators is convolution of kernels.
+composition of operators is convolution of kernels.  A shift polynomial
+``sum_r c_r D^r`` is the dict ``{r: c_r}`` throughout.
 
 The module also carries the constrained solver that produces the odd periodic
 kernels used as the deformation parameter of the vertex bracket: given shift
@@ -60,20 +61,8 @@ class PerSeq:
     def constant(cls, N: int, c) -> "PerSeq":
         return cls(N, (rat(c),) * N)
 
-    @classmethod
-    def delta(cls, N: int, at: int = 0) -> "PerSeq":
-        return cls(N, tuple(ONE if m == at % N else ZERO for m in range(N)))
-
     def __getitem__(self, m: int) -> Fraction:
         return self.values[m % self.N]
-
-    def __add__(self, other: "PerSeq") -> "PerSeq":
-        self._check(other)
-        return PerSeq(self.N, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "PerSeq") -> "PerSeq":
-        self._check(other)
-        return PerSeq(self.N, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __neg__(self) -> "PerSeq":
         return PerSeq(self.N, tuple(-a for a in self.values))
@@ -82,18 +71,11 @@ class PerSeq:
         c = rat(c)
         return PerSeq(self.N, tuple(c * a for a in self.values))
 
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
     def nonvanishing(self) -> bool:
         return all(self.values)
 
     def max_abs(self) -> Fraction:
         return max((abs(v) for v in self.values), default=ZERO)
-
-    def _check(self, other: "PerSeq"):
-        if self.N != other.N:
-            raise ValueError(f"period mismatch: {self.N} != {other.N}")
 
     def to_json(self) -> dict:
         return {"N": self.N, "values": [rat_str(v) for v in self.values]}
@@ -111,56 +93,6 @@ class PerSeq:
 
 
 @dataclass(frozen=True)
-class DPoly:
-    """A Laurent polynomial sum_r c_r D^r in the shift operator D."""
-
-    terms: dict
-
-    def __post_init__(self):
-        clean = {int(r): rat(c) for r, c in self.terms.items() if rat(c)}
-        object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def D(cls, r: int = 1, c=1) -> "DPoly":
-        return cls({r: rat(c)})
-
-    @classmethod
-    def one(cls) -> "DPoly":
-        return cls({0: ONE})
-
-    @classmethod
-    def from_coeffs(cls, pairs) -> "DPoly":
-        acc: dict[int, Fraction] = {}
-        for r, c in pairs:
-            acc[r] = acc.get(r, ZERO) + rat(c)
-        return cls(acc)
-
-    def __add__(self, other: "DPoly") -> "DPoly":
-        acc = dict(self.terms)
-        for r, c in other.terms.items():
-            acc[r] = acc.get(r, ZERO) + c
-        return DPoly(acc)
-
-    def __sub__(self, other: "DPoly") -> "DPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "DPoly":
-        return DPoly({r: -c for r, c in self.terms.items()})
-
-    def __mul__(self, other: "DPoly") -> "DPoly":
-        acc: dict[int, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = r1 + r2
-                acc[r] = acc.get(r, ZERO) + c1 * c2
-        return DPoly(acc)
-
-    def scale(self, c) -> "DPoly":
-        c = rat(c)
-        return DPoly({r: c * v for r, v in self.terms.items()})
-
-
-@dataclass(frozen=True)
 class Kernel:
     """A periodic sequence viewed as a cyclic-convolution operator."""
 
@@ -173,28 +105,11 @@ class Kernel:
     def __getitem__(self, m: int) -> Fraction:
         return self.seq[m]
 
-    @classmethod
-    def delta(cls, N: int) -> "Kernel":
-        return cls(PerSeq.delta(N))
-
-    @classmethod
-    def zero(cls, N: int) -> "Kernel":
-        return cls(PerSeq.constant(N, 0))
-
-    def __add__(self, other: "Kernel") -> "Kernel":
-        return Kernel(self.seq + other.seq)
-
-    def __sub__(self, other: "Kernel") -> "Kernel":
-        return Kernel(self.seq - other.seq)
-
     def __neg__(self) -> "Kernel":
         return Kernel(-self.seq)
 
     def scale(self, c) -> "Kernel":
         return Kernel(self.seq.scale(c))
-
-    def is_zero(self) -> bool:
-        return self.seq.is_zero()
 
     def matrix(self) -> list[list[Fraction]]:
         """Dense N x N matrix with entry (m, n) = K_{m-n}."""
@@ -208,6 +123,12 @@ class Kernel:
         return self.seq.to_json()
 
 
+def require_period(what: str, seq, N: int):
+    """ValueError unless seq (a PerSeq or Kernel; None passes) has period N."""
+    if seq is not None and seq.N != N:
+        raise ValueError(f"{what} has period {seq.N}, not {N}")
+
+
 class OddKernel(Kernel):
     """Kernel with K_{-m} = -K_m (hence K_0 = 0, and K_{N/2} = 0 for even N)."""
 
@@ -218,11 +139,12 @@ class OddKernel(Kernel):
         super().__init__(seq)
 
 
-def kernel_from_dpoly(p: DPoly, N: int) -> Kernel:
-    """Kernel of p(D) on period N: K_m = sum of c_r over r = -m mod N."""
+def kernel_from_dpoly(terms: dict, N: int) -> Kernel:
+    """Kernel of the shift polynomial sum_r c_r D^r, given as {r: c_r}, on
+    period N: K_m = sum of c_r over r = -m mod N."""
     if N < 1:
         raise ValueError("period must be >= 1")
-    return Kernel(PerSeq(N, tuple(_kernel_values(p.terms, N))))
+    return Kernel(PerSeq(N, tuple(_kernel_values(terms, N))))
 
 
 def _kernel_values(terms: dict, N: int) -> list:
@@ -295,8 +217,9 @@ def invert(K: Kernel) -> Kernel:
     return Kernel(PerSeq(N, tuple(Fraction(row[N], p) for row in m)))
 
 
-def solve_phi(A: DPoly, b: DPoly, N: int) -> OddKernel:
-    """Solve A(D) phi = b(D) delta for an odd periodic kernel phi.
+def solve_phi(A: dict, b: dict, N: int) -> OddKernel:
+    """Solve A(D) phi = b(D) delta for an odd periodic kernel phi, A and b
+    shift polynomials given as {r: c_r}.
 
     The oddness constraints are adjoined to the exact linear system, and one
     fraction-free elimination of [A(D); odd rows | b(D) delta] in ints gives
@@ -308,7 +231,7 @@ def solve_phi(A: DPoly, b: DPoly, N: int) -> OddKernel:
     """
     if N < 3:
         raise ValueError("period must be >= 3")
-    (a, rhs), _ = linalg._scaled([_kernel_values(A.terms, N), _kernel_values(b.terms, N)])
+    (a, rhs), _ = linalg._scaled([_kernel_values(A, N), _kernel_values(b, N)])
     m = [[a[r - n] for n in range(N)] + [rhs[r]] for r in range(N)]
     m += [[int(n == j) + int(n == -j % N) for n in range(N)] + [0] for j in range(N // 2 + 1)]
     pivots, p, _ = linalg._int_rref(m)
@@ -340,9 +263,7 @@ def phi_special(nu: int, k: int, N: int) -> OddKernel:
     if N < 3:
         raise ValueError("period must be >= 3")
     j = nu - k
-    A = DPoly({0: 2, j: -1, -j: -1})
-    b = DPoly({j: 1, -j: -1})
-    return solve_phi(A, b, N)
+    return solve_phi({0: 2, j: -1, -j: -1}, {j: 1, -j: -1}, N)
 
 
 def random_odd_kernel(N: int, rng) -> OddKernel:

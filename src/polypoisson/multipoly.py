@@ -101,14 +101,6 @@ class Poly:
                     break
         return out
 
-    def degree_in(self, vars_of_interest) -> int:
-        best = 0
-        vs = set(vars_of_interest)
-        for mono in self.terms:
-            d = sum(e for var, e in mono if var in vs)
-            best = max(best, d)
-        return best
-
     def __repr__(self):
         if not self.terms:
             return "0"

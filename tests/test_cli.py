@@ -87,20 +87,21 @@ def test_theorem_casimir_params_say_why(capsys):
     assert doc["params"]["numeric_residual"] == "432/5" and not doc["passed"]
     assert run_command(["theorem", "--nu", "3", "--N", "7", "--format", "json"]) == 0
     (doc,) = [d for d in json.loads(capsys.readouterr().out) if d["check"] == "theorem:casimir"]
-    assert doc["params"] == {"N": 7, "numeric_residual": "0", "nu": 3}
+    assert doc["params"] == {"N": 7, "numeric_residual": "0", "nu": 3, "polygons": 2}
 
 
 # sha256 of the `theorem --nu nu --N N --out` files.  (2, 5) and (3, 7)
-# read the murho and abrho tensors in their spectral check, (4, 9) and
-# (5, 11) the kernel-level certificate.  A deliberate change to the theorem
-# report must update these pins and say so.
-THEOREM_2_5_SHA256 = "b5843d1ec1400d63d6b44649fa02c2fe20f0a2bfdd40cbc5cc04534ef52f9ca6"
-THEOREM_3_7_SHA256 = "5913c1cd3b4b3acc12b3544df26b764be3f20497d21bbea7b8cc7390695cb1a3"
-THEOREM_4_9_SHA256 = "c49cc005682e8382368f9acb453d1a7ed72deda1bd975709e960653e9447fe9e"
-THEOREM_5_11_SHA256 = "1906843d1f92853b22cf4e8024c0ac39067cf36f96365d654411be4136c84b8a"
+# read the murho and abrho tensors in their spectral check; at (4, 9),
+# (5, 11) and (6, 12) the spectral row is skipped, with a note saying why.
+# Every casimir row names the number of polygons it sampled.  A deliberate
+# change to the theorem report must update these pins and say so.
+THEOREM_2_5_SHA256 = "5bb2087ec4232235fe037cb2815d2fd8ed84018ede0d3392462c87b6cfe9c8e9"
+THEOREM_3_7_SHA256 = "f50284c20c090c6a58d5a02ac1f8a3f8a14dd6707b6ed7da3d4206aa30a158ef"
+THEOREM_4_9_SHA256 = "7d4f86b670c2ca071f1fddf42b857b5f6ce7dcf5ffc658852e6b7b8bcf801f0c"
+THEOREM_5_11_SHA256 = "7dc98c8408855b3dd2b6c4564aa7c23f09149a529938928530702f87b32663e1"
 # (6, 12) fails: gcd(6, 12) > 1 leaves the Casimir kernel residual 1 and a
 # nonzero numeric residual, so the kernel identities run on nonzero values
-THEOREM_6_12_SHA256 = "96e4c6f121c1f7d42db422c8f9e860249951de0da31a012c7fc146ddcf6f31b3"
+THEOREM_6_12_SHA256 = "423af06cddd870b6bde0926769179fa6fb757ffb5f95909777f8275407735ffa"
 
 
 def _theorem_out_sha256(tmp_path, nu: int, N: int, code: int = 0) -> str:

@@ -46,7 +46,7 @@ from polypoisson.exchange_algebra import (
     wronskian,
 )
 from polypoisson.lattice_ops import (
-    DPoly,
+    Kernel,
     NoSolution,
     PerSeq,
     compose,
@@ -186,8 +186,8 @@ def test_murho_with_special_phi_is_twice_toda():
 def two_kernel_tensor(N: int) -> OpTensor:
     """Words with two kernels each, one of them dense, so paths pass a middle site."""
     T = OpTensor(("a", "b"), N)
-    K1 = kernel_from_dpoly(DPoly({0: 1, 1: -2, -1: F(1, 3)}), N)
-    K2 = invert(kernel_from_dpoly(DPoly({0: 1, 1: 1}), N))
+    K1 = kernel_from_dpoly({0: 1, 1: -2, -1: F(1, 3)}, N)
+    K2 = invert(kernel_from_dpoly({0: 1, 1: 1}, N))
     T.add_word(0, 1, ("k", K1), ("f", 1), ("k", K2))
     T.add_word(1, 0, ("f", 0), ("k", K2), ("c", PerSeq(N, tuple(range(1, N + 1)))), ("f", 1), ("k", K1), ("f", 0))
     return T
@@ -437,7 +437,7 @@ def test_ftv_u_at_zero_field_is_shift_difference():
     N = 5
     T = closed_tensor("ftv_u", N)
     mat = T.eval_matrix({"u": PerSeq.constant(N, 0)})
-    expect = kernel_from_dpoly(DPoly({1: 1, -1: -1}), N).matrix()
+    expect = kernel_from_dpoly({1: 1, -1: -1}, N).matrix()
     assert linalg.max_abs(linalg.mat_sub(mat, expect)) == 0
 
 
@@ -632,7 +632,9 @@ def test_exchange_words_match_hand_expansions():
                 ]
                 want = {}
                 for (x, y), (phi_part, delta_part) in HAND_EXCHANGE[name].items():
-                    K = compose(kernel_from_dpoly(DPoly(phi_part), N), phi) + kernel_from_dpoly(DPoly(delta_part), N)
+                    phi_term = compose(kernel_from_dpoly(phi_part, N), phi).seq.values
+                    delta_term = kernel_from_dpoly(delta_part, N).seq.values
+                    K = Kernel(PerSeq(N, tuple(x + y for x, y in zip(phi_term, delta_term))))
                     want[x, y] = K
                     if x != y:
                         want[y, x] = -K.transpose()

@@ -1,15 +1,17 @@
 """The README cites code by backticked dotted names (`module.name`,
 `Class.name`) and by bare private names (`_name`); each must name something
 that exists, so a change that deletes or renames a cited name fails here
-until the README follows."""
+until the README follows.  Its command-line examples must parse."""
 
 import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import polypoisson
+from polypoisson import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
@@ -74,8 +76,21 @@ def test_a_deleted_name_does_not_resolve():
         "Poly.eval_grad", "Poly.eval", "linalg.nullspace", "Polygon.to_json", "PolyTensor.from_json",
         "OpTensor.from_json", "_FieldTensor._from_header", "DPoly.from_json", "TheoremReport.to_json",
         "coord_reduction._LINEAR_WORDS", "coord_reduction.build_murho", "coord_reduction.build_abrho",
-        "coord_reduction._exchange_tensor",
+        "coord_reduction._exchange_tensor", "DPoly", "lattice_ops.DPoly", "Kernel.delta", "Kernel.zero",
+        "PerSeq.delta", "Poly.degree_in", "gen_nu._require_period", "coord_reduction._require_period",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
     assert resolves_bare("_pi_template") and resolves_bare("_linear_words") and not resolves_bare("_no_such_name")
+
+
+def test_readme_command_lines_parse():
+    # each `polypoisson ...` line of the "Command line" block parses and
+    # names a verb; nothing is run
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("polypoisson ")]
+    assert len(lines) >= 9
+    parser = cli.build_parser()
+    for line in lines:
+        args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        assert args.verb in cli.VERBS, line

@@ -13,6 +13,7 @@ from polypoisson.coord_reduction import (
     closed_tensor,
     coords,
     jacobiator,
+    quotient_tensor,
     random_fields,
 )
 from polypoisson.dynamics import (
@@ -35,7 +36,7 @@ from polypoisson.dynamics import (
     transfer_invariants,
 )
 from polypoisson.exchange_algebra import Polygon, random_polygon
-from polypoisson.lattice_ops import PerSeq, phi_special
+from polypoisson.lattice_ops import PerSeq, phi_special, random_odd_kernel
 from polypoisson.multipoly import Poly
 
 F = Fraction
@@ -293,6 +294,48 @@ def test_lie_deform_toda_mu_direction():
             expect = (rho[n] if (m + 1) % N == n else 0) - (rho[n] if m == n else 0)
             assert mat[m][N + n] == expect
             assert mat[N + m][N + n] == 0
+
+
+def reference_lie_deform(P, direction):
+    """lie_deform as a degree check of every entry in the family, then the
+    sum of the N partial derivatives along the family's site variables."""
+    TP = as_poly_tensor(P)
+    fidx = TP.field_names.index(direction)
+    fam = [_var(fidx, m, TP.N) for m in range(TP.N)]
+    for poly in TP.entries.values():
+        if max((sum(e for v, e in mono if v in fam) for mono in poly.terms), default=0) >= 2:
+            raise LinearityViolated(f"tensor is quadratic in field {direction!r}")
+    out = PolyTensor(TP.field_names, TP.N, TP.bracket_scale)
+    for (i, m, j, n), poly in TP.entries.items():
+        acc = Poly()
+        for v in fam:
+            acc = acc + poly.diff(v)
+        out.add_term(i, m, j, n, acc)
+    return out
+
+
+def _lie_deform_outcome(deform, P, direction):
+    try:
+        LP = deform(P, direction)
+    except LinearityViolated as err:
+        return "raises", str(err)
+    return "entries", {key: poly.terms for key, poly in LP.entries.items()}
+
+
+def test_lie_deform_equals_the_n_fold_diff_reference():
+    # the named pencil tensors along every field, and the quotient bracket at
+    # each phi^(k) (linear in a^(k) only) and at a random odd phi (quadratic
+    # in every a^(k)) along every field: the same entries or the same error
+    named = [closed_tensor(name, 5) for name in ("toda", "P1", "P2")]
+    cases = [(P, field) for P in named for field in P.field_names]
+    for nu, N in ((2, 7), (3, 8), (4, 9), (5, 11)):
+        for phi in [phi_special(nu, k, N) for k in range(1, nu)] + [random_odd_kernel(N, Random(nu))]:
+            T = quotient_tensor(nu, phi)
+            cases += [(T, field) for field in T.field_names]
+    outcomes = [_lie_deform_outcome(lie_deform, P, field) for P, field in cases]
+    assert outcomes == [_lie_deform_outcome(reference_lie_deform, P, field) for P, field in cases]
+    # linear: toda in mu, P1 in a, P2 in b, and each phi^(k) tensor in a^(k)
+    assert [kind for kind, _ in outcomes].count("entries") == 3 + 1 + 2 + 3 + 4
 
 
 def test_lie_deform_rejects_quadratic_direction():

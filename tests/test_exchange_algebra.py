@@ -565,7 +565,7 @@ def test_table_values_match_reference_assembly():
     N = 7
     cases = []
     for nu in (2, 3, 4, 5):
-        for phi in (Kernel.zero(N), random_odd_kernel(N, rng), phi_special(nu, 1, N)):
+        for phi in (Kernel(PerSeq.constant(N, 0)), random_odd_kernel(N, rng), phi_special(nu, 1, N)):
             cases.append((BracketSpec.standard(nu, N, phi), random_polygon(nu, N, rng)))
     cases.append((random_rc_spec(3, 5, rng), random_polygon(3, 5, rng)))
     for spec, W in cases:
@@ -661,7 +661,7 @@ def test_jacobi_negative_controls():
         R[0][0] += 1
         for label, spec in (
             ("non-odd phi", BracketSpec(nu, N, *default_rc(nu), phi=non_odd)),
-            ("R[0][0] + 1", BracketSpec(nu, N, R, C, Kernel.zero(N))),
+            ("R[0][0] + 1", BracketSpec(nu, N, R, C, Kernel(PerSeq.constant(N, 0)))),
         ):
             res = verify_structure(spec, W, "jacobi", 20, 0)
             assert res != 0 and res == reference_jacobi(spec, W, 20, 0), (nu, N, label)

@@ -19,7 +19,6 @@ from polypoisson.gen_nu import (
     quad_coeff,
 )
 from polypoisson.lattice_ops import (
-    DPoly,
     Kernel,
     NoSolution,
     OddKernel,
@@ -100,27 +99,28 @@ def test_hats_equal_the_double_sum_reference():
 
 def reference_closed(outer, s, nu, phi, N):
     """outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] by dense Fraction convolutions."""
-    inner = reference_convolve(kernel_from_dpoly(DPoly({nu: 1, s: -1}), N), phi.seq)
-    inner = inner + kernel_from_dpoly(DPoly({nu: 1, s: 1}), N).seq
+    inner = reference_convolve(kernel_from_dpoly({nu: 1, s: -1}, N), phi.seq)
+    delta_part = kernel_from_dpoly({nu: 1, s: 1}, N).seq.values
+    inner = PerSeq(N, tuple(x + y for x, y in zip(inner.values, delta_part)))
     return Kernel(reference_convolve(kernel_from_dpoly(outer, N), inner))
 
 
 def w_alk_prefactor(nu, k):
     """(D^-nu - D^-k)(D-1)^-1 = -D^-nu (1 + D + ... + D^(nu-k-1))."""
-    return DPoly({r - nu: -1 for r in range(nu - k)})
+    return {r - nu: -1 for r in range(nu - k)}
 
 
 def reference_hat_consistency(nu, k, phi, N, w_alk_pref=None):
     """hat_consistency from the literal double sums and Fraction closed forms."""
     ww, w_alk, alk_w, alk_alk = reference_hats(nu, k, phi, N)
     diff = reference_closed(w_alk_pref or w_alk_prefactor(nu, k), 0, nu, phi, N)
-    k00 = reference_closed(DPoly({-nu: 1, 0: -1}), 0, nu, phi, N)
+    k00 = reference_closed({-nu: 1, 0: -1}, 0, nu, phi, N)
     lim = N - 1 - nu
     res = [w_alk[j] - ww[j] - diff[j] for j in range(-lim, lim + 1)]
     res += [2 * ww[j] - ww[j + 1] - ww[j - 1] - k00[j] for j in range(1 - lim, lim)]
     if k >= 1:
-        quad = reference_closed(DPoly({-nu: 1, -k: -1}), k, nu, phi, N)
-        k0k = reference_closed(DPoly({-nu: 1, -k: -1}), 0, nu, phi, N)
+        quad = reference_closed({-nu: 1, -k: -1}, k, nu, phi, N)
+        k0k = reference_closed({-nu: 1, -k: -1}, 0, nu, phi, N)
         res += [alk_alk[j] - w_alk[j] - alk_w[j] + ww[j] - quad[j] for j in range(-lim, lim + 1)]
         res += [(w_alk[j + 1] - ww[j + 1]) - (w_alk[j] - ww[j]) - k0k[j] for j in range(1 - lim, lim)]
     return max(map(abs, res), default=F(0))
@@ -163,9 +163,9 @@ def test_kernel_identities_equal_fraction_reference(case):
 
     assert w_alk_minus_ww_closed(nu, k, phi).seq.values == expect(w_alk_prefactor(nu, k), 0)
     k00, k0k = casimir_coeffs(nu, phi, N)
-    assert [K.seq.values for K in (k00, *k0k.values())] == [expect(DPoly({-nu: 1, -j: -1}), 0) for j in range(nu)]
+    assert [K.seq.values for K in (k00, *k0k.values())] == [expect({-nu: 1, -j: -1}, 0) for j in range(nu)]
     if k >= 1:
-        assert quad_coeff(nu, k, phi, N).seq.values == expect(DPoly({-nu: 1, -k: -1}), k)
+        assert quad_coeff(nu, k, phi, N).seq.values == expect({-nu: 1, -k: -1}, k)
     assert hat_consistency(nu, k, phi, N) == reference_hat_consistency(nu, k, phi, N) == 0
 
 
@@ -184,7 +184,7 @@ def test_hat_consistency_negative_control(monkeypatch):
         skew = Kernel(PerSeq(N, tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(N))))
         for phi in (random_odd_kernel(N, rng), skew, phi_special(nu, k, N)):
             res = gen_nu.hat_consistency(nu, k, phi, N)
-            assert res == reference_hat_consistency(nu, k, phi, N, DPoly(bumped(nu, k))) != 0, (nu, k, N)
+            assert res == reference_hat_consistency(nu, k, phi, N, bumped(nu, k)) != 0, (nu, k, N)
 
 
 def test_hat_consistency_builds_one_fraction(monkeypatch):
@@ -224,7 +224,7 @@ def test_ww_literal_sum_forms_agree():
 
 
 def test_hats_zero_phi_example():
-    ww = hats(2, 0, Kernel.zero(5))[0]
+    ww = hats(2, 0, Kernel(PerSeq.constant(5, 0)))[0]
     # deep negative offsets: the two (sigma - delta) terms are -1 each and
     # every delta in the (phi + delta) sums is off
     assert ww[-4] == -2
@@ -250,20 +250,19 @@ def test_w_alk_minus_ww_closed_matches_window():
 
 
 def test_quad_coeff_zero_phi():
-    got = quad_coeff(2, 1, Kernel.zero(5), 5)
-    expect = kernel_from_dpoly(DPoly({-1: 1, 1: -1}), 5)
-    assert (got - expect).is_zero()
+    got = quad_coeff(2, 1, Kernel(PerSeq.constant(5, 0)), 5)
+    assert got.seq.values == kernel_from_dpoly({-1: 1, 1: -1}, 5).seq.values
 
 
 def test_quad_coeff_vanishes_for_special_phi():
-    assert quad_coeff(2, 1, phi_special(2, 1, 5), 5).is_zero()
-    assert quad_coeff(5, 3, phi_special(5, 3, 7), 7).is_zero()
-    assert quad_coeff(3, 2, phi_special(3, 2, 11), 11).is_zero()
+    assert quad_coeff(2, 1, phi_special(2, 1, 5), 5).seq.values == (F(0),) * 5
+    assert quad_coeff(5, 3, phi_special(5, 3, 7), 7).seq.values == (F(0),) * 7
+    assert quad_coeff(3, 2, phi_special(3, 2, 11), 11).seq.values == (F(0),) * 11
 
 
 def test_quad_coeff_rejects_k0():
     with pytest.raises(ValueError):
-        quad_coeff(3, 0, Kernel.zero(5), 5)
+        quad_coeff(3, 0, Kernel(PerSeq.constant(5, 0)), 5)
 
 
 @pytest.mark.parametrize("N", [7, 11])
@@ -274,21 +273,34 @@ def test_kernel_identities_reject_phi_of_another_period(fn, N):
     # casimir_coeffs returned period-9 kernels
     phi = random_odd_kernel(9, Random(10))
     args = {"hat_consistency": (3, 1, phi, N), "quad_coeff": (3, 1, phi, N), "casimir_coeffs": (3, phi, N)}[fn]
-    with pytest.raises(ValueError, match="phi period must match N"):
+    with pytest.raises(ValueError, match=f"^phi has period 9, not {N}$"):
         getattr(gen_nu, fn)(*args)
 
 
+def test_every_phi_reader_names_the_two_periods():
+    # BracketSpec and the three kernel identities share one period check
+    phi = random_odd_kernel(9, Random(10))
+    calls = (
+        lambda: BracketSpec.standard(3, 7, phi),
+        lambda: quad_coeff(3, 1, phi, 7),
+        lambda: casimir_coeffs(3, phi, 7),
+        lambda: hat_consistency(3, 1, phi, 7),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^phi has period 9, not 7$"):
+            call()
+
+
 def test_casimir_coeffs_zero_phi_example():
-    k00, _ = casimir_coeffs(2, Kernel.zero(5), 5)
-    expect = kernel_from_dpoly(DPoly({-2: 1, 2: -1}), 5)
-    assert (k00 - expect).is_zero()
+    k00, _ = casimir_coeffs(2, Kernel(PerSeq.constant(5, 0)), 5)
+    assert k00.seq.values == kernel_from_dpoly({-2: 1, 2: -1}, 5).seq.values
 
 
 def test_casimir_coeffs_vanish_for_phi0():
     for nu, N in ((2, 5), (3, 7), (4, 7)):
         k00, k0k = casimir_coeffs(nu, phi_special(nu, 0, N), N)
-        assert k00.is_zero()
-        assert all(K.is_zero() for K in k0k.values())
+        assert k00.seq.values == (F(0),) * N
+        assert all(K.seq.values == (F(0),) * N for K in k0k.values())
 
 
 def test_check_theorem_small_orders():
@@ -327,7 +339,27 @@ def test_check_theorem_order4():
     rep = check_theorem(4, 9, seed=0)
     assert rep.all_pass()
     assert len(rep.cases) == 3
-    assert rep.spectral["note"].startswith("kernel-level")
+    assert all(c["verdict"] == "pass" for c in rep.cases)
+    # above nu = 3 the tensor sweep is not run, and the row says so
+    assert rep.spectral == {
+        "verdict": "skipped",
+        "note": "not run above nu = 3: the tensor sweep costs several times the rest of the check",
+    }
+
+
+def test_check_theorem_spectral_skipped_with_no_solved_phi(monkeypatch):
+    real = gen_nu.phi_special
+
+    def unsolvable(nu, k, N):
+        if k >= 1:
+            raise NoSolution("no odd periodic kernel satisfies the equation")
+        return real(nu, k, N)
+
+    monkeypatch.setattr(gen_nu, "phi_special", unsolvable)
+    rep = check_theorem(2, 7, seed=0)
+    assert [c["verdict"] for c in rep.cases] == ["skipped"]
+    assert rep.spectral == {"verdict": "skipped", "note": "no phi^(k) solved at N = 7"}
+    assert rep.all_pass()
 
 
 def test_check_theorem_order6():

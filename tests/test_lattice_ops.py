@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from polypoisson import linalg
 from polypoisson.lattice_ops import (
-    DPoly,
     Kernel,
     NoSolution,
     OddKernel,
@@ -30,83 +29,96 @@ def seq(*vals, N=None):
     return PerSeq(N or len(vals), vals)
 
 
+def delta(N):
+    """The values of the kernel of the identity, delta at residue 0."""
+    return (F(1),) + (F(0),) * (N - 1)
+
+
+def dpoly_mul(p, q):
+    """The product of two shift polynomials {r: c}: exponents add, coefficients multiply."""
+    out = {}
+    for r1, c1 in p.items():
+        for r2, c2 in q.items():
+            out[r1 + r2] = out.get(r1 + r2, 0) + c1 * c2
+    return out
+
+
 def test_kernel_of_shift():
-    K = kernel_from_dpoly(DPoly.D(1), 5)
+    K = kernel_from_dpoly({1: 1}, 5)
     assert K.seq.values == (F(0), F(0), F(0), F(0), F(1))
 
 
 def test_kernel_of_identity():
-    K = kernel_from_dpoly(DPoly.one(), 4)
+    K = kernel_from_dpoly({0: 1}, 4)
     assert K.seq.values == (F(1), F(0), F(0), F(0))
 
 
 def test_kernel_of_d_minus_dinv():
-    K = kernel_from_dpoly(DPoly({1: 1, -1: -1}), 5)
+    K = kernel_from_dpoly({1: 1, -1: -1}, 5)
     assert K[4] == 1 and K[1] == -1
     assert all(K[m] == 0 for m in (0, 2, 3))
 
 
 def test_convolve_shift():
-    K = kernel_from_dpoly(DPoly.D(1), 5)
+    K = kernel_from_dpoly({1: 1}, 5)
     f = seq(1, 2, 3, 4, 5)
     assert convolve_apply(K, f).values == (F(2), F(3), F(4), F(5), F(1))
 
 
 def test_shift_composition_is_identity():
-    Kp = kernel_from_dpoly(DPoly.D(1), 5)
-    Km = kernel_from_dpoly(DPoly.D(-1), 5)
-    assert compose(Kp, Km).seq.values == Kernel.delta(5).seq.values
+    Kp = kernel_from_dpoly({1: 1}, 5)
+    Km = kernel_from_dpoly({-1: 1}, 5)
+    assert compose(Kp, Km).seq.values == (F(1), F(0), F(0), F(0), F(0))
 
 
 def test_convolve_with_delta_returns_kernel():
     phi = phi_special(2, 1, 5)
-    out = convolve_apply(phi, PerSeq.delta(5))
+    out = convolve_apply(phi, seq(1, 0, 0, 0, 0))
     assert out.values == phi.seq.values
 
 
 def test_period_mismatch():
     with pytest.raises(ValueError):
-        convolve_apply(Kernel.delta(5), PerSeq.delta(4))
+        convolve_apply(kernel_from_dpoly({0: 1}, 5), seq(1, 0, 0, 0))
 
 
 def test_dpoly_ring_homomorphism():
     rng = Random(0)
     N = 7
     for _ in range(20):
-        p = DPoly({rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)})
-        q = DPoly({rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)})
-        lhs = kernel_from_dpoly(p * q, N)
+        p = {rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)}
+        q = {rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)}
+        lhs = kernel_from_dpoly(dpoly_mul(p, q), N)
         rhs = compose(kernel_from_dpoly(p, N), kernel_from_dpoly(q, N))
-        assert (lhs - rhs).is_zero()
+        assert lhs.seq.values == rhs.seq.values
 
 
 def test_apply_dpoly_matches_kernel_action():
     # p(D) f = sum_r c_r f_{m+r}: the kernel of p acts with (Df)_m = f_{m+1}
     N = 6
-    p = DPoly({2: F(3), -1: F(-1, 2), 0: F(1)})
+    p = {2: F(3), -1: F(-1, 2), 0: F(1)}
     f = seq(1, -2, 3, 0, 5, -1)
-    shifted = tuple(sum(c * f[m + r] for r, c in p.terms.items()) for m in range(N))
+    shifted = tuple(sum(c * f[m + r] for r, c in p.items()) for m in range(N))
     assert shifted == convolve_apply(kernel_from_dpoly(p, N), f).values
 
 
 def test_invert_one_plus_d_period_3():
-    K = kernel_from_dpoly(DPoly({0: 1, 1: 1}), 3)
+    K = kernel_from_dpoly({0: 1, 1: 1}, 3)
     L = invert(K)
-    expected = kernel_from_dpoly(DPoly({0: F(1, 2), 1: F(-1, 2), 2: F(1, 2)}), 3)
-    assert (L - expected).is_zero()
-    assert (compose(K, L) - Kernel.delta(3)).is_zero()
-    assert (compose(L, K) - Kernel.delta(3)).is_zero()
+    assert L.seq.values == kernel_from_dpoly({0: F(1, 2), 1: F(-1, 2), 2: F(1, 2)}, 3).seq.values
+    assert compose(K, L).seq.values == (F(1), F(0), F(0))
+    assert compose(L, K).seq.values == (F(1), F(0), F(0))
 
 
 def test_invert_singular_one_minus_d():
     with pytest.raises(SingularOperator) as info:
-        invert(kernel_from_dpoly(DPoly({0: 1, 1: -1}), 5))
+        invert(kernel_from_dpoly({0: 1, 1: -1}, 5))
     assert info.value.nullity == 1
 
 
 def test_invert_singular_one_plus_d_even_period():
     with pytest.raises(SingularOperator):
-        invert(kernel_from_dpoly(DPoly({0: 1, 1: 1}), 4))
+        invert(kernel_from_dpoly({0: 1, 1: 1}, 4))
 
 
 def test_two_sided_inverse_random():
@@ -118,8 +130,8 @@ def test_two_sided_inverse_random():
             L = invert(K)
         except SingularOperator:
             continue
-        assert (compose(K, L) - Kernel.delta(N)).is_zero()
-        assert (compose(L, K) - Kernel.delta(N)).is_zero()
+        assert compose(K, L).seq.values == delta(N)
+        assert compose(L, K).seq.values == delta(N)
 
 
 # The two distinguished order-2 kernels on period 5, frozen and re-verified
@@ -127,8 +139,8 @@ def test_two_sided_inverse_random():
 
 
 def test_solve_phi_step1_sawtooth():
-    A = DPoly({0: 2, 1: -1, -1: -1})  # (D-1)^2 shifted: 2 - D - D^-1
-    b = DPoly({1: 1, -1: -1})
+    A = {0: 2, 1: -1, -1: -1}  # (D-1)^2 shifted: 2 - D - D^-1
+    b = {1: 1, -1: -1}
     phi = solve_phi(A, b, 5)
     assert phi.seq.values == (F(0), F(-3, 5), F(-1, 5), F(1, 5), F(3, 5))
     for m in range(5):
@@ -138,32 +150,32 @@ def test_solve_phi_step1_sawtooth():
 
 
 def test_solve_phi_step2_sawtooth():
-    A = DPoly({3: 1, 2: -1, 1: -1, 0: 1})
-    b = DPoly({3: -1, 2: 1, 1: -1, 0: 1})
+    A = {3: 1, 2: -1, 1: -1, 0: 1}
+    b = {3: -1, 2: 1, 1: -1, 0: 1}
     phi = solve_phi(A, b, 5)
     assert phi.seq.values == (F(0), F(1, 5), F(-3, 5), F(3, 5), F(-1, 5))
     K = kernel_from_dpoly(A, 5)
-    assert (convolve_apply(K, phi.seq) - kernel_from_dpoly(b, 5).seq).is_zero()
+    assert convolve_apply(K, phi.seq).values == kernel_from_dpoly(b, 5).seq.values
 
 
 def test_solve_phi_no_solution():
     with pytest.raises(NoSolution):
-        solve_phi(DPoly({0: 1, 1: -1}), DPoly({0: 2}), 5)
+        solve_phi({0: 1, 1: -1}, {0: 2}, 5)
 
 
 def test_phi_special_examples():
     assert phi_special(2, 1, 5).seq.values == (F(0), F(-3, 5), F(-1, 5), F(1, 5), F(3, 5))
     assert phi_special(2, 0, 5).seq.values == (F(0), F(1, 5), F(-3, 5), F(3, 5), F(-1, 5))
-    assert phi_special(3, 1, 4).is_zero()
+    assert phi_special(3, 1, 4).seq.values == (F(0), F(0), F(0), F(0))
 
 
 def test_phi_special_defining_equation():
     for nu, k, N in ((2, 0, 7), (3, 1, 7), (4, 2, 9), (5, 3, 7)):
         j = nu - k
         phi = phi_special(nu, k, N)
-        A = kernel_from_dpoly(DPoly({0: 2, j: -1, -j: -1}), N)
-        b = kernel_from_dpoly(DPoly({j: 1, -j: -1}), N)
-        assert (convolve_apply(A, phi.seq) - b.seq).is_zero()
+        A = kernel_from_dpoly({0: 2, j: -1, -j: -1}, N)
+        b = kernel_from_dpoly({j: 1, -j: -1}, N)
+        assert convolve_apply(A, phi.seq).values == b.seq.values
 
 
 def test_phi_special_unique_when_coprime():
@@ -171,7 +183,7 @@ def test_phi_special_unique_when_coprime():
     for nu, k, N in ((2, 1, 5), (3, 0, 7), (4, 1, 7)):
         j = nu - k
         odd_rows = [[F(int(n == m % N) + int(n == -m % N)) for n in range(N)] for m in range(N // 2 + 1)]
-        mat = kernel_from_dpoly(DPoly({0: 2, j: -1, -j: -1}), N).matrix() + odd_rows
+        mat = kernel_from_dpoly({0: 2, j: -1, -j: -1}, N).matrix() + odd_rows
         assert len(nullspace(mat)) == 0
 
 
@@ -195,21 +207,20 @@ _coeff = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 def short_kernels(draw):
     """(p, N): a shift polynomial with 1-3 terms at shifts -2..2, and N in 3..13."""
     terms = draw(st.dictionaries(st.integers(-2, 2), _coeff, min_size=1, max_size=3))
-    return DPoly(terms), draw(st.integers(3, 13))
+    return terms, draw(st.integers(3, 13))
 
 
 @given(short_kernels())
 def test_invert_is_a_two_sided_inverse(case):
     p, N = case
     K = kernel_from_dpoly(p, N)
-    delta = Kernel.delta(N).seq.values
     try:
         L = invert(K)
     except SingularOperator as err:
         assert err.nullity == len(nullspace(K.matrix())) > 0
         return
-    assert compose(K, L).seq.values == delta
-    assert compose(L, K).seq.values == delta
+    assert compose(K, L).seq.values == delta(N)
+    assert compose(L, K).seq.values == delta(N)
 
 
 def nullspace(a) -> list:
@@ -247,8 +258,8 @@ def dense_kernels(draw):
 
 
 @given(dense_kernels())
-@example(Kernel.zero(1))
-@example(Kernel.zero(6))
+@example(Kernel(PerSeq.constant(1, 0)))
+@example(Kernel(PerSeq.constant(6, 0)))
 @example(Kernel(PerSeq(4, (F(1), F(1), F(1), F(1)))))
 @settings(max_examples=400)
 def test_invert_equals_the_dense_route(K):
@@ -274,7 +285,7 @@ def test_invert_equals_the_dense_route(K):
 )
 def test_singular_operator_nullity(terms, N, nullity):
     with pytest.raises(SingularOperator) as info:
-        invert(kernel_from_dpoly(DPoly(terms), N))
+        invert(kernel_from_dpoly(terms, N))
     assert info.value.nullity == nullity
     assert f"nullspace dimension {nullity}" in str(info.value)
 
@@ -293,7 +304,7 @@ def odd_kernel_equations(draw):
         c, e = draw(_coeff), draw(_coeff)
         A[r] = A[-r] = c
         b[r], b[-r] = e, -e
-    return DPoly(A), DPoly(b), draw(st.integers(3, 13))
+    return A, b, draw(st.integers(3, 13))
 
 
 def _check_solve_phi(A, b, N):
@@ -309,8 +320,8 @@ def _check_solve_phi(A, b, N):
 
 @given(odd_kernel_equations())
 # 2 - D^3 - D^-3 kills the odd sin(2 pi m / 3) at N = 6 and 9
-@example((DPoly({0: 2, 3: -1, -3: -1}), DPoly({3: 1, -3: -1}), 6))
-@example((DPoly({0: 2, 3: -1, -3: -1}), DPoly({3: 1, -3: -1}), 9))
+@example(({0: 2, 3: -1, -3: -1}, {3: 1, -3: -1}, 6))
+@example(({0: 2, 3: -1, -3: -1}, {3: 1, -3: -1}, 9))
 def test_solve_phi_is_odd_exact_and_minimal(case):
     try:
         _check_solve_phi(*case)
@@ -325,10 +336,10 @@ def test_solve_phi_minimal_norm_with_homogeneous_solutions(N):
     # A(D) = 2 - D^3 - D^-3 kills odd kernels of period 3, and b = A (D - D^-1)
     # puts b(D) delta in its range: of the solutions (D - D^-1) delta + h, the
     # one returned must be orthogonal to every such h
-    A = DPoly({0: 2, 3: -1, -3: -1})
-    c = DPoly({1: 1, -1: -1})
-    assert _check_solve_phi(A, A * c, N) >= 1
-    assert solve_phi(A, A * c, N).seq.values != kernel_from_dpoly(c, N).seq.values
+    A = {0: 2, 3: -1, -3: -1}
+    c = {1: 1, -1: -1}
+    assert _check_solve_phi(A, dpoly_mul(A, c), N) >= 1
+    assert solve_phi(A, dpoly_mul(A, c), N).seq.values != kernel_from_dpoly(c, N).seq.values
 
 
 def reference_convolve(K, f):
@@ -384,9 +395,9 @@ def test_solve_phi_equals_two_elimination_reference(nu, N, data):
     # phi_special's equations for every k (non-unique at even N or gcd > 1),
     # one with no odd solution, one with odd homogeneous solutions when 3 | N,
     # and a drawn symmetric/antisymmetric pair
-    cases = [(DPoly({0: 2, nu - k: -1, k - nu: -1}), DPoly({nu - k: 1, k - nu: -1})) for k in range(nu)]
-    A3 = DPoly({0: 2, 3: -1, -3: -1})
-    cases += [(DPoly({0: 1, 1: -1}), DPoly({0: 2})), (A3, A3 * DPoly({1: 1, -1: -1}))]
+    cases = [({0: 2, nu - k: -1, k - nu: -1}, {nu - k: 1, k - nu: -1}) for k in range(nu)]
+    A3 = {0: 2, 3: -1, -3: -1}
+    cases += [({0: 1, 1: -1}, {0: 2}), (A3, dpoly_mul(A3, {1: 1, -1: -1}))]
     if data is not None:
         A, b, _ = data.draw(odd_kernel_equations())
         cases.append((A, b))

@@ -17,8 +17,8 @@ from .lattice_ops import (
     SingularOperator,
     convolve_apply,
     invert,
-    kernel_from_dpoly,
     phi_special,
+    shift_kernel,
     solve_phi,
 )
 from .exchange_algebra import (
@@ -51,7 +51,7 @@ from .coord_reduction import (
     pushforward_check,
     toda_dirac_vs_ftv,
 )
-from .gen_nu import TheoremReport, casimir_coeffs, check_theorem, quad_coeff
+from .gen_nu import TheoremReport, casimir_coeffs, casimir_residual, check_theorem, quad_coeff
 from .dynamics import (
     LinearityViolated,
     TransferMatrix,

@@ -35,7 +35,7 @@ from .acceptance import _doc, run_suite
 from .coord_reduction import closed_tensor, pushforward_check, random_fields, toda_dirac_vs_ftv
 from .dynamics import integrate, toda_float_vf, toda_invariants, trajectory_csv
 from .exchange_algebra import BracketSpec, default_rc, random_polygon, verify_structure, verify_ybe
-from .gen_nu import check_theorem
+from .gen_nu import PASSING, check_theorem
 from .lattice_ops import OddKernel, PerSeq, phi_special, random_odd_kernel
 from .linalg import rat_str
 
@@ -198,9 +198,8 @@ def _cmd_theorem(cfg: argparse.Namespace) -> list:
         params = {"nu": cfg.nu, "N": cfg.N}
         params.update((k, row[k]) for k in ("note", "numeric_residual", "polygons", "points") if k in row)
         rows.append((check, params, row))
-    ok = ("pass", "skipped")
     return [
-        _doc(check, params, row.get("residual") or "skipped", cfg.seed, t0, ok=row.get("verdict") in ok)
+        _doc(check, params, row.get("residual") or "skipped", cfg.seed, t0, ok=row.get("verdict") in PASSING)
         for check, params, row in rows
     ]
 

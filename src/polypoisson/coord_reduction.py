@@ -62,9 +62,9 @@ from .lattice_ops import (
     _exchange_kernels,
     compose,
     invert,
-    kernel_from_dpoly,
     phi_special,
     require_period,
+    shift_kernel,
 )
 from .linalg import ONE, ZERO, rat, rat_str
 from .multipoly import Poly, _mono_mul
@@ -399,14 +399,6 @@ def as_poly_tensor(P) -> PolyTensor:
 # ---------------------------------------------------------------------------
 
 
-def _K(N: int, terms: dict) -> Kernel:
-    return kernel_from_dpoly(terms, N)
-
-
-def _Kinv(N: int, terms: dict) -> Kernel:
-    return invert(_K(N, terms))
-
-
 def _exchange_word(T: OpTensor, i: int, j: int, K: Kernel):
     """Add the exchange word (f i)(k K)(f j) and, for i != j, its partner
     (f j)(k -K^T)(f i); for i == j the word alone, its kernel being odd."""
@@ -426,8 +418,8 @@ def _linear_words(T: OpTensor, c: int) -> OpTensor:
         for l, k in enumerate(r):
             for p in range(max(0, j + k - nu), min(j, k)):
                 fq = (field[j + k - p],) if j + k - p < nu else ()
-                T.add_word(i, l, *fq, ("k", _K(N, {j - p: c})), field[p])
-                T.add_word(i, l, field[p], ("k", _K(N, {p - k: -c})), *fq)
+                T.add_word(i, l, *fq, ("k", shift_kernel({j - p: c}, N)), field[p])
+                T.add_word(i, l, field[p], ("k", shift_kernel({p - k: -c}, N)), *fq)
     return T
 
 
@@ -464,23 +456,23 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "toda":
         T = OpTensor(("mu", "rho"), N, bracket_scale=half)
         MU, RHO = 0, 1
-        _exchange_word(T, MU, RHO, _K(N, {1: 1, 0: -1}))
-        _exchange_word(T, RHO, RHO, _K(N, {1: 1, -1: -1}))
+        _exchange_word(T, MU, RHO, shift_kernel({1: 1, 0: -1}, N))
+        _exchange_word(T, RHO, RHO, shift_kernel({1: 1, -1: -1}, N))
         return _linear_words(T, 1)
     if name == "ftv_u":
         if beta is None:
             beta = PerSeq.constant(N, 1)
         T = OpTensor(("u",), N, bracket_scale=half)
         U = 0
-        _exchange_word(T, U, U, compose(_K(N, {1: 1, 0: -1}).scale(-1), _Kinv(N, {0: 1, 1: 1})))
-        T.add_word(U, U, ("k", _K(N, {1: 1})), ("c", beta))
-        T.add_word(U, U, ("c", beta), ("k", _K(N, {-1: -1})))
+        _exchange_word(T, U, U, compose(shift_kernel({1: 1, 0: -1}, N).scale(-1), invert(shift_kernel({0: 1, 1: 1}, N))))
+        T.add_word(U, U, ("k", shift_kernel({1: 1}, N)), ("c", beta))
+        T.add_word(U, U, ("c", beta), ("k", shift_kernel({-1: -1}, N)))
         return T
     if name == "ftv_S":
         T = OpTensor(("S",), N, bracket_scale=half)
         S = 0
-        D1 = _K(N, {1: 1})
-        Dm1 = _K(N, {-1: 1})
+        D1 = shift_kernel({1: 1}, N)
+        Dm1 = shift_kernel({-1: 1}, N)
         T.add_word(S, S, ("k", D1), ("f", S))
         T.add_word(S, S, ("f", S), ("k", D1))
         T.add_word(S, S, ("k", Dm1.scale(-1)), ("f", S))
@@ -493,45 +485,45 @@ def closed_tensor(name: str, N: int, phi: OddKernel = None, beta: PerSeq = None)
     if name == "P0":
         T = OpTensor(("a", "b"), N, bracket_scale=half)
         A, B = 0, 1
-        geo = _Kinv(N, {0: 1, 1: 1, 2: 1})
-        _exchange_word(T, A, A, compose(geo, _K(N, {0: 1, 2: -1})))
-        _exchange_word(T, A, B, compose(geo, _K(N, {1: 1, 2: -1})))
-        _exchange_word(T, B, B, compose(geo, _K(N, {0: 1, 2: -1})))
-        T.add_word(A, A, ("k", _K(N, {1: 1})), ("f", B))
-        T.add_word(A, A, ("f", B), ("k", _K(N, {-1: -1})))
-        T.add_word(A, B, ("k", _K(N, {2: 1, -1: -1})))
-        T.add_word(B, A, ("k", _K(N, {1: 1, -2: -1})))
-        T.add_word(B, B, ("f", A), ("k", _K(N, {1: 1})))
-        T.add_word(B, B, ("k", _K(N, {-1: -1})), ("f", A))
+        geo = invert(shift_kernel({0: 1, 1: 1, 2: 1}, N))
+        _exchange_word(T, A, A, compose(geo, shift_kernel({0: 1, 2: -1}, N)))
+        _exchange_word(T, A, B, compose(geo, shift_kernel({1: 1, 2: -1}, N)))
+        _exchange_word(T, B, B, compose(geo, shift_kernel({0: 1, 2: -1}, N)))
+        T.add_word(A, A, ("k", shift_kernel({1: 1}, N)), ("f", B))
+        T.add_word(A, A, ("f", B), ("k", shift_kernel({-1: -1}, N)))
+        T.add_word(A, B, ("k", shift_kernel({2: 1, -1: -1}, N)))
+        T.add_word(B, A, ("k", shift_kernel({1: 1, -2: -1}, N)))
+        T.add_word(B, B, ("f", A), ("k", shift_kernel({1: 1}, N)))
+        T.add_word(B, B, ("k", shift_kernel({-1: -1}, N)), ("f", A))
         return T
     if name == "P1":
         # The (a, rho) pair is a(D^2-1)rho / rho(1-D^-2)a: the sign the full
         # quotient bracket produces (the chain-rule oracle pins it).
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        _exchange_word(T, A, B, _K(N, {1: 1, 0: -1}))
-        _exchange_word(T, A, RHO, _K(N, {2: 1, 0: -1}))
-        _exchange_word(T, B, B, _K(N, {1: 1, -1: -1}))
-        _exchange_word(T, B, RHO, _K(N, {2: 1, 1: 1, 0: -1, -1: -1}))
-        _exchange_word(T, RHO, RHO, _K(N, {2: 1, 1: 1, -1: -1, -2: -1}))
+        _exchange_word(T, A, B, shift_kernel({1: 1, 0: -1}, N))
+        _exchange_word(T, A, RHO, shift_kernel({2: 1, 0: -1}, N))
+        _exchange_word(T, B, B, shift_kernel({1: 1, -1: -1}, N))
+        _exchange_word(T, B, RHO, shift_kernel({2: 1, 1: 1, 0: -1, -1: -1}, N))
+        _exchange_word(T, RHO, RHO, shift_kernel({2: 1, 1: 1, -1: -1, -2: -1}, N))
         return _linear_words(T, 1)
     if name == "P2":
         T = OpTensor(("a", "b", "rho"), N, bracket_scale=half)
         A, B, RHO = 0, 1, 2
-        inv = _Kinv(N, {0: 1, 1: 1})
-        _exchange_word(T, A, A, compose(_K(N, {0: 1, 1: -1}), inv))
-        _exchange_word(T, A, RHO, compose(_K(N, {2: 1, 1: -1}), inv))
-        _exchange_word(T, B, RHO, _K(N, {1: 1, 0: -1}))
-        _exchange_word(T, RHO, RHO, compose(_K(N, {2: 1, -1: -1}), inv))
+        inv = invert(shift_kernel({0: 1, 1: 1}, N))
+        _exchange_word(T, A, A, compose(shift_kernel({0: 1, 1: -1}, N), inv))
+        _exchange_word(T, A, RHO, compose(shift_kernel({2: 1, 1: -1}, N), inv))
+        _exchange_word(T, B, RHO, shift_kernel({1: 1, 0: -1}, N))
+        _exchange_word(T, RHO, RHO, compose(shift_kernel({2: 1, -1: -1}, N), inv))
         return _linear_words(T, 1)
     raise ValueError(f"unknown tensor {name!r}")
 
 
 _TENSOR_PHI = {
-    "toda": lambda nu, N: phi_special(2, 1, N),
-    "P0": lambda nu, N: phi_special(3, 0, N),
-    "P1": lambda nu, N: phi_special(3, 2, N),
-    "P2": lambda nu, N: phi_special(3, 1, N),
+    "toda": (2, 1),
+    "P0": (3, 0),
+    "P1": (3, 2),
+    "P2": (3, 1),
 }
 
 
@@ -554,7 +546,7 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
     if name in ("murho", "abrho"):
         T = closed_tensor(name, N, phi=spec.phi)
     elif name in _TENSOR_PHI:
-        want = _TENSOR_PHI[name](spec.nu, N)
+        want = phi_special(*_TENSOR_PHI[name], N)
         if spec.phi.seq.values != want.seq.values:
             raise ValueError(f"spec.phi is not the distinguished kernel of {name!r}")
         T = closed_tensor(name, N)

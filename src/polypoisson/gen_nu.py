@@ -33,7 +33,7 @@ from random import Random
 from .coord_reduction import quotient_tensor, random_fields
 from .dynamics import LinearityViolated, gf_check
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
-from .lattice_ops import Kernel, NoSolution, OddKernel, _closed_ints, _exchange_kernels, phi_special, require_period, sign
+from .lattice_ops import Kernel, OddKernel, _closed_ints, _exchange_kernels, phi_special, require_period, sign
 from .linalg import ZERO, _int_pairings, _scaled, rat_str
 
 
@@ -93,6 +93,12 @@ def casimir_coeffs(nu: int, phi: Kernel, N: int):
     return k00, dict(enumerate(k0k, 1))
 
 
+def casimir_residual(nu: int, phi: Kernel, N: int) -> Fraction:
+    """The Casimir kernel residual max |E_0k| over k = 0..nu-1 (``casimir_coeffs``)."""
+    k00, k0k = casimir_coeffs(nu, phi, N)
+    return max(K.seq.max_abs() for K in (k00, *k0k.values()))
+
+
 def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
     """Max residual between the raw window sums and the telescoped closed forms.
 
@@ -122,6 +128,10 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+PASSING = ("pass", "skipped")  # the verdicts of a report row that does not fail it
+_THEOREM_POLYGONS = 2  # the random polygons of the exact Casimir check
+
+
 @dataclass
 class TheoremReport:
     """Per-choice verdicts for the distinguished deformation kernels."""
@@ -133,7 +143,7 @@ class TheoremReport:
     spectral: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
-        return all(row.get("verdict") in ("pass", "skipped") for row in (*self.cases, self.casimir, self.spectral))
+        return all(row.get("verdict") in PASSING for row in (*self.cases, self.casimir, self.spectral))
 
 
 def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, seed: int) -> Fraction:
@@ -161,9 +171,6 @@ def _numeric_casimir_residual(nu: int, N: int, phi: OddKernel, polygons: int, se
     return res
 
 
-_THEOREM_POLYGONS = 2  # the random polygons of the exact Casimir check
-
-
 def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     """Verify the Casimir and linearity properties of the phi^(k) family.
 
@@ -175,22 +182,14 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
     derivative LP along a^(k) -> a^(k) + lambda form a pencil, which covers
     the shifted tensor P + lambda LP for every lambda; a direction P is
     quadratic in gives residual 1.  Above order 3, where that sweep would
-    cost several times the rest of the check, or when no phi^(k) was solved,
-    the row is skipped and its note says why.
+    cost several times the rest of the check, the row is skipped and its note
+    says why.
     """
     if nu < 2 or N < 3:
         raise ValueError("need nu >= 2 and N >= 3")
     report = TheoremReport(nu, N)
-    solved = {}
-    for k in range(1, nu):
-        try:
-            phik = phi_special(nu, k, N)
-        except NoSolution as exc:
-            report.cases.append(
-                {"k": k, "verdict": "skipped", "residual": None, "note": str(exc)}
-            )
-            continue
-        solved[k] = phik
+    phi0, *phis = [phi_special(nu, k, N) for k in range(nu)]
+    for k, phik in enumerate(phis, 1):
         resid = quad_coeff(nu, k, phik, N).seq.max_abs()
         resid = max(resid, hat_consistency(nu, k, phik, N) if N >= nu + 2 else ZERO)
         report.cases.append(
@@ -201,39 +200,32 @@ def check_theorem(nu: int, N: int, seed: int = 0) -> TheoremReport:
                 "note": "",
             }
         )
-    try:
-        phi0 = phi_special(nu, 0, N)
-        k00, k0k = casimir_coeffs(nu, phi0, N)
-        resid = max(K.seq.max_abs() for K in (k00, *k0k.values()))
-        report.casimir = {
-            "verdict": "pass" if resid == 0 else "fail",
-            "residual": rat_str(resid),
-        }
-        if resid != 0 and gcd(nu, N) > 1:
-            report.casimir["note"] = (
-                f"known obstruction: gcd(nu, N) = {gcd(nu, N)} > 1 leaves a "
-                "shift-invariant defect of size 2 gcd / N in the coefficient kernels"
-            )
-        if N > nu:
-            numeric = _numeric_casimir_residual(nu, N, phi0, _THEOREM_POLYGONS, seed)
-            report.casimir["numeric_residual"] = rat_str(numeric)
-            report.casimir["polygons"] = _THEOREM_POLYGONS
-            if numeric != 0:
-                report.casimir["verdict"] = "fail"
-        else:
-            report.casimir["numeric_residual"] = "skipped (needs N > nu to sample polygons)"
-    except NoSolution as exc:
-        report.casimir = {"verdict": "skipped", "note": str(exc)}
+    resid = casimir_residual(nu, phi0, N)
+    report.casimir = {
+        "verdict": "pass" if resid == 0 else "fail",
+        "residual": rat_str(resid),
+    }
+    if resid != 0 and gcd(nu, N) > 1:
+        report.casimir["note"] = (
+            f"known obstruction: gcd(nu, N) = {gcd(nu, N)} > 1 leaves a "
+            "shift-invariant defect of size 2 gcd / N in the coefficient kernels"
+        )
+    if N > nu:
+        numeric = _numeric_casimir_residual(nu, N, phi0, _THEOREM_POLYGONS, seed)
+        report.casimir["numeric_residual"] = rat_str(numeric)
+        report.casimir["polygons"] = _THEOREM_POLYGONS
+        if numeric != 0:
+            report.casimir["verdict"] = "fail"
+    else:
+        report.casimir["numeric_residual"] = "skipped (needs N > nu to sample polygons)"
 
     if nu > 3:
         note = "not run above nu = 3: the tensor sweep costs several times the rest of the check"
         report.spectral = {"verdict": "skipped", "note": note}
-    elif not solved:
-        report.spectral = {"verdict": "skipped", "note": f"no phi^(k) solved at N = {N}"}
     else:
         rng = Random(seed + 1)
         resid = ZERO
-        for k, phik in solved.items():
+        for k, phik in enumerate(phis, 1):
             base = quotient_tensor(nu, phik)
             pt = random_fields(base.field_names, N, rng)
             try:

@@ -139,7 +139,7 @@ class OddKernel(Kernel):
         super().__init__(seq)
 
 
-def kernel_from_dpoly(terms: dict, N: int) -> Kernel:
+def shift_kernel(terms: dict, N: int) -> Kernel:
     """Kernel of the shift polynomial sum_r c_r D^r, given as {r: c_r}, on
     period N: K_m = sum of c_r over r = -m mod N."""
     if N < 1:
@@ -148,7 +148,7 @@ def kernel_from_dpoly(terms: dict, N: int) -> Kernel:
 
 
 def _kernel_values(terms: dict, N: int) -> list:
-    """The values of kernel_from_dpoly for {r: c_r}; ints stay ints."""
+    """The values of shift_kernel for {r: c_r}; ints stay ints."""
     vals = [0] * N
     for r, c in terms.items():
         vals[-r % N] += c
@@ -255,13 +255,16 @@ def phi_special(nu: int, k: int, N: int) -> OddKernel:
     These are the distinguished deformation kernels: k = 0 makes the leading
     reduced field a Casimir, while 1 <= k <= nu-1 makes the reduced bracket
     linear in the k-th field.
+
+    A solution always exists, so NoSolution is never raised: A = 2 - D^j - D^-j
+    is symmetric and b = D^j - D^-j antisymmetric, so the odd part of any
+    solution solves it too, and b delta sums to zero on each residue class
+    mod gcd(j, N), so it is orthogonal to ker A and lies in the range of A.
     """
     if nu < 2:
         raise ValueError("nu must be >= 2")
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
-    if N < 3:
-        raise ValueError("period must be >= 3")
     j = nu - k
     return solve_phi({0: 2, j: -1, -j: -1}, {j: 1, -j: -1}, N)
 

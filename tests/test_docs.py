@@ -72,12 +72,14 @@ def test_readme_bare_private_names_resolve():
 def test_a_deleted_name_does_not_resolve():
     assert resolves("Poly.diff") and resolves("lattice_ops._int_convolve") and resolves("polypoisson.cli")
     assert resolves("PerSeq.from_json") and resolves("PolyTensor.to_json") and resolves("OpTensor.to_json")
+    assert resolves("lattice_ops.shift_kernel")
     deleted = (
         "Poly.eval_grad", "Poly.eval", "linalg.nullspace", "Polygon.to_json", "PolyTensor.from_json",
         "OpTensor.from_json", "_FieldTensor._from_header", "DPoly.from_json", "TheoremReport.to_json",
         "coord_reduction._LINEAR_WORDS", "coord_reduction.build_murho", "coord_reduction.build_abrho",
         "coord_reduction._exchange_tensor", "DPoly", "lattice_ops.DPoly", "Kernel.delta", "Kernel.zero",
         "PerSeq.delta", "Poly.degree_in", "gen_nu._require_period", "coord_reduction._require_period",
+        "lattice_ops.kernel_from_dpoly", "coord_reduction._K", "coord_reduction._Kinv",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name

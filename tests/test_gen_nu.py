@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import gen_nu
+from polypoisson.cli import run_command
 from polypoisson.coord_reduction import closed_tensor, field_gradients
 from polypoisson.exchange_algebra import BracketSpec, _PiTable, random_polygon
 from polypoisson.gen_nu import (
@@ -24,9 +25,9 @@ from polypoisson.lattice_ops import (
     OddKernel,
     PerSeq,
     _closed_ints,
-    kernel_from_dpoly,
     phi_special,
     random_odd_kernel,
+    shift_kernel,
     sign,
 )
 from polypoisson.linalg import _int_pairings, _scaled
@@ -79,19 +80,15 @@ def w_alk_minus_ww_closed(nu, k, phi):
 def test_hats_equal_the_double_sum_reference():
     # the difference-count sums equal the literal double sums at every k,
     # for N = nu + 2, 2 nu + 1 and 2 nu + 2 (gcd(nu, N) > 1 among them), for
-    # a random odd phi and for phi^(k) wherever it exists
+    # a random odd phi and for every phi^(k)
     rng = Random(6)
     specials = 0
     for nu in range(2, 7):
         for N in (nu + 2, 2 * nu + 1, 2 * nu + 2):
             odd = random_odd_kernel(N, rng)
             for k in range(nu):
-                phis = [odd]
-                try:
-                    phis.append(phi_special(nu, k, N))
-                except NoSolution:
-                    pass
-                specials += len(phis) - 1
+                phis = [odd, phi_special(nu, k, N)]
+                specials += 1
                 for phi in phis:
                     assert hats(nu, k, phi) == reference_hats(nu, k, phi, N), (nu, N, k)
     assert specials == 60
@@ -99,10 +96,10 @@ def test_hats_equal_the_double_sum_reference():
 
 def reference_closed(outer, s, nu, phi, N):
     """outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] by dense Fraction convolutions."""
-    inner = reference_convolve(kernel_from_dpoly({nu: 1, s: -1}, N), phi.seq)
-    delta_part = kernel_from_dpoly({nu: 1, s: 1}, N).seq.values
+    inner = reference_convolve(shift_kernel({nu: 1, s: -1}, N), phi.seq)
+    delta_part = shift_kernel({nu: 1, s: 1}, N).seq.values
     inner = PerSeq(N, tuple(x + y for x, y in zip(inner.values, delta_part)))
-    return Kernel(reference_convolve(kernel_from_dpoly(outer, N), inner))
+    return Kernel(reference_convolve(shift_kernel(outer, N), inner))
 
 
 def w_alk_prefactor(nu, k):
@@ -146,10 +143,7 @@ def kernel_cases(draw):
             vals[j] = draw(coeff)
             vals[N - j] = -vals[j]
     elif shape == "special":
-        try:
-            return nu, k, phi_special(nu, k, N), N
-        except NoSolution:
-            pass
+        return nu, k, phi_special(nu, k, N), N
     return nu, k, Kernel(PerSeq(N, tuple(vals))), N
 
 
@@ -251,7 +245,7 @@ def test_w_alk_minus_ww_closed_matches_window():
 
 def test_quad_coeff_zero_phi():
     got = quad_coeff(2, 1, Kernel(PerSeq.constant(5, 0)), 5)
-    assert got.seq.values == kernel_from_dpoly({-1: 1, 1: -1}, 5).seq.values
+    assert got.seq.values == shift_kernel({-1: 1, 1: -1}, 5).seq.values
 
 
 def test_quad_coeff_vanishes_for_special_phi():
@@ -293,7 +287,7 @@ def test_every_phi_reader_names_the_two_periods():
 
 def test_casimir_coeffs_zero_phi_example():
     k00, _ = casimir_coeffs(2, Kernel(PerSeq.constant(5, 0)), 5)
-    assert k00.seq.values == kernel_from_dpoly({-2: 1, 2: -1}, 5).seq.values
+    assert k00.seq.values == shift_kernel({-2: 1, 2: -1}, 5).seq.values
 
 
 def test_casimir_coeffs_vanish_for_phi0():
@@ -347,7 +341,9 @@ def test_check_theorem_order4():
     }
 
 
-def test_check_theorem_spectral_skipped_with_no_solved_phi(monkeypatch):
+def test_check_theorem_has_no_skip_branch_for_phi(monkeypatch, capsys):
+    # phi^(k) always exists (see phi_special), so an unsolvable phi^(k) is an
+    # error of check_theorem and of the theorem verb, never a skipped row
     real = gen_nu.phi_special
 
     def unsolvable(nu, k, N):
@@ -356,10 +352,10 @@ def test_check_theorem_spectral_skipped_with_no_solved_phi(monkeypatch):
         return real(nu, k, N)
 
     monkeypatch.setattr(gen_nu, "phi_special", unsolvable)
-    rep = check_theorem(2, 7, seed=0)
-    assert [c["verdict"] for c in rep.cases] == ["skipped"]
-    assert rep.spectral == {"verdict": "skipped", "note": "no phi^(k) solved at N = 7"}
-    assert rep.all_pass()
+    with pytest.raises(NoSolution, match="no odd periodic kernel"):
+        check_theorem(2, 7, seed=0)
+    assert run_command(["theorem", "--nu", "2", "--N", "7"]) == 2
+    assert capsys.readouterr().err == "error: no odd periodic kernel satisfies the equation\n"
 
 
 def test_check_theorem_order6():

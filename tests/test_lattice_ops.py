@@ -15,9 +15,9 @@ from polypoisson.lattice_ops import (
     compose,
     convolve_apply,
     invert,
-    kernel_from_dpoly,
     phi_special,
     random_odd_kernel,
+    shift_kernel,
     solve_phi,
 )
 
@@ -44,30 +44,30 @@ def dpoly_mul(p, q):
 
 
 def test_kernel_of_shift():
-    K = kernel_from_dpoly({1: 1}, 5)
+    K = shift_kernel({1: 1}, 5)
     assert K.seq.values == (F(0), F(0), F(0), F(0), F(1))
 
 
 def test_kernel_of_identity():
-    K = kernel_from_dpoly({0: 1}, 4)
+    K = shift_kernel({0: 1}, 4)
     assert K.seq.values == (F(1), F(0), F(0), F(0))
 
 
 def test_kernel_of_d_minus_dinv():
-    K = kernel_from_dpoly({1: 1, -1: -1}, 5)
+    K = shift_kernel({1: 1, -1: -1}, 5)
     assert K[4] == 1 and K[1] == -1
     assert all(K[m] == 0 for m in (0, 2, 3))
 
 
 def test_convolve_shift():
-    K = kernel_from_dpoly({1: 1}, 5)
+    K = shift_kernel({1: 1}, 5)
     f = seq(1, 2, 3, 4, 5)
     assert convolve_apply(K, f).values == (F(2), F(3), F(4), F(5), F(1))
 
 
 def test_shift_composition_is_identity():
-    Kp = kernel_from_dpoly({1: 1}, 5)
-    Km = kernel_from_dpoly({-1: 1}, 5)
+    Kp = shift_kernel({1: 1}, 5)
+    Km = shift_kernel({-1: 1}, 5)
     assert compose(Kp, Km).seq.values == (F(1), F(0), F(0), F(0), F(0))
 
 
@@ -79,7 +79,7 @@ def test_convolve_with_delta_returns_kernel():
 
 def test_period_mismatch():
     with pytest.raises(ValueError):
-        convolve_apply(kernel_from_dpoly({0: 1}, 5), seq(1, 0, 0, 0))
+        convolve_apply(shift_kernel({0: 1}, 5), seq(1, 0, 0, 0))
 
 
 def test_dpoly_ring_homomorphism():
@@ -88,8 +88,8 @@ def test_dpoly_ring_homomorphism():
     for _ in range(20):
         p = {rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)}
         q = {rng.randint(-3, 3): F(rng.randint(-4, 4)) for _ in range(3)}
-        lhs = kernel_from_dpoly(dpoly_mul(p, q), N)
-        rhs = compose(kernel_from_dpoly(p, N), kernel_from_dpoly(q, N))
+        lhs = shift_kernel(dpoly_mul(p, q), N)
+        rhs = compose(shift_kernel(p, N), shift_kernel(q, N))
         assert lhs.seq.values == rhs.seq.values
 
 
@@ -99,26 +99,26 @@ def test_apply_dpoly_matches_kernel_action():
     p = {2: F(3), -1: F(-1, 2), 0: F(1)}
     f = seq(1, -2, 3, 0, 5, -1)
     shifted = tuple(sum(c * f[m + r] for r, c in p.items()) for m in range(N))
-    assert shifted == convolve_apply(kernel_from_dpoly(p, N), f).values
+    assert shifted == convolve_apply(shift_kernel(p, N), f).values
 
 
 def test_invert_one_plus_d_period_3():
-    K = kernel_from_dpoly({0: 1, 1: 1}, 3)
+    K = shift_kernel({0: 1, 1: 1}, 3)
     L = invert(K)
-    assert L.seq.values == kernel_from_dpoly({0: F(1, 2), 1: F(-1, 2), 2: F(1, 2)}, 3).seq.values
+    assert L.seq.values == shift_kernel({0: F(1, 2), 1: F(-1, 2), 2: F(1, 2)}, 3).seq.values
     assert compose(K, L).seq.values == (F(1), F(0), F(0))
     assert compose(L, K).seq.values == (F(1), F(0), F(0))
 
 
 def test_invert_singular_one_minus_d():
     with pytest.raises(SingularOperator) as info:
-        invert(kernel_from_dpoly({0: 1, 1: -1}, 5))
+        invert(shift_kernel({0: 1, 1: -1}, 5))
     assert info.value.nullity == 1
 
 
 def test_invert_singular_one_plus_d_even_period():
     with pytest.raises(SingularOperator):
-        invert(kernel_from_dpoly({0: 1, 1: 1}, 4))
+        invert(shift_kernel({0: 1, 1: 1}, 4))
 
 
 def test_two_sided_inverse_random():
@@ -154,8 +154,8 @@ def test_solve_phi_step2_sawtooth():
     b = {3: -1, 2: 1, 1: -1, 0: 1}
     phi = solve_phi(A, b, 5)
     assert phi.seq.values == (F(0), F(1, 5), F(-3, 5), F(3, 5), F(-1, 5))
-    K = kernel_from_dpoly(A, 5)
-    assert convolve_apply(K, phi.seq).values == kernel_from_dpoly(b, 5).seq.values
+    K = shift_kernel(A, 5)
+    assert convolve_apply(K, phi.seq).values == shift_kernel(b, 5).seq.values
 
 
 def test_solve_phi_no_solution():
@@ -170,12 +170,18 @@ def test_phi_special_examples():
 
 
 def test_phi_special_defining_equation():
-    for nu, k, N in ((2, 0, 7), (3, 1, 7), (4, 2, 9), (5, 3, 7)):
-        j = nu - k
-        phi = phi_special(nu, k, N)
-        A = kernel_from_dpoly({0: 2, j: -1, -j: -1}, N)
-        b = kernel_from_dpoly({j: 1, -j: -1}, N)
-        assert convolve_apply(A, phi.seq).values == b.seq.values
+    # phi^(k) always exists: the odd part of any solution solves the equation,
+    # and b delta lies in the range of the symmetric A, so phi_special never
+    # raises NoSolution
+    for nu in range(2, 7):
+        for k in range(nu):
+            j = nu - k
+            for N in range(3, 25):
+                phi = phi_special(nu, k, N)
+                assert isinstance(phi, OddKernel)
+                A = shift_kernel({0: 2, j: -1, -j: -1}, N)
+                b = shift_kernel({j: 1, -j: -1}, N)
+                assert convolve_apply(A, phi.seq).values == b.seq.values, (nu, k, N)
 
 
 def test_phi_special_unique_when_coprime():
@@ -183,7 +189,7 @@ def test_phi_special_unique_when_coprime():
     for nu, k, N in ((2, 1, 5), (3, 0, 7), (4, 1, 7)):
         j = nu - k
         odd_rows = [[F(int(n == m % N) + int(n == -m % N)) for n in range(N)] for m in range(N // 2 + 1)]
-        mat = kernel_from_dpoly({0: 2, j: -1, -j: -1}, N).matrix() + odd_rows
+        mat = shift_kernel({0: 2, j: -1, -j: -1}, N).matrix() + odd_rows
         assert len(nullspace(mat)) == 0
 
 
@@ -213,7 +219,7 @@ def short_kernels(draw):
 @given(short_kernels())
 def test_invert_is_a_two_sided_inverse(case):
     p, N = case
-    K = kernel_from_dpoly(p, N)
+    K = shift_kernel(p, N)
     try:
         L = invert(K)
     except SingularOperator as err:
@@ -285,7 +291,7 @@ def test_invert_equals_the_dense_route(K):
 )
 def test_singular_operator_nullity(terms, N, nullity):
     with pytest.raises(SingularOperator) as info:
-        invert(kernel_from_dpoly(terms, N))
+        invert(shift_kernel(terms, N))
     assert info.value.nullity == nullity
     assert f"nullspace dimension {nullity}" in str(info.value)
 
@@ -312,8 +318,8 @@ def _check_solve_phi(A, b, N):
     orthogonal to the odd homogeneous solutions; returns their number."""
     phi = solve_phi(A, b, N)
     assert all(phi[-m] == -phi[m] for m in range(N))
-    assert convolve_apply(kernel_from_dpoly(A, N), phi.seq).values == kernel_from_dpoly(b, N).seq.values
-    hom = nullspace(kernel_from_dpoly(A, N).matrix() + _odd_rows(N))
+    assert convolve_apply(shift_kernel(A, N), phi.seq).values == shift_kernel(b, N).seq.values
+    hom = nullspace(shift_kernel(A, N).matrix() + _odd_rows(N))
     assert all(linalg.dot(h, phi.seq.values) == 0 for h in hom)
     return len(hom)
 
@@ -327,8 +333,8 @@ def test_solve_phi_is_odd_exact_and_minimal(case):
         _check_solve_phi(*case)
     except NoSolution:
         A, b, N = case
-        rhs = list(kernel_from_dpoly(b, N).seq.values) + [F(0)] * (N // 2 + 1)
-        assert linalg.solve(kernel_from_dpoly(A, N).matrix() + _odd_rows(N), rhs) is None
+        rhs = list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1)
+        assert linalg.solve(shift_kernel(A, N).matrix() + _odd_rows(N), rhs) is None
 
 
 @pytest.mark.parametrize("N", [6, 9, 12])
@@ -339,7 +345,7 @@ def test_solve_phi_minimal_norm_with_homogeneous_solutions(N):
     A = {0: 2, 3: -1, -3: -1}
     c = {1: 1, -1: -1}
     assert _check_solve_phi(A, dpoly_mul(A, c), N) >= 1
-    assert solve_phi(A, dpoly_mul(A, c), N).seq.values != kernel_from_dpoly(c, N).seq.values
+    assert solve_phi(A, dpoly_mul(A, c), N).seq.values != shift_kernel(c, N).seq.values
 
 
 def reference_convolve(K, f):
@@ -351,8 +357,8 @@ def reference_convolve(K, f):
 def reference_solve_phi(A, b, N):
     """solve_phi as two Fraction eliminations: linalg.solve for the particular
     solution, linalg.nullspace for the homogeneous one, then the Gram projection."""
-    mat = kernel_from_dpoly(A, N).matrix() + _odd_rows(N)
-    particular = linalg.solve(mat, list(kernel_from_dpoly(b, N).seq.values) + [F(0)] * (N // 2 + 1))
+    mat = shift_kernel(A, N).matrix() + _odd_rows(N)
+    particular = linalg.solve(mat, list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1))
     if particular is None:
         raise NoSolution("no odd periodic kernel satisfies the equation")
     hom = nullspace(mat)
@@ -389,7 +395,7 @@ def test_convolve_apply_equals_dense_reference(case):
 
 
 @given(st.integers(2, 6), st.integers(5, 21), st.data())
-@example(4, 12, None)  # even N with gcd(nu, N) = 4: several k have no or many solutions
+@example(4, 12, None)  # even N with gcd(nu, N) = 4: several k have many solutions
 @example(3, 9, None)
 def test_solve_phi_equals_two_elimination_reference(nu, N, data):
     # phi_special's equations for every k (non-unique at even N or gcd > 1),

@@ -25,7 +25,6 @@ from .exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
     Polygon,
-    ProjPolygon,
     default_rc,
     group_act,
     projective_bracket,
@@ -36,7 +35,6 @@ from .exchange_algebra import (
 )
 from .coord_reduction import (
     ConstraintNotSecondClass,
-    Fields,
     GaugeInconsistent,
     NonUniqueGauge,
     OpTensor,

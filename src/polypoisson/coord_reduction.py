@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import itemgetter
@@ -95,47 +94,22 @@ def alias_index(nu: int, name: str) -> int:
     raise KeyError(f"unknown field alias {name!r} for nu={nu}")
 
 
-@dataclass(frozen=True)
-class Fields:
-    """The quotient coordinates a^(0)..a^(nu-1) of a polygon, as periodic sequences.
-
-    a^(0) is the Wronskian ratio w'/w (alias rho); for nu = 2 the remaining
-    field is mu and for nu = 3 the fields are (rho, b, a).
-    """
-
-    nu: int
-    N: int
-    a: tuple
-
-    def __post_init__(self):
-        if len(self.a) != self.nu:
-            raise ValueError("need nu field sequences")
-        for seq in self.a:
-            if seq.N != self.N:
-                raise ValueError("field period mismatch")
-        if not self.a[0].nonvanishing():
-            raise ValueError("a^(0) = w'/w must be nonvanishing")
-
-    def point(self) -> dict:
-        out = {f"a{k}": self.a[k] for k in range(self.nu)}
-        for i, name in enumerate(_ALIASES.get(self.nu, ())):
-            out[name] = self.a[i]
-        return out
-
-
-def coords(W: Polygon, ctx: _DualCtx = None) -> Fields:
-    """The recursion coefficients of a nondegenerate polygon.
+def coords(W: Polygon, ctx: _DualCtx = None) -> dict:
+    """The recursion coefficients of a nondegenerate polygon, as a field point.
 
     a^(k)_m is the ratio of the (nu x nu) determinant on vertices
     m..m+nu omitting m+k to the Wronskian w_m, and a^(0)_m = w_{m+1}/w_m.
     The values come from the one solve per site of ``_DualCtx`` (ctx, when
     given), with no gradient built; it raises DegeneratePolygon at the first
-    site with w_m = 0 and ValueError when N < nu.  The result is periodic and
-    invariant under the projective action.
+    site with w_m = 0 and ValueError when N < nu.  The result maps a0 ..
+    a{nu-1} to periodic sequences, invariant under the projective action; for
+    nu = 2, 3 the aliases (rho, mu) and (rho, b, a) name the same objects.
     """
     ctx = ctx or _DualCtx(W)
-    seqs = (PerSeq(W.N, tuple(ctx.value(k, m) for m in range(W.N))) for k in range(W.nu))
-    return Fields(W.nu, W.N, tuple(seqs))
+    point = {f"a{k}": PerSeq(W.N, tuple(ctx.value(k, m) for m in range(W.N))) for k in range(W.nu)}
+    for k, name in enumerate(_ALIASES.get(W.nu, ())):
+        point[name] = point[f"a{k}"]
+    return point
 
 
 def field_gradients(W: Polygon, field_names, ctx: _DualCtx = None) -> list:
@@ -194,10 +168,8 @@ class _FieldTensor:
         return self.d * self.N
 
     def point_values(self, point) -> list:
-        """The field values at a point (Fields or a name -> PerSeq map), in _var
-        order; a field of a period other than the tensor's is a ValueError."""
-        if isinstance(point, Fields):
-            point = point.point()
+        """The field values at a point (a name -> PerSeq map), in _var order;
+        a field of a period other than the tensor's is a ValueError."""
         for name in self.field_names:
             require_period(f"field {name!r}", point[name], self.N)
         return [x for name in self.field_names for x in point[name].values]

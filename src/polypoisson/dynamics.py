@@ -19,7 +19,6 @@ from math import prod
 
 from . import linalg
 from .coord_reduction import (
-    Fields,
     PolyTensor,
     _int_point,
     _int_poly,
@@ -78,7 +77,7 @@ def _vars(H: Poly, TP) -> set:
 class TransferMatrix:
     """Per-site companion matrices of the order-nu recursion and their product.
 
-    ``of(a, N)`` takes the entries a^(r)_m as Fractions (``Fields.a``) or as
+    ``of(a, N)`` takes the entries a^(r)_m as Fractions (from ``coords``) or as
     Polys (``field_polys``), so the monodromy is a matrix of either.
     """
 
@@ -116,9 +115,10 @@ def char_poly(T) -> list:
     return coeffs
 
 
-def transfer_invariants(fields: Fields) -> list:
-    """Characteristic-polynomial coefficients of the monodromy of the recursion."""
-    return char_poly(TransferMatrix.of(fields.a, fields.N).monodromy)
+def transfer_invariants(a) -> list:
+    """Characteristic-polynomial coefficients of the monodromy of the recursion
+    whose coefficients are the periodic sequences a = (a^(0), ..., a^(nu-1))."""
+    return char_poly(TransferMatrix.of(a, a[0].N).monodromy)
 
 
 def trace_transfer(field_names, N: int) -> Poly:

@@ -312,6 +312,8 @@ class _DualCtx:
     and solves c^T B_m = V_{m+nu}: ``value`` reads a^(k)_m = (-1)^(nu-1-k) c_k
     alone, ``factor`` holds dc^T = (dV_{m+nu} - c^T dB_m) B_m^-1 as nu sparse
     covectors and a nu x nu mix, and ``field`` mixes one gradient from it.
+    ``proj`` is the one reader of the affine chart v_m = V_m / (V_m)_{nu-1},
+    for the chain-rule tables and the projective closed form alike.
     """
 
     def __init__(self, W: Polygon):
@@ -388,10 +390,13 @@ class _DualCtx:
     def proj(self, m: int, comp: int) -> tuple:
         """Affine-chart coordinate v_m^comp = (V_m)_comp / (V_m)_{nu-1}, by the quotient rule in ints.
 
-        For a = an / ad, b = bn / bd with gradients ga, gb over D:
+        A vanishing (V_m)_{nu-1} is a chart violation, a ValueError.  For
+        a = an / ad, b = bn / bd with gradients ga, gb over D:
         d(a / b) = (bn ad bd ga - an bd^2 gb) / (ad D bn^2).
         """
         (a, ga, D), (b, gb, _) = self.vertex(m)[comp], self.vertex(m)[self.nu - 1]
+        if not b:
+            raise ValueError(f"chart violation: last component of V_{m} vanishes")
         an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
         return a / b, linalg._sparse_sum(((bn * ad * bd, ga), (-an * bd * bd, gb))), ad * D * bn * bn
 
@@ -651,33 +656,15 @@ def verify_structure(spec: BracketSpec, W: Polygon, check: str, trials: int = 20
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjPolygon:
-    """Affine-chart image of a polygon: v_m in Q^(nu-1) with (v_m, 1) ~ V_m."""
+def _projective_ints(R, v, pairs) -> tuple:
+    """(den, {(m, n): den times {v_m (x) v_n}}) in ints, for (m, n) in pairs.
 
-    nu: int
-    v: tuple
-    M: tuple
-
-    @classmethod
-    def from_polygon(cls, W: Polygon) -> "ProjPolygon":
-        rows = []
-        for m in range(W.N):
-            last = W.V[m][W.nu - 1]
-            if not last:
-                raise ValueError(f"chart violation: last component of V_{m} vanishes")
-            rows.append(tuple(x / last for x in W.V[m][: W.nu - 1]))
-        return cls(W.nu, tuple(rows), W.M)
-
-
-def _projective_ints(R, P: ProjPolygon, pairs) -> tuple:
-    """(den, {(m, n): den times projective_bracket(R, P, m, n)}) in ints, for (m, n) in pairs.
-
-    The chart points are scaled to ints u / e over one e and the nonzeros of
-    R to ints over dR, so den = dR e^4; (u, e) is the point (v, 1) over e.
+    v lists the chart rows v_0..v_{N-1}, read from ``_DualCtx.proj``.  They
+    are scaled to ints u / e over one e and the nonzeros of R to ints over
+    dR, so den = dR e^4; (u, e) is the point (v, 1) over e.
     """
-    nu, k = P.nu, P.nu - 1
-    U, e = linalg._scaled(P.v)
+    nu, k = len(v[0]) + 1, len(v[0])
+    U, e = linalg._scaled(v)
     terms = _nonzeros(R, nu)
     dR = lcm(*(x.denominator for *_, x in terms))
     terms = [(*t, x.numerator * (dR // x.denominator)) for *t, x in terms]
@@ -701,34 +688,40 @@ def _projective_ints(R, P: ProjPolygon, pairs) -> tuple:
     return dR * e**4, tables
 
 
-def projective_bracket(R, P: ProjPolygon, m: int, n: int):
+def projective_bracket(R, W: Polygon, m: int, n: int):
     """{v_m (x) v_n} = (v_m (x) v_n).R - sgn(m-n) (v_m - v_n) (x) (v_m - v_n).
 
-    With v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart
-    as E_ac.v = v'_a (e_c if c < k else -v), so the R term is one
-    contraction S = (v'_m (x) v'_n) R whose row and column k fold back onto
-    -v_m and -v_n; it is summed in ints by ``_projective_ints``.
+    v_m is the affine-chart point of V_m (``_DualCtx.proj``).  With
+    v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart as
+    E_ac.v = v'_a (e_c if c < k else -v), so the R term is one contraction
+    S = (v'_m (x) v'_n) R whose row and column k fold back onto -v_m and
+    -v_n; it is summed in ints by ``_projective_ints``.
     """
-    den, tables = _projective_ints(R, P, [(m, n)])
+    ctx = _DualCtx(W)
+    v = [[ctx.proj(i, c)[0] for c in range(W.nu - 1)] for i in range(W.N)]
+    den, tables = _projective_ints(R, v, [(m, n)])
     return [[Fraction(x, den) for x in row] for row in tables[m, n]]
 
 
 def _projective_residual(R, specs, W: Polygon) -> Fraction:
     """Max gap of the chart tables of specs from each other and from projective_bracket(R, ...).
 
-    One list of chart gradients, the int gradients of the chart coordinates
-    v_m^c in the order (m, c), is paired against each spec's ints of Pi,
-    the closed form is summed in ints over one chart denominator, and the
-    first table is compared with the others and with the closed form by
-    cross-multiplication; a Fraction is built only for a nonzero gap.
+    One read of the chart, the triples ``_DualCtx.proj(m, c)``, gives both
+    sides: its int gradients in the order (m, c) are paired against each
+    spec's ints of Pi, and its values give the closed form, summed in ints
+    over one chart denominator.  The first table is compared with the
+    others and with the closed form by cross-multiplication; a Fraction is
+    built only for a nonzero gap.
     """
     for spec in specs:
         _require_shape(spec, W)
     k, N, coords, ctx = W.nu - 1, W.N, W.coordinates(), _DualCtx(W)
-    grads = [ctx.proj(m, c)[1:] for m in range(N) for c in range(k)]
+    chart = [[ctx.proj(m, c) for c in range(k)] for m in range(N)]
+    grads = [p[1:] for row in chart for p in row]
     pis = [_PiTable(spec, coords) for spec in specs]
     tables = [(linalg._int_pairings(grads, pi.ints, grads), pi.L * pi.den**2) for pi in pis]
-    dc, closed = _projective_ints(R, ProjPolygon.from_polygon(W), [(m, n) for m in range(N) for n in range(N)])
+    v = [[x for x, _, _ in row] for row in chart]
+    dc, closed = _projective_ints(R, v, [(m, n) for m in range(N) for n in range(N)])
     res = ZERO
     for i, (_, df) in enumerate(grads):
         for j, (_, dg) in enumerate(grads):

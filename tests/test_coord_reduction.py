@@ -13,7 +13,6 @@ from polypoisson import acceptance, coord_reduction, linalg
 from polypoisson.coord_reduction import (
     ConstraintNotSecondClass,
     alias_index,
-    Fields,
     GaugeInconsistent,
     NonUniqueGauge,
     OpTensor,
@@ -68,22 +67,23 @@ def mu_rho_one_polygon():
 
 def test_coords_mu_rho_one():
     f = coords(mu_rho_one_polygon())
-    assert f.point()["mu"].values == (F(1),) * 5
-    assert f.point()["rho"].values == (F(1),) * 5
+    assert f["mu"].values == (F(1),) * 5
+    assert f["rho"].values == (F(1),) * 5
 
 
 def test_coords_order3_cycle():
     V = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
     M = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     f = coords(Polygon(3, 4, V, M))
-    assert f.point()["a"].values == (F(0),) * 4
-    assert f.point()["b"].values == (F(0),) * 4
-    assert f.point()["rho"].values == (F(1),) * 4
+    assert f["a"].values == (F(0),) * 4
+    assert f["b"].values == (F(0),) * 4
+    assert f["rho"].values == (F(1),) * 4
 
 
 def reference_coords(W):
-    """The fields by determinants: a^(0)_m = w_{m+1} / w_m and a^(k)_m the
-    det of V_m..V_{m+nu} without V_{m+k}, over w_m, each re-extended by M."""
+    """The fields by determinants, as the point {a0: a^(0), ..., a{nu-1}: a^(nu-1)}:
+    a^(0)_m = w_{m+1} / w_m and a^(k)_m the det of V_m..V_{m+nu} without
+    V_{m+k}, over w_m, each re-extended by M."""
     W.require_nondegenerate()
     nu, N = W.nu, W.N
     w = [W.wronskian_at(m) for m in range(N + 1)]
@@ -91,7 +91,7 @@ def reference_coords(W):
     for k in range(1, nu):
         vals = [linalg.det([W.vertex(m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
         seqs.append(PerSeq(N, tuple(vals)))
-    return Fields(nu, N, tuple(seqs))
+    return {f"a{k}": seq for k, seq in enumerate(seqs)}
 
 
 def test_coords_match_determinant_reference():
@@ -99,7 +99,19 @@ def test_coords_match_determinant_reference():
     for nu in (2, 3, 4, 5):
         for N in sorted({nu, nu + 1, 2 * nu + 1, 11}):
             W = random_polygon(nu, N, rng)
-            assert coords(W) == reference_coords(W), (nu, N)
+            f = coords(W)
+            assert {f"a{k}": f[f"a{k}"] for k in range(nu)} == reference_coords(W), (nu, N)
+
+
+def test_coords_is_the_field_point_with_its_aliases():
+    # a0 .. a{nu-1} and, for nu = 2, 3, each alias bound to its a{k} itself
+    rng = Random(28)
+    for nu, aliases in ((2, ("rho", "mu")), (3, ("rho", "b", "a")), (4, ())):
+        point = coords(random_polygon(nu, 5, rng))
+        assert type(point) is dict
+        assert sorted(point) == sorted([f"a{k}" for k in range(nu)] + list(aliases)), nu
+        for k, name in enumerate(aliases):
+            assert point[name] is point[f"a{k}"], (nu, name)
 
 
 def test_coords_on_a_degenerate_polygon_name_the_site():
@@ -153,7 +165,7 @@ def test_coords_projective_invariance():
         W2 = group_act(PerSeq.constant(5, 1), g, W)
         f1, f2 = coords(W), coords(W2)
         for k in range(nu):
-            assert f1.a[k].values == f2.a[k].values
+            assert f1[f"a{k}"].values == f2[f"a{k}"].values
 
 
 def test_toda_tensor_tables():
@@ -1229,11 +1241,15 @@ def test_named_tensor_monomials_are_canonical():
 
 
 def test_fields_aliases():
-    f = Fields(3, 4, (PerSeq.constant(4, 1), PerSeq.constant(4, 2), PerSeq.constant(4, 3)))
-    point = f.point()
+    # V_{m+3} = V_m - 2 V_{m+1} + 3 V_{m+2}, so a^(k)_m = (-1)^(2-k) c_k is
+    # the constant (1, 2, 3); M = T^4 is read off V_4..V_6
+    V = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for m in range(4):
+        V.append(tuple(x - 2 * y + 3 * z for x, y, z in zip(*V[m : m + 3])))
+    point = coords(Polygon(3, 4, tuple(V[:4]), tuple(V[4:7])))
     assert point["rho"].values == point["a0"].values
     assert point["b"][0] == 2 and point["a"][0] == 3
-    assert f.a[alias_index(3, "b")] is point["b"]
+    assert point[f"a{alias_index(3, 'b')}"] is point["b"]
     with pytest.raises(KeyError):
         point["mu"]
     with pytest.raises(KeyError):

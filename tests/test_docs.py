@@ -80,10 +80,28 @@ def test_a_deleted_name_does_not_resolve():
         "coord_reduction._exchange_tensor", "DPoly", "lattice_ops.DPoly", "Kernel.delta", "Kernel.zero",
         "PerSeq.delta", "Poly.degree_in", "gen_nu._require_period", "coord_reduction._require_period",
         "lattice_ops.kernel_from_dpoly", "coord_reduction._K", "coord_reduction._Kinv",
+        "Fields", "coord_reduction.Fields", "Fields.point", "ProjPolygon", "exchange_algebra.ProjPolygon",
+        "ProjPolygon.from_polygon",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
     assert resolves_bare("_pi_template") and resolves_bare("_linear_words") and not resolves_bare("_no_such_name")
+
+
+def test_public_names_are_listed():
+    # adding or deleting a public name shows in the diff of this list
+    assert sorted(polypoisson.__all__) == [
+        "BracketSpec", "ConstraintNotSecondClass", "DegeneratePolygon", "GaugeInconsistent", "Kernel",
+        "LinearityViolated", "NoSolution", "NonUniqueGauge", "OddKernel", "OpTensor", "PerSeq", "PolyTensor",
+        "Polygon", "SingularOperator", "TheoremReport", "TransferMatrix", "casimir_coeffs", "casimir_residual",
+        "check_theorem", "closed_tensor", "commute_check", "compatibility", "convolve_apply", "coord_reduction",
+        "coords", "default_rc", "det_transfer", "dirac_reduce", "dynamics", "exchange_algebra", "gauge_normalize",
+        "gen_nu", "gf_check", "group_act", "ham_vf", "integrate", "invert", "jacobiator", "lattice_ops",
+        "lie_deform", "lifted_flow_residual", "lifted_vf", "linalg", "multipoly", "oracle_match", "phi_special",
+        "projective_bracket", "pushforward_check", "quad_coeff", "random_polygon", "rat", "rat_str",
+        "shift_kernel", "solve_phi", "sum_field", "toda_dirac_vs_ftv", "trace_transfer", "trajectory_csv",
+        "transfer_invariants", "verify_structure", "verify_ybe", "wronskian",
+    ]
 
 
 def test_readme_command_lines_parse():

@@ -6,7 +6,6 @@ from test_coord_reduction import poly_eval, reference_poly_matrix
 
 from polypoisson import acceptance, dynamics, linalg
 from polypoisson.coord_reduction import (
-    Fields,
     PolyTensor,
     _var,
     as_poly_tensor,
@@ -166,12 +165,10 @@ def test_lifted_flow_pushforward():
 
 
 def test_transfer_invariants_examples():
-    f = Fields(2, 3, (PerSeq.constant(3, 1), PerSeq.constant(3, 1)))
-    coeffs = transfer_invariants(f)
+    coeffs = transfer_invariants((PerSeq.constant(3, 1), PerSeq.constant(3, 1)))
     # char poly x^2 + 2x + 1: trace -2, determinant 1
     assert coeffs == [F(1), F(2), F(1)]
-    f1 = Fields(2, 1, (PerSeq.constant(1, 3), PerSeq.constant(1, 5)))
-    T = TransferMatrix.of(f1.a, 1)
+    T = TransferMatrix.of((PerSeq.constant(1, 3), PerSeq.constant(1, 5)), 1)
     assert T.monodromy == [[F(0), F(-3)], [F(1), F(5)]]
 
 
@@ -179,8 +176,7 @@ def test_transfer_det_is_product_of_rho():
     rng = Random(5)
     N = 5
     pt = random_fields(("mu", "rho"), N, rng)
-    f = Fields(2, N, (pt["rho"], pt["mu"]))
-    coeffs = transfer_invariants(f)
+    coeffs = transfer_invariants((pt["rho"], pt["mu"]))
     prod = F(1)
     for m in range(N):
         prod *= pt["rho"][m]
@@ -194,7 +190,7 @@ def test_transfer_matches_polygon_monodromy():
     rng = Random(6)
     W = random_polygon(2, 5, rng)
     f = coords(W)
-    assert char_poly([list(r) for r in W.M]) == transfer_invariants(f)
+    assert char_poly([list(r) for r in W.M]) == transfer_invariants((f["a0"], f["a1"]))
 
 
 def test_commuting_integrals():
@@ -231,9 +227,8 @@ def test_nu3_spectral_invariants_commute_under_both_pencil_tensors():
 def test_transfer_polys_evaluate_to_the_transfer_invariants():
     N = 5
     pt = random_fields(("mu", "rho"), N, Random(11))
-    f = Fields(2, N, (pt["rho"], pt["mu"]))
     x = [pt[name][m] for name in ("mu", "rho") for m in range(N)]
-    _, c1, c0 = transfer_invariants(f)
+    _, c1, c0 = transfer_invariants((pt["rho"], pt["mu"]))
     assert poly_eval(trace_transfer(("mu", "rho"), N), x) == -c1
     assert poly_eval(det_transfer(("mu", "rho"), N), x) == c0
 

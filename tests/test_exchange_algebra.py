@@ -13,7 +13,6 @@ from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
     Polygon,
-    ProjPolygon,
     _DualCtx,
     _PiTable,
     _nonzeros,
@@ -769,7 +768,7 @@ def test_wronskian_sweep_builds_no_field_gradient(monkeypatch):
     assert calls == [] and not ctx._factors
     fields = [ctx.field(k, 2) for k in range(3)]
     assert len(calls) == 3  # one per field of site 2
-    assert [f[0] for f in fields] == [a[2] for a in values.a]
+    assert [f[0] for f in fields] == [values[f"a{k}"][2] for k in range(3)]
 
 
 def test_field_gradients_need_n_at_least_nu():
@@ -963,12 +962,13 @@ def projective_action(X, v):
     return [vA[j] + c[j] - d * v[j] - vb * v[j] for j in range(k)]
 
 
-def reference_projective_bracket(R, P, m, n):
+def reference_projective_bracket(R, W, m, n):
     """The projective closed form summed over the nonzeros of R, each as
-    (E_ac.v_m) (x) (E_bd.v_n) from two unit matrices and projective_action."""
-    nu = P.nu
+    (E_ac.v_m) (x) (E_bd.v_n) from two unit matrices and projective_action,
+    at the chart points v_m = V_m / (V_m)_{nu-1} divided out here."""
+    nu = W.nu
     k = nu - 1
-    vm, vn = P.v[m % len(P.v)], P.v[n % len(P.v)]
+    vm, vn = ([x / W.V[i % W.N][k] for x in W.V[i % W.N][:k]] for i in (m, n))
     table = [[F(0)] * k for _ in range(k)]
     for a, b, c, d, x in _nonzeros(R, nu):
         X = [[F(1) if (i, j) == (a, c) else F(0) for j in range(nu)] for i in range(nu)]
@@ -995,7 +995,6 @@ def test_projective_bracket_equals_reference():
         W = random_polygon(nu, N, rng)
         while any(W.V[m][k] == 0 for m in range(N)):
             W = random_polygon(nu, N, rng)
-        P = ProjPolygon.from_polygon(W)
         R = [
             [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.15 else F(0) for _ in range(nu * nu)]
             for _ in range(nu * nu)
@@ -1005,8 +1004,8 @@ def test_projective_bracket_equals_reference():
         for RR in (default_rc(nu)[0], R):
             for m in range(N):
                 for n in range(N):
-                    got = projective_bracket(RR, P, m, n)
-                    assert got == reference_projective_bracket(RR, P, m, n), (nu, m, n)
+                    got = projective_bracket(RR, W, m, n)
+                    assert got == reference_projective_bracket(RR, W, m, n), (nu, m, n)
                     assert all(type(x) is Fraction for row in got for x in row)
 
 
@@ -1019,9 +1018,8 @@ def test_projective_action_lemma_example():
 def test_projective_same_site_table_is_zero():
     rng = Random(15)
     W = random_polygon(2, 5, rng)
-    P = ProjPolygon.from_polygon(W)
     R, _ = default_rc(2)
-    table = projective_bracket(R, P, 2, 2)
+    table = projective_bracket(R, W, 2, 2)
     # {v (x) v}.R need not vanish entrywise, but the diagonal bracket
     # {v_m, v_m} must: for nu=2 the table is 1x1 so it is exactly zero.
     assert table[0][0] == 0
@@ -1044,14 +1042,13 @@ def test_projective_phi_independence_and_closed_form():
         W = random_polygon(nu, N, rng)
         if any(W.V[m][nu - 1] == 0 for m in range(N)):
             continue
-        P = ProjPolygon.from_polygon(W)
         R, _ = default_rc(nu)
         spec_a = spec_with(nu, N, rng=rng)
         spec_b = spec_with(nu, N, phi=phi_special(nu, 0, N))
         tables_a = chain_table(spec_a, W)
         tables_b = chain_table(spec_b, W)
         for m, n in ((0, 3), (2, 1), (4, 4)):
-            closed = projective_bracket(R, P, m, n)
+            closed = projective_bracket(R, W, m, n)
             assert tables_a[m][n] == tables_b[m][n] == closed
 
 
@@ -1064,7 +1061,6 @@ def test_projective_chain_table_matches_closed_form_for_random_r():
         W = random_polygon(nu, N, rng)
         while any(W.V[m][nu - 1] == 0 for m in range(N)):
             W = random_polygon(nu, N, rng)
-        P = ProjPolygon.from_polygon(W)
         R = [
             [F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.4 else F(0) for _ in range(nu * nu)]
             for _ in range(nu * nu)
@@ -1074,7 +1070,21 @@ def test_projective_chain_table_matches_closed_form_for_random_r():
         tables = chain_table(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)), W)
         for m in range(N):
             for n in range(N):
-                assert tables[m][n] == projective_bracket(R, P, m, n), (nu, m, n)
+                assert tables[m][n] == projective_bracket(R, W, m, n), (nu, m, n)
+
+
+def test_chart_violation_is_one_error_for_both_entry_points():
+    # (V_0)_{nu-1} = 0: the closed form and the residual both reach the
+    # chart through _DualCtx.proj and raise its ValueError
+    W = Polygon(2, 5, ((1, 0), (0, 1), (1, 1), (2, 1), (1, 3)), ((1, 0), (0, 1)))
+    R = default_rc(2)[0]
+    message = "^chart violation: last component of V_0 vanishes$"
+    with pytest.raises(ValueError, match=message):
+        projective_bracket(R, W, 2, 3)
+    with pytest.raises(ValueError, match=message):
+        _projective_residual(R, [spec_with(2, 5)], W)
+    with pytest.raises(ValueError, match=message):
+        _DualCtx(W).proj(0, 0)
 
 
 def test_projective_residual_equals_fraction_tables():
@@ -1087,14 +1097,13 @@ def test_projective_residual_equals_fraction_tables():
         W = random_polygon(nu, N, rng)
         while any(W.V[m][nu - 1] == 0 for m in range(N)):
             W = random_polygon(nu, N, rng)
-        P = ProjPolygon.from_polygon(W)
         specs = [spec_with(nu, N, rng=rng), spec_with(nu, N, phi=phi_special(nu, 0, N))]
         ta, tb = (chain_table(spec, W) for spec in specs)
         for R in (default_rc(nu)[0], random_block(nu, rng)):
             want = F(0)
             for m in range(N):
                 for n in range(N):
-                    closed = reference_projective_bracket(R, P, m, n)
+                    closed = reference_projective_bracket(R, W, m, n)
                     for a, b, c in zip(sum(ta[m][n], []), sum(tb[m][n], []), sum(closed, [])):
                         want = max(want, abs(a - b), abs(a - c))
             assert _projective_residual(R, specs, W) == want

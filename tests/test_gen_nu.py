@@ -422,6 +422,14 @@ def test_check_theorem_short_period():
     assert rep.casimir["numeric_residual"].startswith("skipped")
 
 
+def test_check_theorem_linearity_note_says_when_window_sums_are_skipped():
+    # hat_consistency needs N >= nu + 2; below it each linearity row says so
+    note = "raw window sums not compared: needs N >= nu + 2"
+    for nu, N in ((6, 7), (5, 4)):
+        assert [c["note"] for c in check_theorem(nu, N, seed=0).cases] == [note] * (nu - 1), (nu, N)
+    assert [c["note"] for c in check_theorem(4, 9, seed=0).cases] == [""] * 3
+
+
 def test_hats_dataclass_combination():
     nu, k, N = 2, 1, 7
     phi = phi_special(2, 1, N)

@@ -726,15 +726,22 @@ def _int_point(polys, x):
 
 def _int_poly(poly: Poly, X, pw):
     """(v, grad) of poly at the int point X under the weights pw of
-    ``_int_point``: a term c x^mono of degree k adds pw[k] c X^mono to the
-    int v and its X-derivatives to the ints of grad, a {var: int} map."""
+    ``_int_point``: a term c x^mono of degree k adds pw[k] c t, t = X^mono, to
+    the int v and c d_v t to grad[v], a {var: int} map; d_v t = e t // X_v is
+    exact, and only at X_v = 0 are the other powers multiplied out."""
     val, grad = 0, defaultdict(int)
     for mono, c in poly.terms.items():
-        c = c.numerator * pw[sum(e for _, e in mono)] // c.denominator
-        powers = [X[v] ** e for v, e in mono]
-        val += c * prod(powers)
-        for k, (v, e) in enumerate(mono):
-            grad[v] += c * e * X[v] ** (e - 1) * prod(powers[:k] + powers[k + 1 :])
+        k, t = 0, 1
+        for v, e in mono:
+            k += e
+            t *= X[v] ** e
+        c = c.numerator * pw[k] // c.denominator
+        val += c * t
+        for v, e in mono:
+            if x := X[v]:
+                grad[v] += c * e * (t // x)
+            elif e == 1:
+                grad[v] += c * prod(X[u] ** f for u, f in mono if u != v)
     return val, grad
 
 
@@ -753,12 +760,14 @@ def _int_eval(T: PolyTensor, X, pw):
 
 
 def _int_tables(D: int, vals, grads):
-    """The int values and gradient entries of one tensor as tables, (V, G).
+    """The int values and gradient entries of one tensor as tables, (V, G),
+    each entry carrying the part of its accumulator key b * D + c.
 
-    V = (row, col) holds P: row[I] lists (s, P_Is), col[s] lists (I, P_Is)
-    by ascending I.  G = (by_s, up, down) holds dP: by_s[s] lists (J, K,
-    d_s P_JK) with J < K by ascending J, up[J] lists (K, s, d_s P_JK) with
-    K > J, down[K] lists (J, s, d_s P_JK) with J > K.
+    V = (row, col, colD) holds P: row[I] lists (s, P_Is), col[s] lists (I,
+    P_Is) by ascending I and colD[s] is its twin (I * D, P_Is).  G = (by_s,
+    up, down) holds dP: by_s[s] lists (J, J * D + K, d_s P_JK) with J < K by
+    ascending J, up[J] lists (K, K * D, s, d_s P_JK) with K > J, down[K]
+    lists (J, s, d_s P_JK) with J > K.
     """
     row = [[] for _ in range(D)]
     col = [[] for _ in range(D)]
@@ -770,13 +779,14 @@ def _int_tables(D: int, vals, grads):
     down = [[] for _ in range(D)]
     for J, K, s, d in grads:
         if J < K:
-            by_s[s].append((J, K, d))
-            up[J].append((K, s, d))
+            by_s[s].append((J, J * D + K, d))
+            up[J].append((K, K * D, s, d))
         elif J > K:
             down[K].append((J, s, d))
     for ent in col + by_s:
         ent.sort(key=_first)
-    return (row, col), (by_s, up, down)
+    colD = [[(I * D, v) for I, v in ent] for ent in col]
+    return (row, col, colD), (by_s, up, down)
 
 
 _first = itemgetter(0)
@@ -789,25 +799,26 @@ def _accumulate(acc, a: int, D: int, V, G):
 
     Only nonzero products are visited: each gradient entry d_s Q_JK meets
     the nonzero P_Is of column s, and the product is kept when (I, J, K) is
-    a cyclic rotation of the ascending triple.
+    a cyclic rotation of the ascending triple.  The tables carry b * D (or
+    the whole key), so each product is one acc[key] += v * d.
     """
-    row, col = V
+    row, col, colD = V
     by_s, up, down = G
     # P_{a s} d_s Q_{b c}
     for s, v in row[a]:
         ent = by_s[s]
-        for b, c, d in ent[bisect_right(ent, a, key=_first) :]:
-            acc[b * D + c] += v * d
+        for _, key, d in ent[bisect_right(ent, a, key=_first) :]:
+            acc[key] += v * d
     # P_{b s} d_s Q_{c a}
     for c, s, d in down[a]:
         ent = col[s]
-        for b, v in ent[bisect_right(ent, a, key=_first) : bisect_left(ent, c, key=_first)]:
-            acc[b * D + c] += v * d
+        for bD, v in colD[s][bisect_right(ent, a, key=_first) : bisect_left(ent, c, key=_first)]:
+            acc[bD + c] += v * d
     # P_{c s} d_s Q_{a b}
-    for b, s, d in up[a]:
+    for b, bD, s, d in up[a]:
         ent = col[s]
         for c, v in ent[bisect_right(ent, b, key=_first) :]:
-            acc[b * D + c] += v * d
+            acc[bD + c] += v * d
 
 
 def compatibility(P, Q, points) -> Fraction:

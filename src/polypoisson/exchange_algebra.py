@@ -670,7 +670,7 @@ def _projective_ints(R, v, pairs) -> tuple:
     terms = [(*t, x.numerator * (dR // x.denominator)) for *t, x in terms]
     tables = {}
     for m, n in pairs:
-        um, un = (*U[m % len(U)], e), (*U[n % len(U)], e)
+        um, un = (*U[m], e), (*U[n], e)
         S = [[0] * nu for _ in range(nu)]
         for a, b, c, d, x in terms:
             S[c][d] += x * um[a] * un[b]
@@ -695,8 +695,11 @@ def projective_bracket(R, W: Polygon, m: int, n: int):
     v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart as
     E_ac.v = v'_a (e_c if c < k else -v), so the R term is one contraction
     S = (v'_m (x) v'_n) R whose row and column k fold back onto -v_m and
-    -v_n; it is summed in ints by ``_projective_ints``.
+    -v_n; it is summed in ints by ``_projective_ints``.  Sites outside
+    0..N-1: ValueError.
     """
+    if not (0 <= m < W.N and 0 <= n < W.N):
+        raise ValueError(f"sites m, n must lie in 0..{W.N - 1}")
     ctx = _DualCtx(W)
     v = [[ctx.proj(i, c)[0] for c in range(W.nu - 1)] for i in range(W.N)]
     den, tables = _projective_ints(R, v, [(m, n)])

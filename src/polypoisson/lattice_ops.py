@@ -21,6 +21,7 @@ the exchange coefficient kernels E_jk of the reduced brackets,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from . import linalg
@@ -201,12 +202,15 @@ def compose(K: Kernel, L: Kernel) -> Kernel:
     return Kernel(convolve_apply(K, L.seq))
 
 
+@lru_cache
 def invert(K: Kernel) -> Kernel:
     """Exact inverse kernel L with K * L = delta; SingularOperator if none.
 
     One fraction-free elimination of the int circulant [k_{m-n} | dk delta],
     K = k / dk: its right column over the last pivot is the inverse kernel
     (circulants commute), and the columns of k with no pivot give the nullity.
+    Each distinct (frozen, hashable) K is eliminated once per process; a
+    SingularOperator is not cached, so it is raised again on every call.
     """
     N = K.N
     (k,), dk = linalg._scaled([K.seq.values])

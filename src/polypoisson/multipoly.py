@@ -114,10 +114,16 @@ class Poly:
 
 
 def _mono_mul(m1, m2):
+    """m1 m2 for sorted (var, exponent) tuples: disjoint variable ranges (as in
+    a path product x_J x_K) concatenate, and only overlapping ones merge."""
     if not m1:
         return m2
     if not m2:
         return m1
+    if m1[-1][0] < m2[0][0]:
+        return m1 + m2
+    if m2[-1][0] < m1[0][0]:
+        return m2 + m1
     acc = dict(m1)
     for var, e in m2:
         acc[var] = acc.get(var, 0) + e

@@ -430,6 +430,25 @@ def test_closed_tensor_singular_operator_period():
         closed_tensor("P0", 6)  # (1+D+D^2) is singular when 3 | N
 
 
+def test_closed_tensors_eliminate_one_plus_d_once(monkeypatch):
+    # ftv_u and P2 both invert the circulant 1 + D; invert keeps one inverse
+    # per distinct kernel, so three ftv_u builds and one P2 build at N = 11
+    # run one elimination, of the 11 rows of [1 + D | delta]
+    rows = []
+    int_rref = linalg._int_rref
+
+    def counting(m):
+        rows.append(len(m))
+        return int_rref(m)
+
+    monkeypatch.setattr(linalg, "_int_rref", counting)
+    invert.cache_clear()
+    for name in ("ftv_u", "ftv_u", "ftv_u", "P2"):
+        closed_tensor(name, 11)
+    assert rows == [11]
+    assert (invert.cache_info().hits, invert.cache_info().misses) == (3, 1)
+
+
 @pytest.mark.parametrize(
     "N, digest",
     [

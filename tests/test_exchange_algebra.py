@@ -1009,6 +1009,16 @@ def test_projective_bracket_equals_reference():
                     assert all(type(x) is Fraction for row in got for x in row)
 
 
+def test_projective_bracket_rejects_sites_outside_the_period():
+    # the chart row of V_m is read at m in 0..N-1 only: V_5 = V_0 M and
+    # V_{-1} = V_4 M^-1 have other charts, and sgn(m - n) would not match
+    W = random_polygon(3, 5, Random(34))
+    R = default_rc(3)[0]
+    for m, n in ((5, 1), (-1, 1), (1, 5), (1, -1)):
+        with pytest.raises(ValueError, match=r"^sites m, n must lie in 0\.\.4$"):
+            projective_bracket(R, W, m, n)
+
+
 def test_projective_action_lemma_example():
     X = [[0, 0], [1, 0]]
     for v in ([F(2)], [F(-1, 3)]):

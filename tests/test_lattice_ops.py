@@ -281,6 +281,29 @@ def test_invert_equals_the_dense_route(K):
     assert invert(K) == want
 
 
+def test_invert_cached_result_equals_the_dense_route():
+    invert.cache_clear()
+    K = shift_kernel({0: 1, 1: 1, 2: -1}, 7)
+    first = invert(K)
+    assert invert(shift_kernel({0: 1, 1: 1, 2: -1}, 7)) is first
+    assert first == reference_invert(K)
+    assert invert.cache_info().hits == 1
+
+
+def test_invert_singular_raises_on_every_call():
+    # exceptions are not cached: the second call eliminates again and raises
+    # the same SingularOperator
+    invert.cache_clear()
+    K = shift_kernel({0: 1, 1: 1}, 4)
+    nullities = []
+    for _ in range(2):
+        with pytest.raises(SingularOperator) as info:
+            invert(K)
+        nullities.append(info.value.nullity)
+    assert nullities == [1, 1]
+    assert invert.cache_info().currsize == 0
+
+
 @pytest.mark.parametrize(
     "terms, N, nullity",
     [

@@ -4,14 +4,17 @@
 differentiates determinants, the per-site solve for the fields and the
 chart quotients in ints (``linalg.det_grad`` and ``exchange_algebra._DualCtx``),
 and ``test_exchange_algebra`` checks the polygon gradients against Duals as
-well.
+well.  The monomial product ``_mono_mul`` is checked against a dict merge.
 """
 
 from fractions import Fraction
 from math import lcm
 from random import Random
 
+import pytest
+
 from polypoisson.linalg import ONE, ZERO, det_grad, rat
+from polypoisson.multipoly import _mono_mul
 
 F = Fraction
 
@@ -205,3 +208,30 @@ def test_dual_det_rank_deficient_sizes():
         assert got.val == 0 and _nonzero(got.grad), n
         got = _assert_matches_laplace(_rank_deficient(rng, n, n - 2))
         assert got.val == 0 and not _nonzero(got.grad), n
+
+
+def reference_mono_mul(m1, m2):
+    """The product of two monomials by merging their exponents in a dict."""
+    acc = dict(m1)
+    for var, e in m2:
+        acc[var] = acc.get(var, 0) + e
+    return tuple(sorted(acc.items()))
+
+
+@pytest.mark.parametrize(
+    "m1, m2",
+    [
+        (((0, 1), (2, 3)), ((5, 1), (7, 2))),  # disjoint ranges, m1 first
+        (((5, 1), (7, 2)), ((0, 1), (2, 3))),  # disjoint ranges, m2 first
+        (((0, 1), (4, 1)), ((2, 1), (6, 2))),  # interleaved variables
+        (((1, 2), (3, 1)), ((3, 2), (5, 1))),  # a shared variable: exponents add
+        (((1, 1), (3, 1)), ((3, 1), (4, 1))),  # ranges touch at one variable
+        (((3, 1),), ((3, 2),)),  # one shared variable only
+        ((), ((2, 1),)),
+        (((2, 1),), ()),
+        ((), ()),
+    ],
+)
+def test_mono_mul_equals_dict_merge(m1, m2):
+    assert _mono_mul(m1, m2) == reference_mono_mul(m1, m2)
+    assert _mono_mul(m2, m1) == reference_mono_mul(m1, m2)

@@ -51,14 +51,11 @@ from .coord_reduction import (
 )
 from .gen_nu import TheoremReport, casimir_coeffs, casimir_residual, check_theorem, quad_coeff
 from .dynamics import (
-    LinearityViolated,
     TransferMatrix,
     commute_check,
     det_transfer,
-    gf_check,
     ham_vf,
     integrate,
-    lie_deform,
     lifted_flow_residual,
     lifted_vf,
     sum_field,

@@ -17,14 +17,14 @@ from . import coord_reduction, linalg
 from .coord_reduction import (
     as_poly_tensor,
     closed_tensor,
-    compatibility,
     oracle_match,
+    pencil_certificate,
     random_fields,
+    shift_certificate,
 )
 from .dynamics import (
     commute_check,
     det_transfer,
-    gf_check,
     integrate,
     lifted_flow_residual,
     sum_field,
@@ -89,7 +89,6 @@ _CLOSED_FORM_POLYGONS = 10
 _PROJECTIVE_SAMPLES = 10
 _CASIMIR_POLYGONS = 5
 _FIELD_POINTS = 10
-_COMPAT_POINTS = 3
 _FLOW_POLYGONS = 5
 
 
@@ -256,24 +255,17 @@ def check_pushforward(seed: int = 0) -> list:
 
 def check_extended_toda_compat(seed: int = 0, N: int = 5) -> list:
     t0 = time.time()
-    rng = Random(seed)
-    P1 = closed_tensor("P1", N)
-    P2 = closed_tensor("P2", N)
-    pts = [random_fields(("a", "b", "rho"), N, rng) for _ in range(_COMPAT_POINTS)]
-    res = compatibility(P1, P2, pts)
-    return [_doc("extended_toda_compat", {"N": N, "points": _COMPAT_POINTS}, res, seed, t0)]
+    res = pencil_certificate(closed_tensor("P1", N), closed_tensor("P2", N))
+    return [_doc("extended_toda_compat", {"N": N, "certificate": "symbolic"}, res, seed, t0)]
 
 
 def check_pencil_deformations(seed: int = 0) -> list:
     docs = []
-    rng = Random(seed)
     N = 5
     for name, direction in (("toda", "mu"), ("P1", "a"), ("P2", "b")):
         t0 = time.time()
-        P = closed_tensor(name, N)
-        pts = [random_fields(P.field_names, N, rng) for _ in range(3)]
-        res = gf_check(P, direction, pts)
-        params = {"tensor": name, "direction": direction, "N": N, "points": len(pts)}
+        res = shift_certificate(closed_tensor(name, N), direction)
+        params = {"tensor": name, "direction": direction, "N": N, "certificate": "symbolic"}
         docs.append(_doc("pencil_deformation", params, res, seed, t0))
     return docs
 

@@ -196,7 +196,7 @@ def _cmd_theorem(cfg: argparse.Namespace) -> list:
     ]
     for check, row in (("theorem:casimir", rep.casimir), ("theorem:spectral", rep.spectral)):
         params = {"nu": cfg.nu, "N": cfg.N}
-        params.update((k, row[k]) for k in ("note", "numeric_residual", "polygons", "points") if k in row)
+        params.update((k, row[k]) for k in ("note", "numeric_residual", "polygons", "certificate") if k in row)
         rows.append((check, params, row))
     return [
         _doc(check, params, row.get("residual") or "skipped", cfg.seed, t0, ok=row.get("verdict") in PASSING)

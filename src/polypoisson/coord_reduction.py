@@ -8,8 +8,8 @@ closed-form Poisson tensors on those coordinates (the quadratic Toda bracket,
 the lattice Virasoro bracket and its fixed-sequence generalisation, and the
 three distinguished nu = 3 tensors), and carries the machinery that verifies
 them: the chain-rule oracle, Dirac reduction at a constraint surface, the
-u -> S pushforward identity, and one sweep of the pencil P + tQ at a field
-point that serves both exact Jacobiators and compatibility certificates.
+u -> S pushforward identity, and one sweep of the pencil P + tQ, at a field
+point or on the polynomials, behind Jacobiators and pencil certificates.
 
 Tensors come in two forms on one field-space header: PolyTensor stores
 entries as polynomials in the field variables and supports exact
@@ -679,36 +679,45 @@ def jacobiator(P, point) -> Fraction:
     return Fraction(x, L)
 
 
-def _pencil_sums(TP: PolyTensor, TQ, point):
-    """The Jacobiator of the pencil P + tQ at a point, by its t-coefficients.
+def _pencil_sums(TP: PolyTensor, TQ, point=None):
+    """The Jacobiator of the pencil P + tQ at a point, or as polynomials, by its t-coefficients.
 
-    Returns (L, (x, y, z)): each triple's Jacobiator of P + tQ is a
-    polynomial (x' + t y' + t^2 z') / L in t, x' = J(P), y' the mixed term
-    (P's values against Q's gradients and Q's against P's), z' = J(Q), and
-    x, y, z are the max-abs of x', y', z' over the triples.  All three are
-    zero exactly when every member of the pencil satisfies Jacobi at the
-    point.  TQ = None gives y = z = 0.
+    Returns (L, (x, y, z)): each triple's Jacobiator of P + tQ is
+    (x' + t y' + t^2 z') / L, x' = J(P), y' the mixed term (P's values
+    against Q's gradients and Q's against P's), z' = J(Q), and x, y, z are
+    the max-abs of x', y', z' over the triples: ints at a point, int-coefficient
+    polynomials in the fields (read by their largest coefficient) with no
+    point.  All three vanish exactly when every member of the pencil
+    satisfies Jacobi at the point, or at every point.  TQ = None gives y = z = 0.
 
     ``_int_point`` scales the point for the entries of both tensors, and
     ``_int_eval`` evaluates each tensor once, values over Lv and gradient
-    entries over Lg, so L = Lv Lg.  No dense matrix and no Fraction is
-    built; ``_accumulate`` sums in ints, holding the triples of one smallest
-    index at a time.
+    entries over Lg, so L = Lv Lg.  No dense matrix is built; ``_accumulate``
+    sums in ints, holding the triples of one smallest index at a time.  It
+    assumes P_JK = -P_KJ, which ``_antisymmetry`` checks.
     """
+    if TQ is not None and (TQ.field_names, TQ.N) != (TP.field_names, TP.N):
+        raise ValueError("tensors live on different field spaces")
     polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
-    X, pw, Lv, Lg = _int_point(polys, TP.point_values(point))
+    X, pw, Lv, Lg = _int_point(polys, None if point is None else TP.point_values(point))
+    zero, height = (int, abs) if point is not None else (Poly, _height)
     D = TP.n_vars()
     VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
     VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
     xyz = (0, 0, 0)
     for a in range(D):
-        A, B, C = defaultdict(int), defaultdict(int), defaultdict(int)
+        A, B, C = defaultdict(zero), defaultdict(zero), defaultdict(zero)
         _accumulate(A, a, D, VP, GP)
         _accumulate(B, a, D, VP, GQ)
         _accumulate(B, a, D, VQ, GP)
         _accumulate(C, a, D, VQ, GQ)
-        xyz = tuple(max(m, max(map(abs, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
+        xyz = tuple(max(m, max(map(height, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
     return Lv * Lg, xyz
+
+
+def _height(poly: Poly):
+    """The largest absolute coefficient of a polynomial (0 for the zero one)."""
+    return max(map(abs, poly.terms.values()), default=0)
 
 
 def _int_point(polys, x):
@@ -716,10 +725,12 @@ def _int_point(polys, x):
     denominators, and the weights pw[k] = Lc dx^(K-k) of a degree-k term, K
     the top degree of the polys and Lc the lcm of their coefficient
     denominators, under which ``_int_poly`` gives values over Lv = Lc dx^K
-    and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0)."""
+    and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0); (None, [Lc], Lc, Lc) for x None."""
+    Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+    if x is None:
+        return None, [Lc], Lc, Lc
     (X,), dx = linalg._scaled([x])
     top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
-    Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
     pw = [Lc * dx ** (top - k) for k in range(top + 1)]
     return X, pw, pw[0], pw[1] if top else Lc
 
@@ -745,14 +756,22 @@ def _int_poly(poly: Poly, X, pw):
     return val, grad
 
 
+def _sym_poly(poly: Poly, Lc: int):
+    """(v, grad) of poly as polynomials: v = Lc poly, with int coefficients,
+    and grad[s] = d_s v by ``Poly.diff`` for each variable s of v."""
+    v = Poly()
+    v.terms = {mono: c.numerator * (Lc // c.denominator) for mono, c in poly.terms.items()}
+    return v, {s: v.diff(s) for s in {s for mono in v.terms for s, _ in mono}}
+
+
 def _int_eval(T: PolyTensor, X, pw):
-    """(vals, grads) of T at the int point X by ``_int_poly``: the nonzero (J, K, v)
-    and (J, K, s, d_s), J, K, s flat field-site indices."""
+    """(vals, grads) of T at the int point X by ``_int_poly`` (by ``_sym_poly`` for X None):
+    the nonzero (J, K, v) and (J, K, s, d_s), J, K, s flat field-site indices."""
     N = T.N
     vals, grads = [], []
     for (i, m, j, n), poly in T.entries.items():
         J, K = _var(i, m, N), _var(j, n, N)
-        val, grad = _int_poly(poly, X, pw)
+        val, grad = _int_poly(poly, X, pw) if X is not None else _sym_poly(poly, pw[0])
         if val:
             vals.append((J, K, val))
         grads.extend((J, K, s, d) for s, d in grad.items() if d)
@@ -829,12 +848,50 @@ def compatibility(P, Q, points) -> Fraction:
     three coefficients exactly, and their vanishing certifies that every
     member of the pencil satisfies Jacobi at that point.  The points
     themselves are sampled: a zero at every given point is evidence of
-    compatibility, not a proof of it.  No point, or tensors on different
-    field spaces: ValueError.
+    compatibility, not a proof of it (``pencil_certificate`` is the proof).
+    No point, or tensors on different field spaces: ValueError.
     """
     if not points:
         raise ValueError("at least one point is required")
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
-    if TP.field_names != TQ.field_names or TP.N != TQ.N:
-        raise ValueError("tensors live on different field spaces")
     return max(Fraction(max(xyz), L) for L, xyz in (_pencil_sums(TP, TQ, pt) for pt in points))
+
+
+def pencil_certificate(P, Q=None) -> Fraction:
+    """The symbolic certificate of P, or of the pencil P + tQ, at its period N.
+
+    The largest absolute coefficient, as polynomials in the field variables,
+    of every P_JK + P_KJ (and Q_JK + Q_KJ), the diagonal included, and of the
+    three t-coefficients of every triple's Jacobiator (``_pencil_sums`` with
+    no point).  Zero certifies that P, or every member of the pencil, is an
+    antisymmetric tensor satisfying Jacobi at every field point of period N;
+    no point is sampled.  Tensors on different field spaces: ValueError.
+    """
+    TP, TQ = as_poly_tensor(P), None if Q is None else as_poly_tensor(Q)
+    L, xyz = _pencil_sums(TP, TQ)
+    return max(Fraction(max(xyz), L), *(_antisymmetry(T) for T in (TP, TQ) if T is not None))
+
+
+def _antisymmetry(T: PolyTensor) -> Fraction:
+    """The largest absolute coefficient of T_JK + T_KJ over the entries, 2 T_JJ on the diagonal."""
+    E, zero = T.entries, Poly()
+    return Fraction(max((_height(p + E.get((j, n, i, m), zero)) for (i, m, j, n), p in E.items()), default=0))
+
+
+def shift_certificate(P, direction) -> Fraction:
+    """Certify that P + lam LP is Poisson for every lam, LP the Lie derivative
+    of P along the unit shift of one field x (``direction``, a name or an index).
+
+    If P is at most linear in x, P(. + lam e_x) = P + lam LP, and a
+    translation has the identity differential, so every P + lam LP is Poisson
+    exactly when P is: the result is ``pencil_certificate(P)``.  A P of
+    degree 2 or more in x gives 1.
+    """
+    TP = as_poly_tensor(P)
+    fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
+    if not 0 <= fidx < TP.d:
+        raise ValueError(f"direction {direction} is not a field index in 0..{TP.d - 1}")
+    fam = range(_var(fidx, 0, TP.N), _var(fidx + 1, 0, TP.N))
+    if any(sum(e for v, e in mono if v in fam) >= 2 for poly in TP.entries.values() for mono in poly.terms):
+        return ONE
+    return pencil_certificate(TP)

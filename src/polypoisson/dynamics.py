@@ -1,13 +1,12 @@
-"""Hamiltonian flows, transfer-matrix invariants and pencil deformations.
+"""Hamiltonian flows and transfer-matrix invariants.
 
 Field observables are polynomials (``multipoly.Poly``) in the field-site
 variables ``_var(i, m, N)`` of a tensor: Hamiltonians, site sums, and the
 trace and determinant of the monodromy of the recursion.  Exact checks
-(flows, the symbolic commuting-integrals certificate, Lie-derivative
-deformations, whose pencil with the tensor is certified by one sweep per
-field point) run over the rationals; the only floating-point surface in
-the package is the fixed-step integrator at the bottom, which exists for
-exploratory trajectories and drift reporting.
+(flows and the symbolic commuting-integrals certificate) run over the
+rationals; the only floating-point surface in the package is the
+fixed-step integrator at the bottom, which exists for exploratory
+trajectories and drift reporting.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ from math import prod
 
 from . import linalg
 from .coord_reduction import (
-    PolyTensor,
     _int_point,
     _int_poly,
     _var,
     alias_index,
     as_poly_tensor,
     closed_tensor,
-    compatibility,
     coords,
     field_gradients,
 )
@@ -34,10 +31,6 @@ from .exchange_algebra import Polygon, _DualCtx
 from .lattice_ops import PerSeq
 from .linalg import ONE, ZERO
 from .multipoly import Poly
-
-
-class LinearityViolated(ValueError):
-    """Raised when a tensor has quadratic dependence on the shift direction."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,51 +190,6 @@ def commute_check(P, I1: Poly, I2: Poly) -> Fraction:
             for mono, c in (d1[I] * poly * d2[K]).terms.items():
                 acc[mono] += c
     return max(map(abs, acc.values()), default=ZERO)
-
-
-# ---------------------------------------------------------------------------
-# Lie-derivative deformation (constant shift of one field family)
-# ---------------------------------------------------------------------------
-
-
-def lie_deform(P, direction) -> PolyTensor:
-    """Lie derivative of the tensor along the unit shift of one field family.
-
-    The entries are differentiated in every site variable of the family, in
-    one pass over each entry's terms: a term of degree 1 in the family loses
-    its family variable.  This is only a Poisson-pencil move when the tensor
-    is at most linear in the family, so a term of degree 2 or more raises
-    LinearityViolated.
-    """
-    TP = as_poly_tensor(P)
-    fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
-    if not 0 <= fidx < TP.d:
-        raise ValueError(f"direction {direction} is not a field index in 0..{TP.d - 1}")
-    N = TP.N
-    fam = {_var(fidx, m, N) for m in range(N)}
-    out = PolyTensor(TP.field_names, N, TP.bracket_scale)
-    for key, poly in TP.entries.items():
-        acc = defaultdict(int)
-        for mono, c in poly.terms.items():
-            degree = sum(e for v, e in mono if v in fam)
-            if degree >= 2:
-                raise LinearityViolated(f"tensor is quadratic in field {TP.field_names[fidx]!r}")
-            if degree:
-                acc[tuple(ve for ve in mono if ve[0] not in fam)] += c
-        out.add_term(*key, Poly(acc))
-    return out
-
-
-def gf_check(P, direction, points) -> Fraction:
-    """compatibility(P, LP, points), LP = lie_deform(P, direction), exact.
-
-    One sweep of the pencil P + t LP per point; its t^2 coefficient is J(LP),
-    so zero certifies that LP is Poisson and compatible with P there.  LP is
-    constant along the direction, since lie_deform only accepts P at most
-    linear in it, so its own Lie derivative vanishes and is not checked.
-    """
-    TP = as_poly_tensor(P)
-    return compatibility(TP, lie_deform(TP, direction), points)
 
 
 # ---------------------------------------------------------------------------

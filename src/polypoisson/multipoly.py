@@ -3,13 +3,13 @@
 Variables are integer ids; a monomial is a sorted tuple of (var, exponent)
 pairs.  This is deliberately minimal plumbing: exact arithmetic and partial
 derivatives; a point meets a Poly in ints, in ``coord_reduction._int_poly``.
+Sums, products and derivatives keep int coefficients ints, so the symbolic
+pencil sweep of ``coord_reduction`` runs on Polys scaled to ints.
 Gradients of polygon observables, which are ratios of determinants, come
 from ``linalg.det_grad`` and not from here.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .linalg import ZERO, rat
 
@@ -39,12 +39,12 @@ class Poly:
         return not self.terms
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
         out = Poly()
         out.terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.terms.get(m, ZERO) + c
+            s = out.terms.get(m, 0) + c
             if s:
                 out.terms[m] = s
             else:
@@ -59,12 +59,12 @@ class Poly:
         return out
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             c = rat(other)
             out = Poly()
             if c:
@@ -75,7 +75,7 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
-                s = acc.get(m, ZERO) + c1 * c2
+                s = acc.get(m, 0) + c1 * c2
                 if s:
                     acc[m] = s
                 else:
@@ -93,7 +93,7 @@ class Poly:
                         newmono = mono[:i] + mono[i + 1 :]
                     else:
                         newmono = mono[:i] + ((var, e - 1),) + mono[i + 1 :]
-                    s = out.terms.get(newmono, ZERO) + c * e
+                    s = out.terms.get(newmono, 0) + c * e
                     if s:
                         out.terms[newmono] = s
                     else:

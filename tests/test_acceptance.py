@@ -9,9 +9,9 @@ and one test pins the sha256 of its JSON report.
 import hashlib
 
 import pytest
-from test_coord_reduction import double_last_diagonal_word, flip_kernel_first_word
+from test_coord_reduction import double_last_diagonal_word, drop_smallest_entry, flip_kernel_first_word
 
-from polypoisson import acceptance, coord_reduction, exchange_algebra, lattice_ops
+from polypoisson import acceptance, coord_reduction, exchange_algebra, gen_nu, lattice_ops
 from polypoisson.acceptance import CHECKS, run_suite
 from polypoisson.cli import emit_report
 from polypoisson.lattice_ops import PerSeq
@@ -20,7 +20,7 @@ SEED = 2024
 
 # sha256 of emit_report(run_suite(SEED), "json"). A deliberate change to the
 # report updates this pin and says so in CHANGES.md.
-SUITE_JSON_SHA256 = "ed1cd4f714ba45602982357f627e794555cd913198c1d1367f2a3be95cca0164"
+SUITE_JSON_SHA256 = "b37d257454b228bbab970278bc7f9fcb79455b6dd2978c1e3c677ac90c605c1c"
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +153,32 @@ def test_extended_toda_compat_negative_control(monkeypatch):
 
     monkeypatch.setattr(acceptance, "closed_tensor", bumped)
     (doc,) = acceptance.check_extended_toda_compat(0)
-    assert (doc.residual, doc.passed) == ("25", False)
+    assert (doc.residual, doc.passed) == ("1", False)
+    # with P2 whole but its smallest entry dropped, the pencil is red too
+    monkeypatch.setattr(acceptance, "closed_tensor", lambda name, N: drop_smallest_entry(real(name, N)) if name == "P2" else real(name, N))
+    (doc,) = acceptance.check_extended_toda_compat(0)
+    assert not doc.passed
+
+
+def test_symbolic_rows_draw_no_field_point(monkeypatch, suite_docs):
+    # criteria 11 and 12 and theorem:spectral at nu 2-3 certify every field
+    # point at their N: they say so, name no points, and run with every
+    # random_fields draw refused
+    symbolic = [d for d in suite_docs if d.check.split(":")[0] in ("11_extended_toda_compat", "12_pencil_deformations")]
+    assert len(symbolic) == 4
+    assert all(d.params["certificate"] == "symbolic" and "points" not in d.params for d in symbolic)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a symbolic check drew a field point")
+
+    for module in (coord_reduction, acceptance, gen_nu):
+        monkeypatch.setattr(module, "random_fields", refused, raising=False)
+    docs = acceptance.check_extended_toda_compat(SEED) + acceptance.check_pencil_deformations(SEED)
+    assert [d.residual for d in docs] == ["0"] * 4
+    for nu, N in ((2, 5), (3, 7)):
+        rep = gen_nu.check_theorem(nu, N, seed=SEED)
+        assert rep.all_pass()
+        assert rep.spectral == {"verdict": "pass", "residual": "0", "note": "tensor-level shift", "certificate": "symbolic"}
 
 
 def test_momentum_negative_control(monkeypatch):

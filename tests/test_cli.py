@@ -91,12 +91,12 @@ def test_theorem_casimir_params_say_why(capsys):
 
 
 # sha256 of the `theorem --nu nu --N N --out` files.  (2, 5) and (3, 7)
-# read the murho and abrho tensors in their spectral check; at (4, 9),
+# certify the quotient tensors symbolically in their spectral check; at (4, 9),
 # (5, 11) and (6, 12) the spectral row is skipped, with a note saying why.
 # Every casimir row names the number of polygons it sampled.  A deliberate
 # change to the theorem report must update these pins and say so.
-THEOREM_2_5_SHA256 = "5bb2087ec4232235fe037cb2815d2fd8ed84018ede0d3392462c87b6cfe9c8e9"
-THEOREM_3_7_SHA256 = "f50284c20c090c6a58d5a02ac1f8a3f8a14dd6707b6ed7da3d4206aa30a158ef"
+THEOREM_2_5_SHA256 = "6bd0cb9226594c3bb5e1886d6d44442f40052fc1691e34fb670cc4b7bd3fe87c"
+THEOREM_3_7_SHA256 = "e892e8d9b7bf4659b8f3cb1c728eb6da528e52526f29611cfcd69d38a1effffa"
 THEOREM_4_9_SHA256 = "7d4f86b670c2ca071f1fddf42b857b5f6ce7dcf5ffc658852e6b7b8bcf801f0c"
 THEOREM_5_11_SHA256 = "7dc98c8408855b3dd2b6c4564aa7c23f09149a529938928530702f87b32663e1"
 # (6, 12) fails: gcd(6, 12) > 1 leaves the Casimir kernel residual 1 and a
@@ -168,7 +168,7 @@ VERB_REPORT_SHA256 = {
         "73d67c46f3183a67df53a5de686082b5b351bfb0b989a0d8fbf049bcf09322f6",
     ),
     "pushforward": (["pushforward", "--N", "7"], "e038bdb97d56549c91830a4aea7a656bf4de8465faf83704f23d43e99e9e5e2b"),
-    "compat": (["compat", "--N", "5"], "472f46bdb97f3d72a255f394d59b51208fa28c4a5b9f576dd1fd3b5193d625a9"),
+    "compat": (["compat", "--N", "5"], "0d89544a7026b3f8a4f3279df92c1143aa9aa7ee0693d4d0342737ce356ea8ae"),
     "flow": (["flow"], "2e69c02f0df88b2b475751ca3e8ac2b60dda17bc61a983f576dce6bb0d79bce2"),
 }
 

@@ -28,12 +28,13 @@ from polypoisson.coord_reduction import (
     gauge_normalize,
     jacobiator,
     oracle_match,
+    pencil_certificate,
     pushforward_check,
     quotient_tensor,
     random_fields,
+    shift_certificate,
     toda_dirac_vs_ftv,
 )
-from polypoisson.dynamics import LinearityViolated, gf_check, lie_deform
 from polypoisson.gen_nu import casimir_coeffs, quad_coeff
 from polypoisson.exchange_algebra import (
     BracketSpec,
@@ -594,15 +595,16 @@ def test_quotient_tensor_matches_the_chain_rule_at_orders_4_and_5(nu, N):
 
 def test_quotient_tensor_is_linear_along_each_field_at_its_phi():
     # at (4, 9) each phi^(k) makes the bracket linear in a^(k), and the
-    # shift along a^(k) a compatible pencil; a random odd phi leaves it
-    # quadratic
+    # shift along a^(k) a compatible pencil at a sampled point; a random odd
+    # phi leaves it quadratic, which the shift certificate reports as 1
     nu, N, rng = 4, 9, Random(49)
     for k in range(nu):
         T = quotient_tensor(nu, phi_special(nu, k, N))
-        assert gf_check(T, f"a{k}", [random_fields(T.field_names, N, rng)]) == 0
+        assert reference_gf_check(T, f"a{k}", [random_fields(T.field_names, N, rng)]) == 0
     T = quotient_tensor(nu, random_odd_kernel(N, rng))
     with pytest.raises(LinearityViolated):
-        gf_check(T, "a1", [random_fields(T.field_names, N, rng)])
+        reference_lie_deform(T, "a1")
+    assert shift_certificate(T, "a1") == 1
 
 
 def test_closed_forms_build_no_fraction_table(monkeypatch):
@@ -1091,6 +1093,54 @@ def dense_compatibility(P, Q, points) -> Fraction:
     return max(max(dense_pencil(P, Q, pt)) for pt in points)
 
 
+class LinearityViolated(ValueError):
+    """The reference Lie derivative's refusal of a tensor quadratic in the shift direction."""
+
+
+def reference_lie_deform(P, direction):
+    """The Lie derivative of P along the unit shift of one field: a degree
+    check of every entry in the family, then the sum of the N partial
+    derivatives along the family's site variables."""
+    TP = as_poly_tensor(P)
+    fidx = TP.field_names.index(direction)
+    fam = [_var(fidx, m, TP.N) for m in range(TP.N)]
+    for poly in TP.entries.values():
+        if max((sum(e for v, e in mono if v in fam) for mono in poly.terms), default=0) >= 2:
+            raise LinearityViolated(f"tensor is quadratic in field {direction!r}")
+    out = PolyTensor(TP.field_names, TP.N, TP.bracket_scale)
+    for (i, m, j, n), poly in TP.entries.items():
+        acc = Poly()
+        for v in fam:
+            acc = acc + poly.diff(v)
+        out.add_term(i, m, j, n, acc)
+    return out
+
+
+def reference_gf_check(P, direction, points) -> Fraction:
+    """The sampled Lie-derivative pencil: the pencil of P and its Lie
+    derivative LP certified at each of the points."""
+    return compatibility(P, reference_lie_deform(P, direction), points)
+
+
+def dense_symbolic_pencil(P, Q) -> tuple:
+    """Reference t-coefficients of the Jacobiator of P + tQ as polynomials:
+    the largest absolute coefficient of each of J(P), the mixed term and J(Q)
+    over the triples I < J < K, summed in Poly arithmetic from Poly.diff."""
+    N, D = P.N, P.n_vars()
+
+    def ent(T, I, K):
+        return T.entries.get((I // N, I % N, K // N, K % N), Poly())
+
+    def jac(T, U, I, J, K):
+        return sum((ent(T, a, s) * ent(U, b, c).diff(s) for a, b, c in ((I, J, K), (J, K, I), (K, I, J))
+                    for s in range(D)), Poly())
+
+    triples = [(I, J, K) for I in range(D) for J in range(I + 1, D) for K in range(J + 1, D)]
+    polys = [[jac(P, P, *tr) for tr in triples], [jac(P, Q, *tr) + jac(Q, P, *tr) for tr in triples],
+             [jac(Q, Q, *tr) for tr in triples]]
+    return tuple(max((abs(c) for p in ps for c in p.terms.values()), default=F(0)) for ps in polys)
+
+
 def test_compatibility_equals_pencil_jacobiator():
     # one evaluation of P and of Q per point gives exactly the three
     # t-coefficients of each triple's Jacobiator of the pencil
@@ -1175,6 +1225,20 @@ def test_int_evaluation_matches_dense_reference_on_every_scaling_path():
         assert got == dense_compatibility(P, Q, UV_POINTS)
 
 
+def test_symbolic_sweep_matches_dense_reference_on_every_scaling_path():
+    # with no point the sweep reads the pencil's Jacobiator as polynomials:
+    # its largest coefficients equal a Poly-arithmetic triple loop, on cubic,
+    # constant, fractional and empty tensors
+    tensors = (MIXED, CUBIC, CONSTANT, EMPTY)
+    for P in tensors:
+        for Q in tensors:
+            L, xyz = _pencil_sums(P, Q)
+            assert tuple(F(c, L) for c in xyz) == dense_symbolic_pencil(P, Q)
+    assert all(dense_symbolic_pencil(P, P)[0] for P in (MIXED, CUBIC))
+    assert pencil_certificate(CONSTANT) != 0  # no Jacobiator term; its antisymmetry fails
+    assert pencil_certificate(EMPTY) == 0
+
+
 def test_gf_check_matches_dense_reference_with_a_perturbed_term():
     N = 5
     rng = Random(31)
@@ -1184,10 +1248,11 @@ def test_gf_check_matches_dense_reference_with_a_perturbed_term():
     broken.entries = dict(P1.entries)
     # a^0 b^2 / 3 added to one entry: still linear in the direction a
     broken.add_term(1, 2, 2, 4, Poly({((_var(0, 0, N), 1), (_var(1, 2, N), 1)): F(1, 3)}))
-    got = gf_check(broken, "a", pts)
+    got = reference_gf_check(broken, "a", pts)
     assert type(got) is Fraction
-    assert got == dense_compatibility(broken, lie_deform(broken, "a"), pts)
+    assert got == dense_compatibility(broken, reference_lie_deform(broken, "a"), pts)
     assert got != 0
+    assert shift_certificate(broken, "a") != 0
 
 
 def test_pencil_needs_a_point():
@@ -1195,8 +1260,6 @@ def test_pencil_needs_a_point():
     P2 = closed_tensor("P2", 5)
     with pytest.raises(ValueError, match="at least one point"):
         compatibility(P1, P2, [])
-    with pytest.raises(ValueError, match="at least one point"):
-        gf_check(P1, "a", [])
 
 
 def test_pencil_needs_one_field_space():
@@ -1207,6 +1270,8 @@ def test_pencil_needs_one_field_space():
     # the same field names at different periods
     with pytest.raises(ValueError, match="different field spaces"):
         compatibility(closed_tensor("P1", 5), closed_tensor("P1", 7), pts)
+    with pytest.raises(ValueError, match="different field spaces"):
+        pencil_certificate(closed_tensor("P1", 5), closed_tensor("P1", 7))
 
 
 def test_compatibility_self_and_pair():
@@ -1242,7 +1307,57 @@ def test_pencil_with_lie_derivative_is_the_shifted_tensor():
         pt = random_fields(P.field_names, N, rng)
         for lam in (F(3, 2), F(-2), F(1, 3)):
             moved = dict(pt, **{direction: PerSeq(N, tuple(v + lam for v in pt[direction].values))})
-            assert pencil(P, lie_deform(P, direction), lam).eval_matrix(pt) == P.eval_matrix(moved)
+            assert pencil(P, reference_lie_deform(P, direction), lam).eval_matrix(pt) == P.eval_matrix(moved)
+
+
+def drop_smallest_entry(P) -> PolyTensor:
+    """P expanded, with the entry of its smallest key removed."""
+    TP = as_poly_tensor(P)
+    out = PolyTensor(TP.field_names, TP.N, TP.bracket_scale)
+    out.entries = dict(TP.entries)
+    del out.entries[min(out.entries)]
+    return out
+
+
+def test_shift_certificate_agrees_with_the_sampled_reference_pencil():
+    # toda/mu, P1/a, P2/b and quotient_tensor(nu, phi^(k)) along a^(k) at
+    # (2, 5) and (3, 7): the symbolic certificate and the Lie-derivative
+    # pencil at sampled points both read 0, and both are nonzero once the
+    # smallest entry is dropped
+    rng = Random(50)
+    cases = [(closed_tensor(name, 5), field) for name, field in (("toda", "mu"), ("P1", "a"), ("P2", "b"))]
+    cases += [(quotient_tensor(nu, phi_special(nu, k, N)), f"a{k}") for nu, N in ((2, 5), (3, 7)) for k in range(1, nu)]
+    for P, field in cases:
+        pts = [random_fields(P.field_names, P.N, rng) for _ in range(2)]
+        assert shift_certificate(P, field) == reference_gf_check(P, field, pts) == 0
+        broken = drop_smallest_entry(P)
+        assert shift_certificate(broken, field) != 0
+        assert reference_gf_check(broken, field, pts) != 0
+
+
+@pytest.mark.parametrize("nu, N", [(4, 9), (5, 11)])
+def test_shift_certificate_sees_a_bumped_linear_word(nu, N):
+    # one doubled linear word of quotient_tensor(nu, phi^(1)) breaks both
+    # its antisymmetry and its Jacobi identity as polynomials
+    TP = as_poly_tensor(double_last_diagonal_word(quotient_tensor(nu, phi_special(nu, 1, N))))
+    L, (x, _, _) = _pencil_sums(TP, None)
+    assert x != 0
+    assert shift_certificate(TP, "a1") != 0
+
+
+def test_antisymmetry_is_part_of_the_certificate():
+    # {mu_0, mu_0} = 1 added to toda, and {a_0, a_0} = 1 to P2: the sweep,
+    # which reads each triple's Jacobiator assuming P_JK = -P_KJ, is blind
+    # to a diagonal entry, so the point checks read 0; the certificate
+    # carries the diagonal's 2 P_JJ
+    N, rng = 5, Random(51)
+    toda, P2 = as_poly_tensor(closed_tensor("toda", N)), as_poly_tensor(closed_tensor("P2", N))
+    toda.add_term(0, 0, 0, 0, Poly.const(1))
+    P2.add_term(0, 0, 0, 0, Poly.const(1))
+    pts = [random_fields(toda.field_names, N, rng) for _ in range(2)]
+    assert jacobiator(toda, pts[0]) == 0 and reference_gf_check(toda, "mu", pts) == 0
+    assert shift_certificate(toda, "mu") == 2
+    assert pencil_certificate(closed_tensor("P1", N), P2) == 2
 
 
 def test_named_tensor_monomials_are_canonical():

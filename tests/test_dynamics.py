@@ -1,10 +1,17 @@
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
-from test_coord_reduction import poly_eval, reference_poly_matrix
+from test_coord_reduction import (
+    LinearityViolated,
+    poly_eval,
+    reference_gf_check,
+    reference_lie_deform,
+    reference_poly_matrix,
+)
 
-from polypoisson import acceptance, dynamics, linalg
+from polypoisson import acceptance, cli, coord_reduction, dynamics, linalg
 from polypoisson.coord_reduction import (
     PolyTensor,
     _var,
@@ -14,18 +21,16 @@ from polypoisson.coord_reduction import (
     jacobiator,
     quotient_tensor,
     random_fields,
+    shift_certificate,
 )
 from polypoisson.dynamics import (
-    LinearityViolated,
     TransferMatrix,
     char_poly,
     commute_check,
     det_transfer,
     field_polys,
-    gf_check,
     ham_vf,
     integrate,
-    lie_deform,
     lifted_flow_residual,
     lifted_vf,
     sum_field,
@@ -279,7 +284,7 @@ def test_lifted_flow_negative_control(monkeypatch):
 def test_lie_deform_toda_mu_direction():
     N = 5
     toda = as_poly_tensor(closed_tensor("toda", N))
-    LP = lie_deform(toda, "mu")
+    LP = reference_lie_deform(toda, "mu")
     pt = random_fields(("mu", "rho"), N, Random(9))
     mat = LP.eval_matrix(pt)
     rho = pt["rho"]
@@ -291,61 +296,44 @@ def test_lie_deform_toda_mu_direction():
             assert mat[N + m][N + n] == 0
 
 
-def reference_lie_deform(P, direction):
-    """lie_deform as a degree check of every entry in the family, then the
-    sum of the N partial derivatives along the family's site variables."""
-    TP = as_poly_tensor(P)
-    fidx = TP.field_names.index(direction)
-    fam = [_var(fidx, m, TP.N) for m in range(TP.N)]
-    for poly in TP.entries.values():
-        if max((sum(e for v, e in mono if v in fam) for mono in poly.terms), default=0) >= 2:
-            raise LinearityViolated(f"tensor is quadratic in field {direction!r}")
-    out = PolyTensor(TP.field_names, TP.N, TP.bracket_scale)
-    for (i, m, j, n), poly in TP.entries.items():
-        acc = Poly()
-        for v in fam:
-            acc = acc + poly.diff(v)
-        out.add_term(i, m, j, n, acc)
-    return out
-
-
-def _lie_deform_outcome(deform, P, direction):
+def _refused(P, direction) -> bool:
     try:
-        LP = deform(P, direction)
-    except LinearityViolated as err:
-        return "raises", str(err)
-    return "entries", {key: poly.terms for key, poly in LP.entries.items()}
+        reference_lie_deform(P, direction)
+    except LinearityViolated:
+        return True
+    return False
 
 
-def test_lie_deform_equals_the_n_fold_diff_reference():
+def test_shift_certificate_refuses_what_the_reference_lie_derivative_refuses(monkeypatch):
     # the named pencil tensors along every field, and the quotient bracket at
     # each phi^(k) (linear in a^(k) only) and at a random odd phi (quadratic
-    # in every a^(k)) along every field: the same entries or the same error
+    # in every a^(k)) along every field: the certificate's degree scan gives
+    # 1 exactly where the reference refuses, and certifies P elsewhere
+    monkeypatch.setattr(coord_reduction, "pencil_certificate", lambda P: F(0))
     named = [closed_tensor(name, 5) for name in ("toda", "P1", "P2")]
     cases = [(P, field) for P in named for field in P.field_names]
     for nu, N in ((2, 7), (3, 8), (4, 9), (5, 11)):
         for phi in [phi_special(nu, k, N) for k in range(1, nu)] + [random_odd_kernel(N, Random(nu))]:
             T = quotient_tensor(nu, phi)
             cases += [(T, field) for field in T.field_names]
-    outcomes = [_lie_deform_outcome(lie_deform, P, field) for P, field in cases]
-    assert outcomes == [_lie_deform_outcome(reference_lie_deform, P, field) for P, field in cases]
+    outcomes = [shift_certificate(P, field) for P, field in cases]
+    assert outcomes == [F(_refused(P, field)) for P, field in cases]
     # linear: toda in mu, P1 in a, P2 in b, and each phi^(k) tensor in a^(k)
-    assert [kind for kind, _ in outcomes].count("entries") == 3 + 1 + 2 + 3 + 4
+    assert outcomes.count(0) == 3 + 1 + 2 + 3 + 4
 
 
 def test_lie_deform_rejects_quadratic_direction():
     with pytest.raises(LinearityViolated):
-        lie_deform(closed_tensor("ftv_u", 5), "u")
+        reference_lie_deform(closed_tensor("ftv_u", 5), "u")
+    assert shift_certificate(closed_tensor("ftv_u", 5), "u") == 1
 
 
 @pytest.mark.parametrize("direction", [-1, 2, 7])
 def test_a_direction_outside_the_fields_is_refused(direction):
-    # an index outside 0..d-1 names no site variable: unchecked, LP is empty and the check a vacuous 0
-    toda = closed_tensor("toda", 5)
-    pt = random_fields(toda.field_names, 5, Random(42))
-    for call in (lambda: lie_deform(toda, direction), lambda: gf_check(toda, direction, [pt])):
-        with pytest.raises(ValueError, match=rf"direction {direction} is not a field index in 0..1"):
-            call()
+    # an index outside 0..d-1 names no site variable: unchecked, the scan
+    # would find no degree and the certificate would not be about a shift
+    with pytest.raises(ValueError, match=rf"direction {direction} is not a field index in 0..1"):
+        shift_certificate(closed_tensor("toda", 5), direction)
 
 
 def test_gf_check_named_tensors():
@@ -354,7 +342,8 @@ def test_gf_check_named_tensors():
     for name, direction in (("toda", "mu"), ("P1", "a"), ("P2", "b")):
         P = closed_tensor(name, N)
         pts = [random_fields(P.field_names, N, rng) for _ in range(2)]
-        assert gf_check(P, direction, pts) == 0
+        assert reference_gf_check(P, direction, pts) == 0
+        assert shift_certificate(P, direction) == 0
 
 
 @pytest.mark.parametrize("broken", ["toda", "P1", "P2"])
@@ -373,10 +362,36 @@ def test_pencil_deformations_negative_controls(monkeypatch, broken):
     assert {d.params["tensor"]: d.passed for d in docs} == {n: n != broken for n in ("toda", "P1", "P2")}
 
 
+def test_pencil_deformations_diagonal_and_quadratic_controls(monkeypatch, capsys):
+    # toda with {mu_0, mu_0} = 1 fails on antisymmetry (residual 2); toda
+    # made quadratic in mu (mu_0 mu_1 in {mu_0, rho_0}, antisymmetrically)
+    # gives a FAIL row with residual 1, and suite exits 1, not 2
+    real_closed_tensor = acceptance.closed_tensor
+    mu0_mu1 = Poly({((_var(0, 0, 5), 1), (_var(0, 1, 5), 1)): 1})
+    for (i, m, j, n), poly, residual in (((0, 0, 0, 0), Poly.const(1), "2"), ((0, 0, 1, 0), mu0_mu1, "1")):
+
+        def broken(name, N):
+            T = as_poly_tensor(real_closed_tensor(name, N))
+            if name == "toda":
+                T.add_term(i, m, j, n, poly)
+                if (i, m) != (j, n):
+                    T.add_term(j, n, i, m, -poly)
+            return T
+
+        monkeypatch.setattr(acceptance, "closed_tensor", broken)
+        doc, *rest = acceptance.check_pencil_deformations(0)
+        assert (doc.params["tensor"], doc.residual, doc.passed) == ("toda", residual, False)
+        assert all(d.passed for d in rest)
+    monkeypatch.setattr(acceptance, "CHECKS", [("12_pencil_deformations", acceptance.check_pencil_deformations)])
+    assert cli.run_command(["suite", "--format", "json"]) == 1
+    doc, *_ = json.loads(capsys.readouterr().out)
+    assert (doc["check"], doc["residual"], doc["passed"]) == ("12_pencil_deformations:pencil_deformation", "1", False)
+
+
 def test_deformed_tensor_is_poisson():
     N = 5
     toda = closed_tensor("toda", N)
-    LP = lie_deform(toda, "mu")
+    LP = reference_lie_deform(toda, "mu")
     pt = random_fields(("mu", "rho"), N, Random(10))
     assert jacobiator(LP, pt) == 0
 

@@ -304,6 +304,7 @@ def test_check_theorem_small_orders():
         assert all(c["verdict"] == "pass" for c in rep.cases)
         assert rep.casimir["verdict"] == "pass"
         assert rep.spectral["verdict"] == "pass"
+        assert rep.spectral["certificate"] == "symbolic" and "points" not in rep.spectral
         assert rep.nu == nu and rep.N == N
 
 

@@ -29,12 +29,12 @@ Semenov-Tian-Shansky and Sevostyanov 1995): with a^(nu) = 1, q = j + k - p,
 ``_exchange_word`` adds every off-diagonal exchange partner.  One int walk
 over the paths of a word, its kernels and diagonal segments scaled once to
 ints, serves every reading of words: ``to_poly`` builds one Fraction per
-coefficient.  A field point meets either form only in ``int_matrix``: words
-by that walk (the only place a field inverse can be formed), polynomials by
-the pencil sweep's ``_int_eval``.  ``eval_matrix`` builds one Fraction per
-entry, ``ham_vf``, ``oracle_match``, ``pushforward_check`` and
-``toda_dirac_vs_ftv`` one per velocity or residual, and ``dirac_reduce`` one
-per reduced entry, after eliminating in ints.
+distinct coefficient.  A field point meets either form only in
+``int_matrix``: words by that walk (the only place a field inverse can be
+formed), polynomials by the pencil sweep's ``_int_eval``.  ``eval_matrix``
+builds one Fraction per entry, ``ham_vf``, ``oracle_match``,
+``pushforward_check`` and ``toda_dirac_vs_ftv`` one per velocity or
+residual, and ``dirac_reduce`` one per reduced entry, after eliminating in ints.
 """
 
 from __future__ import annotations
@@ -332,9 +332,11 @@ class OpTensor(_FieldTensor):
 
         L, sums = self._walk(at)
         out = PolyTensor(self.field_names, N, self.bracket_scale)
+        frac = {}  # one Fraction per numerator, so ``_shift_invariant`` meets repeats by identity
         for (i, m, j, n, mono), c in sums.items():
             if c:
-                out.entries.setdefault((i, m, j, n), Poly()).terms[mono] = Fraction(c, L)
+                f = frac.get(c) or frac.setdefault(c, Fraction(c, L))
+                out.entries.setdefault((i, m, j, n), Poly()).terms[mono] = f
         return out
 
     def to_json(self) -> dict:
@@ -671,9 +673,9 @@ def _pushforward_residual(ftv_u: OpTensor, ftv_S: OpTensor, u: PerSeq) -> Fracti
 def jacobiator(P, point) -> Fraction:
     """Max-abs Jacobiator of a tensor at a point, exact.
 
-    The maximum over triples I < J < K of field sites of
-      |sum_s P_{I s} d_s P_{J K} + cyclic|,
-    read as the t^0 coefficient of ``_pencil_sums`` with no second tensor.
+    The maximum of |sum_s P_{I s} d_s P_{J K} + cyclic| over the triples I < J < K
+    of field sites that ``_pencil_sums`` sweeps, its t^0 coefficient with no Q:
+    one per shift orbit if P passes the shift-invariance entry check, else all.
     """
     L, (x, _, _) = _pencil_sums(as_poly_tensor(P), None, point)
     return Fraction(x, L)
@@ -693,8 +695,17 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
     ``_int_point`` scales the point for the entries of both tensors, and
     ``_int_eval`` evaluates each tensor once, values over Lv and gradient
     entries over Lg, so L = Lv Lg.  No dense matrix is built; ``_accumulate``
-    sums in ints, holding the triples of one smallest index at a time.  It
+    sums in ints, holding the triples of one smallest index a at a time.  It
     assumes P_JK = -P_KJ, which ``_antisymmetry`` checks.
+
+    When every given tensor passes ``_shift_invariant``, only a = i N is swept:
+    each orbit of triples under the shift (i, m) -> (i, m + 1) has a member of
+    smallest flat index i N (shift its member of smallest field index i to site
+    0).  As polynomials a shifted triple's Jacobiator is, up to sign, the
+    triple's with its variables relabelled, so (L, xyz) is the full sweep's even
+    where Jacobi fails.  At a point each orbit is tested by its representatives
+    at that one point: 0 for a Poisson tensor, and a failing one may read a
+    smaller maximum than the full sweep.  A tensor failing the check gets every a.
     """
     if TQ is not None and (TQ.field_names, TQ.N) != (TP.field_names, TP.N):
         raise ValueError("tensors live on different field spaces")
@@ -705,7 +716,7 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
     VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
     VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
     xyz = (0, 0, 0)
-    for a in range(D):
+    for a in range(0, D, TP.N if all(_shift_invariant(T) for T in (TP, TQ) if T is not None) else 1):
         A, B, C = defaultdict(zero), defaultdict(zero), defaultdict(zero)
         _accumulate(A, a, D, VP, GP)
         _accumulate(B, a, D, VP, GQ)
@@ -713,6 +724,18 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
         _accumulate(C, a, D, VQ, GQ)
         xyz = tuple(max(m, max(map(height, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
     return Lv * Lg, xyz
+
+
+def _shift_invariant(T: PolyTensor) -> bool:
+    """Whether T commutes with the lattice shift, from its entries alone: each
+    (i, m, j, n) -> p has the partner (i, m + 1, j, n + 1) (0 if missing) equal
+    to p with every variable one site on, site N - 1 wrapping to 0 (re-sorted).
+    The shift permutes the keys, so this makes T its own shift."""
+    N, E, zero = T.N, T.entries, Poly()
+    sh = [v + 1 - N if v % N == N - 1 else v + 1 for v in range(T.n_vars())]
+    return all(E.get((i, (m + 1) % N, j, (n + 1) % N), zero).terms
+               == {tuple(sorted([(sh[v], e) for v, e in mono])): c for mono, c in p.terms.items()}
+               for (i, m, j, n), p in E.items())
 
 
 def _height(poly: Poly):
@@ -845,10 +868,13 @@ def compatibility(P, Q, points) -> Fraction:
 
     Tensor entries are polynomial, so at a fixed point the Jacobiator of the
     pencil is a polynomial of degree two in t; ``_pencil_sums`` reads its
-    three coefficients exactly, and their vanishing certifies that every
-    member of the pencil satisfies Jacobi at that point.  The points
-    themselves are sampled: a zero at every given point is evidence of
-    compatibility, not a proof of it (``pencil_certificate`` is the proof).
+    three coefficients exactly over the triples it sweeps: one per shift orbit
+    when P and Q both pass the shift-invariance entry check, else every triple.
+    Their vanishing certifies Jacobi for every member of the pencil on those
+    triples at that point.  The points themselves are sampled: a zero at every
+    given point is evidence of compatibility, not a proof of it
+    (``pencil_certificate`` is the proof; on polynomials the reduced sweep's
+    value is the full sweep's).
     No point, or tensors on different field spaces: ValueError.
     """
     if not points:

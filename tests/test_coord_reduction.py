@@ -1076,16 +1076,18 @@ def pencil(P: PolyTensor, Q: PolyTensor, t) -> PolyTensor:
     return out
 
 
-def dense_pencil(P, Q, point) -> tuple:
+def dense_pencil(P, Q, point, representatives=False) -> tuple:
     """Reference t-coefficients (x, y, z) of the Jacobiator of P + tQ at a point.
 
     Each triple's Jacobiator x' + t y' + t^2 z' is read from the summed
     members at t = 0, 1, -1: x' = J0, y' = (J1 - J-1) / 2, z' = (J1 + J-1) / 2
-    - J0; x, y, z are the max-abs of each over the triples.
+    - J0; x, y, z are the max-abs of each over the triples, or, with
+    representatives=True, over the triples whose smallest flat index is i N.
     """
     P, Q = as_poly_tensor(P), as_poly_tensor(Q)
     J0, J1, Jm = (dense_triples(T, point) for T in (P, pencil(P, Q, F(1)), pencil(P, Q, F(-1))))
-    coeffs = [(J0[k], (J1[k] - Jm[k]) / 2, (J1[k] + Jm[k]) / 2 - J0[k]) for k in J0]
+    keys = [k for k in J0 if not representatives or k[0] % P.N == 0]
+    coeffs = [(J0[k], (J1[k] - Jm[k]) / 2, (J1[k] + Jm[k]) / 2 - J0[k]) for k in keys]
     return tuple(max((abs(c[i]) for c in coeffs), default=F(0)) for i in range(3))
 
 
@@ -1358,6 +1360,133 @@ def test_antisymmetry_is_part_of_the_certificate():
     assert jacobiator(toda, pts[0]) == 0 and reference_gf_check(toda, "mu", pts) == 0
     assert shift_certificate(toda, "mu") == 2
     assert pencil_certificate(closed_tensor("P1", N), P2) == 2
+
+
+def full_sweep(P, Q=None, point=None):
+    """_pencil_sums with the shift check forced to fail: every smallest index is swept."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coord_reduction, "_shift_invariant", lambda T: False)
+        return _pencil_sums(P, Q, point)
+
+
+def invariant_bump(P, i: int, j: int, dn: int, factors, c) -> PolyTensor:
+    """P expanded, plus at every site m the term c prod_(f, s) x^f_{m+s} at
+    ((i, m), (j, m + dn)) and minus it at ((j, m + dn), (i, m)): the same
+    antisymmetric bump at each site, so the result commutes with the shift."""
+    TP = as_poly_tensor(P)
+    N = TP.N
+    out = PolyTensor(TP.field_names, N, TP.bracket_scale)
+    out.entries = dict(TP.entries)
+    for m in range(N):
+        p = Poly({tuple(sorted((_var(f, (m + s) % N, N), 1) for f, s in factors)): c})
+        out.add_term(i, m, j, m + dn, p)
+        out.add_term(j, m + dn, i, m, -p)
+    return out
+
+
+def shift_cases() -> list:
+    """toda, P1 and P2 at N 5 and 7, and quotient_tensor(nu, phi^(k)) at (2, 5), (3, 7) and (4, 9)."""
+    cases = [as_poly_tensor(closed_tensor(name, N)) for N in (5, 7) for name in ("toda", "P1", "P2")]
+    cases += [as_poly_tensor(quotient_tensor(nu, phi_special(nu, k, N)))
+              for nu, N in ((2, 5), (3, 7), (4, 9)) for k in range(1, nu)]
+    return cases
+
+
+def test_reduced_symbolic_sweep_equals_the_full_sweep():
+    # on polynomials a shifted triple's Jacobiator is the triple's with its
+    # variables relabelled, so one triple per shift orbit reads the same
+    # (L, xyz) as every triple
+    for T in shift_cases():
+        assert coord_reduction._shift_invariant(T)
+        L, xyz = _pencil_sums(T, None)
+        assert (L, xyz) == full_sweep(T) and xyz == (0, 0, 0)
+    for N in (5, 7):
+        P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("P1", "P2"))
+        assert _pencil_sums(P1, P2) == full_sweep(P1, P2)
+
+
+def test_invariant_bump_is_red_with_the_full_sweeps_height():
+    # the same antisymmetric term at every site passes the shift check and
+    # breaks Jacobi: the reduced sweep reads it at a point and symbolically,
+    # with the full sweep's polynomial heights; one bump's monomial
+    # mu_{m-1} mu_m wraps from site N - 1 to site 0 and is re-sorted there
+    N, rng = 5, Random(62)
+    toda, P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("toda", "P1", "P2"))
+    bumps = [
+        (invariant_bump(toda, 0, 1, 1, ((0, 0), (0, N - 1)), F(1, 3)), None),
+        (invariant_bump(toda, 0, 0, 2, ((1, 0),), F(-2, 5)), None),
+        (P1, invariant_bump(P2, 0, 2, N - 1, ((1, 0), (0, 2)), F(3, 2))),
+    ]
+    for P, Q in bumps:
+        assert all(coord_reduction._shift_invariant(T) for T in (P, Q) if T is not None)
+        L, xyz = _pencil_sums(P, Q)
+        assert any(xyz)
+        assert (L, xyz) == full_sweep(P, Q)
+        pt = random_fields(P.field_names, N, rng)
+        L, xyz = _pencil_sums(P, Q, pt)
+        assert any(xyz)
+        zero = PolyTensor(P.field_names, N, P.bracket_scale)
+        assert tuple(F(c, L) for c in xyz) == dense_pencil(P, Q or zero, pt, representatives=True)
+    assert shift_certificate(bumps[0][0], "mu") != 0
+
+
+def test_reduced_sweep_at_a_point_reads_the_orbit_representatives():
+    # at a point, each shift orbit is tested by its triples of smallest flat
+    # index i N, at that one point: the reduced value equals the dense
+    # reference over those triples, and reads 0 on the named tensors
+    rng = Random(63)
+    N = 7
+    toda, P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("toda", "P1", "P2"))
+    bumped = invariant_bump(toda, 1, 0, 3, ((0, 1), (1, N - 1)), F(5, 4))
+    for T in (toda, P1, P2, bumped):
+        pt = random_fields(T.field_names, N, rng)
+        reps = [abs(v) for (I, _, _), v in dense_triples(T, pt).items() if I % N == 0]
+        assert jacobiator(T, pt) == max(reps)
+    assert jacobiator(bumped, pt) != 0
+    pt = random_fields(P1.field_names, N, rng)
+    L, xyz = _pencil_sums(P1, P2, pt)
+    assert tuple(F(c, L) for c in xyz) == dense_pencil(P1, P2, pt, representatives=True) == (0, 0, 0)
+
+
+def test_shift_check_reads_every_entry():
+    # a dropped entry and one coefficient changed at one site fail the check
+    # (and get the full sweep); an equal coefficient built apart passes it;
+    # the empty tensor and a pencil with no second tensor still sweep
+    N, rng = 7, Random(64)
+    P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("P1", "P2"))
+    dropped = drop_smallest_entry(P2)
+    assert not coord_reduction._shift_invariant(dropped)
+    pts = [random_fields(P1.field_names, N, rng)]
+    assert compatibility(P1, dropped, pts) == dense_compatibility(P1, dropped, pts) != 0
+    assert pencil_certificate(P1, dropped) != 0
+    key = (0, 3, 0, 5)
+    (mono, c), = P2.entries[key].terms.items()
+    for coeff, invariant in ((2 * c, False), (c + F(1, 10**9), False), (F(c.numerator, c.denominator), True)):
+        T = PolyTensor(P2.field_names, N, P2.bracket_scale)
+        T.entries = dict(P2.entries)
+        T.entries[key] = Poly({mono: coeff})
+        assert coord_reduction._shift_invariant(T) is invariant
+    assert coord_reduction._shift_invariant(EMPTY)
+    assert _pencil_sums(EMPTY, None) == (1, (0, 0, 0))
+    assert jacobiator(EMPTY, UV_POINTS[0]) == 0
+
+
+def test_invariant_pencil_sweeps_one_index_per_field(monkeypatch):
+    # the work-count guard: 4 _accumulate calls per swept index, so d
+    # indices (0, N, 2N) for the invariant P1 + tP2 and all d N once an
+    # entry of P2 is dropped
+    calls = []
+    accumulate = coord_reduction._accumulate
+    monkeypatch.setattr(coord_reduction, "_accumulate", lambda acc, a, *rest: calls.append(a) or accumulate(acc, a, *rest))
+    N = 7
+    P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("P1", "P2"))
+    pts = [random_fields(P1.field_names, N, Random(65))]
+    d = P1.d
+    assert compatibility(P1, P2, pts) == 0
+    assert len(calls) == 4 * d and sorted(set(calls)) == [0, N, 2 * N]
+    calls.clear()
+    assert compatibility(P1, drop_smallest_entry(P2), pts) != 0
+    assert len(calls) == 4 * d * N
 
 
 def test_named_tensor_monomials_are_canonical():

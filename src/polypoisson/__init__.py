@@ -31,7 +31,6 @@ from .exchange_algebra import (
     random_polygon,
     verify_structure,
     verify_ybe,
-    wronskian,
 )
 from .coord_reduction import (
     ConstraintNotSecondClass,

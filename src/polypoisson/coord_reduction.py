@@ -547,14 +547,17 @@ def oracle_match(spec: BracketSpec, W: Polygon, name: str) -> Fraction:
 def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     """Rescale vertices by a periodic gauge so the Wronskian ratio becomes beta.
 
-    The gauge solves Gamma_{m+nu} = q_m Gamma_m with q = beta w / w'; it is
-    unique up to one overall scalar per step-orbit, removed by setting
-    Gamma_0 = 1.  gcd(nu, N) > 1 splits the sites into several orbits and
-    makes the gauge non-unique (NonUniqueGauge); otherwise the one orbit
-    covers every site, and a q-product other than 1 admits no exact periodic
-    gauge at all (GaugeInconsistent).
+    The gauge solves Gamma_{m+nu} = q_m Gamma_m with q_m = beta_m w_m /
+    w_{m+1} = beta_m / a^(0)_m, a^(0) read from ``coords`` first, so a
+    vanishing Wronskian raises DegeneratePolygon at its first site and
+    N < nu a ValueError before beta is looked at.  The gauge is unique up to
+    one overall scalar per step-orbit, removed by setting Gamma_0 = 1.
+    gcd(nu, N) > 1 splits the sites into several orbits and makes the gauge
+    non-unique (NonUniqueGauge); otherwise the one orbit covers every site,
+    and a q-product other than 1 admits no exact periodic gauge at all
+    (GaugeInconsistent).
     """
-    w = W.require_nondegenerate()
+    a0 = coords(W)["a0"]
     nu, N = W.nu, W.N
     if beta is None:
         beta = PerSeq.constant(N, 1)
@@ -564,7 +567,7 @@ def gauge_normalize(W: Polygon, beta: PerSeq = None) -> Polygon:
     g = gcd(nu, N)
     if g > 1:
         raise NonUniqueGauge(f"gcd(nu, N) = {g} > 1: gauge not unique")
-    q = [beta[m] * w[m] / w[m + 1] for m in range(N)]
+    q = [beta[m] / a0[m] for m in range(N)]
     total = prod(q)
     if total != 1:
         raise GaugeInconsistent(f"orbit through 0: gauge recursion product {total} != 1")
@@ -590,8 +593,10 @@ def dirac_reduce(P_eval, constrained) -> list:
     block, which makes the reduction well defined; otherwise
     ConstraintNotSecondClass is raised.  With A and B read from the ints of
     P, the reduced matrix A + B Z is (p A + B pZ) / (d p), one Fraction per
-    entry.
+    entry.  An index outside 0..D-1 is a ValueError.
     """
+    if any(not 0 <= i < len(P_eval) for i in constrained):
+        raise ValueError(f"constrained indices must lie in 0..{len(P_eval) - 1}")
     dp, rows = _dirac_ints(*linalg._scaled(P_eval), constrained)
     return [[Fraction(x, dp) if x else ZERO for x in row] for row in rows]
 

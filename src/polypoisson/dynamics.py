@@ -28,7 +28,7 @@ from .coord_reduction import (
     field_gradients,
 )
 from .exchange_algebra import Polygon, _DualCtx
-from .lattice_ops import PerSeq
+from .lattice_ops import PerSeq, require_period
 from .linalg import ONE, ZERO
 from .multipoly import Poly
 
@@ -110,7 +110,10 @@ def char_poly(T) -> list:
 
 def transfer_invariants(a) -> list:
     """Characteristic-polynomial coefficients of the monodromy of the recursion
-    whose coefficients are the periodic sequences a = (a^(0), ..., a^(nu-1))."""
+    whose coefficients are the periodic sequences a = (a^(0), ..., a^(nu-1)),
+    each of a^(0)'s period (else ValueError)."""
+    for k, seq in enumerate(a):
+        require_period(f"a^({k})", seq, a[0].N)
     return char_poly(TransferMatrix.of(a, a[0].N).monodromy)
 
 
@@ -144,18 +147,20 @@ def ham_vf(P, H: Poly, point) -> dict:
 def lifted_vf(W: Polygon):
     """The vertex-space lift of the quadratic Toda flow (order 2 only).
 
-    dV_m/dt = (w_m / w_{m-1}) V_{m-1}, with the monodromy frozen.  Pushing
-    forward through coords reproduces ham_vf(toda, sum mu) exactly.
+    dV_m/dt = (w_m / w_{m-1}) V_{m-1} = a^(0)_{m-1} V_{m-1}, with the
+    monodromy frozen.  At m = 0 the recursion V_{m+2} = a^(1)_m V_{m+1} -
+    a^(0)_m V_m at m = -1 gives a^(0)_{N-1} V_{-1} = a^(1)_{N-1} V_0 - V_1,
+    so the fields of ``coords`` give every velocity with no M^-1.  Like
+    coords, a vanishing Wronskian raises DegeneratePolygon and N < 2 a
+    ValueError.  Pushing forward through coords reproduces ham_vf(toda,
+    sum mu) exactly.
     """
     if W.nu != 2:
         raise ValueError("the lifted flow is defined for nu = 2")
-    w = W.require_nondegenerate()
-    N = W.N
-    vdot = []
-    for m in range(N):
-        ratio = w[m] / w[m - 1]
-        prev = W.vertex(m - 1)
-        vdot.append(tuple(ratio * x for x in prev))
+    point, V, N = coords(W), W.V, W.N
+    a0, a1 = point["a0"], point["a1"]
+    vdot = [tuple(a1[N - 1] * x - y for x, y in zip(V[0], V[1]))]
+    vdot += [tuple(a0[m - 1] * x for x in V[m - 1]) for m in range(1, N)]
     mdot = tuple(tuple(ZERO for _ in range(W.nu)) for _ in range(W.nu))
     return tuple(vdot), mdot
 

@@ -98,36 +98,6 @@ class Polygon:
         out.extend(x for row in self.M for x in row)
         return out
 
-    def vertex(self, m: int) -> list:
-        """V_m for any integer m, via the extension rule."""
-        q, r = divmod(m, self.N)
-        row = list(self.V[r])
-        if q > 0:
-            mat = [list(x) for x in self.M]
-            for _ in range(q):
-                row = [sum(row[c] * mat[c][a] for c in range(self.nu)) for a in range(self.nu)]
-        elif q < 0:
-            inv = linalg.inverse([list(x) for x in self.M])
-            for _ in range(-q):
-                row = [sum(row[c] * inv[c][a] for c in range(self.nu)) for a in range(self.nu)]
-        return row
-
-    def wronskian_at(self, m: int) -> Fraction:
-        rows = [self.vertex(m + r) for r in range(self.nu)]
-        return linalg.det(rows)
-
-    def require_nondegenerate(self) -> PerSeq:
-        """The Wronskian, or DegeneratePolygon at the first site where it vanishes."""
-        w = wronskian(self)
-        if 0 in w.values:
-            raise DegeneratePolygon(f"Wronskian vanishes at site {w.values.index(0)}")
-        return w
-
-
-def wronskian(W: Polygon) -> PerSeq:
-    """The discrete Wronskian w_m = det[V_m ... V_{m+nu-1}], periodic."""
-    return PerSeq(W.N, tuple(W.wronskian_at(m) for m in range(W.N)))
-
 
 def group_act(p: PerSeq, g, W: Polygon) -> Polygon:
     """The commuting scaling/projective actions: (p, g) . (V, M) = (pVg^-1, gMg^-1)."""
@@ -637,10 +607,13 @@ def _require_shape(spec: BracketSpec, W: Polygon):
 def verify_structure(spec: BracketSpec, W: Polygon, check: str, trials: int = 20, seed: int = 0) -> Fraction:
     """Exact residual of one of the structural identities of the bracket.
 
-    check is one of 'jacobi', 'momentum', 'quasiperiodicity', 'antisymmetry'.
+    check is one of 'jacobi', 'momentum', 'quasiperiodicity', 'antisymmetry';
+    'jacobi' needs trials >= 1, since no trial would read as a vacuous 0.
     """
     _require_shape(spec, W)
     if check == "jacobi":
+        if trials < 1:
+            raise ValueError(f"jacobi needs trials >= 1, got {trials}")
         return jacobi_residual(spec, W, trials, seed)
     if check == "momentum":
         return momentum_residual(spec, W)
@@ -654,6 +627,13 @@ def verify_structure(spec: BracketSpec, W: Polygon, check: str, trials: int = 20
 # ---------------------------------------------------------------------------
 # the projective (scaling-reduced) bracket
 # ---------------------------------------------------------------------------
+
+
+def _require_r_shape(R, W: Polygon):
+    """An R that is not nu^2 x nu^2 for W's nu is a ValueError, before any chart is read."""
+    n2 = W.nu * W.nu
+    if len(R) != n2 or any(len(row) != n2 for row in R):
+        raise ValueError("R must be nu^2 x nu^2")
 
 
 def _projective_ints(R, v, pairs) -> tuple:
@@ -695,9 +675,10 @@ def projective_bracket(R, W: Polygon, m: int, n: int):
     v' = (v, 1) and k = nu - 1, the unit matrix E_ac acts on the chart as
     E_ac.v = v'_a (e_c if c < k else -v), so the R term is one contraction
     S = (v'_m (x) v'_n) R whose row and column k fold back onto -v_m and
-    -v_n; it is summed in ints by ``_projective_ints``.  Sites outside
-    0..N-1: ValueError.
+    -v_n; it is summed in ints by ``_projective_ints``.  An R that is not
+    nu^2 x nu^2, or sites outside 0..N-1: ValueError.
     """
+    _require_r_shape(R, W)
     if not (0 <= m < W.N and 0 <= n < W.N):
         raise ValueError(f"sites m, n must lie in 0..{W.N - 1}")
     ctx = _DualCtx(W)
@@ -718,6 +699,7 @@ def _projective_residual(R, specs, W: Polygon) -> Fraction:
     """
     for spec in specs:
         _require_shape(spec, W)
+    _require_r_shape(R, W)
     k, N, coords, ctx = W.nu - 1, W.N, W.coordinates(), _DualCtx(W)
     chart = [[ctx.proj(m, c) for c in range(k)] for m in range(N)]
     grads = [p[1:] for row in chart for p in row]

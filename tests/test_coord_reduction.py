@@ -6,7 +6,7 @@ from random import Random
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from test_exchange_algebra import pi_pairings
+from test_exchange_algebra import pi_pairings, reference_vertex, reference_wronskian
 from test_json_roundtrip import op_tensors, rationals
 
 from polypoisson import acceptance, coord_reduction, linalg
@@ -43,7 +43,6 @@ from polypoisson.exchange_algebra import (
     _PiTable,
     group_act,
     random_polygon,
-    wronskian,
 )
 from polypoisson.lattice_ops import (
     Kernel,
@@ -84,13 +83,15 @@ def test_coords_order3_cycle():
 def reference_coords(W):
     """The fields by determinants, as the point {a0: a^(0), ..., a{nu-1}: a^(nu-1)}:
     a^(0)_m = w_{m+1} / w_m and a^(k)_m the det of V_m..V_{m+nu} without
-    V_{m+k}, over w_m, each re-extended by M."""
-    W.require_nondegenerate()
+    V_{m+k}, over w_m, each re-extended by M; DegeneratePolygon at the
+    first site with w_m = 0."""
     nu, N = W.nu, W.N
-    w = [W.wronskian_at(m) for m in range(N + 1)]
+    w = [reference_wronskian(W, m) for m in range(N + 1)]
+    if 0 in w:
+        raise DegeneratePolygon(f"Wronskian vanishes at site {w.index(0)}")
     seqs = [PerSeq(N, tuple(w[m + 1] / w[m] for m in range(N)))]
     for k in range(1, nu):
-        vals = [linalg.det([W.vertex(m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
+        vals = [linalg.det([reference_vertex(W, m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
         seqs.append(PerSeq(N, tuple(vals)))
     return {f"a{k}": seq for k, seq in enumerate(seqs)}
 
@@ -125,7 +126,7 @@ def test_coords_on_a_degenerate_polygon_name_the_site():
         coords(W)
     with pytest.raises(DegeneratePolygon, match="site 1"):
         reference_coords(W)
-    with pytest.raises(DegeneratePolygon, match="^Wronskian vanishes at site 1$"):
+    with pytest.raises(DegeneratePolygon, match="site 1:"):
         gauge_normalize(W)
 
 
@@ -690,7 +691,7 @@ def test_gauge_normalize_constant_wronskian():
     rng = Random(6)
     W = random_polygon(2, 5, rng)
     Wn = gauge_normalize(W)
-    w = wronskian(Wn)
+    w = [reference_wronskian(Wn, m) for m in range(5)]
     assert all(w[m] == w[0] for m in range(5))
     # already-normalized polygons come back unchanged
     Wnn = gauge_normalize(Wn)
@@ -707,9 +708,8 @@ def test_gauge_normalize_beta_ratio():
         prod *= v
     beta = PerSeq(5, tuple(vals + [1 / prod]))
     Wn = gauge_normalize(W, beta)
-    w = wronskian(Wn)
     for m in range(5):
-        assert w[m + 1] == beta[m] * w[m]
+        assert reference_wronskian(Wn, m + 1) == beta[m] * reference_wronskian(Wn, m)
 
 
 def test_gauge_normalize_even_period_not_unique():
@@ -780,6 +780,16 @@ def test_dirac_rejects_nullspace_coupling():
     ]
     with pytest.raises(ConstraintNotSecondClass, match="nullspace couples to the free block"):
         dirac_reduce(P, [1, 2])
+
+
+def test_dirac_rejects_indices_outside_the_matrix():
+    # toda at N = 5 is 10 x 10: negative indices would wrap when read and
+    # remove nothing, and index 10 would be an IndexError
+    N = 5
+    full = closed_tensor("toda", N).eval_matrix(random_fields(("mu", "rho"), N, Random(11)))
+    for con in ([-1, -2, -3, -4, -5], list(range(5, 11))):
+        with pytest.raises(ValueError, match=r"^constrained indices must lie in 0\.\.9$"):
+            dirac_reduce(full, con)
 
 
 def reference_dirac_reduce(P_eval, constrained) -> list:

@@ -82,7 +82,8 @@ def test_a_deleted_name_does_not_resolve():
         "lattice_ops.kernel_from_dpoly", "coord_reduction._K", "coord_reduction._Kinv",
         "Fields", "coord_reduction.Fields", "Fields.point", "ProjPolygon", "exchange_algebra.ProjPolygon",
         "ProjPolygon.from_polygon", "dynamics.gf_check", "dynamics.lie_deform", "LinearityViolated",
-        "dynamics.LinearityViolated",
+        "dynamics.LinearityViolated", "Polygon.vertex", "Polygon.wronskian_at", "Polygon.require_nondegenerate",
+        "exchange_algebra.wronskian",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
@@ -101,7 +102,7 @@ def test_public_names_are_listed():
         "lifted_flow_residual", "lifted_vf", "linalg", "multipoly", "oracle_match", "phi_special",
         "projective_bracket", "pushforward_check", "quad_coeff", "random_polygon", "rat", "rat_str",
         "shift_kernel", "solve_phi", "sum_field", "toda_dirac_vs_ftv", "trace_transfer", "trajectory_csv",
-        "transfer_invariants", "verify_structure", "verify_ybe", "wronskian",
+        "transfer_invariants", "verify_structure", "verify_ybe",
     ]
 
 

@@ -10,6 +10,7 @@ from test_coord_reduction import (
     reference_lie_deform,
     reference_poly_matrix,
 )
+from test_exchange_algebra import reference_vertex, reference_wronskian
 
 from polypoisson import acceptance, cli, coord_reduction, dynamics, linalg
 from polypoisson.coord_reduction import (
@@ -147,8 +148,22 @@ def test_lifted_vf_constant_wronskian():
     W = Polygon(2, 5, V, M)
     vdot, mdot = lifted_vf(W)
     for m in range(5):
-        assert vdot[m] == tuple(W.vertex(m - 1))
+        assert vdot[m] == tuple(reference_vertex(W, m - 1))
     assert all(x == 0 for row in mdot for x in row)
+
+
+def test_lifted_vf_matches_the_wronskian_ratio_reference():
+    # dV_m/dt = (w_m / w_{m-1}) V_{m-1} with Fraction Wronskians and V_{-1} =
+    # V_{N-1} M^-1, against the fields' a^(0)_{m-1} V_{m-1} and, at m = 0,
+    # a^(1)_{N-1} V_0 - V_1
+    rng = Random(12)
+    for N in (2, 3, 5, 7, 9):
+        for _ in range(5):
+            W = random_polygon(2, N, rng)
+            vdot, _ = lifted_vf(W)
+            for m in range(N):
+                ratio = reference_wronskian(W, m) / reference_wronskian(W, m - 1)
+                assert vdot[m] == tuple(ratio * x for x in reference_vertex(W, m - 1)), (N, m)
 
 
 def test_lifted_vf_scaling_homogeneity():
@@ -175,6 +190,11 @@ def test_transfer_invariants_examples():
     assert coeffs == [F(1), F(2), F(1)]
     T = TransferMatrix.of((PerSeq.constant(1, 3), PerSeq.constant(1, 5)), 1)
     assert T.monodromy == [[F(0), F(-3)], [F(1), F(5)]]
+
+
+def test_transfer_invariants_rejects_mixed_periods():
+    with pytest.raises(ValueError, match=r"^a\^\(1\) has period 3, not 5$"):
+        transfer_invariants((PerSeq.constant(5, 2), PerSeq.constant(3, 1)))
 
 
 def test_transfer_det_is_product_of_rho():

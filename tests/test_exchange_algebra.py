@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polypoisson import exchange_algebra, gen_nu, linalg
-from polypoisson.coord_reduction import coords, field_gradients, oracle_match
+from polypoisson.coord_reduction import coords, field_gradients, gauge_normalize, oracle_match
+from polypoisson.dynamics import lifted_vf
 from polypoisson.exchange_algebra import (
     BracketSpec,
     DegeneratePolygon,
@@ -26,13 +27,28 @@ from polypoisson.exchange_algebra import (
     random_polygon,
     verify_structure,
     verify_ybe,
-    wronskian,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
 from test_linalg import fraction_pairings, reference_pairings
 from test_multipoly import Dual, laplace_det
 
 F = Fraction
+
+
+def reference_vertex(W, m):
+    """V_m for any integer m in Fractions, by the extension rule V_{m+N} = V_m M:
+    powers of M for m >= N, of linalg.inverse(M) for m < 0."""
+    q, r = divmod(m, W.N)
+    row = list(W.V[r])
+    mat = [list(x) for x in W.M] if q >= 0 else linalg.inverse([list(x) for x in W.M])
+    for _ in range(abs(q)):
+        row = [sum(row[c] * mat[c][a] for c in range(W.nu)) for a in range(W.nu)]
+    return row
+
+
+def reference_wronskian(W, m):
+    """w_m = det[V_m ... V_{m+nu-1}] for any integer m, by linalg.det on reference_vertex rows."""
+    return linalg.det([reference_vertex(W, m + r) for r in range(W.nu)])
 
 
 def pi_pairings(table, F_, G):
@@ -283,7 +299,7 @@ def reference_quasiperiodicity(spec, W):
     Pi = reference_assemble(spec, W.V, W.M)
     res = F(0)
     for m in range(N):
-        ext = [W.vertex(m + N)]
+        ext = [reference_vertex(W, m + N)]
         for n in range(m + 1, N):
             direct = linalg.mat_mul(kron(ext, [W.V[n]]), t_matrix(spec, m + N - n))[0]
             for a in range(nu):
@@ -438,7 +454,7 @@ def test_from_json_rejects_malformed_shapes():
 
 def reference_random_polygon(nu, N, rng):
     """random_polygon in Fractions: det by linalg.det, M by linalg.solve, and
-    each site's Wronskian from Polygon.vertex products."""
+    each site's Wronskian from reference_vertex products."""
     for _ in range(500):
         rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)] for _ in range(N + nu)]
         A, B = rows[:nu], rows[N : N + nu]
@@ -448,7 +464,7 @@ def reference_random_polygon(nu, N, rng):
         d = linalg.det(M)
         M[-1] = [x / d for x in M[-1]]
         W = Polygon(nu, N, tuple(tuple(r) for r in rows[:N]), tuple(tuple(r) for r in M))
-        if 0 not in wronskian(W).values:
+        if all(reference_wronskian(W, m) for m in range(N)):
             return W
     raise RuntimeError("failed to sample a nondegenerate polygon")
 
@@ -480,27 +496,27 @@ def test_random_polygon_equals_fraction_reference():
 def test_polygon_extension_rule():
     W = random_polygon(2, 5, Random(4))
     for m in range(5):
-        ext = W.vertex(m + 5)
+        ext = reference_vertex(W, m + 5)
         via = [sum(W.V[m][c] * W.M[c][a] for c in range(2)) for a in range(2)]
         assert ext == via
-    back = W.vertex(-5)
+    back = reference_vertex(W, -5)
     forward = [sum(back[c] * W.M[c][a] for c in range(2)) for a in range(2)]
     assert tuple(forward) == W.V[0]
 
 
 def test_wronskian_identity_examples():
     W = Polygon(2, 3, ((1, 0), (0, 1), (-1, 1)), ((1, -1), (1, 0)))
-    assert wronskian(W)[0] == 1
+    assert reference_wronskian(W, 0) == 1 == _DualCtx(W).wronskian(0)[0]
     V3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 0))
     M3 = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
     W3 = Polygon(3, 4, V3, M3)
-    assert wronskian(W3)[0] == 1
+    assert reference_wronskian(W3, 0) == 1 == _DualCtx(W3).wronskian(0)[0]
 
 
 def test_wronskian_periodicity():
     W = random_polygon(3, 5, Random(6))
     for m in range(5):
-        assert W.wronskian_at(m + 5) == W.wronskian_at(m)
+        assert reference_wronskian(W, m + 5) == reference_wronskian(W, m) == _DualCtx(W).wronskian(m)[0]
 
 
 def test_group_act_identity():
@@ -516,9 +532,11 @@ def test_group_act_scaling_wronskian():
     W = random_polygon(3, 5, rng)
     p = PerSeq(5, tuple(F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(5)))
     W2 = group_act(p, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], W)
-    w1, w2 = wronskian(W), wronskian(W2)
+    ctx1, ctx2 = _DualCtx(W), _DualCtx(W2)
     for m in range(5):
-        assert w2[m] == p[m] * p[m + 1] * p[m + 2] * w1[m]
+        w1 = reference_wronskian(W, m)
+        assert reference_wronskian(W2, m) == p[m] * p[m + 1] * p[m + 2] * w1
+        assert ctx2.wronskian(m)[0] == p[m] * p[m + 1] * p[m + 2] * ctx1.wronskian(m)[0]
 
 
 def test_bracket_blocks_same_site_is_r_table():
@@ -669,6 +687,17 @@ def test_jacobi_negative_controls():
     assert found[2, 5, "R[0][0] + 1"] == F(4906, 17)
 
 
+def test_jacobi_with_no_trial_is_rejected():
+    # the non-odd control (nu = 2, N = 7, phi = 3/2) is red at 20 trials, and
+    # with no trial at all would read as a vacuous 0
+    W = random_polygon(2, 7, Random(0))
+    spec = BracketSpec.standard(2, 7, Kernel(PerSeq.constant(7, F(3, 2))))
+    assert verify_structure(spec, W, "jacobi", 20, 0) == 2070
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match=f"trials >= 1, got {trials}$"):
+            verify_structure(spec, W, "jacobi", trials, 0)
+
+
 def test_field_sweep_computes_each_wronskian_once(monkeypatch):
     # a sweep of all nu*N fields and the N Wronskians w_0..w_{N-1} solves
     # c^T B_m = V_{m+nu} once per site: N adjugates of nu x nu matrices
@@ -728,15 +757,13 @@ def test_field_gradients_match_dual_reference():
                 _assert_same(ctx.proj(m, c), V[m][c] / V[m][nu - 1])
 
 
-def test_wrapped_vertices_match_the_extension_rule(monkeypatch):
+def test_wrapped_vertices_match_the_extension_rule():
     # _DualCtx reads V_m = V_{m-N} M for N <= m < 2N from its own int
-    # product, never through Polygon.vertex, and the values agree with it
+    # product, and the values agree with the Fraction reference
     for nu, N in ((2, 5), (3, 7), (4, 9)):
         W = random_polygon(nu, N, Random(N))
-        want = [W.vertex(m) for m in range(N, 2 * N)]
-        with monkeypatch.context() as mp:
-            mp.setattr(Polygon, "vertex", lambda *a: pytest.fail("_DualCtx called Polygon.vertex"))
-            got = [[x for x, _, _ in _DualCtx(W).vertex(m)] for m in range(N, 2 * N)]
+        want = [reference_vertex(W, m) for m in range(N, 2 * N)]
+        got = [[x for x, _, _ in _DualCtx(W).vertex(m)] for m in range(N, 2 * N)]
         assert all(type(x) is Fraction for row in got for x in row)
         assert got == want
 
@@ -747,7 +774,7 @@ def test_field_gradients_on_a_degenerate_polygon_name_the_site():
     V = list(W.V)
     V[3] = V[2]
     W = Polygon(3, 7, tuple(V), W.M)
-    assert W.wronskian_at(0) != 0 and W.wronskian_at(1) == 0
+    assert reference_wronskian(W, 0) != 0 and reference_wronskian(W, 1) == 0
     with pytest.raises(DegeneratePolygon, match="site 1:"):
         field_gradients(W, ["a0", "a1", "a2"])
     with pytest.raises(DegeneratePolygon, match="site 2:"):
@@ -763,7 +790,7 @@ def test_wronskian_sweep_builds_no_field_gradient(monkeypatch):
     W = random_polygon(3, 5, Random(61))
     ctx = _DualCtx(W)
     for m in range(5):
-        assert ctx.wronskian(m)[0] == W.wronskian_at(m)
+        assert ctx.wronskian(m)[0] == reference_wronskian(W, m)
     values = coords(W, ctx)
     assert calls == [] and not ctx._factors
     fields = [ctx.field(k, 2) for k in range(3)]
@@ -779,6 +806,11 @@ def test_field_gradients_need_n_at_least_nu():
         field_gradients(W, ["a0"])
     with pytest.raises(ValueError, match="N >= nu"):
         coords(W)
+    # gauge_normalize and lifted_vf read the same fields, so they raise it too
+    with pytest.raises(ValueError, match="N >= nu"):
+        gauge_normalize(W)
+    with pytest.raises(ValueError, match="N >= nu"):
+        lifted_vf(Polygon(2, 1, ((1, 2),), ((0, 1), (-1, 0))))
 
 
 def test_antisymmetry_ten_polygons_per_configuration():
@@ -832,7 +864,7 @@ def test_chain_bracket_antisymmetry_and_momentum():
         for n in range(N):
             coeff = momentum_formula_coeff(spec, m, n)
             for a in range(2):
-                assert got[m][2 * n + a] == coeff * W.wronskian_at(m) * W.V[n][a]
+                assert got[m][2 * n + a] == coeff * reference_wronskian(W, m) * W.V[n][a]
 
 
 def test_quasiperiodicity_without_monodromy_terms_fails():
@@ -850,7 +882,7 @@ def test_quasiperiodicity_without_monodromy_terms_fails():
             if m >= n:
                 continue
             T_ext = t_matrix(spec, m + N - n)
-            vm = W.vertex(m + N)
+            vm = reference_vertex(W, m + N)
             for a in range(nu):
                 for b in range(nu):
                     direct = sum(
@@ -1019,6 +1051,19 @@ def test_projective_bracket_rejects_sites_outside_the_period():
             projective_bracket(R, W, m, n)
 
 
+def test_projective_bracket_rejects_an_r_matrix_of_another_order():
+    # R must be nu^2 x nu^2 for the polygon's nu: a larger one would read
+    # past the chart rows, a smaller one give a table of the wrong size and
+    # the residual a meaningless gap
+    for nu, other in ((2, 3), (3, 2)):
+        W = random_polygon(nu, 5, Random(nu))
+        R = default_rc(other)[0]
+        with pytest.raises(ValueError, match=r"^R must be nu\^2 x nu\^2$"):
+            projective_bracket(R, W, 1, 2)
+        with pytest.raises(ValueError, match=r"^R must be nu\^2 x nu\^2$"):
+            _projective_residual(R, [spec_with(nu, 5)], W)
+
+
 def test_projective_action_lemma_example():
     X = [[0, 0], [1, 0]]
     for v in ([F(2)], [F(-1, 3)]):
@@ -1145,7 +1190,8 @@ def test_a_polygon_of_another_shape_than_its_spec_is_refused(entry):
 def test_degenerate_polygon_rejected():
     V = ((1, 0), (2, 0), (0, 1))  # parallel first pair: w_0 = 0
     W = Polygon(2, 3, V, ((1, 0), (0, 1)))
-    with pytest.raises(DegeneratePolygon):
-        W.require_nondegenerate()
+    for f in (coords, gauge_normalize, lifted_vf):
+        with pytest.raises(DegeneratePolygon, match="site 0:"):
+            f(W)
 
 

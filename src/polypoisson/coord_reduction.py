@@ -26,9 +26,9 @@ Semenov-Tian-Shansky and Sevostyanov 1995): with a^(nu) = 1, q = j + k - p,
   R(j,m; k,n) = c sum_{p=max(0,j+k-nu)}^{min(j,k)-1}
                   ( a^(p)_n a^(q)_m [n = m+j-p] - a^(p)_m a^(q)_n [n = m-(k-p)] ).
 
-``_exchange_word`` adds every off-diagonal exchange partner.  One int walk
-over the paths of a word, its kernels and diagonal segments scaled once to
-ints, serves every reading of words: ``to_poly`` builds one Fraction per
+``_exchange_word`` adds every off-diagonal exchange partner.  One int walk,
+one pass per word over its paths with each distinct diagonal segment scaled
+once, serves every reading of words: ``to_poly`` builds one Fraction per
 distinct coefficient.  A field point meets either form only in
 ``int_matrix``: words by that walk (the only place a field inverse can be
 formed), polynomials by the pencil sweep's ``_int_eval``.  ``eval_matrix``
@@ -243,50 +243,54 @@ class OpTensor(_FieldTensor):
         """(L, sums): sums[i, m, j, n, mono] is the int total, over L, of the
         products of the paths from site m to site n of the words of block (i, j).
 
-        A word is split at its kernels into diagonal segments.  A path from
-        site m steps, at each kernel K, from its site s to each s - d with
-        K_d != 0; its product is that of those kernel entries and of
-        ``seg_value(segment, site) = (mono, num, den)``, ints standing for
-        mono num / den, for each segment at the site it is on.  Kernels and
-        segments are scaled once to ints, so paths multiply ints and
-        monomials only, and paths meeting at one site and monomial merge.
+        A word is split at its kernels into diagonal segments.  A path starts
+        at site m on the first segment and steps, at each kernel K, from its
+        site s to each s - d with K_d != 0; its product is that of those kernel
+        entries (``Kernel.ints``) and of ``seg_value(segment, site) = (mono,
+        num, den)``, ints standing for mono num / den, for each segment at the
+        site it is on.  Each distinct segment is scaled at the N sites once per
+        walk; paths meeting at one site and monomial merge, and the last step
+        adds into sums.
         """
         N = self.N
-        words, L = [], 1
+        segs, words, L = {}, [], 1
         for (i, j), wlist in self.words.items():
             for word in wlist:
-                # a unit step onto the start site reads the first segment like the others
-                segs, steps = [[]], [(1, [(0, 1)])]
+                parts, steps = [[]], []
                 for factor in word:
                     if factor[0] == "k":
-                        (ks,), den = linalg._scaled([factor[1].seq.values])
-                        steps.append((den, [(d, k) for d, k in enumerate(ks) if k]))
-                        segs.append([])
+                        steps.append(factor[1].ints[1:])
+                        parts.append([])
                     else:
-                        segs[-1].append(factor)
+                        parts[-1].append(factor)
                 diag = []
-                for seg in segs:
-                    vals = [seg_value(seg, site) for site in range(N)]
-                    den = lcm(*(dn for _, _, dn in vals))
-                    diag.append((den, [(mono, num * (den // dn)) for mono, num, dn in vals]))
+                for seg in map(tuple, parts):
+                    if seg not in segs:
+                        vals = [seg_value(seg, site) for site in range(N)]
+                        den = lcm(*(dn for _, _, dn in vals))
+                        segs[seg] = den, [(mono, num * (den // dn)) for mono, num, dn in vals]
+                    diag.append(segs[seg])
                 den = prod(dn for dn, _ in steps + diag)
                 L = lcm(L, den)
-                words.append((i, j, den, [(nz, dg) for (_, nz), (_, dg) in zip(steps, diag)]))
+                words.append((i, j, den, diag[0][1], [(nz, dg) for (_, nz), (_, dg) in zip(steps, diag[1:])]))
         sums = defaultdict(int)
-        for i, j, den, walk in words:
-            for m in range(N):
-                paths = {(m, ()): L // den}
-                for nz, dg in walk:
-                    nxt = defaultdict(int)
-                    for (s, mono), acc in paths.items():
+        for i, j, den, first, walk in words:
+            c = L // den
+            for m, (mono, g) in enumerate(first):
+                if not g:
+                    continue
+                if not walk:
+                    sums[i, m, j, m, mono] += c * g
+                paths = {(i, m, j, m, mono): c * g}
+                for t, (nz, dg) in enumerate(walk, 1 - len(walk)):  # t = 0 at the last step
+                    nxt = defaultdict(int) if t else sums
+                    for (_, _, _, s, mono), acc in paths.items():
                         for d, kv in nz:
                             n = (s - d) % N
-                            seg_mono, g = dg[n]
-                            if g:
-                                nxt[n, _mono_mul(mono, seg_mono)] += acc * kv * g
+                            seg_mono, v = dg[n]
+                            if v:
+                                nxt[i, m, j, n, _mono_mul(mono, seg_mono) if seg_mono else mono] += acc * kv * v
                     paths = nxt
-                for (n, mono), acc in paths.items():
-                    sums[i, m, j, n, mono] += acc
         return L, sums
 
     def int_matrix(self, point):
@@ -336,7 +340,8 @@ class OpTensor(_FieldTensor):
         for (i, m, j, n, mono), c in sums.items():
             if c:
                 f = frac.get(c) or frac.setdefault(c, Fraction(c, L))
-                out.entries.setdefault((i, m, j, n), Poly()).terms[mono] = f
+                poly = out.entries.get((i, m, j, n)) or out.entries.setdefault((i, m, j, n), Poly())
+                poly.terms[mono] = f
         return out
 
     def to_json(self) -> dict:

@@ -155,23 +155,26 @@ def lifted_vf(W: Polygon):
     ValueError.  Pushing forward through coords reproduces ham_vf(toda,
     sum mu) exactly.
     """
+    return _lifted_vdot(_DualCtx(W)), ((ZERO, ZERO), (ZERO, ZERO))
+
+
+def _lifted_vdot(ctx: _DualCtx) -> tuple:
+    """The vertex velocities of ``lifted_vf``, from the fields of ctx's polygon."""
+    W = ctx.W
     if W.nu != 2:
         raise ValueError("the lifted flow is defined for nu = 2")
-    point, V, N = coords(W), W.V, W.N
+    point, V, N = coords(W, ctx), W.V, W.N
     a0, a1 = point["a0"], point["a1"]
     vdot = [tuple(a1[N - 1] * x - y for x, y in zip(V[0], V[1]))]
     vdot += [tuple(a0[m - 1] * x for x in V[m - 1]) for m in range(1, N)]
-    mdot = tuple(tuple(ZERO for _ in range(W.nu)) for _ in range(W.nu))
-    return tuple(vdot), mdot
+    return tuple(vdot)
 
 
 def lifted_flow_residual(W: Polygon) -> Fraction:
-    """Exact mismatch between the pushforward of lifted_vf and the Toda flow."""
-    N = W.N
-    vdot, _ = lifted_vf(W)
+    """Exact mismatch between the pushforward of lifted_vf and the Toda flow, both read from one ``_DualCtx``."""
+    N, names, ctx = W.N, ("mu", "rho"), _DualCtx(W)
+    vdot = _lifted_vdot(ctx)
     flat = {W.var_v(m, a): x for m in range(N) for a, x in enumerate(vdot[m])}
-    names = ("mu", "rho")
-    ctx = _DualCtx(W)
     vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W, ctx))
     res = ZERO
     for I, (grad, den) in enumerate(field_gradients(W, names, ctx)):

@@ -33,10 +33,10 @@ from random import Random
 from .coord_reduction import quotient_tensor, shift_certificate
 from .exchange_algebra import BracketSpec, _DualCtx, _PiTable, random_polygon
 from .lattice_ops import Kernel, OddKernel, _closed_ints, _exchange_kernels, phi_special, require_period, sign
-from .linalg import ZERO, _int_pairings, _scaled, rat_str
+from .linalg import ZERO, _int_pairings, rat_str
 
 
-def _hat_ints(nu: int, k: int, p: list, L: int) -> tuple:
+def _hat_ints(nu: int, k: int, p: tuple, L: int) -> tuple:
     """L times the four raw window sums (ww, w_alk, alk_w, alk_alk) as {j: int}, p = L phi.
 
     The double sum over (l, r) reads phi and delta at j + e (r - l) only, so
@@ -109,7 +109,7 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
     require_period("phi", phi, N)
-    (p,), L = _scaled([phi.seq.values])
+    p, L, _ = phi.ints
     ww, w_alk, alk_w, alk_alk = _hat_ints(nu, k, p, L)
     diff, k00, k0k = _closed_ints(nu, 0, p, L, _w_alk_outer(nu, k), {-nu: 1, 0: -1}, {-nu: 1, -k: -1})
     lim = N - 1 - nu

@@ -11,9 +11,10 @@ The module also carries the constrained solver that produces the odd periodic
 kernels used as the deformation parameter of the vertex bracket: given shift
 polynomials A and b it solves ``A(D) phi = b(D) delta`` exactly over the
 rationals with the oddness constraints adjoined, by one fraction-free
-elimination in ints.  Convolution is one int circulant action over the
-kernel's nonzeros, ``_int_convolve``, which ``convolve_apply`` (one Fraction
-per entry) and the closed forms ``_closed_ints`` share.  The one formula for
+elimination in ints.  A kernel is turned into ints once, by its cached view
+``Kernel.ints``.  Convolution is one int circulant action over the kernel's
+nonzeros, ``_int_convolve``, which ``convolve_apply`` (one Fraction per
+entry) and the closed forms ``_closed_ints`` share.  The one formula for
 the exchange coefficient kernels E_jk of the reduced brackets,
 ``_exchange_kernels``, is such a closed form; ``phi_special`` solves E_kk = 0.
 """
@@ -21,7 +22,7 @@ the exchange coefficient kernels E_jk of the reduced brackets,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 
 from . import linalg
@@ -106,6 +107,12 @@ class Kernel:
     def __getitem__(self, m: int) -> Fraction:
         return self.seq[m]
 
+    @cached_property
+    def ints(self) -> tuple:
+        """(k, dk, nz): the kernel as ints k / dk and nz its nonzeros (d, k_d), built once per object."""
+        (k,), dk = linalg._scaled([self.seq.values])
+        return tuple(k), dk, tuple((d, x) for d, x in enumerate(k) if x)
+
     def __neg__(self) -> "Kernel":
         return Kernel(-self.seq)
 
@@ -165,7 +172,7 @@ def _int_convolve(k: list, f: list) -> list:
     return out
 
 
-def _closed_ints(nu: int, s: int, p: list, L: int, *outers: dict) -> list:
+def _closed_ints(nu: int, s: int, p: tuple, L: int, *outers: dict) -> list:
     """[L outer(D) [(D^nu - D^s) phi + (D^nu + D^s) delta] for outer in outers], p = L phi.
 
     Each outer is a shift polynomial {r: int}; the one inner sequence is
@@ -183,7 +190,7 @@ def _exchange_kernels(nu: int, j: int, ks, phi: Kernel) -> list:
     E_jk is the kernel of the exchange term a^(j)_m E_jk(m - n) a^(k)_n of
     the order-nu reduced bracket {a^(j)_m, a^(k)_n}; one Fraction per entry.
     """
-    (p,), L = linalg._scaled([phi.seq.values])
+    p, L, _ = phi.ints
     outers = ({-nu: 1, -k: -1} for k in ks)
     return [Kernel(PerSeq(len(p), tuple(Fraction(x, L) for x in ints))) for ints in _closed_ints(nu, j, p, L, *outers)]
 
@@ -192,7 +199,7 @@ def convolve_apply(K: Kernel, f: PerSeq) -> PerSeq:
     """Exact cyclic convolution (K.f)_m = sum_n K_{m-n} f_n, in ints after one scaling of each."""
     if K.N != f.N:
         raise ValueError(f"period mismatch: {K.N} != {f.N}")
-    (k,), dk = linalg._scaled([K.seq.values])
+    k, dk, _ = K.ints
     (x,), dx = linalg._scaled([f.values])
     return PerSeq(K.N, tuple(Fraction(v, dk * dx) for v in _int_convolve(k, x)))
 
@@ -213,7 +220,7 @@ def invert(K: Kernel) -> Kernel:
     SingularOperator is not cached, so it is raised again on every call.
     """
     N = K.N
-    (k,), dk = linalg._scaled([K.seq.values])
+    k, dk, _ = K.ints
     m = [[k[r - n] for n in range(N)] + [dk * (r == 0)] for r in range(N)]
     pivots, p, _ = linalg._int_rref(m)
     if nullity := N - sum(c < N for c in pivots):

@@ -136,17 +136,18 @@ def _int_det(m) -> int:
 def _int_rref(m):
     """Fraction-free Gauss-Jordan on an int matrix m, in place: (pivots, p, sign).
 
-    Each step with pivot pk in column c replaces every other row by
-    (pk * row - f * pivot_row) // prev, f the row's entry in column c and
-    prev the previous pivot; columns with no pivot are skipped.  Every
-    division is exact (Bareiss 1968): the entries stay minors of m.  At the
-    end each pivot row holds the last pivot p in its pivot column and zeros
-    in the other pivot columns, so m / p is the reduced row echelon form;
-    sign is that of the row swaps.
+    Each step with pivot pk in column c replaces every other row with a
+    nonzero f in column c by (pk * row - f * pivot_row) // last[i], last[i]
+    the pivot it was last updated at; a row with f = 0 stays as stored, its
+    eager form prev / last[i] times it (prev the previous pivot).  Every
+    division is exact (Bareiss 1968: the eager entries are minors of m).  The
+    pivot row catches up before use and every row at the end; then each pivot
+    row holds the last pivot p in its pivot column and zeros in the others,
+    so m / p is the reduced row echelon form; sign is that of the row swaps.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    pivots = []
+    pivots, last = [], [1] * rows
     sign, prev, r = 1, 1, 0
     for c in range(cols):
         if r == rows:
@@ -156,18 +157,21 @@ def _int_rref(m):
             if piv is None:
                 continue
             m[r], m[piv] = m[piv], m[r]
+            last[r], last[piv] = last[piv], last[r]
             sign = -sign
+        if last[r] != prev:
+            m[r] = [prev * x // last[r] for x in m[r]]
         pk, mr = m[r][c], m[r]
         for i in range(rows):
-            if i != r:
-                f = m[i][c]
-                if f:
-                    m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], mr)]
-                elif pk != prev:
-                    m[i] = [pk * x // prev for x in m[i]]
+            if i != r and (f := m[i][c]):
+                d = last[i]
+                m[i] = [(pk * x - f * y) // d for x, y in zip(m[i], mr)]
+                last[i] = pk
         pivots.append(c)
-        prev = pk
+        last[r] = prev = pk
         r += 1
+    if last.count(prev) < rows:
+        m[:] = [row if d == prev else [prev * x // d for x in row] for row, d in zip(m, last)]
     return pivots, prev, sign
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import json
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm, prod
 from random import Random
 
 import pytest
@@ -53,7 +55,7 @@ from polypoisson.lattice_ops import (
     random_odd_kernel,
     shift_kernel,
 )
-from polypoisson.multipoly import Poly
+from polypoisson.multipoly import Poly, _mono_mul
 
 F = Fraction
 
@@ -376,6 +378,132 @@ def test_int_matrix_names_the_vanishing_field_site():
         S[site] = F(0)
         with pytest.raises(ZeroDivisionError, match=f"^field S vanishes at site {site}$"):
             closed_tensor("ftv_S", 5).int_matrix({"S": PerSeq(5, tuple(S))})
+
+
+def reference_walk(T: OpTensor, seg_value):
+    """The path walk as first written: every kernel scaled to ints and every
+    segment evaluated at every site once per word, a unit first step onto the
+    start site, and the paths of each start site collected in a final dict."""
+    N = T.N
+    words, L = [], 1
+    for (i, j), wlist in T.words.items():
+        for word in wlist:
+            segs, steps = [[]], [(1, [(0, 1)])]
+            for factor in word:
+                if factor[0] == "k":
+                    (ks,), den = linalg._scaled([factor[1].seq.values])
+                    steps.append((den, [(d, k) for d, k in enumerate(ks) if k]))
+                    segs.append([])
+                else:
+                    segs[-1].append(factor)
+            diag = []
+            for seg in segs:
+                vals = [seg_value(seg, site) for site in range(N)]
+                den = lcm(*(dn for _, _, dn in vals))
+                diag.append((den, [(mono, num * (den // dn)) for mono, num, dn in vals]))
+            den = prod(dn for dn, _ in steps + diag)
+            L = lcm(L, den)
+            words.append((i, j, den, [(nz, dg) for (_, nz), (_, dg) in zip(steps, diag)]))
+    sums = defaultdict(int)
+    for i, j, den, walk in words:
+        for m in range(N):
+            paths = {(m, ()): L // den}
+            for nz, dg in walk:
+                nxt = defaultdict(int)
+                for (s, mono), acc in paths.items():
+                    for d, kv in nz:
+                        n = (s - d) % N
+                        seg_mono, g = dg[n]
+                        if g:
+                            nxt[n, _mono_mul(mono, seg_mono)] += acc * kv * g
+                paths = nxt
+            for (n, mono), acc in paths.items():
+                sums[i, m, j, n, mono] += acc
+    return L, sums
+
+
+def kernel_free_tensor(N: int) -> OpTensor:
+    """Two words with no kernel on one block, so the walk's kernel-free start sums at one key twice."""
+    T = OpTensor(("a", "b"), N)
+    T.add_word(0, 1, ("f", 1), ("c", PerSeq(N, tuple(F(m + 1, 2) for m in range(N)))))
+    T.add_word(0, 1, ("f", 1))
+    T.add_word(1, 0, ("f", 0), ("k", shift_kernel({1: 1}, N)))
+    return T
+
+
+def walk_readings(T: OpTensor, pt) -> list:
+    """T's int_matrix at pt and, without field inverses, to_poly's entries and terms in order."""
+    out = [T.int_matrix(pt)]
+    if all(kind != "finv" for words in T.words.values() for word in words for kind, _ in word):
+        out.append([(key, list(p.terms.items())) for key, p in T.to_poly().entries.items()])
+    return out
+
+
+@pytest.mark.parametrize("N", [5, 7, 11, 21])
+def test_walk_equals_the_reference_walk(N, monkeypatch):
+    # all eight names (ftv_u at a random beta, ftv_S through int_matrix only,
+    # P0 where 1 + D + D^2 is invertible, murho and abrho at a random odd phi)
+    rng = Random(1000 + N)
+    abr, phi = ("a", "b", "rho"), random_odd_kernel(N, rng)
+    cases = [(closed_tensor(name, N), fields) for name, fields in (
+        ("toda", ("mu", "rho")), ("P1", abr), ("P2", abr), ("ftv_S", ("S",))
+    )]
+    cases += [
+        (closed_tensor("ftv_u", N, beta=random_fields(("beta",), N, rng)["beta"]), ("u",)),
+        (closed_tensor("murho", N, phi=phi), ("mu", "rho")),
+        (closed_tensor("abrho", N, phi=phi), abr),
+        (two_kernel_tensor(N), ("a", "b")),
+        (kernel_free_tensor(N), ("a", "b")),
+    ]
+    if N % 3:
+        cases.append((closed_tensor("P0", N), ("a", "b")))
+    for T, fields in cases:
+        pt = random_fields(fields, N, rng)
+        got = walk_readings(T, pt)
+        with monkeypatch.context() as mp:
+            mp.setattr(OpTensor, "_walk", reference_walk)
+            assert walk_readings(T, pt) == got
+
+
+def test_walk_reads_each_segment_and_kernel_once(monkeypatch):
+    # seg_value runs once per distinct segment and site in a walk, and each
+    # kernel of a tensor is scaled to ints once, however often it is read
+    N, rng = 11, Random(59)
+    scaled, real_scaled = [], linalg._scaled
+    monkeypatch.setattr(linalg, "_scaled", lambda a: scaled.append(a[0]) or real_scaled(a))
+    calls, real_walk = [], OpTensor._walk
+
+    def counting_walk(self, seg_value):
+        calls.append(0)
+
+        def at(seg, site):
+            calls[-1] += 1
+            return seg_value(seg, site)
+
+        return real_walk(self, at)
+
+    monkeypatch.setattr(OpTensor, "_walk", counting_walk)
+    for name, fields in (("P1", ("a", "b", "rho")), ("P2", ("a", "b", "rho")), ("ftv_S", ("S",))):
+        T = closed_tensor(name, N)
+        segs = set()
+        for words in T.words.values():
+            for word in words:
+                seg = []
+                for factor in word + (("k", None),):
+                    if factor[0] == "k":
+                        segs.add(tuple(seg))
+                        seg = []
+                    else:
+                        seg.append(factor)
+        T.int_matrix(random_fields(fields, N, rng))
+        T.int_matrix(random_fields(fields, N, rng))
+        if name != "ftv_S":
+            T.to_poly()
+        assert calls == [len(segs) * N] * (2 if name == "ftv_S" else 3)
+        assert len(segs) < sum(map(len, T.words.values()))  # words share segments
+        calls.clear()
+        kernels = {id(arg): arg for words in T.words.values() for word in words for kind, arg in word if kind == "k"}
+        assert [sum(row is K.seq.values for row in scaled) for K in kernels.values()] == [1] * len(kernels)
 
 
 def reference_pushforward(u: PerSeq) -> Fraction:

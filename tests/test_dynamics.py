@@ -290,15 +290,29 @@ def test_commuting_integrals_negative_controls(monkeypatch):
 def test_lifted_flow_negative_control(monkeypatch):
     W = random_polygon(2, 5, Random(4))
     assert lifted_flow_residual(W) == 0
-    real_lifted_vf = dynamics.lifted_vf
+    real_lifted_vdot = dynamics._lifted_vdot
 
-    def perturbed(W):
-        vdot, mdot = real_lifted_vf(W)
+    def perturbed(ctx):
+        vdot = real_lifted_vdot(ctx)
         bumped = tuple(x + 1 for x in vdot[2])
-        return vdot[:2] + (bumped,) + vdot[3:], mdot
+        return vdot[:2] + (bumped,) + vdot[3:]
 
-    monkeypatch.setattr(dynamics, "lifted_vf", perturbed)
+    monkeypatch.setattr(dynamics, "_lifted_vdot", perturbed)
     assert lifted_flow_residual(W) != 0
+
+
+def test_lifted_flow_residual_solves_each_site_once(monkeypatch):
+    # lifted_vf's fields and the residual's pushforward read one _DualCtx
+    solves, real_site = [], dynamics._DualCtx._site
+
+    def counting(self, m):
+        if m not in self._sites:
+            solves.append(m)
+        return real_site(self, m)
+
+    monkeypatch.setattr(dynamics._DualCtx, "_site", counting)
+    assert lifted_flow_residual(random_polygon(2, 7, Random(5))) == 0
+    assert sorted(solves) == list(range(7))
 
 
 def test_lie_deform_toda_mu_direction():

@@ -356,3 +356,93 @@ def test_rref_solve_nullspace_match_fraction_elimination(system):
     # the nullspace has dimension cols - rank and is annihilated by a
     assert len(got[3]) == cols - len(pivots)
     assert all(not any(_mat_vec(a, v)) for v in got[3])
+
+
+def reference_int_rref(m):
+    """Eager fraction-free Gauss-Jordan, in place: every other row is updated
+    at every pivot step, a row with a zero in the pivot column by pk / prev."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    sign, prev, r = 1, 1, 0
+    for c in range(cols):
+        if r == rows:
+            break
+        if not m[r][c]:
+            piv = next((i for i in range(r + 1, rows) if m[i][c]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        pk, mr = m[r][c], m[r]
+        for i in range(rows):
+            if i != r:
+                f = m[i][c]
+                if f:
+                    m[i] = [(pk * x - f * y) // prev for x, y in zip(m[i], mr)]
+                elif pk != prev:
+                    m[i] = [pk * x // prev for x in m[i]]
+        pivots.append(c)
+        prev = pk
+        r += 1
+    return pivots, prev, sign
+
+
+def assert_int_rref_is_eager(m):
+    """The lazy elimination returns what the eager one does and leaves m as it does."""
+    lazy, eager = [row[:] for row in m], [row[:] for row in m]
+    assert linalg._int_rref(lazy) == reference_int_rref(eager)
+    assert lazy == eager
+
+
+def random_int_matrix(rng: Random) -> list:
+    """Sparse or dense, rectangular, with zero rows and dependent rows mixed in."""
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    density = rng.choice((0.15, 0.4, 1.0))
+    m = [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 0.4:
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        m[rng.randrange(rows)] = [s * x + t * y for x, y in zip(m[0], m[1])]
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [0] * cols
+    return m
+
+
+def test_lazy_int_rref_equals_the_eager_reference():
+    rng = Random(97)
+    deficient = set()
+    for _ in range(1500):
+        m = random_int_matrix(rng)
+        assert_int_rref_is_eager(m)
+        deficient.add(len(reference_int_rref([row[:] for row in m])[0]) < min(len(m), len(m[0])))
+    assert deficient == {True, False}  # both full-rank and rank-deficient matrices were met
+    for m in ([[0, 0], [0, 0]], [[0, 3, 1], [0, 6, 2], [5, 0, 0]], [[2, 4, 6]], [[1], [2], [3]]):
+        assert_int_rref_is_eager(m)
+
+
+def test_lazy_int_rref_on_the_circulant_systems(monkeypatch):
+    # the systems invert and solve_phi eliminate, checked as they are built
+    from polypoisson.lattice_ops import invert, phi_special, shift_kernel
+
+    seen = []
+    lazy = linalg._int_rref
+
+    def checked(m):
+        seen.append(len(m))
+        eager = [row[:] for row in m]
+        got = lazy(m)
+        assert got == reference_int_rref(eager) and m == eager
+        return got
+
+    monkeypatch.setattr(linalg, "_int_rref", checked)
+    invert.cache_clear()
+    for N in (5, 7, 9, 11, 21):
+        invert(shift_kernel({0: 1, 1: 1}, N))
+        invert(shift_kernel({0: F(1, 2), 1: 1, 2: F(-1, 3)}, N))
+        for nu in (2, 3, 4):
+            for k in range(nu):
+                phi_special(nu, k, N)
+    invert.cache_clear()
+    # two inversions and nine phi_special solves per N, plus the Gram solves
+    # of the phi whose odd solution is not unique (gcd(j, N) > 1)
+    assert len(seen) > 5 * (2 + 9)

@@ -273,13 +273,11 @@ def toda_float_vf(N: int):
 
 def toda_invariants(N: int):
     def inv(state: dict):
-        T = None
-        for m in range(N):
-            L = [[0.0, -state["rho"][m]], [1.0, state["mu"][m]]]
-            T = L if T is None else [
-                [sum(T[i][p] * L[p][j] for p in range(2)) for j in range(2)]
-                for i in range(2)
-            ]
-        return [T[0][0] + T[1][1], T[0][0] * T[1][1] - T[0][1] * T[1][0]]
+        a, b, c, d = 0.0, -state["rho"][0], 1.0, state["mu"][0]
+        for m in range(1, N):
+            # T L_m for L_m = [[0, -rho_m], [1, mu_m]], each entry summed from 0 (signed zeros, inf * 0)
+            r, u = -state["rho"][m], state["mu"][m]
+            a, b, c, d = 0 + a * 0.0 + b * 1.0, 0 + a * r + b * u, 0 + c * 0.0 + d * 1.0, 0 + c * r + d * u
+        return [a + d, a * d - b * c]
 
     return inv

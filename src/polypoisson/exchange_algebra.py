@@ -21,9 +21,10 @@ by the antisymmetry, Jacobi, momentum and quasi-periodicity suites.
 All three blocks are quadratic in the coordinates; a V-V block depends on
 (m, n) only through sgn(m-n) and phi_{m-n}, the others not at all.  So the
 coordinate bracket matrix Pi is assembled in one place, ``_pi_cells``: int
-cells of triples (u, v, c), each an entry sum c U_u W_v / L over two slices
-of the coordinates, read from the nonzeros of R +- Q, A_pm and phi and
-cached on the BracketSpec, O(nu^4) of them whatever N.  ``_PiTable``
+cells of triples (u, v, c), each an entry sum g c U_u W_v / L over two
+slices of the coordinates, read from the nonzeros of R +- Q and A_pm over
+their gcd g: one immutable set per (R, C), built once per process for all
+its specs, O(nu^4) of them whatever N, phi and L.  ``_PiTable``
 evaluates them block by block in ints at the polygon's scaled coordinates:
 the antisymmetry check reads the ints directly, the quasi-periodicity check
 the ints and the table's own sign-+1 V-V cells, and ``jacobi_residual`` the
@@ -43,7 +44,7 @@ the nonzeros of R with the chart points (v, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
@@ -219,8 +220,8 @@ class BracketSpec:
     """The data (nu, N, R, C, phi) defining the bracket.
 
     R and C are the dense nu^2 x nu^2 matrices a caller gives, read once
-    per spec as their nonzeros.  Pi's cells (_cells, from _pi_template
-    alone) are built once per spec.
+    per spec as their nonzeros.  _cells, from _pi_template alone, is read
+    once per spec; its cells are shared by every spec on the same (R, C).
     """
 
     nu: int
@@ -254,16 +255,18 @@ class BracketSpec:
         (r, s), times L.  phi[k] is phi_k L for k in [0, N).  a_minus and
         a_plus, the factors A_pm = R +- Q of the V-M and M-M blocks, are
         vv[-1] and vv[1]; a probe of those blocks may replace them alone.
+        Sums are ints over Lr = lcm of R's and C's denominators (R +- Q's too).
         """
         nu = self.nu
-        R, Q = ({t[:4]: t[4] for t in _nonzeros(X, nu)} for X in (self.R, self.C))
-        Q.update({(a, b, a, b): Q.get((a, b, a, b), 0) + 1 for a in range(nu) for b in range(nu)})
-        keys = sorted(R.keys() | Q.keys())
-        vv = [[(*k, x) for k in keys if (x := R.get(k, 0) + s * Q.get(k, 0))] for s in (0, 1, -1)]
+        R, C = (_nonzeros(X, nu) for X in (self.R, self.C))
+        Lr = lcm(*(x.denominator for *_, x in R + C))
+        R, Q = ({t[:4]: t[4].numerator * (Lr // t[4].denominator) for t in X} for X in (R, C))
+        Q.update({(a, b, a, b): Q.get((a, b, a, b), 0) + Lr for a in range(nu) for b in range(nu)})
         phi = [self.phi[k] for k in range(self.N)]
-        L = lcm(*(x.denominator for x in [t[4] for terms in vv for t in terms] + phi))
-        vv = [[(*t[:4], int(t[4] * L)) for t in terms] for terms in vv]
-        return L, vv, [int(x * L) for x in phi], vv[-1], vv[1]
+        L = lcm(Lr, *(x.denominator for x in phi))
+        keys, up = sorted(R.keys() | Q.keys()), L // Lr
+        vv = [[(*k, x * up) for k in keys if (x := R.get(k, 0) + s * Q.get(k, 0))] for s in (0, 1, -1)]
+        return L, vv, [x.numerator * (L // x.denominator) for x in phi], vv[-1], vv[1]
 
     _cells = cached_property(lambda self: _pi_cells(self))
 
@@ -377,16 +380,25 @@ class _DualCtx:
 
 
 def _pi_cells(spec: BracketSpec) -> tuple:
-    """Pi's cell template (L, phi, vv, vm, mm), from spec._pi_template alone.
+    """Pi's cell template (L, phi, g, vv, vm, mm), from spec._pi_template alone.
 
-    A cell lists int triples (u, v, x) for sum x U_u W_v / L over two slices
-    U, W of the coordinates.  Pi at (V_m^a, V_n^b) is cell vv[sgn(m-n)][a][b]
-    on (V_m, V_n) plus phi_{m-n} V_m^a V_n^b / L; at (V_m^a, M_ij) it is
-    vm[a][i nu + j] on (V_m, M), at (M_ij, V_m^a) minus that, and at
-    (M_P, M_Q) mm[P][Q] on (M, M).  No cell depends on m, n or N.
+    A cell lists int triples (u, v, x) for sum g x U_u W_v / L over two
+    slices U, W of the coordinates.  Pi at (V_m^a, V_n^b) is cell
+    vv[sgn(m-n)][a][b] on (V_m, V_n) plus phi_{m-n} V_m^a V_n^b / L; at
+    (V_m^a, M_ij) it is vm[a][i nu + j] on (V_m, M), at (M_ij, V_m^a) minus
+    that, and at (M_P, M_Q) mm[P][Q] on (M, M).  No cell depends on m, n,
+    N or phi: ``_cell_set`` builds them from the r-matrix ints over their gcd
+    g once per process, so every spec on one (R, C) shares them.
     """
-    nu, n2 = spec.nu, spec.nu * spec.nu
     L, vv, phi, a_minus, a_plus = spec._pi_template
+    g = gcd(*(x for terms in (*vv, a_minus, a_plus) for *_, x in terms)) or 1
+    return L, phi, g, *_cell_set(spec.nu, *(tuple((*t[:4], t[4] // g) for t in ts) for ts in (a_minus, a_plus, *vv)))
+
+
+@lru_cache
+def _cell_set(nu: int, a_minus: tuple, a_plus: tuple, *vv: tuple) -> tuple:
+    """(vv, vm, mm) as nested tuples, which a shared set needs, from the nonzeros of A_pm and R + s Q."""
+    n2 = nu * nu
     vv_cells = [[[[] for _ in range(nu)] for _ in range(nu)] for _ in vv]
     vm, mm = [[[] for _ in range(n2)] for _ in range(nu)], [[[] for _ in range(n2)] for _ in range(n2)]
     # V-V: {V_m (x) V_n} = (V_m (x) V_n) [R + sgn(m-n) Q + phi_{m-n} Id(x)Id]
@@ -418,7 +430,8 @@ def _pi_cells(spec: BracketSpec) -> tuple:
             # -M_{i2 s} A_-[(i1,s),(r,j2)] M_{r j1} with j1 = u, i2 = v
             for i1, s, r, j2, x in a_minus:
                 mm[i1 * nu + u][v * nu + j2].append((v * nu + s, r * nu + u, -x))
-    return L, phi, vv_cells, vm, mm
+    *vv_cells, vm, mm = (tuple(tuple(map(tuple, row)) for row in block) for block in (*vv_cells, vm, mm))
+    return tuple(vv_cells), vm, mm
 
 
 class _PiTable:
@@ -427,24 +440,24 @@ class _PiTable:
     The coordinates are scaled to ints X over their common denominator den,
     so each value of Pi is an int over L den^2 and each gradient entry an int
     over L den; the coordinates need not form a Polygon.  Values and
-    gradients read the same cells of _pi_cells, cached on the spec as
-    spec._cells, so a caller at many points builds them once.
+    gradients read the cells of _pi_cells, shared by every spec on one
+    (R, C); each reader multiplies one slice by their gcd g, not an entry.
     """
 
     def __init__(self, spec: BracketSpec, coords):
         self.nu, self.N = spec.nu, spec.N
-        self.L, self.phi, *self.cells = spec._cells
+        self.L, self.phi, self.g, *self.cells = spec._cells
         (self.X,), self.den = linalg._scaled([coords])
 
     @cached_property
     def ints(self) -> list:
         """L den^2 Pi at the point: a D x D matrix of ints, built once, site pair by site pair."""
-        (vv, vm, mm), phi, nu, N = self.cells, self.phi, self.nu, self.N
+        (vv, vm, mm), phi, nu, N, g = self.cells, self.phi, self.nu, self.N, self.g
         base = N * nu
         V, M = [self.X[m * nu : m * nu + nu] for m in range(N)], self.X[base:]
-        rows = []
+        gM, rows = [g * x for x in M], []
         for m, U in enumerate(V):
-            block = [[] for _ in range(nu)]
+            gU, block = [g * x for x in U], [[] for _ in range(nu)]
             for n, W in enumerate(V):
                 cells, p = vv[sign(m - n)], phi[(m - n) % N]
                 for a, row in enumerate(block):
@@ -452,12 +465,12 @@ class _PiTable:
                     for b, cell in enumerate(cells[a]):
                         acc = pu * W[b]
                         for c, d, x in cell:
-                            acc += x * U[c] * W[d]
+                            acc += x * gU[c] * W[d]
                         row.append(acc)
             for a, row in enumerate(block):
-                row.extend(sum(x * U[c] * M[k] for c, k, x in cell) for cell in vm[a])
+                row.extend(sum(x * gU[c] * M[k] for c, k, x in cell) for cell in vm[a])
             rows += block
-        mrows = [[sum(x * M[k] * M[l] for k, l, x in cell) for cell in cells] for cells in mm]
+        mrows = [[sum(x * gM[k] * M[l] for k, l, x in cell) for cell in cells] for cells in mm]
         rows += [[-row[base + P] for row in rows] + mrow for P, mrow in enumerate(mrows)]
         return rows
 
@@ -468,16 +481,16 @@ class _PiTable:
             return {s: -x for s, x in self.gradient(j, i).items()}
         vv, vm, mm = self.cells
         (oi, u), (oj, v) = ((k - k % nu, k % nu) if k < base else (base, k - base) for k in (i, j))
-        if j < base:  # the cell of sgn(m-n), with phi_{m-n} at (a, b)
-            k = (oi - oj) // nu
-            terms = vv[sign(k)][u][v] + [(u, v, self.phi[k % self.N])]
-        else:
-            terms = (mm if i >= base else vm)[u][v]
-        X, g = self.X, {}
-        for a, b, x in terms:
-            g[oi + a] = g.get(oi + a, 0) + x * X[oj + b]
-            g[oj + b] = g.get(oj + b, 0) + x * X[oi + a]
-        return {s: x for s, x in g.items() if x}
+        X, k, out = self.X, (oi - oj) // nu, {}
+        # the cell of (i, j), its sum times g, then phi_{m-n} at (a, b) for a V-V entry
+        for a, b, x in vv[sign(k)][u][v] if j < base else (mm if i >= base else vm)[u][v]:
+            out[oi + a] = out.get(oi + a, 0) + x * X[oj + b]
+            out[oj + b] = out.get(oj + b, 0) + x * X[oi + a]
+        out = {s: self.g * x for s, x in out.items()}
+        if j < base and (p := self.phi[k % self.N]):
+            out[oi + u] = out.get(oi + u, 0) + p * X[oj + v]
+            out[oj + v] = out.get(oj + v, 0) + p * X[oi + u]
+        return {s: x for s, x in out.items() if x}
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +558,7 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
     for m in range(N):
         vm = X[m * nu : m * nu + nu]
         ext = [sum(vm[c] * M[c][a] for c in range(nu)) for a in range(nu)]  # V_m M, over den^2
+        gext = [table.g * x for x in ext]
         for n in range(m + 1, N):
             vn, p = X[n * nu : n * nu + nu], phi[(m - n) % N]
             for a, cell_row in enumerate(cells):
@@ -554,7 +568,7 @@ def quasiperiodicity_residual(spec: BracketSpec, W: Polygon) -> Fraction:
                     j = n * nu + b
                     acc = pe * vn[b]
                     for c, d, x in cell:
-                        acc += x * ext[c] * vn[d]
+                        acc += x * gext[c] * vn[d]
                     for c in range(nu):
                         acc -= M[c][a] * P[m * nu + c][j] - vm[c] * P[j][base + c * nu + a]
                     res = max(res, abs(acc))

@@ -149,10 +149,10 @@ class OddKernel(Kernel):
 
 def shift_kernel(terms: dict, N: int) -> Kernel:
     """Kernel of the shift polynomial sum_r c_r D^r, given as {r: c_r}, on
-    period N: K_m = sum of c_r over r = -m mod N."""
+    period N: K_m = sum of c_r over r = -m mod N.  Zero residues share ZERO."""
     if N < 1:
         raise ValueError("period must be >= 1")
-    return Kernel(PerSeq(N, tuple(_kernel_values(terms, N))))
+    return Kernel(PerSeq(N, tuple(rat(x) if x else ZERO for x in _kernel_values(terms, N))))
 
 
 def _kernel_values(terms: dict, N: int) -> list:

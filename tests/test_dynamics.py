@@ -1,4 +1,6 @@
 import json
+import math
+import struct
 from fractions import Fraction
 from random import Random
 
@@ -443,6 +445,29 @@ def test_integrate_detects_blowup():
     vf = lambda s: {"x": [v * v for v in s["x"]]}
     with pytest.raises(ValueError, match="degenerate state"):
         integrate(vf, {"x": [10.0]}, 10.0, 500)
+
+
+def reference_toda_invariants(N, state):
+    """(trace, det) of the product of L_m = [[0, -rho_m], [1, mu_m]] by dense sum() products."""
+    T = None
+    for m in range(N):
+        L = [[0.0, -state["rho"][m]], [1.0, state["mu"][m]]]
+        T = L if T is None else [[sum(T[i][p] * L[p][j] for p in range(2)) for j in range(2)] for i in range(2)]
+    return [T[0][0] + T[1][1], T[0][0] * T[1][1] - T[0][1] * T[1][0]]
+
+
+def test_toda_invariants_equal_the_dense_product_bit_for_bit():
+    # signed zeros, infinities (inf * 0 is nan), huge and tiny values and ints:
+    # every result has the reference's type and bits, or both are nan
+    rng = Random(41)
+    pool = [0.0, -0.0, 1.0, -1.0, float("inf"), -float("inf"), 1e308, -1e308, 5e-324, 2.5, 3, 0]
+    for _ in range(3000):
+        N = rng.randint(1, 5)
+        draw = lambda: rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-3, 3)
+        state = {k: [draw() for _ in range(N)] for k in ("rho", "mu")}
+        for got, want in zip(toda_invariants(N)(state), reference_toda_invariants(N, state)):
+            assert type(got) is type(want)
+            assert struct.pack("<d", got) == struct.pack("<d", want) or (math.isnan(got) and math.isnan(want)), state
 
 
 def test_integrator_drift_and_order():

@@ -222,6 +222,21 @@ def reference_assemble(spec, V, M):
     return Pi
 
 
+def reference_pi_template(spec):
+    """spec._pi_template by the Fraction formula: R + s Q summed entry by entry
+    over the nonzeros as Fractions, then scaled to ints over the lcm L of the
+    denominators of their nonzeros and of phi."""
+    nu = spec.nu
+    R, Q = ({t[:4]: t[4] for t in _nonzeros(X, nu)} for X in (spec.R, spec.C))
+    Q.update({(a, b, a, b): Q.get((a, b, a, b), 0) + 1 for a in range(nu) for b in range(nu)})
+    keys = sorted(R.keys() | Q.keys())
+    vv = [[(*k, x) for k in keys if (x := R.get(k, 0) + s * Q.get(k, 0))] for s in (0, 1, -1)]
+    phi = [spec.phi[k] for k in range(spec.N)]
+    L = lcm(*(x.denominator for x in [t[4] for terms in vv for t in terms] + phi))
+    vv = [[(*t[:4], int(t[4] * L)) for t in terms] for terms in vv]
+    return L, vv, [int(x * L) for x in phi], vv[-1], vv[1]
+
+
 def reference_pi_table(spec):
     """Pi as a D x D table of int triple lists (L, rows), with Pi_ij = sum c x_a x_b / L.
 
@@ -400,6 +415,29 @@ def test_pi_template_sums_r_and_q_sparsely():
             assert all(type(x) is int for *_, x in vv[s])
         assert a_minus is vv[-1] and a_plus is vv[1]
         assert phi == [spec.phi[k] * L for k in range(spec.N)]
+
+
+def test_int_pi_template_equals_the_fraction_formula():
+    # random R and C with denominators; keys where R and C cancel a
+    # denominator in R + Q or R - Q (and a key where R + Q or R - Q vanishes);
+    # and an (R, C) with no triple at all, where Q = 0 and R = 0
+    rng = Random(40)
+    specs = [random_rc_spec(nu, N, rng) for nu in (2, 3, 4) for N in (1, 4, 7) for _ in range(3)]
+    for nu, N in ((2, 5), (3, 4)):
+        R, C = [list(r) for r in default_rc(nu)[0]], linalg.zeros(nu * nu, nu * nu)
+        (i, j), (k, l) = (_pair(nu, 0, 1), _pair(nu, 1, 0)), (_pair(nu, 1, 1), _pair(nu, 0, 1))
+        R[i][j], C[i][j] = F(1, 3), F(2, 3)  # R + Q = 1, R - Q = -1/3
+        R[k][l], C[k][l] = F(5, 6), F(-5, 6)  # R + Q = 0, R - Q = 5/3
+        R[j][i], C[j][i] = F(1, 4), F(-1, 4)  # R + Q = 0, R - Q = 1/2
+        specs.append(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)))
+        specs.append(BracketSpec(nu, N, R, C, Kernel(PerSeq.constant(N, 0))))
+    empty = BracketSpec(3, 5, linalg.zeros(9, 9), linalg.mat_scale(identity2(3), -1), random_odd_kernel(5, rng))
+    for spec in specs + [empty, spec_with(3, 5, rng=rng)]:
+        L, vv, phi, a_minus, a_plus = spec._pi_template
+        assert (L, vv, phi, a_minus, a_plus) == reference_pi_template(spec)
+        assert all(type(x) is int for terms in vv for *_, x in terms) and all(type(x) is int for x in phi)
+        assert a_minus is vv[-1] and a_plus is vv[1]
+    assert empty._pi_template[1] == [[], [], []] and _PiTable(empty, [F(1)] * 24).g == 1
 
 
 def test_default_rc_rejects_nu_1():
@@ -647,8 +685,10 @@ def test_cell_template_matches_reference_table(case):
 
 
 def test_cells_are_built_once_per_spec(monkeypatch):
-    # the Casimir check pairs at three polygons on one spec: one cell build;
-    # a gradient is read from the cells without evaluating all of Pi
+    # the Casimir check pairs at three polygons on one spec: one read of the
+    # spec's cells (built, or shared with an earlier spec on the same (R, C);
+    # see test_cells_are_shared_per_primitive_r_matrix_template); a gradient
+    # is read from the cells without evaluating all of Pi
     calls = []
     real = exchange_algebra._pi_cells
 
@@ -665,6 +705,48 @@ def test_cells_are_built_once_per_spec(monkeypatch):
     assert "ints" not in vars(table) and len(calls) == 2
     _, grads = reference_table_at(spec, table.X)
     assert all(got) and got == [grads[i][j] for i, j in ((0, 3), (11, 1), (1, 12), (13, 11))]
+
+
+def odd_kernel_over(N, d, rng):
+    """An odd kernel whose values have denominators dividing d, d among them."""
+    vals = [F(0)] * N
+    for j in range(1, (N + 1) // 2):
+        vals[j] = F(rng.choice([-7, -5, -1, 1, 5, 7]), d if j == 1 else rng.choice([1, d]))
+        vals[N - j] = -vals[j]
+    return OddKernel(PerSeq(N, tuple(vals)))
+
+
+def test_cells_are_shared_per_primitive_r_matrix_template():
+    # standard nu = 3 specs over three N and phi of different L share one cell
+    # set; a random (R, C) with fractional entries (1 < g < L) and the halved
+    # A_pm probe build one each.  Every spec still reads the same L, ints and
+    # gradients as the per-entry reference, and its quasi-periodicity and
+    # Jacobi residuals equal their dense references; g > 1 throughout, so a
+    # reader that dropped g would differ.
+    exchange_algebra._cell_set.cache_clear()
+    rng = Random(41)
+    standard = [spec_with(3, N, odd_kernel_over(N, d, rng)) for N, d in ((5, 2), (7, 3), (9, 4), (5, 6))]
+    cells = [spec._cells[3:] for spec in standard]
+    assert exchange_algebra._cell_set.cache_info().misses == 1
+    assert all(c is cells[0][k] for cs in cells for k, c in enumerate(cs)) and type(cells[0][2][0][0]) is tuple
+    fractional = BracketSpec(3, 5, random_block(3, rng), random_block(3, rng), odd_kernel_over(5, 5, rng))
+    halved = halved_spec(spec_with(3, 5, odd_kernel_over(5, 3, rng)))
+    assert fractional._cells[3] is not cells[0][0] is not halved._cells[3]
+    assert exchange_algebra._cell_set.cache_info().misses == 3
+    Ls = set()
+    for spec in standard + [fractional, halved]:
+        W = random_polygon(3, spec.N, rng)
+        table = _PiTable(spec, W.coordinates())
+        assert table.g > 1 and table.L == reference_pi_table(spec)[0]
+        ints, grads = reference_table_at(spec, table.X)
+        D = len(ints)
+        assert table.ints == ints
+        assert [[table.gradient(i, j) for j in range(D)] for i in range(D)] == grads
+        assert verify_structure(spec, W, "quasiperiodicity") == reference_quasiperiodicity(spec, W)
+        assert verify_structure(spec, W, "jacobi", 10, 0) == reference_jacobi(spec, W, 10, 0)
+        Ls.add(table.L)
+    assert 1 < fractional._cells[2] < fractional._cells[0] and len(Ls) >= 4
+    assert exchange_algebra._cell_set.cache_info().misses == 3
 
 
 def test_jacobi_negative_controls():

@@ -53,6 +53,23 @@ def test_kernel_of_identity():
     assert K.seq.values == (F(1), F(0), F(0), F(0))
 
 
+def test_shift_kernel_shares_zero_and_matches_the_dense_values():
+    # one Fraction per nonzero residue: every zero value is linalg.ZERO, and
+    # the values compare and hash equal to a dense Fraction per residue
+    rng = Random(40)
+    for N in (1, 2, 5, 21):
+        for count in range(20):
+            terms = {rng.randint(-2 * N, 2 * N): F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(count % 5)}
+            dense = [F(0)] * N
+            for r, c in terms.items():
+                dense[-r % N] += c
+            K = shift_kernel(terms, N)
+            assert K.seq.values == tuple(dense) and hash(K.seq.values) == hash(tuple(dense))
+            assert K == Kernel(PerSeq(N, tuple(dense))) and hash(K) == hash(Kernel(PerSeq(N, tuple(dense))))
+            assert all(v is linalg.ZERO for v in K.seq.values if not v)
+            assert all(type(v) is F for v in K.seq.values)
+
+
 def test_kernel_of_d_minus_dinv():
     K = shift_kernel({1: 1, -1: -1}, 5)
     assert K[4] == 1 and K[1] == -1

@@ -31,7 +31,7 @@ one pass per word over its paths with each distinct diagonal segment scaled
 once, serves every reading of words: ``to_poly`` builds one Fraction per
 distinct coefficient.  A field point meets either form only in
 ``int_matrix``: words by that walk (the only place a field inverse can be
-formed), polynomials by the pencil sweep's ``_int_eval``.  ``eval_matrix``
+formed), polynomials by ``_int_poly``, the pencil sweep's one evaluator.  ``eval_matrix``
 builds one Fraction per entry, ``ham_vf``, ``oracle_match``,
 ``pushforward_check`` and ``toda_dirac_vs_ftv`` one per velocity or
 residual, and ``dirac_reduce`` one per reduced entry, after eliminating in ints.
@@ -169,8 +169,10 @@ class _FieldTensor:
 
     def point_values(self, point) -> list:
         """The field values at a point (a name -> PerSeq map), in _var order;
-        a field of a period other than the tensor's is a ValueError."""
+        a missing field, or one of a period other than the tensor's, is a ValueError."""
         for name in self.field_names:
+            if name not in point:
+                raise ValueError(f"the point has no field {name!r}")
             require_period(f"field {name!r}", point[name], self.N)
         return [x for name in self.field_names for x in point[name].values]
 
@@ -207,11 +209,11 @@ class PolyTensor(_FieldTensor):
             self.entries[key] = new
 
     def int_matrix(self, point):
-        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L, by ``_int_eval``."""
-        X, pw, L, _ = _int_point(self.entries.values(), self.point_values(point))
-        rows = [[0] * self.n_vars() for _ in range(self.n_vars())]
-        for J, K, v in _int_eval(self, X, pw)[0]:
-            rows[J][K] = v
+        """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L, by ``_int_poly``."""
+        X, pw, L, _ = _int_point(_int_scale(self.entries.values()), self.point_values(point))
+        N, rows = self.N, [[0] * self.n_vars() for _ in range(self.n_vars())]
+        for (i, m, j, n), poly in self.entries.items():
+            rows[_var(i, m, N)][_var(j, n, N)] = _int_poly(poly, X, pw)[0]
         return L, rows
 
     def to_json(self) -> dict:
@@ -702,50 +704,64 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
     point.  All three vanish exactly when every member of the pencil
     satisfies Jacobi at the point, or at every point.  TQ = None gives y = z = 0.
 
-    ``_int_point`` scales the point for the entries of both tensors, and
-    ``_int_eval`` evaluates each tensor once, values over Lv and gradient
-    entries over Lg, so L = Lv Lg.  No dense matrix is built; ``_accumulate``
-    sums in ints, holding the triples of one smallest index a at a time.  It
-    assumes P_JK = -P_KJ, which ``_antisymmetry`` checks.
+    ``_int_point`` scales the point for both tensors, and ``_int_tables``
+    evaluates each tensor once, values over Lv and gradient entries over Lg,
+    so L = Lv Lg.  No dense matrix is built; ``_accumulate`` sums in ints,
+    holding the triples of one smallest index a at a time.  It assumes P_JK =
+    -P_KJ, which ``_antisymmetry`` checks.
 
     When every given tensor passes ``_shift_invariant``, only a = i N is swept:
     each orbit of triples under the shift (i, m) -> (i, m + 1) has a member of
-    smallest flat index i N (shift its member of smallest field index i to site
-    0).  As polynomials a shifted triple's Jacobiator is, up to sign, the
-    triple's with its variables relabelled, so (L, xyz) is the full sweep's even
-    where Jacobi fails.  At a point each orbit is tested by its representatives
-    at that one point: 0 for a Poisson tensor, and a failing one may read a
-    smaller maximum than the full sweep.  A tensor failing the check gets every a.
+    smallest flat index i N.  As polynomials a shifted triple's Jacobiator is,
+    up to sign, the triple's relabelled, so (L, xyz) is the full sweep's even
+    where Jacobi fails; at a point a failing tensor may read a smaller maximum
+    than the full sweep.  A tensor failing the check gets every a.
     """
+    return next(_pencil_sweep(TP, TQ, [point]))
+
+
+def _pencil_sweep(TP: PolyTensor, TQ, points):
+    """``_pencil_sums`` at each point in turn, the shift check and ``_int_scale`` run once."""
     if TQ is not None and (TQ.field_names, TQ.N) != (TP.field_names, TP.N):
         raise ValueError("tensors live on different field spaces")
-    polys = [poly for T in (TP, TQ) if T is not None for poly in T.entries.values()]
-    X, pw, Lv, Lg = _int_point(polys, None if point is None else TP.point_values(point))
-    zero, height = (int, abs) if point is not None else (Poly, _height)
-    D = TP.n_vars()
-    VP, GP = _int_tables(D, *_int_eval(TP, X, pw))
-    VQ, GQ = _int_tables(D, *_int_eval(TQ, X, pw)) if TQ is not None else _int_tables(D, [], [])
-    xyz = (0, 0, 0)
-    for a in range(0, D, TP.N if all(_shift_invariant(T) for T in (TP, TQ) if T is not None) else 1):
-        A, B, C = defaultdict(zero), defaultdict(zero), defaultdict(zero)
-        _accumulate(A, a, D, VP, GP)
-        _accumulate(B, a, D, VP, GQ)
-        _accumulate(B, a, D, VQ, GP)
-        _accumulate(C, a, D, VQ, GQ)
-        xyz = tuple(max(m, max(map(height, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
-    return Lv * Lg, xyz
+    given = [T for T in (TP, TQ) if T is not None]
+    scale = _int_scale([poly for T in given for poly in T.entries.values()])
+    step = TP.N if all(_shift_invariant(T) for T in given) else 1
+    TQ, D = TQ or PolyTensor(TP.field_names, TP.N), TP.n_vars()
+    for point in points:
+        X, pw, Lv, Lg = _int_point(scale, None if point is None else TP.point_values(point))
+        zero, height = (int, abs) if point is not None else (Poly, _height)
+        (VP, GP), (VQ, GQ) = _int_tables(TP, X, pw), _int_tables(TQ, X, pw)
+        xyz = (0, 0, 0)
+        for a in range(0, D, step):
+            A, B, C = defaultdict(zero), defaultdict(zero), defaultdict(zero)
+            for acc, V, G in ((A, VP, GP), (B, VP, GQ), (B, VQ, GP), (C, VQ, GQ)):
+                _accumulate(acc, a, D, V, G)
+            xyz = tuple(max(m, max(map(height, acc.values()), default=0)) for m, acc in zip(xyz, (A, B, C)))
+        yield Lv * Lg, xyz
 
 
 def _shift_invariant(T: PolyTensor) -> bool:
     """Whether T commutes with the lattice shift, from its entries alone: each
     (i, m, j, n) -> p has the partner (i, m + 1, j, n + 1) (0 if missing) equal
     to p with every variable one site on, site N - 1 wrapping to 0 (re-sorted).
-    The shift permutes the keys, so this makes T its own shift."""
-    N, E, zero = T.N, T.entries, Poly()
-    sh = [v + 1 - N if v % N == N - 1 else v + 1 for v in range(T.n_vars())]
-    return all(E.get((i, (m + 1) % N, j, (n + 1) % N), zero).terms
-               == {tuple(sorted([(sh[v], e) for v, e in mono])): c for mono, c in p.terms.items()}
-               for (i, m, j, n), p in E.items())
+    The shift permutes the keys, so this makes T its own shift.  It reads each
+    shifted term of p in the partner, by identity (``to_poly`` shares repeats)
+    or ==, up to the first miss; no term count is compared, as containment
+    all round an orbit of N shifts forces each partner to equal its shifted p."""
+    N, E, zero, moved = T.N, T.entries, Poly(), {}  # moved[v, e] = (v one site on, e)
+    for (i, m, j, n), p in E.items():
+        q = E.get((i, (m + 1) % N, j, (n + 1) % N), zero).terms
+        for mono, c in p.terms.items():
+            shifted = []
+            for ve in mono:
+                if (to := moved.get(ve)) is None:
+                    v, e = ve
+                    to = moved[ve] = (v + 1 - N if v % N == N - 1 else v + 1, e)
+                shifted.append(to)
+            if (d := q.get(tuple(shifted)) or q.get(tuple(sorted(shifted)))) is not c and (d is None or d != c):
+                return False
+    return True
 
 
 def _height(poly: Poly):
@@ -753,27 +769,32 @@ def _height(poly: Poly):
     return max(map(abs, poly.terms.values()), default=0)
 
 
-def _int_point(polys, x):
-    """(X, pw, Lv, Lg): the point x as ints X over the lcm dx of its
-    denominators, and the weights pw[k] = Lc dx^(K-k) of a degree-k term, K
-    the top degree of the polys and Lc the lcm of their coefficient
-    denominators, under which ``_int_poly`` gives values over Lv = Lc dx^K
-    and gradient entries over Lg = Lc dx^(K-1) (Lc for K = 0); (None, [Lc], Lc, Lc) for x None."""
+def _int_scale(polys):
+    """(Lc, K): the lcm of the coefficient denominators of the polys and
+    their top degree, which fix the int scaling of every point."""
     Lc = lcm(*{c.denominator for poly in polys for c in poly.terms.values()})
+    return Lc, max((sum(map(_second, mono)) for poly in polys for mono in poly.terms), default=0)
+
+
+def _int_point(scale, x):
+    """(X, pw, Lv, Lg): the point x as ints X over the lcm dx of its denominators,
+    and the weights pw[k] = Lc dx^(K-k) of a degree-k term, (Lc, K) = scale, under
+    which ``_int_poly`` gives values over Lv = Lc dx^K and gradient entries over
+    Lg = Lc dx^(K-1) (Lc for K = 0); (None, [Lc], Lc, Lc) for x None."""
+    Lc, top = scale
     if x is None:
         return None, [Lc], Lc, Lc
     (X,), dx = linalg._scaled([x])
-    top = max((sum(e for _, e in mono) for poly in polys for mono in poly.terms), default=0)
     pw = [Lc * dx ** (top - k) for k in range(top + 1)]
     return X, pw, pw[0], pw[1] if top else Lc
 
 
 def _int_poly(poly: Poly, X, pw):
-    """(v, grad) of poly at the int point X under the weights pw of
-    ``_int_point``: a term c x^mono of degree k adds pw[k] c t, t = X^mono, to
-    the int v and c d_v t to grad[v], a {var: int} map; d_v t = e t // X_v is
-    exact, and only at X_v = 0 are the other powers multiplied out."""
-    val, grad = 0, defaultdict(int)
+    """(v, grad) of poly at the int point X under the weights pw of ``_int_point``,
+    the one evaluator of a polynomial at a point: a term c x^mono of degree k adds
+    pw[k] c t, t = X^mono, to the int v and c d_v t to grad[v], a {var: int} dict;
+    d_v t = e t // X_v is exact, and only at X_v = 0 are the other powers multiplied out."""
+    val, grad = 0, {}
     for mono, c in poly.terms.items():
         k, t = 0, 1
         for v, e in mono:
@@ -783,9 +804,9 @@ def _int_poly(poly: Poly, X, pw):
         val += c * t
         for v, e in mono:
             if x := X[v]:
-                grad[v] += c * e * (t // x)
+                grad[v] = grad.get(v, 0) + c * e * (t // x)
             elif e == 1:
-                grad[v] += c * prod(X[u] ** f for u, f in mono if u != v)
+                grad[v] = grad.get(v, 0) + c * prod(X[u] ** f for u, f in mono if u != v)
     return val, grad
 
 
@@ -797,51 +818,40 @@ def _sym_poly(poly: Poly, Lc: int):
     return v, {s: v.diff(s) for s in {s for mono in v.terms for s, _ in mono}}
 
 
-def _int_eval(T: PolyTensor, X, pw):
-    """(vals, grads) of T at the int point X by ``_int_poly`` (by ``_sym_poly`` for X None):
-    the nonzero (J, K, v) and (J, K, s, d_s), J, K, s flat field-site indices."""
-    N = T.N
-    vals, grads = [], []
-    for (i, m, j, n), poly in T.entries.items():
-        J, K = _var(i, m, N), _var(j, n, N)
-        val, grad = _int_poly(poly, X, pw) if X is not None else _sym_poly(poly, pw[0])
-        if val:
-            vals.append((J, K, val))
-        grads.extend((J, K, s, d) for s, d in grad.items() if d)
-    return vals, grads
-
-
-def _int_tables(D: int, vals, grads):
-    """The int values and gradient entries of one tensor as tables, (V, G),
-    each entry carrying the part of its accumulator key b * D + c.
+def _int_tables(T: PolyTensor, X, pw):
+    """Tables (V, G) of the nonzero values and gradient entries of T at the int
+    point X (polynomials for X None), one ``_int_poly`` (``_sym_poly``) per entry,
+    each table entry carrying the part of its accumulator key b * D + c.
 
     V = (row, col, colD) holds P: row[I] lists (s, P_Is), col[s] lists (I,
     P_Is) by ascending I and colD[s] is its twin (I * D, P_Is).  G = (by_s,
     up, down) holds dP: by_s[s] lists (J, J * D + K, d_s P_JK) with J < K by
     ascending J, up[J] lists (K, K * D, s, d_s P_JK) with K > J, down[K]
-    lists (J, s, d_s P_JK) with J > K.
+    lists (J, s, d_s P_JK) with J > K.  I, J, K, s are flat field-site indices.
     """
-    row = [[] for _ in range(D)]
-    col = [[] for _ in range(D)]
-    for I, s, v in vals:
-        row[I].append((s, v))
-        col[s].append((I, v))
-    by_s = [[] for _ in range(D)]
-    up = [[] for _ in range(D)]
-    down = [[] for _ in range(D)]
-    for J, K, s, d in grads:
+    N, D = T.N, T.n_vars()
+    row, col, by_s, up, down = ([[] for _ in range(D)] for _ in range(5))
+    for (i, m, j, n), poly in T.entries.items():
+        J, K = i * N + m, j * N + n
+        val, grad = _int_poly(poly, X, pw) if X is not None else _sym_poly(poly, pw[0])
+        if val:
+            row[J].append((K, val))
+            col[K].append((J, val))
         if J < K:
-            by_s[s].append((J, J * D + K, d))
-            up[J].append((K, K * D, s, d))
+            key, KD, ent = J * D + K, K * D, up[J]
+            for s, d in grad.items():
+                if d:
+                    by_s[s].append((J, key, d))
+                    ent.append((K, KD, s, d))
         elif J > K:
-            down[K].append((J, s, d))
+            down[K].extend((J, s, d) for s, d in grad.items() if d)
     for ent in col + by_s:
         ent.sort(key=_first)
     colD = [[(I * D, v) for I, v in ent] for ent in col]
     return (row, col, colD), (by_s, up, down)
 
 
-_first = itemgetter(0)
+_first, _second = itemgetter(0), itemgetter(1)
 
 
 def _accumulate(acc, a: int, D: int, V, G):
@@ -877,20 +887,19 @@ def compatibility(P, Q, points) -> Fraction:
     """Max over the points of the largest t-coefficient of the Jacobiator of P + tQ.
 
     Tensor entries are polynomial, so at a fixed point the Jacobiator of the
-    pencil is a polynomial of degree two in t; ``_pencil_sums`` reads its
-    three coefficients exactly over the triples it sweeps: one per shift orbit
-    when P and Q both pass the shift-invariance entry check, else every triple.
-    Their vanishing certifies Jacobi for every member of the pencil on those
-    triples at that point.  The points themselves are sampled: a zero at every
-    given point is evidence of compatibility, not a proof of it
-    (``pencil_certificate`` is the proof; on polynomials the reduced sweep's
-    value is the full sweep's).
+    pencil is a polynomial of degree two in t; ``_pencil_sweep`` reads its
+    three coefficients exactly at each point over the triples it sweeps (one
+    per shift orbit when P and Q both pass the shift check, made once for all
+    the points, else every triple).  Their vanishing certifies Jacobi for
+    every member of the pencil on those triples at that point.  A zero at
+    every sampled point is evidence of compatibility, not a proof of it
+    (``pencil_certificate`` is the proof).
     No point, or tensors on different field spaces: ValueError.
     """
     if not points:
         raise ValueError("at least one point is required")
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
-    return max(Fraction(max(xyz), L) for L, xyz in (_pencil_sums(TP, TQ, pt) for pt in points))
+    return max(Fraction(max(xyz), L) for L, xyz in _pencil_sweep(TP, TQ, points))
 
 
 def pencil_certificate(P, Q=None) -> Fraction:

@@ -20,6 +20,7 @@ from . import linalg
 from .coord_reduction import (
     _int_point,
     _int_poly,
+    _int_scale,
     _var,
     alias_index,
     as_poly_tensor,
@@ -138,7 +139,7 @@ def ham_vf(P, H: Poly, point) -> dict:
     form (``int_matrix``) meet the int gradient of H, one Fraction per velocity."""
     _vars(H, P)
     L, rows = P.int_matrix(point)
-    X, pw, _, Lg = _int_point([H], P.point_values(point))
+    X, pw, _, Lg = _int_point(_int_scale([H]), P.point_values(point))
     grad = _int_poly(H, X, pw)[1].items()
     vel = [Fraction(sum(row[K] * d for K, d in grad), L * Lg) for row in rows]
     return {name: PerSeq(P.N, tuple(vel[i * P.N : (i + 1) * P.N])) for i, name in enumerate(P.field_names)}

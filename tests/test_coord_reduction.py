@@ -1127,6 +1127,28 @@ def test_eval_matrix_and_int_matrix_refuse_a_wrong_period():
         closed_tensor("ftv_u", 5).int_matrix({"u": PerSeq.constant(3, 1)})
 
 
+def test_a_missing_field_is_named():
+    # a point lacking one of the tensor's fields is a ValueError naming it, on
+    # every route from a point to the entries
+    from polypoisson.dynamics import ham_vf, sum_field
+
+    N = 5
+    toda, P1, P2 = (closed_tensor(name, N) for name in ("toda", "P1", "P2"))
+    no_rho = {"mu": random_fields(("mu",), N, Random(39))["mu"]}
+    no_b = {k: v for k, v in random_fields(("a", "b", "rho"), N, Random(40)).items() if k != "b"}
+    calls = [
+        (lambda: jacobiator(toda, no_rho), "rho"),
+        (lambda: compatibility(P1, P2, [no_b]), "b"),
+        (lambda: toda.int_matrix(no_rho), "rho"),
+        (lambda: toda.to_poly().int_matrix(no_rho), "rho"),
+        (lambda: ham_vf(toda, sum_field(("mu", "rho"), N, "mu"), no_rho), "rho"),
+        (lambda: ham_vf(toda.to_poly(), sum_field(("mu", "rho"), N, "mu"), no_rho), "rho"),
+    ]
+    for call, name in calls:
+        with pytest.raises(ValueError, match=f"the point has no field '{name}'"):
+            call()
+
+
 def dense_triples(P, point) -> dict:
     """Reference Jacobiator of every triple I < J < K, all three cyclic terms, in Fractions.
 
@@ -1607,6 +1629,162 @@ def test_shift_check_reads_every_entry():
     assert coord_reduction._shift_invariant(EMPTY)
     assert _pencil_sums(EMPTY, None) == (1, (0, 0, 0))
     assert jacobiator(EMPTY, UV_POINTS[0]) == 0
+
+
+def reference_shift_invariant(T: PolyTensor) -> bool:
+    """The shift check as one shifted, re-sorted dict per entry, compared whole with the partner's terms."""
+    N, E, zero = T.N, T.entries, Poly()
+    sh = [v + 1 - N if v % N == N - 1 else v + 1 for v in range(T.n_vars())]
+    return all(E.get((i, (m + 1) % N, j, (n + 1) % N), zero).terms
+               == {tuple(sorted([(sh[v], e) for v, e in mono])): c for mono, c in p.terms.items()}
+               for (i, m, j, n), p in E.items())
+
+
+def with_entry(T: PolyTensor, key, terms) -> PolyTensor:
+    """A copy of T whose entry at key is a Poly holding exactly the given terms (zeros and all)."""
+    out = PolyTensor(T.field_names, T.N, T.bracket_scale)
+    out.entries = dict(T.entries)
+    out.entries[key] = poly = Poly()
+    poly.terms = dict(terms)
+    return out
+
+
+def test_shift_check_gives_the_reference_verdict():
+    # the term-by-term check with its early exit gives the whole-dict verdict
+    # on the invariant tensors, on perturbed ones and on each way one entry
+    # can differ from its partner
+    N = 5
+    toda, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("toda", "P2"))
+    key = next(k for k, p in P2.entries.items() if len(p.terms) == 1)
+    ((mono, c),) = P2.entries[key].terms.items()
+    i, m, j, n = key
+    partner = (i, (m + 1) % N, j, (n + 1) % N)
+    ((pmono, pc),) = P2.entries[partner].terms.items()
+    other = next(mo for p in P2.entries.values() for mo in p.terms if mo != pmono)
+    # mu_{m-1} mu_m at ((mu, m), (rho, m + 1)): at m = 0 the monomial mu_0 mu_{N-1}
+    # shifts to mu_1 mu_0, which only re-sorted is a key of the partner
+    wrap = invariant_bump(toda, 0, 1, 1, ((0, 0), (0, N - 1)), F(1, 3))
+    wmono = ((0, 1), (N - 1, 1))
+    assert wmono in wrap.entries[0, 0, 1, 1].terms
+    built_apart = F(c.numerator, c.denominator)
+    assert built_apart is not c
+    # EMPTY lives on (u, v) at N = 3: (u_0, v_2) has the missing partner (u_1, v_0)
+    assert (0, 1, 1, 0) not in EMPTY.entries
+    cases = [
+        (with_entry(EMPTY, (0, 0, 1, 2), {}), True),
+        (with_entry(P2, partner, {pmono: pc, other: F(1)}), False),
+        (wrap, True),
+        (with_entry(wrap, (0, 0, 1, 1), {**wrap.entries[0, 0, 1, 1].terms, wmono: F(1, 4)}), False),
+        (with_entry(P2, key, {mono: built_apart}), True),
+        (with_entry(P2, key, {mono: c + 1}), False),
+        (with_entry(P2, key, {mono: c, other: F(0)}), False),
+        (drop_smallest_entry(P2), False),
+        (EMPTY, True), (MIXED, False), (CUBIC, False), (CONSTANT, False),
+    ]
+    rng = Random(66)
+    for T in shift_cases():
+        cases += [(T, True), (perturbed(T, rng, antisymmetric=True), False)]
+    for T, verdict in cases:
+        assert reference_shift_invariant(T) is verdict
+        assert coord_reduction._shift_invariant(T) is verdict
+
+
+def reference_int_poly(poly: Poly, X, pw):
+    """(v, grad) of poly at the int point X, the term rule summed into a defaultdict."""
+    val, grad = 0, defaultdict(int)
+    for mono, c in poly.terms.items():
+        k, t = 0, 1
+        for v, e in mono:
+            k += e
+            t *= X[v] ** e
+        c = c.numerator * pw[k] // c.denominator
+        val += c * t
+        for v, e in mono:
+            if x := X[v]:
+                grad[v] += c * e * (t // x)
+            elif e == 1:
+                grad[v] += c * prod(X[u] ** f for u, f in mono if u != v)
+    return val, grad
+
+
+def reference_int_tables(T: PolyTensor, X, pw):
+    """The sweep's (V, G) tables in two passes: the lists of nonzero values
+    (J, K, v) and gradient entries (J, K, s, d) first, then the tables from them."""
+    N, D = T.N, T.n_vars()
+    vals, grads = [], []
+    for (i, m, j, n), poly in T.entries.items():
+        J, K = _var(i, m, N), _var(j, n, N)
+        val, grad = reference_int_poly(poly, X, pw) if X is not None else coord_reduction._sym_poly(poly, pw[0])
+        if val:
+            vals.append((J, K, val))
+        grads.extend((J, K, s, d) for s, d in grad.items() if d)
+    row, col, by_s, up, down = ([[] for _ in range(D)] for _ in range(5))
+    for I, s, v in vals:
+        row[I].append((s, v))
+        col[s].append((I, v))
+    for J, K, s, d in grads:
+        if J < K:
+            by_s[s].append((J, J * D + K, d))
+            up[J].append((K, K * D, s, d))
+        elif J > K:
+            down[K].append((J, s, d))
+    for ent in col + by_s:
+        ent.sort(key=lambda e: e[0])
+    colD = [[(I * D, v) for I, v in ent] for ent in col]
+    return (row, col, colD), (by_s, up, down)
+
+
+def plain_tables(tables) -> list:
+    """The six tables with every Poly read as its terms, so polynomial tables compare by value."""
+    return [[[tuple(x.terms if isinstance(x, Poly) else x for x in e) for e in ent] for ent in table]
+            for part in tables for table in part]
+
+
+def count_calls(monkeypatch, module, names) -> defaultdict:
+    """Wrap each named function of module so that its calls are counted by name."""
+    calls = defaultdict(int)
+    for name in names:
+        def counted(*args, f=getattr(module, name), name=name):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_tables_equal_the_two_pass_reference_with_one_evaluation_per_entry(monkeypatch):
+    # the work-count and equality guard: each entry is evaluated once, by
+    # _int_poly at a point and by _sym_poly with none, and the tables equal
+    # the two-pass reference list for list, at a zero coordinate, at
+    # denominators near 10^6 and on polynomials
+    calls = count_calls(monkeypatch, coord_reduction, ("_int_poly", "_sym_poly"))
+    rng, N = Random(67), 5
+    named = [as_poly_tensor(closed_tensor(name, N)) for name in ("toda", "P1", "P2")]
+    cases = [(T, pt) for T in (MIXED, CUBIC, CONSTANT, EMPTY) for pt in UV_POINTS + [None]]
+    for T in named + [perturbed(named[1], rng, antisymmetric=False)]:
+        cases += [(T, random_fields(T.field_names, N, rng)), (T, None)]
+    for T, pt in cases:
+        scale = coord_reduction._int_scale(T.entries.values())
+        X, pw, _, _ = coord_reduction._int_point(scale, None if pt is None else T.point_values(pt))
+        calls.clear()
+        got = coord_reduction._int_tables(T, X, pw)
+        assert dict(calls) == ({"_int_poly" if pt else "_sym_poly": len(T.entries)} if T.entries else {})
+        assert plain_tables(got) == plain_tables(reference_int_tables(T, X, pw))
+
+
+def test_compatibility_reads_each_tensor_once_per_call(monkeypatch):
+    # over several points the shift check runs once per tensor and the scale
+    # scan once per call; only the point's scaling, the tables and the sweep
+    # repeat per point, and each point reads what it reads alone
+    calls = count_calls(monkeypatch, coord_reduction, ("_shift_invariant", "_int_scale", "_int_point"))
+    N, rng = 5, Random(68)
+    P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("P1", "P2"))
+    pts = [random_fields(P1.field_names, N, rng) for _ in range(3)]
+    assert compatibility(P1, P2, pts) == 0
+    assert dict(calls) == {"_shift_invariant": 2, "_int_scale": 1, "_int_point": 3}
+    broken = perturbed(P2, rng, antisymmetric=True)
+    per_point = [_pencil_sums(P1, broken, pt) for pt in pts]
+    assert compatibility(P1, broken, pts) == max(F(max(xyz), L) for L, xyz in per_point) != 0
+    assert compatibility(P1, broken, pts) == dense_compatibility(P1, broken, pts)
 
 
 def test_invariant_pencil_sweeps_one_index_per_field(monkeypatch):

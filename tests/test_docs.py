@@ -83,7 +83,7 @@ def test_a_deleted_name_does_not_resolve():
         "Fields", "coord_reduction.Fields", "Fields.point", "ProjPolygon", "exchange_algebra.ProjPolygon",
         "ProjPolygon.from_polygon", "dynamics.gf_check", "dynamics.lie_deform", "LinearityViolated",
         "dynamics.LinearityViolated", "Polygon.vertex", "Polygon.wronskian_at", "Polygon.require_nondegenerate",
-        "exchange_algebra.wronskian",
+        "exchange_algebra.wronskian", "coord_reduction._int_eval",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name

@@ -11,7 +11,6 @@ integrator.
 from .linalg import rat, rat_str
 from .lattice_ops import (
     Kernel,
-    NoSolution,
     OddKernel,
     PerSeq,
     SingularOperator,
@@ -19,7 +18,6 @@ from .lattice_ops import (
     invert,
     phi_special,
     shift_kernel,
-    solve_phi,
 )
 from .exchange_algebra import (
     BracketSpec,

@@ -103,11 +103,14 @@ def hat_consistency(nu: int, k: int, phi: Kernel, N: int) -> Fraction:
 
     Compared on |j| <= N - 1 - nu (shrunk by one more where a shift of the
     window is taken); this tests the geometric-series algebra instead of
-    assuming it.  Hats and closed forms are ints over the lcm L of phi's
-    denominators, so the one Fraction built is the residual.
+    assuming it.  Below N = nu + 2 that window holds offset 0 at most, so a 0
+    would certify nothing: a ValueError.  Hats and closed forms are ints over
+    the lcm L of phi's denominators, so the one Fraction built is the residual.
     """
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
+    if N < nu + 2:
+        raise ValueError("the raw window sums need N >= nu + 2")
     require_period("phi", phi, N)
     p, L, _ = phi.ints
     ww, w_alk, alk_w, alk_alk = _hat_ints(nu, k, p, L)

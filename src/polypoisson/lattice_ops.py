@@ -7,16 +7,13 @@ one period.  Under this convention the kernel of the shift ``D`` (which maps
 composition of operators is convolution of kernels.  A shift polynomial
 ``sum_r c_r D^r`` is the dict ``{r: c_r}`` throughout.
 
-The module also carries the constrained solver that produces the odd periodic
-kernels used as the deformation parameter of the vertex bracket: given shift
-polynomials A and b it solves ``A(D) phi = b(D) delta`` exactly over the
-rationals with the oddness constraints adjoined, by one fraction-free
-elimination in ints.  A kernel is turned into ints once, by its cached view
-``Kernel.ints``.  Convolution is one int circulant action over the kernel's
-nonzeros, ``_int_convolve``, which ``convolve_apply`` (one Fraction per
-entry) and the closed forms ``_closed_ints`` share.  The one formula for
-the exchange coefficient kernels E_jk of the reduced brackets,
-``_exchange_kernels``, is such a closed form; ``phi_special`` solves E_kk = 0.
+A kernel is turned into ints once, by its cached view ``Kernel.ints``.
+Convolution is one int circulant action over the kernel's nonzeros,
+``_int_convolve``, which ``convolve_apply`` (one Fraction per entry) and the
+closed forms ``_closed_ints`` share.  The one formula for the exchange
+coefficient kernels E_jk of the reduced brackets, ``_exchange_kernels``, is
+such a closed form; ``phi_special``, a sawtooth written down directly, solves
+E_kk = 0.
 """
 
 from __future__ import annotations
@@ -24,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
-from .linalg import ONE, ZERO, dot, rat, rat_str
+from .linalg import ZERO, rat, rat_str
 
 
 class SingularOperator(ValueError):
@@ -35,10 +33,6 @@ class SingularOperator(ValueError):
     def __init__(self, msg: str, nullity: int):
         super().__init__(f"{msg} (nullspace dimension {nullity})")
         self.nullity = nullity
-
-
-class NoSolution(ValueError):
-    """Raised when a constrained kernel equation is inconsistent."""
 
 
 def sign(k: int) -> int:
@@ -228,56 +222,35 @@ def invert(K: Kernel) -> Kernel:
     return Kernel(PerSeq(N, tuple(Fraction(row[N], p) for row in m)))
 
 
-def solve_phi(A: dict, b: dict, N: int) -> OddKernel:
-    """Solve A(D) phi = b(D) delta for an odd periodic kernel phi, A and b
-    shift polynomials given as {r: c_r}.
-
-    The oddness constraints are adjoined to the exact linear system, and one
-    fraction-free elimination of [A(D); odd rows | b(D) delta] in ints gives
-    both the particular solution (zero in the free coordinates) and the
-    homogeneous basis.  When the solution set is a positive-dimensional
-    affine space the representative orthogonal to the homogeneous solution
-    space is returned, which is the minimal-norm solution.  Raises NoSolution
-    when the constrained system is inconsistent.
-    """
-    if N < 3:
-        raise ValueError("period must be >= 3")
-    (a, rhs), _ = linalg._scaled([_kernel_values(A, N), _kernel_values(b, N)])
-    m = [[a[r - n] for n in range(N)] + [rhs[r]] for r in range(N)]
-    m += [[int(n == j) + int(n == -j % N) for n in range(N)] + [0] for j in range(N // 2 + 1)]
-    pivots, p, _ = linalg._int_rref(m)
-    if N in pivots:
-        raise NoSolution("no odd periodic kernel satisfies the equation")
-    rows = dict(zip(pivots, m))  # pivot column -> its row of p times the rref
-    particular = [Fraction(rows[c][N], p) if c in rows else ZERO for c in range(N)]
-    free = [f for f in range(N) if f not in rows]
-    hom = [[Fraction(-rows[c][f], p) if c in rows else ONE if c == f else ZERO for c in range(N)] for f in free]
-    if hom:
-        gram = [[dot(u, v) for v in hom] for u in hom]
-        proj = linalg.solve(gram, [dot(u, particular) for u in hom])
-        for coef, u in zip(proj, hom):
-            particular = [x - coef * y for x, y in zip(particular, u)]
-    return OddKernel(PerSeq(N, tuple(particular)))
-
-
 def phi_special(nu: int, k: int, N: int) -> OddKernel:
-    """The odd periodic kernel solving (2 - D^j - D^-j) phi = D^j - D^-j, j = nu - k.
+    """The odd periodic kernel solving (2 - D^j - D^-j) phi = (D^j - D^-j) delta, j = nu - k.
 
     These are the distinguished deformation kernels: k = 0 makes the leading
     reduced field a Casimir, while 1 <= k <= nu-1 makes the reduced bracket
     linear in the k-th field.
 
-    A solution always exists, so NoSolution is never raised: A = 2 - D^j - D^-j
-    is symmetric and b = D^j - D^-j antisymmetric, so the odd part of any
-    solution solves it too, and b delta sums to zero on each residue class
-    mod gcd(j, N), so it is orthogonal to ker A and lies in the range of A.
+    With g = gcd(j, N), n = N / g and u = (j / g)^-1 mod n, phi is the
+    sawtooth phi_{g s} = (2 r - n) / n, r = s u mod n, on the multiples of g
+    and 0 elsewhere (all 0 when n <= 2).  Proof, writing psi_r = phi_{g s}:
+    - phi is odd, since r(n - s) = n - r(s).
+    - it solves the equation: on the multiples of g, s -> r turns s +- j/g
+      into r +- 1, so it reads 2 psi_r - psi_{r+1} - psi_{r-1} = [r = -1] -
+      [r = 1] mod n, which the sawtooth solves; off them both sides vanish.
+    - it is the minimal-norm odd solution: an odd homogeneous solution is
+      g-periodic and odd, so 0 on the multiples of g and orthogonal to phi.
     """
     if nu < 2:
         raise ValueError("nu must be >= 2")
     if not 0 <= k <= nu - 1:
         raise ValueError("k must lie in 0..nu-1")
-    j = nu - k
-    return solve_phi({0: 2, j: -1, -j: -1}, {j: 1, -j: -1}, N)
+    if N < 3:
+        raise ValueError("period must be >= 3")
+    g = gcd(nu - k, N)
+    n = N // g
+    u = pow((nu - k) // g, -1, n)
+    vals = [ZERO] * N
+    vals[g::g] = [Fraction(2 * (s * u % n) - n, n) for s in range(1, n)]
+    return OddKernel(PerSeq(N, tuple(vals)))
 
 
 def random_odd_kernel(N: int, rng) -> OddKernel:

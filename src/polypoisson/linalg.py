@@ -275,10 +275,6 @@ def inverse(a):
     return solve(a, identity(len(a)))
 
 
-def dot(u, v) -> Fraction:
-    return sum((x * y for x, y in zip(u, v) if x and y), ZERO)
-
-
 def _int_pairings(F, A, G) -> list:
     """The chain-rule table of f^T (A / den) g for f in F, g in G: entry (f, g) is the int acc for acc / (df den dg).
 

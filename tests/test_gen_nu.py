@@ -21,7 +21,6 @@ from polypoisson.gen_nu import (
 )
 from polypoisson.lattice_ops import (
     Kernel,
-    NoSolution,
     OddKernel,
     PerSeq,
     _closed_ints,
@@ -226,6 +225,18 @@ def test_hats_zero_phi_example():
     assert ww[4] == 2  # antisymmetric to ww[-4]... delta sums vanish there too
 
 
+def test_hat_consistency_refuses_an_empty_window():
+    # below N = nu + 2 the window |j| <= N - 1 - nu holds offset 0 at most, so
+    # a residual 0 would certify nothing: at (3, 3) it was 0 for any phi
+    rng = Random(4)
+    for nu, N in ((2, 3), (3, 3), (3, 4)):
+        for k in range(nu):
+            for phi in (phi_special(nu, k, N), random_odd_kernel(N, rng)):
+                with pytest.raises(ValueError, match=r"^the raw window sums need N >= nu \+ 2$"):
+                    hat_consistency(nu, k, phi, N)
+    assert hat_consistency(3, 1, phi_special(3, 1, 5), 5) == 0
+
+
 def test_hat_consistency_random_phi():
     rng = Random(1)
     for nu, N in ((2, 7), (3, 9), (4, 11)):
@@ -343,17 +354,18 @@ def test_check_theorem_order4():
 
 
 def test_check_theorem_has_no_skip_branch_for_phi(monkeypatch, capsys):
-    # phi^(k) always exists (see phi_special), so an unsolvable phi^(k) is an
-    # error of check_theorem and of the theorem verb, never a skipped row
+    # phi^(k) has a closed form for every (nu, k, N >= 3) (see phi_special), so
+    # an error from it is an error of check_theorem and of the theorem verb,
+    # never a skipped row
     real = gen_nu.phi_special
 
     def unsolvable(nu, k, N):
         if k >= 1:
-            raise NoSolution("no odd periodic kernel satisfies the equation")
+            raise ValueError("no odd periodic kernel satisfies the equation")
         return real(nu, k, N)
 
     monkeypatch.setattr(gen_nu, "phi_special", unsolvable)
-    with pytest.raises(NoSolution, match="no odd periodic kernel"):
+    with pytest.raises(ValueError, match="no odd periodic kernel"):
         check_theorem(2, 7, seed=0)
     assert run_command(["theorem", "--nu", "2", "--N", "7"]) == 2
     assert capsys.readouterr().err == "error: no odd periodic kernel satisfies the equation\n"
@@ -404,6 +416,22 @@ def test_numeric_casimir_residual_matches_dense_pairing():
     phi = random_odd_kernel(9, Random(8))
     want = dense_casimir_residual(4, 9, phi, 2, 3)
     assert want != 0 and _numeric_casimir_residual(4, 9, phi, 2, 3) == want
+
+
+def test_casimir_obstruction_is_2g_over_N_on_a_grid():
+    # the casimir_coeffs kernels at phi^(0): all zero when g = gcd(nu, N) = 1;
+    # otherwise each is g-periodic and the largest |E_0k| is exactly 2 g / N,
+    # the size the check_theorem note gives
+    for nu in range(2, 9):
+        for N in range(3, 25):
+            g = gcd(nu, N)
+            k00, k0k = casimir_coeffs(nu, phi_special(nu, 0, N), N)
+            kernels = [k00, *k0k.values()]
+            if g == 1:
+                assert all(v == 0 for K in kernels for v in K.seq.values), (nu, N)
+                continue
+            assert all(K[m + g] == K[m] for K in kernels for m in range(N)), (nu, N)
+            assert max(K.seq.max_abs() for K in kernels) == F(2 * g, N), (nu, N)
 
 
 def test_check_theorem_noncoprime_reports_casimir_obstruction():

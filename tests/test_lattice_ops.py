@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 from random import Random
 
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from polypoisson import linalg
 from polypoisson.lattice_ops import (
     Kernel,
-    NoSolution,
     OddKernel,
     PerSeq,
     SingularOperator,
@@ -18,7 +18,6 @@ from polypoisson.lattice_ops import (
     phi_special,
     random_odd_kernel,
     shift_kernel,
-    solve_phi,
 )
 
 F = Fraction
@@ -151,33 +150,17 @@ def test_two_sided_inverse_random():
         assert compose(L, K).seq.values == delta(N)
 
 
-# The two distinguished order-2 kernels on period 5, frozen and re-verified
-# residue by residue against their defining difference equations.
+# The step-1 kernel on period 5, frozen and re-verified residue by residue
+# against its defining equation (2 - D - D^-1) phi = (D - D^-1) delta.
 
 
 def test_solve_phi_step1_sawtooth():
-    A = {0: 2, 1: -1, -1: -1}  # (D-1)^2 shifted: 2 - D - D^-1
-    b = {1: 1, -1: -1}
-    phi = solve_phi(A, b, 5)
+    phi = phi_special(2, 1, 5)
     assert phi.seq.values == (F(0), F(-3, 5), F(-1, 5), F(1, 5), F(3, 5))
     for m in range(5):
         lhs = 2 * phi[m] - phi[m + 1] - phi[m - 1]
         rhs = (1 if (m + 1) % 5 == 0 else 0) - (1 if (m - 1) % 5 == 0 else 0)
         assert lhs == rhs
-
-
-def test_solve_phi_step2_sawtooth():
-    A = {3: 1, 2: -1, 1: -1, 0: 1}
-    b = {3: -1, 2: 1, 1: -1, 0: 1}
-    phi = solve_phi(A, b, 5)
-    assert phi.seq.values == (F(0), F(1, 5), F(-3, 5), F(3, 5), F(-1, 5))
-    K = shift_kernel(A, 5)
-    assert convolve_apply(K, phi.seq).values == shift_kernel(b, 5).seq.values
-
-
-def test_solve_phi_no_solution():
-    with pytest.raises(NoSolution):
-        solve_phi({0: 1, 1: -1}, {0: 2}, 5)
 
 
 def test_phi_special_examples():
@@ -187,18 +170,34 @@ def test_phi_special_examples():
 
 
 def test_phi_special_defining_equation():
-    # phi^(k) always exists: the odd part of any solution solves the equation,
-    # and b delta lies in the range of the symmetric A, so phi_special never
-    # raises NoSolution
-    for nu in range(2, 7):
+    # with no elimination: phi^(k) is odd, solves (2 - D^j - D^-j) phi =
+    # (D^j - D^-j) delta, and is 0 off the multiples of g = gcd(j, N).  An odd
+    # homogeneous solution is constant on each residue class mod g, so 0 on
+    # the multiples of g: the two are orthogonal, and phi is the minimal-norm
+    # solution
+    for nu in range(2, 13):
         for k in range(nu):
             j = nu - k
-            for N in range(3, 25):
+            for N in range(3, 42):
                 phi = phi_special(nu, k, N)
                 assert isinstance(phi, OddKernel)
+                assert all(phi[-m] == -phi[m] for m in range(N))
                 A = shift_kernel({0: 2, j: -1, -j: -1}, N)
                 b = shift_kernel({j: 1, -j: -1}, N)
                 assert convolve_apply(A, phi.seq).values == b.seq.values, (nu, k, N)
+                assert all(phi[m] == 0 for m in range(N) if m % gcd(j, N)), (nu, k, N)
+
+
+def test_phi_special_guards():
+    cases = {
+        (1, 0, 5): "nu must be >= 2",
+        (3, 3, 7): "k must lie in 0..nu-1",
+        (3, -1, 7): "k must lie in 0..nu-1",
+        (2, 1, 2): "period must be >= 3",
+    }
+    for args, msg in cases.items():
+        with pytest.raises(ValueError, match=msg):
+            phi_special(*args)
 
 
 def test_phi_special_unique_when_coprime():
@@ -340,52 +339,8 @@ def _odd_rows(N: int):
     return [[F(int(n == j % N) + int(n == -j % N)) for n in range(N)] for j in range(N // 2 + 1)]
 
 
-@st.composite
-def odd_kernel_equations(draw):
-    """(A, b, N): A(D) symmetric and b(D) antisymmetric under D -> D^-1, so
-    that b(D) delta is odd and A(D) maps odd kernels to odd kernels."""
-    A = {0: draw(_coeff)}
-    b = {}
-    for r in draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)):
-        c, e = draw(_coeff), draw(_coeff)
-        A[r] = A[-r] = c
-        b[r], b[-r] = e, -e
-    return A, b, draw(st.integers(3, 13))
-
-
-def _check_solve_phi(A, b, N):
-    """solve_phi's kernel is odd, solves A(D) phi = b(D) delta exactly, and is
-    orthogonal to the odd homogeneous solutions; returns their number."""
-    phi = solve_phi(A, b, N)
-    assert all(phi[-m] == -phi[m] for m in range(N))
-    assert convolve_apply(shift_kernel(A, N), phi.seq).values == shift_kernel(b, N).seq.values
-    hom = nullspace(shift_kernel(A, N).matrix() + _odd_rows(N))
-    assert all(linalg.dot(h, phi.seq.values) == 0 for h in hom)
-    return len(hom)
-
-
-@given(odd_kernel_equations())
-# 2 - D^3 - D^-3 kills the odd sin(2 pi m / 3) at N = 6 and 9
-@example(({0: 2, 3: -1, -3: -1}, {3: 1, -3: -1}, 6))
-@example(({0: 2, 3: -1, -3: -1}, {3: 1, -3: -1}, 9))
-def test_solve_phi_is_odd_exact_and_minimal(case):
-    try:
-        _check_solve_phi(*case)
-    except NoSolution:
-        A, b, N = case
-        rhs = list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1)
-        assert linalg.solve(shift_kernel(A, N).matrix() + _odd_rows(N), rhs) is None
-
-
-@pytest.mark.parametrize("N", [6, 9, 12])
-def test_solve_phi_minimal_norm_with_homogeneous_solutions(N):
-    # A(D) = 2 - D^3 - D^-3 kills odd kernels of period 3, and b = A (D - D^-1)
-    # puts b(D) delta in its range: of the solutions (D - D^-1) delta + h, the
-    # one returned must be orthogonal to every such h
-    A = {0: 2, 3: -1, -3: -1}
-    c = {1: 1, -1: -1}
-    assert _check_solve_phi(A, dpoly_mul(A, c), N) >= 1
-    assert solve_phi(A, dpoly_mul(A, c), N).seq.values != shift_kernel(c, N).seq.values
+def dot(u, v):
+    return sum((x * y for x, y in zip(u, v)), F(0))
 
 
 def reference_convolve(K, f):
@@ -395,16 +350,16 @@ def reference_convolve(K, f):
 
 
 def reference_solve_phi(A, b, N):
-    """solve_phi as two Fraction eliminations: linalg.solve for the particular
-    solution, linalg.nullspace for the homogeneous one, then the Gram projection."""
+    """The minimal-norm odd solution of A(D) phi = b(D) delta by two Fraction
+    eliminations: linalg.solve for a particular solution, nullspace for the
+    odd homogeneous ones, then the Gram projection off them."""
     mat = shift_kernel(A, N).matrix() + _odd_rows(N)
     particular = linalg.solve(mat, list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1))
-    if particular is None:
-        raise NoSolution("no odd periodic kernel satisfies the equation")
+    assert particular is not None, "no odd periodic kernel satisfies the equation"
     hom = nullspace(mat)
     if hom:
-        gram = [[linalg.dot(u, v) for v in hom] for u in hom]
-        proj = linalg.solve(gram, [linalg.dot(u, particular) for u in hom])
+        gram = [[dot(u, v) for v in hom] for u in hom]
+        proj = linalg.solve(gram, [dot(u, particular) for u in hom])
         for coef, u in zip(proj, hom):
             particular = [x - coef * y for x, y in zip(particular, u)]
     return OddKernel(PerSeq(N, tuple(particular)))
@@ -434,27 +389,16 @@ def test_convolve_apply_equals_dense_reference(case):
     assert compose(K, L).seq.values == reference_convolve(K, f).values
 
 
-@given(st.integers(2, 6), st.integers(5, 21), st.data())
-@example(4, 12, None)  # even N with gcd(nu, N) = 4: several k have many solutions
-@example(3, 9, None)
-def test_solve_phi_equals_two_elimination_reference(nu, N, data):
-    # phi_special's equations for every k (non-unique at even N or gcd > 1),
-    # one with no odd solution, one with odd homogeneous solutions when 3 | N,
-    # and a drawn symmetric/antisymmetric pair
-    cases = [({0: 2, nu - k: -1, k - nu: -1}, {nu - k: 1, k - nu: -1}) for k in range(nu)]
-    A3 = {0: 2, 3: -1, -3: -1}
-    cases += [({0: 1, 1: -1}, {0: 2}), (A3, dpoly_mul(A3, {1: 1, -1: -1}))]
-    if data is not None:
-        A, b, _ = data.draw(odd_kernel_equations())
-        cases.append((A, b))
-    for A, b in cases:
-        try:
-            expect = reference_solve_phi(A, b, N).seq.values
-        except NoSolution:
-            with pytest.raises(NoSolution):
-                solve_phi(A, b, N)
-            continue
-        assert solve_phi(A, b, N).seq.values == expect
+@given(st.integers(2, 6), st.integers(5, 21))
+@example(4, 12)  # even N with gcd(nu, N) = 4: several k have many odd solutions
+@example(3, 9)
+def test_solve_phi_equals_two_elimination_reference(nu, N):
+    # the closed form is the minimal-norm odd solution for every k, also
+    # where the odd solution is not unique (even N or gcd(nu - k, N) > 1)
+    for k in range(nu):
+        j = nu - k
+        expect = reference_solve_phi({0: 2, j: -1, -j: -1}, {j: 1, -j: -1}, N).seq.values
+        assert phi_special(nu, k, N).seq.values == expect, (nu, k, N)
 
 
 def test_json_round_trip():

@@ -421,8 +421,9 @@ def test_lazy_int_rref_equals_the_eager_reference():
 
 
 def test_lazy_int_rref_on_the_circulant_systems(monkeypatch):
-    # the systems invert and solve_phi eliminate, checked as they are built
-    from polypoisson.lattice_ops import invert, phi_special, shift_kernel
+    # the circulant systems invert eliminates, full-rank and singular,
+    # checked as they are built
+    from polypoisson.lattice_ops import SingularOperator, invert, shift_kernel
 
     seen = []
     lazy = linalg._int_rref
@@ -439,10 +440,9 @@ def test_lazy_int_rref_on_the_circulant_systems(monkeypatch):
     for N in (5, 7, 9, 11, 21):
         invert(shift_kernel({0: 1, 1: 1}, N))
         invert(shift_kernel({0: F(1, 2), 1: 1, 2: F(-1, 3)}, N))
-        for nu in (2, 3, 4):
-            for k in range(nu):
-                phi_special(nu, k, N)
+        for j in (1, 2, 3):
+            with pytest.raises(SingularOperator):
+                invert(shift_kernel({0: 2, j: -1, -j: -1}, N))
     invert.cache_clear()
-    # two inversions and nine phi_special solves per N, plus the Gram solves
-    # of the phi whose odd solution is not unique (gcd(j, N) > 1)
-    assert len(seen) > 5 * (2 + 9)
+    # two inversions and three singular ones per N
+    assert len(seen) == 5 * (2 + 3)

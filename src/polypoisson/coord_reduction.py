@@ -689,6 +689,8 @@ def jacobiator(P, point) -> Fraction:
     of field sites that ``_pencil_sums`` sweeps, its t^0 coefficient with no Q:
     one per shift orbit if P passes the shift-invariance entry check, else all.
     """
+    if point is None:
+        raise ValueError("jacobiator needs a point: pencil_certificate is the check with no point")
     L, (x, _, _) = _pencil_sums(as_poly_tensor(P), None, point)
     return Fraction(x, L)
 
@@ -894,10 +896,11 @@ def compatibility(P, Q, points) -> Fraction:
     every member of the pencil on those triples at that point.  A zero at
     every sampled point is evidence of compatibility, not a proof of it
     (``pencil_certificate`` is the proof).
-    No point, or tensors on different field spaces: ValueError.
+    No point, a None point, or tensors on different field spaces: ValueError.
     """
-    if not points:
-        raise ValueError("at least one point is required")
+    points = list(points)
+    if not points or None in points:
+        raise ValueError("at least one point is required, and no None: pencil_certificate is the check with no point")
     TP, TQ = as_poly_tensor(P), as_poly_tensor(Q)
     return max(Fraction(max(xyz), L) for L, xyz in _pencil_sweep(TP, TQ, points))
 
@@ -933,6 +936,8 @@ def shift_certificate(P, direction) -> Fraction:
     degree 2 or more in x gives 1.
     """
     TP = as_poly_tensor(P)
+    if isinstance(direction, str) and direction not in TP.field_names:
+        raise ValueError(f"direction {direction!r} is not one of the fields {TP.field_names}")
     fidx = direction if isinstance(direction, int) else TP.field_names.index(direction)
     if not 0 <= fidx < TP.d:
         raise ValueError(f"direction {direction} is not a field index in 0..{TP.d - 1}")

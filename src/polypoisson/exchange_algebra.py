@@ -121,22 +121,22 @@ def random_polygon(nu: int, N: int, rng: Random) -> Polygon:
 
     The monodromy is obtained by solving the extension rule against nu extra
     sampled rows and scaling its last row to normalize the determinant to 1.
-    Each entry n / d has d in 1..3, so 6 times the rows are ints: det A, det B
-    and every site's Wronskian are tested by Bareiss in ints, and one
-    fraction-free elimination of [A | B] gives M = A^-1 B.
+    Each entry n / d has d in 1..3, so 6 times the rows are ints: eliminating
+    [A | B] gives M = A^-1 B and det A (its signed last pivot), and
+    ``linalg._int_det`` tests det B and every site's Wronskian.
     """
     if N < nu:
         raise ValueError("need N >= nu to pose the extension rule on sampled rows")
     for _ in range(500):
         drawn = [[(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)] for _ in range(N + nu)]
         v = [[x * (6 // d) for x, d in row] for row in drawn]
-        det_a, det_b = (linalg._int_det([r[:] for r in v[s : s + nu]]) for s in (0, N))
-        if not det_a or not det_b:
-            continue
         aug = [a + b for a, b in zip(v, v[N:])]
-        _, p, _ = linalg._int_rref(aug)
-        # M = A^-1 B with its last row divided by det M = det_b / det_a, as ints over p det_b
-        M = [[x * (det_a if c == nu - 1 else det_b) for x in row[nu:]] for c, row in enumerate(aug)]
+        pivots, p, sign = linalg._int_rref(aug)
+        det_b = linalg._int_det([r[:] for r in v[N:]])
+        if pivots != list(range(nu)) or not det_b:  # det A = 0 or det B = 0
+            continue
+        # M = A^-1 B with its last row divided by det M = det_b / det A, det A = sign p, as ints over p det_b
+        M = [[x * (sign * p if c == nu - 1 else det_b) for x in row[nu:]] for c, row in enumerate(aug)]
         ext = v[:N] + [[sum(x * mc[a] for x, mc in zip(row, M)) for a in range(nu)] for row in v[: nu - 1]]
         if all(linalg._int_det([r[:] for r in ext[m : m + nu]]) for m in range(N)):
             V = tuple(tuple(Fraction(x, d) for x, d in row) for row in drawn[:N])

@@ -2,15 +2,15 @@
 
 Matrices are plain lists of lists of ``fractions.Fraction``.  Everything here
 is exact; there is no floating point and no pivot-size heuristics beyond
-picking the first nonzero pivot.  Elimination runs in scaled ints with
-Bareiss's fraction-free updates, in which every division is exact: ``det``
-scales the matrix once to ints over a common denominator, ``rref`` (under
-``solve`` and ``inverse``) scales each row over its own, and
-``rref`` and ``_int_adjugate`` share one fraction-free Gauss-Jordan, which
-also gives ``det_grad``, the one determinant-with-gradient.  ``_int_pairings``
-contracts int gradients against an int matrix and builds no Fraction; its
-callers cross-multiply the ints and build one Fraction per residual.  The
-others build Fractions only for their results.
+picking the first nonzero pivot.  One elimination, ``_int_rref``, runs in
+scaled ints with Bareiss's fraction-free updates, in which every division is
+exact: ``det`` scales the matrix once to ints over a common denominator and
+reads its last pivot (``_int_det``), ``rref`` (under ``solve`` and
+``inverse``) scales each row over its own, and ``_int_adjugate`` eliminates
+[m | I], which gives ``det_grad``, the one determinant-with-gradient.
+``_int_pairings`` contracts int gradients against an int matrix and builds no
+Fraction; its callers cross-multiply the ints and build one Fraction per
+residual.  The others build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -108,31 +108,6 @@ def _scaled(a):
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
-def _int_det(m) -> int:
-    """Determinant of a square int matrix by Bareiss elimination; m is overwritten.
-
-    After step k every entry right of and below the pivot is a minor of m of
-    order k+2 (Sylvester's identity), so the division by the previous pivot
-    is exact.
-    """
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        pk, mk = m[k][k], m[k]
-        for r in range(k + 1, n):
-            mr = m[r]
-            f = mr[k]
-            mr[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(mr[k + 1 :], mk[k + 1 :])]
-        prev = pk
-    return sign * m[-1][-1] if n else 1
-
-
 def _int_rref(m):
     """Fraction-free Gauss-Jordan on an int matrix m, in place: (pivots, p, sign).
 
@@ -175,13 +150,19 @@ def _int_rref(m):
     return pivots, prev, sign
 
 
+def _int_det(m) -> int:
+    """Determinant of a square int matrix m (overwritten): ``_int_rref`` ends with p = sign det m at full rank."""
+    pivots, p, sign = _int_rref(m)
+    return sign * p if len(pivots) == len(m) else 0
+
+
 def _int_adjugate(m):
     """(det m, adj m) for a square int matrix m, fraction-free.
 
     For invertible m, ``_int_rref`` on [m | I] ends at [p I | p m^-1] with
     p = sign det m, so adj m = sign times the right block.  For singular m
     the adjugate is the signed (n-1)-minors, adj_ij = (-1)^(i+j) det(m
-    without row j and column i), each by Bareiss; they all vanish when
+    without row j and column i), each by ``_int_det``; they all vanish when
     rank m <= n-2.
     """
     n = len(m)
@@ -196,7 +177,7 @@ def _int_adjugate(m):
 
 
 def det(a) -> Fraction:
-    """Determinant by Bareiss elimination over ints, after one scaling."""
+    """Determinant by ``_int_det`` over ints, after one scaling."""
     m, d = _scaled(a)
     return Fraction(_int_det(m), d ** len(m))
 

@@ -1420,8 +1420,24 @@ def test_gf_check_matches_dense_reference_with_a_perturbed_term():
 def test_pencil_needs_a_point():
     P1 = closed_tensor("P1", 5)
     P2 = closed_tensor("P2", 5)
-    with pytest.raises(ValueError, match="at least one point"):
-        compatibility(P1, P2, [])
+    for points in ([], iter([])):
+        with pytest.raises(ValueError, match="at least one point"):
+            compatibility(P1, P2, points)
+
+
+def test_a_none_point_is_refused():
+    # with no point the sweep is symbolic and skips the antisymmetry check,
+    # so the one-entry tensor {u_0, u_1} = u_0 u_1, which is not antisymmetric,
+    # would read 0; pencil_certificate, the check with no point, reads 1
+    T = PolyTensor(("u",), 5)
+    T.add_term(0, 0, 0, 1, Poly({((0, 1), (1, 1)): 1}))
+    assert pencil_certificate(T) == 1
+    pt = random_fields(("u",), 5, Random(3))
+    with pytest.raises(ValueError, match="pencil_certificate"):
+        jacobiator(T, None)
+    for points in ([None], [pt, None], iter([None])):
+        with pytest.raises(ValueError, match="pencil_certificate"):
+            compatibility(T, T, points)
 
 
 def test_pencil_needs_one_field_space():

@@ -372,6 +372,11 @@ def test_a_direction_outside_the_fields_is_refused(direction):
         shift_certificate(closed_tensor("toda", 5), direction)
 
 
+def test_a_direction_naming_no_field_is_refused():
+    with pytest.raises(ValueError, match=r"direction 'zz' is not one of the fields \('mu', 'rho'\)"):
+        shift_certificate(closed_tensor("toda", 5), "zz")
+
+
 def test_gf_check_named_tensors():
     N = 5
     rng = Random(3)

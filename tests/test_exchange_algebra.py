@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 from math import isqrt, lcm
@@ -529,6 +530,21 @@ def test_random_polygon_equals_fraction_reference():
                     ]
                     b.setstate(a.getstate())
     assert rejected > 0
+
+
+RANDOM_POLYGON_SHA256 = "42ed1edc8b0941f9061d54a6e385d77cb77810d6e0ed4e615474dd7ba5c79606"
+
+
+def test_random_polygon_draws_are_pinned():
+    # every accept/reject decision and every drawn polygon at nu 2-6,
+    # N in {nu, 2 nu + 1}, seeds 0-2: nu 5-6 is beyond any suite digest
+    h = hashlib.sha256()
+    for nu in range(2, 7):
+        for N in (nu, 2 * nu + 1):
+            for seed in range(3):
+                W = random_polygon(nu, N, Random(seed))
+                h.update(repr((W.V, W.M)).encode())
+    assert h.hexdigest() == RANDOM_POLYGON_SHA256
 
 
 def test_polygon_extension_rule():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polypoisson import linalg
 from polypoisson.linalg import ZERO, det, rref, solve
 from test_lattice_ops import nullspace
-from test_multipoly import Dual
+from test_multipoly import Dual, laplace_det
 
 F = Fraction
 
@@ -194,9 +194,14 @@ def reference_adjugate(a):
     ]
 
 
+def laplace_value(a):
+    """det a by Laplace expansion (test_multipoly.laplace_det), 1 for n = 0."""
+    return laplace_det([[Dual.const(x) for x in row] for row in a]).val if a else 1
+
+
 def _assert_matches_reference(a):
     before = [row[:] for row in a]
-    assert det(a) == reference_det(a)
+    assert det(a) == reference_det(a) == laplace_value(a)
     adj = adjugate(a)
     assert adj == reference_adjugate(a)
     assert all(type(x) is Fraction for row in adj for x in row)
@@ -225,6 +230,35 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_det_and_adjugate_match_fraction_elimination(a):
     _assert_matches_reference(a)
+
+
+@st.composite
+def int_square_matrices(draw):
+    """Square int matrices, n 0-6: a zero at (0, 0) makes the first pivot a
+    row swap, the last one or two rows replaced by combinations of the rows
+    before them make the rank at most n - 1 or n - 2, and the rows may then
+    be shuffled."""
+    n = draw(st.integers(0, 6))
+    m = [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        m[0][0] = 0
+    free = n - draw(st.integers(0, min(2, max(n - 1, 0))))
+    for i in range(free, n):
+        cs = [draw(st.integers(-3, 3)) for _ in range(free)]
+        m[i] = [sum(c * row[j] for c, row in zip(cs, m)) for j in range(n)]
+    if draw(st.booleans()):
+        m = [m[i] for i in draw(st.permutations(range(n)))]
+    return m
+
+
+@given(int_square_matrices())
+@example([[0, 1], [1, 0]])  # a row swap: det -1
+@example([[0, 2, 1], [3, 1, 0], [1, 1, 1]])  # a swap at step 0, full rank
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])  # rank n - 1
+@example([[1, 2, 3], [2, 4, 6], [-1, -2, -3]])  # rank n - 2
+@example([])
+def test_int_det_equals_laplace(m):
+    assert linalg._int_det([row[:] for row in m]) == laplace_value(m)
 
 
 Z = F(0)

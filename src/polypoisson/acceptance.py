@@ -90,6 +90,8 @@ _PROJECTIVE_SAMPLES = 10
 _CASIMIR_POLYGONS = 5
 _FIELD_POINTS = 10
 _FLOW_POLYGONS = 5
+# the N = 3 Toda state the float integrator starts from, here and in the flow verb
+_TODA_START = {"mu": (1.2, -0.9, 0.4), "rho": (1.0, 2.5, 0.6)}
 
 
 def _zero_phi(N: int) -> OddKernel:
@@ -292,12 +294,11 @@ def check_flow_consistency(seed: int = 0) -> list:
 
 def check_integrator_drift(seed: int = 0) -> list:
     t0 = time.time()
-    N = 3
-    start = {"mu": [1.2, -0.9, 0.4], "rho": [1.0, 2.5, 0.6]}
+    N = len(_TODA_START["mu"])
     vf = toda_float_vf(N)
     inv = toda_invariants(N)
-    _, rep_fine = integrate(vf, start, 1e-3, 1000, invariants=inv)
-    _, rep_coarse = integrate(vf, start, 1e-2, 100, invariants=inv)
+    _, rep_fine = integrate(vf, _TODA_START, 1e-3, 1000, invariants=inv)
+    _, rep_coarse = integrate(vf, _TODA_START, 1e-2, 100, invariants=inv)
     drift_fine = max(rep_fine["max_relative_drift"])
     drift_coarse = max(rep_coarse["max_relative_drift"])
     ratio = drift_coarse / drift_fine if drift_fine else float("inf")

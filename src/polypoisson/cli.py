@@ -31,7 +31,7 @@ from fractions import Fraction
 from random import Random
 
 from . import acceptance
-from .acceptance import _doc, run_suite
+from .acceptance import _TODA_START, _doc, run_suite
 from .coord_reduction import closed_tensor, pushforward_check, random_fields, toda_dirac_vs_ftv
 from .dynamics import integrate, toda_float_vf, toda_invariants, trajectory_csv
 from .exchange_algebra import BracketSpec, default_rc, random_polygon, verify_structure, verify_ybe
@@ -211,9 +211,8 @@ def _cmd_compat(cfg: argparse.Namespace) -> list:
 def _cmd_flow(cfg: argparse.Namespace) -> list:
     docs = acceptance.check_flow_consistency(cfg.seed)
     t0 = time.time()
-    N = 3
-    start = {"mu": [1.2, -0.9, 0.4], "rho": [1.0, 2.5, 0.6]}
-    traj, rep = integrate(toda_float_vf(N), start, cfg.dt, cfg.steps, invariants=toda_invariants(N))
+    N = len(_TODA_START["mu"])
+    traj, rep = integrate(toda_float_vf(N), _TODA_START, cfg.dt, cfg.steps, invariants=toda_invariants(N))
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(trajectory_csv(traj))

@@ -686,19 +686,19 @@ def jacobiator(P, point) -> Fraction:
     """Max-abs Jacobiator of a tensor at a point, exact.
 
     The maximum of |sum_s P_{I s} d_s P_{J K} + cyclic| over the triples I < J < K
-    of field sites that ``_pencil_sums`` sweeps, its t^0 coefficient with no Q:
+    of field sites that ``_pencil_sweep`` sweeps, its t^0 coefficient with no Q:
     one per shift orbit if P passes the shift-invariance entry check, else all.
     """
     if point is None:
         raise ValueError("jacobiator needs a point: pencil_certificate is the check with no point")
-    L, (x, _, _) = _pencil_sums(as_poly_tensor(P), None, point)
+    L, (x, _, _) = next(_pencil_sweep(as_poly_tensor(P), None, [point]))
     return Fraction(x, L)
 
 
-def _pencil_sums(TP: PolyTensor, TQ, point=None):
-    """The Jacobiator of the pencil P + tQ at a point, or as polynomials, by its t-coefficients.
+def _pencil_sweep(TP: PolyTensor, TQ, points):
+    """The Jacobiator of the pencil P + tQ at each point, as polynomials at a None point, by its t-coefficients.
 
-    Returns (L, (x, y, z)): each triple's Jacobiator of P + tQ is
+    Yields (L, (x, y, z)) per point: each triple's Jacobiator of P + tQ is
     (x' + t y' + t^2 z') / L, x' = J(P), y' the mixed term (P's values
     against Q's gradients and Q's against P's), z' = J(Q), and x, y, z are
     the max-abs of x', y', z' over the triples: ints at a point, int-coefficient
@@ -706,11 +706,12 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
     point.  All three vanish exactly when every member of the pencil
     satisfies Jacobi at the point, or at every point.  TQ = None gives y = z = 0.
 
-    ``_int_point`` scales the point for both tensors, and ``_int_tables``
-    evaluates each tensor once, values over Lv and gradient entries over Lg,
-    so L = Lv Lg.  No dense matrix is built; ``_accumulate`` sums in ints,
-    holding the triples of one smallest index a at a time.  It assumes P_JK =
-    -P_KJ, which ``_antisymmetry`` checks.
+    The shift check and ``_int_scale`` run once; ``_int_point`` scales each
+    point for both tensors, and ``_int_tables`` evaluates each tensor once,
+    values over Lv and gradient entries over Lg, so L = Lv Lg.  No dense
+    matrix is built; ``_accumulate`` sums in ints, holding the triples of one
+    smallest index a at a time.  It assumes P_JK = -P_KJ, which
+    ``_antisymmetry`` checks.
 
     When every given tensor passes ``_shift_invariant``, only a = i N is swept:
     each orbit of triples under the shift (i, m) -> (i, m + 1) has a member of
@@ -719,11 +720,6 @@ def _pencil_sums(TP: PolyTensor, TQ, point=None):
     where Jacobi fails; at a point a failing tensor may read a smaller maximum
     than the full sweep.  A tensor failing the check gets every a.
     """
-    return next(_pencil_sweep(TP, TQ, [point]))
-
-
-def _pencil_sweep(TP: PolyTensor, TQ, points):
-    """``_pencil_sums`` at each point in turn, the shift check and ``_int_scale`` run once."""
     if TQ is not None and (TQ.field_names, TQ.N) != (TP.field_names, TP.N):
         raise ValueError("tensors live on different field spaces")
     given = [T for T in (TP, TQ) if T is not None]
@@ -910,13 +906,13 @@ def pencil_certificate(P, Q=None) -> Fraction:
 
     The largest absolute coefficient, as polynomials in the field variables,
     of every P_JK + P_KJ (and Q_JK + Q_KJ), the diagonal included, and of the
-    three t-coefficients of every triple's Jacobiator (``_pencil_sums`` with
-    no point).  Zero certifies that P, or every member of the pencil, is an
+    three t-coefficients of every triple's Jacobiator (``_pencil_sweep`` at
+    the None point).  Zero certifies that P, or every member of the pencil, is an
     antisymmetric tensor satisfying Jacobi at every field point of period N;
     no point is sampled.  Tensors on different field spaces: ValueError.
     """
     TP, TQ = as_poly_tensor(P), None if Q is None else as_poly_tensor(Q)
-    L, xyz = _pencil_sums(TP, TQ)
+    L, xyz = next(_pencil_sweep(TP, TQ, [None]))
     return max(Fraction(max(xyz), L), *(_antisymmetry(T) for T in (TP, TQ) if T is not None))
 
 

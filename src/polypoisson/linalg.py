@@ -8,9 +8,9 @@ exact: ``det`` scales the matrix once to ints over a common denominator and
 reads its last pivot (``_int_det``), ``rref`` (under ``solve`` and
 ``inverse``) scales each row over its own, and ``_int_adjugate`` eliminates
 [m | I], which gives ``det_grad``, the one determinant-with-gradient.
-``_int_pairings`` contracts int gradients against an int matrix and builds no
-Fraction; its callers cross-multiply the ints and build one Fraction per
-residual.  The others build Fractions only for their results.
+``_int_pairings`` contracts int gradients against whole int rows of a matrix
+and builds no Fraction; its callers cross-multiply the ints and build one
+Fraction per residual.  The others build Fractions only for their results.
 """
 
 from __future__ import annotations
@@ -216,14 +216,11 @@ def _sparse_sum(terms) -> dict:
 def rref(a):
     """Reduced row echelon form; returns (rref_matrix, pivot_columns).
 
-    Each row is scaled to ints over the lcm of its own denominators, which
-    leaves the rref unchanged; ``_int_rref`` eliminates fraction-free, and
-    each entry is one Fraction over the last pivot.
+    Each row is scaled to ints over the lcm of its own denominators
+    (``_scaled([row])``), which leaves the rref unchanged; ``_int_rref``
+    eliminates fraction-free, and each entry is one Fraction over the last pivot.
     """
-    m = []
-    for row in a:
-        d = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (d // x.denominator) for x in row])
+    m = [_scaled([row])[0][0] for row in a]
     pivots, p, _ = _int_rref(m)
     return [[Fraction(x, p) if x else ZERO for x in row] for row in m], pivots
 
@@ -260,19 +257,15 @@ def _int_pairings(F, A, G) -> list:
     """The chain-rule table of f^T (A / den) g for f in F, g in G: entry (f, g) is the int acc for acc / (df den dg).
 
     F and G hold int covectors (c, d), c a sparse {index: int} standing for
-    c / d; A is a matrix of ints over den, as ``_PiTable.ints`` gives Pi.  The
-    rows of A that F reads, cut to the columns that G reads, give one int
-    covector f^T A per f.
+    c / d; A is a matrix of ints over den, as ``_PiTable.ints`` gives Pi.  Each
+    f gives one int row f^T A over all of A's columns, read at each g's entries.
     """
-    cols = sorted({j for g, _ in G for j in g})
-    pos = {j: p for p, j in enumerate(cols)}
-    block = {i: [A[i][j] for j in cols] for i in {i for f, _ in F for i in f}}
-    gs = [[(pos[j], c) for j, c in g.items() if c] for g, _ in G]
+    width = len(A[0]) if A else 0
     table = []
     for f, _ in F:
-        u = [0] * len(cols)
+        u = [0] * width
         for i, c in f.items():
             if c:
-                u = [x + c * y for x, y in zip(u, block[i])]
-        table.append([sum(u[p] * c for p, c in g) for g in gs])
+                u = [x + c * y for x, y in zip(u, A[i])]
+        table.append([sum(u[j] * c for j, c in g.items()) for g, _ in G])
     return table

@@ -19,7 +19,7 @@ from polypoisson.coord_reduction import (
     NonUniqueGauge,
     OpTensor,
     PolyTensor,
-    _pencil_sums,
+    _pencil_sweep,
     _var,
     as_poly_tensor,
     closed_tensor,
@@ -1326,7 +1326,7 @@ def test_compatibility_equals_pencil_jacobiator():
         got.append(compatibility(P, Q, pts))
         assert got[-1] == dense_compatibility(P, Q, pts)
         # the same sweep reads J(P) off the t^0 term and J(Q) off the t^2 term
-        L, xyz = _pencil_sums(P, Q, pts[0])
+        L, xyz = next(_pencil_sweep(P, Q, [pts[0]]))
         coeffs = tuple(F(c, L) for c in xyz)
         assert coeffs == dense_pencil(P, Q, pts[0])
         assert (coeffs[0], coeffs[2]) == (dense_jacobiator(P, pts[0]), dense_jacobiator(Q, pts[0]))
@@ -1394,7 +1394,7 @@ def test_symbolic_sweep_matches_dense_reference_on_every_scaling_path():
     tensors = (MIXED, CUBIC, CONSTANT, EMPTY)
     for P in tensors:
         for Q in tensors:
-            L, xyz = _pencil_sums(P, Q)
+            L, xyz = next(_pencil_sweep(P, Q, [None]))
             assert tuple(F(c, L) for c in xyz) == dense_symbolic_pencil(P, Q)
     assert all(dense_symbolic_pencil(P, P)[0] for P in (MIXED, CUBIC))
     assert pencil_certificate(CONSTANT) != 0  # no Jacobiator term; its antisymmetry fails
@@ -1518,7 +1518,7 @@ def test_shift_certificate_sees_a_bumped_linear_word(nu, N):
     # one doubled linear word of quotient_tensor(nu, phi^(1)) breaks both
     # its antisymmetry and its Jacobi identity as polynomials
     TP = as_poly_tensor(double_last_diagonal_word(quotient_tensor(nu, phi_special(nu, 1, N))))
-    L, (x, _, _) = _pencil_sums(TP, None)
+    L, (x, _, _) = next(_pencil_sweep(TP, None, [None]))
     assert x != 0
     assert shift_certificate(TP, "a1") != 0
 
@@ -1539,10 +1539,10 @@ def test_antisymmetry_is_part_of_the_certificate():
 
 
 def full_sweep(P, Q=None, point=None):
-    """_pencil_sums with the shift check forced to fail: every smallest index is swept."""
+    """_pencil_sweep at one point with the shift check forced to fail: every smallest index is swept."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coord_reduction, "_shift_invariant", lambda T: False)
-        return _pencil_sums(P, Q, point)
+        return next(_pencil_sweep(P, Q, [point]))
 
 
 def invariant_bump(P, i: int, j: int, dn: int, factors, c) -> PolyTensor:
@@ -1574,11 +1574,11 @@ def test_reduced_symbolic_sweep_equals_the_full_sweep():
     # (L, xyz) as every triple
     for T in shift_cases():
         assert coord_reduction._shift_invariant(T)
-        L, xyz = _pencil_sums(T, None)
+        L, xyz = next(_pencil_sweep(T, None, [None]))
         assert (L, xyz) == full_sweep(T) and xyz == (0, 0, 0)
     for N in (5, 7):
         P1, P2 = (as_poly_tensor(closed_tensor(name, N)) for name in ("P1", "P2"))
-        assert _pencil_sums(P1, P2) == full_sweep(P1, P2)
+        assert next(_pencil_sweep(P1, P2, [None])) == full_sweep(P1, P2)
 
 
 def test_invariant_bump_is_red_with_the_full_sweeps_height():
@@ -1595,11 +1595,11 @@ def test_invariant_bump_is_red_with_the_full_sweeps_height():
     ]
     for P, Q in bumps:
         assert all(coord_reduction._shift_invariant(T) for T in (P, Q) if T is not None)
-        L, xyz = _pencil_sums(P, Q)
+        L, xyz = next(_pencil_sweep(P, Q, [None]))
         assert any(xyz)
         assert (L, xyz) == full_sweep(P, Q)
         pt = random_fields(P.field_names, N, rng)
-        L, xyz = _pencil_sums(P, Q, pt)
+        L, xyz = next(_pencil_sweep(P, Q, [pt]))
         assert any(xyz)
         zero = PolyTensor(P.field_names, N, P.bracket_scale)
         assert tuple(F(c, L) for c in xyz) == dense_pencil(P, Q or zero, pt, representatives=True)
@@ -1620,7 +1620,7 @@ def test_reduced_sweep_at_a_point_reads_the_orbit_representatives():
         assert jacobiator(T, pt) == max(reps)
     assert jacobiator(bumped, pt) != 0
     pt = random_fields(P1.field_names, N, rng)
-    L, xyz = _pencil_sums(P1, P2, pt)
+    L, xyz = next(_pencil_sweep(P1, P2, [pt]))
     assert tuple(F(c, L) for c in xyz) == dense_pencil(P1, P2, pt, representatives=True) == (0, 0, 0)
 
 
@@ -1643,7 +1643,7 @@ def test_shift_check_reads_every_entry():
         T.entries[key] = Poly({mono: coeff})
         assert coord_reduction._shift_invariant(T) is invariant
     assert coord_reduction._shift_invariant(EMPTY)
-    assert _pencil_sums(EMPTY, None) == (1, (0, 0, 0))
+    assert next(_pencil_sweep(EMPTY, None, [None])) == (1, (0, 0, 0))
     assert jacobiator(EMPTY, UV_POINTS[0]) == 0
 
 
@@ -1798,7 +1798,7 @@ def test_compatibility_reads_each_tensor_once_per_call(monkeypatch):
     assert compatibility(P1, P2, pts) == 0
     assert dict(calls) == {"_shift_invariant": 2, "_int_scale": 1, "_int_point": 3}
     broken = perturbed(P2, rng, antisymmetric=True)
-    per_point = [_pencil_sums(P1, broken, pt) for pt in pts]
+    per_point = [next(_pencil_sweep(P1, broken, [pt])) for pt in pts]
     assert compatibility(P1, broken, pts) == max(F(max(xyz), L) for L, xyz in per_point) != 0
     assert compatibility(P1, broken, pts) == dense_compatibility(P1, broken, pts)
 

@@ -1,8 +1,11 @@
 """The README cites code by backticked dotted names (`module.name`,
 `Class.name`) and by bare private names (`_name`); each must name something
 that exists, so a change that deletes or renames a cited name fails here
-until the README follows.  Its command-line examples must parse."""
+until the README follows.  Its command-line examples must parse.  Every
+name a package module imports is used there, save the re-exports of
+``__init__.py``."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -84,7 +87,7 @@ def test_a_deleted_name_does_not_resolve():
         "ProjPolygon.from_polygon", "dynamics.gf_check", "dynamics.lie_deform", "LinearityViolated",
         "dynamics.LinearityViolated", "Polygon.vertex", "Polygon.wronskian_at", "Polygon.require_nondegenerate",
         "exchange_algebra.wronskian", "coord_reduction._int_eval", "lattice_ops.solve_phi",
-        "lattice_ops.NoSolution", "linalg.dot",
+        "lattice_ops.NoSolution", "linalg.dot", "coord_reduction._pencil_sums",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
@@ -117,3 +120,24 @@ def test_readme_command_lines_parse():
     for line in lines:
         args = parser.parse_args(shlex.split(line, comments=True)[1:])
         assert args.verb in cli.VERBS, line
+
+
+def unused_imports(source: str) -> list:
+    """The names that the import statements of a module bind and its code never reads."""
+    tree = ast.parse(source)
+    bound = [
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    assert unused_imports("import os\nfrom math import lcm, gcd\nos.sep\ngcd(2, 4)\n") == ["lcm"]
+    modules = sorted(Path(polypoisson.__file__).resolve().parent.glob("*.py"))
+    assert len(modules) == len(MODULES) + 2  # __init__ re-exports; __main__ is checked too
+    unused = {m.name: unused_imports(m.read_text(encoding="utf-8")) for m in modules if m.name != "__init__.py"}
+    assert unused == dict.fromkeys(unused, [])

@@ -141,6 +141,8 @@ def test_pairings_equals_reference_exactly():
     got = int_pairings([{}, {3: F(5, 6)}], A, [{0: F(1, 4)}, {5: F(2, 9)}])
     assert got == [[0, 0], [0, 0]]
     assert int_pairings([], A, [{0: F(1)}]) == []
+    # a matrix with no rows has no columns: an empty f against an empty g reads 0
+    assert linalg._int_pairings([({}, 1)], [], [({}, 1)]) == [[0]]
 
 
 # int covectors (c, d) for c / d: empty ones and zero coefficients included

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from . import coord_reduction, linalg
+from . import coord_reduction
 from .coord_reduction import (
     as_poly_tensor,
     closed_tensor,
@@ -248,9 +248,11 @@ def check_pushforward(seed: int = 0) -> list:
             res = max(res, coord_reduction._pushforward_residual(*tensors, u))
         docs.append(_doc("pushforward", {"N": N, "points": _FIELD_POINTS}, res, seed, t0))
     t0 = time.time()
-    lhs = closed_tensor("ftv_S", 5).eval_matrix({"S": PerSeq.constant(5, 1)})
-    rhs = shift_kernel({1: 1, 2: 1, -1: -1, -2: -1}, 5).matrix()
-    res = max(linalg.max_abs(linalg.mat_sub(lhs, rhs)), coord_reduction.pushforward_check(PerSeq.constant(5, 1)))
+    # ftv_S at S = 1 is the circulant D + D^2 - D^-1 - D^-2: rows / L against k / dk
+    L, rows = closed_tensor("ftv_S", 5).int_matrix({"S": PerSeq.constant(5, 1)})
+    k, dk, _ = shift_kernel({1: 1, 2: 1, -1: -1, -2: -1}, 5).ints
+    gap = max(abs(x * dk - k[(m - n) % 5] * L) for m, row in enumerate(rows) for n, x in enumerate(row))
+    res = max(Fraction(gap, L * dk), coord_reduction.pushforward_check(PerSeq.constant(5, 1)))
     docs.append(_doc("pushforward", {"N": 5, "case": "u=1 closed form"}, res, seed, t0))
     return docs
 

@@ -98,14 +98,15 @@ class TransferMatrix:
 
 
 def char_poly(T) -> list:
-    """Characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] of T."""
+    """Characteristic polynomial coefficients [1, c_{n-1}, ..., c_0] of T, by
+    Faddeev-LeVerrier: M_1 = T, M_k = T (M_{k-1} + c_{k-1} I), c_k = -tr M_k / k."""
     n = len(T)
-    coeffs = [ONE]
-    Mk, eye = None, linalg.identity(n)
+    coeffs, Mk = [ONE], T
     for k in range(1, n + 1):
-        Mk = T if Mk is None else linalg.mat_mul(T, linalg.mat_add(Mk, linalg.mat_scale(eye, coeffs[-1])))
-        ck = -sum(Mk[i][i] for i in range(n)) / k
-        coeffs.append(ck)
+        if k > 1:
+            c = coeffs[-1]
+            Mk = linalg.mat_mul(T, [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(Mk)])
+        coeffs.append(-sum(Mk[i][i] for i in range(n)) / k)
     return coeffs
 
 
@@ -145,36 +146,30 @@ def ham_vf(P, H: Poly, point) -> dict:
     return {name: PerSeq(P.N, tuple(vel[i * P.N : (i + 1) * P.N])) for i, name in enumerate(P.field_names)}
 
 
-def lifted_vf(W: Polygon):
+def lifted_vf(W: Polygon, ctx: _DualCtx = None):
     """The vertex-space lift of the quadratic Toda flow (order 2 only).
 
     dV_m/dt = (w_m / w_{m-1}) V_{m-1} = a^(0)_{m-1} V_{m-1}, with the
     monodromy frozen.  At m = 0 the recursion V_{m+2} = a^(1)_m V_{m+1} -
     a^(0)_m V_m at m = -1 gives a^(0)_{N-1} V_{-1} = a^(1)_{N-1} V_0 - V_1,
-    so the fields of ``coords`` give every velocity with no M^-1.  Like
-    coords, a vanishing Wronskian raises DegeneratePolygon and N < 2 a
-    ValueError.  Pushing forward through coords reproduces ham_vf(toda,
-    sum mu) exactly.
+    so the fields of ``coords`` give every velocity with no M^-1; a caller
+    that holds W's ``_DualCtx`` passes it as ctx.  Like coords, a vanishing
+    Wronskian raises DegeneratePolygon and N < 2 a ValueError.  Pushing
+    forward through coords reproduces ham_vf(toda, sum mu) exactly.
     """
-    return _lifted_vdot(_DualCtx(W)), ((ZERO, ZERO), (ZERO, ZERO))
-
-
-def _lifted_vdot(ctx: _DualCtx) -> tuple:
-    """The vertex velocities of ``lifted_vf``, from the fields of ctx's polygon."""
-    W = ctx.W
     if W.nu != 2:
         raise ValueError("the lifted flow is defined for nu = 2")
     point, V, N = coords(W, ctx), W.V, W.N
     a0, a1 = point["a0"], point["a1"]
     vdot = [tuple(a1[N - 1] * x - y for x, y in zip(V[0], V[1]))]
     vdot += [tuple(a0[m - 1] * x for x in V[m - 1]) for m in range(1, N)]
-    return tuple(vdot)
+    return tuple(vdot), ((ZERO, ZERO), (ZERO, ZERO))
 
 
 def lifted_flow_residual(W: Polygon) -> Fraction:
     """Exact mismatch between the pushforward of lifted_vf and the Toda flow, both read from one ``_DualCtx``."""
     N, names, ctx = W.N, ("mu", "rho"), _DualCtx(W)
-    vdot = _lifted_vdot(ctx)
+    vdot = lifted_vf(W, ctx)[0]
     flat = {W.var_v(m, a): x for m in range(N) for a, x in enumerate(vdot[m])}
     vel = ham_vf(closed_tensor("toda", N), sum_field(names, N, "mu"), coords(W, ctx))
     res = ZERO

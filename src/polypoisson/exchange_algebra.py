@@ -101,19 +101,21 @@ class Polygon:
 
 
 def group_act(p: PerSeq, g, W: Polygon) -> Polygon:
-    """The commuting scaling/projective actions: (p, g) . (V, M) = (pVg^-1, gMg^-1)."""
+    """The commuting scaling/projective actions: (p, g) . (V, M) = (pVg^-1, gMg^-1).
+
+    With g = G / d over ints, g^-1 = d adj(G) / det G by ``linalg._int_adjugate``.
+    """
     if not p.nonvanishing():
         raise ValueError("scaling sequence must be nonvanishing")
     g = [[rat(x) for x in row] for row in g]
-    if linalg.det(g) == 0:
+    G, d = linalg._scaled(g)
+    det_g, adj = linalg._int_adjugate(G)
+    if not det_g:
         raise ValueError("group element must be invertible")
-    ginv = linalg.inverse(g)
-    V = tuple(
-        tuple(p[m] * x for x in linalg.mat_vec(linalg.transpose(ginv), list(W.V[m])))
-        for m in range(W.N)
-    )
+    ginv = [[Fraction(d * x, det_g) for x in row] for row in adj]
+    V = linalg.mat_mul([list(r) for r in W.V], ginv)
     M = linalg.mat_mul(linalg.mat_mul(g, [list(r) for r in W.M]), ginv)
-    return Polygon(W.nu, W.N, V, tuple(tuple(row) for row in M))
+    return Polygon(W.nu, W.N, tuple(tuple(p[m] * x for x in V[m]) for m in range(W.N)), tuple(map(tuple, M)))
 
 
 def random_polygon(nu: int, N: int, rng: Random) -> Polygon:

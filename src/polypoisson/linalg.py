@@ -1,16 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated in scaled ints.
 
 Matrices are plain lists of lists of ``fractions.Fraction``.  Everything here
 is exact; there is no floating point and no pivot-size heuristics beyond
 picking the first nonzero pivot.  One elimination, ``_int_rref``, runs in
 scaled ints with Bareiss's fraction-free updates, in which every division is
 exact: ``det`` scales the matrix once to ints over a common denominator and
-reads its last pivot (``_int_det``), ``rref`` (under ``solve`` and
-``inverse``) scales each row over its own, and ``_int_adjugate`` eliminates
-[m | I], which gives ``det_grad``, the one determinant-with-gradient.
-``_int_pairings`` contracts int gradients against whole int rows of a matrix
-and builds no Fraction; its callers cross-multiply the ints and build one
-Fraction per residual.  The others build Fractions only for their results.
+reads its last pivot (``_int_det``), and ``_int_adjugate`` eliminates
+[m | I], which gives ``det_grad``, the one determinant-with-gradient, and
+the inverse that ``group_act`` applies.  ``_int_pairings`` contracts int
+gradients against whole int rows of a matrix and builds no Fraction; its
+callers cross-multiply the ints and build one Fraction per residual.
+``mat_mul`` is the one dense product, of group elements and of transfer
+matrices over Fractions or Polys.
 """
 
 from __future__ import annotations
@@ -46,23 +47,6 @@ def zeros(rows: int, cols: int) -> list[list[Fraction]]:
     return [[ZERO] * cols for _ in range(rows)]
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c):
-    c = rat(c)
-    return [[c * x for x in row] for row in a]
-
-
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k, "inner dimensions differ"
@@ -78,25 +62,6 @@ def mat_mul(a, b):
                     if bp[j]:
                         oi[j] += c * bp[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v) if c), ZERO) for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
-def max_abs(a) -> Fraction:
-    m = ZERO
-    for row in a:
-        for x in row:
-            if x < 0:
-                x = -x
-            if x > m:
-                m = x
-    return m
 
 
 def _scaled(a):
@@ -211,46 +176,6 @@ def _sparse_sum(terms) -> dict:
             for v, x in g.items():
                 acc[v] = acc.get(v, 0) + c * x
     return {v: x for v, x in acc.items() if x}
-
-
-def rref(a):
-    """Reduced row echelon form; returns (rref_matrix, pivot_columns).
-
-    Each row is scaled to ints over the lcm of its own denominators
-    (``_scaled([row])``), which leaves the rref unchanged; ``_int_rref``
-    eliminates fraction-free, and each entry is one Fraction over the last pivot.
-    """
-    m = [_scaled([row])[0][0] for row in a]
-    pivots, p, _ = _int_rref(m)
-    return [[Fraction(x, p) if x else ZERO for x in row] for row in m], pivots
-
-
-def solve(a, b):
-    """Solve a x = b for one consistent solution, else return None.
-
-    ``b`` may be a vector or a matrix of right-hand-side columns; the return
-    mirrors its shape.  Under-determined systems return the solution with
-    zeros in the free coordinates.
-    """
-    vector = not isinstance(b[0], list)
-    bm = [[x] for x in b] if vector else b
-    rows = len(a)
-    cols = len(a[0])
-    width = len(bm[0])
-    aug = [a[i][:] + bm[i][:] for i in range(rows)]
-    red, pivots = rref(aug)
-    x = zeros(cols, width)
-    for r, c in enumerate(pivots):
-        if c >= cols:  # a pivot on the right-hand side: inconsistent
-            return None
-        for j in range(width):
-            x[c][j] = red[r][cols + j]
-    return [row[0] for row in x] if vector else x
-
-
-def inverse(a):
-    """Exact inverse, the exact solve of a x = I; None when a is singular, as that system is then inconsistent."""
-    return solve(a, identity(len(a)))
 
 
 def _int_pairings(F, A, G) -> list:

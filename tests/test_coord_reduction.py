@@ -10,6 +10,17 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 from test_exchange_algebra import pi_pairings, reference_vertex, reference_wronskian
 from test_json_roundtrip import op_tensors, rationals
+from test_linalg import (
+    identity,
+    mat_add,
+    mat_scale,
+    mat_sub,
+    mat_vec,
+    max_abs,
+    reference_det,
+    reference_rref,
+    transpose,
+)
 
 from polypoisson import acceptance, coord_reduction, linalg
 from polypoisson.coord_reduction import (
@@ -93,7 +104,7 @@ def reference_coords(W):
         raise DegeneratePolygon(f"Wronskian vanishes at site {w.index(0)}")
     seqs = [PerSeq(N, tuple(w[m + 1] / w[m] for m in range(N)))]
     for k in range(1, nu):
-        vals = [linalg.det([reference_vertex(W, m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
+        vals = [reference_det([reference_vertex(W, m + r) for r in range(nu + 1) if r != k]) / w[m] for m in range(N)]
         seqs.append(PerSeq(N, tuple(vals)))
     return {f"a{k}": seq for k, seq in enumerate(seqs)}
 
@@ -194,8 +205,8 @@ def test_murho_with_special_phi_is_twice_toda():
     toda = as_poly_tensor(closed_tensor("toda", N))
     pt = random_fields(("mu", "rho"), N, Random(2))
     lhs = murho.eval_matrix(pt)
-    rhs = linalg.mat_scale(toda.eval_matrix(pt), 2)
-    assert linalg.max_abs(linalg.mat_sub(lhs, rhs)) == 0
+    rhs = mat_scale(toda.eval_matrix(pt), 2)
+    assert max_abs(mat_sub(lhs, rhs)) == 0
 
 
 def two_kernel_tensor(N: int) -> OpTensor:
@@ -226,7 +237,7 @@ def reference_eval_matrix(T: OpTensor, point) -> list:
                     diag = [1 / seq[r] if kind == "finv" else seq[r] for r in range(N)]
                     fm = [[diag[r] if r == c else F(0) for c in range(N)] for r in range(N)]
                 mat = fm if mat is None else linalg.mat_mul(mat, fm)
-            total = linalg.mat_add(total, mat)
+            total = mat_add(total, mat)
         for m in range(N):
             for n in range(N):
                 out[i * N + m][j * N + n] = total[m][n]
@@ -515,7 +526,7 @@ def reference_pushforward(u: PerSeq) -> Fraction:
     JP = [[u[m + 1] * a + u[m] * b for a, b in zip(P_u[m], P_u[(m + 1) % N])] for m in range(N)]
     lhs = [[row[n] * u[n + 1] + row[(n + 1) % N] * u[n] for n in range(N)] for row in JP]
     rhs = reference_eval_matrix(coord_reduction.closed_tensor("ftv_S", N), {"S": S})
-    return linalg.max_abs(linalg.mat_sub(lhs, rhs))
+    return max_abs(mat_sub(lhs, rhs))
 
 
 def test_pushforward_matches_fraction_reference(monkeypatch):
@@ -598,7 +609,7 @@ def test_ftv_u_at_zero_field_is_shift_difference():
     T = closed_tensor("ftv_u", N)
     mat = T.eval_matrix({"u": PerSeq.constant(N, 0)})
     expect = shift_kernel({1: 1, -1: -1}, N).matrix()
-    assert linalg.max_abs(linalg.mat_sub(mat, expect)) == 0
+    assert max_abs(mat_sub(mat, expect)) == 0
 
 
 def test_oracle_matches():
@@ -872,9 +883,9 @@ def test_dirac_toda_period3_is_zero_matrix():
     pt = {"mu": PerSeq.constant(N, 1), "rho": PerSeq.constant(N, 1)}
     full = toda.eval_matrix(pt)
     red = dirac_reduce(full, [N + m for m in range(N)])
-    assert linalg.max_abs(red) == 0
+    assert max_abs(red) == 0
     ftv = closed_tensor("ftv_u", N).eval_matrix({"u": PerSeq.constant(N, 1)})
-    assert linalg.max_abs(ftv) == 0
+    assert max_abs(ftv) == 0
 
 
 def test_dirac_toda_matches_ftv_random():
@@ -928,7 +939,7 @@ def reference_dirac_reduce(P_eval, constrained) -> list:
     A = [[P_eval[i][j] for j in free] for i in free]
     B = [[P_eval[i][j] for j in con] for i in free]
     k = len(con)
-    red, pivots = linalg.rref([[P_eval[i][j] for j in con] + [P_eval[j][i] for j in free] for i in con])
+    red, pivots = reference_rref([[P_eval[i][j] for j in con] + [P_eval[j][i] for j in free] for i in con])
     if pivots and pivots[-1] >= k:
         raise ConstraintNotSecondClass("couplings do not lie in the range of the constraint block")
     Z = linalg.zeros(k, len(free))
@@ -939,9 +950,9 @@ def reference_dirac_reduce(P_eval, constrained) -> list:
         v[f] = F(1)
         for r, c in enumerate(pivots):
             v[c] = -red[r][f]
-        if any(linalg.mat_vec(B, v)):
+        if any(mat_vec(B, v)):
             raise ConstraintNotSecondClass("constraint block nullspace couples to the free block")
-    return linalg.mat_add(A, linalg.mat_mul(B, Z))
+    return mat_add(A, linalg.mat_mul(B, Z))
 
 
 DIRAC_CASES = {
@@ -974,8 +985,8 @@ def dirac_inputs(draw):
     nonzero = rationals.filter(bool)
     if case == "redundant":
         c = draw(st.lists(rationals, min_size=k, max_size=k).filter(any))
-        T = linalg.identity(D) + [[F(0)] * nfree + c]
-        P = linalg.mat_mul(linalg.mat_mul(T, P), linalg.transpose(T))
+        T = identity(D) + [[F(0)] * nfree + c]
+        P = linalg.mat_mul(linalg.mat_mul(T, P), transpose(T))
     elif case == "range":
         b = draw(st.lists(rationals, min_size=nfree, max_size=nfree).filter(any))
         P = [row + [F(0)] for row in P] + [[-x for x in b] + [F(0)] * (k + 1)]
@@ -1006,7 +1017,7 @@ def test_dirac_reduce_matches_fraction_reference(case_P_con):
         got = str(exc)
     assert got == want
     if DIRAC_CASES[case] is None:
-        assert linalg.max_abs(linalg.mat_add(got, linalg.transpose(got))) == 0
+        assert max_abs(mat_add(got, transpose(got))) == 0
     else:
         assert DIRAC_CASES[case] in got
 

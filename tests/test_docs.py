@@ -3,7 +3,8 @@
 that exists, so a change that deletes or renames a cited name fails here
 until the README follows.  Its command-line examples must parse.  Every
 name a package module imports is used there, save the re-exports of
-``__init__.py``."""
+``__init__.py``, and every public function of ``linalg`` is read by another
+package module."""
 
 import ast
 import importlib
@@ -87,7 +88,9 @@ def test_a_deleted_name_does_not_resolve():
         "ProjPolygon.from_polygon", "dynamics.gf_check", "dynamics.lie_deform", "LinearityViolated",
         "dynamics.LinearityViolated", "Polygon.vertex", "Polygon.wronskian_at", "Polygon.require_nondegenerate",
         "exchange_algebra.wronskian", "coord_reduction._int_eval", "lattice_ops.solve_phi",
-        "lattice_ops.NoSolution", "linalg.dot", "coord_reduction._pencil_sums",
+        "lattice_ops.NoSolution", "linalg.dot", "coord_reduction._pencil_sums", "linalg.rref", "linalg.solve",
+        "linalg.inverse", "linalg.identity", "linalg.mat_add", "linalg.mat_sub", "linalg.mat_scale",
+        "linalg.mat_vec", "linalg.transpose", "linalg.max_abs", "dynamics._lifted_vdot",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name
@@ -141,3 +144,21 @@ def test_every_import_is_used():
     assert len(modules) == len(MODULES) + 2  # __init__ re-exports; __main__ is checked too
     unused = {m.name: unused_imports(m.read_text(encoding="utf-8")) for m in modules if m.name != "__init__.py"}
     assert unused == dict.fromkeys(unused, [])
+
+
+def test_every_public_linalg_function_is_read_in_src():
+    # linalg keeps its int cores and what the package reads: each public
+    # function it defines is read by another module of the package
+    package = Path(polypoisson.__file__).resolve().parent
+    tree = ast.parse((package / "linalg.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert {"mat_mul", "det", "det_grad"} <= public
+    read = set()
+    for path in package.glob("*.py"):
+        if path.name not in ("linalg.py", "__init__.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "linalg":
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom) and node.module == "linalg":
+                    read.update(alias.name for alias in node.names)
+    assert sorted(public - read) == []

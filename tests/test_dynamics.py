@@ -13,6 +13,7 @@ from test_coord_reduction import (
     reference_poly_matrix,
 )
 from test_exchange_algebra import reference_vertex, reference_wronskian
+from test_linalg import mat_vec
 
 from polypoisson import acceptance, cli, coord_reduction, dynamics, linalg
 from polypoisson.coord_reduction import (
@@ -99,7 +100,7 @@ def test_ham_vf_reads_either_tensor_form_like_the_dense_product():
         assert vel == ham_vf(TP, H, pt)
         x = TP.point_values(pt)
         grad = {v: poly_eval(H.diff(v), x) for v in range(TP.n_vars())}
-        dense = linalg.mat_vec(TP.eval_matrix(pt), [grad[v] for v in range(TP.n_vars())])
+        dense = mat_vec(TP.eval_matrix(pt), [grad[v] for v in range(TP.n_vars())])
         assert [x for name in names for x in vel[name].values] == dense
         assert any(dense)
 
@@ -108,7 +109,7 @@ def reference_ham_vf(TP: PolyTensor, H: Poly, point) -> list:
     """P . dH in Fractions: each entry by poly_eval, each partial of H by
     Poly.diff and poly_eval, summed over the dense matrix."""
     x = TP.point_values(point)
-    return linalg.mat_vec(reference_poly_matrix(TP, point), [poly_eval(H.diff(v), x) for v in range(TP.n_vars())])
+    return mat_vec(reference_poly_matrix(TP, point), [poly_eval(H.diff(v), x) for v in range(TP.n_vars())])
 
 
 def degree_zero_tensor(N: int) -> PolyTensor:
@@ -192,6 +193,19 @@ def test_transfer_invariants_examples():
     assert coeffs == [F(1), F(2), F(1)]
     T = TransferMatrix.of((PerSeq.constant(1, 3), PerSeq.constant(1, 5)), 1)
     assert T.monodromy == [[F(0), F(-3)], [F(1), F(5)]]
+
+
+def test_char_poly_equals_sympy_charpoly():
+    # Faddeev-LeVerrier against sympy's characteristic polynomial on random
+    # rational matrices, sparse ones and the zero matrix among them
+    import sympy
+
+    rng = Random(13)
+    for n in range(1, 6):
+        for density in (1.0, 0.4, 0.0):
+            T = [[F(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < density else F(0) for _ in range(n)] for _ in range(n)]
+            want = [F(str(c)) for c in sympy.Matrix(T).charpoly().all_coeffs()]
+            assert char_poly(T) == want
 
 
 def test_transfer_invariants_rejects_mixed_periods():
@@ -292,14 +306,14 @@ def test_commuting_integrals_negative_controls(monkeypatch):
 def test_lifted_flow_negative_control(monkeypatch):
     W = random_polygon(2, 5, Random(4))
     assert lifted_flow_residual(W) == 0
-    real_lifted_vdot = dynamics._lifted_vdot
+    real_lifted_vf = dynamics.lifted_vf
 
-    def perturbed(ctx):
-        vdot = real_lifted_vdot(ctx)
+    def perturbed(W, ctx=None):
+        vdot, mdot = real_lifted_vf(W, ctx)
         bumped = tuple(x + 1 for x in vdot[2])
-        return vdot[:2] + (bumped,) + vdot[3:]
+        return vdot[:2] + (bumped,) + vdot[3:], mdot
 
-    monkeypatch.setattr(dynamics, "_lifted_vdot", perturbed)
+    monkeypatch.setattr(dynamics, "lifted_vf", perturbed)
     assert lifted_flow_residual(W) != 0
 
 

@@ -30,7 +30,18 @@ from polypoisson.exchange_algebra import (
     verify_ybe,
 )
 from polypoisson.lattice_ops import Kernel, OddKernel, PerSeq, phi_special, random_odd_kernel, sign
-from test_linalg import fraction_pairings, reference_pairings
+from test_linalg import (
+    fraction_pairings,
+    identity,
+    mat_add,
+    mat_scale,
+    mat_sub,
+    max_abs,
+    reference_det,
+    reference_inverse,
+    reference_pairings,
+    reference_solve,
+)
 from test_multipoly import Dual, laplace_det
 
 F = Fraction
@@ -38,18 +49,18 @@ F = Fraction
 
 def reference_vertex(W, m):
     """V_m for any integer m in Fractions, by the extension rule V_{m+N} = V_m M:
-    powers of M for m >= N, of linalg.inverse(M) for m < 0."""
+    powers of M for m >= N, of reference_inverse(M) for m < 0."""
     q, r = divmod(m, W.N)
     row = list(W.V[r])
-    mat = [list(x) for x in W.M] if q >= 0 else linalg.inverse([list(x) for x in W.M])
+    mat = [list(x) for x in W.M] if q >= 0 else reference_inverse([list(x) for x in W.M])
     for _ in range(abs(q)):
         row = [sum(row[c] * mat[c][a] for c in range(W.nu)) for a in range(W.nu)]
     return row
 
 
 def reference_wronskian(W, m):
-    """w_m = det[V_m ... V_{m+nu-1}] for any integer m, by linalg.det on reference_vertex rows."""
-    return linalg.det([reference_vertex(W, m + r) for r in range(W.nu)])
+    """w_m = det[V_m ... V_{m+nu-1}] for any integer m, by reference_det on reference_vertex rows."""
+    return reference_det([reference_vertex(W, m + r) for r in range(W.nu)])
 
 
 def pi_pairings(table, F_, G):
@@ -94,12 +105,12 @@ def flip_matrix(nu):
 
 
 def identity2(nu):
-    return linalg.identity(nu * nu)
+    return identity(nu * nu)
 
 
 def dense_q(spec):
     """Q = C + Id(x)Id as a dense matrix."""
-    return linalg.mat_add([list(r) for r in spec.C], identity2(spec.nu))
+    return mat_add([list(r) for r in spec.C], identity2(spec.nu))
 
 
 def dense_a_pm(spec):
@@ -107,7 +118,7 @@ def dense_a_pm(spec):
     if "reference_a_pm" in vars(spec):
         return vars(spec)["reference_a_pm"]
     R, Q = [list(r) for r in spec.R], dense_q(spec)
-    return linalg.mat_sub(R, Q), linalg.mat_add(R, Q)
+    return mat_sub(R, Q), mat_add(R, Q)
 
 
 def reference_ybe(R, C):
@@ -124,14 +135,14 @@ def reference_ybe(R, C):
         return out
 
     def commutator(a, b):
-        return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
+        return mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
     r12, r13, r23 = leg(R, 0, 1), leg(R, 0, 2), leg(R, 1, 2)
     c12, c13 = leg(C, 0, 1), leg(C, 0, 2)
     acc = commutator(r12, r13)
     for a, b in ((r12, r23), (r13, r23), (c12, c13)):
-        acc = linalg.mat_add(acc, commutator(a, b))
-    return linalg.max_abs(acc)
+        acc = mat_add(acc, commutator(a, b))
+    return max_abs(acc)
 
 
 def kron(a, b):
@@ -152,8 +163,8 @@ def kron(a, b):
 
 def t_matrix(spec, k):
     """R + sgn(k) Q + phi_k Id(x)Id, the V-V block of the bracket at site difference k."""
-    T = linalg.mat_add(spec.R, linalg.mat_scale(dense_q(spec), sign(k)))
-    return linalg.mat_add(T, linalg.mat_scale(identity2(spec.nu), spec.phi[k]))
+    T = mat_add(spec.R, mat_scale(dense_q(spec), sign(k)))
+    return mat_add(T, mat_scale(identity2(spec.nu), spec.phi[k]))
 
 
 def halved_spec(spec):
@@ -167,7 +178,7 @@ def halved_spec(spec):
     nu = spec.nu
     halved = BracketSpec(nu, spec.N, spec.R, spec.C, spec.phi)
     R, C = [list(r) for r in spec.R], [list(r) for r in spec.C]
-    a_pm = linalg.mat_scale(linalg.mat_sub(R, C), F(1, 2)), linalg.mat_scale(linalg.mat_add(R, C), F(1, 2))
+    a_pm = mat_scale(mat_sub(R, C), F(1, 2)), mat_scale(mat_add(R, C), F(1, 2))
     L, vv, phi, _, _ = spec._pi_template
     a_minus, a_plus = (_nonzeros(A, nu) for A in a_pm)
     L2 = lcm(L, *(x.denominator for *_, x in a_minus + a_plus))
@@ -199,9 +210,9 @@ def reference_assemble(spec, V, M):
                 Pi[m * nu + a][n * nu : n * nu + nu] = vv[a * nu : a * nu + nu]
     # V-M: {V_m^1, M^2} = V_m^1 [(1(x)M) A_- - A_+ (1(x)M)]
     a_minus, a_plus = dense_a_pm(spec)
-    one_m = kron(linalg.identity(nu), M)
-    m_one = kron(M, linalg.identity(nu))
-    vm = linalg.mat_sub(linalg.mat_mul(one_m, a_minus), linalg.mat_mul(a_plus, one_m))
+    one_m = kron(identity(nu), M)
+    m_one = kron(M, identity(nu))
+    vm = mat_sub(linalg.mat_mul(one_m, a_minus), linalg.mat_mul(a_plus, one_m))
     for i in range(nu):
         block = linalg.mat_mul(V, [vm[c * nu + i] for c in range(nu)])
         for m in range(N):
@@ -212,9 +223,9 @@ def reference_assemble(spec, V, M):
                     Pi[base + i * nu + j][m * nu + a] = -x
     # M-M: (M(x)M) A_- + A_+ (M(x)M) - M^1 A_+ M^2 - M^2 A_- M^1
     mm = kron(M, M)
-    mm = linalg.mat_add(linalg.mat_mul(mm, a_minus), linalg.mat_mul(a_plus, mm))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, a_plus), one_m))
-    mm = linalg.mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, a_minus), m_one))
+    mm = mat_add(linalg.mat_mul(mm, a_minus), linalg.mat_mul(a_plus, mm))
+    mm = mat_sub(mm, linalg.mat_mul(linalg.mat_mul(m_one, a_plus), one_m))
+    mm = mat_sub(mm, linalg.mat_mul(linalg.mat_mul(one_m, a_minus), m_one))
     for i1 in range(nu):
         for j1 in range(nu):
             for i2 in range(nu):
@@ -399,7 +410,7 @@ def test_default_rc_matches_dense_construction():
     # C is the swap minus the identity; R is +1 at (i,j),(j,i) for i < j and -1 for i > j
     for nu in range(2, 6):
         R, C = default_rc(nu)
-        assert C == linalg.mat_sub(flip_matrix(nu), identity2(nu))
+        assert C == mat_sub(flip_matrix(nu), identity2(nu))
         assert sorted((p, q, r, s, x) for p, q, r, s, x in _nonzeros(R, nu)) == sorted(
             (i, j, j, i, F(1 if i < j else -1)) for i in range(nu) for j in range(nu) if i != j
         )
@@ -411,7 +422,7 @@ def test_pi_template_sums_r_and_q_sparsely():
     for spec in [random_rc_spec(nu, 5, rng) for nu in (2, 3, 4)] + [spec_with(3, 5, rng=rng)]:
         L, vv, phi, a_minus, a_plus = spec._pi_template
         R, Q = [list(r) for r in spec.R], dense_q(spec)
-        for s, dense in ((0, R), (1, linalg.mat_add(R, Q)), (-1, linalg.mat_sub(R, Q))):
+        for s, dense in ((0, R), (1, mat_add(R, Q)), (-1, mat_sub(R, Q))):
             assert vv[s] == [(p, q, r, t, x * L) for p, q, r, t, x in _nonzeros(dense, spec.nu)]
             assert all(type(x) is int for *_, x in vv[s])
         assert a_minus is vv[-1] and a_plus is vv[1]
@@ -432,7 +443,7 @@ def test_int_pi_template_equals_the_fraction_formula():
         R[j][i], C[j][i] = F(1, 4), F(-1, 4)  # R + Q = 0, R - Q = 1/2
         specs.append(BracketSpec(nu, N, R, C, random_odd_kernel(N, rng)))
         specs.append(BracketSpec(nu, N, R, C, Kernel(PerSeq.constant(N, 0))))
-    empty = BracketSpec(3, 5, linalg.zeros(9, 9), linalg.mat_scale(identity2(3), -1), random_odd_kernel(5, rng))
+    empty = BracketSpec(3, 5, linalg.zeros(9, 9), mat_scale(identity2(3), -1), random_odd_kernel(5, rng))
     for spec in specs + [empty, spec_with(3, 5, rng=rng)]:
         L, vv, phi, a_minus, a_plus = spec._pi_template
         assert (L, vv, phi, a_minus, a_plus) == reference_pi_template(spec)
@@ -452,7 +463,7 @@ def test_r_is_antisymmetric_under_leg_swap():
         R, C = default_rc(nu)
         P = flip_matrix(nu)
         prp = linalg.mat_mul(linalg.mat_mul(P, R), P)
-        assert linalg.max_abs(linalg.mat_add(prp, R)) == 0
+        assert max_abs(mat_add(prp, R)) == 0
 
 
 def test_swap_normalized_casimir_property():
@@ -460,13 +471,13 @@ def test_swap_normalized_casimir_property():
     rng = Random(3)
     for nu in (2, 3):
         _, C = default_rc(nu)
-        Q = linalg.mat_add(C, identity2(nu))
+        Q = mat_add(C, identity2(nu))
         for _ in range(5):
             g = [[F(rng.randint(-3, 3)) for _ in range(nu)] for _ in range(nu)]
             h = [[F(rng.randint(-3, 3)) for _ in range(nu)] for _ in range(nu)]
             lhs = linalg.mat_mul(kron(g, h), Q)
             rhs = linalg.mat_mul(Q, kron(h, g))
-            assert linalg.max_abs(linalg.mat_sub(lhs, rhs)) == 0
+            assert max_abs(mat_sub(lhs, rhs)) == 0
 
 
 def test_polygon_validation():
@@ -492,15 +503,15 @@ def test_from_json_rejects_malformed_shapes():
 
 
 def reference_random_polygon(nu, N, rng):
-    """random_polygon in Fractions: det by linalg.det, M by linalg.solve, and
-    each site's Wronskian from reference_vertex products."""
+    """random_polygon in Fractions: det by reference_det, M by reference_solve,
+    and each site's Wronskian from reference_vertex products."""
     for _ in range(500):
         rows = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(nu)] for _ in range(N + nu)]
         A, B = rows[:nu], rows[N : N + nu]
-        if linalg.det(A) == 0 or linalg.det(B) == 0:
+        if reference_det(A) == 0 or reference_det(B) == 0:
             continue
-        M = linalg.solve(A, B)
-        d = linalg.det(M)
+        M = reference_solve(A, B)
+        d = reference_det(M)
         M[-1] = [x / d for x in M[-1]]
         W = Polygon(nu, N, tuple(tuple(r) for r in rows[:N]), tuple(tuple(r) for r in M))
         if all(reference_wronskian(W, m) for m in range(N)):
@@ -579,6 +590,32 @@ def test_group_act_identity():
     g = [[1, 0], [0, 1]]
     W2 = group_act(p, g, W)
     assert W2.V == W.V and W2.M == W.M
+
+
+def test_group_act_inverts_as_sympy_does():
+    # (p, g) . (V, M) = (p V g^-1, g M g^-1) with g^-1 from sympy, for g
+    # with fractional entries; a singular g raises
+    import sympy
+
+    rng = Random(12)
+    for nu in (2, 3, 4):
+        for _ in range(5):
+            W = random_polygon(nu, nu + 3, rng)
+            p = PerSeq(W.N, tuple(F(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4)) for _ in range(W.N)))
+            g = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nu)] for _ in range(nu)]
+            G = sympy.Matrix(g)
+            if G.det() == 0:
+                continue
+            ginv = G.inv()
+            want_V = [[p[m] * F(str(x)) for x in sympy.Matrix([list(W.V[m])]) * ginv] for m in range(W.N)]
+            want_M = [[F(str(x)) for x in (G * sympy.Matrix([list(r) for r in W.M]) * ginv).row(i)] for i in range(nu)]
+            W2 = group_act(p, g, W)
+            assert [list(r) for r in W2.V] == want_V and [list(r) for r in W2.M] == want_M
+        singular = [[F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(nu)] for _ in range(nu - 1)]
+        singular.append([F(3, 2) * x - y for x, y in zip(singular[0], singular[-1])])
+        assert sympy.Matrix(singular).det() == 0
+        with pytest.raises(ValueError, match="group element must be invertible"):
+            group_act(PerSeq.constant(W.N, 1), singular, W)
 
 
 def test_group_act_scaling_wronskian():

@@ -19,6 +19,7 @@ from polypoisson.lattice_ops import (
     random_odd_kernel,
     shift_kernel,
 )
+from test_linalg import nullspace, reference_solve
 
 F = Fraction
 
@@ -245,26 +246,11 @@ def test_invert_is_a_two_sided_inverse(case):
     assert compose(L, K).seq.values == delta(N)
 
 
-def nullspace(a) -> list:
-    """Basis of the right nullspace of a, read from linalg.rref: for each
-    column f with no pivot, 1 at f and minus column f of the pivot rows."""
-    red, pivots = linalg.rref(a)
-    cols = len(a[0]) if a else 0
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        v = [F(0)] * cols
-        v[f] = F(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
-        basis.append(v)
-    return basis
-
-
 def reference_invert(K: Kernel) -> Kernel:
     """invert by the dense route: solve K.matrix() f = delta, and on failure
-    the nullity of K.matrix() by nullspace."""
+    the nullity of K.matrix() by nullspace, both by the Fraction reference_rref."""
     mat = K.matrix()
-    col = linalg.solve(mat, [F(int(m == 0)) for m in range(K.N)])
+    col = reference_solve(mat, [F(int(m == 0)) for m in range(K.N)])
     if col is None:
         raise SingularOperator("circulant operator is singular", len(nullspace(mat)))
     return Kernel(PerSeq(K.N, tuple(col)))
@@ -351,15 +337,15 @@ def reference_convolve(K, f):
 
 def reference_solve_phi(A, b, N):
     """The minimal-norm odd solution of A(D) phi = b(D) delta by two Fraction
-    eliminations: linalg.solve for a particular solution, nullspace for the
+    eliminations: reference_solve for a particular solution, nullspace for the
     odd homogeneous ones, then the Gram projection off them."""
     mat = shift_kernel(A, N).matrix() + _odd_rows(N)
-    particular = linalg.solve(mat, list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1))
+    particular = reference_solve(mat, list(shift_kernel(b, N).seq.values) + [F(0)] * (N // 2 + 1))
     assert particular is not None, "no odd periodic kernel satisfies the equation"
     hom = nullspace(mat)
     if hom:
         gram = [[dot(u, v) for v in hom] for u in hom]
-        proj = linalg.solve(gram, [dot(u, particular) for u in hom])
+        proj = reference_solve(gram, [dot(u, particular) for u in hom])
         for coef, u in zip(proj, hom):
             particular = [x - coef * y for x, y in zip(particular, u)]
     return OddKernel(PerSeq(N, tuple(particular)))

@@ -1,18 +1,48 @@
 from fractions import Fraction
 from math import lcm
 from random import Random
-from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from polypoisson import linalg
-from polypoisson.linalg import ZERO, det, rref, solve
-from test_lattice_ops import nullspace
+from polypoisson.linalg import ZERO, det
 from test_multipoly import Dual, laplace_det
 
 F = Fraction
+
+
+# dense helpers for the test references; entries are Fractions, or Duals
+# where a reference carries gradients
+
+
+def identity(n: int) -> list:
+    return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def mat_vec(a, v):
+    return [sum((c * x for c, x in zip(row, v) if c), ZERO) for row in a]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def max_abs(a) -> Fraction:
+    return max((abs(x) for row in a for x in row), default=ZERO)
 
 
 def adjugate(a):
@@ -310,16 +340,52 @@ def reference_rref(a):
             continue
         a[r], a[piv] = a[piv], a[r]
         inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
+        a[r] = [x * inv if x else x for x in a[r]]
         for i in range(rows):
             if i != r and a[i][c]:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [x - f * y if y else x for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
         if r == rows:
             break
     return a, pivots
+
+
+def nullspace(a) -> list:
+    """Basis of the right nullspace of a, read from reference_rref: for each
+    column f with no pivot, 1 at f and minus column f of the pivot rows."""
+    red, pivots = reference_rref(a)
+    cols = len(a[0]) if a else 0
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [F(0)] * cols
+        v[f] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(a, b):
+    """One solution of a x = b by reference_rref of [a | b], zero in the free
+    coordinates, or None when the system is inconsistent.  b is a vector or
+    a matrix of right-hand-side columns, and x has its shape."""
+    vector = not isinstance(b[0], list)
+    bm = [[x] for x in b] if vector else b
+    cols, width = len(a[0]), len(bm[0])
+    red, pivots = reference_rref([ra + rb for ra, rb in zip(a, bm)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = [[F(0)] * width for _ in range(cols)]
+    for r, c in enumerate(pivots):
+        x[c] = red[r][cols:]
+    return [row[0] for row in x] if vector else x
+
+
+def reference_inverse(a):
+    """a^-1 by reference_solve against the identity; None when a is singular."""
+    return reference_solve(a, identity(len(a)))
 
 
 @st.composite
@@ -344,17 +410,13 @@ def shaped_systems(draw):
     return a, x0, b
 
 
-def _mat_vec(a, x):
-    return [sum((c * v for c, v in zip(row, x)), F(0)) for row in a]
-
-
 def _check_solution(a, b, x, pivots):
     """x solves a x = b exactly and is zero in the free coordinates."""
     vector = not isinstance(b[0], list)
-    xs = [x] if vector else [list(col) for col in zip(*x)]
-    bs = [b] if vector else [list(col) for col in zip(*b)]
+    xs = [x] if vector else transpose(x)
+    bs = [b] if vector else transpose(b)
     for xc, bc in zip(xs, bs):
-        assert _mat_vec(a, xc) == bc
+        assert mat_vec(a, xc) == bc
         assert all(v == 0 for c, v in enumerate(xc) if c not in pivots)
 
 
@@ -362,36 +424,30 @@ def _check_solution(a, b, x, pivots):
 @example(([[F(0), F(0), F(0)]], [F(1), F(2), F(3)], [F(0)]))  # 1 x n, all zero
 @example(([[F(1, 2), F(0), F(3, 4), F(-1, 6)]], [F(1), F(0), F(2), F(1)], [F(5)]))  # 1 x n
 @example(([[F(0), F(1)], [F(0), F(2)], [F(0), F(3)]], [F(4), F(1)], [F(1), F(0), F(0)]))  # tall, zero column
-def test_rref_solve_nullspace_match_fraction_elimination(system):
+def test_reference_solve_and_nullspace_are_exact(system):
+    # the Fraction references the engine's tests compare with, checked by
+    # substitution and with no engine code
     a, x0, b = system
-    rows, cols = len(a), len(a[0])
-    before = [row[:] for row in a]
-    red, pivots = rref(a)
-    assert (red, pivots) == reference_rref(a)
-    assert all(type(x) is Fraction for row in red for x in row)
-    assert a == before
-
-    # solve and nullspace over the Fraction elimination are the reference
-    consistent = _mat_vec(a, x0)
-    wide = [[u, v] for u, v in zip(b, consistent)]
-    cases = (consistent, b, wide)
-    got = [solve(a, rhs) for rhs in cases] + [nullspace(a)]
-    with mock.patch.object(linalg, "rref", reference_rref):
-        assert got == [solve(a, rhs) for rhs in cases] + [nullspace(a)]
-
+    cols = len(a[0])
+    _, pivots = reference_rref(a)
+    consistent = mat_vec(a, x0)
     # a vector right-hand side a x0 is consistent: its solution is exact,
     # with zeros in the free coordinates
-    _check_solution(a, consistent, got[0], pivots)
+    _check_solution(a, consistent, reference_solve(a, consistent), pivots)
     # a random one returns None exactly when it is inconsistent
+    got = reference_solve(a, b)
     _, aug_pivots = reference_rref([row + [v] for row, v in zip(a, b)])
-    assert (got[1] is None) == (cols in aug_pivots)
+    assert (got is None) == (cols in aug_pivots)
     # a matrix right-hand side solves column by column
-    assert (got[2] is None) == (got[1] is None)
-    if got[2] is not None:
-        _check_solution(a, wide, got[2], pivots)
+    wide = [[u, v] for u, v in zip(b, consistent)]
+    got_wide = reference_solve(a, wide)
+    assert (got_wide is None) == (got is None)
+    if got_wide is not None:
+        _check_solution(a, wide, got_wide, pivots)
     # the nullspace has dimension cols - rank and is annihilated by a
-    assert len(got[3]) == cols - len(pivots)
-    assert all(not any(_mat_vec(a, v)) for v in got[3])
+    null = nullspace(a)
+    assert len(null) == cols - len(pivots)
+    assert all(not any(mat_vec(a, v)) for v in null)
 
 
 def reference_int_rref(m):

@@ -197,17 +197,6 @@ class PolyTensor(_FieldTensor):
         super().__init__(field_names, N, bracket_scale)
         self.entries: dict = {}
 
-    def add_term(self, i, m, j, n, poly: Poly):
-        if poly.is_zero():
-            return
-        key = (i, m % self.N, j, n % self.N)
-        cur = self.entries.get(key)
-        new = poly if cur is None else cur + poly
-        if new.is_zero():
-            self.entries.pop(key, None)
-        else:
-            self.entries[key] = new
-
     def int_matrix(self, point):
         """(L, rows): the dense (d N) x (d N) matrix at the point as int rows over L, by ``_int_poly``."""
         X, pw, L, _ = _int_point(_int_scale(self.entries.values()), self.point_values(point))
@@ -688,6 +677,7 @@ def jacobiator(P, point) -> Fraction:
     The maximum of |sum_s P_{I s} d_s P_{J K} + cyclic| over the triples I < J < K
     of field sites that ``_pencil_sweep`` sweeps, its t^0 coefficient with no Q:
     one per shift orbit if P passes the shift-invariance entry check, else all.
+    P is assumed antisymmetric and not checked: {u_0, u_1} = u_0 u_1 alone reads 0.
     """
     if point is None:
         raise ValueError("jacobiator needs a point: pencil_certificate is the check with no point")
@@ -710,12 +700,13 @@ def _pencil_sweep(TP: PolyTensor, TQ, points):
     point for both tensors, and ``_int_tables`` evaluates each tensor once,
     values over Lv and gradient entries over Lg, so L = Lv Lg.  No dense
     matrix is built; ``_accumulate`` sums in ints, holding the triples of one
-    smallest index a at a time.  It assumes P_JK = -P_KJ, which
-    ``_antisymmetry`` checks.
+    smallest index a at a time.  It assumes P_JK = -P_KJ and checks nothing:
+    only ``pencil_certificate`` adds ``_antisymmetry``.
 
-    When every given tensor passes ``_shift_invariant``, only a = i N is swept:
-    each orbit of triples under the shift (i, m) -> (i, m + 1) has a member of
-    smallest flat index i N.  As polynomials a shifted triple's Jacobiator is,
+    When every given tensor passes ``_shift_invariant``, only a = i N is swept,
+    and ``_int_tables`` fills row, up and down there alone: each orbit of
+    triples under the shift (i, m) -> (i, m + 1) has a member of smallest
+    flat index i N.  As polynomials a shifted triple's Jacobiator is,
     up to sign, the triple's relabelled, so (L, xyz) is the full sweep's even
     where Jacobi fails; at a point a failing tensor may read a smaller maximum
     than the full sweep.  A tensor failing the check gets every a.
@@ -729,7 +720,7 @@ def _pencil_sweep(TP: PolyTensor, TQ, points):
     for point in points:
         X, pw, Lv, Lg = _int_point(scale, None if point is None else TP.point_values(point))
         zero, height = (int, abs) if point is not None else (Poly, _height)
-        (VP, GP), (VQ, GQ) = _int_tables(TP, X, pw), _int_tables(TQ, X, pw)
+        (VP, GP), (VQ, GQ) = _int_tables(TP, X, pw, step), _int_tables(TQ, X, pw, step)
         xyz = (0, 0, 0)
         for a in range(0, D, step):
             A, B, C = defaultdict(zero), defaultdict(zero), defaultdict(zero)
@@ -816,7 +807,7 @@ def _sym_poly(poly: Poly, Lc: int):
     return v, {s: v.diff(s) for s in {s for mono in v.terms for s, _ in mono}}
 
 
-def _int_tables(T: PolyTensor, X, pw):
+def _int_tables(T: PolyTensor, X, pw, step: int):
     """Tables (V, G) of the nonzero values and gradient entries of T at the int
     point X (polynomials for X None), one ``_int_poly`` (``_sym_poly``) per entry,
     each table entry carrying the part of its accumulator key b * D + c.
@@ -826,6 +817,8 @@ def _int_tables(T: PolyTensor, X, pw):
     up, down) holds dP: by_s[s] lists (J, J * D + K, d_s P_JK) with J < K by
     ascending J, up[J] lists (K, K * D, s, d_s P_JK) with K > J, down[K]
     lists (J, s, d_s P_JK) with J > K.  I, J, K, s are flat field-site indices.
+    ``_accumulate`` reads row, up and down only at the swept indices, the
+    multiples of step, so they stay empty elsewhere; col, colD and by_s are full.
     """
     N, D = T.N, T.n_vars()
     row, col, by_s, up, down = ([[] for _ in range(D)] for _ in range(5))
@@ -833,15 +826,16 @@ def _int_tables(T: PolyTensor, X, pw):
         J, K = i * N + m, j * N + n
         val, grad = _int_poly(poly, X, pw) if X is not None else _sym_poly(poly, pw[0])
         if val:
-            row[J].append((K, val))
             col[K].append((J, val))
+            if not J % step:
+                row[J].append((K, val))
         if J < K:
-            key, KD, ent = J * D + K, K * D, up[J]
+            key, KD, ent = J * D + K, K * D, [] if J % step else up[J]
             for s, d in grad.items():
                 if d:
                     by_s[s].append((J, key, d))
                     ent.append((K, KD, s, d))
-        elif J > K:
+        elif J > K and not K % step:
             down[K].extend((J, s, d) for s, d in grad.items() if d)
     for ent in col + by_s:
         ent.sort(key=_first)
@@ -891,7 +885,8 @@ def compatibility(P, Q, points) -> Fraction:
     the points, else every triple).  Their vanishing certifies Jacobi for
     every member of the pencil on those triples at that point.  A zero at
     every sampled point is evidence of compatibility, not a proof of it
-    (``pencil_certificate`` is the proof).
+    (``pencil_certificate`` is the proof).  P and Q are assumed antisymmetric
+    and not checked: {u_0, u_1} = u_0 u_1 alone reads 0.
     No point, a None point, or tensors on different field spaces: ValueError.
     """
     points = list(points)

@@ -71,6 +71,18 @@ from polypoisson.multipoly import Poly, _mono_mul
 F = Fraction
 
 
+def add_term(T: PolyTensor, i, m, j, n, poly: Poly):
+    """Add poly to the entry ((i, m), (j, n)) of T, sites mod N; an entry summing to 0 is dropped."""
+    if poly.is_zero():
+        return
+    key = (i, m % T.N, j, n % T.N)
+    new = T.entries[key] + poly if key in T.entries else poly
+    if new.is_zero():
+        T.entries.pop(key)
+    else:
+        T.entries[key] = new
+
+
 def mu_rho_one_polygon():
     # the recursion V'' = V' - V with a period-5 fundamental domain
     V = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1))
@@ -305,7 +317,7 @@ def reference_to_poly(T: OpTensor) -> PolyTensor:
                         assert kind == "c"
                         paths = [(s, p * arg[s]) for s, p in paths]
                 for n, p in paths:
-                    out.add_term(i, m, j, n, p)
+                    add_term(out, i, m, j, n, p)
     return out
 
 
@@ -1087,8 +1099,8 @@ def test_poly_eval_matrix_matches_the_poly_reference():
     constant = PolyTensor(("mu", "rho"), N, F(1, 2))
     for m in range(N):
         c = F(m + 1, (2, 3, 7)[m % 3])
-        constant.add_term(0, m, 1, m + 2, Poly.const(c))
-        constant.add_term(1, m + 2, 0, m, Poly.const(-c))
+        add_term(constant, 0, m, 1, m + 2, Poly.const(c))
+        add_term(constant, 1, m + 2, 0, m, Poly.const(-c))
     tensors = [closed_tensor(name, N).to_poly() for name in ("toda", "P1", "P2", "ftv_u")]
     tensors += [closed_tensor("murho", N, phi=random_odd_kernel(N, rng)).to_poly(), constant]
     for TP in tensors:
@@ -1211,9 +1223,9 @@ def perturbed(TP: PolyTensor, rng: Random, antisymmetric: bool) -> PolyTensor:
         if rng.random() < 0.3:
             mono = ((v1, 1),)
         p = Poly({mono: F(rng.choice((-3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4)))})
-        out.add_term(i, m, j, n, p)
+        add_term(out, i, m, j, n, p)
         if antisymmetric:
-            out.add_term(j, n, i, m, -p)
+            add_term(out, j, n, i, m, -p)
     return out
 
 
@@ -1243,7 +1255,7 @@ def pencil(P: PolyTensor, Q: PolyTensor, t) -> PolyTensor:
     out = PolyTensor(P.field_names, P.N, P.bracket_scale)
     out.entries = dict(P.entries)
     for (i, m, j, n), poly in Q.entries.items():
-        out.add_term(i, m, j, n, poly * t)
+        add_term(out, i, m, j, n, poly * t)
     return out
 
 
@@ -1285,7 +1297,7 @@ def reference_lie_deform(P, direction):
         acc = Poly()
         for v in fam:
             acc = acc + poly.diff(v)
-        out.add_term(i, m, j, n, acc)
+        add_term(out, i, m, j, n, acc)
     return out
 
 
@@ -1350,7 +1362,7 @@ def uv_tensor(entries) -> PolyTensor:
     """A PolyTensor on the fields (u, v) at N = 3 from {(i, m, j, n): {mono: coeff}}."""
     T = PolyTensor(("u", "v"), 3)
     for key, terms in entries.items():
-        T.add_term(*key, Poly(terms))
+        add_term(T, *key, Poly(terms))
     return T
 
 
@@ -1420,7 +1432,7 @@ def test_gf_check_matches_dense_reference_with_a_perturbed_term():
     broken = PolyTensor(P1.field_names, N, P1.bracket_scale)
     broken.entries = dict(P1.entries)
     # a^0 b^2 / 3 added to one entry: still linear in the direction a
-    broken.add_term(1, 2, 2, 4, Poly({((_var(0, 0, N), 1), (_var(1, 2, N), 1)): F(1, 3)}))
+    add_term(broken, 1, 2, 2, 4, Poly({((_var(0, 0, N), 1), (_var(1, 2, N), 1)): F(1, 3)}))
     got = reference_gf_check(broken, "a", pts)
     assert type(got) is Fraction
     assert got == dense_compatibility(broken, reference_lie_deform(broken, "a"), pts)
@@ -1441,7 +1453,7 @@ def test_a_none_point_is_refused():
     # so the one-entry tensor {u_0, u_1} = u_0 u_1, which is not antisymmetric,
     # would read 0; pencil_certificate, the check with no point, reads 1
     T = PolyTensor(("u",), 5)
-    T.add_term(0, 0, 0, 1, Poly({((0, 1), (1, 1)): 1}))
+    add_term(T, 0, 0, 0, 1, Poly({((0, 1), (1, 1)): 1}))
     assert pencil_certificate(T) == 1
     pt = random_fields(("u",), 5, Random(3))
     with pytest.raises(ValueError, match="pencil_certificate"):
@@ -1541,8 +1553,8 @@ def test_antisymmetry_is_part_of_the_certificate():
     # carries the diagonal's 2 P_JJ
     N, rng = 5, Random(51)
     toda, P2 = as_poly_tensor(closed_tensor("toda", N)), as_poly_tensor(closed_tensor("P2", N))
-    toda.add_term(0, 0, 0, 0, Poly.const(1))
-    P2.add_term(0, 0, 0, 0, Poly.const(1))
+    add_term(toda, 0, 0, 0, 0, Poly.const(1))
+    add_term(P2, 0, 0, 0, 0, Poly.const(1))
     pts = [random_fields(toda.field_names, N, rng) for _ in range(2)]
     assert jacobiator(toda, pts[0]) == 0 and reference_gf_check(toda, "mu", pts) == 0
     assert shift_certificate(toda, "mu") == 2
@@ -1566,8 +1578,8 @@ def invariant_bump(P, i: int, j: int, dn: int, factors, c) -> PolyTensor:
     out.entries = dict(TP.entries)
     for m in range(N):
         p = Poly({tuple(sorted((_var(f, (m + s) % N, N), 1) for f, s in factors)): c})
-        out.add_term(i, m, j, m + dn, p)
-        out.add_term(j, m + dn, i, m, -p)
+        add_term(out, i, m, j, m + dn, p)
+        add_term(out, j, m + dn, i, m, -p)
     return out
 
 
@@ -1782,7 +1794,9 @@ def test_tables_equal_the_two_pass_reference_with_one_evaluation_per_entry(monke
     # the work-count and equality guard: each entry is evaluated once, by
     # _int_poly at a point and by _sym_poly with none, and the tables equal
     # the two-pass reference list for list, at a zero coordinate, at
-    # denominators near 10^6 and on polynomials
+    # denominators near 10^6 and on polynomials; with step N (the shift-reduced
+    # sweep, on toda, P1 and P2) row, up and down, which _accumulate reads only
+    # at a = 0, N, 2N, ..., equal the reference there and are empty elsewhere
     calls = count_calls(monkeypatch, coord_reduction, ("_int_poly", "_sym_poly"))
     rng, N = Random(67), 5
     named = [as_poly_tensor(closed_tensor(name, N)) for name in ("toda", "P1", "P2")]
@@ -1793,9 +1807,18 @@ def test_tables_equal_the_two_pass_reference_with_one_evaluation_per_entry(monke
         scale = coord_reduction._int_scale(T.entries.values())
         X, pw, _, _ = coord_reduction._int_point(scale, None if pt is None else T.point_values(pt))
         calls.clear()
-        got = coord_reduction._int_tables(T, X, pw)
+        got = coord_reduction._int_tables(T, X, pw, 1)
         assert dict(calls) == ({"_int_poly" if pt else "_sym_poly": len(T.entries)} if T.entries else {})
-        assert plain_tables(got) == plain_tables(reference_int_tables(T, X, pw))
+        ref = plain_tables(reference_int_tables(T, X, pw))
+        assert plain_tables(got) == ref
+        if T in named:
+            row, col, colD, by_s, up, down = plain_tables(coord_reduction._int_tables(T, X, pw, N))
+            assert [col, colD, by_s] == ref[1:4]
+            swept = range(0, T.n_vars(), N)
+            for table, full in ((row, ref[0]), (up, ref[4]), (down, ref[5])):
+                assert [table[a] for a in swept] == [full[a] for a in swept]
+                assert not any(table[a] for a in range(T.n_vars()) if a % N)
+                assert any(table) and sum(map(len, table)) < sum(map(len, full))
 
 
 def test_compatibility_reads_each_tensor_once_per_call(monkeypatch):
@@ -1812,6 +1835,16 @@ def test_compatibility_reads_each_tensor_once_per_call(monkeypatch):
     per_point = [next(_pencil_sweep(P1, broken, [pt])) for pt in pts]
     assert compatibility(P1, broken, pts) == max(F(max(xyz), L) for L, xyz in per_point) != 0
     assert compatibility(P1, broken, pts) == dense_compatibility(P1, broken, pts)
+    # a shift-invariant tensor that fails Jacobi sweeps only a = i N, at every
+    # point: the dense reference over those triples, still one shift check each
+    bumped = invariant_bump(P2, 0, 2, N - 1, ((1, 0), (0, 2)), F(3, 2))
+    calls.clear()
+    got = compatibility(P1, bumped, pts)
+    assert dict(calls) == {"_shift_invariant": 2, "_int_scale": 1, "_int_point": 3}
+    zero = PolyTensor(P1.field_names, N, P1.bracket_scale)
+    reps = [dense_pencil(P1, bumped, pt, representatives=True) for pt in pts]
+    assert got == max(map(max, reps)) != 0
+    assert jacobiator(bumped, pts[0]) == dense_pencil(bumped, zero, pts[0], representatives=True)[0] != 0
 
 
 def test_invariant_pencil_sweeps_one_index_per_field(monkeypatch):

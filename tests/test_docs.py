@@ -90,7 +90,7 @@ def test_a_deleted_name_does_not_resolve():
         "exchange_algebra.wronskian", "coord_reduction._int_eval", "lattice_ops.solve_phi",
         "lattice_ops.NoSolution", "linalg.dot", "coord_reduction._pencil_sums", "linalg.rref", "linalg.solve",
         "linalg.inverse", "linalg.identity", "linalg.mat_add", "linalg.mat_sub", "linalg.mat_scale",
-        "linalg.mat_vec", "linalg.transpose", "linalg.max_abs", "dynamics._lifted_vdot",
+        "linalg.mat_vec", "linalg.transpose", "linalg.max_abs", "dynamics._lifted_vdot", "PolyTensor.add_term",
     )
     for name in deleted + ("nomodule.name", "_DualCtx.nothing"):
         assert not resolves(name), name

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 from test_coord_reduction import (
     LinearityViolated,
+    add_term,
     poly_eval,
     reference_gf_check,
     reference_lie_deform,
@@ -117,8 +118,8 @@ def degree_zero_tensor(N: int) -> PolyTensor:
     T = PolyTensor(("mu", "rho"), N)
     for m in range(N):
         c = F(m + 1, (2, 3, 5)[m % 3])
-        T.add_term(0, m, 1, (m + 1) % N, Poly.const(c))
-        T.add_term(1, (m + 1) % N, 0, m, Poly.const(-c))
+        add_term(T, 0, m, 1, (m + 1) % N, Poly.const(c))
+        add_term(T, 1, (m + 1) % N, 0, m, Poly.const(-c))
     return T
 
 
@@ -285,7 +286,7 @@ def test_commuting_integrals_negative_controls(monkeypatch):
 
     def perturbed(name, N):
         T = as_poly_tensor(real_closed_tensor(name, N))
-        T.add_term(0, 0, 1, 0, Poly.var(_var(1, 0, N)))
+        add_term(T, 0, 0, 1, 0, Poly.var(_var(1, 0, N)))
         return T
 
     with monkeypatch.context() as mp:
@@ -428,9 +429,9 @@ def test_pencil_deformations_diagonal_and_quadratic_controls(monkeypatch, capsys
         def broken(name, N):
             T = as_poly_tensor(real_closed_tensor(name, N))
             if name == "toda":
-                T.add_term(i, m, j, n, poly)
+                add_term(T, i, m, j, n, poly)
                 if (i, m) != (j, n):
-                    T.add_term(j, n, i, m, -poly)
+                    add_term(T, j, n, i, m, -poly)
             return T
 
         monkeypatch.setattr(acceptance, "closed_tensor", broken)
